@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,6 +46,7 @@ __all__ = [
     "optimal_unicast_closed_form",
     "optimal_unicast_enumerated",
     "optimal_unicast_bruteforce",
+    "BRUTEFORCE_MAX_CELLS",
     "optimal_broadcast",
     "genie_subproblem",
     "canonical_subproblem",
@@ -328,6 +330,13 @@ def _genie_value_grid(s1: int, s2: int, s3: int) -> np.ndarray:
     return out
 
 
+# Largest split grid optimal_unicast_bruteforce evaluates. The grid has
+# (n*m1+1)(n*m2+1)(n*m3+1) cells for denominator n, and building it keeps a
+# handful of int64 arrays of that size alive (about 8 MB each at this cap);
+# (10,10,10) at denominator 3, the largest acceptance config, needs 29,791.
+BRUTEFORCE_MAX_CELLS = 1_000_000
+
+
 def optimal_unicast_bruteforce(config: AntennaConfig, denominator: int = 3) -> AllocationResult:
     """Unicast optimum by exhaustive search over the 1/denominator grid.
 
@@ -335,11 +344,19 @@ def optimal_unicast_bruteforce(config: AntennaConfig, denominator: int = 3) -> A
     multiples of 1/denominator, vectorized over the integer grid scaled by
     the denominator. Ties resolve to the lexicographically smallest transmit
     triple. With denominator 3 the value matches the closed form exactly.
+    Grids over BRUTEFORCE_MAX_CELLS cells are refused with InvalidInputError
+    before anything is allocated.
     """
     if not isinstance(denominator, int) or isinstance(denominator, bool) or denominator < 1:
         raise InvalidInputError(f"denominator must be a positive integer, got {denominator!r}")
     n = denominator
     scaled = tuple(n * m for m in config.totals)
+    cells = math.prod(s + 1 for s in scaled)
+    if cells > BRUTEFORCE_MAX_CELLS:
+        raise InvalidInputError(
+            f"brute-force grid for m={config.totals} at denominator {n} has {cells} cells, "
+            f"over the limit of {BRUTEFORCE_MAX_CELLS}"
+        )
     grid = _genie_value_grid(*scaled)
     best = int(grid.max())
     flat = int(grid.argmax())  # first occurrence in C order = lexicographic tie-break

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -61,6 +62,16 @@ def _parse_ints(text: str, name: str) -> tuple[int, ...]:
         return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise _UsageError(f"--{name} expects comma-separated integers, got {text!r}") from exc
+
+
+def _parse_finite_floats(text: str, name: str) -> tuple[float, ...]:
+    try:
+        vals = tuple(float(p) for p in text.split(","))
+    except ValueError as exc:
+        raise _UsageError(f"--{name} expects comma-separated numbers, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise _UsageError(f"--{name} values must be finite, got {text!r}")
+    return vals
 
 
 def _parse_fracs(text: str, name: str) -> tuple[Fraction, ...]:
@@ -264,7 +275,7 @@ def _cmd_verify_scheme(args) -> int:
 def _cmd_slope(args) -> int:
     config = _config(args)
     tag = _scheme_tag(args.scheme)
-    snr = tuple(float(s) for s in args.snr.split(","))
+    snr = _parse_finite_floats(args.snr, "snr")
     est = estimate_dof(config, tag, snr, trials=args.trials, seed=args.seed, fit=args.fit)
 
     if args.format == "json":
@@ -278,7 +289,8 @@ def _cmd_slope(args) -> int:
             print(f"  {db:6.1f} dB  {rate:10.4f} bits/use")
         if est.invalid_trials:
             print(f"  ({est.invalid_trials}/{est.trials} draws invalid, skipped)")
-    if est.abs_error > args.tol:
+    # fail closed: a non-finite estimate or error never passes the gate
+    if not (math.isfinite(est.slope) and math.isfinite(est.abs_error) and est.abs_error <= args.tol):
         print(
             f"error[validation]: slope {est.slope:.4f} deviates from "
             f"{_dec(est.theoretical_dof)} by more than {args.tol}",

@@ -16,9 +16,18 @@ nonnegative, so zero pins both optima).
 The solver runs a dense two-phase simplex with Bland's rule on the dual in
 standard form; the optimal basic solution is lam and the simplex multipliers
 of the equality rows are the primal optimum v, so every solve returns a
-certificate pair whose gap is zero by construction. Problem sizes here are a
-handful of variables and a few dozen constraints, where exact dense pivoting
-is plenty fast.
+certificate pair whose gap is zero by construction.
+
+The tableau is integer-preserving (Bareiss 1968): each equality row is scaled
+to integers by the lcm of its denominators, and the tableau, right-hand side
+and cost row are Python ints over one common denominator d, the absolute
+determinant of the current basis. A pivot on p updates every entry to
+(p*x - f*y) / d, which divides exactly, and then sets d = p. Bland's rule,
+the ratio test and the phase-1 feasibility test compare integers, so the
+solver takes the same pivots as an elimination over `Fraction`s would.
+`Fraction` is re-entered only when reading off the solution: the basic
+values as rhs / d, and the multipliers with the row sign, row scale, cost
+scale and d divided back out.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidInputError
 from .rational import frac, frac_str
@@ -165,60 +175,79 @@ class _Unbounded(Exception):
     pass
 
 
+def _to_integers(values) -> tuple[list[int], int]:
+    """Scale rationals (Fraction or int) to integers by the lcm of their
+    denominators; returns the integers and the scale."""
+    s = lcm(*(x.denominator for x in values))
+    if s == 1:
+        return [x.numerator for x in values], 1
+    return [x.numerator * (s // x.denominator) for x in values], s
+
+
 def _simplex_standard(g_rows, g_rhs, cost):
     """min cost.x s.t. (g_rows) x = g_rhs, x >= 0, exact two-phase simplex.
 
-    Returns (x, pi) with pi the equality-row multipliers, or None when
-    infeasible; raises _Unbounded when the minimum is -infinity. Bland's rule
-    everywhere, so cycling cannot occur.
+    Entries are Fractions or ints. Returns (x, pi) with pi the equality-row
+    multipliers, or None when infeasible; raises _Unbounded when the minimum
+    is -infinity. Bland's rule everywhere, so cycling cannot occur.
+
+    Each tableau row is [row | artificial | rhs] in integers over the
+    common denominator d, the absolute determinant of the current basis, so
+    the rational tableau is tab / d. Row i of the input is scaled by
+    sign_i * s_i (s_i the lcm of its denominators, the sign making its rhs
+    >= 0); its artificial column stays the unit vector, which makes that
+    artificial s_i times the unscaled one, so phase 1 weighs it by
+    lcm(s) / s_i. Positive row and column scalings leave every sign, ratio
+    order and zero pattern the simplex decides on unchanged.
     """
     n_eq = len(g_rows)
     n_var = len(cost)
-    zero, one = Fraction(0), Fraction(1)
-
-    # normalize rhs >= 0, remembering the sign flips for multiplier recovery
-    signs = []
-    body = []
-    rhs = []
-    for i in range(n_eq):
-        row = [frac(x) for x in g_rows[i]]
-        r = frac(g_rhs[i])
-        if r < 0:
-            row = [-x for x in row]
-            r = -r
-            signs.append(-1)
-        else:
-            signs.append(1)
-        # append the artificial identity column block
-        art = [zero] * n_eq
-        art[i] = one
-        body.append(row + art)
-        rhs.append(r)
-
     width = n_var + n_eq
+
+    tab, scales, signs = [], [], []
+    for i in range(n_eq):
+        row, s = _to_integers((*g_rows[i], g_rhs[i]))
+        sign = -1 if row[-1] < 0 else 1
+        if sign < 0:
+            row = [-x for x in row]
+        art = [0] * n_eq
+        art[i] = 1
+        tab.append(row[:-1] + art + row[-1:])
+        scales.append(s)
+        signs.append(sign)
+
+    d = 1
     basis = [n_var + i for i in range(n_eq)]
     live = list(range(n_eq))  # tableau row -> original equality index
 
     def pivot(prow, pcol, costrow):
-        inv = one / body[prow][pcol]
-        body[prow] = [x * inv for x in body[prow]]
-        rhs[prow] *= inv
-        for i in range(len(body)):
-            if i != prow and body[i][pcol] != 0:
-                f = body[i][pcol]
-                body[i] = [x - f * y for x, y in zip(body[i], body[prow])]
-                rhs[i] -= f * rhs[prow]
-        if costrow[pcol] != 0:
-            f = costrow[pcol]
-            costrow[:] = [x - f * y for x, y in zip(costrow, body[prow])]
+        # Bareiss step: every entry becomes (p*x - f*y) / d, an exact
+        # division because the result is the entry of |det B'| * B'^-1 A
+        nonlocal d
+        top = tab[prow]
+        p = top[pcol]
+        if p < 0:  # only when a leftover artificial is pivoted out
+            top = tab[prow] = [-y for y in top]
+            p = -p
+        rows = [row for i, row in enumerate(tab) if i != prow]
+        if costrow is not None:
+            rows.append(costrow)
+        for row in rows:
+            f = row[pcol]
+            if f:
+                row[:] = [(p * x - f * y) // d for x, y in zip(row, top)]
+            elif p != d:
+                row[:] = [p * x // d for x in row]
+        d = p
         basis[prow] = pcol
 
     def reduced_costs(full_cost):
-        costrow = list(full_cost)
+        # d * (full_cost - c_B B^-1 A); the rhs slot holds -d * objective
+        costrow = [d * x for x in full_cost] + [0]
         for i, b in enumerate(basis):
-            if full_cost[b] != 0:
-                f = full_cost[b]
-                costrow = [x - f * y for x, y in zip(costrow, body[i])]
+            f = full_cost[b]
+            if f:
+                costrow = [x - f * y for x, y in zip(costrow, tab[i])]
         return costrow
 
     def run(costrow, allowed_width):
@@ -226,46 +255,55 @@ def _simplex_standard(g_rows, g_rhs, cost):
             enter = next((j for j in range(allowed_width) if costrow[j] < 0), None)
             if enter is None:
                 return
-            prow, best = None, None
-            for i in range(len(body)):
-                if body[i][enter] > 0:
-                    ratio = rhs[i] / body[i][enter]
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[prow]):
-                        prow, best = i, ratio
+            # min rhs_i / tab[i][enter] over tab[i][enter] > 0, compared by
+            # cross-multiplying; ties go to the smallest basic index
+            prow = None
+            for i, row in enumerate(tab):
+                a = row[enter]
+                if a > 0:
+                    if prow is None:
+                        prow, num, den = i, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[prow]):
+                        prow, num, den = i, row[-1], a
             if prow is None:
                 raise _Unbounded()
             pivot(prow, enter, costrow)
 
     # phase 1: drive the artificials to zero
-    phase1_cost = [zero] * n_var + [one] * n_eq
+    big = lcm(*scales)
+    phase1_cost = [0] * n_var + [big // s for s in scales]
     costrow = reduced_costs(phase1_cost)
     run(costrow, width)
-    if sum((phase1_cost[b] * rhs[i] for i, b in enumerate(basis)), zero) > 0:
+    if sum(phase1_cost[b] * tab[i][-1] for i, b in enumerate(basis)) > 0:
         return None
 
     # pivot leftover artificials out of the basis; all-zero rows are redundant
-    for i in reversed(range(len(body))):
+    for i in reversed(range(len(tab))):
         if basis[i] >= n_var:
-            pcol = next((j for j in range(n_var) if body[i][j] != 0), None)
+            pcol = next((j for j in range(n_var) if tab[i][j] != 0), None)
             if pcol is None:
-                del body[i], rhs[i], basis[i], live[i]
+                del tab[i], basis[i], live[i]
             else:
-                pivot(i, pcol, costrow)
+                pivot(i, pcol, None)
 
     # phase 2 over the original columns only
-    phase2_cost = list(cost) + [zero] * n_eq
-    costrow = reduced_costs(phase2_cost)
+    cost_int, cost_scale = _to_integers(cost)
+    costrow = reduced_costs(cost_int + [0] * n_eq)
     run(costrow, n_var)
 
+    zero = Fraction(0)
     x = [zero] * n_var
     for i, b in enumerate(basis):
         if b < n_var:
-            x[b] = rhs[i]
+            x[b] = Fraction(tab[i][-1], d)
     # multiplier of equality row k: minus the reduced cost of its artificial
-    # column, undoing any sign normalization; dropped redundant rows get 0
+    # column, with the row sign, row scale, cost scale and d undone; dropped
+    # redundant rows get 0
     pi = [zero] * n_eq
     for orig in live:
-        pi[orig] = -costrow[n_var + orig] * signs[orig]
+        pi[orig] = Fraction(-costrow[n_var + orig] * signs[orig] * scales[orig], cost_scale * d)
     return x, pi
 
 

@@ -156,6 +156,28 @@ def test_bruteforce_rejects_bad_denominator():
         optimal_unicast_bruteforce(AntennaConfig(2, 1, 1), 0)
 
 
+def test_bruteforce_grid_cap(monkeypatch):
+    from mimo3way import allocation
+
+    # (2,1,1) at denominator 3 is a 7 x 4 x 4 grid
+    monkeypatch.setattr(allocation, "BRUTEFORCE_MAX_CELLS", 112)
+    assert optimal_unicast_bruteforce(AntennaConfig(2, 1, 1), 3).optimal_dof == 2
+
+    def no_grid(*scaled):
+        raise AssertionError("grid built despite the cap")
+
+    monkeypatch.setattr(allocation, "BRUTEFORCE_MAX_CELLS", 111)
+    monkeypatch.setattr(allocation, "_genie_value_grid", no_grid)
+    with pytest.raises(InvalidInputError, match="112 cells"):
+        optimal_unicast_bruteforce(AntennaConfig(2, 1, 1), 3)
+
+
+def test_bruteforce_cap_covers_acceptance_grid():
+    from mimo3way.allocation import BRUTEFORCE_MAX_CELLS
+
+    assert 31**3 * 10 <= BRUTEFORCE_MAX_CELLS
+
+
 def test_broadcast_worked_examples():
     r = optimal_broadcast(AntennaConfig(5, 3, 2))
     assert r.optimal_dof == 5

@@ -1,10 +1,13 @@
 """End-to-end CLI tests through main(argv)."""
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
-from mimo3way import InternalError
+from mimo3way import InternalError, SchemeTag
+from mimo3way.rates import SlopeEstimate
 from mimo3way.cli import DEFAULT_SEED, main
 
 
@@ -94,6 +97,13 @@ def test_allocate_methods_agree(capsys):
     assert values == ["16/3"] * 3
 
 
+def test_allocate_brute_grid_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("mimo3way.allocation.BRUTEFORCE_MAX_CELLS", 100)
+    code, out, err = _run(capsys, "allocate", "--m", "2,1,1", "--method", "brute")
+    assert code == 2
+    assert err.startswith("error[validation]:") and "over the limit of 100" in err
+
+
 def test_allocate_broadcast_band(capsys):
     payload = _run_json(capsys, "allocate", "--m", "5,3,2", "--msgs", "broadcast", "--format", "json")
     assert payload["result"]["optimal_dof"] == "5"
@@ -167,6 +177,29 @@ def test_slope_tolerance_exceeded(capsys):
     )
     assert code == 2
     assert "deviates" in err
+
+
+@pytest.mark.parametrize("snr", ["30,abc", "30,,50", "30,inf", "nan,50", "-inf,30"])
+def test_slope_bad_snr_is_usage_error(capsys, snr):
+    code, out, err = _run(capsys, "slope", "--m", "2,1,1", "--scheme", "uni-b", "--trials", "2", f"--snr={snr}")
+    assert code == 1
+    assert err.startswith("error[usage]: --snr")
+    assert out == ""
+
+
+@pytest.mark.parametrize("slope", [math.nan, math.inf])
+@pytest.mark.parametrize("tol", ["0.2", "inf"])
+def test_slope_gate_fails_closed_on_non_finite(capsys, monkeypatch, slope, tol):
+    def fake(config, tag, snr, **kwargs):
+        return SlopeEstimate(
+            scheme=SchemeTag.UNI_B, snr_db=snr, mean_rates=(1.0, slope), slope=slope,
+            theoretical_dof=Fraction(2), abs_error=abs(slope - 2.0), trials=1, invalid_trials=0, fit="two-point",
+        )
+
+    monkeypatch.setattr("mimo3way.cli.estimate_dof", fake)
+    code, out, err = _run(capsys, "slope", "--m", "2,1,1", "--scheme", "uni-b", "--tol", tol)
+    assert code == 2
+    assert err.startswith("error[validation]:")
 
 
 def test_slope_json(capsys):

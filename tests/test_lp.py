@@ -1,19 +1,26 @@
 """Exact-LP tests: certificate checking and the rational simplex solver."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mimo3way import (
     AntennaConfig,
     DualityStatus,
     InvalidInputError,
     LinearProgram,
+    LPSolution,
     canonical_primal_dual,
     canonical_subproblem,
+    genie_subproblem,
+    optimal_unicast_enumerated,
     solve_inequality_min,
     verify_duality,
 )
+from mimo3way.allocation import _mirror_bits
 from mimo3way.rational import frac
 
 
@@ -201,3 +208,125 @@ def test_solution_entries_are_exact_rationals():
     assert all(isinstance(x, Fraction) for x in sol.v)
     assert all(isinstance(x, Fraction) for x in sol.lam)
     assert frac(sol.value) == sol.value
+
+
+@pytest.mark.parametrize(
+    "a,b,v",
+    [
+        (((Fraction(-1, 2),),), (Fraction(1, 5),), Fraction(-2, 5)),
+        (((-1,), (0,)), (Fraction(1, 2), Fraction(1, 2)), Fraction(-1, 2)),
+    ],
+)
+def test_solve_negative_pivot_when_leftover_artificial_leaves(a, b, v):
+    # zero cost leaves the dual's artificials basic after phase 1, and the
+    # only column that can replace one has a negative entry
+    lp = LinearProgram(c=(0,), a=a, b=b)
+    sol = solve_inequality_min(lp)
+    assert sol == LPSolution(value=Fraction(0), v=(v,), lam=(Fraction(0),) * len(b))
+    assert verify_duality(lp, sol.v, sol.lam).is_optimal
+
+
+def test_solve_drops_all_zero_row():
+    lp = LinearProgram(c=(0, 1), a=((0, -1), (0, 1)), b=(0, 3))
+    sol = solve_inequality_min(lp)
+    assert sol.value == 0 and sol.v == (0, 0)
+    assert verify_duality(lp, sol.v, sol.lam).is_optimal
+
+
+_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _rational_programs(draw):
+    """Small inequality LPs with non-integer rational data.
+
+    Half the programs are built around a point that satisfies some rows with
+    equality (degenerate vertices), the rest have free right-hand sides and
+    are often infeasible; box rows are optional, so unbounded programs occur
+    too. A scaled copy of a row adds a redundant constraint.
+    """
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    a = [[draw(_SMALL) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        x0 = [draw(_SMALL) for _ in range(n)]
+        b = [sum(r * x for r, x in zip(row, x0)) + draw(st.sampled_from((0, 0, Fraction(1, 3), 2))) for row in a]
+    else:
+        b = [draw(_SMALL) for _ in range(m)]
+    if draw(st.booleans()):
+        for j in range(n):
+            for sign in (1, -1):
+                a.append([sign * (k == j) for k in range(n)])
+                b.append(draw(st.fractions(min_value=1, max_value=5, max_denominator=4)))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(a) - 1))
+        scale = draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3))
+        a.append([scale * x for x in a[k]])
+        b.append(scale * b[k])
+    c = [draw(_SMALL) for _ in range(n)]
+    return LinearProgram(c=tuple(c), a=tuple(map(tuple, a)), b=tuple(b))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rational_programs())
+@example(LinearProgram(c=(Fraction(1, 2),), a=((Fraction(2, 3),), (Fraction(-1, 3),)), b=(-1, Fraction(-1, 2))))
+@example(LinearProgram(c=(Fraction(-1, 2), 1), a=((Fraction(-1, 3), 0), (0, Fraction(1, 2))), b=(1, 2)))
+@example(
+    LinearProgram(
+        c=(-1, Fraction(-1, 3)),
+        a=((1, 1), (Fraction(1, 2), Fraction(1, 2)), (1, 0), (-1, 0), (0, -1)),
+        b=(2, 1, 2, 0, 0),
+    )
+)
+def test_solver_on_random_rational_programs(lp):
+    sol = solve_inequality_min(lp)
+    if sol is not None:
+        cert = verify_duality(lp, sol.v, sol.lam)
+        assert cert.is_optimal, cert.violations
+        assert sol.value == sum((c * v for c, v in zip(lp.c, sol.v)), Fraction(0))
+
+    try:
+        from scipy.optimize import linprog
+    except ImportError:
+        return
+    ref = linprog(
+        c=[float(x) for x in lp.c],
+        A_ub=[[float(x) for x in row] for row in lp.a],
+        b_ub=[float(x) for x in lp.b],
+        bounds=[(None, None)] * lp.n_variables,
+        method="highs",
+    )
+    if sol is None:
+        assert ref.status in (2, 3), ref.message  # infeasible or unbounded
+    else:
+        assert ref.status == 0, ref.message
+        assert abs(float(sol.value) - ref.fun) <= 1e-9
+
+
+# winning orbit of each config among the 36 mirror-orbit representatives in
+# enumeration order, the number of feasible orbits, and the exact pair the
+# solver returns for the winner (its pivot sequence decides which optimal
+# vertex and multipliers come out)
+_PINNED_WINNERS = {
+    (3, 3, 3): (3, 36, ("4", "2", "0", "2"), "1/3 0 1/3 1/3 0 0 0 0 0 0 0 0 0 0 0 1/3 0 0"),
+    (5, 4, 3): (15, 14, ("17/3", "5", "2/3", "2/3"), "0 1/3 0 1/3 1/3 0 0 0 0 0 0 1/3 0 0 0 0 0 0"),
+    (7, 2, 1): (5, 11, ("3", "7", "0", "0"), "0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 1 1 0"),
+    (10, 10, 1): (3, 16, ("31/3", "29/3", "0", "2/3"), "1/3 0 1/3 1/3 0 0 0 0 0 0 0 0 0 0 0 1/3 0 0"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(_PINNED_WINNERS))
+def test_genie_subproblems_pinned_pairs(m):
+    cfg = AntennaConfig(*m)
+    patterns = itertools.product((False, True), repeat=6)
+    orbits = list(dict.fromkeys(min(bits, _mirror_bits(bits)) for bits in patterns))
+    assert len(orbits) == 36
+    sols = [solve_inequality_min(genie_subproblem(cfg, bits)) for bits in orbits]
+    feasible = [i for i, sol in enumerate(sols) if sol is not None]
+    best = max(feasible, key=lambda i: (-sols[i].value, -i))  # first maximum, as enumeration keeps it
+
+    win, n_feasible, v, lam = _PINNED_WINNERS[m]
+    assert (best, len(feasible)) == (win, n_feasible)
+    assert sols[best].v == tuple(Fraction(x) for x in v)
+    assert sols[best].lam == tuple(Fraction(x) for x in lam.split())
+    assert optimal_unicast_enumerated(cfg).certificate.lam == sols[best].lam
