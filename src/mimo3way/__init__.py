@@ -14,8 +14,10 @@ from .allocation import (
     TransmitSumBand,
     broadcast_optimal_value,
     canonical_primal_dual,
+    canonical_split,
     canonical_subproblem,
     genie_subproblem,
+    holds,
     optimal_broadcast,
     optimal_unicast_bruteforce,
     optimal_unicast_closed_form,
@@ -36,11 +38,8 @@ from .channel import (
     AntennaConfig,
     AntennaSplit,
     ChannelSet,
-    MessageConfig,
-    MessageSet,
     draw_channels,
     receive,
-    total_dof,
 )
 from .errors import InternalError, InvalidInputError, RegimeError
 from .linalg import (
@@ -68,6 +67,7 @@ from .schemes import (
     build_scheme,
     build_uni_a,
     build_uni_b,
+    pair_matrices,
     scheme_split,
     verify_scheme,
 )
@@ -81,11 +81,8 @@ __all__ = [
     "AntennaConfig",
     "AntennaSplit",
     "ChannelSet",
-    "MessageConfig",
-    "MessageSet",
     "draw_channels",
     "receive",
-    "total_dof",
     # linear algebra kernel
     "numerical_rank",
     "null_space_basis",
@@ -111,6 +108,8 @@ __all__ = [
     "DualityPairCertificate",
     "TransmitSumBand",
     "AllocationResult",
+    "holds",
+    "canonical_split",
     "unicast_optimal_value",
     "unicast_optimal_split",
     "broadcast_optimal_value",
@@ -132,6 +131,7 @@ __all__ = [
     "build_uni_b",
     "build_bcast",
     "build_scheme",
+    "pair_matrices",
     "verify_scheme",
     # rates
     "SlopeEstimate",

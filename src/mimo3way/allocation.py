@@ -40,6 +40,8 @@ __all__ = [
     "DualityPairCertificate",
     "TransmitSumBand",
     "AllocationResult",
+    "holds",
+    "canonical_split",
     "unicast_optimal_value",
     "unicast_optimal_split",
     "broadcast_optimal_value",
@@ -150,20 +152,46 @@ def broadcast_optimal_value(m1, m2, m3) -> Fraction:
     return m2 + m3
 
 
+def holds(regime: Regime, config: AntennaConfig) -> bool:
+    """Whether `config` lies in `regime`; at m1 = m2+m3 both unicast regimes
+    hold, and the broadcast regime holds everywhere."""
+    if regime is Regime.BALANCED:
+        return config.m1 <= config.m2 + config.m3
+    if regime is Regime.HUB:
+        return config.m1 >= config.m2 + config.m3
+    return True
+
+
+def canonical_split(config: AntennaConfig, regime: Regime) -> AntennaSplit:
+    """The canonical optimal split of `regime`; RegimeError outside it.
+
+    Balanced listens with (0, (m1+2m2-m3)/3, (m1+2m3-m2)/3), hub with
+    (m2+m3, 0, 0), and broadcast with (m2, m3, 0); every node transmits with
+    the rest of its antennas.
+    """
+    if not holds(regime, config):
+        op = "<=" if regime is Regime.BALANCED else ">="
+        raise RegimeError(
+            f"the {regime.name.lower()} split applies only when m1 {op} m2+m3, got {config.totals}"
+        )
+    m1, m2, m3 = (Fraction(m) for m in config.totals)
+    if regime is Regime.BALANCED:
+        rx = (Fraction(0), (m1 + 2 * m2 - m3) / 3, (m1 + 2 * m3 - m2) / 3)
+    elif regime is Regime.HUB:
+        rx = (m2 + m3, Fraction(0), Fraction(0))
+    else:
+        rx = (m2, m3, Fraction(0))
+    return AntennaSplit(tuple(m - r for m, r in zip((m1, m2, m3), rx)), rx)
+
+
 def _unicast_regime(config: AntennaConfig) -> Regime:
     # boundary configs satisfy both formulas; report the balanced tag
-    return Regime.BALANCED if config.m1 <= config.m2 + config.m3 else Regime.HUB
+    return Regime.BALANCED if holds(Regime.BALANCED, config) else Regime.HUB
 
 
 def unicast_optimal_split(config: AntennaConfig) -> AntennaSplit:
     """Canonical optimal split for the unicast messages."""
-    m1, m2, m3 = (Fraction(m) for m in config.totals)
-    if config.m1 <= config.m2 + config.m3:
-        rx = (Fraction(0), (m1 + 2 * m2 - m3) / 3, (m1 + 2 * m3 - m2) / 3)
-    else:
-        rx = (m2 + m3, Fraction(0), Fraction(0))
-    tx = tuple(m - r for m, r in zip((m1, m2, m3), rx))
-    return AntennaSplit(tx, rx)
+    return canonical_split(config, _unicast_regime(config))
 
 
 def optimal_unicast_closed_form(config: AntennaConfig) -> AllocationResult:
@@ -171,8 +199,8 @@ def optimal_unicast_closed_form(config: AntennaConfig) -> AllocationResult:
     if not isinstance(config, AntennaConfig):
         raise InvalidInputError(f"expected an AntennaConfig, got {type(config).__name__}")
     value = unicast_optimal_value(*config.totals)
-    split = unicast_optimal_split(config)
     regime = _unicast_regime(config)
+    split = canonical_split(config, regime)
     if genie_bound_unicast(split).combined != value:
         raise InternalError("closed-form split does not attain the closed-form value")
     return AllocationResult(
@@ -386,13 +414,10 @@ def optimal_broadcast(config: AntennaConfig) -> AllocationResult:
     """
     if not isinstance(config, AntennaConfig):
         raise InvalidInputError(f"expected an AntennaConfig, got {type(config).__name__}")
-    m1, m2, m3 = (Fraction(m) for m in config.totals)
-    tx = (m1 - m2, m2 - m3, m3)
-    rx = (m2, m3, Fraction(0))
-    split = AntennaSplit(tx, rx)
-    value = m2 + m3
-    band = TransmitSumBand(low=m2, high=m1)
-    if not band.contains(config, tx):
+    split = canonical_split(config, Regime.BROADCAST)
+    value = broadcast_optimal_value(*config.totals)
+    band = TransmitSumBand(low=Fraction(config.m2), high=Fraction(config.m1))
+    if not band.contains(config, split.tx):
         raise InternalError("canonical broadcast split fell outside its own optimality band")
     if cutset_bound_broadcast(split).combined != value:
         raise InternalError("canonical broadcast split does not attain m2+m3")
@@ -490,18 +515,9 @@ def canonical_primal_dual(config: AntennaConfig):
     (1/3, 1/3, 1/3, 2/3). Only defined in the m1 <= m2+m3 regime, where the
     pair verifies with exactly zero gap.
     """
-    if config.m1 > config.m2 + config.m3:
-        raise RegimeError(
-            f"canonical pair needs m1 <= m2+m3, got ({config.m1}, {config.m2}, {config.m3})"
-        )
-    m1, m2, m3 = (Fraction(m) for m in config.totals)
+    split = canonical_split(config, Regime.BALANCED)
     lp = canonical_subproblem(config)
-    v = (
-        (2 * m1 + m2 + m3) / 3,
-        Fraction(0),
-        (m1 + 2 * m2 - m3) / 3,
-        (m1 + 2 * m3 - m2) / 3,
-    )
+    v = (unicast_optimal_value(*config.totals), *split.rx)
     lam = [Fraction(0)] * 17
     lam[0] = lam[1] = lam[2] = Fraction(1, 3)
     lam[7] = Fraction(2, 3)

@@ -44,23 +44,16 @@ class BoundTerm:
 class BoundReport:
     """All terms of one bound evaluation plus the combined minimum.
 
-    Exactly one of combined_cutset / combined_genie is set, matching the
-    family that produced the report; `binding` lists the labels of the
-    total terms attaining the minimum.
+    `family` names the bound family ("cutset" or "genie") that produced the
+    report; `binding` lists the labels of the total terms attaining the
+    minimum.
     """
 
     partial_terms: tuple[BoundTerm, ...]
     total_terms: tuple[BoundTerm, ...]
-    combined_cutset: Fraction | None
-    combined_genie: Fraction | None
+    family: str
+    combined: Fraction
     binding: tuple[str, ...]
-
-    @property
-    def combined(self) -> Fraction:
-        value = self.combined_genie if self.combined_genie is not None else self.combined_cutset
-        if value is None:
-            raise InvalidInputError("report has no combined value")
-        return value
 
     def to_json(self) -> dict:
         def terms(ts):
@@ -69,8 +62,8 @@ class BoundReport:
         return {
             "partial_terms": terms(self.partial_terms),
             "total_terms": terms(self.total_terms),
-            "combined_cutset": None if self.combined_cutset is None else frac_str(self.combined_cutset),
-            "combined_genie": None if self.combined_genie is None else frac_str(self.combined_genie),
+            "combined_cutset": frac_str(self.combined) if self.family == "cutset" else None,
+            "combined_genie": frac_str(self.combined) if self.family == "genie" else None,
             "binding": list(self.binding),
         }
 
@@ -88,8 +81,8 @@ def _report(partials, totals, family: str) -> BoundReport:
     return BoundReport(
         partial_terms=tuple(BoundTerm(l, v) for l, v in partials),
         total_terms=tuple(BoundTerm(l, v) for l, v in totals),
-        combined_cutset=combined if family == "cutset" else None,
-        combined_genie=combined if family == "genie" else None,
+        family=family,
+        combined=combined,
         binding=binding,
     )
 

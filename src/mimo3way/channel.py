@@ -9,10 +9,8 @@ Node indices are 1-based on all public surfaces.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
 
 import numpy as np
 
@@ -25,11 +23,8 @@ __all__ = [
     "AntennaConfig",
     "AntennaSplit",
     "ChannelSet",
-    "MessageConfig",
-    "MessageSet",
     "draw_channels",
     "receive",
-    "total_dof",
 ]
 
 # fixed (tx, rx) enumeration order; also the draw order inside draw_channels
@@ -75,16 +70,6 @@ class AntennaConfig:
 
     def to_json(self) -> dict:
         return {"m": [self.m1, self.m2, self.m3]}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "AntennaConfig":
-        try:
-            m = obj["m"]
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError("antenna config JSON must be {'m': [m1, m2, m3]}") from exc
-        if len(m) != 3:
-            raise InvalidInputError(f"'m' must have 3 entries, got {len(m)}")
-        return cls(*(int(v) for v in m))
 
 
 @dataclass(frozen=True)
@@ -140,14 +125,6 @@ class AntennaSplit:
 
     def to_json(self) -> dict:
         return {"mt": [frac_str(v) for v in self.tx], "mr": [frac_str(v) for v in self.rx]}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "AntennaSplit":
-        try:
-            mt, mr = obj["mt"], obj["mr"]
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError("antenna split JSON must be {'mt': [...], 'mr': [...]}") from exc
-        return cls(triple(mt, "mt"), triple(mr, "mr"))
 
 
 @dataclass(frozen=True)
@@ -234,68 +211,3 @@ def receive(split: AntennaSplit, channels: ChannelSet, x, noise) -> tuple[np.nda
                 yj = yj + channels.h(i, j) @ xs[i - 1]
         ys.append(yj)
     return tuple(ys)
-
-
-class MessageConfig(enum.Enum):
-    """Which message sets are active: unicast only, or unicast plus the
-    broadcast message sent by node 3 to both other nodes."""
-
-    UNICAST = "unicast"
-    UNICAST_BROADCAST = "unicast+broadcast"
-
-
-@dataclass(frozen=True)
-class MessageSet:
-    """DoF counts per message: unicast d_ij keyed by (tx, rx) pairs and
-    broadcast d_k keyed by source node."""
-
-    config: MessageConfig
-    unicast: Mapping[tuple[int, int], Fraction]
-    broadcast: Mapping[int, Fraction]
-
-    def __post_init__(self):
-        uni = {}
-        for key, d in dict(self.unicast).items():
-            i, j = key
-            _check_node(i)
-            _check_node(j)
-            if i == j:
-                raise InvalidInputError(f"unicast message {key} has tx == rx")
-            uni[(i, j)] = frac(d)
-        bc = {}
-        for k, d in dict(self.broadcast).items():
-            _check_node(k)
-            bc[k] = frac(d)
-        if any(d < 0 for d in uni.values()) or any(d < 0 for d in bc.values()):
-            raise InvalidInputError("message DoF counts must be >= 0")
-        if self.config is MessageConfig.UNICAST and any(d != 0 for d in bc.values()):
-            raise InvalidInputError("unicast-only message set has nonzero broadcast DoF")
-        object.__setattr__(self, "unicast", uni)
-        object.__setattr__(self, "broadcast", bc)
-
-    @classmethod
-    def unicast_only(cls, unicast: Mapping[tuple[int, int], object]) -> "MessageSet":
-        return cls(MessageConfig.UNICAST, unicast, {})
-
-    @classmethod
-    def with_broadcast(
-        cls,
-        unicast: Mapping[tuple[int, int], object],
-        broadcast: Mapping[int, object],
-    ) -> "MessageSet":
-        return cls(MessageConfig.UNICAST_BROADCAST, unicast, broadcast)
-
-    def to_json(self) -> dict:
-        return {
-            "config": self.config.value,
-            "unicast": {f"{i}->{j}": frac_str(d) for (i, j), d in sorted(self.unicast.items())},
-            "broadcast": {str(k): frac_str(d) for k, d in sorted(self.broadcast.items())},
-        }
-
-
-def total_dof(msgs: MessageSet) -> Fraction:
-    """Weighted sum-DoF: unicast counts once, broadcast counts twice (one per
-    receiver it must reach)."""
-    uni = sum(msgs.unicast.values(), Fraction(0))
-    bc = sum(msgs.broadcast.values(), Fraction(0))
-    return uni + 2 * bc

@@ -33,9 +33,14 @@ from .rational import frac, frac_str
 from .rates import estimate_dof
 from .schemes import SchemeTag, build_scheme, scheme_split, verify_scheme
 
-__all__ = ["main", "DEFAULT_SEED"]
+__all__ = ["main", "DEFAULT_SEED", "SWEEP_MAX_POINTS"]
 
 DEFAULT_SEED = 1234
+
+# Largest ratio grid `sweep` evaluates, checked before any point is: each
+# costs a few exact rational operations and an output line. The default
+# grid has 70 points; the largest sweep in the benchmark has 784.
+SWEEP_MAX_POINTS = 100_000
 
 
 class _UsageError(Exception):
@@ -300,22 +305,18 @@ def _cmd_slope(args) -> int:
     return 0
 
 
-def _frac_range(lo: Fraction, hi: Fraction, step: Fraction):
-    v = lo
-    while v <= hi:
-        yield v
-        v += step
-
-
 def _cmd_sweep(args) -> int:
     r1 = _parse_range(args.ratio1, "ratio1")
     r2 = _parse_range(args.ratio2, "ratio2")
     if args.m3 < 1:
         raise _UsageError(f"--m3 must be >= 1, got {args.m3}")
+    n1, n2 = ((hi - lo) // step + 1 for lo, hi, step in (r1, r2))
+    if n1 * n2 > SWEEP_MAX_POINTS:
+        raise InvalidInputError(f"sweep grid has {n1 * n2} points, over the limit of {SWEEP_MAX_POINTS}")
     value = broadcast_optimal_value if args.msgs == "broadcast" else unicast_optimal_value
     rows = []
-    for a in _frac_range(*r1):
-        for b in _frac_range(*r2):
+    for a in (r1[0] + k * r1[2] for k in range(n1)):
+        for b in (r2[0] + k * r2[2] for k in range(n2)):
             if a >= b >= 1:  # valid ordered configs only
                 rows.append((a, b, value(a, b, Fraction(1))))
 

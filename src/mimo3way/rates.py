@@ -21,7 +21,7 @@ from .channel import AntennaConfig, ChannelSet, draw_channels
 from .errors import InternalError, InvalidInputError
 from .linalg import ABLATION_STREAM, TRIAL_STREAM, generator, random_orthonormal
 from .rational import frac_str
-from .schemes import SchemeInstance, SchemeTag, build_scheme, scheme_split, verify_scheme
+from .schemes import SchemeInstance, SchemeTag, build_scheme, pair_matrices, scheme_split, verify_scheme
 
 __all__ = ["SlopeEstimate", "sum_rate", "ablated_sum_rate", "estimate_dof"]
 
@@ -65,8 +65,7 @@ def sum_rate(scheme: SchemeInstance, channels: ChannelSet, snr_linear: float) ->
             continue
         per_rx = []
         for r in m.receivers:
-            q = scheme.projectors[(m.key, r)]
-            g = q.conj().T @ channels.h(m.tx, r) @ scheme.precoders[m.key]
+            g, _ = pair_matrices(scheme, channels, m, r)
             gram = np.eye(g.shape[0], dtype=np.complex128) + rho[m.key] * (g @ g.conj().T)
             per_rx.append(_logdet_rate(gram))
         total += m.weight * min(per_rx)
@@ -97,14 +96,10 @@ def ablated_sum_rate(
             continue
         per_rx = []
         for r in m.receivers:
-            q = random_proj[(m.key, r)]
-            g = q.conj().T @ channels.h(m.tx, r) @ scheme.precoders[m.key]
+            g, leaks = pair_matrices(scheme, channels, m, r, random_proj[(m.key, r)])
             signal = rho[m.key] * (g @ g.conj().T)
-            noise = np.eye(q.shape[1], dtype=np.complex128)
-            for other in scheme.messages:
-                if other.key == m.key or other.tx == r or other.dim == 0:
-                    continue
-                leak = q.conj().T @ channels.h(other.tx, r) @ scheme.precoders[other.key]
+            noise = np.eye(g.shape[0], dtype=np.complex128)
+            for other, _, leak in leaks:
                 noise = noise + rho[other.key] * (leak @ leak.conj().T)
             per_rx.append(_logdet_rate(noise + signal) - _logdet_rate(noise))
         total += m.weight * min(per_rx)
@@ -174,6 +169,12 @@ def estimate_dof(
         raise InvalidInputError(f"trials must be a positive integer, got {trials!r}")
     if fit not in ("two-point", "lsq-top-half"):
         raise InvalidInputError(f"fit must be 'two-point' or 'lsq-top-half', got {fit!r}")
+    try:
+        snr_linear = [10.0 ** (db / 10.0) for db in grid]
+    except OverflowError:
+        snr_linear = [math.inf]
+    if not all(math.isfinite(s) and s > 0 for s in snr_linear):
+        raise InvalidInputError(f"snr grid {grid} dB has a point with no finite positive linear value")
 
     split, _ = scheme_split(config, tag)
     rates = np.zeros((trials, len(grid)))
@@ -187,8 +188,8 @@ def estimate_dof(
         if not verify_scheme(scheme, channels, seed=ts).valid:
             continue
         valid[k] = True
-        for i, db in enumerate(grid):
-            rates[k, i] = sum_rate(scheme, channels, 10.0 ** (db / 10.0))
+        for i, snr in enumerate(snr_linear):
+            rates[k, i] = sum_rate(scheme, channels, snr)
     if not valid.any():
         raise InternalError(
             f"all {trials} channel draws produced invalid schemes for {tag.value} on {config.totals}"

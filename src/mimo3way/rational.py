@@ -12,9 +12,7 @@ from math import lcm
 
 from .errors import InvalidInputError
 
-QQ = Fraction
-
-__all__ = ["QQ", "frac", "frac_str", "triple", "denominator_lcm"]
+__all__ = ["frac", "frac_str", "triple", "denominator_lcm"]
 
 
 def frac(x) -> Fraction:

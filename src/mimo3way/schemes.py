@@ -24,11 +24,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .channel import AntennaConfig, AntennaSplit, ChannelSet, MessageSet, receive
+from .allocation import Regime, canonical_split
+from .channel import AntennaConfig, AntennaSplit, ChannelSet, receive
 from .errors import InternalError, InvalidInputError, RegimeError
 from .linalg import (
     PRECODER_STREAM,
@@ -51,6 +52,7 @@ __all__ = [
     "build_uni_b",
     "build_bcast",
     "build_scheme",
+    "pair_matrices",
     "verify_scheme",
 ]
 
@@ -70,10 +72,6 @@ class SchemeMessage:
     tx: int
     receivers: tuple[int, ...]
     dim: int
-
-    @property
-    def is_broadcast(self) -> bool:
-        return len(self.receivers) > 1
 
     @property
     def weight(self) -> int:
@@ -106,62 +104,35 @@ class SchemeInstance:
         """Total streams transmitted by `node` (extended system)."""
         return sum(m.dim for m in self.messages if m.tx == node)
 
-    def message_set(self) -> MessageSet:
-        """Per-channel-use DoF counts carried by this scheme."""
-        uni = {}
-        bc = {}
-        for m in self.messages:
-            d = Fraction(m.dim, self.extension_factor)
-            if m.is_broadcast:
-                bc[m.tx] = bc.get(m.tx, Fraction(0)) + d
-            else:
-                uni[(m.tx, m.receivers[0])] = uni.get((m.tx, m.receivers[0]), Fraction(0)) + d
-        if bc:
-            return MessageSet.with_broadcast(uni, bc)
-        return MessageSet.unicast_only(uni)
-
     def claimed_dof(self) -> Fraction:
         return sum((Fraction(m.dim * m.weight, self.extension_factor) for m in self.messages), Fraction(0))
 
 
-def _reject_degenerate(config: AntennaConfig, tag: SchemeTag) -> None:
-    if config.m3 < 1:
-        raise RegimeError(f"scheme {tag.value} needs at least one antenna per node, got {config.totals}")
-    if tag is SchemeTag.UNI_A:
-        if config.m1 > config.m2 + config.m3:
-            raise RegimeError(f"scheme uni-a applies when m1 <= m2+m3, got {config.totals}")
-        # extension triples every antenna count, so the floor binds only
-        # when the optimal split is already integral
-        ext = 1 if (config.m2 + config.m3 - config.m1) % 3 == 0 else 3
-        if ext * config.m3 < 3:
-            raise RegimeError(
-                f"scheme uni-a needs at least 3 antennas at every node (after "
-                f"symbol extension) so each can split into transmit and receive "
-                f"groups, got {config.totals} with extension factor {ext}"
-            )
-    if tag is SchemeTag.UNI_B and config.m1 < config.m2 + config.m3:
-        raise RegimeError(f"scheme uni-b applies when m1 >= m2+m3, got {config.totals}")
+_SCHEME_REGIME = {SchemeTag.UNI_A: Regime.BALANCED, SchemeTag.UNI_B: Regime.HUB, SchemeTag.BCAST: Regime.BROADCAST}
 
 
 def scheme_split(config: AntennaConfig, tag: SchemeTag) -> tuple[AntennaSplit, int]:
     """Integer antenna split and symbol-extension factor for a scheme.
 
-    The returned split is the scheme's canonical optimal split scaled by the
-    extension factor (1 when the split is already integral, else 3): channels
-    must be drawn at exactly this split.
+    The returned split is the canonical optimal split of the scheme's regime
+    scaled by the extension factor (1 when the split is already integral,
+    else 3): channels must be drawn at exactly this split.
     """
     if not isinstance(tag, SchemeTag):
         raise InvalidInputError(f"expected a SchemeTag, got {type(tag).__name__}")
-    _reject_degenerate(config, tag)
-    m1, m2, m3 = (Fraction(m) for m in config.totals)
-    if tag is SchemeTag.UNI_A:
-        rx = (Fraction(0), (m1 + 2 * m2 - m3) / 3, (m1 + 2 * m3 - m2) / 3)
-        split = AntennaSplit(tuple(m - r for m, r in zip((m1, m2, m3), rx)), rx)
-        ext = split.extension_factor
-        return split.scaled(ext), ext
-    if tag is SchemeTag.UNI_B:
-        return AntennaSplit((m1 - m2 - m3, m2, m3), (m2 + m3, Fraction(0), Fraction(0))), 1
-    return AntennaSplit((m1 - m2, m2 - m3, m3), (m2, m3, Fraction(0))), 1
+    if config.m3 < 1:
+        raise RegimeError(f"scheme {tag.value} needs at least one antenna per node, got {config.totals}")
+    split = canonical_split(config, _SCHEME_REGIME[tag])
+    ext = split.extension_factor
+    # extension triples every antenna count, so the floor binds only when
+    # the optimal split is already integral
+    if tag is SchemeTag.UNI_A and ext * config.m3 < 3:
+        raise RegimeError(
+            f"scheme uni-a needs at least 3 antennas at every node (after "
+            f"symbol extension) so each can split into transmit and receive "
+            f"groups, got {config.totals} with extension factor {ext}"
+        )
+    return (split.scaled(ext) if ext > 1 else split), ext
 
 
 def _check_channels(split: AntennaSplit, channels: ChannelSet, ext: int) -> None:
@@ -326,6 +297,34 @@ class VerificationReport:
         }
 
 
+def pair_matrices(
+    scheme: SchemeInstance,
+    channels: ChannelSet,
+    m: SchemeMessage,
+    r: int,
+    q: np.ndarray | None = None,
+) -> tuple[np.ndarray, Iterator[tuple[SchemeMessage, np.ndarray, np.ndarray]]]:
+    """Effective matrix of message `m` at receiver `r`, and its interferers.
+
+    Returns G = Q^H H T, with Q the scheme's projector for (m, r) unless `q`
+    replaces it, plus a lazy iterator yielding (other, H', Q^H H' T') for
+    every other message with streams that reaches r from another node.
+    Nothing about the interferers is computed until the iterator is read.
+    """
+    if q is None:
+        q = scheme.projectors[(m.key, r)]
+    qh = q.conj().T
+
+    def leaks():
+        for other in scheme.messages:
+            if other.key == m.key or other.tx == r or other.dim == 0:
+                continue
+            h = channels.h(other.tx, r)
+            yield other, h, qh @ h @ scheme.precoders[other.key]
+
+    return qh @ channels.h(m.tx, r) @ scheme.precoders[m.key], leaks()
+
+
 def _spectral(mat: np.ndarray) -> float:
     if mat.size == 0:
         return 0.0
@@ -375,14 +374,11 @@ def verify_scheme(
     for m in scheme.messages:
         for r in m.receivers:
             q = scheme.projectors[(m.key, r)]
+            g, leaks = pair_matrices(scheme, channels, m, r, q)
             fails = []
 
             worst = 0.0
-            for other in scheme.messages:
-                if other.key == m.key or other.tx == r or other.dim == 0:
-                    continue
-                h_int = channels.h(other.tx, r)
-                leak = q.conj().T @ h_int @ scheme.precoders[other.key]
+            for other, h_int, leak in leaks:
                 denom = _spectral(h_int) * _spectral(scheme.precoders[other.key])
                 if denom > 0:
                     worst = max(worst, _spectral(leak) / denom)
@@ -392,8 +388,6 @@ def verify_scheme(
             cond = 0.0
             rt = float("nan")
             if m.dim > 0:
-                h_own = channels.h(m.tx, r)
-                g = q.conj().T @ h_own @ scheme.precoders[m.key]
                 if g.shape[0] != g.shape[1]:
                     fails.append("effective-matrix-not-square")
                 else:
@@ -402,7 +396,7 @@ def verify_scheme(
                     smin = float(s[-1]) if s.size else 0.0
                     # scale anchors the test: a numerically zero G has a
                     # perfect smin/smax ratio but has still lost rank
-                    scale = _spectral(h_own) * _spectral(scheme.precoders[m.key]) * _spectral(q)
+                    scale = _spectral(channels.h(m.tx, r)) * _spectral(scheme.precoders[m.key]) * _spectral(q)
                     cond = smin / smax if smax > 0 else 0.0
                     if smax <= condition_tol * scale:
                         fails.append("rank-deficient")

@@ -31,7 +31,7 @@ def _grid_splits():
 def test_cutset_worked_example():
     rep = cutset_bound_unicast(AntennaSplit((3, 1, 1), (0, 2, 2)))
     assert rep.combined == 4
-    assert rep.combined_cutset == 4 and rep.combined_genie is None
+    assert rep.family == "cutset"
     assert rep.binding == ("sum_rx",)
     by_label = {t.label: t.value for t in rep.total_terms}
     assert by_label == {

@@ -187,6 +187,14 @@ def test_slope_bad_snr_is_usage_error(capsys, snr):
     assert out == ""
 
 
+@pytest.mark.parametrize("snr", ["3000,4000", "-4000,30"])
+def test_slope_unrepresentable_snr_exits_2(capsys, snr):
+    code, out, err = _run(capsys, "slope", "--m", "2,1,1", "--scheme", "uni-b", f"--snr={snr}")
+    assert code == 2
+    assert err.startswith("error[validation]: snr")
+    assert out == ""
+
+
 @pytest.mark.parametrize("slope", [math.nan, math.inf])
 @pytest.mark.parametrize("tol", ["0.2", "inf"])
 def test_slope_gate_fails_closed_on_non_finite(capsys, monkeypatch, slope, tol):
@@ -246,6 +254,22 @@ def test_sweep_broadcast_region(capsys):
     points = {(p["m1_over_m3"], p["m2_over_m3"]): p["dof_over_m3"] for p in payload["points"]}
     assert points[("3", "2")] == "3"  # m2 + m3 over m3
     assert points[("1", "1")] == "2"
+
+
+def test_sweep_point_cap(capsys, monkeypatch):
+    monkeypatch.setattr("mimo3way.cli.SWEEP_MAX_POINTS", 70)  # the default grid is 10 x 7
+    assert _run(capsys, "sweep")[0] == 0
+    monkeypatch.setattr("mimo3way.cli.SWEEP_MAX_POINTS", 69)
+    code, out, err = _run(capsys, "sweep")
+    assert code == 2
+    assert err.startswith("error[validation]:") and "70 points, over the limit of 69" in err
+    assert out == ""
+
+
+def test_sweep_refuses_huge_grid(capsys):
+    code, out, err = _run(capsys, "sweep", "--ratio1", "1:100000:1/3", "--ratio2", "1:100000:1/3")
+    assert code == 2
+    assert "89998800004 points" in err  # 299,998 points per axis
 
 
 def test_sweep_bad_range(capsys):

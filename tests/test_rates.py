@@ -156,6 +156,16 @@ def test_estimate_grid_validation():
         estimate_dof(cfg, SchemeTag.UNI_A, (30.0, 50.0), fit="cubic")
 
 
+@pytest.mark.parametrize("grid", [(3000.0, 4000.0), (-4000.0, 30.0), (30.0, math.nan)])
+def test_estimate_rejects_unrepresentable_snr_before_drawing(monkeypatch, grid):
+    def no_draw(*a, **k):
+        raise AssertionError("a channel was drawn for an invalid SNR grid")
+
+    monkeypatch.setattr(rates_mod, "draw_channels", no_draw)
+    with pytest.raises(InvalidInputError, match="no finite positive linear value"):
+        estimate_dof(AntennaConfig(2, 1, 1), SchemeTag.UNI_B, grid, trials=2)
+
+
 def test_all_invalid_draws_is_internal_error(monkeypatch):
     class _Nope:
         valid = False
