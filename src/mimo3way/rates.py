@@ -6,7 +6,8 @@ between the top grid points estimates the DoF. Per-message transmit power is
 the node budget split evenly over its streams; the broadcast message counts
 once per receiver (decoding must succeed at both, so its rate is the minimum
 over receivers); rates are divided by the symbol-extension factor to land in
-bits per channel use.
+bits per channel use. Each draw's rates are evaluated over the whole SNR
+grid at once, with one batched slogdet per (message, receiver) pair.
 """
 
 from __future__ import annotations
@@ -28,17 +29,20 @@ __all__ = ["SlopeEstimate", "sum_rate", "ablated_sum_rate", "estimate_dof"]
 _LN2 = math.log(2.0)
 
 
-def _logdet_rate(gram: np.ndarray) -> float:
-    """log2 det of a positive-definite matrix I + ..., in bits."""
-    if gram.shape[0] == 0:
-        return 0.0
-    sign, logdet = np.linalg.slogdet(gram)
-    if sign.real <= 0:
+def _log2det(grams: np.ndarray, snrs: np.ndarray) -> np.ndarray:
+    """log2 det of each positive-definite I + ... in a stack, in bits. grams[k]
+    was formed at snrs[k]; a non-finite one means that SNR overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sign, logdet = np.linalg.slogdet(grams)
+    finite = np.isfinite(grams).all(axis=(-2, -1)) & np.isfinite(sign) & np.isfinite(logdet)
+    if not finite.all():
+        raise InvalidInputError(f"snr_linear {float(snrs[np.argmin(finite)])} overflows the rate Gram matrix")
+    if (sign.real <= 0).any():
         raise InternalError("rate Gram matrix is not positive definite")
-    return float(logdet) / _LN2
+    return logdet / _LN2
 
 
-def _stream_rho(scheme: SchemeInstance, snr_linear: float) -> dict[str, float]:
+def _stream_rho(scheme: SchemeInstance, snr_linear: float | np.ndarray) -> dict[str, float | np.ndarray]:
     """Per-stream power: each node splits its budget over its own streams."""
     rho = {}
     for m in scheme.messages:
@@ -48,28 +52,37 @@ def _stream_rho(scheme: SchemeInstance, snr_linear: float) -> dict[str, float]:
     return rho
 
 
-def sum_rate(scheme: SchemeInstance, channels: ChannelSet, snr_linear: float) -> float:
-    """Zero-forcing sum rate in bits per channel use.
+def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray:
+    """Zero-forcing sum rate at every SNR of a grid, in bits per channel use.
 
     Each (message, receiver) contributes log2 det(I + rho * G G^H) with G the
     effective matrix after projection; interference is exactly nulled by
-    construction so it does not enter. Broadcast rate is min over receivers,
-    weighted by the receiver count.
+    construction so it does not enter. G G^H is formed once per pair for the
+    whole grid. Broadcast rate is min over receivers, weighted by the
+    receiver count.
     """
-    if not (snr_linear > 0):
-        raise InvalidInputError(f"snr_linear must be > 0, got {snr_linear}")
-    rho = _stream_rho(scheme, snr_linear)
-    total = 0.0
+    snrs = np.asarray(snrs, dtype=float)
+    if not (snrs > 0).all():
+        raise InvalidInputError(f"snr_linear must be > 0, got {float(snrs[np.argmin(snrs > 0)])}")
+    rho = _stream_rho(scheme, snrs)
+    total = np.zeros(snrs.shape)
     for m in scheme.messages:
         if m.dim == 0:
             continue
         per_rx = []
         for r in m.receivers:
             g, _ = pair_matrices(scheme, channels, m, r)
-            gram = np.eye(g.shape[0], dtype=np.complex128) + rho[m.key] * (g @ g.conj().T)
-            per_rx.append(_logdet_rate(gram))
-        total += m.weight * min(per_rx)
+            with np.errstate(over="ignore", invalid="ignore"):
+                grams = np.eye(g.shape[0], dtype=np.complex128) + rho[m.key][:, None, None] * (g @ g.conj().T)
+            per_rx.append(_log2det(grams, snrs))
+        total += m.weight * np.minimum.reduce(per_rx)
     return total / scheme.extension_factor
+
+
+def sum_rate(scheme: SchemeInstance, channels: ChannelSet, snr_linear: float) -> float:
+    """Zero-forcing sum rate in bits per channel use at one SNR (the grid
+    kernel `_sum_rates` on a one-point grid)."""
+    return float(_sum_rates(scheme, channels, [snr_linear])[0])
 
 
 def ablated_sum_rate(
@@ -97,11 +110,13 @@ def ablated_sum_rate(
         per_rx = []
         for r in m.receivers:
             g, leaks = pair_matrices(scheme, channels, m, r, random_proj[(m.key, r)])
-            signal = rho[m.key] * (g @ g.conj().T)
-            noise = np.eye(g.shape[0], dtype=np.complex128)
-            for other, _, leak in leaks:
-                noise = noise + rho[other.key] * (leak @ leak.conj().T)
-            per_rx.append(_logdet_rate(noise + signal) - _logdet_rate(noise))
+            with np.errstate(over="ignore", invalid="ignore"):
+                signal = rho[m.key] * (g @ g.conj().T)
+                noise = np.eye(g.shape[0], dtype=np.complex128)
+                for other, leak in leaks:
+                    noise = noise + rho[other.key] * (leak @ leak.conj().T)
+            with_signal, without = _log2det(np.stack([noise + signal, noise]), np.full(2, snr_linear))
+            per_rx.append(float(with_signal - without))
         total += m.weight * min(per_rx)
     return total / scheme.extension_factor
 
@@ -188,8 +203,7 @@ def estimate_dof(
         if not verify_scheme(scheme, channels, seed=ts).valid:
             continue
         valid[k] = True
-        for i, snr in enumerate(snr_linear):
-            rates[k, i] = sum_rate(scheme, channels, snr)
+        rates[k] = _sum_rates(scheme, channels, snr_linear)
     if not valid.any():
         raise InternalError(
             f"all {trials} channel draws produced invalid schemes for {tag.value} on {config.totals}"

@@ -22,6 +22,7 @@ decodability, reporting failures instead of raising.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -120,6 +121,12 @@ def scheme_split(config: AntennaConfig, tag: SchemeTag) -> tuple[AntennaSplit, i
     """
     if not isinstance(tag, SchemeTag):
         raise InvalidInputError(f"expected a SchemeTag, got {type(tag).__name__}")
+    return _scheme_split(config, tag)
+
+
+# memoized: each builder asks again for the split its caller drew channels at
+@functools.lru_cache(maxsize=256)
+def _scheme_split(config: AntennaConfig, tag: SchemeTag) -> tuple[AntennaSplit, int]:
     if config.m3 < 1:
         raise RegimeError(f"scheme {tag.value} needs at least one antenna per node, got {config.totals}")
     split = canonical_split(config, _SCHEME_REGIME[tag])
@@ -303,12 +310,12 @@ def pair_matrices(
     m: SchemeMessage,
     r: int,
     q: np.ndarray | None = None,
-) -> tuple[np.ndarray, Iterator[tuple[SchemeMessage, np.ndarray, np.ndarray]]]:
+) -> tuple[np.ndarray, Iterator[tuple[SchemeMessage, np.ndarray]]]:
     """Effective matrix of message `m` at receiver `r`, and its interferers.
 
     Returns G = Q^H H T, with Q the scheme's projector for (m, r) unless `q`
-    replaces it, plus a lazy iterator yielding (other, H', Q^H H' T') for
-    every other message with streams that reaches r from another node.
+    replaces it, plus a lazy iterator yielding (other, Q^H H' T') for every
+    other message with streams that reaches r from another node over H'.
     Nothing about the interferers is computed until the iterator is read.
     """
     if q is None:
@@ -319,8 +326,7 @@ def pair_matrices(
         for other in scheme.messages:
             if other.key == m.key or other.tx == r or other.dim == 0:
                 continue
-            h = channels.h(other.tx, r)
-            yield other, h, qh @ h @ scheme.precoders[other.key]
+            yield other, qh @ channels.h(other.tx, r) @ scheme.precoders[other.key]
 
     return qh @ channels.h(m.tx, r) @ scheme.precoders[m.key], leaks()
 
@@ -356,6 +362,9 @@ def verify_scheme(
     _check_channels(scheme.split, channels, scheme.extension_factor)
     split = scheme.split
     rng = generator(seed, SYMBOL_STREAM)
+    # each link's and precoder's norm is taken once, however many pairs use it
+    h_norm = functools.cache(lambda tx, r: _spectral(channels.h(tx, r)))
+    t_norm = functools.cache(lambda key: _spectral(scheme.precoders[key]))
 
     symbols = {m.key: complex_gaussian(rng, m.dim, 1) for m in scheme.messages}
     x = []
@@ -378,8 +387,8 @@ def verify_scheme(
             fails = []
 
             worst = 0.0
-            for other, h_int, leak in leaks:
-                denom = _spectral(h_int) * _spectral(scheme.precoders[other.key])
+            for other, leak in leaks:
+                denom = h_norm(other.tx, r) * t_norm(other.key)
                 if denom > 0:
                     worst = max(worst, _spectral(leak) / denom)
             if worst > residual_tol:
@@ -396,7 +405,7 @@ def verify_scheme(
                     smin = float(s[-1]) if s.size else 0.0
                     # scale anchors the test: a numerically zero G has a
                     # perfect smin/smax ratio but has still lost rank
-                    scale = _spectral(channels.h(m.tx, r)) * _spectral(scheme.precoders[m.key]) * _spectral(q)
+                    scale = h_norm(m.tx, r) * t_norm(m.key) * _spectral(q)
                     cond = smin / smax if smax > 0 else 0.0
                     if smax <= condition_tol * scale:
                         fails.append("rank-deficient")

@@ -195,6 +195,14 @@ def test_slope_unrepresentable_snr_exits_2(capsys, snr):
     assert out == ""
 
 
+def test_slope_overflowing_rate_exits_2_without_warnings(capsys, recwarn):
+    # 3080 dB is a finite linear SNR, but rho * G G^H overflows
+    code, out, err = _run(capsys, "slope", "--m", "2,1,1", "--scheme", "uni-b", "--trials", "2", "--snr", "3000,3080")
+    assert (code, out) == (2, "")
+    assert err.startswith("error[validation]: snr_linear 1e+308 overflows")
+    assert not recwarn.list
+
+
 @pytest.mark.parametrize("slope", [math.nan, math.inf])
 @pytest.mark.parametrize("tol", ["0.2", "inf"])
 def test_slope_gate_fails_closed_on_non_finite(capsys, monkeypatch, slope, tol):

@@ -95,6 +95,60 @@ def test_broadcast_rate_is_min_over_receivers():
     assert abs(sum_rate(s, ch, snr) - want) <= 1e-9
 
 
+def _loop_sum_rate(s, ch, snr):
+    """Reference: one (message, receiver) pair and one SNR per slogdet,
+    in the kernel's order of arithmetic."""
+    total = 0.0
+    for m in s.messages:
+        if m.dim == 0:
+            continue
+        rho = snr / s.tx_streams(m.tx)
+        per_rx = []
+        for r in m.receivers:
+            g = s.projectors[(m.key, r)].conj().T @ ch.h(m.tx, r) @ s.precoders[m.key]
+            _, logdet = np.linalg.slogdet(np.eye(g.shape[0], dtype=complex) + rho * (g @ g.conj().T))
+            per_rx.append(float(logdet) / math.log(2.0))
+        total += m.weight * min(per_rx)
+    return total / s.extension_factor
+
+
+@pytest.mark.parametrize(
+    "m,tag,ext",
+    [
+        ((3, 3, 3), SchemeTag.UNI_A, 1),
+        ((3, 3, 1), SchemeTag.UNI_A, 3),
+        ((4, 2, 1), SchemeTag.UNI_B, 1),
+        ((5, 3, 2), SchemeTag.BCAST, 1),  # min over two receivers
+        ((5, 3, 3), SchemeTag.BCAST, 1),  # u21 has no streams
+    ],
+)
+def test_grid_rates_equal_one_point_rates_exactly(m, tag, ext):
+    ch, s = _built(m, tag, seed=4)
+    assert s.extension_factor == ext
+    snrs = [10 ** (db / 10) for db in (-10.0, 0.0, 12.5, 30.0, 47.5, 60.0)]
+    grid = rates_mod._sum_rates(s, ch, snrs)
+    assert grid.shape == (len(snrs),)
+    assert [float(r) for r in grid] == [sum_rate(s, ch, snr) for snr in snrs]
+    assert [float(r) for r in grid] == [_loop_sum_rate(s, ch, snr) for snr in snrs]
+
+
+@pytest.mark.parametrize("snrs", [[1.0, 0.0, 10.0], [-1.0, 1.0], [1.0, math.nan]])
+def test_grid_rates_reject_nonpositive_snr(snrs):
+    ch, s = _built((3, 3, 3), SchemeTag.UNI_A)
+    with pytest.raises(InvalidInputError, match="must be > 0"):
+        rates_mod._sum_rates(s, ch, snrs)
+
+
+def test_grid_rates_reject_overflowing_snr_by_name():
+    ch, s = _built((2, 1, 1), SchemeTag.UNI_B, seed=1)  # |g|^2 = 2.84: 1e308 |g|^2 overflows
+    with pytest.raises(InvalidInputError, match=r"snr_linear 1e\+308 overflows"):
+        rates_mod._sum_rates(s, ch, [1e3, 1e308])
+    with pytest.raises(InvalidInputError, match="snr_linear inf overflows"):
+        sum_rate(s, ch, math.inf)
+    with pytest.raises(InvalidInputError, match=r"snr_linear 1e\+308 overflows"):
+        ablated_sum_rate(s, ch, 1e308)
+
+
 @pytest.mark.parametrize(
     "m,tag,dof",
     [

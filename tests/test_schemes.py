@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mimo3way.schemes as schemes_mod
 from mimo3way import (
     AntennaConfig,
     AntennaSplit,
@@ -162,6 +163,30 @@ def test_verify_valid_with_exact_dof(m, tag, want):
         assert rep.achieved_dof == rep.claimed_dof == want
         assert all(c.passed for c in rep.checks)
         assert rep.failures == ()
+
+
+def test_scheme_split_is_computed_once_per_config_and_tag():
+    # builders ask again for the split their caller drew channels at
+    cfg = AntennaConfig(5, 3, 2)
+    assert scheme_split(AntennaConfig(5, 3, 2), SchemeTag.BCAST) is scheme_split(cfg, SchemeTag.BCAST)
+    assert scheme_split(cfg, SchemeTag.UNI_B) != scheme_split(cfg, SchemeTag.BCAST)
+    for _ in range(2):  # a refused config is refused again, not cached
+        with pytest.raises(RegimeError, match="at least 3 antennas"):
+            scheme_split(AntennaConfig(2, 1, 1), SchemeTag.UNI_A)
+
+
+def test_verify_takes_each_link_and_precoder_norm_once(monkeypatch):
+    _, _, _, ch, s = _built((5, 4, 3), SchemeTag.UNI_A, seed=2)
+    shared = [ch.h(i, j) for i, j in PAIR_ORDER] + list(s.precoders.values())
+    seen = []
+
+    def counting(mat, real=schemes_mod._spectral):
+        seen.extend(k for k, x in enumerate(shared) if x is mat)
+        return real(mat)
+
+    monkeypatch.setattr(schemes_mod, "_spectral", counting)
+    assert verify_scheme(s, ch, seed=2).valid
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_achieved_never_exceeds_converse():
