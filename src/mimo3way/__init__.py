@@ -44,7 +44,6 @@ from .channel import (
 from .errors import InternalError, InvalidInputError, RegimeError
 from .linalg import (
     null_space_basis,
-    numerical_rank,
     pseudo_inverse,
     random_gaussian,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "draw_channels",
     "receive",
     # linear algebra kernel
-    "numerical_rank",
     "null_space_basis",
     "pseudo_inverse",
     "random_gaussian",

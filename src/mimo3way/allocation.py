@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -432,78 +432,21 @@ def optimal_broadcast(config: AntennaConfig) -> AllocationResult:
 
 
 def canonical_subproblem(config: AntennaConfig) -> LinearProgram:
-    """The 17-constraint subproblem whose optimum is the balanced-regime
-    unicast value (2m1+m2+m3)/3.
+    """The genie subproblem whose optimum is the balanced-regime unicast
+    value (2m1+m2+m3)/3.
 
-    Variables (dof, rx1, rx2, rx3). Rows 11..16 pin the sign pattern with
-    every max term resolved; row 17 restricts to the m1 <= m2+m3 regime
-    (written 0.v <= m2+m3-m1 so the program is simply infeasible outside it).
+    `genie_subproblem` for the sign pattern with rx2 and rx3 winning both
+    genie{2,3} max terms and the tx side winning the other four, plus a last
+    row 0.v <= m2+m3-m1 (regime:m1<=m2+m3), so the program is simply
+    infeasible outside that regime.
     """
-    m1, m2, m3 = (Fraction(m) for m in config.totals)
-    zero, one = Fraction(0), Fraction(1)
-    rows = (
-        (one, zero, -one, -one),
-        (one, one, one, zero),
-        (one, one, zero, one),
-        (zero, one, zero, zero),
-        (zero, zero, one, zero),
-        (zero, zero, zero, one),
-        (-one, zero, zero, zero),
-        (zero, -one, zero, zero),
-        (zero, zero, -one, zero),
-        (zero, zero, zero, -one),
-        (zero, zero, -one, -one),
-        (zero, zero, -one, -one),
-        (zero, one, one, zero),
-        (zero, one, one, zero),
-        (zero, one, zero, one),
-        (zero, one, zero, one),
-        (zero, zero, zero, zero),
-    )
-    rhs = (
-        zero,
-        m1 + m2,
-        m1 + m3,
-        m1,
-        m2,
-        m3,
-        zero,
-        zero,
-        zero,
-        zero,
-        -m3,
-        -m2,
-        m1,
-        m2,
-        m1,
-        m3,
-        m2 + m3 - m1,
-    )
-    labels = (
-        "dof<=rx2+rx3",
-        "dof+rx1+rx2<=m1+m2",
-        "dof+rx1+rx3<=m1+m3",
-        "rx1<=m1",
-        "rx2<=m2",
-        "rx3<=m3",
-        "dof>=0",
-        "rx1>=0",
-        "rx2>=0",
-        "rx3>=0",
-        "rx2+rx3>=m3",
-        "rx2+rx3>=m2",
-        "rx1+rx2<=m1",
-        "rx1+rx2<=m2",
-        "rx1+rx3<=m1",
-        "rx1+rx3<=m3",
-        "regime:m1<=m2+m3",
-    )
-    return LinearProgram(
-        c=(-one, zero, zero, zero),
-        a=rows,
-        b=rhs,
-        variables=("dof", "rx1", "rx2", "rx3"),
-        constraints=labels,
+    lp = genie_subproblem(config, (True, True, False, False, False, False))
+    m1, m2, m3 = config.totals
+    return replace(
+        lp,
+        a=lp.a + ((0, 0, 0, 0),),
+        b=lp.b + (m2 + m3 - m1,),
+        constraints=lp.constraints + ("regime:m1<=m2+m3",),
     )
 
 
@@ -511,14 +454,15 @@ def canonical_primal_dual(config: AntennaConfig):
     """Closed-form optimal pair for `canonical_subproblem`.
 
     Returns (lp, v, lam): v = ((2m1+m2+m3)/3, 0, (m1+2m2-m3)/3,
-    (m1+2m3-m2)/3) and lam supported on rows {1, 2, 3, 8} with values
-    (1/3, 1/3, 1/3, 2/3). Only defined in the m1 <= m2+m3 regime, where the
-    pair verifies with exactly zero gap.
+    (m1+2m3-m2)/3) and lam is 1/3 on each of the rows dof<=genie{2,3},
+    dof<=genie{1,2} and dof<=genie{1,3}, 2/3 on rx1>=0 and 0 elsewhere. Only
+    defined in the m1 <= m2+m3 regime, where the pair verifies with exactly
+    zero gap.
     """
     split = canonical_split(config, Regime.BALANCED)
     lp = canonical_subproblem(config)
     v = (unicast_optimal_value(*config.totals), *split.rx)
-    lam = [Fraction(0)] * 17
-    lam[0] = lam[1] = lam[2] = Fraction(1, 3)
-    lam[7] = Fraction(2, 3)
-    return lp, v, tuple(lam)
+    third = Fraction(1, 3)
+    support = {"dof<=genie{2,3}": third, "dof<=genie{1,2}": third, "dof<=genie{1,3}": third, "rx1>=0": 2 * third}
+    lam = tuple(support.get(label, Fraction(0)) for label in lp.constraints)
+    return lp, v, lam

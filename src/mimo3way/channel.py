@@ -60,14 +60,6 @@ class AntennaConfig:
     def totals(self) -> tuple[int, int, int]:
         return (self.m1, self.m2, self.m3)
 
-    def total_of(self, node: int) -> int:
-        return self.totals[_check_node(node) - 1]
-
-    def scaled(self, factor: int) -> "AntennaConfig":
-        if not isinstance(factor, int) or factor < 1:
-            raise InvalidInputError(f"scale factor must be a positive integer, got {factor!r}")
-        return AntennaConfig(self.m1 * factor, self.m2 * factor, self.m3 * factor)
-
     def to_json(self) -> dict:
         return {"m": [self.m1, self.m2, self.m3]}
 
@@ -97,9 +89,6 @@ class AntennaSplit:
 
     def rx_of(self, node: int) -> Fraction:
         return self.rx[_check_node(node) - 1]
-
-    def matches(self, config: AntennaConfig) -> bool:
-        return self.totals == tuple(Fraction(m) for m in config.totals)
 
     @property
     def is_integral(self) -> bool:

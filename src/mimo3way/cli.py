@@ -286,7 +286,7 @@ def _cmd_slope(args) -> int:
     if args.format == "json":
         _emit_json({"command": "slope", "config": config.to_json(), "seed": args.seed, "estimate": est.to_json()})
     elif args.format == "csv":
-        sys.stdout.write(est.to_csv())
+        _emit_csv([(f"{db:g}", rate) for db, rate in zip(est.snr_db, est.mean_rates)], ("snr_db", "mean_rate"))
     else:
         print(f"scheme {tag.value} on m={config.totals}: slope {est.slope:.4f} "
               f"vs theoretical {_dec(est.theoretical_dof)} (|error| = {est.abs_error:.4f})")

@@ -1,6 +1,6 @@
 """Dense complex linear-algebra kernel.
 
-Thin, validated wrappers around numpy's SVD machinery (rank, null spaces,
+Thin, validated wrappers around numpy's SVD machinery (null spaces,
 pseudo-inverses) plus the package's single source of randomness: every random
 draw anywhere in the package flows through `generator`, which derives
 decorrelated child streams from one integer seed via numpy's splittable
@@ -17,7 +17,6 @@ from .errors import InvalidInputError
 
 __all__ = [
     "as_matrix",
-    "numerical_rank",
     "null_space_basis",
     "pseudo_inverse",
     "generator",
@@ -51,33 +50,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _rank_from_singular_values(s: np.ndarray, shape: tuple[int, int], tol: float) -> int:
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    rel = tol if tol > 0.0 else max(shape) * _EPS
-    return int(np.count_nonzero(s > rel * s[0]))
-
-
-def numerical_rank(a, tol: float = 0.0) -> int:
-    """Number of singular values strictly greater than tol * smax.
-
-    tol = 0 selects the conventional default max(rows, cols) * eps, relative
-    to the largest singular value.
-    """
-    a = as_matrix(a)
-    if not tol >= 0.0:
-        raise InvalidInputError(f"tol must be >= 0, got {tol}")
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return _rank_from_singular_values(s, a.shape, tol)
-
-
 def null_space_basis(a) -> np.ndarray:
     """Orthonormal basis N of the (right) null space of `a`.
 
-    Columns of N span {x : a @ x = 0}; cols(N) = cols(a) - numerical_rank(a).
-    An empty-row matrix has a full null space, so N is then an identity basis.
+    Columns of N span {x : a @ x = 0}; cols(N) = cols(a) - rank(a), counting
+    the singular values above max(rows, cols) * eps * smax (numpy's
+    `matrix_rank` rule). An empty-row matrix has a full null space, so N is
+    then an identity basis.
     """
     a = as_matrix(a)
     rows, cols = a.shape
@@ -86,7 +65,7 @@ def null_space_basis(a) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=np.complex128)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    r = _rank_from_singular_values(s, a.shape, 0.0)
+    r = int(np.count_nonzero(s > max(rows, cols) * _EPS * s[0]))
     return vh[r:].conj().T
 
 

@@ -125,13 +125,6 @@ class DualityCertificate:
     def is_optimal(self) -> bool:
         return self.status is DualityStatus.OPTIMAL
 
-    def to_json(self) -> dict:
-        return {
-            "status": self.status.value,
-            "gap": frac_str(self.gap),
-            "violations": list(self.violations),
-        }
-
 
 def verify_duality(lp: LinearProgram, v, lam) -> DualityCertificate:
     """Check a candidate primal/dual pair exactly.

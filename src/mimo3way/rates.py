@@ -13,6 +13,7 @@ grid at once, with one batched slogdet per (message, receiver) pair.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +41,12 @@ def _log2det(grams: np.ndarray, snrs: np.ndarray) -> np.ndarray:
     if (sign.real <= 0).any():
         raise InternalError("rate Gram matrix is not positive definite")
     return logdet / _LN2
+
+
+def _check_snr(snr_linear) -> None:
+    """Reject a one-point SNR that is not a real number (a string, a list, None)."""
+    if isinstance(snr_linear, bool) or not isinstance(snr_linear, numbers.Real):
+        raise InvalidInputError(f"snr_linear must be a real number, got {snr_linear!r}")
 
 
 def _stream_rho(scheme: SchemeInstance, snr_linear: float | np.ndarray) -> dict[str, float | np.ndarray]:
@@ -82,6 +89,7 @@ def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray
 def sum_rate(scheme: SchemeInstance, channels: ChannelSet, snr_linear: float) -> float:
     """Zero-forcing sum rate in bits per channel use at one SNR (the grid
     kernel `_sum_rates` on a one-point grid)."""
+    _check_snr(snr_linear)
     return float(_sum_rates(scheme, channels, [snr_linear])[0])
 
 
@@ -96,6 +104,7 @@ def ablated_sum_rate(
     the interference covariance after projection. At high SNR this saturates
     well below the zero-forcing rate whenever interference actually matters.
     """
+    _check_snr(snr_linear)
     if not (snr_linear > 0):
         raise InvalidInputError(f"snr_linear must be > 0, got {snr_linear}")
     rng = generator(seed, ABLATION_STREAM)
@@ -147,11 +156,6 @@ class SlopeEstimate:
             "invalid_trials": self.invalid_trials,
             "fit": self.fit,
         }
-
-    def to_csv(self) -> str:
-        lines = ["snr_db,mean_rate"]
-        lines += [f"{db:g},{rate!r}" for db, rate in zip(self.snr_db, self.mean_rates)]
-        return "\n".join(lines) + "\n"
 
 
 def _trial_seed(seed: int, k: int) -> int:

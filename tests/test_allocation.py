@@ -68,7 +68,7 @@ def test_closed_form_split_attains_value():
     for cfg in _configs(6):
         r = optimal_unicast_closed_form(cfg)
         assert genie_bound_unicast(r.split).combined == r.optimal_dof
-        assert r.split.matches(cfg)
+        assert r.split.totals == cfg.totals
 
 
 def test_value_function_branches():
@@ -105,7 +105,7 @@ def test_enumerated_small_grid_equality():
 
 def test_canonical_pair_formula_any_balanced_config():
     # v = ((2m1+m2+m3)/3, 0, (m1+2m2-m3)/3, (m1+2m3-m2)/3), multipliers
-    # (1/3, 1/3, 1/3, 2/3) on rows {1,2,3,8}, all other rows 0
+    # 1/3 on each genie row and 2/3 on rx1>=0, all other rows 0
     from mimo3way import canonical_primal_dual
 
     for m in [(3, 3, 3), (5, 4, 2), (7, 6, 2), (8, 8, 8)]:
@@ -113,11 +113,13 @@ def test_canonical_pair_formula_any_balanced_config():
         lp, v, lam = canonical_primal_dual(cfg)
         m1, m2, m3 = (Fraction(x) for x in m)
         assert v == ((2 * m1 + m2 + m3) / 3, 0, (m1 + 2 * m2 - m3) / 3, (m1 + 2 * m3 - m2) / 3)
-        support = {i for i, l in enumerate(lam) if l != 0}
-        assert support == {0, 1, 2, 7}
-        assert (lam[0], lam[1], lam[2], lam[7]) == (
-            Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), Fraction(2, 3),
-        )
+        support = {label: l for label, l in zip(lp.constraints, lam) if l != 0}
+        assert support == {
+            "dof<=genie{2,3}": Fraction(1, 3),
+            "dof<=genie{1,2}": Fraction(1, 3),
+            "dof<=genie{1,3}": Fraction(1, 3),
+            "rx1>=0": Fraction(2, 3),
+        }
         cert = verify_duality(lp, v, lam)
         assert cert.is_optimal and cert.gap == 0
 

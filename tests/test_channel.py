@@ -35,18 +35,14 @@ def test_config_json_roundtrip():
 def test_config_accessors():
     cfg = AntennaConfig(5, 4, 2)
     assert cfg.totals == (5, 4, 2)
-    assert cfg.total_of(2) == 4
-    assert cfg.scaled(3).totals == (15, 12, 6)
-    with pytest.raises(InvalidInputError):
-        cfg.total_of(0)
 
 
 def test_split_totals_and_accessors():
     s = AntennaSplit((3, 1, 1), (0, 2, 2))
     assert s.totals == (Fraction(3), Fraction(3), Fraction(3))
     assert s.tx_of(1) == 3 and s.rx_of(3) == 2
-    assert s.matches(AntennaConfig(3, 3, 3))
-    assert not s.matches(AntennaConfig(4, 3, 3))
+    with pytest.raises(InvalidInputError):
+        s.tx_of(0)
 
 
 def test_split_rejects_negative():
