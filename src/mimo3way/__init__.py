@@ -22,7 +22,6 @@ from .allocation import (
     optimal_unicast_bruteforce,
     optimal_unicast_closed_form,
     optimal_unicast_enumerated,
-    unicast_optimal_split,
     unicast_optimal_value,
 )
 from .bounds import (
@@ -62,10 +61,7 @@ from .schemes import (
     SchemeMessage,
     SchemeTag,
     VerificationReport,
-    build_bcast,
     build_scheme,
-    build_uni_a,
-    build_uni_b,
     pair_matrices,
     scheme_split,
     verify_scheme,
@@ -109,7 +105,6 @@ __all__ = [
     "holds",
     "canonical_split",
     "unicast_optimal_value",
-    "unicast_optimal_split",
     "broadcast_optimal_value",
     "optimal_unicast_closed_form",
     "optimal_unicast_enumerated",
@@ -125,9 +120,6 @@ __all__ = [
     "MessageCheck",
     "VerificationReport",
     "scheme_split",
-    "build_uni_a",
-    "build_uni_b",
-    "build_bcast",
     "build_scheme",
     "pair_matrices",
     "verify_scheme",

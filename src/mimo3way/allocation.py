@@ -21,6 +21,7 @@ and code over that many channel uses.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -28,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import cutset_bound_broadcast, genie_bound_unicast
-from .channel import AntennaConfig, AntennaSplit
+from .bounds import GENIE_TERMS, cutset_bound_broadcast, genie_bound_unicast, genie_totals
+from .channel import AntennaConfig, AntennaSplit, check_config
 from .errors import InternalError, InvalidInputError, RegimeError
 from .lp import DualityStatus, LinearProgram, LPSolution, solve_inequality_min, verify_duality
 from .rational import frac, frac_str
@@ -43,7 +44,6 @@ __all__ = [
     "holds",
     "canonical_split",
     "unicast_optimal_value",
-    "unicast_optimal_split",
     "broadcast_optimal_value",
     "optimal_unicast_closed_form",
     "optimal_unicast_enumerated",
@@ -155,6 +155,7 @@ def broadcast_optimal_value(m1, m2, m3) -> Fraction:
 def holds(regime: Regime, config: AntennaConfig) -> bool:
     """Whether `config` lies in `regime`; at m1 = m2+m3 both unicast regimes
     hold, and the broadcast regime holds everywhere."""
+    check_config(config)
     if regime is Regime.BALANCED:
         return config.m1 <= config.m2 + config.m3
     if regime is Regime.HUB:
@@ -189,15 +190,9 @@ def _unicast_regime(config: AntennaConfig) -> Regime:
     return Regime.BALANCED if holds(Regime.BALANCED, config) else Regime.HUB
 
 
-def unicast_optimal_split(config: AntennaConfig) -> AntennaSplit:
-    """Canonical optimal split for the unicast messages."""
-    return canonical_split(config, _unicast_regime(config))
-
-
 def optimal_unicast_closed_form(config: AntennaConfig) -> AllocationResult:
     """Unicast optimum by formula, with the canonical optimal split."""
-    if not isinstance(config, AntennaConfig):
-        raise InvalidInputError(f"expected an AntennaConfig, got {type(config).__name__}")
+    check_config(config)
     value = unicast_optimal_value(*config.totals)
     regime = _unicast_regime(config)
     split = canonical_split(config, regime)
@@ -212,20 +207,18 @@ def optimal_unicast_closed_form(config: AntennaConfig) -> AllocationResult:
     )
 
 
-# the five-term genie objective min(sum_tx, sum_rx, g{2,3}, g{1,2}, g{1,3})
-# contains six max(rx_a, tx_b) terms, listed here as (a, b) in fixed order;
-# consecutive entries pair up into one g{.,.} total each
-_GENIE_MAX_TERMS: tuple[tuple[int, int], ...] = ((2, 3), (3, 2), (2, 1), (1, 2), (3, 1), (1, 3))
+# the six max(rx_a, tx_b) terms as (a, b); terms 2j and 2j+1 make up GENIE_TERMS[j]
+_MAX_TERMS = tuple(pair for _, *pairs in GENIE_TERMS for pair in pairs)
 
 
 def _mirror_bits(bits: tuple[bool, ...]) -> tuple[bool, ...]:
     """Image of a sign pattern under swapping every node's tx and rx counts.
 
-    Swapping maps max(rx_a, tx_b) onto the partner term max(rx_b, tx_a) with
-    the opposite branch active, so orbits have size at most 2 and only one
-    representative per orbit needs solving.
+    Swapping maps max(rx_a, tx_b) onto the partner term max(rx_b, tx_a), term
+    k ^ 1, with the opposite branch active, so orbits have size at most 2 and
+    only one representative per orbit needs solving.
     """
-    return (not bits[1], not bits[0], not bits[3], not bits[2], not bits[5], not bits[4])
+    return tuple(not bits[k ^ 1] for k in range(len(bits)))
 
 
 def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearProgram:
@@ -235,62 +228,34 @@ def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearPro
     k, False the tx side, each choice enforced by a branch inequality so the
     union of the 2^6 polytopes is the full feasible set.
     """
-    if len(bits) != len(_GENIE_MAX_TERMS):
-        raise InvalidInputError(f"expected {len(_GENIE_MAX_TERMS)} pattern bits, got {len(bits)}")
+    check_config(config)
+    if len(bits) != len(_MAX_TERMS):
+        raise InvalidInputError(f"expected {len(_MAX_TERMS)} pattern bits, got {len(bits)}")
     m = tuple(Fraction(v) for v in config.totals)
-    zero, one = Fraction(0), Fraction(1)
+    zero, one, minus = Fraction(0), Fraction(1), Fraction(-1)
 
-    def side(k):
-        # affine form of max term k under its chosen branch: (rx coeffs, const)
-        a, b = _GENIE_MAX_TERMS[k]
-        coeffs = [zero, zero, zero]
+    def term(k):
+        # max term k under its chosen branch, as (rx1..rx3 coefficients, constant)
+        a, b = _MAX_TERMS[k]
         if bits[k]:
-            coeffs[a - 1] = one
-            return coeffs, zero
-        coeffs[b - 1] = -one
-        return coeffs, m[b - 1]
+            return [one if l == a else zero for l in (1, 2, 3)], zero
+        return [minus if l == b else zero for l in (1, 2, 3)], m[b - 1]
 
-    rows, rhs, labels = [], [], []
-
-    def add(row, bound, label):
-        rows.append(tuple(row))
-        rhs.append(bound)
-        labels.append(label)
-
-    add((one, -one, -one, -one), zero, "dof<=sum_rx")
-    add((one, one, one, one), m[0] + m[1] + m[2], "dof<=sum_tx")
-    for name, (k1, k2) in zip(("genie{2,3}", "genie{1,2}", "genie{1,3}"), ((0, 1), (2, 3), (4, 5))):
-        c1, d1 = side(k1)
-        c2, d2 = side(k2)
-        add((one, -(c1[0] + c2[0]), -(c1[1] + c2[1]), -(c1[2] + c2[2])), d1 + d2, f"dof<={name}")
-    for k, (a, b) in enumerate(_GENIE_MAX_TERMS):
-        row = [zero, zero, zero, zero]
-        if bits[k]:
-            # rx_a >= tx_b = m_b - rx_b
-            row[a] = -one
-            row[b] -= one
-            add(row, -m[b - 1], f"rx{a}>=tx{b}")
-        else:
-            row[a] = one
-            row[b] += one
-            add(row, m[b - 1], f"tx{b}>=rx{a}")
-    for l in range(3):
+    rows = [((one, minus, minus, minus), zero, "dof<=sum_rx"), ((one, one, one, one), sum(m), "dof<=sum_tx")]
+    for j, (label, _, _) in enumerate(GENIE_TERMS):
+        (c1, d1), (c2, d2) = term(2 * j), term(2 * j + 1)
+        rows.append(((one, *(-x - y for x, y in zip(c1, c2))), d1 + d2, f"dof<={label}"))
+    for k, (a, b) in enumerate(_MAX_TERMS):
+        # the branch inequality rx_a >= tx_b (bit set) or tx_b >= rx_a, with tx_b = m_b - rx_b
         row = [zero] * 4
-        row[l + 1] = one
-        add(tuple(row), m[l], f"rx{l + 1}<=m{l + 1}")
-    for l in range(3):
-        row = [zero] * 4
-        row[l + 1] = -one
-        add(tuple(row), zero, f"rx{l + 1}>=0")
-    add((-one, zero, zero, zero), zero, "dof>=0")
-
-    return LinearProgram(
-        c=(-one, zero, zero, zero),
-        a=tuple(rows),
-        b=tuple(rhs),
-        variables=("dof", "rx1", "rx2", "rx3"),
-        constraints=tuple(labels),
-    )
+        row[a] = row[b] = minus if bits[k] else one
+        rows.append((row, -m[b - 1], f"rx{a}>=tx{b}") if bits[k] else (row, m[b - 1], f"tx{b}>=rx{a}"))
+    rows += [([one if j == l else zero for j in range(4)], m[l - 1], f"rx{l}<=m{l}") for l in (1, 2, 3)]
+    rows += [([minus if j == l else zero for j in range(4)], zero, f"rx{l}>=0") for l in (1, 2, 3)]
+    rows.append(((minus, zero, zero, zero), zero, "dof>=0"))
+    a, b, labels = zip(*rows)
+    variables = ("dof", "rx1", "rx2", "rx3")
+    return LinearProgram(c=(minus, zero, zero, zero), a=a, b=b, variables=variables, constraints=labels)
 
 
 def optimal_unicast_enumerated(config: AntennaConfig) -> AllocationResult:
@@ -303,13 +268,11 @@ def optimal_unicast_enumerated(config: AntennaConfig) -> AllocationResult:
     """
     closed = optimal_unicast_closed_form(config)
     best: tuple[Fraction, LinearProgram, LPSolution] | None = None
-    seen: set[tuple[bool, ...]] = set()
-    for bits in itertools.product((False, True), repeat=len(_GENIE_MAX_TERMS)):
-        canon = min(bits, _mirror_bits(bits))
-        if canon in seen:
+    for bits in itertools.product((False, True), repeat=len(_MAX_TERMS)):
+        # patterns come in lexicographic order, so an orbit's first pattern is its smaller one
+        if bits > _mirror_bits(bits):
             continue
-        seen.add(canon)
-        lp = genie_subproblem(config, canon)
+        lp = genie_subproblem(config, bits)
         sol = solve_inequality_min(lp)
         if sol is None:
             continue  # empty branch polytope
@@ -341,21 +304,9 @@ def _genie_value_grid(s1: int, s2: int, s3: int) -> np.ndarray:
     Entry [t1, t2, t3] is the bound for tx = (t1, t2, t3), rx = s - tx.
     Plain int64 arithmetic, so values are exact.
     """
-    t1 = np.arange(s1 + 1, dtype=np.int64)[:, None, None]
-    t2 = np.arange(s2 + 1, dtype=np.int64)[None, :, None]
-    t3 = np.arange(s3 + 1, dtype=np.int64)[None, None, :]
-    r1, r2, r3 = s1 - t1, s2 - t2, s3 - t3
-    terms = (
-        t1 + t2 + t3,
-        r1 + r2 + r3,
-        np.maximum(r2, t3) + np.maximum(r3, t2),
-        np.maximum(r2, t1) + np.maximum(r1, t2),
-        np.maximum(r3, t1) + np.maximum(r1, t3),
-    )
-    out = np.broadcast_to(terms[0], (s1 + 1, s2 + 1, s3 + 1)).copy()
-    for t in terms[1:]:
-        np.minimum(out, t, out=out)
-    return out
+    tx = np.ogrid[: s1 + 1, : s2 + 1, : s3 + 1]
+    rx = [s - t for s, t in zip((s1, s2, s3), tx)]
+    return functools.reduce(np.minimum, (v for _, v in genie_totals(tx, rx, np.maximum)))
 
 
 # Largest split grid optimal_unicast_bruteforce evaluates. The grid has
@@ -377,6 +328,7 @@ def optimal_unicast_bruteforce(config: AntennaConfig, denominator: int = 3) -> A
     """
     if not isinstance(denominator, int) or isinstance(denominator, bool) or denominator < 1:
         raise InvalidInputError(f"denominator must be a positive integer, got {denominator!r}")
+    check_config(config)
     n = denominator
     scaled = tuple(n * m for m in config.totals)
     cells = math.prod(s + 1 for s in scaled)
@@ -412,8 +364,6 @@ def optimal_broadcast(config: AntennaConfig) -> AllocationResult:
     inside [m2, m1] (within the per-node boxes) is equally optimal, which the
     attached band records.
     """
-    if not isinstance(config, AntennaConfig):
-        raise InvalidInputError(f"expected an AntennaConfig, got {type(config).__name__}")
     split = canonical_split(config, Regime.BROADCAST)
     value = broadcast_optimal_value(*config.totals)
     band = TransmitSumBand(low=Fraction(config.m2), high=Fraction(config.m1))

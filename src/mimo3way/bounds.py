@@ -28,6 +28,8 @@ __all__ = [
     "BoundTerm",
     "BoundReport",
     "cutset_bound_unicast",
+    "GENIE_TERMS",
+    "genie_totals",
     "genie_bound_unicast",
     "symmetric_bound",
     "cutset_bound_broadcast",
@@ -113,6 +115,25 @@ def cutset_bound_unicast(split: AntennaSplit) -> BoundReport:
     return _report(partials, totals, "cutset")
 
 
+# The three genie totals, (label, (a, b), (c, d)) for max(rx_a, tx_b) +
+# max(rx_c, tx_d); swapping every node's tx and rx maps each pair onto the other.
+GENIE_TERMS: tuple[tuple[str, tuple[int, int], tuple[int, int]], ...] = (
+    ("genie{2,3}", (2, 3), (3, 2)),
+    ("genie{1,2}", (2, 1), (1, 2)),
+    ("genie{1,3}", (3, 1), (1, 3)),
+)
+
+
+def genie_totals(tx, rx, maximum=max) -> list[tuple[str, object]]:
+    """The five (label, value) totals of the genie bound, whose minimum is the
+    combined bound: sum_tx, sum_rx, then GENIE_TERMS. Pass `np.maximum` as
+    `maximum` to evaluate over arrays of counts."""
+    totals = [("sum_tx", tx[0] + tx[1] + tx[2]), ("sum_rx", rx[0] + rx[1] + rx[2])]
+    for label, (a, b), (c, d) in GENIE_TERMS:
+        totals.append((label, maximum(rx[a - 1], tx[b - 1]) + maximum(rx[c - 1], tx[d - 1])))
+    return totals
+
+
 def genie_bound_unicast(split: AntennaSplit) -> BoundReport:
     """Genie-aided bounds on the six unicast messages.
 
@@ -131,14 +152,7 @@ def genie_bound_unicast(split: AntennaSplit) -> BoundReport:
         ("genie@3|w12", min(max(r3, t2), t1 + t2)),
         ("genie@3|w21", min(max(r3, t1), t1 + t2)),
     ]
-    totals = [
-        ("sum_tx", t1 + t2 + t3),
-        ("sum_rx", r1 + r2 + r3),
-        ("genie{2,3}", max(r2, t3) + max(r3, t2)),
-        ("genie{1,2}", max(r2, t1) + max(r1, t2)),
-        ("genie{1,3}", max(r3, t1) + max(r1, t3)),
-    ]
-    return _report(partials, totals, "genie")
+    return _report(partials, genie_totals(split.tx, split.rx), "genie")
 
 
 def symmetric_bound(mt, mr) -> Fraction:

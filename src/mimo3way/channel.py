@@ -22,6 +22,7 @@ __all__ = [
     "PAIR_ORDER",
     "AntennaConfig",
     "AntennaSplit",
+    "check_config",
     "ChannelSet",
     "draw_channels",
     "receive",
@@ -62,6 +63,12 @@ class AntennaConfig:
 
     def to_json(self) -> dict:
         return {"m": [self.m1, self.m2, self.m3]}
+
+
+def check_config(config) -> None:
+    """Refuse anything but an AntennaConfig (a bare tuple, say) up front."""
+    if not isinstance(config, AntennaConfig):
+        raise InvalidInputError(f"expected an AntennaConfig, got {type(config).__name__}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ __all__ = [
     "as_matrix",
     "null_space_basis",
     "pseudo_inverse",
+    "check_seed",
     "generator",
     "complex_gaussian",
     "random_gaussian",
@@ -77,15 +78,21 @@ def pseudo_inverse(a) -> np.ndarray:
     return np.linalg.pinv(a, rcond=max(a.shape) * _EPS)
 
 
+def check_seed(seed) -> int:
+    """The package's one seed rule: a nonnegative integer, never a bool or a
+    float (1.0 and 1.5 alike), returned as a plain int."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
 def generator(seed: int, *stream: int) -> np.random.Generator:
     """Seeded Generator for one child stream of `seed`.
 
     Distinct `stream` tags (and tag tuples) give statistically independent
     streams; the same (seed, stream) pair always reproduces the same draws.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=tuple(stream)))
+    return np.random.default_rng(np.random.SeedSequence(check_seed(seed), spawn_key=tuple(stream)))
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

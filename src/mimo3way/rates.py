@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import AntennaConfig, ChannelSet, draw_channels
 from .errors import InternalError, InvalidInputError
-from .linalg import ABLATION_STREAM, TRIAL_STREAM, generator, random_orthonormal
+from .linalg import ABLATION_STREAM, TRIAL_STREAM, check_seed, generator, random_orthonormal
 from .rational import frac_str
 from .schemes import SchemeInstance, SchemeTag, build_scheme, pair_matrices, scheme_split, verify_scheme
 
@@ -43,10 +43,10 @@ def _log2det(grams: np.ndarray, snrs: np.ndarray) -> np.ndarray:
     return logdet / _LN2
 
 
-def _check_snr(snr_linear) -> None:
-    """Reject a one-point SNR that is not a real number (a string, a list, None)."""
-    if isinstance(snr_linear, bool) or not isinstance(snr_linear, numbers.Real):
-        raise InvalidInputError(f"snr_linear must be a real number, got {snr_linear!r}")
+def _check_real(x, name: str) -> None:
+    """Reject an SNR that is not a real number (a string, a list, None)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InvalidInputError(f"{name} must be a real number, got {x!r}")
 
 
 def _stream_rho(scheme: SchemeInstance, snr_linear: float | np.ndarray) -> dict[str, float | np.ndarray]:
@@ -89,7 +89,7 @@ def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray
 def sum_rate(scheme: SchemeInstance, channels: ChannelSet, snr_linear: float) -> float:
     """Zero-forcing sum rate in bits per channel use at one SNR (the grid
     kernel `_sum_rates` on a one-point grid)."""
-    _check_snr(snr_linear)
+    _check_real(snr_linear, "snr_linear")
     return float(_sum_rates(scheme, channels, [snr_linear])[0])
 
 
@@ -104,7 +104,7 @@ def ablated_sum_rate(
     the interference covariance after projection. At high SNR this saturates
     well below the zero-forcing rate whenever interference actually matters.
     """
-    _check_snr(snr_linear)
+    _check_real(snr_linear, "snr_linear")
     if not (snr_linear > 0):
         raise InvalidInputError(f"snr_linear must be > 0, got {snr_linear}")
     rng = generator(seed, ABLATION_STREAM)
@@ -159,7 +159,7 @@ class SlopeEstimate:
 
 
 def _trial_seed(seed: int, k: int) -> int:
-    ss = np.random.SeedSequence(int(seed), spawn_key=(TRIAL_STREAM, int(k)))
+    ss = np.random.SeedSequence(seed, spawn_key=(TRIAL_STREAM, int(k)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -179,7 +179,13 @@ def estimate_dof(
     or least-squares fits the top half ("lsq-top-half"). The grid should top
     out at 30 dB or more for the slope to be in the DoF regime.
     """
-    grid = tuple(float(s) for s in snr_grid_db)
+    try:
+        grid = tuple(snr_grid_db)
+        for s in grid:
+            _check_real(s, "snr grid point")
+        grid = tuple(float(s) for s in grid)
+    except (TypeError, OverflowError):  # not iterable, or a point too large for a float
+        raise InvalidInputError(f"snr grid must be a sequence of real dB values, got {snr_grid_db!r}") from None
     if len(grid) < 2:
         raise InvalidInputError("snr grid needs at least two points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -188,6 +194,7 @@ def estimate_dof(
         raise InvalidInputError(f"trials must be a positive integer, got {trials!r}")
     if fit not in ("two-point", "lsq-top-half"):
         raise InvalidInputError(f"fit must be 'two-point' or 'lsq-top-half', got {fit!r}")
+    seed = check_seed(seed)
     try:
         snr_linear = [10.0 ** (db / 10.0) for db in grid]
     except OverflowError:

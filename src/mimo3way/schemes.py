@@ -1,19 +1,18 @@
 """Zero-forcing transmission schemes achieving the optimal DoF.
 
-Three constructions, one per operating regime:
+One builder, `build_scheme`, runs one of two constructions:
 
-* UniA (m1 <= m2+m3, every node >= 3 antennas once any symbol extension is
-  applied): node 1 sends two messages
-  through transmit null spaces of the cross links so each lands silently at
-  the unintended receiver; nodes 2 and 3 exchange full-rank streams and
-  separate everything with receive-side zero-forcing projectors. Fractional
-  optimal splits are realized by coding over a 3-use symbol extension.
-* UniB (m1 >= m2+m3): nodes 2 and 3 send everything to node 1, which has
-  enough receive antennas to zero-force the two transmissions apart.
-* Bcast: node 2 sends a unicast message to node 1 while node 3 broadcasts a
-  message decoded by both other nodes.
+* null space, for uni-a (m1 <= m2+m3, every node >= 3 antennas once any
+  symbol extension is applied): node 1 sends two messages through transmit
+  null spaces of the cross links so each lands silently at the unintended
+  receiver; nodes 2 and 3 exchange full-rank streams and separate everything
+  with receive-side zero-forcing projectors. Fractional optimal splits are
+  realized by coding over a 3-use symbol extension.
+* hub, for uni-b (m1 >= m2+m3) and bcast: nodes 2 and 3 send everything to
+  node 1, which zero-forces the two transmissions apart. Under bcast node 3
+  broadcasts, and node 2 decodes it too.
 
-Builders return the full matrix-level description (precoders per message,
+A built scheme is the full matrix-level description (precoders per message,
 projectors per message/receiver pair); `verify_scheme` replays a zero-noise
 transmission and checks interference leakage, conditioning, and exact
 decodability, reporting failures instead of raising.
@@ -23,6 +22,8 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -30,7 +31,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .allocation import Regime, canonical_split
-from .channel import AntennaConfig, AntennaSplit, ChannelSet, receive
+from .channel import AntennaConfig, AntennaSplit, ChannelSet, check_config, receive
 from .errors import InternalError, InvalidInputError, RegimeError
 from .linalg import (
     PRECODER_STREAM,
@@ -49,9 +50,6 @@ __all__ = [
     "MessageCheck",
     "VerificationReport",
     "scheme_split",
-    "build_uni_a",
-    "build_uni_b",
-    "build_bcast",
     "build_scheme",
     "pair_matrices",
     "verify_scheme",
@@ -119,6 +117,7 @@ def scheme_split(config: AntennaConfig, tag: SchemeTag) -> tuple[AntennaSplit, i
     scaled by the extension factor (1 when the split is already integral,
     else 3): channels must be drawn at exactly this split.
     """
+    check_config(config)
     if not isinstance(tag, SchemeTag):
         raise InvalidInputError(f"expected a SchemeTag, got {type(tag).__name__}")
     return _scheme_split(config, tag)
@@ -157,8 +156,24 @@ def _ortho_conj(mat: np.ndarray) -> np.ndarray:
     return null_space_basis(mat.conj().T)
 
 
-def build_uni_a(config: AntennaConfig, channels: ChannelSet, seed: int) -> SchemeInstance:
-    """Scheme for m1 <= m2+m3 achieving m1 + (m2+m3-m1)/3 per channel use.
+def build_scheme(config: AntennaConfig, tag: SchemeTag, channels: ChannelSet, seed: int) -> SchemeInstance:
+    """Build scheme `tag` on `channels`, drawn at `scheme_split(config, tag)`;
+    random precoders come from the precoder stream of `seed`."""
+    split, ext = scheme_split(config, tag)
+    _check_channels(split, channels, ext)
+    rng = generator(seed, PRECODER_STREAM)
+    pairs = split.integer_pairs()
+    if tag is SchemeTag.UNI_A:
+        built = _null_space(pairs, channels, rng)
+    elif tag is SchemeTag.UNI_B:
+        built = _hub(pairs, channels, rng, "u31", (1,))
+    else:
+        built = _hub(pairs, channels, rng, "u3bc", (1, 2))
+    return SchemeInstance(tag, config, split, ext, *built)
+
+
+def _null_space(pairs, channels, rng):
+    """uni-a: m1 + (m2+m3-m1)/3 per channel use for m1 <= m2+m3.
 
     Node 1 precodes u12 into null(H13) and u13 into null(H12); nodes 2 and 3
     send square orthonormal-precoded streams. Each receiver projects onto the
@@ -166,11 +181,7 @@ def build_uni_a(config: AntennaConfig, channels: ChannelSet, seed: int) -> Schem
     complement of H32 T32 and u32 in the complement of H12 T12 (node 3
     mirrors this with its own links).
     """
-    split, ext = scheme_split(config, SchemeTag.UNI_A)
-    _check_channels(split, channels, ext)
-    (t1, t2, t3), (r1, r2, r3) = split.integer_pairs()
-
-    rng = generator(seed, PRECODER_STREAM)
+    (t1, t2, t3), (_, r2, r3) = pairs
     h12, h13 = channels.h(1, 2), channels.h(1, 3)
     h23, h32 = channels.h(2, 3), channels.h(3, 2)
 
@@ -192,74 +203,32 @@ def build_uni_a(config: AntennaConfig, channels: ChannelSet, seed: int) -> Schem
         SchemeMessage("u23", 2, (3,), t2),
         SchemeMessage("u32", 3, (2,), t3),
     )
-    return SchemeInstance(SchemeTag.UNI_A, config, split, ext, messages, pre, proj)
+    return messages, pre, proj
 
 
-def build_uni_b(config: AntennaConfig, channels: ChannelSet, seed: int) -> SchemeInstance:
-    """Scheme for m1 >= m2+m3 achieving m2+m3: nodes 2 and 3 send full rank
-    to node 1, which zero-forces them apart; node 1 itself stays silent."""
-    split, ext = scheme_split(config, SchemeTag.UNI_B)
-    _check_channels(split, channels, ext)
-    (_, t2, t3), _ = split.integer_pairs()
-
-    rng = generator(seed, PRECODER_STREAM)
+def _hub(pairs, channels, rng, key3: str, receivers3: tuple[int, ...]):
+    """uni-b and bcast: weighted DoF m2+m3. Nodes 2 and 3 send u21 and `key3`
+    full rank to node 1, which reads each in the complement of the other's
+    image. Node 2, when in `receivers3` (bcast), inverts its square link from
+    node 3 (identity projector); node 1 stays silent."""
+    (_, t2, t3), _ = pairs
     h21, h31 = channels.h(2, 1), channels.h(3, 1)
 
     pre = {
         "u21": random_orthonormal(rng, t2, t2),
-        "u31": random_orthonormal(rng, t3, t3),
+        key3: random_orthonormal(rng, t3, t3),
     }
     proj = {
-        ("u21", 1): _ortho_conj(h31 @ pre["u31"]),
-        ("u31", 1): _ortho_conj(h21 @ pre["u21"]),
+        ("u21", 1): _ortho_conj(h31 @ pre[key3]),
+        (key3, 1): _ortho_conj(h21 @ pre["u21"]),
     }
+    if 2 in receivers3:
+        proj[(key3, 2)] = np.eye(t3, dtype=np.complex128)
     messages = (
         SchemeMessage("u21", 2, (1,), t2),
-        SchemeMessage("u31", 3, (1,), t3),
+        SchemeMessage(key3, 3, receivers3, t3),
     )
-    return SchemeInstance(SchemeTag.UNI_B, config, split, ext, messages, pre, proj)
-
-
-def build_bcast(config: AntennaConfig, channels: ChannelSet, seed: int) -> SchemeInstance:
-    """Broadcast scheme achieving weighted DoF m2+m3.
-
-    Node 3 broadcasts m3 streams decoded at both node 1 (zero-forcing away
-    node 2's unicast) and node 2 (plain inversion of the square link); node 2
-    sends m2-m3 unicast streams to node 1. Node 1 transmits nothing but keeps
-    m1-m2 transmit antennas, the canonical point of the optimal band.
-    """
-    split, ext = scheme_split(config, SchemeTag.BCAST)
-    _check_channels(split, channels, ext)
-    (_, t2, t3), _ = split.integer_pairs()
-
-    rng = generator(seed, PRECODER_STREAM)
-    h21, h31 = channels.h(2, 1), channels.h(3, 1)
-
-    pre = {
-        "u21": random_orthonormal(rng, t2, t2),
-        "u3bc": random_orthonormal(rng, t3, t3),
-    }
-    proj = {
-        ("u21", 1): _ortho_conj(h31 @ pre["u3bc"]),
-        ("u3bc", 1): _ortho_conj(h21 @ pre["u21"]),
-        ("u3bc", 2): np.eye(t3, dtype=np.complex128),
-    }
-    messages = (
-        SchemeMessage("u21", 2, (1,), t2),
-        SchemeMessage("u3bc", 3, (1, 2), t3),
-    )
-    return SchemeInstance(SchemeTag.BCAST, config, split, ext, messages, pre, proj)
-
-
-_BUILDERS = {
-    SchemeTag.UNI_A: build_uni_a,
-    SchemeTag.UNI_B: build_uni_b,
-    SchemeTag.BCAST: build_bcast,
-}
-
-
-def build_scheme(config: AntennaConfig, tag: SchemeTag, channels: ChannelSet, seed: int) -> SchemeInstance:
-    return _BUILDERS[tag](config, channels, seed)
+    return messages, pre, proj
 
 
 @dataclass(frozen=True)
@@ -352,13 +321,19 @@ def verify_scheme(
     message must project to a relative residual <= residual_tol; the
     effective matrix Q^H H T must be square, nonvanishing against the scale
     of its factors, and have smin > condition_tol * smax; and solving it must
-    return the sent symbols to roundtrip_tol relative error. Failures mark the report invalid; nothing raises on a bad
+    return the sent symbols to roundtrip_tol relative error. Each tolerance
+    must be a finite real >= 0, since a NaN or infinite one would pass every
+    check. Failures mark the report invalid; nothing raises on a bad
     realization, only on malformed inputs. achieved_dof counts the streams of
     the pairs that passed (per receiver for the broadcast message), so a
     valid report always has achieved == claimed.
     """
     if not isinstance(scheme, SchemeInstance):
         raise InvalidInputError(f"expected a SchemeInstance, got {type(scheme).__name__}")
+    tols = {"residual_tol": residual_tol, "condition_tol": condition_tol, "roundtrip_tol": roundtrip_tol}
+    for name, tol in tols.items():
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
+            raise InvalidInputError(f"{name} must be a finite real >= 0, got {tol!r}")
     _check_channels(scheme.split, channels, scheme.extension_factor)
     split = scheme.split
     rng = generator(seed, SYMBOL_STREAM)

@@ -17,16 +17,21 @@ from mimo3way import (
     DualityPairCertificate,
     InvalidInputError,
     Regime,
+    SchemeTag,
     TransmitSumBand,
     broadcast_optimal_value,
+    build_scheme,
+    canonical_split,
+    canonical_subproblem,
     genie_bound_unicast,
     genie_subproblem,
+    holds,
     optimal_broadcast,
     optimal_unicast_bruteforce,
     optimal_unicast_closed_form,
     optimal_unicast_enumerated,
+    scheme_split,
     solve_inequality_min,
-    unicast_optimal_split,
     unicast_optimal_value,
     verify_duality,
 )
@@ -172,6 +177,44 @@ def test_bruteforce_grid_cap(monkeypatch):
     monkeypatch.setattr(allocation, "_genie_value_grid", no_grid)
     with pytest.raises(InvalidInputError, match="112 cells"):
         optimal_unicast_bruteforce(AntennaConfig(2, 1, 1), 3)
+
+
+def test_genie_grid_matches_genie_bound_everywhere():
+    from mimo3way.allocation import _genie_value_grid
+
+    for m in itertools.product(range(5), repeat=3):
+        if not m[0] >= m[1] >= m[2]:
+            continue
+        grid = _genie_value_grid(*m)
+        for tx in itertools.product(*(range(v + 1) for v in m)):
+            split = AntennaSplit(tx, tuple(v - t for v, t in zip(m, tx)))
+            assert grid[tx] == genie_bound_unicast(split).combined, (m, tx)
+
+
+_CONFIG_TAKERS = {
+    "closed_form": optimal_unicast_closed_form,
+    "enumerated": optimal_unicast_enumerated,
+    "bruteforce": optimal_unicast_bruteforce,
+    "broadcast": optimal_broadcast,
+    "canonical_split": lambda c: canonical_split(c, Regime.BALANCED),
+    "holds": lambda c: holds(Regime.HUB, c),
+    "genie_subproblem": lambda c: genie_subproblem(c, (True,) * 6),
+    "canonical_subproblem": canonical_subproblem,
+    "scheme_split": lambda c: scheme_split(c, SchemeTag.UNI_A),
+    "build_scheme": lambda c: build_scheme(c, SchemeTag.UNI_B, None, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONFIG_TAKERS))
+@pytest.mark.parametrize("config", [(3, 3, 3), [3, 3, 3], "3,3,3", None])
+def test_non_config_is_refused_up_front(name, config):
+    with pytest.raises(InvalidInputError, match="expected an AntennaConfig"):
+        _CONFIG_TAKERS[name](config)
+
+
+def test_build_scheme_refuses_a_tag_string():
+    with pytest.raises(InvalidInputError, match="expected a SchemeTag"):
+        build_scheme(AntennaConfig(3, 3, 3), "uni-a", None, 0)
 
 
 def test_bruteforce_cap_covers_acceptance_grid():

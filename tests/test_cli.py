@@ -195,6 +195,14 @@ def test_slope_unrepresentable_snr_exits_2(capsys, snr):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [("slope", "--trials=2"), ("verify-scheme",)])
+def test_negative_seed_exits_2(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--m", "2,1,1", "--scheme", "uni-b", "--seed=-1")
+    assert code == 2
+    assert err.startswith("error[validation]: seed must be a nonnegative integer")
+    assert out == ""
+
+
 def test_slope_overflowing_rate_exits_2_without_warnings(capsys, recwarn):
     # 3080 dB is a finite linear SNR, but rho * G G^H overflows
     code, out, err = _run(capsys, "slope", "--m", "2,1,1", "--scheme", "uni-b", "--trials", "2", "--snr", "3000,3080")

@@ -16,7 +16,7 @@ import pytest
 from mimo3way.cli import main
 
 SEED = "7"
-CONFIGS = ("2,1,1", "4,2,2", "5,4,3", "1,1,0")
+CONFIGS = ("2,1,1", "4,2,2", "5,4,3", "1,1,0", "4,2,1")
 FORMATS = ("table", "json", "csv")
 
 
@@ -199,6 +199,42 @@ GOLDEN = {
     "slope --m 1,1,0 --scheme bcast --trials 3 --snr 20,30,40 --format table --seed 7": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
     "slope --m 1,1,0 --scheme bcast --trials 3 --snr 20,30,40 --format json --seed 7": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
     "slope --m 1,1,0 --scheme bcast --trials 3 --snr 20,30,40 --format csv --seed 7": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "bounds --m 4,2,1 --allocate --format table --seed 7": "29a40d9bbac2f2b416f074248b16558807b9acb62f81ea9f4fb1ab44f7e2c84c",
+    "bounds --m 4,2,1 --allocate --format json --seed 7": "1be46e7c6a742ad54c1bdaeaa4cf30e640ac7d3249cb5fbf17f3aa2f010a1690",
+    "bounds --m 4,2,1 --allocate --format csv --seed 7": "abef384fd286805b1be7e25c90f5a7de7d72bec414ae1dbb6d81c18dd26f2ab4",
+    "bounds --m 4,2,1 --allocate --msgs broadcast --format table --seed 7": "048ad6d846c334951f8c3b966ffdde642fe11ac34a70aa2b1b72955472325732",
+    "bounds --m 4,2,1 --allocate --msgs broadcast --format json --seed 7": "6d58e6e381eafe044fb387b127be2c5c4a2cdc2b75dee73d435bd62ece673bb1",
+    "bounds --m 4,2,1 --allocate --msgs broadcast --format csv --seed 7": "a0473e474275bc1465b14de44eb207210258788a7d2c895894926aafdc4c70bb",
+    "allocate --m 4,2,1 --format table --seed 7": "f9bc1fb59fb7a78478caf02927bc84c9e9b14f49be23f5785c58b882bb23699c",
+    "allocate --m 4,2,1 --format json --seed 7": "063e078be537fa249bcccae9840245f83b1c528c877bc7239e02c2ea4c896c0f",
+    "allocate --m 4,2,1 --format csv --seed 7": "2b511f50b6d89bb278206e1153a69720f91936f09dc8bfe13635c110cb59ecaf",
+    "allocate --m 4,2,1 --method enumerated --format table --seed 7": "165b72614fbe6f715f5a2590403f8f4672cfb0892ed6466822dfbbb194ddf0a4",
+    "allocate --m 4,2,1 --method enumerated --format json --seed 7": "aaee270db6b9df48f5ac4184ad6f77a5b826736f6987823ef6740a92fef6b52c",
+    "allocate --m 4,2,1 --method enumerated --format csv --seed 7": "01308d89b3328751d4713f73f200f91e072f7eefd7719133dac9f503cb188941",
+    "allocate --m 4,2,1 --method brute --format table --seed 7": "65c199117e127bcf7d0a9cb72663d580ba255bf8ad87b726bf9f2051ae03b4fa",
+    "allocate --m 4,2,1 --method brute --format json --seed 7": "4efaa771f8a8fa04570c37d83aea68f0f96fb8c85969785f23d761760e4aaeaf",
+    "allocate --m 4,2,1 --method brute --format csv --seed 7": "87a0c0bcc8826bb72666402904fe6a601a3d4ee4aa0f37bdfb8cde8a16963a22",
+    "allocate --m 4,2,1 --msgs broadcast --format table --seed 7": "4d412d92024c478123ee676ccc6f2f80a78f6b79ac96870f84f1223593a47967",
+    "allocate --m 4,2,1 --msgs broadcast --format json --seed 7": "b8cd58bd08dd50faae5d7e59febff59800ab2653626014645cde69a7465b783f",
+    "allocate --m 4,2,1 --msgs broadcast --format csv --seed 7": "27b57132ad4742fadf521324ae9a39391814c0947b919750b8b700db66fb1eb7",
+    "verify-scheme --m 4,2,1 --scheme uni-a --format table --seed 7": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "verify-scheme --m 4,2,1 --scheme uni-a --format json --seed 7": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "verify-scheme --m 4,2,1 --scheme uni-a --format csv --seed 7": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "slope --m 4,2,1 --scheme uni-a --trials 3 --snr 20,30,40 --format table --seed 7": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "slope --m 4,2,1 --scheme uni-a --trials 3 --snr 20,30,40 --format json --seed 7": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "slope --m 4,2,1 --scheme uni-a --trials 3 --snr 20,30,40 --format csv --seed 7": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "verify-scheme --m 4,2,1 --scheme uni-b --format table --seed 7": "d653e5cfd2b9f0639e1f6e715869207bf84c4a8f4c7ffd4175ff8655a6eab233",
+    "verify-scheme --m 4,2,1 --scheme uni-b --format json --seed 7": "9d809dd70cbed3084ce3af831463fca2037254816d1f569d22fb261d4be63015",
+    "verify-scheme --m 4,2,1 --scheme uni-b --format csv --seed 7": "69fb128faa3bff1ce38eab6074a945a896427a4fd0784f84db1ddc74936e3b4b",
+    "slope --m 4,2,1 --scheme uni-b --trials 3 --snr 20,30,40 --format table --seed 7": "78aea355d0bfeb8dbefcfc4d579c721bb3b234e5ae7ef9e01114a8f3664dabc5",
+    "slope --m 4,2,1 --scheme uni-b --trials 3 --snr 20,30,40 --format json --seed 7": "cebb1e6d45792381ae8edd5bb2cee46f6aeeb253dddc1e7dcbf68bd1d425b9ae",
+    "slope --m 4,2,1 --scheme uni-b --trials 3 --snr 20,30,40 --format csv --seed 7": "63a25336a47b9ecde2733cf2029dcff8df6b28fbd3241e8ccd7de75ffa90bbae",
+    "verify-scheme --m 4,2,1 --scheme bcast --format table --seed 7": "c10f196ea62356962ee552dcfff928bf72ad62f2392972ef208777f346c92382",
+    "verify-scheme --m 4,2,1 --scheme bcast --format json --seed 7": "4efc102ab16043b6c089df6d450cebdce6721c8913749153dfc62f419d42ef7e",
+    "verify-scheme --m 4,2,1 --scheme bcast --format csv --seed 7": "9c95dde8f34fe2ef390f9bb9da1aa3801f5e95575fe8139168a4b1288c5985b2",
+    "slope --m 4,2,1 --scheme bcast --trials 3 --snr 20,30,40 --format table --seed 7": "210eb8d9a1e01cfb3ddf10efcea199938a7b2dace814770a20b0fe9aac164f07",
+    "slope --m 4,2,1 --scheme bcast --trials 3 --snr 20,30,40 --format json --seed 7": "bba0ca19d3203a86687155f686ae7779682fc949ef96faa65446edc08e04ce0d",
+    "slope --m 4,2,1 --scheme bcast --trials 3 --snr 20,30,40 --format csv --seed 7": "45bf1ac032d61d1c105c5a1541c7523efa4248e26189d73ddf798f7a94c38a29",
     "bounds --mt 3,1/3,1 --mr 0,2/3,1 --format table --seed 7": "cbae91216c5331889c69cfc7bd317ae249064ea9492d7a04e5d7a63dbce5f9e1",
     "bounds --mt 3,1/3,1 --mr 0,2/3,1 --format json --seed 7": "d6ac9cdc0dd5b5a2ae3a4dd0f662533bd43edb2dd0910034c9712ff096b198b5",
     "bounds --mt 3,1/3,1 --mr 0,2/3,1 --format csv --seed 7": "e4b4429bc6e3ff6a394f15597058d473a099445a3b5c7aaab2c35760e0697bbe",

@@ -119,8 +119,10 @@ def test_generator_streams_are_decorrelated():
 def test_generator_rejects_bad_seeds():
     with pytest.raises(InvalidInputError):
         generator(-1)
-    with pytest.raises(InvalidInputError):
-        generator(1.5)
+    for bad in (1.5, 1.0, "a", True, None):
+        with pytest.raises(InvalidInputError):
+            generator(bad)
+    assert generator(np.int64(3)).integers(1 << 30) == generator(3).integers(1 << 30)
 
 
 def test_random_orthonormal():

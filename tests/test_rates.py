@@ -216,12 +216,27 @@ def test_estimate_grid_validation():
         estimate_dof(cfg, SchemeTag.UNI_A, (30.0, 50.0), fit="cubic")
 
 
+def _no_draw(*a, **k):
+    raise AssertionError("a channel was drawn for invalid input")
+
+
+@pytest.mark.parametrize("grid", [("abc", 50.0), (None, 50.0), 30.0, "30", (True, 50.0), (30.0, 10**400)])
+def test_estimate_rejects_non_numeric_grid_before_drawing(monkeypatch, grid):
+    monkeypatch.setattr(rates_mod, "draw_channels", _no_draw)
+    with pytest.raises(InvalidInputError, match="snr grid"):
+        estimate_dof(AntennaConfig(2, 1, 1), SchemeTag.UNI_B, grid, trials=2)
+
+
+@pytest.mark.parametrize("seed", [-1, "a", 1.5, 1.0, True, None])
+def test_estimate_rejects_bad_seed_before_drawing(monkeypatch, seed):
+    monkeypatch.setattr(rates_mod, "draw_channels", _no_draw)
+    with pytest.raises(InvalidInputError, match="seed must be a nonnegative integer"):
+        estimate_dof(AntennaConfig(2, 1, 1), SchemeTag.UNI_B, trials=2, seed=seed)
+
+
 @pytest.mark.parametrize("grid", [(3000.0, 4000.0), (-4000.0, 30.0), (30.0, math.nan)])
 def test_estimate_rejects_unrepresentable_snr_before_drawing(monkeypatch, grid):
-    def no_draw(*a, **k):
-        raise AssertionError("a channel was drawn for an invalid SNR grid")
-
-    monkeypatch.setattr(rates_mod, "draw_channels", no_draw)
+    monkeypatch.setattr(rates_mod, "draw_channels", _no_draw)
     with pytest.raises(InvalidInputError, match="no finite positive linear value"):
         estimate_dof(AntennaConfig(2, 1, 1), SchemeTag.UNI_B, grid, trials=2)
 

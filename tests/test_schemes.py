@@ -1,5 +1,7 @@
 """Zero-forcing scheme construction and verification tests."""
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,13 +17,13 @@ from mimo3way import (
     RegimeError,
     SchemeTag,
     build_scheme,
-    build_uni_a,
     draw_channels,
     genie_bound_unicast,
     cutset_bound_broadcast,
     scheme_split,
     verify_scheme,
 )
+from mimo3way.linalg import generator, random_orthonormal
 
 
 def _built(m, tag, seed=0):
@@ -110,7 +112,7 @@ def test_channels_must_match_scheme_split():
     cfg = AntennaConfig(4, 4, 4)
     wrong = draw_channels(AntennaSplit((4, 1, 1), (0, 3, 3)), seed=0)
     with pytest.raises(InvalidInputError, match="extended split"):
-        build_uni_a(cfg, wrong, seed=0)
+        build_scheme(cfg, SchemeTag.UNI_A, wrong, seed=0)
 
 
 def test_precoder_and_projector_shapes():
@@ -226,6 +228,25 @@ def test_verify_report_json():
     for c in j["checks"]:
         assert c["passed"] is True
         assert isinstance(c["interference_residual"], float)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-8, "a", None, True])
+@pytest.mark.parametrize("name", ["residual_tol", "condition_tol", "roundtrip_tol"])
+def test_verify_rejects_tolerances_that_pass_everything(name, bad):
+    # projectors knocked out: a report that passes here passes any scheme
+    _, _, _, ch, s = _built((4, 2, 1), SchemeTag.UNI_B, seed=3)
+    rng = generator(0)
+    rigged = replace(s, projectors={key: random_orthonormal(rng, *q.shape) for key, q in s.projectors.items()})
+    assert not verify_scheme(rigged, ch).valid
+    with pytest.raises(InvalidInputError, match=f"{name} must be a finite real >= 0"):
+        verify_scheme(rigged, ch, **{name: bad})
+
+
+def test_verify_accepts_any_finite_nonnegative_real_tolerance():
+    _, _, _, ch, s = _built((4, 2, 1), SchemeTag.UNI_B, seed=3)
+    rep = verify_scheme(s, ch, residual_tol=1e-9, condition_tol=Fraction(1, 10**8), roundtrip_tol=np.float64(1e-8))
+    assert rep.valid
+    verify_scheme(s, ch, residual_tol=0, condition_tol=0.0, roundtrip_tol=0)
 
 
 def test_verify_rejects_foreign_channels():
