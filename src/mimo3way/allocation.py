@@ -156,6 +156,8 @@ def holds(regime: Regime, config: AntennaConfig) -> bool:
     """Whether `config` lies in `regime`; at m1 = m2+m3 both unicast regimes
     hold, and the broadcast regime holds everywhere."""
     check_config(config)
+    if not isinstance(regime, Regime):
+        raise InvalidInputError(f"expected a Regime, got {type(regime).__name__}")
     if regime is Regime.BALANCED:
         return config.m1 <= config.m2 + config.m3
     if regime is Regime.HUB:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import CHANNEL_STREAM, as_matrix, complex_gaussian, generator
+from .linalg import CHANNEL_STREAM, as_matrix, generator
 from .rational import denominator_lcm, frac, frac_str, triple
 
 __all__ = [
@@ -150,6 +150,15 @@ class ChannelSet:
             mats.append(h)
         object.__setattr__(self, "matrices", tuple(mats))
 
+    @classmethod
+    def _drawn(cls, split: AntennaSplit, matrices: tuple[np.ndarray, ...]) -> "ChannelSet":
+        """Wrap read-only matrices that `draw_channels` made at `split`'s
+        shapes; finite by construction, so they skip the checks and copy."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "matrices", matrices)
+        return self
+
     def h(self, tx_node: int, rx_node: int) -> np.ndarray:
         _check_node(tx_node)
         _check_node(rx_node)
@@ -161,18 +170,29 @@ class ChannelSet:
 def draw_channels(split: AntennaSplit, seed: int) -> ChannelSet:
     """One i.i.d. CN(0,1) realization of all six links, deterministic in seed.
 
-    Matrices are drawn in PAIR_ORDER from the seed's channel stream, so the
-    same (split, seed) pair always reproduces the same ChannelSet.
+    One standard-normal stream from the seed's channel stream is sliced in
+    PAIR_ORDER, each link taking its real then its imaginary parts, as
+    `complex_gaussian` would draw them link by link; the same (split, seed)
+    pair always reproduces the same ChannelSet.
     """
     if not isinstance(split, AntennaSplit):
         raise InvalidInputError(f"split must be an AntennaSplit, got {type(split).__name__}")
     if not split.is_integral:
         raise InvalidInputError(f"cannot draw channels for fractional split {split.to_json()}")
-    rng = generator(seed, CHANNEL_STREAM)
+    tx, rx = split.integer_pairs()
+    shapes = [(rx[j - 1], tx[i - 1]) for i, j in PAIR_ORDER]
+    z = generator(seed, CHANNEL_STREAM).standard_normal(2 * sum(r * c for r, c in shapes))
     mats = []
-    for i, j in PAIR_ORDER:
-        mats.append(complex_gaussian(rng, int(split.rx_of(j)), int(split.tx_of(i))))
-    return ChannelSet(split, tuple(mats))
+    at = 0
+    for shape in shapes:
+        n = shape[0] * shape[1]
+        re = z[at : at + n].reshape(shape)
+        im = z[at + n : at + 2 * n].reshape(shape)
+        at += 2 * n
+        h = (re + 1j * im) / np.sqrt(2.0)
+        h.setflags(write=False)
+        mats.append(h)
+    return ChannelSet._drawn(split, tuple(mats))
 
 
 def receive(split: AntennaSplit, channels: ChannelSet, x, noise) -> tuple[np.ndarray, ...]:

@@ -281,6 +281,9 @@ def _cmd_slope(args) -> int:
     config = _config(args)
     tag = _scheme_tag(args.scheme)
     snr = _parse_finite_floats(args.snr, "snr")
+    # verify_scheme's tolerance rule: an infinite --tol would pass any slope
+    if not 0 <= args.tol < math.inf:
+        raise InvalidInputError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     est = estimate_dof(config, tag, snr, trials=args.trials, seed=args.seed, fit=args.fit)
 
     if args.format == "json":

@@ -15,7 +15,8 @@ One builder, `build_scheme`, runs one of two constructions:
 A built scheme is the full matrix-level description (precoders per message,
 projectors per message/receiver pair); `verify_scheme` replays a zero-noise
 transmission and checks interference leakage, conditioning, and exact
-decodability, reporting failures instead of raising.
+decodability, reporting failures instead of raising. It takes every singular
+value its checks read in one batched SVD per matrix shape.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class SchemeInstance:
         return sum(m.dim for m in self.messages if m.tx == node)
 
     def claimed_dof(self) -> Fraction:
-        return sum((Fraction(m.dim * m.weight, self.extension_factor) for m in self.messages), Fraction(0))
+        return Fraction(sum(m.dim * m.weight for m in self.messages), self.extension_factor)
 
 
 _SCHEME_REGIME = {SchemeTag.UNI_A: Regime.BALANCED, SchemeTag.UNI_B: Regime.HUB, SchemeTag.BCAST: Regime.BROADCAST}
@@ -300,12 +301,6 @@ def pair_matrices(
     return qh @ channels.h(m.tx, r) @ scheme.precoders[m.key], leaks()
 
 
-def _spectral(mat: np.ndarray) -> float:
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.norm(mat, 2))
-
-
 def verify_scheme(
     scheme: SchemeInstance,
     channels: ChannelSet,
@@ -327,6 +322,13 @@ def verify_scheme(
     realization, only on malformed inputs. achieved_dof counts the streams of
     the pairs that passed (per receiver for the broadcast message), so a
     valid report always has achieved == claimed.
+
+    Every singular value the checks read is taken in one batched SVD per
+    matrix shape: a first pass collects the leaks Q^H H' T', each link and
+    precoder a residual or scale uses (once each, however many pairs share
+    it), and each square effective matrix with its projector. A spectral norm
+    is then the largest singular value, as `np.linalg.norm(., 2)` computes
+    it, and 0.0 for an empty matrix.
     """
     if not isinstance(scheme, SchemeInstance):
         raise InvalidInputError(f"expected a SchemeInstance, got {type(scheme).__name__}")
@@ -337,9 +339,6 @@ def verify_scheme(
     _check_channels(scheme.split, channels, scheme.extension_factor)
     split = scheme.split
     rng = generator(seed, SYMBOL_STREAM)
-    # each link's and precoder's norm is taken once, however many pairs use it
-    h_norm = functools.cache(lambda tx, r: _spectral(channels.h(tx, r)))
-    t_norm = functools.cache(lambda key: _spectral(scheme.precoders[key]))
 
     symbols = {m.key: complex_gaussian(rng, m.dim, 1) for m in scheme.messages}
     x = []
@@ -352,64 +351,104 @@ def verify_scheme(
     noise = [np.zeros((int(split.rx_of(node)), 1), dtype=np.complex128) for node in (1, 2, 3)]
     y = receive(split, channels, x, noise)
 
-    checks = []
-    failures = []
-    achieved = Fraction(0)
+    # pass 1: every matrix whose singular values a check reads, by slot
+    mats = []
+    shared = {}  # id of a link or precoder -> its slot
+
+    def fresh(mat):
+        mats.append(mat)
+        return len(mats) - 1
+
+    def once(mat):
+        k = shared.get(id(mat))
+        if k is None:
+            k = shared[id(mat)] = fresh(mat)
+        return k
+
+    pairs = []
     for m in scheme.messages:
         for r in m.receivers:
             q = scheme.projectors[(m.key, r)]
             g, leaks = pair_matrices(scheme, channels, m, r, q)
-            fails = []
+            leak_slots = [
+                (fresh(leak), once(channels.h(other.tx, r)), once(scheme.precoders[other.key]))
+                for other, leak in leaks
+            ]
+            slots = None
+            if m.dim > 0 and g.shape[0] == g.shape[1]:
+                slots = (fresh(g), once(channels.h(m.tx, r)), once(scheme.precoders[m.key]), fresh(q))
+            pairs.append((m, r, q, g, leak_slots, slots))
 
-            worst = 0.0
-            for other, leak in leaks:
-                denom = h_norm(other.tx, r) * t_norm(other.key)
-                if denom > 0:
-                    worst = max(worst, _spectral(leak) / denom)
-            if worst > residual_tol:
-                fails.append("interference")
+    # one SVD per shape; smax is the spectral norm, smin feeds the condition
+    smax = [0.0] * len(mats)
+    smin = [0.0] * len(mats)
+    groups = {}
+    for k, mat in enumerate(mats):
+        if mat.size:
+            # keyed on dtype too: stacking a real matrix with complex ones
+            # would change the LAPACK routine that takes its norm
+            groups.setdefault((mat.shape, mat.dtype), []).append(k)
+    for ks in groups.values():
+        s = np.linalg.svd(np.array([mats[k] for k in ks]), compute_uv=False)
+        for k, hi, lo in zip(ks, s[:, 0].tolist(), s[:, -1].tolist()):
+            smax[k] = hi
+            smin[k] = lo
 
-            cond = 0.0
-            rt = float("nan")
-            if m.dim > 0:
-                if g.shape[0] != g.shape[1]:
-                    fails.append("effective-matrix-not-square")
-                else:
-                    s = np.linalg.svd(g, compute_uv=False)
-                    smax = float(s[0]) if s.size else 0.0
-                    smin = float(s[-1]) if s.size else 0.0
-                    # scale anchors the test: a numerically zero G has a
-                    # perfect smin/smax ratio but has still lost rank
-                    scale = h_norm(m.tx, r) * t_norm(m.key) * _spectral(q)
-                    cond = smin / smax if smax > 0 else 0.0
-                    if smax <= condition_tol * scale:
-                        fails.append("rank-deficient")
-                    elif smin <= condition_tol * smax:
-                        fails.append("ill-conditioned")
-                    else:
-                        decoded = np.linalg.solve(g, q.conj().T @ y[r - 1])
-                        u = symbols[m.key]
-                        rt = float(np.linalg.norm(decoded - u) / np.linalg.norm(u))
-                        if rt > roundtrip_tol:
-                            fails.append("roundtrip")
+    # pass 2: the checks
+    checks = []
+    failures = []
+    passed_streams = 0
+    for m, r, q, g, leak_slots, slots in pairs:
+        fails = []
 
-            ok = not fails
-            if ok:
-                achieved += Fraction(m.dim, scheme.extension_factor)
+        worst = 0.0
+        for leak, h, t in leak_slots:
+            denom = smax[h] * smax[t]
+            if denom > 0:
+                worst = max(worst, smax[leak] / denom)
+        if worst > residual_tol:
+            fails.append("interference")
+
+        cond = 0.0
+        rt = float("nan")
+        if m.dim > 0:
+            if slots is None:
+                fails.append("effective-matrix-not-square")
             else:
-                failures.extend(f"{m.key}@{r}:{f}" for f in fails)
-            checks.append(
-                MessageCheck(
-                    message=m.key,
-                    receiver=r,
-                    interference_residual=worst,
-                    condition_ratio=cond,
-                    roundtrip_error=rt,
-                    passed=ok,
-                    failures=tuple(fails),
-                )
-            )
+                gk, h, t, qk = slots
+                # scale anchors the test: a numerically zero G has a
+                # perfect smin/smax ratio but has still lost rank
+                scale = smax[h] * smax[t] * smax[qk]
+                cond = smin[gk] / smax[gk] if smax[gk] > 0 else 0.0
+                if smax[gk] <= condition_tol * scale:
+                    fails.append("rank-deficient")
+                elif smin[gk] <= condition_tol * smax[gk]:
+                    fails.append("ill-conditioned")
+                else:
+                    decoded = np.linalg.solve(g, q.conj().T @ y[r - 1])
+                    u = symbols[m.key]
+                    rt = float(np.linalg.norm(decoded - u) / np.linalg.norm(u))
+                    if rt > roundtrip_tol:
+                        fails.append("roundtrip")
 
+        ok = not fails
+        if ok:
+            passed_streams += m.dim
+        else:
+            failures.extend(f"{m.key}@{r}:{f}" for f in fails)
+        checks.append(
+            MessageCheck(
+                message=m.key,
+                receiver=r,
+                interference_residual=worst,
+                condition_ratio=cond,
+                roundtrip_error=rt,
+                passed=ok,
+                failures=tuple(fails),
+            )
+        )
+
+    achieved = Fraction(passed_streams, scheme.extension_factor)
     claimed = scheme.claimed_dof()
     valid = not failures
     if valid and achieved != claimed:

@@ -217,6 +217,15 @@ def test_build_scheme_refuses_a_tag_string():
         build_scheme(AntennaConfig(3, 3, 3), "uni-a", None, 0)
 
 
+@pytest.mark.parametrize("regime", ["hub", None, 1])
+def test_non_regime_is_refused(regime):
+    # (4,2,1) is a hub config; a non-Regime was read as broadcast
+    with pytest.raises(InvalidInputError, match="expected a Regime"):
+        holds(regime, AntennaConfig(4, 2, 1))
+    with pytest.raises(InvalidInputError, match="expected a Regime"):
+        canonical_split(AntennaConfig(4, 2, 1), regime)
+
+
 def test_bruteforce_cap_covers_acceptance_grid():
     from mimo3way.allocation import BRUTEFORCE_MAX_CELLS
 

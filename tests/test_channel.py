@@ -11,10 +11,12 @@ from mimo3way import (
     AntennaSplit,
     ChannelSet,
     InvalidInputError,
+    SchemeTag,
     draw_channels,
     receive,
+    scheme_split,
 )
-from mimo3way.linalg import complex_gaussian, generator
+from mimo3way.linalg import CHANNEL_STREAM, complex_gaussian, generator
 
 
 def test_config_ordering_enforced():
@@ -92,6 +94,30 @@ def test_draw_channels_deterministic():
         assert a.h(i, j).tobytes() == b.h(i, j).tobytes()
     c = draw_channels(split, seed=43)
     assert any(a.h(i, j).tobytes() != c.h(i, j).tobytes() for i, j in PAIR_ORDER)
+
+
+@pytest.mark.parametrize(
+    "m, tag",
+    [
+        ((3, 3, 3), SchemeTag.UNI_A),  # balanced
+        ((5, 4, 3), SchemeTag.UNI_A),  # x3 extended
+        ((4, 2, 1), SchemeTag.UNI_B),  # hub: no receive antennas at nodes 2, 3
+    ],
+)
+def test_draw_channels_is_the_per_link_draw_sequence(m, tag):
+    split, _ = scheme_split(AntennaConfig(*m), tag)
+    for seed in (0, 1, 9):
+        ch = draw_channels(split, seed)
+        rng = generator(seed, CHANNEL_STREAM)
+        for i, j in PAIR_ORDER:
+            want = complex_gaussian(rng, int(split.rx_of(j)), int(split.tx_of(i)))
+            got = ch.h(i, j)
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+            assert not got.flags.writeable
+        rebuilt = ChannelSet(split, ch.matrices)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(rebuilt.matrices, ch.matrices))
+    if tag is SchemeTag.UNI_B:
+        assert ch.h(1, 2).size == ch.h(3, 2).size == 0
 
 
 def test_draw_channels_rejects_fractional():

@@ -211,6 +211,16 @@ def test_slope_overflowing_rate_exits_2_without_warnings(capsys, recwarn):
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("tol", ["inf", "-1"])
+def test_slope_refuses_a_tolerance_that_passes_everything(capsys, tol):
+    # with --tol inf a slope of 1.08 against a DoF of 2 exited 0
+    code, out, err = _run(
+        capsys, "slope", "--m", "2,1,1", "--scheme", "uni-b", "--trials", "2", "--snr", "0,1", "--tol", tol,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error[validation]: --tol must be a finite number >= 0")
+
+
 @pytest.mark.parametrize("slope", [math.nan, math.inf])
 @pytest.mark.parametrize("tol", ["0.2", "inf"])
 def test_slope_gate_fails_closed_on_non_finite(capsys, monkeypatch, slope, tol):

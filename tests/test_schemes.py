@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import mimo3way.schemes as schemes_mod
 from mimo3way import (
     AntennaConfig,
     AntennaSplit,
@@ -19,11 +18,13 @@ from mimo3way import (
     build_scheme,
     draw_channels,
     genie_bound_unicast,
+    pair_matrices,
+    receive,
     cutset_bound_broadcast,
     scheme_split,
     verify_scheme,
 )
-from mimo3way.linalg import generator, random_orthonormal
+from mimo3way.linalg import SYMBOL_STREAM, complex_gaussian, generator, random_orthonormal
 
 
 def _built(m, tag, seed=0):
@@ -176,18 +177,124 @@ def test_scheme_split_is_computed_once_per_config_and_tag():
             scheme_split(AntennaConfig(2, 1, 1), SchemeTag.UNI_A)
 
 
-def test_verify_takes_each_link_and_precoder_norm_once(monkeypatch):
+def test_verify_takes_one_svd_per_shape_and_each_link_and_precoder_once(monkeypatch):
     _, _, _, ch, s = _built((5, 4, 3), SchemeTag.UNI_A, seed=2)
-    shared = [ch.h(i, j) for i, j in PAIR_ORDER] + list(s.precoders.values())
-    seen = []
+    assert s.extension_factor == 3
+    shared = {x.tobytes() for x in [ch.h(i, j) for i, j in PAIR_ORDER] + list(s.precoders.values())}
+    # every shape verify reads: leaks with the links and precoders under
+    # them, and each square effective matrix with its anchors and projector
+    shapes = set()
+    for m in s.messages:
+        for r in m.receivers:
+            g, leaks = pair_matrices(s, ch, m, r)
+            for other, leak in leaks:
+                shapes |= {leak.shape, ch.h(other.tx, r).shape, s.precoders[other.key].shape}
+            if m.dim and g.shape[0] == g.shape[1]:
+                shapes |= {g.shape, ch.h(m.tx, r).shape, s.precoders[m.key].shape, s.projectors[(m.key, r)].shape}
+    stacks = []
 
-    def counting(mat, real=schemes_mod._spectral):
-        seen.extend(k for k, x in enumerate(shared) if x is mat)
-        return real(mat)
+    def recording(a, *args, real=np.linalg.svd, **kwargs):
+        stacks.append(np.array(a))
+        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(schemes_mod, "_spectral", counting)
+    monkeypatch.setattr(np.linalg, "svd", recording)
     assert verify_scheme(s, ch, seed=2).valid
-    assert seen and len(seen) == len(set(seen))
+    hits = [mat.tobytes() for stack in stacks for mat in stack if mat.tobytes() in shared]
+    assert hits and len(hits) == len(set(hits))
+    assert len(stacks) == len(shapes) == len({stack.shape[1:] for stack in stacks})
+
+
+def _spectral_ref(mat):
+    return 0.0 if mat.size == 0 else float(np.linalg.norm(mat, 2))
+
+
+def _verify_ref(scheme, channels, seed):
+    """verify_scheme's checks as a per-matrix loop, one norm(., 2) per leak,
+    link, precoder and projector: (checks as field tuples, failures, achieved)."""
+    rng = generator(seed, SYMBOL_STREAM)
+    symbols = {m.key: complex_gaussian(rng, m.dim, 1) for m in scheme.messages}
+    x = []
+    for node in (1, 2, 3):
+        xi = np.zeros((int(scheme.split.tx_of(node)), 1), dtype=np.complex128)
+        for m in scheme.messages:
+            if m.tx == node and m.dim > 0:
+                xi = xi + scheme.precoders[m.key] @ symbols[m.key]
+        x.append(xi)
+    noise = [np.zeros((int(scheme.split.rx_of(node)), 1), dtype=np.complex128) for node in (1, 2, 3)]
+    y = receive(scheme.split, channels, x, noise)
+    checks, failures, achieved = [], [], Fraction(0)
+    for m in scheme.messages:
+        for r in m.receivers:
+            q = scheme.projectors[(m.key, r)]
+            g, leaks = pair_matrices(scheme, channels, m, r, q)
+            fails = []
+            worst = 0.0
+            for other, leak in leaks:
+                denom = _spectral_ref(channels.h(other.tx, r)) * _spectral_ref(scheme.precoders[other.key])
+                if denom > 0:
+                    worst = max(worst, _spectral_ref(leak) / denom)
+            if worst > 1e-10:
+                fails.append("interference")
+            cond, rt = 0.0, float("nan")
+            if m.dim > 0:
+                if g.shape[0] != g.shape[1]:
+                    fails.append("effective-matrix-not-square")
+                else:
+                    sv = np.linalg.svd(g, compute_uv=False)
+                    smax, smin = float(sv[0]), float(sv[-1])
+                    scale = _spectral_ref(channels.h(m.tx, r)) * _spectral_ref(scheme.precoders[m.key]) * _spectral_ref(q)
+                    cond = smin / smax if smax > 0 else 0.0
+                    if smax <= 1e-8 * scale:
+                        fails.append("rank-deficient")
+                    elif smin <= 1e-8 * smax:
+                        fails.append("ill-conditioned")
+                    else:
+                        decoded = np.linalg.solve(g, q.conj().T @ y[r - 1])
+                        u = symbols[m.key]
+                        rt = float(np.linalg.norm(decoded - u) / np.linalg.norm(u))
+                        if rt > 1e-8:
+                            fails.append("roundtrip")
+            if fails:
+                failures.extend(f"{m.key}@{r}:{f}" for f in fails)
+            else:
+                achieved += Fraction(m.dim, scheme.extension_factor)
+            checks.append((m.key, r, worst, cond, rt, not fails, tuple(fails)))
+    return checks, failures, achieved
+
+
+def _rigged(m, tag, seed):
+    # projectors knocked out, so every failure path runs
+    _, _, _, ch, s = _built(m, tag, seed=seed)
+    rng = generator(0)
+    return ch, replace(s, projectors={key: random_orthonormal(rng, *q.shape) for key, q in s.projectors.items()})
+
+
+@pytest.mark.parametrize(
+    "m, tag, rigged",
+    [
+        ((3, 3, 3), SchemeTag.UNI_A, False),
+        ((5, 4, 3), SchemeTag.UNI_A, False),  # extension factor 3
+        ((4, 2, 1), SchemeTag.UNI_B, False),  # t2 != t3
+        ((5, 3, 2), SchemeTag.BCAST, False),
+        ((5, 3, 3), SchemeTag.BCAST, False),  # dim-0 u21
+        ((4, 2, 1), SchemeTag.UNI_B, True),
+    ],
+)
+def test_batched_verify_equals_per_matrix_loop(m, tag, rigged):
+    for seed in (0, 1, 3):
+        ch, s = _rigged(m, tag, seed) if rigged else _built(m, tag, seed=seed)[3:]
+        rep = verify_scheme(s, ch, seed=seed + 50)
+        checks, failures, achieved = _verify_ref(s, ch, seed + 50)
+        assert rep.valid is (not rigged) and rep.valid == (not failures)
+        assert rep.failures == tuple(failures)
+        assert rep.achieved_dof == achieved
+        assert rep.claimed_dof == sum((Fraction(m.dim * m.weight, s.extension_factor) for m in s.messages), Fraction(0))
+        assert len(rep.checks) == len(checks)
+        for got, want in zip(rep.checks, checks):
+            fields = (got.message, got.receiver, got.interference_residual, got.condition_ratio,
+                      got.roundtrip_error, got.passed, got.failures)
+            for a, b in zip(fields, want):
+                assert a == b or (a != a and b != b), (got, want)
 
 
 def test_achieved_never_exceeds_converse():
@@ -234,9 +341,7 @@ def test_verify_report_json():
 @pytest.mark.parametrize("name", ["residual_tol", "condition_tol", "roundtrip_tol"])
 def test_verify_rejects_tolerances_that_pass_everything(name, bad):
     # projectors knocked out: a report that passes here passes any scheme
-    _, _, _, ch, s = _built((4, 2, 1), SchemeTag.UNI_B, seed=3)
-    rng = generator(0)
-    rigged = replace(s, projectors={key: random_orthonormal(rng, *q.shape) for key, q in s.projectors.items()})
+    ch, rigged = _rigged((4, 2, 1), SchemeTag.UNI_B, 3)
     assert not verify_scheme(rigged, ch).valid
     with pytest.raises(InvalidInputError, match=f"{name} must be a finite real >= 0"):
         verify_scheme(rigged, ch, **{name: bad})
