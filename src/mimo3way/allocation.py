@@ -32,7 +32,7 @@ import numpy as np
 from .bounds import GENIE_TERMS, cutset_bound_broadcast, genie_bound_unicast, genie_totals
 from .channel import AntennaConfig, AntennaSplit, check_config
 from .errors import InternalError, InvalidInputError, RegimeError
-from .lp import DualityStatus, LinearProgram, LPSolution, solve_inequality_min, verify_duality
+from .lp import DualityStatus, LinearProgram, _phase1, _phase2, _Unbounded, verify_duality
 from .rational import frac, frac_str
 
 __all__ = [
@@ -223,78 +223,95 @@ def _mirror_bits(bits: tuple[bool, ...]) -> tuple[bool, ...]:
     return tuple(not bits[k ^ 1] for k in range(len(bits)))
 
 
-def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearProgram:
-    """LP for one sign pattern of the genie objective.
+def _genie_rows(bits: tuple[bool, ...]):
+    """The genie subproblem of one sign pattern, config-free: (integer row
+    coefficients on (dof, rx1, rx2, rx3), each rhs as the integer form
+    (const, m1, m2, m3), labels). Bit k True picks the rx side of max term k,
+    False the tx side, each choice enforced by a branch inequality so the
+    union of the 2^6 polytopes is the full feasible set."""
+    e, zero = np.eye(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
+    rx = e[1] + e[2] + e[3]
+    # max term k under its branch as (coefficients, rhs form): rx_a, or tx_b = m_b - rx_b
+    terms = [(e[a], zero) if bit else (-e[b], e[b]) for bit, (a, b) in zip(bits, _MAX_TERMS)]
+    rows = [(e[0] - rx, zero, "dof<=sum_rx"), (e[0] + rx, rx, "dof<=sum_tx")]
+    for (label, _, _), (c1, f1), (c2, f2) in zip(GENIE_TERMS, terms[::2], terms[1::2]):
+        rows.append((e[0] - c1 - c2, f1 + f2, f"dof<={label}"))
+    for bit, (a, b) in zip(bits, _MAX_TERMS):
+        s = -1 if bit else 1  # rx_a >= tx_b when the bit is set, else tx_b >= rx_a
+        rows.append((s * (e[a] + e[b]), s * e[b], f"rx{a}>=tx{b}" if bit else f"tx{b}>=rx{a}"))
+    rows += [(e[l], e[l], f"rx{l}<=m{l}") for l in (1, 2, 3)]
+    rows += [(-e[l], zero, f"rx{l}>=0") for l in (1, 2, 3)]
+    rows.append((-e[0], zero, "dof>=0"))
+    a, forms, labels = zip(*rows)
+    return np.array(a).tolist(), np.array(forms).tolist(), labels
 
-    Variables (dof, rx1, rx2, rx3); bit k True picks the rx side of max term
-    k, False the tx side, each choice enforced by a branch inequality so the
-    union of the 2^6 polytopes is the full feasible set.
-    """
+
+def _rhs(forms, config: AntennaConfig) -> list[int]:
+    """Evaluate rhs forms (const, m1, m2, m3) at `config`."""
+    m1, m2, m3 = config.totals
+    return [c + a * m1 + b * m2 + d * m3 for c, a, b, d in forms]
+
+
+def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearProgram:
+    """LP for one sign pattern of the genie objective: `_genie_rows` at the
+    config, over the variables (dof, rx1, rx2, rx3)."""
     check_config(config)
     if len(bits) != len(_MAX_TERMS):
         raise InvalidInputError(f"expected {len(_MAX_TERMS)} pattern bits, got {len(bits)}")
-    m = tuple(Fraction(v) for v in config.totals)
-    zero, one, minus = Fraction(0), Fraction(1), Fraction(-1)
-
-    def term(k):
-        # max term k under its chosen branch, as (rx1..rx3 coefficients, constant)
-        a, b = _MAX_TERMS[k]
-        if bits[k]:
-            return [one if l == a else zero for l in (1, 2, 3)], zero
-        return [minus if l == b else zero for l in (1, 2, 3)], m[b - 1]
-
-    rows = [((one, minus, minus, minus), zero, "dof<=sum_rx"), ((one, one, one, one), sum(m), "dof<=sum_tx")]
-    for j, (label, _, _) in enumerate(GENIE_TERMS):
-        (c1, d1), (c2, d2) = term(2 * j), term(2 * j + 1)
-        rows.append(((one, *(-x - y for x, y in zip(c1, c2))), d1 + d2, f"dof<={label}"))
-    for k, (a, b) in enumerate(_MAX_TERMS):
-        # the branch inequality rx_a >= tx_b (bit set) or tx_b >= rx_a, with tx_b = m_b - rx_b
-        row = [zero] * 4
-        row[a] = row[b] = minus if bits[k] else one
-        rows.append((row, -m[b - 1], f"rx{a}>=tx{b}") if bits[k] else (row, m[b - 1], f"tx{b}>=rx{a}"))
-    rows += [([one if j == l else zero for j in range(4)], m[l - 1], f"rx{l}<=m{l}") for l in (1, 2, 3)]
-    rows += [([minus if j == l else zero for j in range(4)], zero, f"rx{l}>=0") for l in (1, 2, 3)]
-    rows.append(((minus, zero, zero, zero), zero, "dof>=0"))
-    a, b, labels = zip(*rows)
+    a, forms, labels = _genie_rows(bits)
     variables = ("dof", "rx1", "rx2", "rx3")
-    return LinearProgram(c=(minus, zero, zero, zero), a=a, b=b, variables=variables, constraints=labels)
+    return LinearProgram(c=(-1, 0, 0, 0), a=a, b=_rhs(forms, config), variables=variables, constraints=labels)
+
+
+@functools.cache
+def _template(bits: tuple[bool, ...]):
+    """(rhs forms, phase-1 tableau or None) of one sign pattern: the dual's
+    equality rows A' and rhs -c = (1, 0, 0, 0) do not depend on the config."""
+    a, forms, _ = _genie_rows(bits)
+    return forms, _phase1(list(zip(*a)), (1, 0, 0, 0))
+
+
+# the smaller pattern of each tx/rx-swap orbit
+_ORBITS = tuple(b for b in itertools.product((False, True), repeat=len(_MAX_TERMS)) if b <= _mirror_bits(b))
 
 
 def optimal_unicast_enumerated(config: AntennaConfig) -> AllocationResult:
     """Unicast optimum by exhaustive sign-pattern enumeration.
 
-    Solves one exact LP per tx/rx-swap orbit of the 2^6 patterns, keeps the
-    best value, re-verifies the winning primal/dual pair, and cross-checks
-    the value against the closed form; any disagreement is an internal error,
-    never a silent maximum.
+    Solves one exact LP per tx/rx-swap orbit of the 2^6 patterns, as an
+    integer phase 2 at the cost b(m) from the orbit's cached phase-1
+    `_template`, and keeps the first best value. Only the winner is built as
+    a `LinearProgram`, to re-verify its primal/dual pair, and the value is
+    cross-checked against the closed form; any disagreement is an internal
+    error, never a silent maximum.
     """
     closed = optimal_unicast_closed_form(config)
-    best: tuple[Fraction, LinearProgram, LPSolution] | None = None
-    for bits in itertools.product((False, True), repeat=len(_MAX_TERMS)):
-        # patterns come in lexicographic order, so an orbit's first pattern is its smaller one
-        if bits > _mirror_bits(bits):
-            continue
-        lp = genie_subproblem(config, bits)
-        sol = solve_inequality_min(lp)
-        if sol is None:
+    best = None
+    for bits in _ORBITS:
+        forms, start = _template(bits)
+        if start is None:
+            continue  # dual infeasible for every config
+        try:
+            lam, v = _phase2(start, _rhs(forms, config))
+        except _Unbounded:
             continue  # empty branch polytope
-        value = -sol.value
-        if best is None or value > best[0]:
-            best = (value, lp, sol)
+        if best is None or v[0] > best[0]:
+            best = (v[0], bits, v, lam)
     if best is None:
         raise InternalError("no genie subproblem was feasible")
-    value, lp, sol = best
+    value, bits, v, lam = best
     if value != closed.optimal_dof:
         raise InternalError(
             f"enumerated optimum {frac_str(value)} != closed form {frac_str(closed.optimal_dof)}"
         )
-    cert_check = verify_duality(lp, sol.v, sol.lam)
+    lp = genie_subproblem(config, bits)
+    cert_check = verify_duality(lp, v, lam)
     if cert_check.status is not DualityStatus.OPTIMAL:
         raise InternalError(f"simplex produced a non-optimal certificate: {cert_check.status.value}")
     return AllocationResult(
         optimal_dof=value,
         split=closed.split,
-        certificate=DualityPairCertificate(lp=lp, v=sol.v, lam=sol.lam, gap=cert_check.gap),
+        certificate=DualityPairCertificate(lp=lp, v=tuple(v), lam=tuple(lam), gap=cert_check.gap),
         regime=closed.regime,
         extension_factor=closed.extension_factor,
     )

@@ -9,6 +9,7 @@ Node indices are 1-based on all public surfaces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,6 +33,13 @@ __all__ = [
 PAIR_ORDER: tuple[tuple[int, int], ...] = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
 
 NODES = (1, 2, 3)
+
+# (tx, rx) -> index into PAIR_ORDER
+_PAIR_SLOT = {pair: k for k, pair in enumerate(PAIR_ORDER)}
+
+# Most antennas over all nodes draw_channels draws for: the six links then
+# hold at most 1000 * 1000 entries (16 MB); the acceptance configs need 90.
+_DRAW_MAX_ANTENNAS = 2000
 
 
 def _check_node(node: int) -> int:
@@ -111,6 +119,11 @@ class AntennaSplit:
         return AntennaSplit(tuple(v * f for v in self.tx), tuple(v * f for v in self.rx))
 
     def integer_pairs(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        return self._integer_pairs
+
+    @functools.cached_property
+    def _integer_pairs(self):
+        # cached: draw, build, receive and verify each ask for them per call
         if not self.is_integral:
             raise InvalidInputError(f"split is fractional: tx={self.tx}, rx={self.rx}")
         return tuple(int(v) for v in self.tx), tuple(int(v) for v in self.rx)
@@ -160,11 +173,13 @@ class ChannelSet:
         return self
 
     def h(self, tx_node: int, rx_node: int) -> np.ndarray:
+        try:
+            return self.matrices[_PAIR_SLOT[tx_node, rx_node]]
+        except (KeyError, TypeError):
+            pass
         _check_node(tx_node)
         _check_node(rx_node)
-        if tx_node == rx_node:
-            raise InvalidInputError("no self link: tx and rx node coincide")
-        return self.matrices[PAIR_ORDER.index((tx_node, rx_node))]
+        raise InvalidInputError("no self link: tx and rx node coincide")
 
 
 def draw_channels(split: AntennaSplit, seed: int) -> ChannelSet:
@@ -180,6 +195,8 @@ def draw_channels(split: AntennaSplit, seed: int) -> ChannelSet:
     if not split.is_integral:
         raise InvalidInputError(f"cannot draw channels for fractional split {split.to_json()}")
     tx, rx = split.integer_pairs()
+    if sum(tx) + sum(rx) > _DRAW_MAX_ANTENNAS:
+        raise InvalidInputError(f"split {split.to_json()} has over {_DRAW_MAX_ANTENNAS} antennas to draw channels for")
     shapes = [(rx[j - 1], tx[i - 1]) for i, j in PAIR_ORDER]
     z = generator(seed, CHANNEL_STREAM).standard_normal(2 * sum(r * c for r, c in shapes))
     mats = []
@@ -206,17 +223,13 @@ def receive(split: AntennaSplit, channels: ChannelSet, x, noise) -> tuple[np.nda
     if len(x) != 3 or len(noise) != 3:
         raise InvalidInputError("x and noise must each contain one vector per node")
     xs, zs = [], []
-    for node in NODES:
+    for node, t, r in zip(NODES, *split.integer_pairs()):
         xi = np.asarray(x[node - 1], dtype=np.complex128)
         zi = np.asarray(noise[node - 1], dtype=np.complex128)
-        if xi.shape[0] != int(split.tx_of(node)):
-            raise InvalidInputError(
-                f"x{node} must have {int(split.tx_of(node))} rows, got {xi.shape[0]}"
-            )
-        if zi.shape[0] != int(split.rx_of(node)):
-            raise InvalidInputError(
-                f"noise{node} must have {int(split.rx_of(node))} rows, got {zi.shape[0]}"
-            )
+        if xi.shape[0] != t:
+            raise InvalidInputError(f"x{node} must have {t} rows, got {xi.shape[0]}")
+        if zi.shape[0] != r:
+            raise InvalidInputError(f"noise{node} must have {r} rows, got {zi.shape[0]}")
         xs.append(xi)
         zs.append(zi)
     ys = []

@@ -12,6 +12,7 @@ overridable with the MIMO3WAY_SEED environment variable or --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -344,11 +345,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
+# one parser per default seed; argparse keeps no state between parse_args calls
+@functools.lru_cache(maxsize=4)
+def _build_parser(seed: int) -> _Parser:
     parser = _Parser(prog="mimo3way", description="DoF bounds, antenna allocation, and zero-forcing "
                                                   "schemes for three-way full-duplex MIMO networks")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
 
     def common(p, default_format="table"):
         p.add_argument("--format", "-f", choices=("table", "json", "csv"), default=default_format)
@@ -405,8 +407,7 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        args = _build_parser(_default_seed()).parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)

@@ -18,6 +18,11 @@ standard form; the optimal basic solution is lam and the simplex multipliers
 of the equality rows are the primal optimum v, so every solve returns a
 certificate pair whose gap is zero by construction.
 
+Phase 1 (`_phase1`) reads only A' and c; only phase 2 (`_phase2`) reads b.
+Programs that share A and c can run phase 1 once and start each phase 2 from
+a copy of its tableau, with the same pivots as a solve from scratch; the
+genie subproblems of `allocation` keep one such template per sign pattern.
+
 The tableau is integer-preserving (Bareiss 1968): each equality row is scaled
 to integers by the lcm of its denominators, and the tableau, right-hand side
 and cost row are Python ints over one common denominator d, the absolute
@@ -177,46 +182,23 @@ def _to_integers(values) -> tuple[list[int], int]:
     return [x.numerator * (s // x.denominator) for x in values], s
 
 
-def _simplex_standard(g_rows, g_rhs, cost):
-    """min cost.x s.t. (g_rows) x = g_rhs, x >= 0, exact two-phase simplex.
+@dataclass
+class _Tableau:
+    """Integer tableau rows [row | artificial | rhs] over d, the absolute
+    determinant of the basis; `live` maps rows to original equality rows,
+    made integer by the row `scales` and `signs`."""
 
-    Entries are Fractions or ints. Returns (x, pi) with pi the equality-row
-    multipliers, or None when infeasible; raises _Unbounded when the minimum
-    is -infinity. Bland's rule everywhere, so cycling cannot occur.
+    tab: list[list[int]]
+    basis: list[int]
+    live: list[int]
+    d: int
+    scales: list[int]
+    signs: list[int]
 
-    Each tableau row is [row | artificial | rhs] in integers over the
-    common denominator d, the absolute determinant of the current basis, so
-    the rational tableau is tab / d. Row i of the input is scaled by
-    sign_i * s_i (s_i the lcm of its denominators, the sign making its rhs
-    >= 0); its artificial column stays the unit vector, which makes that
-    artificial s_i times the unscaled one, so phase 1 weighs it by
-    lcm(s) / s_i. Positive row and column scalings leave every sign, ratio
-    order and zero pattern the simplex decides on unchanged.
-    """
-    n_eq = len(g_rows)
-    n_var = len(cost)
-    width = n_var + n_eq
-
-    tab, scales, signs = [], [], []
-    for i in range(n_eq):
-        row, s = _to_integers((*g_rows[i], g_rhs[i]))
-        sign = -1 if row[-1] < 0 else 1
-        if sign < 0:
-            row = [-x for x in row]
-        art = [0] * n_eq
-        art[i] = 1
-        tab.append(row[:-1] + art + row[-1:])
-        scales.append(s)
-        signs.append(sign)
-
-    d = 1
-    basis = [n_var + i for i in range(n_eq)]
-    live = list(range(n_eq))  # tableau row -> original equality index
-
-    def pivot(prow, pcol, costrow):
+    def pivot(self, prow, pcol, costrow):
         # Bareiss step: every entry becomes (p*x - f*y) / d, an exact
         # division because the result is the entry of |det B'| * B'^-1 A
-        nonlocal d
+        tab, d = self.tab, self.d
         top = tab[prow]
         p = top[pcol]
         if p < 0:  # only when a leftover artificial is pivoted out
@@ -231,19 +213,20 @@ def _simplex_standard(g_rows, g_rhs, cost):
                 row[:] = [(p * x - f * y) // d for x, y in zip(row, top)]
             elif p != d:
                 row[:] = [p * x // d for x in row]
-        d = p
-        basis[prow] = pcol
+        self.d = p
+        self.basis[prow] = pcol
 
-    def reduced_costs(full_cost):
+    def reduced_costs(self, full_cost):
         # d * (full_cost - c_B B^-1 A); the rhs slot holds -d * objective
-        costrow = [d * x for x in full_cost] + [0]
-        for i, b in enumerate(basis):
+        costrow = [self.d * x for x in full_cost] + [0]
+        for row, b in zip(self.tab, self.basis):
             f = full_cost[b]
             if f:
-                costrow = [x - f * y for x, y in zip(costrow, tab[i])]
+                costrow = [x - f * y for x, y in zip(costrow, row)]
         return costrow
 
-    def run(costrow, allowed_width):
+    def run(self, costrow, allowed_width):
+        tab, basis = self.tab, self.basis
         while True:
             enter = next((j for j in range(allowed_width) if costrow[j] < 0), None)
             if enter is None:
@@ -262,41 +245,75 @@ def _simplex_standard(g_rows, g_rhs, cost):
                         prow, num, den = i, row[-1], a
             if prow is None:
                 raise _Unbounded()
-            pivot(prow, enter, costrow)
+            self.pivot(prow, enter, costrow)
 
-    # phase 1: drive the artificials to zero
+
+def _phase1(g_rows, g_rhs) -> _Tableau | None:
+    """Phase 1 for (g_rows) x = g_rhs, x >= 0 with Fraction or int entries:
+    the tableau with every artificial out of the basis and redundant rows
+    dropped, or None when the system is infeasible.
+
+    Row i of the input is scaled by sign_i * s_i (s_i the lcm of its
+    denominators, the sign making its rhs >= 0); its artificial column stays
+    the unit vector, which makes that artificial s_i times the unscaled one,
+    so phase 1 weighs it by lcm(s) / s_i. Positive row and column scalings
+    leave every sign, ratio order and zero pattern the simplex decides on
+    unchanged.
+    """
+    n_eq = len(g_rows)
+    n_var = len(g_rows[0])
+    rows, scales, signs = [], [], []
+    for i in range(n_eq):
+        row, s = _to_integers((*g_rows[i], g_rhs[i]))
+        sign = -1 if row[-1] < 0 else 1
+        if sign < 0:
+            row = [-x for x in row]
+        art = [0] * n_eq
+        art[i] = 1
+        rows.append(row[:-1] + art + row[-1:])
+        scales.append(s)
+        signs.append(sign)
+    t = _Tableau(rows, [n_var + i for i in range(n_eq)], list(range(n_eq)), 1, scales, signs)
+
+    # drive the artificials to zero
     big = lcm(*scales)
     phase1_cost = [0] * n_var + [big // s for s in scales]
-    costrow = reduced_costs(phase1_cost)
-    run(costrow, width)
-    if sum(phase1_cost[b] * tab[i][-1] for i, b in enumerate(basis)) > 0:
+    t.run(t.reduced_costs(phase1_cost), n_var + n_eq)
+    if sum(phase1_cost[b] * row[-1] for row, b in zip(t.tab, t.basis)) > 0:
         return None
 
     # pivot leftover artificials out of the basis; all-zero rows are redundant
-    for i in reversed(range(len(tab))):
-        if basis[i] >= n_var:
-            pcol = next((j for j in range(n_var) if tab[i][j] != 0), None)
+    for i in reversed(range(len(t.tab))):
+        if t.basis[i] >= n_var:
+            pcol = next((j for j in range(n_var) if t.tab[i][j] != 0), None)
             if pcol is None:
-                del tab[i], basis[i], live[i]
+                del t.tab[i], t.basis[i], t.live[i]
             else:
-                pivot(i, pcol, None)
+                t.pivot(i, pcol, None)
+    return t
 
-    # phase 2 over the original columns only
+
+def _phase2(start: _Tableau, cost):
+    """min cost.x over the original columns from a `_phase1` tableau, which
+    stays untouched. Returns (x, pi) with pi the equality-row multipliers;
+    raises _Unbounded when the minimum is -infinity."""
+    t = _Tableau([row[:] for row in start.tab], start.basis[:], start.live, start.d, start.scales, start.signs)
+    n_var, n_eq = len(cost), len(t.scales)
     cost_int, cost_scale = _to_integers(cost)
-    costrow = reduced_costs(cost_int + [0] * n_eq)
-    run(costrow, n_var)
+    costrow = t.reduced_costs(cost_int + [0] * n_eq)
+    t.run(costrow, n_var)
 
     zero = Fraction(0)
     x = [zero] * n_var
-    for i, b in enumerate(basis):
+    for row, b in zip(t.tab, t.basis):
         if b < n_var:
-            x[b] = Fraction(tab[i][-1], d)
+            x[b] = Fraction(row[-1], t.d)
     # multiplier of equality row k: minus the reduced cost of its artificial
     # column, with the row sign, row scale, cost scale and d undone; dropped
     # redundant rows get 0
     pi = [zero] * n_eq
-    for orig in live:
-        pi[orig] = Fraction(-costrow[n_var + orig] * signs[orig] * scales[orig], cost_scale * d)
+    for orig in t.live:
+        pi[orig] = Fraction(-costrow[n_var + orig] * t.signs[orig] * t.scales[orig], cost_scale * t.d)
     return x, pi
 
 
@@ -309,12 +326,12 @@ def solve_inequality_min(lp: LinearProgram) -> LPSolution | None:
     # dual standard form: one equality per primal variable, one lam per row
     g_rows = [[lp.a[i][j] for i in range(m)] for j in range(n)]
     g_rhs = [-cj for cj in lp.c]
+    start = _phase1(g_rows, g_rhs)
+    if start is None:
+        return None  # dual infeasible => primal unbounded or infeasible
     try:
-        out = _simplex_standard(g_rows, g_rhs, list(lp.b))
+        lam, v = _phase2(start, list(lp.b))
     except _Unbounded:
         return None  # dual unbounded below => primal infeasible
-    if out is None:
-        return None  # dual infeasible => primal unbounded or infeasible
-    lam, v = out
     value = sum((cj * vj for cj, vj in zip(lp.c, v)), Fraction(0))
     return LPSolution(value=value, v=tuple(v), lam=tuple(lam))

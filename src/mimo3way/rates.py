@@ -23,11 +23,14 @@ from .channel import AntennaConfig, ChannelSet, draw_channels
 from .errors import InternalError, InvalidInputError
 from .linalg import ABLATION_STREAM, TRIAL_STREAM, check_seed, generator, random_orthonormal
 from .rational import frac_str
-from .schemes import SchemeInstance, SchemeTag, build_scheme, pair_matrices, scheme_split, verify_scheme
+from .schemes import SchemeInstance, SchemeTag, _check_scheme, build_scheme, pair_matrices, scheme_split, verify_scheme
 
 __all__ = ["SlopeEstimate", "sum_rate", "ablated_sum_rate", "estimate_dof"]
 
 _LN2 = math.log(2.0)
+
+# Most channel draws estimate_dof makes, about a millisecond each
+_MAX_TRIALS = 100_000
 
 
 def _log2det(grams: np.ndarray, snrs: np.ndarray) -> np.ndarray:
@@ -43,10 +46,15 @@ def _log2det(grams: np.ndarray, snrs: np.ndarray) -> np.ndarray:
     return logdet / _LN2
 
 
-def _check_real(x, name: str) -> None:
-    """Reject an SNR that is not a real number (a string, a list, None)."""
+def _real(x, name: str) -> float:
+    """An SNR as a float; refuses a non-real (a string, a list, None) or one
+    too large for a float."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise InvalidInputError(f"{name} must be a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise InvalidInputError(f"{name} {x!r} is too large for a float") from None
 
 
 def _stream_rho(scheme: SchemeInstance, snr_linear: float | np.ndarray) -> dict[str, float | np.ndarray]:
@@ -89,7 +97,8 @@ def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray
 def sum_rate(scheme: SchemeInstance, channels: ChannelSet, snr_linear: float) -> float:
     """Zero-forcing sum rate in bits per channel use at one SNR (the grid
     kernel `_sum_rates` on a one-point grid)."""
-    _check_real(snr_linear, "snr_linear")
+    snr_linear = _real(snr_linear, "snr_linear")
+    _check_scheme(scheme, channels)
     return float(_sum_rates(scheme, channels, [snr_linear])[0])
 
 
@@ -104,7 +113,8 @@ def ablated_sum_rate(
     the interference covariance after projection. At high SNR this saturates
     well below the zero-forcing rate whenever interference actually matters.
     """
-    _check_real(snr_linear, "snr_linear")
+    snr_linear = _real(snr_linear, "snr_linear")
+    _check_scheme(scheme, channels)
     if not (snr_linear > 0):
         raise InvalidInputError(f"snr_linear must be > 0, got {snr_linear}")
     rng = generator(seed, ABLATION_STREAM)
@@ -180,18 +190,15 @@ def estimate_dof(
     out at 30 dB or more for the slope to be in the DoF regime.
     """
     try:
-        grid = tuple(snr_grid_db)
-        for s in grid:
-            _check_real(s, "snr grid point")
-        grid = tuple(float(s) for s in grid)
-    except (TypeError, OverflowError):  # not iterable, or a point too large for a float
+        grid = tuple(_real(s, "snr grid point") for s in snr_grid_db)
+    except TypeError:  # not iterable
         raise InvalidInputError(f"snr grid must be a sequence of real dB values, got {snr_grid_db!r}") from None
     if len(grid) < 2:
         raise InvalidInputError("snr grid needs at least two points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError(f"snr grid must be strictly increasing, got {grid}")
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise InvalidInputError(f"trials must be a positive integer, got {trials!r}")
+    if not isinstance(trials, int) or isinstance(trials, bool) or not 1 <= trials <= _MAX_TRIALS:
+        raise InvalidInputError(f"trials must be an integer in [1, {_MAX_TRIALS}], got {trials!r}")
     if fit not in ("two-point", "lsq-top-half"):
         raise InvalidInputError(f"fit must be 'two-point' or 'lsq-top-half', got {fit!r}")
     seed = check_seed(seed)

@@ -39,7 +39,10 @@ def frac_str(x: Fraction) -> str:
 
 def triple(values, name: str = "triple") -> tuple[Fraction, Fraction, Fraction]:
     """Coerce a 3-sequence of nonnegative rationals."""
-    vals = tuple(frac(v) for v in values)
+    try:
+        vals = tuple(frac(v) for v in values)
+    except TypeError:  # not iterable
+        raise InvalidInputError(f"{name} must be a sequence of 3 rationals, got {values!r}") from None
     if len(vals) != 3:
         raise InvalidInputError(f"{name} must have exactly 3 entries, got {len(vals)}")
     if any(v < 0 for v in vals):

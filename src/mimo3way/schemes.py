@@ -301,6 +301,44 @@ def pair_matrices(
     return qh @ channels.h(m.tx, r) @ scheme.precoders[m.key], leaks()
 
 
+def _scheme_matrix(table, key, rows: int, cols: int | None, what: str) -> np.ndarray:
+    """table[key], refused unless it is a numeric 2-D array with `rows` rows
+    (and `cols` columns when given)."""
+    try:
+        mat = table[key]
+    except (KeyError, TypeError):
+        raise InvalidInputError(f"scheme has no {what} for {key!r}") from None
+    if isinstance(mat, np.ndarray) and mat.ndim == 2 and mat.dtype.kind in "iufc":
+        n, k = mat.shape
+        if n == rows and (cols is None or k == cols):
+            return mat
+    want = f"({rows}, {'any' if cols is None else cols})"
+    got = f"{type(mat).__name__} of shape {getattr(mat, 'shape', None)}, dtype {getattr(mat, 'dtype', None)}"
+    raise InvalidInputError(f"{what} for {key!r} must be a numeric array of shape {want}, got {got}")
+
+
+def _check_scheme(scheme: SchemeInstance, channels: ChannelSet) -> None:
+    """Refuse anything but a SchemeInstance with the channels it was built on."""
+    if not isinstance(scheme, SchemeInstance):
+        raise InvalidInputError(f"expected a SchemeInstance, got {type(scheme).__name__}")
+    _check_channels(scheme.split, channels, scheme.extension_factor)
+
+
+def _check_scheme_matrices(scheme: SchemeInstance) -> None:
+    """Refuse, before any arithmetic, a precoder or projector that is missing,
+    misshapen or not finite. A precoder must be (transmit antennas) x
+    (streams) and a projector needs one row per receive antenna; finiteness
+    is one check over all of them."""
+    split, flat = scheme.split, []
+    for m in scheme.messages:
+        flat.append(_scheme_matrix(scheme.precoders, m.key, split.tx_of(m.tx).numerator, m.dim, "precoder").ravel())
+        for r in m.receivers:
+            q = _scheme_matrix(scheme.projectors, (m.key, r), split.rx_of(r).numerator, None, "projector")
+            flat.append(q.ravel())
+    if flat and not np.isfinite(np.concatenate(flat)).all():
+        raise InvalidInputError("scheme precoders or projectors have non-finite entries")
+
+
 def verify_scheme(
     scheme: SchemeInstance,
     channels: ChannelSet,
@@ -319,7 +357,8 @@ def verify_scheme(
     return the sent symbols to roundtrip_tol relative error. Each tolerance
     must be a finite real >= 0, since a NaN or infinite one would pass every
     check. Failures mark the report invalid; nothing raises on a bad
-    realization, only on malformed inputs. achieved_dof counts the streams of
+    realization, only on malformed inputs: a missing, misshapen or
+    non-finite precoder or projector. achieved_dof counts the streams of
     the pairs that passed (per receiver for the broadcast message), so a
     valid report always has achieved == claimed.
 
@@ -330,25 +369,25 @@ def verify_scheme(
     is then the largest singular value, as `np.linalg.norm(., 2)` computes
     it, and 0.0 for an empty matrix.
     """
-    if not isinstance(scheme, SchemeInstance):
-        raise InvalidInputError(f"expected a SchemeInstance, got {type(scheme).__name__}")
+    _check_scheme(scheme, channels)
+    _check_scheme_matrices(scheme)
     tols = {"residual_tol": residual_tol, "condition_tol": condition_tol, "roundtrip_tol": roundtrip_tol}
     for name, tol in tols.items():
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
             raise InvalidInputError(f"{name} must be a finite real >= 0, got {tol!r}")
-    _check_channels(scheme.split, channels, scheme.extension_factor)
     split = scheme.split
     rng = generator(seed, SYMBOL_STREAM)
 
     symbols = {m.key: complex_gaussian(rng, m.dim, 1) for m in scheme.messages}
+    tx, rx = split.integer_pairs()
     x = []
     for node in (1, 2, 3):
-        xi = np.zeros((int(split.tx_of(node)), 1), dtype=np.complex128)
+        xi = np.zeros((tx[node - 1], 1), dtype=np.complex128)
         for m in scheme.messages:
             if m.tx == node and m.dim > 0:
                 xi = xi + scheme.precoders[m.key] @ symbols[m.key]
         x.append(xi)
-    noise = [np.zeros((int(split.rx_of(node)), 1), dtype=np.complex128) for node in (1, 2, 3)]
+    noise = [np.zeros((r, 1), dtype=np.complex128) for r in rx]
     y = receive(split, channels, x, noise)
 
     # pass 1: every matrix whose singular values a check reads, by slot

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +162,49 @@ def test_seed_env_override(capsys, monkeypatch):
     code, out, err = _run(capsys, "verify-scheme", "--m", "3,3,3", "--scheme", "uni-a")
     assert code == 1
     assert "MIMO3WAY_SEED" in err
+
+
+def test_cached_parser_reads_the_seed_env_on_every_call(capsys, monkeypatch):
+    argv = ("verify-scheme", "--m", "3,3,3", "--scheme", "uni-a")
+    monkeypatch.setenv("MIMO3WAY_SEED", "9")
+    assert _run_json(capsys, *argv)["seed"] == 9
+    monkeypatch.delenv("MIMO3WAY_SEED")
+    assert _run_json(capsys, *argv)["seed"] == DEFAULT_SEED
+    monkeypatch.setenv("MIMO3WAY_SEED", "not-a-seed")
+    code, _, err = _run(capsys, *argv)
+    assert code == 1
+    assert "MIMO3WAY_SEED" in err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [("allocate", "--m", "4,2,1", "--method", "lp"), ("allocate",), ("bounds", "--mt", "1,1,1"), ("nope",)],
+)
+def test_usage_error_leaves_the_cached_parser_intact(capsys, bad):
+    argv = ("allocate", "--m", "4,2,1", "--method", "enumerated", "--format", "json")
+    want = _run_json(capsys, *argv)
+    code, _, err = _run(capsys, *bad)
+    assert code == 1, err
+    assert err.startswith("error[usage]")
+    got = _run_json(capsys, *argv)
+    assert got == want
+    assert got["result"]["optimal_dof"] == "3"
+
+
+def test_phase1_templates_are_built_lazily():
+    # importing the package and a closed-form call build no LP template
+    script = (
+        "import contextlib, io, mimo3way\n"
+        "from mimo3way import allocation\n"
+        "from mimo3way.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['allocate', '--m', '4,2,1', '--method', 'closed']) == 0\n"
+        "print(allocation._template.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_default_seed_used(capsys):

@@ -1,0 +1,140 @@
+"""Python API fuzz: wrong types and negative, huge, non-finite and fractional
+values fed to the exported entry points may raise InvalidInputError (or its
+subclass RegimeError) and nothing else. Valid inputs stay small (counts
+<= 4, at most two Monte-Carlo trials) so the whole run takes seconds."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mimo3way import (
+    AntennaConfig,
+    AntennaSplit,
+    InvalidInputError,
+    SchemeTag,
+    build_scheme,
+    cutset_bound_broadcast,
+    cutset_bound_unicast,
+    draw_channels,
+    estimate_dof,
+    genie_bound_unicast,
+    optimal_unicast_bruteforce,
+    optimal_unicast_closed_form,
+    optimal_unicast_enumerated,
+    scheme_split,
+    sum_rate,
+    symmetric_bound,
+)
+
+_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+_junk = st.sampled_from(
+    [None, "x", "3", "1/3", "1/0", "nan", [], [1, 2], (1, 2, 3, 4), {}, object(), 1j, np.array([1, 2]),
+     True, False, np.int64(3), np.float64(2.0)]
+)
+_negative = st.sampled_from([-1, -7, -0.5, Fraction(-2, 3), -math.inf, np.int64(-1)])
+_huge = st.sampled_from([2**31, 2**64, 10**30, 10**400, Fraction(10**400, 3), 1e308])
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")])
+_fractional = st.sampled_from([Fraction(1, 3), Fraction(5, 2), 1.5, 0.25, "5/2"])
+_bad = st.one_of(_junk, _negative, _huge, _non_finite, _fractional)
+
+_small = st.integers(0, 4)
+_count = st.one_of(_small, _small, _small, _bad)
+_ordered = st.lists(_small, min_size=3, max_size=3).map(lambda m: sorted(m, reverse=True))
+_ordered_huge = st.lists(st.one_of(_small, st.sampled_from([2**31, 2**64, 10**30])), min_size=3, max_size=3).map(
+    lambda m: sorted(m, reverse=True)
+)
+_totals = st.one_of(_ordered, _ordered, _ordered, _ordered_huge, st.lists(_count, min_size=3, max_size=3))
+_tag = st.one_of(st.sampled_from(list(SchemeTag)), st.sampled_from(list(SchemeTag)), _junk)
+_seed = st.one_of(st.integers(0, 3), _bad)
+_snr = st.one_of(st.floats(1.0, 1e6), st.floats(1.0, 1e6), _bad)
+_snr_db = st.one_of(st.floats(-20, 80), st.floats(-20, 80), _bad)
+
+
+def _config(m):
+    """An AntennaConfig from three counts, or whatever refused them."""
+    try:
+        return AntennaConfig(*m)
+    except InvalidInputError:
+        return m
+
+
+def _quietly(fn, *args, **kwargs):
+    """Call fn; InvalidInputError is an allowed outcome, anything else fails."""
+    try:
+        return fn(*args, **kwargs)
+    except InvalidInputError:
+        return None
+
+
+@_SETTINGS
+@given(_totals, st.lists(_count, max_size=4), st.one_of(st.lists(_count, min_size=3, max_size=3), _bad), _count, _count)
+@example([4, 2, 1], [1, 1, 1], 5, 1, 2)  # a non-sequence split side
+def test_constructors_and_bounds(m, tx, rx, mt, mr):
+    _quietly(AntennaConfig, *m)
+    split = _quietly(AntennaSplit, tx, rx)
+    for bound in (cutset_bound_unicast, genie_bound_unicast, cutset_bound_broadcast):
+        _quietly(bound, split)
+        _quietly(bound, m)
+    _quietly(symmetric_bound, mt, mr)
+
+
+@_SETTINGS
+@given(_totals, st.one_of(st.integers(1, 3), _count))
+def test_allocation_routes(m, denominator):
+    config = _config(m)
+    _quietly(optimal_unicast_closed_form, config)
+    _quietly(optimal_unicast_enumerated, config)
+    _quietly(optimal_unicast_bruteforce, config, denominator)
+    _quietly(optimal_unicast_bruteforce, config)
+
+
+def _channels(config, tag, seed, which):
+    # the right channels for the scheme, channels for another split, or junk
+    split = _quietly(scheme_split, config, tag)
+    if which == 0 and split is not None:
+        return _quietly(draw_channels, split[0], seed)
+    if which == 1:
+        return draw_channels(AntennaSplit((1, 1, 1), (1, 1, 1)), 0)
+    return which
+
+
+@_SETTINGS
+@given(_totals, _tag, _seed, st.sampled_from([0, 0, 1, None, "channels"]))
+@example([10**30, 10**30, 10**30], SchemeTag.UNI_A, 0, 0)  # a split too large to draw
+def test_scheme_split_and_build(m, tag, seed, which):
+    config = _config(m)
+    _quietly(scheme_split, config, tag)
+    _quietly(build_scheme, config, tag, _channels(config, tag, 0, which), seed)
+
+
+_BUILT = st.sampled_from([((2, 1, 1), SchemeTag.UNI_B), ((3, 3, 3), SchemeTag.UNI_A), ((3, 2, 1), SchemeTag.BCAST)])
+
+
+@_SETTINGS
+@given(_BUILT, st.sampled_from([0, 0, 1, None]), _snr)
+@example(((2, 1, 1), SchemeTag.UNI_B), 0, 10**400)
+def test_sum_rate(built, which, snr):
+    config, tag = AntennaConfig(*built[0]), built[1]
+    channels = _channels(config, tag, 0, which)
+    scheme = build_scheme(config, tag, draw_channels(scheme_split(config, tag)[0], 0), 0)
+    _quietly(sum_rate, scheme, channels, snr)
+    _quietly(sum_rate, built, channels, snr)
+
+
+@_SETTINGS
+@given(
+    _totals,
+    _tag,
+    st.one_of(st.lists(st.floats(-20, 80), min_size=2, max_size=3).map(sorted), st.lists(_snr_db, max_size=3), _bad),
+    st.one_of(st.integers(1, 2), _count),
+    _seed,
+    st.one_of(st.sampled_from(["two-point", "lsq-top-half"]), _junk),
+)
+@example([4, 4, 4], SchemeTag.UNI_A, [30.0, 50.0], 2**64, 0, "two-point")  # more trials than any run needs
+@example([10**30, 10**30, 10**30], SchemeTag.UNI_A, [30.0, 50.0], 1, 0, "two-point")
+def test_estimate_dof(m, tag, snr_db, trials, seed, fit):
+    _quietly(estimate_dof, _config(m), tag, snr_db, trials=trials, seed=seed, fit=fit)

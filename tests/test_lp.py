@@ -20,7 +20,8 @@ from mimo3way import (
     solve_inequality_min,
     verify_duality,
 )
-from mimo3way.allocation import _mirror_bits
+from mimo3way.allocation import _ORBITS, _mirror_bits, _rhs, _template
+from mimo3way.lp import _phase2, _Unbounded
 from mimo3way.rational import frac
 
 
@@ -334,3 +335,23 @@ def test_genie_subproblems_pinned_pairs(m):
     assert sols[best].v == tuple(Fraction(x) for x in v)
     assert sols[best].lam == tuple(Fraction(x) for x in lam.split())
     assert optimal_unicast_enumerated(cfg).certificate.lam == sols[best].lam
+
+
+def test_phase1_templates_match_solving_each_genie_lp():
+    # phase 2 from a pattern's cached phase-1 tableau returns exactly what a
+    # solve from scratch returns, on every orbit and every m1 <= 10 config
+    assert len(_ORBITS) == 36
+    for m in itertools.combinations_with_replacement(range(11), 3):
+        cfg = AntennaConfig(*sorted(m, reverse=True))
+        for bits in _ORBITS:
+            ref = solve_inequality_min(genie_subproblem(cfg, bits))
+            forms, start = _template(bits)
+            try:
+                got = None if start is None else _phase2(start, _rhs(forms, cfg))
+            except _Unbounded:
+                got = None
+            if ref is None:
+                assert got is None, (cfg, bits)
+            else:
+                lam, v = got
+                assert (-v[0], tuple(v), tuple(lam)) == (ref.value, ref.v, ref.lam), (cfg, bits)

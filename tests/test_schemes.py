@@ -354,6 +354,55 @@ def test_verify_accepts_any_finite_nonnegative_real_tolerance():
     verify_scheme(s, ch, residual_tol=0, condition_tol=0.0, roundtrip_tol=0)
 
 
+def _with(s, table, key, value):
+    mats = dict(getattr(s, table))
+    if value is None:
+        del mats[key]
+    else:
+        mats[key] = value
+    return replace(s, **{table: mats})
+
+
+@pytest.mark.parametrize(
+    "m, tag", [((4, 2, 1), SchemeTag.UNI_B), ((5, 4, 3), SchemeTag.UNI_A), ((5, 3, 3), SchemeTag.BCAST)]
+)
+def test_verify_refuses_malformed_scheme_matrices(m, tag):
+    _, _, _, ch, s = _built(m, tag, seed=1)
+    assert verify_scheme(s, ch).valid
+    bad = [replace(s, projectors={}), replace(s, precoders={})]
+    for key, q in s.projectors.items():
+        for value in (None, np.eye(q.shape[0] + 2), q.astype(object), q[None]):
+            bad.append(_with(s, "projectors", key, value))
+    for key, t in s.precoders.items():
+        rows, cols = t.shape
+        for value in (None, np.ones((rows + 1, cols)), np.ones((rows, cols + 1)), t.tolist()):
+            bad.append(_with(s, "precoders", key, value))
+    for table in ("projectors", "precoders"):
+        for key, mat in getattr(s, table).items():
+            for value in (math.nan, math.inf, -math.inf, complex(0, math.nan)):
+                if mat.size:
+                    broken = mat.copy()
+                    broken[-1, 0] = value
+                    bad.append(_with(s, table, key, broken))
+    for scheme in bad:
+        with pytest.raises(InvalidInputError):
+            verify_scheme(scheme, ch)
+
+
+def test_verify_refuses_the_found_malformed_schemes():
+    # (4,2,1) uni-b: an empty projector dict, 5x5 projectors, NaN precoders
+    _, _, _, ch, s = _built((4, 2, 1), SchemeTag.UNI_B, seed=1)
+    wrong_shape = replace(s, projectors={key: np.eye(5, dtype=complex) for key in s.projectors})
+    nan = replace(s, precoders={key: np.full_like(t, np.nan) for key, t in s.precoders.items()})
+    for scheme, match in [
+        (replace(s, projectors={}), "no projector"),
+        (wrong_shape, "must be a numeric array of shape"),
+        (nan, "non-finite"),
+    ]:
+        with pytest.raises(InvalidInputError, match=match):
+            verify_scheme(scheme, ch)
+
+
 def test_verify_rejects_foreign_channels():
     cfg, split, _, ch, s = _built((3, 3, 3), SchemeTag.UNI_A)
     other = draw_channels(AntennaSplit((1, 1, 1), (2, 2, 2)), seed=0)
