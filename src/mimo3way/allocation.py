@@ -117,8 +117,12 @@ class AllocationResult:
     split: AntennaSplit
     certificate: ClosedFormCertificate | DualityPairCertificate
     regime: Regime
-    extension_factor: int
     broadcast_band: TransmitSumBand | None = None
+
+    @property
+    def extension_factor(self) -> int:
+        """The split's symbol-extension factor: 1 when it is integral, else 3."""
+        return self.split.extension_factor
 
     def to_json(self) -> dict:
         return {
@@ -205,7 +209,6 @@ def optimal_unicast_closed_form(config: AntennaConfig) -> AllocationResult:
         split=split,
         certificate=ClosedFormCertificate(f"closed-form({regime.value})"),
         regime=regime,
-        extension_factor=split.extension_factor,
     )
 
 
@@ -313,7 +316,6 @@ def optimal_unicast_enumerated(config: AntennaConfig) -> AllocationResult:
         split=closed.split,
         certificate=DualityPairCertificate(lp=lp, v=tuple(v), lam=tuple(lam), gap=cert_check.gap),
         regime=closed.regime,
-        extension_factor=closed.extension_factor,
     )
 
 
@@ -371,7 +373,6 @@ def optimal_unicast_bruteforce(config: AntennaConfig, denominator: int = 3) -> A
         split=split,
         certificate=ClosedFormCertificate(f"grid-search(denominator={n})"),
         regime=_unicast_regime(config),
-        extension_factor=split.extension_factor,
     )
 
 
@@ -395,7 +396,6 @@ def optimal_broadcast(config: AntennaConfig) -> AllocationResult:
         split=split,
         certificate=ClosedFormCertificate("closed-form(broadcast)"),
         regime=Regime.BROADCAST,
-        extension_factor=1,
         broadcast_band=band,
     )
 

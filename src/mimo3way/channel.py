@@ -148,10 +148,10 @@ class ChannelSet:
     matrices: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        if not self.split.is_integral:
-            raise InvalidInputError("channels require an integer antenna split")
-        if len(self.matrices) != len(PAIR_ORDER):
-            raise InvalidInputError(f"expected {len(PAIR_ORDER)} matrices, got {len(self.matrices)}")
+        if not isinstance(self.split, AntennaSplit) or not self.split.is_integral:
+            raise InvalidInputError("channels require an integer AntennaSplit")
+        if not isinstance(self.matrices, (tuple, list)) or len(self.matrices) != len(PAIR_ORDER):
+            raise InvalidInputError(f"expected a tuple or list of {len(PAIR_ORDER)} matrices")
         mats = []
         for (i, j), h in zip(PAIR_ORDER, self.matrices):
             h = as_matrix(h, name=f"H_{i}{j}")
@@ -215,23 +215,28 @@ def draw_channels(split: AntennaSplit, seed: int) -> ChannelSet:
 def receive(split: AntennaSplit, channels: ChannelSet, x, noise) -> tuple[np.ndarray, ...]:
     """Receive-side signals y_j = sum_{i != j} H_ij x_i + z_j.
 
-    `x` and `noise` are 3-sequences ordered by node; x_i must have tx_i rows
-    and z_j rx_j rows. Full-duplex self-interference is absent by model.
+    `x` and `noise` are lists or tuples ordered by node; x_i must be a matrix
+    with tx_i rows and z_j one with rx_j rows, all with the same number of
+    columns. Full-duplex self-interference is absent by model.
     """
-    if channels.split != split:
-        raise InvalidInputError("channels were drawn for a different split")
-    if len(x) != 3 or len(noise) != 3:
-        raise InvalidInputError("x and noise must each contain one vector per node")
+    if not (isinstance(split, AntennaSplit) and isinstance(channels, ChannelSet) and channels.split == split):
+        raise InvalidInputError("channels must be a ChannelSet drawn for this AntennaSplit")
+    if not (isinstance(x, (tuple, list)) and isinstance(noise, (tuple, list)) and len(x) == len(noise) == 3):
+        raise InvalidInputError("x and noise must each be a list or tuple of one matrix per node")
     xs, zs = [], []
     for node, t, r in zip(NODES, *split.integer_pairs()):
-        xi = np.asarray(x[node - 1], dtype=np.complex128)
-        zi = np.asarray(noise[node - 1], dtype=np.complex128)
-        if xi.shape[0] != t:
-            raise InvalidInputError(f"x{node} must have {t} rows, got {xi.shape[0]}")
-        if zi.shape[0] != r:
-            raise InvalidInputError(f"noise{node} must have {r} rows, got {zi.shape[0]}")
+        try:
+            xi = np.asarray(x[node - 1], dtype=np.complex128)
+            zi = np.asarray(noise[node - 1], dtype=np.complex128)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInputError(f"x{node} and noise{node} must be numeric matrices") from None
+        if xi.ndim != 2 or xi.shape[0] != t or zi.shape != (r, xi.shape[1]):
+            shapes = f"{xi.shape} and {zi.shape}"
+            raise InvalidInputError(f"x{node} and noise{node} need {t} and {r} rows, one column count, got {shapes}")
         xs.append(xi)
         zs.append(zi)
+    if not xs[0].shape[1] == xs[1].shape[1] == xs[2].shape[1]:
+        raise InvalidInputError("x1, x2 and x3 must have the same number of columns")
     ys = []
     for j in NODES:
         yj = zs[j - 1].astype(np.complex128, copy=True)

@@ -11,6 +11,8 @@ them.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -33,6 +35,10 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 
+# Most entries complex_gaussian draws at once (64 MB as complex128): a square
+# precoder for the 2,000 antennas draw_channels allows needs 2,000 x 2,000.
+_MAX_DRAW_ENTRIES = 4_000_000
+
 # spawn-key tags for the independent child streams of one seed
 CHANNEL_STREAM = 0
 PRECODER_STREAM = 1
@@ -42,8 +48,11 @@ ABLATION_STREAM = 4
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce `a` to a 2-D complex128 array, rejecting non-finite entries."""
-    arr = np.asarray(a, dtype=np.complex128)
+    """Coerce `a` to a 2-D complex128 array, rejecting non-numeric or non-finite entries."""
+    try:
+        arr = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(f"{name} must be a numeric matrix, got {type(a).__name__}") from None
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
@@ -97,8 +106,12 @@ def generator(seed: int, *stream: int) -> np.random.Generator:
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """CN(0,1) i.i.d. matrix: real and imaginary parts each N(0, 1/2)."""
-    if rows < 0 or cols < 0:
-        raise InvalidInputError(f"matrix dimensions must be >= 0, got {rows}x{cols}")
+    try:
+        rows, cols = operator.index(rows), operator.index(cols)
+    except TypeError:
+        raise InvalidInputError(f"matrix dimensions must be integers, got {rows!r} x {cols!r}") from None
+    if not (0 <= rows <= _MAX_DRAW_ENTRIES and 0 <= cols <= _MAX_DRAW_ENTRIES) or rows * cols > _MAX_DRAW_ENTRIES:
+        raise InvalidInputError(f"dimensions must be >= 0, {_MAX_DRAW_ENTRIES} entries at most, got {rows}x{cols}")
     re = rng.standard_normal((rows, cols))
     im = rng.standard_normal((rows, cols))
     return (re + 1j * im) / np.sqrt(2.0)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import AntennaConfig, ChannelSet, draw_channels
 from .errors import InternalError, InvalidInputError
-from .linalg import ABLATION_STREAM, TRIAL_STREAM, check_seed, generator, random_orthonormal
+from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, check_seed, generator, random_orthonormal
 from .rational import frac_str
 from .schemes import SchemeInstance, SchemeTag, _check_scheme, build_scheme, pair_matrices, scheme_split, verify_scheme
 
@@ -35,13 +35,21 @@ _MAX_TRIALS = 100_000
 
 def _log2det(grams: np.ndarray, snrs: np.ndarray) -> np.ndarray:
     """log2 det of each positive-definite I + ... in a stack, in bits. grams[k]
-    was formed at snrs[k]; a non-finite one means that SNR overflowed."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sign, logdet = np.linalg.slogdet(grams)
-    finite = np.isfinite(grams).all(axis=(-2, -1)) & np.isfinite(sign) & np.isfinite(logdet)
+    was formed at snrs[k]; a non-finite one means that SNR overflowed. Once a
+    finite one's largest entry times eps reaches 1, rounding has lost its
+    identity part and a rank-deficient rest leaves it singular."""
+    finite = np.isfinite(grams).all(axis=(-2, -1))
     if not finite.all():
         raise InvalidInputError(f"snr_linear {float(snrs[np.argmin(finite)])} overflows the rate Gram matrix")
-    if (sign.real <= 0).any():
+    with np.errstate(over="ignore", invalid="ignore"):
+        sign, logdet = np.linalg.slogdet(grams)
+    ok = (sign.real > 0) & np.isfinite(logdet)
+    if not ok.all():
+        k = np.argmin(ok)
+        if np.abs(grams[k]).max() * _EPS >= 1:
+            raise InvalidInputError(
+                f"snr_linear {float(snrs[k])} is past float64 resolution: the rate Gram matrix loses its identity part"
+            )
         raise InternalError("rate Gram matrix is not positive definite")
     return logdet / _LN2
 
@@ -134,7 +142,8 @@ def ablated_sum_rate(
                 noise = np.eye(g.shape[0], dtype=np.complex128)
                 for other, leak in leaks:
                     noise = noise + rho[other.key] * (leak @ leak.conj().T)
-            with_signal, without = _log2det(np.stack([noise + signal, noise]), np.full(2, snr_linear))
+                grams = np.stack([noise + signal, noise])
+            with_signal, without = _log2det(grams, np.full(2, snr_linear))
             per_rx.append(float(with_signal - without))
         total += m.weight * min(per_rx)
     return total / scheme.extension_factor

@@ -7,6 +7,7 @@ arithmetic. JSON carries rationals as "p/q" strings (plain "p" when whole).
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from fractions import Fraction
 from math import lcm
 
@@ -38,7 +39,10 @@ def frac_str(x: Fraction) -> str:
 
 
 def triple(values, name: str = "triple") -> tuple[Fraction, Fraction, Fraction]:
-    """Coerce a 3-sequence of nonnegative rationals."""
+    """Coerce a 3-sequence of nonnegative rationals. A string, bytes, mapping or
+    set is refused: it iterates as characters, keys or in hash order."""
+    if isinstance(values, (str, bytes, Mapping, Set)):
+        raise InvalidInputError(f"{name} must be a sequence of 3 rationals, got {values!r}")
     try:
         vals = tuple(frac(v) for v in values)
     except TypeError:  # not iterable

@@ -16,7 +16,7 @@ A built scheme is the full matrix-level description (precoders per message,
 projectors per message/receiver pair); `verify_scheme` replays a zero-noise
 transmission and checks interference leakage, conditioning, and exact
 decodability, reporting failures instead of raising. It takes every singular
-value its checks read in one batched SVD per matrix shape.
+value its checks read in one batched SVD per matrix shape and dtype.
 """
 
 from __future__ import annotations
@@ -339,6 +339,27 @@ def _check_scheme_matrices(scheme: SchemeInstance) -> None:
         raise InvalidInputError("scheme precoders or projectors have non-finite entries")
 
 
+def _singular_values(mats) -> dict[int, tuple[float, float]]:
+    """(smax, smin) of each distinct matrix in `mats`, keyed by its id, which
+    names it only while the caller keeps it alive. smax is the spectral norm,
+    as `np.linalg.norm(., 2)` computes it, and 0.0 for an empty matrix.
+
+    One batched SVD per (shape, dtype): stacking a real matrix with complex
+    ones would change the LAPACK routine that takes its norm.
+    """
+    sv, groups = {}, {}
+    for mat in mats:
+        k = id(mat)
+        if k not in sv:
+            sv[k] = (0.0, 0.0)
+            if mat.size:
+                groups.setdefault((mat.shape, mat.dtype), []).append(mat)
+    for group in groups.values():
+        s = np.linalg.svd(np.array(group), compute_uv=False)
+        sv.update(zip(map(id, group), zip(s[:, 0].tolist(), s[:, -1].tolist())))
+    return sv
+
+
 def verify_scheme(
     scheme: SchemeInstance,
     channels: ChannelSet,
@@ -362,12 +383,11 @@ def verify_scheme(
     the pairs that passed (per receiver for the broadcast message), so a
     valid report always has achieved == claimed.
 
-    Every singular value the checks read is taken in one batched SVD per
-    matrix shape: a first pass collects the leaks Q^H H' T', each link and
-    precoder a residual or scale uses (once each, however many pairs share
-    it), and each square effective matrix with its projector. A spectral norm
-    is then the largest singular value, as `np.linalg.norm(., 2)` computes
-    it, and 0.0 for an empty matrix.
+    A first pass collects every matrix whose singular values a check reads:
+    each leak Q^H H' T' with its link and precoder, and each square
+    effective matrix with its anchors H, T and Q. `_singular_values` takes
+    them all in one batched SVD per (shape, dtype), each shared link and
+    precoder once, and the checks read that table.
     """
     _check_scheme(scheme, channels)
     _check_scheme_matrices(scheme)
@@ -375,127 +395,71 @@ def verify_scheme(
     for name, tol in tols.items():
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
             raise InvalidInputError(f"{name} must be a finite real >= 0, got {tol!r}")
-    split = scheme.split
     rng = generator(seed, SYMBOL_STREAM)
-
     symbols = {m.key: complex_gaussian(rng, m.dim, 1) for m in scheme.messages}
-    tx, rx = split.integer_pairs()
-    x = []
-    for node in (1, 2, 3):
-        xi = np.zeros((tx[node - 1], 1), dtype=np.complex128)
-        for m in scheme.messages:
-            if m.tx == node and m.dim > 0:
-                xi = xi + scheme.precoders[m.key] @ symbols[m.key]
-        x.append(xi)
-    noise = [np.zeros((r, 1), dtype=np.complex128) for r in rx]
-    y = receive(split, channels, x, noise)
+    tx, rx = scheme.split.integer_pairs()
+    x = [np.zeros((t, 1), dtype=np.complex128) for t in tx]
+    for m in scheme.messages:
+        if m.dim > 0:
+            x[m.tx - 1] = x[m.tx - 1] + scheme.precoders[m.key] @ symbols[m.key]
+    y = receive(scheme.split, channels, x, [np.zeros((r, 1), dtype=np.complex128) for r in rx])
 
-    # pass 1: every matrix whose singular values a check reads, by slot
-    mats = []
-    shared = {}  # id of a link or precoder -> its slot
-
-    def fresh(mat):
-        mats.append(mat)
-        return len(mats) - 1
-
-    def once(mat):
-        k = shared.get(id(mat))
-        if k is None:
-            k = shared[id(mat)] = fresh(mat)
-        return k
-
-    pairs = []
+    # pass 1: every matrix a check reads, kept alive in `pairs` and `mats`
+    pairs, mats = [], []
     for m in scheme.messages:
         for r in m.receivers:
             q = scheme.projectors[(m.key, r)]
             g, leaks = pair_matrices(scheme, channels, m, r, q)
-            leak_slots = [
-                (fresh(leak), once(channels.h(other.tx, r)), once(scheme.precoders[other.key]))
-                for other, leak in leaks
-            ]
-            slots = None
+            leaks = [(leak, channels.h(other.tx, r), scheme.precoders[other.key]) for other, leak in leaks]
+            mats += [mat for leak in leaks for mat in leak]
+            anchors = None
             if m.dim > 0 and g.shape[0] == g.shape[1]:
-                slots = (fresh(g), once(channels.h(m.tx, r)), once(scheme.precoders[m.key]), fresh(q))
-            pairs.append((m, r, q, g, leak_slots, slots))
-
-    # one SVD per shape; smax is the spectral norm, smin feeds the condition
-    smax = [0.0] * len(mats)
-    smin = [0.0] * len(mats)
-    groups = {}
-    for k, mat in enumerate(mats):
-        if mat.size:
-            # keyed on dtype too: stacking a real matrix with complex ones
-            # would change the LAPACK routine that takes its norm
-            groups.setdefault((mat.shape, mat.dtype), []).append(k)
-    for ks in groups.values():
-        s = np.linalg.svd(np.array([mats[k] for k in ks]), compute_uv=False)
-        for k, hi, lo in zip(ks, s[:, 0].tolist(), s[:, -1].tolist()):
-            smax[k] = hi
-            smin[k] = lo
+                anchors = (channels.h(m.tx, r), scheme.precoders[m.key], q)
+                mats += [g, *anchors]
+            pairs.append((m, r, g, leaks, anchors))
+    sv = _singular_values(mats)
 
     # pass 2: the checks
     checks = []
-    failures = []
     passed_streams = 0
-    for m, r, q, g, leak_slots, slots in pairs:
+    for m, r, g, leaks, anchors in pairs:
         fails = []
-
         worst = 0.0
-        for leak, h, t in leak_slots:
-            denom = smax[h] * smax[t]
+        for leak, h, t in leaks:
+            denom = sv[id(h)][0] * sv[id(t)][0]
             if denom > 0:
-                worst = max(worst, smax[leak] / denom)
+                worst = max(worst, sv[id(leak)][0] / denom)
         if worst > residual_tol:
             fails.append("interference")
 
-        cond = 0.0
-        rt = float("nan")
-        if m.dim > 0:
-            if slots is None:
-                fails.append("effective-matrix-not-square")
+        cond, rt = 0.0, float("nan")
+        if m.dim > 0 and anchors is None:
+            fails.append("effective-matrix-not-square")
+        elif anchors is not None:
+            h, t, q = anchors
+            gmax, gmin = sv[id(g)]
+            # scale anchors the test: a numerically zero G has a
+            # perfect smin/smax ratio but has still lost rank
+            scale = sv[id(h)][0] * sv[id(t)][0] * sv[id(q)][0]
+            cond = gmin / gmax if gmax > 0 else 0.0
+            if gmax <= condition_tol * scale:
+                fails.append("rank-deficient")
+            elif gmin <= condition_tol * gmax:
+                fails.append("ill-conditioned")
             else:
-                gk, h, t, qk = slots
-                # scale anchors the test: a numerically zero G has a
-                # perfect smin/smax ratio but has still lost rank
-                scale = smax[h] * smax[t] * smax[qk]
-                cond = smin[gk] / smax[gk] if smax[gk] > 0 else 0.0
-                if smax[gk] <= condition_tol * scale:
-                    fails.append("rank-deficient")
-                elif smin[gk] <= condition_tol * smax[gk]:
-                    fails.append("ill-conditioned")
-                else:
-                    decoded = np.linalg.solve(g, q.conj().T @ y[r - 1])
-                    u = symbols[m.key]
-                    rt = float(np.linalg.norm(decoded - u) / np.linalg.norm(u))
-                    if rt > roundtrip_tol:
-                        fails.append("roundtrip")
+                decoded = np.linalg.solve(g, q.conj().T @ y[r - 1])
+                u = symbols[m.key]
+                rt = float(np.linalg.norm(decoded - u) / np.linalg.norm(u))
+                if rt > roundtrip_tol:
+                    fails.append("roundtrip")
 
-        ok = not fails
-        if ok:
+        if not fails:
             passed_streams += m.dim
-        else:
-            failures.extend(f"{m.key}@{r}:{f}" for f in fails)
-        checks.append(
-            MessageCheck(
-                message=m.key,
-                receiver=r,
-                interference_residual=worst,
-                condition_ratio=cond,
-                roundtrip_error=rt,
-                passed=ok,
-                failures=tuple(fails),
-            )
-        )
+        checks.append(MessageCheck(m.key, r, worst, cond, rt, passed=not fails, failures=tuple(fails)))
 
+    failures = tuple(f"{c.message}@{c.receiver}:{f}" for c in checks for f in c.failures)
     achieved = Fraction(passed_streams, scheme.extension_factor)
     claimed = scheme.claimed_dof()
-    valid = not failures
-    if valid and achieved != claimed:
+    if not failures and achieved != claimed:
         raise InternalError("all checks passed but achieved DoF differs from claimed")
-    return VerificationReport(
-        valid=valid,
-        achieved_dof=achieved,
-        claimed_dof=claimed,
-        checks=tuple(checks),
-        failures=tuple(failures),
-    )
+    return VerificationReport(not failures, achieved, claimed, tuple(checks), failures)

@@ -52,6 +52,17 @@ def test_split_rejects_negative():
         AntennaSplit((3, -1, 1), (0, 2, 2))
 
 
+@pytest.mark.parametrize(
+    "tx, rx",
+    [("123", "000"), ({1: 0, 2: 0, 3: 0}, [0, 0, 0]), ({3, 1, 2}, [0, 0, 0]), ([1, 2, 3], b"\x00\x00\x00")],
+)
+def test_split_refuses_unordered_or_character_sides(tx, rx):
+    # a string, mapping or set iterates as characters, keys or in hash order
+    with pytest.raises(InvalidInputError, match="sequence of 3 rationals"):
+        AntennaSplit(tx, rx)
+    assert AntennaSplit((1, 2, 3), [0, 0, 0]).tx == (1, 2, 3)
+
+
 def test_split_fractional_vs_integral():
     s = AntennaSplit(("5", "1/3", "1/3"), ("0", "11/3", "5/3"))
     assert not s.is_integral

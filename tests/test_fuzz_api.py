@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mimo3way import (
     AntennaConfig,
     AntennaSplit,
+    ChannelSet,
     InvalidInputError,
     SchemeTag,
     build_scheme,
@@ -24,6 +25,10 @@ from mimo3way import (
     optimal_unicast_bruteforce,
     optimal_unicast_closed_form,
     optimal_unicast_enumerated,
+    null_space_basis,
+    pseudo_inverse,
+    random_gaussian,
+    receive,
     scheme_split,
     sum_rate,
     symmetric_bound,
@@ -52,6 +57,7 @@ _tag = st.one_of(st.sampled_from(list(SchemeTag)), st.sampled_from(list(SchemeTa
 _seed = st.one_of(st.integers(0, 3), _bad)
 _snr = st.one_of(st.floats(1.0, 1e6), st.floats(1.0, 1e6), _bad)
 _snr_db = st.one_of(st.floats(-20, 80), st.floats(-20, 80), _bad)
+_matrix = st.one_of(_bad, st.lists(st.lists(_count, max_size=3), max_size=3))
 
 
 def _config(m):
@@ -90,6 +96,34 @@ def test_allocation_routes(m, denominator):
     _quietly(optimal_unicast_enumerated, config)
     _quietly(optimal_unicast_bruteforce, config, denominator)
     _quietly(optimal_unicast_bruteforce, config)
+
+
+@_SETTINGS
+@given(_matrix, _count, _count, _seed)
+@example("abc", 1.5, 2, 0)
+@example([[object()]], 2, 2, 0)
+def test_linalg_entry_points(a, rows, cols, seed):
+    _quietly(null_space_basis, a)
+    _quietly(pseudo_inverse, a)
+    _quietly(random_gaussian, rows, cols, seed)
+
+
+_SPLIT = AntennaSplit((2, 1, 1), (1, 2, 1))
+_vector = st.one_of(_matrix, st.sampled_from([np.zeros((1, 1)), np.zeros((2, 1)), np.zeros((1, 2))]))
+_vectors = st.one_of(st.lists(_vector, max_size=4), _bad)
+
+
+@_SETTINGS
+@given(st.one_of(st.just(_SPLIT), _bad), st.one_of(st.lists(_matrix, max_size=7), _bad), _vectors, _vectors)
+@example(_SPLIT, ("a",) * 6, None, None)
+@example(None, draw_channels(_SPLIT, 0).matrices, [1, 2, 3], [1, 2, 3])
+@example(_SPLIT, None, [np.zeros((2, 1)), np.zeros((1, 1)), np.zeros((1, 1))], [np.zeros((1, 2))] * 3)
+def test_channel_entry_points(split, mats, x, noise):
+    _quietly(ChannelSet, split, mats)
+    channels = draw_channels(_SPLIT, 0)
+    _quietly(receive, split, channels, x, noise)
+    _quietly(receive, _SPLIT, channels, x, noise)
+    _quietly(receive, _SPLIT, mats, x, noise)
 
 
 def _channels(config, tag, seed, which):

@@ -156,6 +156,25 @@ def test_grid_rates_reject_overflowing_snr_by_name():
 
 
 @pytest.mark.parametrize(
+    "m, tag, seed, snr, match",
+    [
+        # a rank-deficient interference covariance: once the largest Gram
+        # entry times eps reaches 1 its identity part is lost and it is singular
+        ((7, 6, 5), SchemeTag.UNI_A, 4, 1e16, "past float64 resolution"),
+        ((4, 2, 1), SchemeTag.UNI_B, 0, 1e18, "past float64 resolution"),
+        ((4, 2, 1), SchemeTag.UNI_B, 0, 1e22, "past float64 resolution"),
+        # signal plus noise overflows to inf and NaN
+        ((4, 2, 1), SchemeTag.UNI_B, 0, math.inf, "overflows"),
+        ((4, 2, 1), SchemeTag.UNI_B, 0, 1e308, "overflows"),
+    ],
+)
+def test_ablation_past_float64_range_is_bad_input(m, tag, seed, snr, match):
+    ch, s = _built(m, tag, seed=seed)
+    with pytest.raises(InvalidInputError, match=match):
+        ablated_sum_rate(s, ch, snr)
+
+
+@pytest.mark.parametrize(
     "m,tag,dof",
     [
         ((3, 3, 3), SchemeTag.UNI_A, Fraction(4)),

@@ -269,6 +269,14 @@ def _rigged(m, tag, seed):
     return ch, replace(s, projectors={key: random_orthonormal(rng, *q.shape) for key, q in s.projectors.items()})
 
 
+def _real_parts(m, tag, seed):
+    # float64 precoders and projectors, which one SVD stack must not share
+    # with complex matrices of the same shape
+    _, _, _, ch, s = _built(m, tag, seed=seed)
+    real = {table: {key: mat.real for key, mat in getattr(s, table).items()} for table in ("precoders", "projectors")}
+    return ch, replace(s, **real)
+
+
 @pytest.mark.parametrize(
     "m, tag, rigged",
     [
@@ -278,11 +286,20 @@ def _rigged(m, tag, seed):
         ((5, 3, 2), SchemeTag.BCAST, False),
         ((5, 3, 3), SchemeTag.BCAST, False),  # dim-0 u21
         ((4, 2, 1), SchemeTag.UNI_B, True),
+        ((3, 3, 3), SchemeTag.UNI_A, "real"),
+        ((5, 4, 3), SchemeTag.UNI_A, "real"),
+        ((7, 6, 5), SchemeTag.UNI_A, "real"),
+        ((4, 2, 1), SchemeTag.UNI_B, "real"),
+        ((8, 5, 3), SchemeTag.UNI_B, "real"),
+        ((5, 3, 2), SchemeTag.BCAST, "real"),
     ],
 )
 def test_batched_verify_equals_per_matrix_loop(m, tag, rigged):
     for seed in (0, 1, 3):
-        ch, s = _rigged(m, tag, seed) if rigged else _built(m, tag, seed=seed)[3:]
+        if rigged == "real":
+            ch, s = _real_parts(m, tag, seed)
+        else:
+            ch, s = _rigged(m, tag, seed) if rigged else _built(m, tag, seed=seed)[3:]
         rep = verify_scheme(s, ch, seed=seed + 50)
         checks, failures, achieved = _verify_ref(s, ch, seed + 50)
         assert rep.valid is (not rigged) and rep.valid == (not failures)
