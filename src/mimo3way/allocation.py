@@ -33,7 +33,7 @@ from .bounds import GENIE_TERMS, cutset_bound_broadcast, genie_bound_unicast, ge
 from .channel import AntennaConfig, AntennaSplit, check_config
 from .errors import InternalError, InvalidInputError, RegimeError
 from .lp import DualityStatus, LinearProgram, _phase1, _phase2, _Unbounded, verify_duality
-from .rational import frac, frac_str
+from .rational import _rationals, frac, frac_str
 
 __all__ = [
     "Regime",
@@ -100,7 +100,8 @@ class TransmitSumBand:
     high: Fraction
 
     def contains(self, config: AntennaConfig, tx) -> bool:
-        tx = tuple(frac(t) for t in tx)
+        check_config(config)
+        tx = _rationals(tx, "tx must be a sequence of rationals")
         if len(tx) != 3 or any(t < 0 for t in tx):
             return False
         if any(t > m for t, m in zip(tx, config.totals)):
@@ -259,8 +260,8 @@ def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearPro
     """LP for one sign pattern of the genie objective: `_genie_rows` at the
     config, over the variables (dof, rx1, rx2, rx3)."""
     check_config(config)
-    if len(bits) != len(_MAX_TERMS):
-        raise InvalidInputError(f"expected {len(_MAX_TERMS)} pattern bits, got {len(bits)}")
+    if not isinstance(bits, (tuple, list)) or len(bits) != len(_MAX_TERMS) or not all(type(b) is bool for b in bits):
+        raise InvalidInputError(f"expected {len(_MAX_TERMS)} pattern bits (True or False), got {bits!r}")
     a, forms, labels = _genie_rows(bits)
     variables = ("dof", "rx1", "rx2", "rx3")
     return LinearProgram(c=(-1, 0, 0, 0), a=a, b=_rhs(forms, config), variables=variables, constraints=labels)

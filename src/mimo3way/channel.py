@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import CHANNEL_STREAM, as_matrix, generator
+from .linalg import _SQRT2, CHANNEL_STREAM, as_matrix, generator
 from .rational import denominator_lcm, frac, frac_str, triple
 
 __all__ = [
@@ -105,8 +105,9 @@ class AntennaSplit:
     def rx_of(self, node: int) -> Fraction:
         return self.rx[_check_node(node) - 1]
 
-    @property
+    @functools.cached_property
     def is_integral(self) -> bool:
+        # cached: every draw_channels call asks
         return all(v.denominator == 1 for v in self.tx + self.rx)
 
     @property
@@ -165,8 +166,11 @@ class ChannelSet:
 
     @classmethod
     def _drawn(cls, split: AntennaSplit, matrices: tuple[np.ndarray, ...]) -> "ChannelSet":
-        """Wrap read-only matrices that `draw_channels` made at `split`'s
-        shapes; finite by construction, so they skip the checks and copy."""
+        """Wrap read-only links made at `split`'s shapes, finite by
+        construction, so they skip the checks and copy: `_draw` makes them,
+        as (rx_j, tx_i) matrices or as (trials, rx_j, tx_i) stacks with one
+        realization per trial. A stacked set goes only to the private
+        kernels of `schemes` and `rates`."""
         self = object.__new__(cls)
         object.__setattr__(self, "split", split)
         object.__setattr__(self, "matrices", matrices)
@@ -194,19 +198,27 @@ def draw_channels(split: AntennaSplit, seed: int) -> ChannelSet:
         raise InvalidInputError(f"split must be an AntennaSplit, got {type(split).__name__}")
     if not split.is_integral:
         raise InvalidInputError(f"cannot draw channels for fractional split {split.to_json()}")
+    return _draw(split, [seed], ())
+
+
+def _draw(split: AntennaSplit, seeds, lead: tuple[int, ...]) -> ChannelSet:
+    """`draw_channels(split, seed)` for each seed of an integer split, each
+    link of shape lead + (rx_j, tx_i): lead is () for one seed and
+    (len(seeds),) for a stack of trials."""
     tx, rx = split.integer_pairs()
     if sum(tx) + sum(rx) > _DRAW_MAX_ANTENNAS:
         raise InvalidInputError(f"split {split.to_json()} has over {_DRAW_MAX_ANTENNAS} antennas to draw channels for")
     shapes = [(rx[j - 1], tx[i - 1]) for i, j in PAIR_ORDER]
-    z = generator(seed, CHANNEL_STREAM).standard_normal(2 * sum(r * c for r, c in shapes))
+    n_draw = 2 * sum(r * c for r, c in shapes)
+    z = np.array([generator(seed, CHANNEL_STREAM).standard_normal(n_draw) for seed in seeds]).reshape(lead + (n_draw,))
     mats = []
     at = 0
     for shape in shapes:
         n = shape[0] * shape[1]
-        re = z[at : at + n].reshape(shape)
-        im = z[at + n : at + 2 * n].reshape(shape)
+        re = z[..., at : at + n].reshape(lead + shape)
+        im = z[..., at + n : at + 2 * n].reshape(lead + shape)
         at += 2 * n
-        h = (re + 1j * im) / np.sqrt(2.0)
+        h = (re + 1j * im) / _SQRT2
         h.setflags(write=False)
         mats.append(h)
     return ChannelSet._drawn(split, tuple(mats))
@@ -237,6 +249,12 @@ def receive(split: AntennaSplit, channels: ChannelSet, x, noise) -> tuple[np.nda
         zs.append(zi)
     if not xs[0].shape[1] == xs[1].shape[1] == xs[2].shape[1]:
         raise InvalidInputError("x1, x2 and x3 must have the same number of columns")
+    return _receive(channels, xs, zs)
+
+
+def _receive(channels: ChannelSet, xs, zs) -> tuple[np.ndarray, ...]:
+    """`receive` on trusted signals, each stacked on the trial axes of the
+    links, if they have any."""
     ys = []
     for j in NODES:
         yj = zs[j - 1].astype(np.complex128, copy=True)

@@ -7,6 +7,10 @@ decorrelated child streams from one integer seed via numpy's splittable
 SeedSequence. Stream tags keep channel draws, precoder draws, and test symbols
 statistically independent even when a caller reuses the same seed for all of
 them.
+
+The kernels behind `null_space_basis` and `random_orthonormal` take matrices
+with leading (trial) axes, so a stack of independent trials goes through one
+batched LAPACK call; each matrix of a stack gets the bits it would alone.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+_SQRT2 = np.sqrt(2.0)  # a CN(0,1) draw is (re + 1j * im) / _SQRT2
 
 # Most entries complex_gaussian draws at once (64 MB as complex128): a square
 # precoder for the 2,000 antennas draw_channels allows needs 2,000 x 2,000.
@@ -60,6 +65,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+class _MixedRank(Exception):
+    """The matrices of a stack differ in rank, so their null spaces differ in
+    size and do not stack."""
+
+
 def null_space_basis(a) -> np.ndarray:
     """Orthonormal basis N of the (right) null space of `a`.
 
@@ -68,15 +78,24 @@ def null_space_basis(a) -> np.ndarray:
     `matrix_rank` rule). An empty-row matrix has a full null space, so N is
     then an identity basis.
     """
-    a = as_matrix(a)
-    rows, cols = a.shape
+    return _null_basis(as_matrix(a))
+
+
+def _null_basis(a: np.ndarray) -> np.ndarray:
+    """`null_space_basis` of each matrix in a (..., rows, cols) stack, in one
+    full SVD; raises _MixedRank unless every matrix has the same rank."""
+    lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
     if cols == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
+        return np.zeros(lead + (0, 0), dtype=np.complex128)
     if rows == 0:
-        return np.eye(cols, dtype=np.complex128)
+        return np.tile(np.eye(cols, dtype=np.complex128), lead + (1, 1))
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    r = int(np.count_nonzero(s > max(rows, cols) * _EPS * s[0]))
-    return vh[r:].conj().T
+    tol = max(rows, cols) * _EPS
+    ranks = {sum(v > tol * sv[0] for v in sv) for sv in s.reshape(-1, s.shape[-1]).tolist()}
+    if len(ranks) > 1:
+        raise _MixedRank
+    (r,) = ranks
+    return vh[..., r:, :].conj().mT
 
 
 def pseudo_inverse(a) -> np.ndarray:
@@ -104,17 +123,24 @@ def generator(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(check_seed(seed), spawn_key=tuple(stream)))
 
 
-def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """CN(0,1) i.i.d. matrix: real and imaginary parts each N(0, 1/2)."""
+def _draw_dims(rows, cols) -> tuple[int, int]:
+    """Matrix dimensions as ints: refused unless they are integers >= 0 with
+    at most _MAX_DRAW_ENTRIES entries in all."""
     try:
         rows, cols = operator.index(rows), operator.index(cols)
     except TypeError:
         raise InvalidInputError(f"matrix dimensions must be integers, got {rows!r} x {cols!r}") from None
     if not (0 <= rows <= _MAX_DRAW_ENTRIES and 0 <= cols <= _MAX_DRAW_ENTRIES) or rows * cols > _MAX_DRAW_ENTRIES:
         raise InvalidInputError(f"dimensions must be >= 0, {_MAX_DRAW_ENTRIES} entries at most, got {rows}x{cols}")
+    return rows, cols
+
+
+def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """CN(0,1) i.i.d. matrix: real and imaginary parts each N(0, 1/2)."""
+    rows, cols = _draw_dims(rows, cols)
     re = rng.standard_normal((rows, cols))
     im = rng.standard_normal((rows, cols))
-    return (re + 1j * im) / np.sqrt(2.0)
+    return (re + 1j * im) / _SQRT2
 
 
 def random_gaussian(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -124,12 +150,20 @@ def random_gaussian(rows: int, cols: int, seed: int) -> np.ndarray:
 
 def random_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Matrix with orthonormal columns, Haar-like via QR of a Gaussian draw."""
+    rows, cols = _draw_dims(rows, cols)
     if cols > rows:
         raise InvalidInputError(f"cannot fit {cols} orthonormal columns in C^{rows}")
+    return _random_orthonormal([rng], rows, cols, ())
+
+
+def _random_orthonormal(rngs, rows: int, cols: int, lead: tuple[int, ...]) -> np.ndarray:
+    """A `random_orthonormal` draw from each generator in `rngs`, as one
+    lead + (rows, cols) stack: one QR over the stacked Gaussian draws."""
     if cols == 0:
-        return np.zeros((rows, 0), dtype=np.complex128)
-    q, r = np.linalg.qr(complex_gaussian(rng, rows, cols))
+        return np.zeros(lead + (rows, 0), dtype=np.complex128)
+    draws = np.array([complex_gaussian(rng, rows, cols) for rng in rngs]).reshape(lead + (rows, cols))
+    q, r = np.linalg.qr(draws)
     # fix the phase so the factorization (hence the draw) is unambiguous
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[..., None, :]

@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InvalidInputError
-from .rational import frac, frac_str
+from .rational import _rationals, frac, frac_str
 
 __all__ = [
     "LinearProgram",
@@ -137,8 +137,9 @@ def verify_duality(lp: LinearProgram, v, lam) -> DualityCertificate:
     Optimal iff v is feasible, lam is dual feasible (lam >= 0, A'lam = -c),
     and the gap c.v + b.lam is exactly zero.
     """
-    v = tuple(frac(x) for x in v)
-    lam = tuple(frac(x) for x in lam)
+    _check_program(lp)
+    v = _rationals(v, "v must be a sequence of rationals")
+    lam = _rationals(lam, "lam must be a sequence of rationals")
     if len(v) != lp.n_variables:
         raise InvalidInputError(f"v has {len(v)} entries, expected {lp.n_variables}")
     if len(lam) != lp.n_constraints:
@@ -167,6 +168,11 @@ def verify_duality(lp: LinearProgram, v, lam) -> DualityCertificate:
     if gap != 0:
         return DualityCertificate(DualityStatus.NONZERO_GAP, gap)
     return DualityCertificate(DualityStatus.OPTIMAL, gap)
+
+
+def _check_program(lp) -> None:
+    if not isinstance(lp, LinearProgram):
+        raise InvalidInputError(f"expected a LinearProgram, got {type(lp).__name__}")
 
 
 class _Unbounded(Exception):
@@ -320,6 +326,7 @@ def _phase2(start: _Tableau, cost):
 def solve_inequality_min(lp: LinearProgram) -> LPSolution | None:
     """Solve min c.v s.t. Av <= b exactly; None when the program has no
     finite optimum certified by a dual solution (infeasible or unbounded)."""
+    _check_program(lp)
     m, n = lp.n_constraints, lp.n_variables
     if n == 0:
         raise InvalidInputError("program has no variables")

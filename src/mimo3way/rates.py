@@ -8,6 +8,13 @@ once per receiver (decoding must succeed at both, so its rate is the minimum
 over receivers); rates are divided by the symbol-extension factor to land in
 bits per channel use. Each draw's rates are evaluated over the whole SNR
 grid at once, with one batched slogdet per (message, receiver) pair.
+
+`estimate_dof` runs its trials in blocks of `_BLOCK` (10), a private
+constant: each block draws its channels on a leading trial axis, builds and
+verifies the scheme over that stack, and rates the trials that passed in one
+`(trials, grid)` pass, so a block costs one LAPACK call per matrix role
+instead of one per trial. Each trial keeps its own seed and generators, so
+every draw and every rate is the one a trial-by-trial loop gets.
 """
 
 from __future__ import annotations
@@ -19,36 +26,47 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import AntennaConfig, ChannelSet, draw_channels
+from .channel import AntennaConfig, AntennaSplit, ChannelSet, _draw
 from .errors import InternalError, InvalidInputError
-from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, check_seed, generator, random_orthonormal
+from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, check_seed, generator, random_orthonormal
 from .rational import frac_str
-from .schemes import SchemeInstance, SchemeTag, _check_scheme, build_scheme, pair_matrices, scheme_split, verify_scheme
+from .schemes import SchemeInstance, SchemeTag, _build, _check_scheme, _pair_matrices, _passed, _trials, scheme_split
 
 __all__ = ["SlopeEstimate", "sum_rate", "ablated_sum_rate", "estimate_dof"]
 
 _LN2 = math.log(2.0)
 
-# Most channel draws estimate_dof makes, about a millisecond each
+# Most trials estimate_dof runs: at about 0.6 ms per trial (the mc-slope
+# configs on a 25-point grid, run in blocks), the largest run takes about a
+# minute
 _MAX_TRIALS = 100_000
+
+# Trials per stacked draw/build/verify/rate pass of estimate_dof. Ten keeps
+# most of the batching gain, while the stacks stay bounded whatever the
+# trial count: the largest, one pair's (trials, grid, n, n) Gram stack, is
+# about 0.8 MB at (7,6,5) uni-a on a 25-point grid.
+_BLOCK = 10
 
 
 def _log2det(grams: np.ndarray, snrs: np.ndarray) -> np.ndarray:
-    """log2 det of each positive-definite I + ... in a stack, in bits. grams[k]
-    was formed at snrs[k]; a non-finite one means that SNR overflowed. Once a
-    finite one's largest entry times eps reaches 1, rounding has lost its
-    identity part and a rank-deficient rest leaves it singular."""
+    """log2 det of each positive-definite I + ... in a (..., grid, n, n)
+    stack, in bits. grams[..., k, :, :] was formed at snrs[k]; a non-finite
+    one means that SNR overflowed. Once a finite one's largest entry times eps
+    reaches 1, rounding has lost its identity part and a rank-deficient rest
+    leaves it singular. The first bad matrix in C order names the SNR."""
     finite = np.isfinite(grams).all(axis=(-2, -1))
     if not finite.all():
-        raise InvalidInputError(f"snr_linear {float(snrs[np.argmin(finite)])} overflows the rate Gram matrix")
+        k = np.unravel_index(np.argmin(finite), finite.shape)
+        raise InvalidInputError(f"snr_linear {float(snrs[k[-1]])} overflows the rate Gram matrix")
     with np.errstate(over="ignore", invalid="ignore"):
         sign, logdet = np.linalg.slogdet(grams)
     ok = (sign.real > 0) & np.isfinite(logdet)
     if not ok.all():
-        k = np.argmin(ok)
+        k = np.unravel_index(np.argmin(ok), ok.shape)
         if np.abs(grams[k]).max() * _EPS >= 1:
+            snr = float(snrs[k[-1]])
             raise InvalidInputError(
-                f"snr_linear {float(snrs[k])} is past float64 resolution: the rate Gram matrix loses its identity part"
+                f"snr_linear {snr} is past float64 resolution: the rate Gram matrix loses its identity part"
             )
         raise InternalError("rate Gram matrix is not positive definite")
     return logdet / _LN2
@@ -76,27 +94,30 @@ def _stream_rho(scheme: SchemeInstance, snr_linear: float | np.ndarray) -> dict[
 
 
 def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray:
-    """Zero-forcing sum rate at every SNR of a grid, in bits per channel use.
+    """Zero-forcing sum rate at every SNR of a grid, in bits per channel use:
+    shape (grid,), or (trials, grid) for a scheme and channels stacked on a
+    trial axis.
 
     Each (message, receiver) contributes log2 det(I + rho * G G^H) with G the
     effective matrix after projection; interference is exactly nulled by
     construction so it does not enter. G G^H is formed once per pair for the
-    whole grid. Broadcast rate is min over receivers, weighted by the
-    receiver count.
+    whole grid and every trial. Broadcast rate is min over receivers,
+    weighted by the receiver count.
     """
     snrs = np.asarray(snrs, dtype=float)
     if not (snrs > 0).all():
         raise InvalidInputError(f"snr_linear must be > 0, got {float(snrs[np.argmin(snrs > 0)])}")
     rho = _stream_rho(scheme, snrs)
-    total = np.zeros(snrs.shape)
+    total = np.zeros(channels.matrices[0].shape[:-2] + snrs.shape)
     for m in scheme.messages:
         if m.dim == 0:
             continue
         per_rx = []
         for r in m.receivers:
-            g, _ = pair_matrices(scheme, channels, m, r)
+            g, _ = _pair_matrices(scheme, channels, m, r)
             with np.errstate(over="ignore", invalid="ignore"):
-                grams = np.eye(g.shape[0], dtype=np.complex128) + rho[m.key][:, None, None] * (g @ g.conj().T)
+                gram = (g @ g.conj().mT)[..., None, :, :]
+                grams = np.eye(g.shape[-2], dtype=np.complex128) + rho[m.key][:, None, None] * gram
             per_rx.append(_log2det(grams, snrs))
         total += m.weight * np.minimum.reduce(per_rx)
     return total / scheme.extension_factor
@@ -136,12 +157,12 @@ def ablated_sum_rate(
             continue
         per_rx = []
         for r in m.receivers:
-            g, leaks = pair_matrices(scheme, channels, m, r, random_proj[(m.key, r)])
+            g, leaks = _pair_matrices(scheme, channels, m, r, random_proj[(m.key, r)])
             with np.errstate(over="ignore", invalid="ignore"):
-                signal = rho[m.key] * (g @ g.conj().T)
+                signal = rho[m.key] * (g @ g.conj().mT)
                 noise = np.eye(g.shape[0], dtype=np.complex128)
                 for other, leak in leaks:
-                    noise = noise + rho[other.key] * (leak @ leak.conj().T)
+                    noise = noise + rho[other.key] * (leak @ leak.conj().mT)
                 grams = np.stack([noise + signal, noise])
             with_signal, without = _log2det(grams, np.full(2, snr_linear))
             per_rx.append(float(with_signal - without))
@@ -182,6 +203,20 @@ def _trial_seed(seed: int, k: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _rate_block(config: AntennaConfig, tag: SchemeTag, split: AntennaSplit, ext: int, seeds, snrs):
+    """Draw, build, verify and rate one block of trials, `seeds[k]` the seed
+    of trial k: (scheme, which trials passed, (trials, grid) rates, 0 where
+    a trial failed). A trial's draws use its seed's own streams, as
+    `draw_channels`, `build_scheme` and `verify_scheme` would alone."""
+    channels = _draw(split, seeds, (len(seeds),))
+    scheme = _build(config, tag, ext, channels, seeds)
+    valid = _passed(scheme, channels, seeds)
+    rates = np.zeros((len(seeds), len(snrs)))
+    if valid.any():
+        rates[valid] = _sum_rates(*_trials(scheme, channels, valid), snrs)
+    return scheme, valid, rates
+
+
 def estimate_dof(
     config: AntennaConfig,
     tag: SchemeTag,
@@ -196,7 +231,8 @@ def estimate_dof(
     each (invalid draws are counted and skipped), averages sum rates over the
     SNR grid, and differences the top two grid points ("two-point", default)
     or least-squares fits the top half ("lsq-top-half"). The grid should top
-    out at 30 dB or more for the slope to be in the DoF regime.
+    out at 30 dB or more for the slope to be in the DoF regime. Trials run in
+    stacked blocks of _BLOCK, with the results of a trial-by-trial loop.
     """
     try:
         grid = tuple(_real(s, "snr grid point") for s in snr_grid_db)
@@ -218,19 +254,18 @@ def estimate_dof(
     if not all(math.isfinite(s) and s > 0 for s in snr_linear):
         raise InvalidInputError(f"snr grid {grid} dB has a point with no finite positive linear value")
 
-    split, _ = scheme_split(config, tag)
+    split, ext = scheme_split(config, tag)
     rates = np.zeros((trials, len(grid)))
     valid = np.zeros(trials, dtype=bool)
-    theoretical: Fraction | None = None
-    for k in range(trials):
-        ts = _trial_seed(seed, k)
-        channels = draw_channels(split, ts)
-        scheme = build_scheme(config, tag, channels, ts)
-        theoretical = scheme.claimed_dof()
-        if not verify_scheme(scheme, channels, seed=ts).valid:
-            continue
-        valid[k] = True
-        rates[k] = _sum_rates(scheme, channels, snr_linear)
+    for start in range(0, trials, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        seeds = [_trial_seed(seed, k) for k in range(trials)[block]]
+        try:
+            scheme, valid[block], rates[block] = _rate_block(config, tag, split, ext, seeds, snr_linear)
+        except _MixedRank:  # a null space of non-generic rank: the block goes one trial at a time
+            for k, ts in zip(range(trials)[block], seeds):
+                scheme, valid[k : k + 1], rates[k : k + 1] = _rate_block(config, tag, split, ext, [ts], snr_linear)
+    theoretical = scheme.claimed_dof()
     if not valid.any():
         raise InternalError(
             f"all {trials} channel draws produced invalid schemes for {tag.value} on {config.totals}"

@@ -38,15 +38,21 @@ def frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def _rationals(values, refusal: str) -> tuple[Fraction, ...]:
+    """Coerce a sequence of rationals, else raise `refusal`. A string, bytes,
+    mapping or set is refused: it iterates as characters, keys or in hash
+    order."""
+    if not isinstance(values, (str, bytes, Mapping, Set)):
+        try:
+            return tuple(frac(v) for v in values)
+        except TypeError:  # not iterable
+            pass
+    raise InvalidInputError(f"{refusal}, got {values!r}")
+
+
 def triple(values, name: str = "triple") -> tuple[Fraction, Fraction, Fraction]:
-    """Coerce a 3-sequence of nonnegative rationals. A string, bytes, mapping or
-    set is refused: it iterates as characters, keys or in hash order."""
-    if isinstance(values, (str, bytes, Mapping, Set)):
-        raise InvalidInputError(f"{name} must be a sequence of 3 rationals, got {values!r}")
-    try:
-        vals = tuple(frac(v) for v in values)
-    except TypeError:  # not iterable
-        raise InvalidInputError(f"{name} must be a sequence of 3 rationals, got {values!r}") from None
+    """Coerce a 3-sequence of nonnegative rationals."""
+    vals = _rationals(values, f"{name} must be a sequence of 3 rationals")
     if len(vals) != 3:
         raise InvalidInputError(f"{name} must have exactly 3 entries, got {len(vals)}")
     if any(v < 0 for v in vals):

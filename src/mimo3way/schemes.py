@@ -17,6 +17,15 @@ projectors per message/receiver pair); `verify_scheme` replays a zero-noise
 transmission and checks interference leakage, conditioning, and exact
 decodability, reporting failures instead of raising. It takes every singular
 value its checks read in one batched SVD per matrix shape and dtype.
+
+Construction and checks run on a leading trial axis: `rates.estimate_dof`
+passes channels stacked over a block of `rates._BLOCK` trials
+(`channel._draw`), one seed per trial, and gets back precoders and
+projectors stacked the same way, with one QR per precoder, one SVD per null
+space and one batched solve per (message, receiver) pair for the whole
+block. `build_scheme` and
+`verify_scheme` are the one-trial case of the same kernels, and each trial's
+draws and bits are those it gets alone.
 """
 
 from __future__ import annotations
@@ -32,16 +41,9 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .allocation import Regime, canonical_split
-from .channel import AntennaConfig, AntennaSplit, ChannelSet, check_config, receive
+from .channel import AntennaConfig, AntennaSplit, ChannelSet, _receive, check_config
 from .errors import InternalError, InvalidInputError, RegimeError
-from .linalg import (
-    PRECODER_STREAM,
-    SYMBOL_STREAM,
-    complex_gaussian,
-    generator,
-    null_space_basis,
-    random_orthonormal,
-)
+from .linalg import PRECODER_STREAM, SYMBOL_STREAM, _null_basis, _random_orthonormal, complex_gaussian, generator
 from .rational import frac_str
 
 __all__ = [
@@ -145,7 +147,7 @@ def _scheme_split(config: AntennaConfig, tag: SchemeTag) -> tuple[AntennaSplit, 
 def _check_channels(split: AntennaSplit, channels: ChannelSet, ext: int) -> None:
     if not isinstance(channels, ChannelSet):
         raise InvalidInputError(f"expected a ChannelSet, got {type(channels).__name__}")
-    if channels.split != split:
+    if channels.split is not split and channels.split != split:
         raise InvalidInputError(
             f"channels drawn for split {channels.split.to_json()} but the scheme needs "
             f"{split.to_json()} (extension factor {ext}); draw channels at the extended split"
@@ -153,8 +155,12 @@ def _check_channels(split: AntennaSplit, channels: ChannelSet, ext: int) -> None
 
 
 def _ortho_conj(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of range(mat)."""
-    return null_space_basis(mat.conj().T)
+    """Orthonormal basis of the orthogonal complement of range(mat), for
+    each matrix of a stack."""
+    mat = mat.conj().mT
+    if not np.isfinite(mat).all():
+        raise InvalidInputError("a precoded link overflows float64")
+    return _null_basis(mat)
 
 
 def build_scheme(config: AntennaConfig, tag: SchemeTag, channels: ChannelSet, seed: int) -> SchemeInstance:
@@ -162,18 +168,27 @@ def build_scheme(config: AntennaConfig, tag: SchemeTag, channels: ChannelSet, se
     random precoders come from the precoder stream of `seed`."""
     split, ext = scheme_split(config, tag)
     _check_channels(split, channels, ext)
-    rng = generator(seed, PRECODER_STREAM)
+    return _build(config, tag, ext, channels, [seed])
+
+
+def _build(config: AntennaConfig, tag: SchemeTag, ext: int, channels: ChannelSet, seeds) -> SchemeInstance:
+    """`build_scheme` on channels drawn at `scheme_split(config, tag)`, which
+    is (channels.split, ext), with one seed per trial: 2-D links and one
+    seed, or links stacked on a leading trial axis and one seed per trial,
+    in which case every precoder and projector is stacked on that axis too."""
+    split = channels.split
+    rngs = [generator(seed, PRECODER_STREAM) for seed in seeds]
     pairs = split.integer_pairs()
     if tag is SchemeTag.UNI_A:
-        built = _null_space(pairs, channels, rng)
+        built = _null_space(pairs, channels, rngs)
     elif tag is SchemeTag.UNI_B:
-        built = _hub(pairs, channels, rng, "u31", (1,))
+        built = _hub(pairs, channels, rngs, "u31", (1,))
     else:
-        built = _hub(pairs, channels, rng, "u3bc", (1, 2))
+        built = _hub(pairs, channels, rngs, "u3bc", (1, 2))
     return SchemeInstance(tag, config, split, ext, *built)
 
 
-def _null_space(pairs, channels, rng):
+def _null_space(pairs, channels, rngs):
     """uni-a: m1 + (m2+m3-m1)/3 per channel use for m1 <= m2+m3.
 
     Node 1 precodes u12 into null(H13) and u13 into null(H12); nodes 2 and 3
@@ -185,12 +200,13 @@ def _null_space(pairs, channels, rng):
     (t1, t2, t3), (_, r2, r3) = pairs
     h12, h13 = channels.h(1, 2), channels.h(1, 3)
     h23, h32 = channels.h(2, 3), channels.h(3, 2)
+    lead = h12.shape[:-2]
 
     pre = {
-        "u12": null_space_basis(h13),
-        "u13": null_space_basis(h12),
-        "u23": random_orthonormal(rng, t2, t2),
-        "u32": random_orthonormal(rng, t3, t3),
+        "u12": _null_basis(h13),
+        "u13": _null_basis(h12),
+        "u23": _random_orthonormal(rngs, t2, t2, lead),
+        "u32": _random_orthonormal(rngs, t3, t3, lead),
     }
     proj = {
         ("u12", 2): _ortho_conj(h32 @ pre["u32"]),
@@ -207,24 +223,25 @@ def _null_space(pairs, channels, rng):
     return messages, pre, proj
 
 
-def _hub(pairs, channels, rng, key3: str, receivers3: tuple[int, ...]):
+def _hub(pairs, channels, rngs, key3: str, receivers3: tuple[int, ...]):
     """uni-b and bcast: weighted DoF m2+m3. Nodes 2 and 3 send u21 and `key3`
     full rank to node 1, which reads each in the complement of the other's
     image. Node 2, when in `receivers3` (bcast), inverts its square link from
     node 3 (identity projector); node 1 stays silent."""
     (_, t2, t3), _ = pairs
     h21, h31 = channels.h(2, 1), channels.h(3, 1)
+    lead = h21.shape[:-2]
 
     pre = {
-        "u21": random_orthonormal(rng, t2, t2),
-        key3: random_orthonormal(rng, t3, t3),
+        "u21": _random_orthonormal(rngs, t2, t2, lead),
+        key3: _random_orthonormal(rngs, t3, t3, lead),
     }
     proj = {
         ("u21", 1): _ortho_conj(h31 @ pre[key3]),
         (key3, 1): _ortho_conj(h21 @ pre["u21"]),
     }
     if 2 in receivers3:
-        proj[(key3, 2)] = np.eye(t3, dtype=np.complex128)
+        proj[(key3, 2)] = np.tile(np.eye(t3, dtype=np.complex128), lead + (1, 1))
     messages = (
         SchemeMessage("u21", 2, (1,), t2),
         SchemeMessage(key3, 3, receivers3, t3),
@@ -287,10 +304,25 @@ def pair_matrices(
     replaces it, plus a lazy iterator yielding (other, Q^H H' T') for every
     other message with streams that reaches r from another node over H'.
     Nothing about the interferers is computed until the iterator is read.
+    `m` must be one of the scheme's messages and `r` one of its receivers.
     """
+    _check_scheme(scheme, channels)
+    _check_scheme_matrices(scheme)
+    if not (isinstance(m, SchemeMessage) and m in scheme.messages):
+        raise InvalidInputError(f"expected a SchemeMessage of scheme {scheme.tag.value}, got {m!r}")
+    if not (isinstance(r, int) and r in m.receivers):
+        raise InvalidInputError(f"receiver must be one of {m.receivers} for message {m.key}, got {r!r}")
+    if q is not None:
+        q = _scheme_matrix({(m.key, r): q}, (m.key, r), scheme.split.rx_of(r).numerator, None, "projector")
+    return _pair_matrices(scheme, channels, m, r, q)
+
+
+def _pair_matrices(scheme, channels, m, r, q=None):
+    """`pair_matrices` on trusted inputs, each matrix 2-D or stacked on the
+    same leading trial axes."""
     if q is None:
         q = scheme.projectors[(m.key, r)]
-    qh = q.conj().T
+    qh = q.conj().mT
 
     def leaks():
         for other in scheme.messages:
@@ -301,18 +333,18 @@ def pair_matrices(
     return qh @ channels.h(m.tx, r) @ scheme.precoders[m.key], leaks()
 
 
-def _scheme_matrix(table, key, rows: int, cols: int | None, what: str) -> np.ndarray:
-    """table[key], refused unless it is a numeric 2-D array with `rows` rows
-    (and `cols` columns when given)."""
+def _scheme_matrix(table, key, rows: int, cols: int | None, what: str, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """table[key], refused unless it is a numeric array of shape
+    lead + (rows, cols), any number of columns when `cols` is None."""
     try:
         mat = table[key]
     except (KeyError, TypeError):
         raise InvalidInputError(f"scheme has no {what} for {key!r}") from None
-    if isinstance(mat, np.ndarray) and mat.ndim == 2 and mat.dtype.kind in "iufc":
-        n, k = mat.shape
-        if n == rows and (cols is None or k == cols):
+    if isinstance(mat, np.ndarray) and mat.ndim == len(lead) + 2 and mat.dtype.kind in "iufc":
+        *outer, n, k = mat.shape
+        if tuple(outer) == lead and n == rows and (cols is None or k == cols):
             return mat
-    want = f"({rows}, {'any' if cols is None else cols})"
+    want = f"{lead + (rows, 'any' if cols is None else cols)}"
     got = f"{type(mat).__name__} of shape {getattr(mat, 'shape', None)}, dtype {getattr(mat, 'dtype', None)}"
     raise InvalidInputError(f"{what} for {key!r} must be a numeric array of shape {want}, got {got}")
 
@@ -324,49 +356,67 @@ def _check_scheme(scheme: SchemeInstance, channels: ChannelSet) -> None:
     _check_channels(scheme.split, channels, scheme.extension_factor)
 
 
-def _check_scheme_matrices(scheme: SchemeInstance) -> None:
+def _check_scheme_matrices(scheme: SchemeInstance, lead: tuple[int, ...] = ()) -> None:
     """Refuse, before any arithmetic, a precoder or projector that is missing,
     misshapen or not finite. A precoder must be (transmit antennas) x
-    (streams) and a projector needs one row per receive antenna; finiteness
-    is one check over all of them."""
+    (streams) and a projector needs one row per receive antenna, each behind
+    the trial axes `lead`; finiteness is one check over all of them. A null
+    space of non-generic rank fails here, as a precoder with extra columns."""
     split, flat = scheme.split, []
     for m in scheme.messages:
-        flat.append(_scheme_matrix(scheme.precoders, m.key, split.tx_of(m.tx).numerator, m.dim, "precoder").ravel())
+        pre = _scheme_matrix(scheme.precoders, m.key, split.tx_of(m.tx).numerator, m.dim, "precoder", lead)
+        flat.append(pre.ravel())
         for r in m.receivers:
-            q = _scheme_matrix(scheme.projectors, (m.key, r), split.rx_of(r).numerator, None, "projector")
+            q = _scheme_matrix(scheme.projectors, (m.key, r), split.rx_of(r).numerator, None, "projector", lead)
             flat.append(q.ravel())
     if flat and not np.isfinite(np.concatenate(flat)).all():
         raise InvalidInputError("scheme precoders or projectors have non-finite entries")
 
 
-def _singular_values(mats) -> dict[int, tuple[float, float]]:
-    """(smax, smin) of each distinct matrix in `mats`, keyed by its id, which
-    names it only while the caller keeps it alive. smax is the spectral norm,
-    as `np.linalg.norm(., 2)` computes it, and 0.0 for an empty matrix.
+def _trials(scheme: SchemeInstance, channels: ChannelSet, keep: np.ndarray):
+    """The trials a boolean mask `keep` marks of a scheme and channels
+    stacked on one trial axis."""
+    precoders = {m.key: scheme.precoders[m.key][keep] for m in scheme.messages}
+    projectors = {(m.key, r): scheme.projectors[(m.key, r)][keep] for m in scheme.messages for r in m.receivers}
+    kept = SchemeInstance(
+        scheme.tag, scheme.config, scheme.split, scheme.extension_factor, scheme.messages, precoders, projectors
+    )
+    return kept, ChannelSet._drawn(channels.split, tuple(h[keep] for h in channels.matrices))
+
+
+def _singular_values(mats, n: int) -> dict[int, tuple[list[float], list[float]]]:
+    """(smax, smin) of each distinct matrix or stack in `mats`, as lists with
+    one value for each of the n trials (n = 1 for 2-D matrices), keyed by its
+    id, which names it only while the caller keeps it alive. smax is the
+    spectral norm, as `np.linalg.norm(., 2)` computes it, and 0.0 for an
+    empty matrix.
 
     One batched SVD per (shape, dtype): stacking a real matrix with complex
     ones would change the LAPACK routine that takes its norm.
     """
-    sv, groups = {}, {}
+    sv, groups, zeros = {}, {}, [0.0] * n
     for mat in mats:
         k = id(mat)
         if k not in sv:
-            sv[k] = (0.0, 0.0)
+            sv[k] = (zeros, zeros)
             if mat.size:
                 groups.setdefault((mat.shape, mat.dtype), []).append(mat)
     for group in groups.values():
-        s = np.linalg.svd(np.array(group), compute_uv=False)
-        sv.update(zip(map(id, group), zip(s[:, 0].tolist(), s[:, -1].tolist())))
+        s = np.linalg.svd(np.array(group), compute_uv=False).reshape(len(group), n, -1)
+        sv.update(zip(map(id, group), zip(s[..., 0].tolist(), s[..., -1].tolist())))
     return sv
+
+
+_RESIDUAL_TOL, _CONDITION_TOL, _ROUNDTRIP_TOL = 1e-10, 1e-8, 1e-8
 
 
 def verify_scheme(
     scheme: SchemeInstance,
     channels: ChannelSet,
     *,
-    residual_tol: float = 1e-10,
-    condition_tol: float = 1e-8,
-    roundtrip_tol: float = 1e-8,
+    residual_tol: float = _RESIDUAL_TOL,
+    condition_tol: float = _CONDITION_TOL,
+    roundtrip_tol: float = _ROUNDTRIP_TOL,
     seed: int = 0,
 ) -> VerificationReport:
     """Replay a zero-noise transmission and check the scheme end to end.
@@ -383,11 +433,7 @@ def verify_scheme(
     the pairs that passed (per receiver for the broadcast message), so a
     valid report always has achieved == claimed.
 
-    A first pass collects every matrix whose singular values a check reads:
-    each leak Q^H H' T' with its link and precoder, and each square
-    effective matrix with its anchors H, T and Q. `_singular_values` takes
-    them all in one batched SVD per (shape, dtype), each shared link and
-    precoder once, and the checks read that table.
+    The checks are those of `_verify` for one trial.
     """
     _check_scheme(scheme, channels)
     _check_scheme_matrices(scheme)
@@ -395,64 +441,9 @@ def verify_scheme(
     for name, tol in tols.items():
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
             raise InvalidInputError(f"{name} must be a finite real >= 0, got {tol!r}")
-    rng = generator(seed, SYMBOL_STREAM)
-    symbols = {m.key: complex_gaussian(rng, m.dim, 1) for m in scheme.messages}
-    tx, rx = scheme.split.integer_pairs()
-    x = [np.zeros((t, 1), dtype=np.complex128) for t in tx]
-    for m in scheme.messages:
-        if m.dim > 0:
-            x[m.tx - 1] = x[m.tx - 1] + scheme.precoders[m.key] @ symbols[m.key]
-    y = receive(scheme.split, channels, x, [np.zeros((r, 1), dtype=np.complex128) for r in rx])
-
-    # pass 1: every matrix a check reads, kept alive in `pairs` and `mats`
-    pairs, mats = [], []
-    for m in scheme.messages:
-        for r in m.receivers:
-            q = scheme.projectors[(m.key, r)]
-            g, leaks = pair_matrices(scheme, channels, m, r, q)
-            leaks = [(leak, channels.h(other.tx, r), scheme.precoders[other.key]) for other, leak in leaks]
-            mats += [mat for leak in leaks for mat in leak]
-            anchors = None
-            if m.dim > 0 and g.shape[0] == g.shape[1]:
-                anchors = (channels.h(m.tx, r), scheme.precoders[m.key], q)
-                mats += [g, *anchors]
-            pairs.append((m, r, g, leaks, anchors))
-    sv = _singular_values(mats)
-
-    # pass 2: the checks
     checks = []
     passed_streams = 0
-    for m, r, g, leaks, anchors in pairs:
-        fails = []
-        worst = 0.0
-        for leak, h, t in leaks:
-            denom = sv[id(h)][0] * sv[id(t)][0]
-            if denom > 0:
-                worst = max(worst, sv[id(leak)][0] / denom)
-        if worst > residual_tol:
-            fails.append("interference")
-
-        cond, rt = 0.0, float("nan")
-        if m.dim > 0 and anchors is None:
-            fails.append("effective-matrix-not-square")
-        elif anchors is not None:
-            h, t, q = anchors
-            gmax, gmin = sv[id(g)]
-            # scale anchors the test: a numerically zero G has a
-            # perfect smin/smax ratio but has still lost rank
-            scale = sv[id(h)][0] * sv[id(t)][0] * sv[id(q)][0]
-            cond = gmin / gmax if gmax > 0 else 0.0
-            if gmax <= condition_tol * scale:
-                fails.append("rank-deficient")
-            elif gmin <= condition_tol * gmax:
-                fails.append("ill-conditioned")
-            else:
-                decoded = np.linalg.solve(g, q.conj().T @ y[r - 1])
-                u = symbols[m.key]
-                rt = float(np.linalg.norm(decoded - u) / np.linalg.norm(u))
-                if rt > roundtrip_tol:
-                    fails.append("roundtrip")
-
+    for m, r, ((worst, cond, rt, fails),) in _verify(scheme, channels, [seed], **tols):
         if not fails:
             passed_streams += m.dim
         checks.append(MessageCheck(m.key, r, worst, cond, rt, passed=not fails, failures=tuple(fails)))
@@ -463,3 +454,100 @@ def verify_scheme(
     if not failures and achieved != claimed:
         raise InternalError("all checks passed but achieved DoF differs from claimed")
     return VerificationReport(not failures, achieved, claimed, tuple(checks), failures)
+
+
+def _passed(scheme: SchemeInstance, channels: ChannelSet, seeds) -> np.ndarray:
+    """Whether `verify_scheme` at its default tolerances passes each trial of
+    a scheme and channels stacked on one trial axis, `seeds[k]` the symbol
+    seed of trial k; raises as `verify_scheme` does on malformed matrices."""
+    _check_scheme_matrices(scheme, (len(seeds),))
+    pairs = _verify(scheme, channels, seeds, _RESIDUAL_TOL, _CONDITION_TOL, _ROUNDTRIP_TOL)
+    return np.array([not any(trials[k][3] for *_, trials in pairs) for k in range(len(seeds))], dtype=bool)
+
+
+def _verify(scheme, channels, seeds, residual_tol, condition_tol, roundtrip_tol):
+    """The checks of `verify_scheme` for one seed per trial: a 2-D scheme and
+    channels and one seed, or ones stacked on a leading trial axis and
+    `seeds[k]` the symbol seed of trial k.
+
+    Returns, per (message, receiver) pair, (message, receiver, trials) with
+    one (worst interference residual, condition ratio, roundtrip error,
+    failures) per trial.
+
+    A first pass collects every matrix whose singular values a check reads:
+    each leak Q^H H' T' with its link and precoder, and each square
+    effective matrix with its anchors H, T and Q. `_singular_values` takes
+    them all in one batched SVD per (shape, dtype), each shared link and
+    precoder once, and the checks read that table. Each pair then makes one
+    batched solve over the trials that passed conditioning, since a batched
+    solve raises on any singular member.
+    """
+    n, lead = len(seeds), channels.matrices[0].shape[:-2]
+    rngs = [generator(seed, SYMBOL_STREAM) for seed in seeds]
+    # symbols[key][k] is trial k's (streams, 1) draw
+    symbols = {m.key: np.array([complex_gaussian(rng, m.dim, 1) for rng in rngs]) for m in scheme.messages}
+    tx, rx = scheme.split.integer_pairs()
+    x = [np.zeros(lead + (t, 1), dtype=np.complex128) for t in tx]
+    for m in scheme.messages:
+        if m.dim > 0:
+            x[m.tx - 1] = x[m.tx - 1] + scheme.precoders[m.key] @ symbols[m.key].reshape(lead + (m.dim, 1))
+    y = _receive(channels, x, [np.zeros(lead + (r, 1), dtype=np.complex128) for r in rx])
+
+    # pass 1: every matrix a check reads, kept alive in `pairs` and `mats`
+    pairs, mats = [], []
+    for m in scheme.messages:
+        for r in m.receivers:
+            q = scheme.projectors[(m.key, r)]
+            g, leaks = _pair_matrices(scheme, channels, m, r, q)
+            leaks = [(leak, channels.h(other.tx, r), scheme.precoders[other.key]) for other, leak in leaks]
+            mats += [mat for leak in leaks for mat in leak]
+            anchors = None
+            if m.dim > 0 and g.shape[-2] == g.shape[-1]:
+                anchors = (channels.h(m.tx, r), scheme.precoders[m.key], q)
+                mats += [g, *anchors]
+            pairs.append((m, r, g, leaks, anchors))
+    sv = _singular_values(mats, n)
+
+    # pass 2: the checks, trial by trial on the table
+    results = []
+    for m, r, g, leaks, anchors in pairs:
+        trials, decode = [], []
+        for k in range(n):
+            fails = []
+            worst = 0.0
+            for leak, h, t in leaks:
+                denom = sv[id(h)][0][k] * sv[id(t)][0][k]
+                if denom > 0:
+                    worst = max(worst, sv[id(leak)][0][k] / denom)
+            if worst > residual_tol:
+                fails.append("interference")
+
+            cond = 0.0
+            if m.dim > 0 and anchors is None:
+                fails.append("effective-matrix-not-square")
+            elif anchors is not None:
+                h, t, q = anchors
+                gmax, gmin = sv[id(g)][0][k], sv[id(g)][1][k]
+                # scale anchors the test: a numerically zero G has a
+                # perfect smin/smax ratio but has still lost rank
+                scale = sv[id(h)][0][k] * sv[id(t)][0][k] * sv[id(q)][0][k]
+                cond = gmin / gmax if gmax > 0 else 0.0
+                if gmax <= condition_tol * scale:
+                    fails.append("rank-deficient")
+                elif gmin <= condition_tol * gmax:
+                    fails.append("ill-conditioned")
+                else:
+                    decode.append(k)
+            trials.append([worst, cond, math.nan, fails])
+
+        if decode:
+            qy, sent = anchors[2].conj().mT @ y[r - 1], symbols[m.key]
+            if len(decode) < n:  # a stack: keep the trials that passed
+                g, qy, sent = g[decode], qy[decode], sent[decode]
+            decoded = np.linalg.solve(g, qy).reshape(sent.shape)
+            for k, d, u in zip(decode, decoded, sent):
+                rt = trials[k][2] = float(np.linalg.norm(d - u) / np.linalg.norm(u))
+                if rt > roundtrip_tol:
+                    trials[k][3].append("roundtrip")
+        results.append((m, r, trials))
+    return results

@@ -16,23 +16,29 @@ from mimo3way import (
     ChannelSet,
     InvalidInputError,
     SchemeTag,
+    TransmitSumBand,
     build_scheme,
     cutset_bound_broadcast,
     cutset_bound_unicast,
     draw_channels,
     estimate_dof,
     genie_bound_unicast,
+    genie_subproblem,
     optimal_unicast_bruteforce,
     optimal_unicast_closed_form,
     optimal_unicast_enumerated,
     null_space_basis,
+    pair_matrices,
     pseudo_inverse,
     random_gaussian,
     receive,
     scheme_split,
+    solve_inequality_min,
     sum_rate,
     symmetric_bound,
+    verify_duality,
 )
+from mimo3way.linalg import random_orthonormal
 
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -102,10 +108,14 @@ def test_allocation_routes(m, denominator):
 @given(_matrix, _count, _count, _seed)
 @example("abc", 1.5, 2, 0)
 @example([[object()]], 2, 2, 0)
+@example([[1]], None, 1, 0)  # dimensions are checked before they are compared
+@example([[1]], "3", 1, 0)
+@example([[1]], 10**30, 0, 0)  # and before the no-column shortcut
 def test_linalg_entry_points(a, rows, cols, seed):
     _quietly(null_space_basis, a)
     _quietly(pseudo_inverse, a)
     _quietly(random_gaussian, rows, cols, seed)
+    _quietly(random_orthonormal, np.random.default_rng(0), rows, cols)
 
 
 _SPLIT = AntennaSplit((2, 1, 1), (1, 2, 1))
@@ -143,6 +153,41 @@ def test_scheme_split_and_build(m, tag, seed, which):
     config = _config(m)
     _quietly(scheme_split, config, tag)
     _quietly(build_scheme, config, tag, _channels(config, tag, 0, which), seed)
+
+
+_CFG = AntennaConfig(4, 2, 1)
+_LP = genie_subproblem(_CFG, (True,) * 6)
+_bits = st.one_of(st.tuples(*[st.booleans()] * 6), st.lists(st.one_of(st.booleans(), _junk), max_size=7), _bad)
+_rationals = st.one_of(st.lists(st.one_of(st.integers(-3, 3), _bad), max_size=17), _bad)
+
+
+@_SETTINGS
+@given(st.one_of(st.just(_CFG), _bad), _bits, st.one_of(st.just(_LP), _bad, _bad), _rationals, _rationals)
+@example(_CFG, None, (1, 2), None, ())
+@example(_CFG, (True,) * 6, None, (1, 2), (1, 2))
+def test_lp_entry_points(config, bits, lp, v, lam):
+    _quietly(genie_subproblem, config, bits)
+    _quietly(solve_inequality_min, lp)
+    _quietly(verify_duality, lp, v, lam)
+    _quietly(TransmitSumBand(Fraction(1), Fraction(3)).contains, config, v)
+
+
+_UNI_B_SPLIT = scheme_split(_CFG, SchemeTag.UNI_B)[0]
+_UNI_B_CHANNELS = draw_channels(_UNI_B_SPLIT, 0)
+_UNI_B = build_scheme(_CFG, SchemeTag.UNI_B, _UNI_B_CHANNELS, 0)
+
+
+@_SETTINGS
+@given(
+    st.sampled_from([_UNI_B_CHANNELS, draw_channels(AntennaSplit((1, 1, 1), (1, 1, 1)), 0), None]),
+    st.one_of(st.sampled_from(_UNI_B.messages), st.just("u21"), _junk),
+    st.one_of(st.sampled_from([1, 2, 3]), _bad),
+    st.one_of(st.none(), _matrix, st.sampled_from([np.eye(4), np.eye(3), np.eye(3)[:, :1]])),
+)
+@example(_UNI_B_CHANNELS, "u21", 1, None)
+def test_pair_matrices(channels, m, r, q):
+    _quietly(pair_matrices, _UNI_B, channels, m, r, q)
+    _quietly(pair_matrices, (1, 2), channels, m, r, q)
 
 
 _BUILT = st.sampled_from([((2, 1, 1), SchemeTag.UNI_B), ((3, 3, 3), SchemeTag.UNI_A), ((3, 2, 1), SchemeTag.BCAST)])

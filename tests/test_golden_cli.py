@@ -41,7 +41,15 @@ def _cases() -> list[tuple[str, ...]]:
         ("sweep",),
         ("sweep", "--msgs", "broadcast", "--ratio1", "1:3:1/2", "--ratio2", "1:2:1/4"),
     ]
-    return [argv + ("--format", fmt, "--seed", SEED) for argv in base for fmt in FORMATS]
+    # trial counts that span several stacked blocks and are no multiple of
+    # the block size: uni-a with extension factor 3, uni-b and bcast
+    blocked = [
+        ("slope", "--m", m, "--scheme", scheme, "--trials", "21", "--snr", "20,30,40", "--format", "json")
+        for m, scheme in (("7,6,5", "uni-a"), ("4,2,1", "uni-b"), ("5,3,2", "bcast"))
+    ]
+    return [argv + ("--format", fmt, "--seed", SEED) for argv in base for fmt in FORMATS] + [
+        argv + ("--seed", SEED) for argv in blocked
+    ]
 
 
 CASES = _cases()
@@ -244,6 +252,9 @@ GOLDEN = {
     "sweep --msgs broadcast --ratio1 1:3:1/2 --ratio2 1:2:1/4 --format table --seed 7": "21a582818ddbcd202c452600a38f4ad513447dcb090891617d94ff3234b2b4ba",
     "sweep --msgs broadcast --ratio1 1:3:1/2 --ratio2 1:2:1/4 --format json --seed 7": "05f6ce1545f9dfed9632e6427c8c8c884aabe1977643287618d2ca816745d20b",
     "sweep --msgs broadcast --ratio1 1:3:1/2 --ratio2 1:2:1/4 --format csv --seed 7": "fdb743a7e5dce2b2e5a92e3dc15a3ec3b2c0c672d0ad60b1aff54a3a6727c053",
+    "slope --m 7,6,5 --scheme uni-a --trials 21 --snr 20,30,40 --format json --seed 7": "95d9081129fee2071800f5b25476fb3408c3c5a6fd7352447f6886d413606101",
+    "slope --m 4,2,1 --scheme uni-b --trials 21 --snr 20,30,40 --format json --seed 7": "705fa3a0f3c067325ad654758d27458d6324cd285c55a6d66d02f1a449760f4e",
+    "slope --m 5,3,2 --scheme bcast --trials 21 --snr 20,30,40 --format json --seed 7": "03ea3e064082bedced07aaf38534cbeddb540debb93e70db0c413ce0a53619a7",
 }
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mimo3way.channel as channel_mod
 import mimo3way.rates as rates_mod
 from mimo3way import (
     AntennaConfig,
@@ -241,32 +242,123 @@ def _no_draw(*a, **k):
 
 @pytest.mark.parametrize("grid", [("abc", 50.0), (None, 50.0), 30.0, "30", (True, 50.0), (30.0, 10**400)])
 def test_estimate_rejects_non_numeric_grid_before_drawing(monkeypatch, grid):
-    monkeypatch.setattr(rates_mod, "draw_channels", _no_draw)
+    monkeypatch.setattr(rates_mod, "_draw", _no_draw)
     with pytest.raises(InvalidInputError, match="snr grid"):
         estimate_dof(AntennaConfig(2, 1, 1), SchemeTag.UNI_B, grid, trials=2)
 
 
 @pytest.mark.parametrize("seed", [-1, "a", 1.5, 1.0, True, None])
 def test_estimate_rejects_bad_seed_before_drawing(monkeypatch, seed):
-    monkeypatch.setattr(rates_mod, "draw_channels", _no_draw)
+    monkeypatch.setattr(rates_mod, "_draw", _no_draw)
     with pytest.raises(InvalidInputError, match="seed must be a nonnegative integer"):
         estimate_dof(AntennaConfig(2, 1, 1), SchemeTag.UNI_B, trials=2, seed=seed)
 
 
 @pytest.mark.parametrize("grid", [(3000.0, 4000.0), (-4000.0, 30.0), (30.0, math.nan)])
 def test_estimate_rejects_unrepresentable_snr_before_drawing(monkeypatch, grid):
-    monkeypatch.setattr(rates_mod, "draw_channels", _no_draw)
+    monkeypatch.setattr(rates_mod, "_draw", _no_draw)
     with pytest.raises(InvalidInputError, match="no finite positive linear value"):
         estimate_dof(AntennaConfig(2, 1, 1), SchemeTag.UNI_B, grid, trials=2)
 
 
 def test_all_invalid_draws_is_internal_error(monkeypatch):
-    class _Nope:
-        valid = False
-
-    monkeypatch.setattr(rates_mod, "verify_scheme", lambda *a, **k: _Nope())
+    # every trial of every block fails verification
+    monkeypatch.setattr(rates_mod, "_passed", lambda scheme, channels, seeds: np.zeros(len(seeds), dtype=bool))
     with pytest.raises(InternalError, match="invalid"):
         estimate_dof(AntennaConfig(3, 3, 3), SchemeTag.UNI_A, (30.0, 50.0), trials=3, seed=0)
+
+
+def _loop_estimate(config, tag, grid, trials, seed):
+    """Reference for estimate_dof: one draw, build, verify and rate per trial,
+    then the mean rates, the two-point slope and the invalid count."""
+    split, _ = scheme_split(config, tag)
+    snrs = [10.0 ** (db / 10.0) for db in grid]
+    rates, invalid = [], 0
+    for k in range(trials):
+        ts = rates_mod._trial_seed(seed, k)
+        ch = draw_channels(split, ts)
+        s = build_scheme(config, tag, ch, ts)
+        if verify_scheme(s, ch, seed=ts).valid:
+            rates.append(rates_mod._sum_rates(s, ch, snrs))
+        else:
+            invalid += 1
+    mean = np.array(rates).mean(axis=0)
+    log2_snr = np.array([db / 10.0 * math.log2(10.0) for db in grid])
+    slope = float((mean[-1] - mean[-2]) / (log2_snr[-1] - log2_snr[-2]))
+    return tuple(float(r) for r in mean), slope, invalid
+
+
+def _assert_blocked_equals_loop(m, tag, trials, seed=5, grid=(20.0, 30.0, 45.0)):
+    config = AntennaConfig(*m)
+    est = estimate_dof(config, tag, grid, trials=trials, seed=seed)
+    assert (est.mean_rates, est.slope, est.invalid_trials) == _loop_estimate(config, tag, grid, trials, seed)
+    return est
+
+
+_SCHEME_CASES = [((3, 3, 3), SchemeTag.UNI_A), ((3, 3, 1), SchemeTag.UNI_A), ((4, 2, 1), SchemeTag.UNI_B),
+                 ((5, 3, 2), SchemeTag.BCAST), ((5, 3, 3), SchemeTag.BCAST)]
+
+
+@pytest.mark.parametrize("m, tag", _SCHEME_CASES)
+# trials below, at and above one block, and spanning three blocks
+@pytest.mark.parametrize("trials", [rates_mod._BLOCK - 3, rates_mod._BLOCK, rates_mod._BLOCK + 3, 2 * rates_mod._BLOCK + 3])
+def test_blocked_estimate_equals_trial_loop(m, tag, trials):
+    _assert_blocked_equals_loop(m, tag, trials)
+
+
+def _rigged(monkeypatch, bad_seed, pair, edit):
+    """Route every channel draw, stacked or not, through one that applies
+    `edit` in place to link `pair` of the trial drawn from `bad_seed`."""
+    draw = channel_mod._draw
+
+    def rigged(split, seeds, lead):
+        mats = [h.copy() for h in draw(split, seeds, lead).matrices]
+        h = mats[channel_mod.PAIR_ORDER.index(pair)]
+        for k, seed in enumerate(seeds):
+            if seed == bad_seed:
+                edit(h.reshape(-1, *h.shape[-2:])[k])
+        return channel_mod.ChannelSet._drawn(split, tuple(mats))
+
+    monkeypatch.setattr(channel_mod, "_draw", rigged)
+    monkeypatch.setattr(rates_mod, "_draw", rigged)
+
+
+def _zero_first_row(h):
+    h[0, :] = 0
+
+
+def _zero_first_column(h):
+    h[:, 0] = 0
+
+
+@pytest.mark.parametrize(
+    "m, tag, pair, edit",
+    [
+        # bcast: node 2 inverts its square link from node 3, now singular
+        ((5, 3, 2), SchemeTag.BCAST, (3, 2), _zero_first_row),
+        # uni-a: H32 T32 loses rank, so the u12 projector at node 2 gains a
+        # column; the trial's block is ragged and goes one trial at a time
+        ((3, 3, 3), SchemeTag.UNI_A, (3, 2), _zero_first_column),
+    ],
+)
+def test_blocked_estimate_counts_a_rigged_invalid_trial_as_the_loop(monkeypatch, m, tag, pair, edit):
+    seed, bad = 5, 3
+    _rigged(monkeypatch, rates_mod._trial_seed(seed, bad), pair, edit)
+    est = _assert_blocked_equals_loop(m, tag, rates_mod._BLOCK + 2, seed=seed)
+    assert est.invalid_trials == 1
+
+
+def test_blocked_estimate_raises_on_a_precoder_of_non_generic_rank(monkeypatch):
+    # uni-a at (3,3,3): H13 of rank 1 gives null(H13) two columns for a
+    # one-stream message, which verification refuses in the loop and the
+    # blocked path alike
+    seed, bad = 5, 3
+    _rigged(monkeypatch, rates_mod._trial_seed(seed, bad), (1, 3), _zero_first_row)
+    config = AntennaConfig(3, 3, 3)
+    with pytest.raises(InvalidInputError, match="precoder for 'u12'"):
+        _loop_estimate(config, SchemeTag.UNI_A, (30.0, 50.0), rates_mod._BLOCK, seed)
+    with pytest.raises(InvalidInputError, match="precoder for 'u12'"):
+        estimate_dof(config, SchemeTag.UNI_A, (30.0, 50.0), trials=rates_mod._BLOCK, seed=seed)
 
 
 def test_ablation_saturates_below_zero_forcing():
