@@ -9,6 +9,9 @@ over receivers); rates are divided by the symbol-extension factor to land in
 bits per channel use. Each draw's rates are evaluated over the whole SNR
 grid at once, with one batched slogdet per (message, receiver) pair.
 
+`ablated_sum_rate` draws its random projectors once per (seed, shapes), in
+sorted key order: the draw ignores the SNR, channels and scheme matrices.
+
 `estimate_dof` runs its trials in blocks of `_BLOCK` (10), a private
 constant: each block draws its channels on a leading trial axis, builds and
 verifies the scheme over that stack, and rates the trials that passed in one
@@ -19,6 +22,7 @@ every draw and every rate is the one a trial-by-trial loop gets.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -30,7 +34,8 @@ from .channel import AntennaConfig, AntennaSplit, ChannelSet, _draw
 from .errors import InternalError, InvalidInputError
 from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, check_seed, generator, random_orthonormal
 from .rational import frac_str
-from .schemes import SchemeInstance, SchemeTag, _build, _check_scheme, _pair_matrices, _passed, _trials, scheme_split
+from .schemes import SchemeInstance, SchemeTag, _build, _check_scheme, _check_scheme_matrices, _pair_matrices, _passed
+from .schemes import _trials, scheme_split
 
 __all__ = ["SlopeEstimate", "sum_rate", "ablated_sum_rate", "estimate_dof"]
 
@@ -128,7 +133,19 @@ def sum_rate(scheme: SchemeInstance, channels: ChannelSet, snr_linear: float) ->
     kernel `_sum_rates` on a one-point grid)."""
     snr_linear = _real(snr_linear, "snr_linear")
     _check_scheme(scheme, channels)
+    _check_scheme_matrices(scheme)
     return float(_sum_rates(scheme, channels, [snr_linear])[0])
+
+
+@functools.lru_cache(maxsize=4)
+def _ablation_projectors(seed: int, shapes) -> tuple:
+    """((key, Q), ...): a read-only `random_orthonormal` draw per ((key, (rows,
+    cols)), ...) in `shapes`, in order, from one generator(seed, ABLATION_STREAM)."""
+    rng = generator(seed, ABLATION_STREAM)
+    drawn = tuple((key, random_orthonormal(rng, *shape)) for key, shape in shapes)
+    for _, q in drawn:
+        q.flags.writeable = False
+    return drawn
 
 
 def ablated_sum_rate(
@@ -141,16 +158,19 @@ def ablated_sum_rate(
     contributes log2 det(I + K + S) - log2 det(I + K) with S the signal and K
     the interference covariance after projection. At high SNR this saturates
     well below the zero-forcing rate whenever interference actually matters.
+
+    The random projectors, one per projector key in sorted key order, depend
+    only on `seed` and the projector shapes (not on the SNR, the channels or
+    the scheme's own matrices), so they are drawn once per (seed, shapes).
     """
     snr_linear = _real(snr_linear, "snr_linear")
     _check_scheme(scheme, channels)
+    _check_scheme_matrices(scheme)
     if not (snr_linear > 0):
         raise InvalidInputError(f"snr_linear must be > 0, got {snr_linear}")
-    rng = generator(seed, ABLATION_STREAM)
+    keys = sorted((m.key, r) for m in scheme.messages for r in m.receivers)
+    random_proj = dict(_ablation_projectors(check_seed(seed), tuple((k, scheme.projectors[k].shape) for k in keys)))
     rho = _stream_rho(scheme, snr_linear)
-    random_proj = {
-        key: random_orthonormal(rng, q.shape[0], q.shape[1]) for key, q in sorted(scheme.projectors.items())
-    }
     total = 0.0
     for m in scheme.messages:
         if m.dim == 0:

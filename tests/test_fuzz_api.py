@@ -3,6 +3,7 @@ values fed to the exported entry points may raise InvalidInputError (or its
 subclass RegimeError) and nothing else. Valid inputs stay small (counts
 <= 4, at most two Monte-Carlo trials) so the whole run takes seconds."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from mimo3way import (
     InvalidInputError,
     SchemeTag,
     TransmitSumBand,
+    ablated_sum_rate,
     build_scheme,
     cutset_bound_broadcast,
     cutset_bound_unicast,
@@ -202,6 +204,36 @@ def test_sum_rate(built, which, snr):
     scheme = build_scheme(config, tag, draw_channels(scheme_split(config, tag)[0], 0), 0)
     _quietly(sum_rate, scheme, channels, snr)
     _quietly(sum_rate, built, channels, snr)
+
+
+def _rebuilt(**tables):
+    return dataclasses.replace(_UNI_B, **tables)
+
+
+# the (4,2,1) uni-b scheme with missing, misshapen, non-finite or junk matrices
+_NO_PRECODERS = _rebuilt(precoders={})
+_BIG_PROJECTORS = _rebuilt(projectors={key: np.eye(5) for key in _UNI_B.projectors})
+_MALFORMED = st.sampled_from(
+    [
+        _UNI_B,
+        _NO_PRECODERS,
+        _BIG_PROJECTORS,
+        _rebuilt(projectors={}),
+        _rebuilt(precoders=None),
+        _rebuilt(precoders={key: np.full(t.shape, np.nan) for key, t in _UNI_B.precoders.items()}),
+        _rebuilt(projectors={key: np.zeros((q.shape[0], 5)) for key, q in _UNI_B.projectors.items()}),
+        _rebuilt(projectors={key: "x" for key in _UNI_B.projectors}),
+    ]
+)
+
+
+@_SETTINGS
+@given(_MALFORMED, _snr, _seed)
+@example(_NO_PRECODERS, 10.0, 0)
+@example(_BIG_PROJECTORS, 10.0, 0)
+def test_rates_of_malformed_schemes(scheme, snr, seed):
+    _quietly(sum_rate, scheme, _UNI_B_CHANNELS, snr)
+    _quietly(ablated_sum_rate, scheme, _UNI_B_CHANNELS, snr, seed)
 
 
 @_SETTINGS

@@ -1,5 +1,6 @@
 """Rate-simulator tests: log-det sum rates, slope estimation, ablation."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,10 +18,12 @@ from mimo3way import (
     build_scheme,
     draw_channels,
     estimate_dof,
+    pair_matrices,
     scheme_split,
     sum_rate,
     verify_scheme,
 )
+from mimo3way.linalg import ABLATION_STREAM, generator, random_orthonormal
 
 
 def _built(m, tag, seed=0):
@@ -366,6 +369,104 @@ def test_ablation_saturates_below_zero_forcing():
         ch, s = _built((4, 4, 4), SchemeTag.UNI_A, seed=seed)
         snr = 1e5
         assert ablated_sum_rate(s, ch, snr, seed=seed) < sum_rate(s, ch, snr)
+
+
+def _per_call_ablated_sum_rate(s, ch, snr, seed):
+    """Reference: `ablated_sum_rate` with a fresh draw on every call, one
+    generator(seed, ABLATION_STREAM) and then `random_orthonormal` in sorted
+    key order, in the same order of arithmetic."""
+    rng = generator(seed, ABLATION_STREAM)
+    random_proj = {key: random_orthonormal(rng, *q.shape) for key, q in sorted(s.projectors.items())}
+    total = 0.0
+    for m in s.messages:
+        if m.dim == 0:
+            continue
+        per_rx = []
+        for r in m.receivers:
+            g, leaks = pair_matrices(s, ch, m, r, random_proj[(m.key, r)])
+            signal = snr / s.tx_streams(m.tx) * (g @ g.conj().T)
+            noise = np.eye(g.shape[0], dtype=complex)
+            for other, leak in leaks:
+                noise = noise + snr / s.tx_streams(other.tx) * (leak @ leak.conj().T)
+            _, with_signal = np.linalg.slogdet(noise + signal)
+            _, without = np.linalg.slogdet(noise)
+            per_rx.append(float(with_signal / math.log(2.0) - without / math.log(2.0)))
+        total += m.weight * min(per_rx)
+    return total / s.extension_factor
+
+
+@pytest.mark.parametrize(
+    "m,tag,ext",
+    [
+        ((3, 3, 3), SchemeTag.UNI_A, 1),
+        ((7, 6, 5), SchemeTag.UNI_A, 3),
+        ((4, 2, 1), SchemeTag.UNI_B, 1),
+        ((5, 3, 2), SchemeTag.BCAST, 1),
+    ],
+)
+def test_cached_ablation_equals_per_call_draw(m, tag, ext):
+    ch, s = _built(m, tag, seed=2)
+    assert s.extension_factor == ext
+    # listing the messages backwards leaves the draw in sorted key order
+    backwards = dataclasses.replace(s, messages=s.messages[::-1])
+    for seed in (0, 1, 3):
+        for snr in (0.1, 1.0, 10**2.5, 1e6):
+            assert ablated_sum_rate(s, ch, snr, seed=seed) == _per_call_ablated_sum_rate(s, ch, snr, seed)
+            assert ablated_sum_rate(backwards, ch, snr, seed=seed) == _per_call_ablated_sum_rate(
+                backwards, ch, snr, seed
+            )
+
+
+def test_ablation_draws_once_per_seed_and_shapes(monkeypatch):
+    made = []
+
+    def counting_generator(*args):
+        made.append(args)
+        return generator(*args)
+
+    monkeypatch.setattr(rates_mod, "generator", counting_generator)
+    rates_mod._ablation_projectors.cache_clear()
+    ch, s = _built((4, 2, 1), SchemeTag.UNI_B, seed=0)
+    other_ch, other_s = _built((4, 2, 1), SchemeTag.UNI_B, seed=5)  # same shapes, other matrices
+    ablated_sum_rate(s, ch, 10.0, seed=1)
+    assert made == [(1, ABLATION_STREAM)]
+    ablated_sum_rate(s, ch, 1e4, seed=1)
+    ablated_sum_rate(other_s, other_ch, 10.0, seed=1)
+    assert len(made) == 1
+    ablated_sum_rate(s, ch, 10.0, seed=2)  # a new seed
+    assert made[-1] == (2, ABLATION_STREAM)
+    new_ch, new_s = _built((3, 3, 3), SchemeTag.UNI_A)
+    ablated_sum_rate(new_s, new_ch, 10.0, seed=1)  # new shapes
+    assert len(made) == 3
+
+
+def test_cached_ablation_projectors_are_read_only():
+    ch, s = _built((5, 3, 2), SchemeTag.BCAST)
+    shapes = tuple((key, s.projectors[key].shape) for key in sorted(s.projectors))
+    drawn = rates_mod._ablation_projectors(0, shapes)
+    assert [key for key, _ in drawn] == sorted(s.projectors)
+    for _, q in drawn:
+        assert not q.flags.writeable
+        with pytest.raises(ValueError):
+            q[0, 0] = 0.0
+
+
+def test_ablation_cache_stays_within_maxsize():
+    info = rates_mod._ablation_projectors.cache_info()
+    assert info.maxsize <= 4
+    ch, s = _built((4, 2, 1), SchemeTag.UNI_B)
+    for seed in range(3 * info.maxsize):
+        ablated_sum_rate(s, ch, 10.0, seed=seed)
+        assert rates_mod._ablation_projectors.cache_info().currsize <= info.maxsize
+
+
+def test_ablation_seed_rule_holds_on_a_cache_hit():
+    ch, s = _built((4, 2, 1), SchemeTag.UNI_B)
+    rate = ablated_sum_rate(s, ch, 10.0, seed=1)
+    for bad in (True, 1.0, -1, "1"):
+        with pytest.raises(InvalidInputError, match="seed"):
+            ablated_sum_rate(s, ch, 10.0, seed=bad)
+    assert ablated_sum_rate(s, ch, 10.0, seed=np.int64(1)) == rate
 
 
 def test_slope_estimate_serialization():
