@@ -143,18 +143,25 @@ def _ordered(m1, m2, m3) -> tuple[Fraction, Fraction, Fraction]:
     return m1, m2, m3
 
 
+def _unicast_thrice(m1, m2, m3):
+    """3 x the optimal unicast sum-DoF; the first term wins iff m1 <= m2+m3.
+    Homogeneous of degree 1, so the ratio sweep runs it on integer numerators."""
+    return min(2 * m1 + m2 + m3, 3 * (m2 + m3))
+
+
+def _broadcast_thrice(m1, m2, m3):
+    """3 x the optimal weighted sum-DoF with the node-3 broadcast message."""
+    return 3 * (m2 + m3)
+
+
 def unicast_optimal_value(m1, m2, m3) -> Fraction:
-    """Optimal unicast sum-DoF; works for rational totals (used by the
-    ratio sweep). min(m1 + (m2+m3-m1)/3, m2+m3): the first term wins iff
-    m1 <= m2+m3."""
-    m1, m2, m3 = _ordered(m1, m2, m3)
-    return min(m1 + (m2 + m3 - m1) / 3, m2 + m3)
+    """Optimal unicast sum-DoF; works for rational totals."""
+    return _unicast_thrice(*_ordered(m1, m2, m3)) / 3
 
 
 def broadcast_optimal_value(m1, m2, m3) -> Fraction:
     """Optimal weighted sum-DoF with the node-3 broadcast message: m2+m3."""
-    m1, m2, m3 = _ordered(m1, m2, m3)
-    return m2 + m3
+    return _broadcast_thrice(*_ordered(m1, m2, m3)) / 3
 
 
 def holds(regime: Regime, config: AntennaConfig) -> bool:

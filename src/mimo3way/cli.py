@@ -20,17 +20,17 @@ import sys
 from fractions import Fraction
 
 from .allocation import (
-    broadcast_optimal_value,
+    _broadcast_thrice,
+    _unicast_thrice,
     optimal_broadcast,
     optimal_unicast_bruteforce,
     optimal_unicast_closed_form,
     optimal_unicast_enumerated,
-    unicast_optimal_value,
 )
 from .bounds import cutset_bound_broadcast, cutset_bound_unicast, genie_bound_unicast
 from .channel import AntennaConfig, AntennaSplit, draw_channels
 from .errors import InternalError, InvalidInputError
-from .rational import frac, frac_str
+from .rational import denominator_lcm, frac, frac_str
 from .rates import estimate_dof
 from .schemes import SchemeTag, build_scheme, scheme_split, verify_scheme
 
@@ -38,9 +38,9 @@ __all__ = ["main", "DEFAULT_SEED", "SWEEP_MAX_POINTS"]
 
 DEFAULT_SEED = 1234
 
-# Largest ratio grid `sweep` evaluates, checked before any point is: each
-# costs a few exact rational operations and an output line. The default
-# grid has 70 points; the largest sweep in the benchmark has 784.
+# Largest ratio grid `sweep` evaluates, checked before any point is: each costs
+# a few integer operations, each kept point one Fraction and an output line.
+# The default grid has 70 points; the largest sweep in the benchmark has 784.
 SWEEP_MAX_POINTS = 100_000
 
 
@@ -317,12 +317,17 @@ def _cmd_sweep(args) -> int:
     n1, n2 = ((hi - lo) // step + 1 for lo, hi, step in (r1, r2))
     if n1 * n2 > SWEEP_MAX_POINTS:
         raise InvalidInputError(f"sweep grid has {n1 * n2} points, over the limit of {SWEEP_MAX_POINTS}")
-    value = broadcast_optimal_value if args.msgs == "broadcast" else unicast_optimal_value
-    rows = []
-    for a in (r1[0] + k * r1[2] for k in range(n1)):
-        for b in (r2[0] + k * r2[2] for k in range(n2)):
-            if a >= b >= 1:  # valid ordered configs only
-                rows.append((a, b, value(a, b, Fraction(1))))
+    # every point is start + k*step: run the grid on integer numerators over
+    # the common denominator d, so the integers (a, b, d) stand for (a/d, b/d, 1)
+    d = denominator_lcm((r1[0], r1[2], r2[0], r2[2]))
+    text = frac_str if args.format == "json" else _dec
+    axis1, axis2 = ([(x, text(Fraction(x, d))) for x in range(int(lo * d), math.floor(hi * d) + 1, int(step * d))]
+                    for lo, hi, step in (r1, r2))
+    thrice = _broadcast_thrice if args.msgs == "broadcast" else _unicast_thrice
+    rows = [  # valid ordered configs only
+        (a_text, b_text, text(Fraction(thrice(a, b, d), 3 * d)))
+        for a, a_text in axis1 for b, b_text in axis2 if a >= b >= d
+    ]
 
     if args.format == "json":
         _emit_json(
@@ -330,18 +335,15 @@ def _cmd_sweep(args) -> int:
                 "command": "sweep",
                 "m3": args.m3,
                 "msgs": args.msgs,
-                "points": [
-                    {"m1_over_m3": frac_str(a), "m2_over_m3": frac_str(b), "dof_over_m3": frac_str(v)}
-                    for a, b, v in rows
-                ],
+                "points": [{"m1_over_m3": a, "m2_over_m3": b, "dof_over_m3": v} for a, b, v in rows],
             }
         )
     elif args.format == "table":
         print(f"{'m1/m3':>8} {'m2/m3':>8} {'dof/m3':>10}")
         for a, b, v in rows:
-            print(f"{_dec(a):>8} {_dec(b):>8} {_dec(v):>10}")
+            print(f"{a:>8} {b:>8} {v:>10}")
     else:
-        _emit_csv([(_dec(a), _dec(b), _dec(v)) for a, b, v in rows], ("m1_over_m3", "m2_over_m3", "dof_over_m3"))
+        _emit_csv(rows, ("m1_over_m3", "m2_over_m3", "dof_over_m3"))
     return 0
 
 

@@ -35,7 +35,7 @@ def frac(x) -> Fraction:
 
 def frac_str(x: Fraction) -> str:
     """Render as "p/q" ("p" when the denominator is 1)."""
-    return str(Fraction(x))
+    return str(x) if type(x) is Fraction else str(Fraction(x))
 
 
 def _rationals(values, refusal: str) -> tuple[Fraction, ...]:

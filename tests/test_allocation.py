@@ -7,6 +7,8 @@ the acceptance suite; here a smaller grid keeps the loop fast.
 """
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,7 @@ from mimo3way import (
     unicast_optimal_value,
     verify_duality,
 )
+from mimo3way.allocation import _broadcast_thrice, _unicast_thrice
 
 
 def _configs(limit):
@@ -82,6 +85,41 @@ def test_value_function_branches():
     # boundary: both branches give m2+m3
     assert unicast_optimal_value(4, 3, 1) == 4
     assert unicast_optimal_value(Fraction(3, 2), 1, 1) == Fraction(5, 3)
+
+
+def _ordered_triples(side, count, seed):
+    """Random rational (m1, m2, m3), m1 >= m2 >= m3 >= 0, with m1 below, on
+    or above the regime line m1 = m2+m3 (side -1, 0 or 1)."""
+    rng = random.Random(seed)
+
+    def positive():
+        return Fraction(rng.randint(1, 40), rng.randint(1, 12))
+
+    triples = []
+    while len(triples) < count:
+        m3 = positive() if side == -1 else positive() - 1  # m3 = 0 only on or above the line
+        m2 = m3 + positive() - 1
+        if not m2 >= m3 >= 0:
+            continue
+        # below the line m1 stays >= m2: it gives up a share in (0, 1) of m3
+        m1 = m2 + m3 * (1 - Fraction(rng.randint(1, 11), 12)) if side == -1 else m2 + m3 + side * positive()
+        triples.append((m1, m2, m3))
+    return triples
+
+
+@pytest.mark.parametrize("side", [-1, 0, 1])
+def test_integer_form_equals_two_region_formula(side):
+    for m1, m2, m3 in _ordered_triples(side, 200, seed=side + 7):
+        assert (m1 < m2 + m3, m1 == m2 + m3) == (side == -1, side == 0)
+        two_region = m1 + (m2 + m3 - m1) / 3 if m1 <= m2 + m3 else m2 + m3
+        assert _unicast_thrice(m1, m2, m3) / 3 == two_region
+        assert unicast_optimal_value(m1, m2, m3) == two_region
+        assert _broadcast_thrice(m1, m2, m3) / 3 == broadcast_optimal_value(m1, m2, m3) == m2 + m3
+        # degree 1: the sweep evaluates (a, b, 1) as the numerators (a d, b d, d)
+        d = math.lcm(m1.denominator, m2.denominator, m3.denominator)
+        for thrice in (_unicast_thrice, _broadcast_thrice):
+            scaled = thrice(int(m1 * d), int(m2 * d), int(m3 * d))
+            assert type(scaled) is int and Fraction(scaled, 3 * d) == thrice(m1, m2, m3) / 3
 
 
 def test_value_function_rejects_unordered():

@@ -1,14 +1,19 @@
 """End-to-end CLI tests through main(argv)."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mimo3way import InternalError, SchemeTag
 from mimo3way.rates import SlopeEstimate
@@ -349,6 +354,72 @@ def test_sweep_bad_range(capsys):
     code, out, err = _run(capsys, "sweep", "--ratio1", "4:1:1/3")
     assert code == 1
     assert "step" in err
+
+
+def _reference_sweep(ratio1, ratio2, m3, msgs, fmt):
+    """Stdout of `sweep` computed point by point in exact Fractions, with the
+    two region formulas written out: the reference the integer grid must match."""
+
+    def parse(text):
+        return tuple(Fraction(p.strip()) for p in text.split(":"))
+
+    def value(a, b):
+        return b + 1 if msgs == "broadcast" else min(a + (b + 1 - a) / 3, b + 1)
+
+    def dec(x):
+        return f"{float(x):.4f}"
+
+    r1, r2 = parse(ratio1), parse(ratio2)
+    n1, n2 = ((hi - lo) // step + 1 for lo, hi, step in (r1, r2))
+    rows = []
+    for a in (r1[0] + k * r1[2] for k in range(n1)):
+        for b in (r2[0] + k * r2[2] for k in range(n2)):
+            if a >= b >= 1:
+                rows.append((a, b, value(a, b)))
+    if fmt == "json":
+        points = [{"m1_over_m3": str(a), "m2_over_m3": str(b), "dof_over_m3": str(v)} for a, b, v in rows]
+        payload = {"command": "sweep", "m3": m3, "msgs": msgs, "points": points}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if fmt == "table":
+        lines = [f"{'m1/m3':>8} {'m2/m3':>8} {'dof/m3':>10}"]
+        lines += [f"{dec(a):>8} {dec(b):>8} {dec(v):>10}" for a, b, v in rows]
+    else:
+        lines = ["m1_over_m3,m2_over_m3,dof_over_m3"] + [f"{dec(a)},{dec(b)},{dec(v)}" for a, b, v in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def _rational_text(x: Fraction, decimal: bool) -> str:
+    if decimal and 10**6 % x.denominator == 0:  # exact as a decimal, e.g. 0.5 or -1.25
+        return str(Decimal(x.numerator) / x.denominator)
+    return str(x)
+
+
+@st.composite
+def _sweep_range(draw):
+    """A small start:stop:step range: starts from -6 to 16, at most 3 wide,
+    steps with denominators from 1 to 10, each part as p/q or decimal text."""
+    start = Fraction(draw(st.integers(-6, 16)), draw(st.sampled_from([1, 2, 3, 4, 5, 7])))
+    step = Fraction(draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 10])))
+    span = Fraction(draw(st.integers(0, 12)), 4)
+    parts = (start, start + span, step)
+    return ":".join(_rational_text(x, draw(st.booleans())) for x in parts)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_sweep_range(), _sweep_range(), st.integers(1, 3))
+@example("-1/2:5:2/7", "0.5:3:1/5", 1)  # negative start, decimal start, steps over 7 and 5
+@example("-1/2:1/2:1/4", "0:2:1/3", 1)  # no m1/m3 >= 1: no point passes the filter
+@example("1:3:1/2", "3.5:4:0.5", 2)  # every m2/m3 above every m1/m3: no point passes
+@example("0:4:3/4", "1/3:2:1/6", 1)
+def test_sweep_equals_per_point_fraction_reference(ratio1, ratio2, m3):
+    for msgs in ("unicast", "broadcast"):
+        for fmt in ("table", "json", "csv"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["sweep", f"--ratio1={ratio1}", f"--ratio2={ratio2}", f"--m3={m3}",
+                             "--msgs", msgs, "--format", fmt])
+            assert code == 0
+            assert out.getvalue() == _reference_sweep(ratio1, ratio2, m3, msgs, fmt), (msgs, fmt)
 
 
 def test_unknown_subcommand(capsys):

@@ -40,6 +40,10 @@ def _cases() -> list[tuple[str, ...]]:
         ("bounds", "--mt", "3,1/3,1", "--mr", "0,2/3,1"),
         ("sweep",),
         ("sweep", "--msgs", "broadcast", "--ratio1", "1:3:1/2", "--ratio2", "1:2:1/4"),
+        # axes whose starts and steps have different denominators, a negative
+        # and a decimal start: 108 and 25 points
+        ("sweep", "--ratio1=-1/2:5:2/7", "--ratio2", "0.5:3:1/5"),
+        ("sweep", "--msgs", "broadcast", "--ratio1", "0:4:3/4", "--ratio2", "1/3:2:1/6"),
     ]
     # trial counts that span several stacked blocks and are no multiple of
     # the block size: uni-a with extension factor 3, uni-b and bcast
@@ -252,6 +256,12 @@ GOLDEN = {
     "sweep --msgs broadcast --ratio1 1:3:1/2 --ratio2 1:2:1/4 --format table --seed 7": "21a582818ddbcd202c452600a38f4ad513447dcb090891617d94ff3234b2b4ba",
     "sweep --msgs broadcast --ratio1 1:3:1/2 --ratio2 1:2:1/4 --format json --seed 7": "05f6ce1545f9dfed9632e6427c8c8c884aabe1977643287618d2ca816745d20b",
     "sweep --msgs broadcast --ratio1 1:3:1/2 --ratio2 1:2:1/4 --format csv --seed 7": "fdb743a7e5dce2b2e5a92e3dc15a3ec3b2c0c672d0ad60b1aff54a3a6727c053",
+    "sweep --ratio1=-1/2:5:2/7 --ratio2 0.5:3:1/5 --format table --seed 7": "1a1238a9d63e83fa5df943e704647a397910734d2c2d57d7d0a16d953989d2e7",
+    "sweep --ratio1=-1/2:5:2/7 --ratio2 0.5:3:1/5 --format json --seed 7": "19aa02f443886c1e0cfff8b4fcd4a326196a6eadc0ca635e495127c73272ae77",
+    "sweep --ratio1=-1/2:5:2/7 --ratio2 0.5:3:1/5 --format csv --seed 7": "29bb83c36c863d51850de43b8067e71ff3f72b30d36751de7064b0070d07f797",
+    "sweep --msgs broadcast --ratio1 0:4:3/4 --ratio2 1/3:2:1/6 --format table --seed 7": "403e81c0cbbba5fdf101661226c4dbf83eff11c4b42484b42ab7679b8601e2e3",
+    "sweep --msgs broadcast --ratio1 0:4:3/4 --ratio2 1/3:2:1/6 --format json --seed 7": "b44363c8cf398f52c499432092d64ed0d50398f73571e150d532a06f6f793024",
+    "sweep --msgs broadcast --ratio1 0:4:3/4 --ratio2 1/3:2:1/6 --format csv --seed 7": "8d300c06ded2a392ed8c521f9836548fa174dbb5b75c2e3b655d10d24d376253",
     "slope --m 7,6,5 --scheme uni-a --trials 21 --snr 20,30,40 --format json --seed 7": "95d9081129fee2071800f5b25476fb3408c3c5a6fd7352447f6886d413606101",
     "slope --m 4,2,1 --scheme uni-b --trials 21 --snr 20,30,40 --format json --seed 7": "705fa3a0f3c067325ad654758d27458d6324cd285c55a6d66d02f1a449760f4e",
     "slope --m 5,3,2 --scheme bcast --trials 21 --snr 20,30,40 --format json --seed 7": "03ea3e064082bedced07aaf38534cbeddb540debb93e70db0c413ce0a53619a7",

@@ -34,6 +34,14 @@ def test_frac_str():
     assert frac_str(Fraction(16, 3)) == "16/3"
     assert frac_str(Fraction(4)) == "4"
     assert frac_str(Fraction(6, 3)) == "2"
+    assert frac_str(Fraction(-10, 4)) == "-5/2"
+    assert frac_str(-7) == "-7"
+
+    class Labelled(Fraction):
+        def __str__(self):
+            return "labelled"
+
+    assert frac_str(Labelled(2, 4)) == "1/2"  # a subclass renders as the rational it is
 
 
 def test_triple():
