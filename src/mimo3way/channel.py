@@ -105,6 +105,11 @@ class AntennaSplit:
     def rx_of(self, node: int) -> Fraction:
         return self.rx[_check_node(node) - 1]
 
+    def __hash__(self) -> int:  # cached: the memoized scheme plans are keyed on the split
+        return self._hash
+
+    _hash = functools.cached_property(lambda self: hash((self.tx, self.rx)))
+
     @functools.cached_property
     def is_integral(self) -> bool:
         # cached: every draw_channels call asks
@@ -209,18 +214,19 @@ def _draw(split: AntennaSplit, seeds, lead: tuple[int, ...]) -> ChannelSet:
     if sum(tx) + sum(rx) > _DRAW_MAX_ANTENNAS:
         raise InvalidInputError(f"split {split.to_json()} has over {_DRAW_MAX_ANTENNAS} antennas to draw channels for")
     shapes = [(rx[j - 1], tx[i - 1]) for i, j in PAIR_ORDER]
-    n_draw = 2 * sum(r * c for r, c in shapes)
-    z = np.array([generator(seed, CHANNEL_STREAM).standard_normal(n_draw) for seed in seeds]).reshape(lead + (n_draw,))
-    mats = []
-    at = 0
-    for shape in shapes:
-        n = shape[0] * shape[1]
-        re = z[..., at : at + n].reshape(lead + shape)
-        im = z[..., at + n : at + 2 * n].reshape(lead + shape)
-        at += 2 * n
-        h = (re + 1j * im) / _SQRT2
-        h.setflags(write=False)
-        mats.append(h)
+    ends = [0]
+    for r, c in shapes:
+        ends.append(ends[-1] + 2 * r * c)
+    links = list(zip(ends, ends[1:]))  # the draws of link k, real then imaginary parts
+    z = np.array([generator(seed, CHANNEL_STREAM).standard_normal(ends[-1]) for seed in seeds])
+    z = z.reshape(lead + (ends[-1],))
+    # every link's real parts, then every link's imaginary parts, in one array each
+    re = np.concatenate([z[..., a : (a + b) // 2] for a, b in links], axis=-1)
+    im = np.concatenate([z[..., (a + b) // 2 : b] for a, b in links], axis=-1)
+    h = (re + 1j * im) / _SQRT2
+    mats = [h[..., a // 2 : b // 2].reshape(lead + shape) for (a, b), shape in zip(links, shapes)]
+    for mat in mats:
+        mat.setflags(write=False)
     return ChannelSet._drawn(split, tuple(mats))
 
 
@@ -252,12 +258,13 @@ def receive(split: AntennaSplit, channels: ChannelSet, x, noise) -> tuple[np.nda
     return _receive(channels, xs, zs)
 
 
-def _receive(channels: ChannelSet, xs, zs) -> tuple[np.ndarray, ...]:
+def _receive(channels: ChannelSet, xs, zs, nodes=NODES) -> tuple[np.ndarray, ...]:
     """`receive` on trusted signals, each stacked on the trial axes of the
-    links, if they have any."""
+    links, if they have any, at each node of `nodes`, zs[k] the noise at
+    nodes[k]."""
     ys = []
-    for j in NODES:
-        yj = zs[j - 1].astype(np.complex128, copy=True)
+    for j, zj in zip(nodes, zs):
+        yj = zj.astype(np.complex128, copy=True)
         for i in NODES:
             if i != j:
                 yj = yj + channels.h(i, j) @ xs[i - 1]

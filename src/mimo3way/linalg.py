@@ -120,7 +120,7 @@ def generator(seed: int, *stream: int) -> np.random.Generator:
     Distinct `stream` tags (and tag tuples) give statistically independent
     streams; the same (seed, stream) pair always reproduces the same draws.
     """
-    return np.random.default_rng(np.random.SeedSequence(check_seed(seed), spawn_key=tuple(stream)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(check_seed(seed), spawn_key=tuple(stream))))
 
 
 def _draw_dims(rows, cols) -> tuple[int, int]:

@@ -15,17 +15,20 @@ One builder, `build_scheme`, runs one of two constructions:
 A built scheme is the full matrix-level description (precoders per message,
 projectors per message/receiver pair); `verify_scheme` replays a zero-noise
 transmission and checks interference leakage, conditioning, and exact
-decodability, reporting failures instead of raising. It takes every singular
-value its checks read in one batched SVD per matrix shape and dtype.
+decodability, reporting failures instead of raising. What it reads of a
+scheme is planned once per split and message list (`_plan`, one per config
+and tag for built schemes): the pairs, each pair's interferers, the expected
+matrix shapes and the symbol draw; and once per projector width and dtype
+(`_Plan.layout`): the products Q^H H T to form, one batched SVD per matrix
+shape and dtype, and the rows of its singular values that each check reads.
 
 Construction and checks run on a leading trial axis: `rates.estimate_dof`
 passes channels stacked over a block of `rates._BLOCK` trials
 (`channel._draw`), one seed per trial, and gets back precoders and
 projectors stacked the same way, with one QR per precoder, one SVD per null
 space and one batched solve per (message, receiver) pair for the whole
-block. `build_scheme` and
-`verify_scheme` are the one-trial case of the same kernels, and each trial's
-draws and bits are those it gets alone.
+block. `build_scheme` and `verify_scheme` are the one-trial case of
+the same kernels, and each trial's draws and bits are those it gets alone.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .allocation import Regime, canonical_split
-from .channel import AntennaConfig, AntennaSplit, ChannelSet, _receive, check_config
+from .channel import _PAIR_SLOT, PAIR_ORDER, AntennaConfig, AntennaSplit, ChannelSet, _receive, check_config
 from .errors import InternalError, InvalidInputError, RegimeError
-from .linalg import PRECODER_STREAM, SYMBOL_STREAM, _null_basis, _random_orthonormal, complex_gaussian, generator
+from .linalg import _SQRT2, PRECODER_STREAM, SYMBOL_STREAM, _null_basis, _random_orthonormal, generator
 from .rational import frac_str
 
 __all__ = [
@@ -108,6 +111,13 @@ class SchemeInstance:
 
     def claimed_dof(self) -> Fraction:
         return Fraction(sum(m.dim * m.weight for m in self.messages), self.extension_factor)
+
+    @functools.cached_property
+    def _checks(self) -> "_Plan":  # cached: every check and rate asks for the plan
+        try:
+            return _plan(self.split, self.messages)
+        except (TypeError, AttributeError):  # unhashable, or a field of the wrong type
+            raise InvalidInputError(f"scheme messages must be SchemeMessages, got {self.messages!r}") from None
 
 
 _SCHEME_REGIME = {SchemeTag.UNI_A: Regime.BALANCED, SchemeTag.UNI_B: Regime.HUB, SchemeTag.BCAST: Regime.BROADCAST}
@@ -176,16 +186,30 @@ def _build(config: AntennaConfig, tag: SchemeTag, ext: int, channels: ChannelSet
     is (channels.split, ext), with one seed per trial: 2-D links and one
     seed, or links stacked on a leading trial axis and one seed per trial,
     in which case every precoder and projector is stacked on that axis too."""
-    split = channels.split
+    split, messages = channels.split, _messages(channels.split, tag)
     rngs = [generator(seed, PRECODER_STREAM) for seed in seeds]
     pairs = split.integer_pairs()
     if tag is SchemeTag.UNI_A:
         built = _null_space(pairs, channels, rngs)
-    elif tag is SchemeTag.UNI_B:
-        built = _hub(pairs, channels, rngs, "u31", (1,))
     else:
-        built = _hub(pairs, channels, rngs, "u3bc", (1, 2))
-    return SchemeInstance(tag, config, split, ext, *built)
+        built = _hub(pairs, channels, rngs, messages[1].key, messages[1].receivers)
+    return SchemeInstance(tag, config, split, ext, messages, *built)
+
+
+# memoized: schemes built on one split share one message tuple, so their plan
+# lookups compare it by identity
+@functools.lru_cache(maxsize=256)
+def _messages(split: AntennaSplit, tag: SchemeTag) -> tuple[SchemeMessage, ...]:
+    (t1, t2, t3), (_, r2, r3) = split.integer_pairs()
+    if tag is SchemeTag.UNI_A:
+        return (
+            SchemeMessage("u12", 1, (2,), t1 - r3),
+            SchemeMessage("u13", 1, (3,), t1 - r2),
+            SchemeMessage("u23", 2, (3,), t2),
+            SchemeMessage("u32", 3, (2,), t3),
+        )
+    key3, receivers3 = ("u31", (1,)) if tag is SchemeTag.UNI_B else ("u3bc", (1, 2))
+    return SchemeMessage("u21", 2, (1,), t2), SchemeMessage(key3, 3, receivers3, t3)
 
 
 def _null_space(pairs, channels, rngs):
@@ -197,7 +221,7 @@ def _null_space(pairs, channels, rngs):
     complement of H32 T32 and u32 in the complement of H12 T12 (node 3
     mirrors this with its own links).
     """
-    (t1, t2, t3), (_, r2, r3) = pairs
+    (_, t2, t3), _ = pairs
     h12, h13 = channels.h(1, 2), channels.h(1, 3)
     h23, h32 = channels.h(2, 3), channels.h(3, 2)
     lead = h12.shape[:-2]
@@ -214,13 +238,7 @@ def _null_space(pairs, channels, rngs):
         ("u13", 3): _ortho_conj(h23 @ pre["u23"]),
         ("u23", 3): _ortho_conj(h13 @ pre["u13"]),
     }
-    messages = (
-        SchemeMessage("u12", 1, (2,), t1 - r3),
-        SchemeMessage("u13", 1, (3,), t1 - r2),
-        SchemeMessage("u23", 2, (3,), t2),
-        SchemeMessage("u32", 3, (2,), t3),
-    )
-    return messages, pre, proj
+    return pre, proj
 
 
 def _hub(pairs, channels, rngs, key3: str, receivers3: tuple[int, ...]):
@@ -242,11 +260,7 @@ def _hub(pairs, channels, rngs, key3: str, receivers3: tuple[int, ...]):
     }
     if 2 in receivers3:
         proj[(key3, 2)] = np.tile(np.eye(t3, dtype=np.complex128), lead + (1, 1))
-    messages = (
-        SchemeMessage("u21", 2, (1,), t2),
-        SchemeMessage(key3, 3, receivers3, t3),
-    )
-    return messages, pre, proj
+    return pre, proj
 
 
 @dataclass(frozen=True)
@@ -267,7 +281,7 @@ class MessageCheck:
             "receiver": self.receiver,
             "interference_residual": self.interference_residual,
             "condition_ratio": self.condition_ratio,
-            "roundtrip_error": None if np.isnan(self.roundtrip_error) else self.roundtrip_error,
+            "roundtrip_error": None if math.isnan(self.roundtrip_error) else self.roundtrip_error,
             "passed": self.passed,
             "failures": list(self.failures),
         }
@@ -341,8 +355,8 @@ def _scheme_matrix(table, key, rows: int, cols: int | None, what: str, lead: tup
     except (KeyError, TypeError):
         raise InvalidInputError(f"scheme has no {what} for {key!r}") from None
     if isinstance(mat, np.ndarray) and mat.ndim == len(lead) + 2 and mat.dtype.kind in "iufc":
-        *outer, n, k = mat.shape
-        if tuple(outer) == lead and n == rows and (cols is None or k == cols):
+        shape = mat.shape
+        if shape[:-2] == lead and shape[-2] == rows and (cols is None or shape[-1] == cols):
             return mat
     want = f"{lead + (rows, 'any' if cols is None else cols)}"
     got = f"{type(mat).__name__} of shape {getattr(mat, 'shape', None)}, dtype {getattr(mat, 'dtype', None)}"
@@ -356,21 +370,106 @@ def _check_scheme(scheme: SchemeInstance, channels: ChannelSet) -> None:
     _check_channels(scheme.split, channels, scheme.extension_factor)
 
 
-def _check_scheme_matrices(scheme: SchemeInstance, lead: tuple[int, ...] = ()) -> None:
+class _Plan:
+    """What the checks of a scheme read, from its split and messages alone:
+    `shapes` of (is projector, key, rows, columns or None for any, name) in
+    checking order, where message k's precoder (pre_at[k]) and pair p's
+    projector (proj_at[p]) sit in it, the pairs (message index, message,
+    receiver, link slot) in report order with each one's interferers
+    (message index, link slot), and where each message's symbols sit in one
+    normal draw per trial: its real then its imaginary parts, message by
+    message, as `complex_gaussian` draws them."""
+
+    def __init__(self, split: AntennaSplit, messages: tuple[SchemeMessage, ...]):
+        self.split, self.messages = split, messages
+        self.shapes, self.pairs, self.pre_at, self.proj_at, self.spans, re, im = [], [], [], [], [], [], []
+        for k, m in enumerate(messages):
+            self.pre_at.append(len(self.shapes))
+            self.shapes.append((False, m.key, split.tx_of(m.tx).numerator, m.dim, "precoder"))
+            for r in m.receivers:
+                self.proj_at.append(len(self.shapes))
+                self.shapes.append((True, (m.key, r), split.rx_of(r).numerator, None, "projector"))
+                if m.tx == r:
+                    raise InvalidInputError(f"message {m.key!r} is received at its own transmitter, node {r}")
+                self.pairs.append((k, m, r, _PAIR_SLOT[m.tx, r]))
+            at = len(re)
+            self.spans.append((at, at + m.dim))
+            re += range(2 * at, 2 * at + m.dim)
+            im += range(2 * at + m.dim, 2 * at + 2 * m.dim)
+        self.n_draw, self.re, self.im = 2 * len(re), np.array(re, dtype=np.intp), np.array(im, dtype=np.intp)
+        self.leaks = [
+            [(o, _PAIR_SLOT[other.tx, r]) for o, other in enumerate(messages)
+             if other.key != m.key and other.tx != r and other.dim > 0]
+            for _, m, r, _ in self.pairs
+        ]
+        self.receivers = sorted({r for _, _, r, _ in self.pairs})
+
+    @functools.lru_cache(maxsize=256)
+    def layout(self, kinds: tuple):
+        """How `_verify` forms and reads a scheme's matrices when the checked
+        ones have the columns and dtype numbers `kinds`, in turn (a projector
+        may have any width). A matrix is named by its position among the
+        links in PAIR_ORDER, the checked matrices and the products Q^H H T
+        made pair by pair: per pair (Q, ((link, precoders), ...)), one Q^H H
+        per link, G first when it is square, and no empty product. Returns
+        the products; the positions of each (shape, dtype), one batched SVD
+        each, whose largest singular values fill rows 1, 2, ... of a table
+        and whose smallest follow all the largest (row 0 holds zeros, for
+        empty matrices); per pair, the rows of each leak, its link and its
+        precoder; and per pair the rows of G, H, T, Q and of G's smallest
+        singular value and the position of G, or None where G is not
+        square."""
+        tx, rx = self.split.integer_pairs()
+        c128 = np.dtype(np.complex128).num
+        kind = [((rx[j - 1], tx[i - 1]), c128) for i, j in PAIR_ORDER]
+        kind += [((shape[2], cols), num) for shape, cols, num in zip(self.shapes, kinds[::2], kinds[1::2])]
+        pre, products, leaks, anchors = [len(PAIR_ORDER) + at for at in self.pre_at], [], [], []
+        for p, (k, m, r, link) in enumerate(self.pairs):
+            q = len(PAIR_ORDER) + self.proj_at[p]
+            width = kind[q][0][1]
+            square = m.dim > 0 and width == m.dim
+            steps, made = {}, {}
+            for o, lk in ([(k, link)] if square else []) + (self.leaks[p] if width else []):
+                steps.setdefault(lk, []).append(o)
+            for o in [o for os in steps.values() for o in os]:
+                made[o] = len(kind)
+                kind.append(((width, self.messages[o].dim), c128))
+            products.append((q, tuple((lk, tuple(pre[o] for o in os)) for lk, os in steps.items())))
+            leaks.append([(made[o], lk, pre[o]) for o, lk in self.leaks[p] if o in made])
+            anchors.append((made[k], link, pre[k], q) if square else None)
+        groups = {}
+        for pos in [pos for pair in leaks for leak in pair for pos in leak] + [pos for a in anchors if a for pos in a]:
+            if 0 not in kind[pos][0]:
+                groups.setdefault(kind[pos], {})[pos] = None
+        groups = tuple(tuple(members) for members in groups.values())
+        row = {pos: i for i, pos in enumerate((pos for members in groups for pos in members), 1)}
+        leaks = tuple(tuple(tuple(row.get(pos, 0) for pos in leak) for leak in pair) for pair in leaks)
+        anchors = tuple(a and (*(row.get(pos, 0) for pos in a), row[a[0]] + len(row), a[0]) for a in anchors)
+        return tuple(products), groups, leaks, anchors
+
+
+# memoized like _scheme_split: one plan per (config, tag) for built schemes
+@functools.lru_cache(maxsize=256)
+def _plan(split: AntennaSplit, messages: tuple[SchemeMessage, ...]) -> _Plan:
+    return _Plan(split, messages)
+
+
+def _check_scheme_matrices(scheme: SchemeInstance, lead: tuple[int, ...] = ()):
     """Refuse, before any arithmetic, a precoder or projector that is missing,
-    misshapen or not finite. A precoder must be (transmit antennas) x
-    (streams) and a projector needs one row per receive antenna, each behind
-    the trial axes `lead`; finiteness is one check over all of them. A null
-    space of non-generic rank fails here, as a precoder with extra columns."""
-    split, flat = scheme.split, []
-    for m in scheme.messages:
-        pre = _scheme_matrix(scheme.precoders, m.key, split.tx_of(m.tx).numerator, m.dim, "precoder", lead)
-        flat.append(pre.ravel())
-        for r in m.receivers:
-            q = _scheme_matrix(scheme.projectors, (m.key, r), split.rx_of(r).numerator, None, "projector", lead)
-            flat.append(q.ravel())
-    if flat and not np.isfinite(np.concatenate(flat)).all():
+    misshapen or not finite; returns the scheme's plan and the checked
+    matrices in the order of its `shapes`. A precoder must be (transmit
+    antennas) x (streams) and a projector needs one row per receive antenna,
+    each behind the trial axes `lead`; finiteness is one check over all of
+    them. A null space of non-generic rank fails here, as a precoder with
+    extra columns."""
+    plan = scheme._checks
+    mats = [
+        _scheme_matrix(scheme.projectors if proj else scheme.precoders, key, rows, cols, what, lead)
+        for proj, key, rows, cols, what in plan.shapes
+    ]
+    if mats and not np.isfinite(np.concatenate([mat.ravel() for mat in mats])).all():
         raise InvalidInputError("scheme precoders or projectors have non-finite entries")
+    return plan, mats
 
 
 def _trials(scheme: SchemeInstance, channels: ChannelSet, keep: np.ndarray):
@@ -382,29 +481,6 @@ def _trials(scheme: SchemeInstance, channels: ChannelSet, keep: np.ndarray):
         scheme.tag, scheme.config, scheme.split, scheme.extension_factor, scheme.messages, precoders, projectors
     )
     return kept, ChannelSet._drawn(channels.split, tuple(h[keep] for h in channels.matrices))
-
-
-def _singular_values(mats, n: int) -> dict[int, tuple[list[float], list[float]]]:
-    """(smax, smin) of each distinct matrix or stack in `mats`, as lists with
-    one value for each of the n trials (n = 1 for 2-D matrices), keyed by its
-    id, which names it only while the caller keeps it alive. smax is the
-    spectral norm, as `np.linalg.norm(., 2)` computes it, and 0.0 for an
-    empty matrix.
-
-    One batched SVD per (shape, dtype): stacking a real matrix with complex
-    ones would change the LAPACK routine that takes its norm.
-    """
-    sv, groups, zeros = {}, {}, [0.0] * n
-    for mat in mats:
-        k = id(mat)
-        if k not in sv:
-            sv[k] = (zeros, zeros)
-            if mat.size:
-                groups.setdefault((mat.shape, mat.dtype), []).append(mat)
-    for group in groups.values():
-        s = np.linalg.svd(np.array(group), compute_uv=False).reshape(len(group), n, -1)
-        sv.update(zip(map(id, group), zip(s[..., 0].tolist(), s[..., -1].tolist())))
-    return sv
 
 
 _RESIDUAL_TOL, _CONDITION_TOL, _ROUNDTRIP_TOL = 1e-10, 1e-8, 1e-8
@@ -429,21 +505,22 @@ def verify_scheme(
     must be a finite real >= 0, since a NaN or infinite one would pass every
     check. Failures mark the report invalid; nothing raises on a bad
     realization, only on malformed inputs: a missing, misshapen or
-    non-finite precoder or projector. achieved_dof counts the streams of
-    the pairs that passed (per receiver for the broadcast message), so a
-    valid report always has achieved == claimed.
+    non-finite precoder or projector, or one that makes a projected link or
+    the received signal overflow. achieved_dof counts the streams of the
+    pairs that passed (per receiver for the broadcast message), so a valid
+    report always has achieved == claimed.
 
     The checks are those of `_verify` for one trial.
     """
     _check_scheme(scheme, channels)
-    _check_scheme_matrices(scheme)
+    plan, mats = _check_scheme_matrices(scheme)
     tols = {"residual_tol": residual_tol, "condition_tol": condition_tol, "roundtrip_tol": roundtrip_tol}
     for name, tol in tols.items():
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
             raise InvalidInputError(f"{name} must be a finite real >= 0, got {tol!r}")
     checks = []
     passed_streams = 0
-    for m, r, ((worst, cond, rt, fails),) in _verify(scheme, channels, [seed], **tols):
+    for m, r, ((worst, cond, rt, fails),) in _verify(scheme, channels, [seed], plan, mats, **tols):
         if not fails:
             passed_streams += m.dim
         checks.append(MessageCheck(m.key, r, worst, cond, rt, passed=not fails, failures=tuple(fails)))
@@ -460,94 +537,107 @@ def _passed(scheme: SchemeInstance, channels: ChannelSet, seeds) -> np.ndarray:
     """Whether `verify_scheme` at its default tolerances passes each trial of
     a scheme and channels stacked on one trial axis, `seeds[k]` the symbol
     seed of trial k; raises as `verify_scheme` does on malformed matrices."""
-    _check_scheme_matrices(scheme, (len(seeds),))
-    pairs = _verify(scheme, channels, seeds, _RESIDUAL_TOL, _CONDITION_TOL, _ROUNDTRIP_TOL)
+    plan, mats = _check_scheme_matrices(scheme, (len(seeds),))
+    pairs = _verify(scheme, channels, seeds, plan, mats, _RESIDUAL_TOL, _CONDITION_TOL, _ROUNDTRIP_TOL)
     return np.array([not any(trials[k][3] for *_, trials in pairs) for k in range(len(seeds))], dtype=bool)
 
 
-def _verify(scheme, channels, seeds, residual_tol, condition_tol, roundtrip_tol):
+def _verify(scheme, channels, seeds, plan, mats, residual_tol, condition_tol, roundtrip_tol):
     """The checks of `verify_scheme` for one seed per trial: a 2-D scheme and
     channels and one seed, or ones stacked on a leading trial axis and
-    `seeds[k]` the symbol seed of trial k.
+    `seeds[k]` the symbol seed of trial k; `plan` and `mats` as
+    `_check_scheme_matrices` returns them. Returns, per (message, receiver)
+    pair, (message, receiver, trials) with one (worst interference residual,
+    condition ratio, roundtrip error, failures) per trial.
 
-    Returns, per (message, receiver) pair, (message, receiver, trials) with
-    one (worst interference residual, condition ratio, roundtrip error,
-    failures) per trial.
-
-    A first pass collects every matrix whose singular values a check reads:
-    each leak Q^H H' T' with its link and precoder, and each square
-    effective matrix with its anchors H, T and Q. `_singular_values` takes
-    them all in one batched SVD per (shape, dtype), each shared link and
-    precoder once, and the checks read that table. Each pair then makes one
+    The plan's layout says which products Q^H H T to form and where each
+    matrix a check reads goes; a non-finite product or received signal is
+    refused before any SVD. Each (shape, dtype) group takes one batched SVD,
+    each link and precoder once, into one table of singular values per
+    trial, and the checks read it by the layout's rows. Each pair makes one
     batched solve over the trials that passed conditioning, since a batched
     solve raises on any singular member.
     """
+    kinds = tuple(x for mat in mats for x in (mat.shape[-1], mat.dtype.num))
+    products, groups, leak_rows, anchor_rows = plan.layout(kinds)
     n, lead = len(seeds), channels.matrices[0].shape[:-2]
-    rngs = [generator(seed, SYMBOL_STREAM) for seed in seeds]
-    # symbols[key][k] is trial k's (streams, 1) draw
-    symbols = {m.key: np.array([complex_gaussian(rng, m.dim, 1) for rng in rngs]) for m in scheme.messages}
-    tx, rx = scheme.split.integer_pairs()
-    x = [np.zeros(lead + (t, 1), dtype=np.complex128) for t in tx]
-    for m in scheme.messages:
-        if m.dim > 0:
-            x[m.tx - 1] = x[m.tx - 1] + scheme.precoders[m.key] @ symbols[m.key].reshape(lead + (m.dim, 1))
-    y = _receive(channels, x, [np.zeros(lead + (r, 1), dtype=np.complex128) for r in rx])
+    z = np.array([generator(seed, SYMBOL_STREAM).standard_normal(plan.n_draw) for seed in seeds])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (z.take(plan.re, axis=1) + 1j * z.take(plan.im, axis=1)) / _SQRT2
+        symbols = [c[:, a:b, None] for a, b in plan.spans]  # message k: (trials, streams, 1)
+        tx, rx = scheme.split.integer_pairs()
+        x = [np.zeros(lead + (t, 1), dtype=np.complex128) for t in tx]
+        for (k, m), at in zip(enumerate(plan.messages), plan.pre_at):
+            if m.dim > 0:
+                x[m.tx - 1] = x[m.tx - 1] + mats[at] @ symbols[k].reshape(lead + (m.dim, 1))
+        zs = [np.zeros(lead + (rx[r - 1], 1), dtype=np.complex128) for r in plan.receivers]
+        y = dict(zip(plan.receivers, _receive(channels, x, zs, plan.receivers)))
 
-    # pass 1: every matrix a check reads, kept alive in `pairs` and `mats`
-    pairs, mats = [], []
-    for m in scheme.messages:
-        for r in m.receivers:
-            q = scheme.projectors[(m.key, r)]
-            g, leaks = _pair_matrices(scheme, channels, m, r, q)
-            leaks = [(leak, channels.h(other.tx, r), scheme.precoders[other.key]) for other, leak in leaks]
-            mats += [mat for leak in leaks for mat in leak]
-            anchors = None
-            if m.dim > 0 and g.shape[-2] == g.shape[-1]:
-                anchors = (channels.h(m.tx, r), scheme.precoders[m.key], q)
-                mats += [g, *anchors]
-            pairs.append((m, r, g, leaks, anchors))
-    sv = _singular_values(mats, n)
+        # the Q^H H T of `_pair_matrices`, each Q^H H once
+        found, qhs = [*channels.matrices, *mats], []
+        for q, steps in products:
+            qhs.append(found[q].conj().mT)
+            for link, pres in steps:
+                qh_h = qhs[-1] @ found[link]
+                found += [qh_h @ found[t] for t in pres]
+        made = [mat.ravel() for mat in found[len(PAIR_ORDER) + len(mats) :]] + [yr.ravel() for yr in y.values()]
+        if made and not np.isfinite(np.concatenate(made)).all():
+            raise InvalidInputError("a projected link or received signal overflows float64")
+        smax, smin = [np.zeros((1, n))], []  # row 0: empty matrices
+        for members in groups:
+            stack = np.array([found[pos] for pos in members]) if len(members) > 1 else found[members[0]][None]
+            s = np.linalg.svd(stack, compute_uv=False)
+            s = s.reshape(len(members), n, -1)
+            smax.append(s[..., 0])
+            smin.append(s[..., -1])
+        sv = np.concatenate(smax + smin).tolist()
 
-    # pass 2: the checks, trial by trial on the table
-    results = []
-    for m, r, g, leaks, anchors in pairs:
-        trials, decode = [], []
-        for k in range(n):
-            fails = []
-            worst = 0.0
-            for leak, h, t in leaks:
-                denom = sv[id(h)][0][k] * sv[id(t)][0][k]
-                if denom > 0:
-                    worst = max(worst, sv[id(leak)][0][k] / denom)
-            if worst > residual_tol:
-                fails.append("interference")
-
-            cond = 0.0
-            if m.dim > 0 and anchors is None:
-                fails.append("effective-matrix-not-square")
-            elif anchors is not None:
-                h, t, q = anchors
-                gmax, gmin = sv[id(g)][0][k], sv[id(g)][1][k]
-                # scale anchors the test: a numerically zero G has a
-                # perfect smin/smax ratio but has still lost rank
-                scale = sv[id(h)][0][k] * sv[id(t)][0][k] * sv[id(q)][0][k]
-                cond = gmin / gmax if gmax > 0 else 0.0
-                if gmax <= condition_tol * scale:
-                    fails.append("rank-deficient")
-                elif gmin <= condition_tol * gmax:
-                    fails.append("ill-conditioned")
+        results = []
+        for (k, m, r, _), qh, leaks, anchors in zip(plan.pairs, qhs, leak_rows, anchor_rows):
+            trials, decode = [], []
+            for j in range(n):
+                fails = []
+                worst = 0.0  # a NaN ratio leaves it as it is
+                for leak, link, pre in leaks:
+                    denom = sv[link][j] * sv[pre][j]
+                    if denom > 0:
+                        worst = max(worst, sv[leak][j] / denom)
+                if worst > residual_tol:
+                    fails.append("interference")
+                cond = 0.0
+                if anchors is None:
+                    if m.dim > 0:
+                        fails.append("effective-matrix-not-square")
                 else:
-                    decode.append(k)
-            trials.append([worst, cond, math.nan, fails])
+                    # scale anchors the test: a numerically zero G has a
+                    # perfect smin/smax ratio but has still lost rank; a NaN
+                    # fails both tests
+                    g, h, t, q, low, _ = anchors
+                    gmax, gmin = sv[g][j], sv[low][j]
+                    cond = gmin / gmax if gmax > 0 else 0.0
+                    if not gmax > condition_tol * (sv[h][j] * sv[t][j] * sv[q][j]):
+                        fails.append("rank-deficient")
+                    elif not gmin > condition_tol * gmax:
+                        fails.append("ill-conditioned")
+                    else:
+                        decode.append(j)
+                trials.append([worst, cond, math.nan, fails])
 
-        if decode:
-            qy, sent = anchors[2].conj().mT @ y[r - 1], symbols[m.key]
-            if len(decode) < n:  # a stack: keep the trials that passed
-                g, qy, sent = g[decode], qy[decode], sent[decode]
-            decoded = np.linalg.solve(g, qy).reshape(sent.shape)
-            for k, d, u in zip(decode, decoded, sent):
-                rt = trials[k][2] = float(np.linalg.norm(d - u) / np.linalg.norm(u))
-                if rt > roundtrip_tol:
-                    trials[k][3].append("roundtrip")
-        results.append((m, r, trials))
+            if decode:
+                g, qy, sent = found[anchors[5]], qh @ y[r], symbols[k]
+                if len(decode) < n:  # a stack: keep the trials that passed
+                    g, qy, sent = g[decode], qy[decode], sent[decode]
+                decoded = np.linalg.solve(g, qy).reshape(sent.shape)
+                for j, d, u in zip(decode, decoded, sent):
+                    rt = trials[j][2] = float(_norm(d - u) / _norm(u))
+                    if not rt <= roundtrip_tol:
+                        trials[j][3].append("roundtrip")
+            results.append((m, r, trials))
     return results
+
+
+def _norm(v: np.ndarray) -> np.float64:
+    """`np.linalg.norm(v)` of a complex array, bit for bit: the same dot
+    products of its real and imaginary parts, without the argument handling."""
+    v = v.ravel()
+    return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))

@@ -14,6 +14,7 @@ from mimo3way import (
     InvalidInputError,
     PAIR_ORDER,
     RegimeError,
+    SchemeMessage,
     SchemeTag,
     build_scheme,
     draw_channels,
@@ -24,6 +25,8 @@ from mimo3way import (
     scheme_split,
     verify_scheme,
 )
+from mimo3way import channel as channel_mod
+from mimo3way import schemes as schemes_mod
 from mimo3way.linalg import SYMBOL_STREAM, complex_gaussian, generator, random_orthonormal
 
 
@@ -434,3 +437,98 @@ def test_message_lookup():
     assert s.message("u12").receivers == (2,)
     with pytest.raises(InvalidInputError):
         s.message("u99")
+
+
+def _huge(m, tag, key, seed=1):
+    # links and one precoder scaled by 1e300: the received signal overflows
+    cfg = AntennaConfig(*m)
+    split, _ = scheme_split(cfg, tag)
+    ch = ChannelSet(split, tuple(h * 1e300 for h in draw_channels(split, seed).matrices))
+    s = build_scheme(cfg, tag, ch, seed)
+    return ch, replace(s, precoders={**s.precoders, key: s.precoders[key] * 1e300})
+
+
+@pytest.mark.parametrize("key", ["u23", "u12"])
+def test_verify_refuses_an_overflowing_received_signal(key):
+    # u23 made a report valid with G(u23@3) = [[inf+nanj]] and NaN roundtrips;
+    # u12 made a LinAlgError escape from the SVD
+    ch, s = _huge((3, 3, 3), SchemeTag.UNI_A, key)
+    with pytest.raises(InvalidInputError, match="overflows float64"):
+        verify_scheme(s, ch, seed=1)
+
+
+def test_plan_caches_stay_within_their_bounds():
+    split, _ = scheme_split(AntennaConfig(3, 3, 3), SchemeTag.UNI_A)
+    for i in range(schemes_mod._plan.cache_info().maxsize + 10):
+        plan = schemes_mod._plan(split, (SchemeMessage(f"m{i}", 1, (2,), 0),))
+        plan.layout((0, np.dtype(complex).num, 0, np.dtype(complex).num))
+    for cache in (schemes_mod._plan, schemes_mod._Plan.layout):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize
+
+
+@pytest.mark.parametrize(
+    "m, tag, edit",
+    [
+        ((3, 3, 3), SchemeTag.UNI_A, "reversed"),
+        ((4, 2, 1), SchemeTag.UNI_B, "reversed"),
+        ((5, 3, 2), SchemeTag.BCAST, "reversed"),
+        ((5, 3, 2), SchemeTag.BCAST, "one receiver"),
+        ((5, 3, 2), SchemeTag.BCAST, "wide projector"),
+    ],
+)
+def test_hand_edited_scheme_gets_its_own_plan(m, tag, edit):
+    _, _, _, ch, s = _built(m, tag, seed=4)
+    verify_scheme(s, ch, seed=4)
+    if edit == "reversed":
+        edited = replace(s, messages=s.messages[::-1])
+    elif edit == "one receiver":
+        edited = replace(s, messages=(s.messages[0], replace(s.messages[1], receivers=(1,))))
+    else:  # a projector with an extra column: its pair's G is not square
+        q = s.projectors[("u3bc", 1)]
+        edited = replace(s, projectors={**s.projectors, ("u3bc", 1): np.hstack([q, q[:, :1]])})
+    plans, layouts = schemes_mod._plan.cache_info().misses, schemes_mod._Plan.layout.cache_info().misses
+    rep = verify_scheme(edited, ch, seed=4)
+    # a new message list is a new plan; a new projector width only a new layout
+    new_plan = edit != "wide projector"
+    assert (schemes_mod._check_scheme_matrices(edited)[0] is not schemes_mod._check_scheme_matrices(s)[0]) is new_plan
+    assert schemes_mod._plan.cache_info().misses == plans + new_plan
+    assert schemes_mod._Plan.layout.cache_info().misses == layouts + 1
+    assert rep.valid is new_plan
+    checks, failures, achieved = _verify_ref(edited, ch, 4)
+    assert rep.failures == tuple(failures) and rep.achieved_dof == achieved
+    assert len(rep.checks) == len(checks)
+    for got, want in zip(rep.checks, checks):
+        fields = (got.message, got.receiver, got.interference_residual, got.condition_ratio,
+                  got.roundtrip_error, got.passed, got.failures)
+        for a, b in zip(fields, want):
+            assert a == b or (a != a and b != b), (got, want)
+
+
+@pytest.mark.parametrize(
+    "m, tag", [((3, 3, 3), SchemeTag.UNI_A), ((5, 3, 2), SchemeTag.BCAST), ((4, 2, 1), SchemeTag.UNI_B)]
+)
+def test_passed_on_a_mixed_block_equals_verify_per_trial(m, tag):
+    cfg = AntennaConfig(*m)
+    split, ext = scheme_split(cfg, tag)
+    seeds = [11, 12, 13, 14, 15]
+    ch = channel_mod._draw(split, seeds, (len(seeds),))
+    s = schemes_mod._build(cfg, tag, ext, ch, seeds)
+    rng = generator(0)
+    projectors = {}
+    for key, q in s.projectors.items():  # knock out trials 1 and 3
+        q = q.copy()
+        for k in (1, 3):
+            q[k] = random_orthonormal(rng, *q.shape[1:])
+        projectors[key] = q
+    s = replace(s, projectors=projectors)
+    got = schemes_mod._passed(s, ch, seeds)
+    want = []
+    for k, seed in enumerate(seeds):
+        trial = replace(
+            s,
+            precoders={key: t[k] for key, t in s.precoders.items()},
+            projectors={key: q[k] for key, q in s.projectors.items()},
+        )
+        want.append(verify_scheme(trial, ChannelSet._drawn(split, tuple(h[k] for h in ch.matrices)), seed=seed).valid)
+    assert got.tolist() == want == [True, False, True, False, True]
