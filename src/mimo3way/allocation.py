@@ -30,8 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import GENIE_TERMS, cutset_bound_broadcast, genie_bound_unicast, genie_totals
-from .channel import AntennaConfig, AntennaSplit, check_config
-from .errors import InternalError, InvalidInputError, RegimeError
+from .channel import AntennaConfig, AntennaSplit, _ordered
+from .errors import InternalError, InvalidInputError, RegimeError, instance, integer
 from .lp import DualityStatus, LinearProgram, _phase1, _phase2, _Unbounded, verify_duality
 from .rational import _rationals, frac, frac_str
 
@@ -100,7 +100,7 @@ class TransmitSumBand:
     high: Fraction
 
     def contains(self, config: AntennaConfig, tx) -> bool:
-        check_config(config)
+        instance(config, AntennaConfig)
         tx = _rationals(tx, "tx must be a sequence of rationals")
         if len(tx) != 3 or any(t < 0 for t in tx):
             return False
@@ -136,13 +136,6 @@ class AllocationResult:
         }
 
 
-def _ordered(m1, m2, m3) -> tuple[Fraction, Fraction, Fraction]:
-    m1, m2, m3 = frac(m1), frac(m2), frac(m3)
-    if not (m1 >= m2 >= m3 >= 0):
-        raise InvalidInputError(f"antenna counts must satisfy m1 >= m2 >= m3 >= 0, got ({m1}, {m2}, {m3})")
-    return m1, m2, m3
-
-
 def _unicast_thrice(m1, m2, m3):
     """3 x the optimal unicast sum-DoF; the first term wins iff m1 <= m2+m3.
     Homogeneous of degree 1, so the ratio sweep runs it on integer numerators."""
@@ -156,20 +149,19 @@ def _broadcast_thrice(m1, m2, m3):
 
 def unicast_optimal_value(m1, m2, m3) -> Fraction:
     """Optimal unicast sum-DoF; works for rational totals."""
-    return _unicast_thrice(*_ordered(m1, m2, m3)) / 3
+    return _unicast_thrice(*_ordered(frac(m1), frac(m2), frac(m3))) / 3
 
 
 def broadcast_optimal_value(m1, m2, m3) -> Fraction:
     """Optimal weighted sum-DoF with the node-3 broadcast message: m2+m3."""
-    return _broadcast_thrice(*_ordered(m1, m2, m3)) / 3
+    return _broadcast_thrice(*_ordered(frac(m1), frac(m2), frac(m3))) / 3
 
 
 def holds(regime: Regime, config: AntennaConfig) -> bool:
     """Whether `config` lies in `regime`; at m1 = m2+m3 both unicast regimes
     hold, and the broadcast regime holds everywhere."""
-    check_config(config)
-    if not isinstance(regime, Regime):
-        raise InvalidInputError(f"expected a Regime, got {type(regime).__name__}")
+    instance(config, AntennaConfig)
+    instance(regime, Regime)
     if regime is Regime.BALANCED:
         return config.m1 <= config.m2 + config.m3
     if regime is Regime.HUB:
@@ -206,7 +198,7 @@ def _unicast_regime(config: AntennaConfig) -> Regime:
 
 def optimal_unicast_closed_form(config: AntennaConfig) -> AllocationResult:
     """Unicast optimum by formula, with the canonical optimal split."""
-    check_config(config)
+    instance(config, AntennaConfig)
     value = unicast_optimal_value(*config.totals)
     regime = _unicast_regime(config)
     split = canonical_split(config, regime)
@@ -266,7 +258,7 @@ def _rhs(forms, config: AntennaConfig) -> list[int]:
 def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearProgram:
     """LP for one sign pattern of the genie objective: `_genie_rows` at the
     config, over the variables (dof, rx1, rx2, rx3)."""
-    check_config(config)
+    instance(config, AntennaConfig)
     if not isinstance(bits, (tuple, list)) or len(bits) != len(_MAX_TERMS) or not all(type(b) is bool for b in bits):
         raise InvalidInputError(f"expected {len(_MAX_TERMS)} pattern bits (True or False), got {bits!r}")
     a, forms, labels = _genie_rows(bits)
@@ -355,10 +347,8 @@ def optimal_unicast_bruteforce(config: AntennaConfig, denominator: int = 3) -> A
     Grids over BRUTEFORCE_MAX_CELLS cells are refused with InvalidInputError
     before anything is allocated.
     """
-    if not isinstance(denominator, int) or isinstance(denominator, bool) or denominator < 1:
-        raise InvalidInputError(f"denominator must be a positive integer, got {denominator!r}")
-    check_config(config)
-    n = denominator
+    n = integer(denominator, "denominator", 1)
+    instance(config, AntennaConfig)
     scaled = tuple(n * m for m in config.totals)
     cells = math.prod(s + 1 for s in scaled)
     if cells > BRUTEFORCE_MAX_CELLS:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .channel import AntennaSplit
-from .errors import InvalidInputError
+from .errors import InvalidInputError, instance
 from .rational import frac, frac_str
 
 __all__ = [
@@ -71,10 +71,7 @@ class BoundReport:
 
 
 def _split_counts(split: AntennaSplit):
-    if not isinstance(split, AntennaSplit):
-        raise InvalidInputError(f"expected an AntennaSplit, got {type(split).__name__}")
-    (t1, t2, t3), (r1, r2, r3) = split.tx, split.rx
-    return t1, t2, t3, r1, r2, r3
+    return *instance(split, AntennaSplit).tx, *split.rx
 
 
 def _report(partials, totals, family: str) -> BoundReport:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, instance, integer
 from .linalg import _SQRT2, CHANNEL_STREAM, as_matrix, generator
 from .rational import denominator_lcm, frac, frac_str, triple
 
@@ -23,7 +23,6 @@ __all__ = [
     "PAIR_ORDER",
     "AntennaConfig",
     "AntennaSplit",
-    "check_config",
     "ChannelSet",
     "draw_channels",
     "receive",
@@ -43,9 +42,7 @@ _DRAW_MAX_ANTENNAS = 2000
 
 
 def _check_node(node: int) -> int:
-    if node not in NODES:
-        raise InvalidInputError(f"node index must be 1, 2, or 3, got {node}")
-    return node
+    return integer(node, "node index", 1, len(NODES))
 
 
 @dataclass(frozen=True)
@@ -57,13 +54,9 @@ class AntennaConfig:
     m3: int
 
     def __post_init__(self):
-        for name, m in zip(("m1", "m2", "m3"), (self.m1, self.m2, self.m3)):
-            if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-                raise InvalidInputError(f"{name} must be a nonnegative integer, got {m!r}")
-        if not (self.m1 >= self.m2 >= self.m3):
-            raise InvalidInputError(
-                f"antenna counts must satisfy m1 >= m2 >= m3, got ({self.m1}, {self.m2}, {self.m3})"
-            )
+        for name in ("m1", "m2", "m3"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
+        _ordered(*self.totals)
 
     @property
     def totals(self) -> tuple[int, int, int]:
@@ -73,10 +66,11 @@ class AntennaConfig:
         return {"m": [self.m1, self.m2, self.m3]}
 
 
-def check_config(config) -> None:
-    """Refuse anything but an AntennaConfig (a bare tuple, say) up front."""
-    if not isinstance(config, AntennaConfig):
-        raise InvalidInputError(f"expected an AntennaConfig, got {type(config).__name__}")
+def _ordered(m1, m2, m3):
+    """The ordering rule of antenna totals, integer or rational."""
+    if not m1 >= m2 >= m3 >= 0:
+        raise InvalidInputError(f"antenna counts must satisfy m1 >= m2 >= m3 >= 0, got ({m1}, {m2}, {m3})")
+    return m1, m2, m3
 
 
 @dataclass(frozen=True)
@@ -110,9 +104,8 @@ class AntennaSplit:
 
     _hash = functools.cached_property(lambda self: hash((self.tx, self.rx)))
 
-    @functools.cached_property
+    @property
     def is_integral(self) -> bool:
-        # cached: every draw_channels call asks
         return all(v.denominator == 1 for v in self.tx + self.rx)
 
     @property
@@ -129,14 +122,11 @@ class AntennaSplit:
 
     @functools.cached_property
     def _integer_pairs(self):
-        # cached: draw, build, receive and verify each ask for them per call
+        # cached: draw, build, receive and verify each ask for them per call;
+        # the one home of the rule that channels need an integer split
         if not self.is_integral:
-            raise InvalidInputError(f"split is fractional: tx={self.tx}, rx={self.rx}")
+            raise InvalidInputError(f"split {self.to_json()} is fractional")
         return tuple(int(v) for v in self.tx), tuple(int(v) for v in self.rx)
-
-    def swapped(self) -> "AntennaSplit":
-        """Exchange transmit and receive roles at every node."""
-        return AntennaSplit(self.rx, self.tx)
 
     def to_json(self) -> dict:
         return {"mt": [frac_str(v) for v in self.tx], "mr": [frac_str(v) for v in self.rx]}
@@ -154,14 +144,13 @@ class ChannelSet:
     matrices: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.split, AntennaSplit) or not self.split.is_integral:
-            raise InvalidInputError("channels require an integer AntennaSplit")
+        tx, rx = instance(self.split, AntennaSplit).integer_pairs()
         if not isinstance(self.matrices, (tuple, list)) or len(self.matrices) != len(PAIR_ORDER):
             raise InvalidInputError(f"expected a tuple or list of {len(PAIR_ORDER)} matrices")
         mats = []
         for (i, j), h in zip(PAIR_ORDER, self.matrices):
             h = as_matrix(h, name=f"H_{i}{j}")
-            want = (int(self.split.rx_of(j)), int(self.split.tx_of(i)))
+            want = (rx[j - 1], tx[i - 1])
             if h.shape != want:
                 raise InvalidInputError(f"H_{i}{j} must have shape {want}, got {h.shape}")
             h = h.copy()
@@ -199,11 +188,7 @@ def draw_channels(split: AntennaSplit, seed: int) -> ChannelSet:
     `complex_gaussian` would draw them link by link; the same (split, seed)
     pair always reproduces the same ChannelSet.
     """
-    if not isinstance(split, AntennaSplit):
-        raise InvalidInputError(f"split must be an AntennaSplit, got {type(split).__name__}")
-    if not split.is_integral:
-        raise InvalidInputError(f"cannot draw channels for fractional split {split.to_json()}")
-    return _draw(split, [seed], ())
+    return _draw(instance(split, AntennaSplit), [seed], ())
 
 
 def _draw(split: AntennaSplit, seeds, lead: tuple[int, ...]) -> ChannelSet:
@@ -237,7 +222,7 @@ def receive(split: AntennaSplit, channels: ChannelSet, x, noise) -> tuple[np.nda
     with tx_i rows and z_j one with rx_j rows, all with the same number of
     columns. Full-duplex self-interference is absent by model.
     """
-    if not (isinstance(split, AntennaSplit) and isinstance(channels, ChannelSet) and channels.split == split):
+    if instance(channels, ChannelSet).split != instance(split, AntennaSplit):
         raise InvalidInputError("channels must be a ChannelSet drawn for this AntennaSplit")
     if not (isinstance(x, (tuple, list)) and isinstance(noise, (tuple, list)) and len(x) == len(noise) == 3):
         raise InvalidInputError("x and noise must each be a list or tuple of one matrix per node")

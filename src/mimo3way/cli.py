@@ -29,7 +29,7 @@ from .allocation import (
 )
 from .bounds import cutset_bound_broadcast, cutset_bound_unicast, genie_bound_unicast
 from .channel import AntennaConfig, AntennaSplit, draw_channels
-from .errors import InternalError, InvalidInputError
+from .errors import InternalError, InvalidInputError, real
 from .rational import denominator_lcm, frac, frac_str
 from .rates import estimate_dof
 from .schemes import SchemeTag, build_scheme, scheme_split, verify_scheme
@@ -283,8 +283,7 @@ def _cmd_slope(args) -> int:
     tag = _scheme_tag(args.scheme)
     snr = _parse_finite_floats(args.snr, "snr")
     # verify_scheme's tolerance rule: an infinite --tol would pass any slope
-    if not 0 <= args.tol < math.inf:
-        raise InvalidInputError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+    real(args.tol, "--tol", 0, noun="number")
     est = estimate_dof(config, tag, snr, trials=args.trials, seed=args.seed, fit=args.fit)
 
     if args.format == "json":

@@ -15,11 +15,9 @@ batched LAPACK call; each matrix of a stack gets the bits it would alone.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, integer
 
 __all__ = [
     "as_matrix",
@@ -109,9 +107,7 @@ def pseudo_inverse(a) -> np.ndarray:
 def check_seed(seed) -> int:
     """The package's one seed rule: a nonnegative integer, never a bool or a
     float (1.0 and 1.5 alike), returned as a plain int."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
+    return integer(seed, "seed")
 
 
 def generator(seed: int, *stream: int) -> np.random.Generator:
@@ -126,12 +122,9 @@ def generator(seed: int, *stream: int) -> np.random.Generator:
 def _draw_dims(rows, cols) -> tuple[int, int]:
     """Matrix dimensions as ints: refused unless they are integers >= 0 with
     at most _MAX_DRAW_ENTRIES entries in all."""
-    try:
-        rows, cols = operator.index(rows), operator.index(cols)
-    except TypeError:
-        raise InvalidInputError(f"matrix dimensions must be integers, got {rows!r} x {cols!r}") from None
-    if not (0 <= rows <= _MAX_DRAW_ENTRIES and 0 <= cols <= _MAX_DRAW_ENTRIES) or rows * cols > _MAX_DRAW_ENTRIES:
-        raise InvalidInputError(f"dimensions must be >= 0, {_MAX_DRAW_ENTRIES} entries at most, got {rows}x{cols}")
+    rows, cols = integer(rows, "rows", 0, _MAX_DRAW_ENTRIES), integer(cols, "cols", 0, _MAX_DRAW_ENTRIES)
+    if rows * cols > _MAX_DRAW_ENTRIES:
+        raise InvalidInputError(f"a {rows}x{cols} draw has over {_MAX_DRAW_ENTRIES} entries")
     return rows, cols
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, instance
 from .rational import _rationals, frac, frac_str
 
 __all__ = [
@@ -137,7 +137,7 @@ def verify_duality(lp: LinearProgram, v, lam) -> DualityCertificate:
     Optimal iff v is feasible, lam is dual feasible (lam >= 0, A'lam = -c),
     and the gap c.v + b.lam is exactly zero.
     """
-    _check_program(lp)
+    instance(lp, LinearProgram)
     v = _rationals(v, "v must be a sequence of rationals")
     lam = _rationals(lam, "lam must be a sequence of rationals")
     if len(v) != lp.n_variables:
@@ -168,11 +168,6 @@ def verify_duality(lp: LinearProgram, v, lam) -> DualityCertificate:
     if gap != 0:
         return DualityCertificate(DualityStatus.NONZERO_GAP, gap)
     return DualityCertificate(DualityStatus.OPTIMAL, gap)
-
-
-def _check_program(lp) -> None:
-    if not isinstance(lp, LinearProgram):
-        raise InvalidInputError(f"expected a LinearProgram, got {type(lp).__name__}")
 
 
 class _Unbounded(Exception):
@@ -326,7 +321,7 @@ def _phase2(start: _Tableau, cost):
 def solve_inequality_min(lp: LinearProgram) -> LPSolution | None:
     """Solve min c.v s.t. Av <= b exactly; None when the program has no
     finite optimum certified by a dual solution (infeasible or unbounded)."""
-    _check_program(lp)
+    instance(lp, LinearProgram)
     m, n = lp.n_constraints, lp.n_variables
     if n == 0:
         raise InvalidInputError("program has no variables")

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .channel import AntennaConfig, AntennaSplit, ChannelSet, _draw
-from .errors import InternalError, InvalidInputError
+from .errors import InternalError, InvalidInputError, integer, real
 from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, check_seed, generator, random_orthonormal
 from .rational import frac_str
 from .schemes import SchemeInstance, SchemeTag, _build, _check_scheme, _check_scheme_matrices, _pair_matrices, _passed
@@ -77,17 +76,6 @@ def _log2det(grams: np.ndarray, snrs: np.ndarray) -> np.ndarray:
     return logdet / _LN2
 
 
-def _real(x, name: str) -> float:
-    """An SNR as a float; refuses a non-real (a string, a list, None) or one
-    too large for a float."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise InvalidInputError(f"{name} must be a real number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:
-        raise InvalidInputError(f"{name} {x!r} is too large for a float") from None
-
-
 def _stream_rho(scheme: SchemeInstance, snr_linear: float | np.ndarray) -> dict[str, float | np.ndarray]:
     """Per-stream power: each node splits its budget over its own streams."""
     rho = {}
@@ -131,7 +119,7 @@ def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray
 def sum_rate(scheme: SchemeInstance, channels: ChannelSet, snr_linear: float) -> float:
     """Zero-forcing sum rate in bits per channel use at one SNR (the grid
     kernel `_sum_rates` on a one-point grid)."""
-    snr_linear = _real(snr_linear, "snr_linear")
+    snr_linear = real(snr_linear, "snr_linear")
     _check_scheme(scheme, channels)
     _check_scheme_matrices(scheme)
     return float(_sum_rates(scheme, channels, [snr_linear])[0])
@@ -163,7 +151,7 @@ def ablated_sum_rate(
     only on `seed` and the projector shapes (not on the SNR, the channels or
     the scheme's own matrices), so they are drawn once per (seed, shapes).
     """
-    snr_linear = _real(snr_linear, "snr_linear")
+    snr_linear = real(snr_linear, "snr_linear")
     _check_scheme(scheme, channels)
     _check_scheme_matrices(scheme)
     if not (snr_linear > 0):
@@ -255,15 +243,14 @@ def estimate_dof(
     stacked blocks of _BLOCK, with the results of a trial-by-trial loop.
     """
     try:
-        grid = tuple(_real(s, "snr grid point") for s in snr_grid_db)
+        grid = tuple(real(s, "snr grid point") for s in snr_grid_db)
     except TypeError:  # not iterable
         raise InvalidInputError(f"snr grid must be a sequence of real dB values, got {snr_grid_db!r}") from None
     if len(grid) < 2:
         raise InvalidInputError("snr grid needs at least two points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError(f"snr grid must be strictly increasing, got {grid}")
-    if not isinstance(trials, int) or isinstance(trials, bool) or not 1 <= trials <= _MAX_TRIALS:
-        raise InvalidInputError(f"trials must be an integer in [1, {_MAX_TRIALS}], got {trials!r}")
+    trials = integer(trials, "trials", 1, _MAX_TRIALS)
     if fit not in ("two-point", "lsq-top-half"):
         raise InvalidInputError(f"fit must be 'two-point' or 'lsq-top-half', got {fit!r}")
     seed = check_seed(seed)

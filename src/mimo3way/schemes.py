@@ -36,7 +36,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -44,8 +43,8 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .allocation import Regime, canonical_split
-from .channel import _PAIR_SLOT, PAIR_ORDER, AntennaConfig, AntennaSplit, ChannelSet, _receive, check_config
-from .errors import InternalError, InvalidInputError, RegimeError
+from .channel import _PAIR_SLOT, PAIR_ORDER, AntennaConfig, AntennaSplit, ChannelSet, _receive
+from .errors import InternalError, InvalidInputError, RegimeError, instance, integer, real
 from .linalg import _SQRT2, PRECODER_STREAM, SYMBOL_STREAM, _null_basis, _random_orthonormal, generator
 from .rational import frac_str
 
@@ -99,12 +98,6 @@ class SchemeInstance:
     precoders: Mapping[str, np.ndarray] = field(repr=False)
     projectors: Mapping[tuple[str, int], np.ndarray] = field(repr=False)
 
-    def message(self, key: str) -> SchemeMessage:
-        for m in self.messages:
-            if m.key == key:
-                return m
-        raise InvalidInputError(f"no message {key!r} in scheme {self.tag.value}")
-
     def tx_streams(self, node: int) -> int:
         """Total streams transmitted by `node` (extended system)."""
         return sum(m.dim for m in self.messages if m.tx == node)
@@ -130,10 +123,8 @@ def scheme_split(config: AntennaConfig, tag: SchemeTag) -> tuple[AntennaSplit, i
     scaled by the extension factor (1 when the split is already integral,
     else 3): channels must be drawn at exactly this split.
     """
-    check_config(config)
-    if not isinstance(tag, SchemeTag):
-        raise InvalidInputError(f"expected a SchemeTag, got {type(tag).__name__}")
-    return _scheme_split(config, tag)
+    instance(config, AntennaConfig)
+    return _scheme_split(config, instance(tag, SchemeTag))
 
 
 # memoized: each builder asks again for the split its caller drew channels at
@@ -155,9 +146,7 @@ def _scheme_split(config: AntennaConfig, tag: SchemeTag) -> tuple[AntennaSplit, 
 
 
 def _check_channels(split: AntennaSplit, channels: ChannelSet, ext: int) -> None:
-    if not isinstance(channels, ChannelSet):
-        raise InvalidInputError(f"expected a ChannelSet, got {type(channels).__name__}")
-    if channels.split is not split and channels.split != split:
+    if instance(channels, ChannelSet).split is not split and channels.split != split:
         raise InvalidInputError(
             f"channels drawn for split {channels.split.to_json()} but the scheme needs "
             f"{split.to_json()} (extension factor {ext}); draw channels at the extended split"
@@ -324,7 +313,8 @@ def pair_matrices(
     _check_scheme_matrices(scheme)
     if not (isinstance(m, SchemeMessage) and m in scheme.messages):
         raise InvalidInputError(f"expected a SchemeMessage of scheme {scheme.tag.value}, got {m!r}")
-    if not (isinstance(r, int) and r in m.receivers):
+    r = integer(r, "receiver", 1, 3)
+    if r not in m.receivers:
         raise InvalidInputError(f"receiver must be one of {m.receivers} for message {m.key}, got {r!r}")
     if q is not None:
         q = _scheme_matrix({(m.key, r): q}, (m.key, r), scheme.split.rx_of(r).numerator, None, "projector")
@@ -339,35 +329,38 @@ def _pair_matrices(scheme, channels, m, r, q=None):
     qh = q.conj().mT
 
     def leaks():
-        for other in scheme.messages:
-            if other.key == m.key or other.tx == r or other.dim == 0:
-                continue
-            yield other, qh @ channels.h(other.tx, r) @ scheme.precoders[other.key]
+        for o, link in scheme._checks.leaks[m.key, r]:
+            other = scheme.messages[o]
+            yield other, qh @ channels.matrices[link] @ scheme.precoders[other.key]
 
     return qh @ channels.h(m.tx, r) @ scheme.precoders[m.key], leaks()
 
 
+# the dtypes numpy.linalg takes: integers (as float64), single and double
+# precision; it refuses float16 and long double
+_LINALG_TYPES = np.typecodes["AllInteger"] + "fdFD"
+
+
 def _scheme_matrix(table, key, rows: int, cols: int | None, what: str, lead: tuple[int, ...] = ()) -> np.ndarray:
-    """table[key], refused unless it is a numeric array of shape
-    lead + (rows, cols), any number of columns when `cols` is None."""
+    """table[key], refused unless it is an array of shape lead + (rows,
+    cols), any number of columns when `cols` is None, of a dtype in
+    _LINALG_TYPES."""
     try:
         mat = table[key]
     except (KeyError, TypeError):
         raise InvalidInputError(f"scheme has no {what} for {key!r}") from None
-    if isinstance(mat, np.ndarray) and mat.ndim == len(lead) + 2 and mat.dtype.kind in "iufc":
+    if isinstance(mat, np.ndarray) and mat.ndim == len(lead) + 2 and mat.dtype.char in _LINALG_TYPES:
         shape = mat.shape
         if shape[:-2] == lead and shape[-2] == rows and (cols is None or shape[-1] == cols):
             return mat
-    want = f"{lead + (rows, 'any' if cols is None else cols)}"
+    want = f"{lead + (rows, 'any' if cols is None else cols)} that numpy.linalg takes"
     got = f"{type(mat).__name__} of shape {getattr(mat, 'shape', None)}, dtype {getattr(mat, 'dtype', None)}"
     raise InvalidInputError(f"{what} for {key!r} must be a numeric array of shape {want}, got {got}")
 
 
 def _check_scheme(scheme: SchemeInstance, channels: ChannelSet) -> None:
     """Refuse anything but a SchemeInstance with the channels it was built on."""
-    if not isinstance(scheme, SchemeInstance):
-        raise InvalidInputError(f"expected a SchemeInstance, got {type(scheme).__name__}")
-    _check_channels(scheme.split, channels, scheme.extension_factor)
+    _check_channels(instance(scheme, SchemeInstance).split, channels, scheme.extension_factor)
 
 
 class _Plan:
@@ -375,8 +368,9 @@ class _Plan:
     `shapes` of (is projector, key, rows, columns or None for any, name) in
     checking order, where message k's precoder (pre_at[k]) and pair p's
     projector (proj_at[p]) sit in it, the pairs (message index, message,
-    receiver, link slot) in report order with each one's interferers
-    (message index, link slot), and where each message's symbols sit in one
+    receiver, link slot) in report order, the interferers of each (message
+    key, receiver) as (message index, link slot), which `_pair_matrices`
+    reads too, and where each message's symbols sit in one
     normal draw per trial: its real then its imaginary parts, message by
     message, as `complex_gaussian` draws them."""
 
@@ -397,11 +391,11 @@ class _Plan:
             re += range(2 * at, 2 * at + m.dim)
             im += range(2 * at + m.dim, 2 * at + 2 * m.dim)
         self.n_draw, self.re, self.im = 2 * len(re), np.array(re, dtype=np.intp), np.array(im, dtype=np.intp)
-        self.leaks = [
-            [(o, _PAIR_SLOT[other.tx, r]) for o, other in enumerate(messages)
-             if other.key != m.key and other.tx != r and other.dim > 0]
+        self.leaks = {
+            (m.key, r): [(o, _PAIR_SLOT[other.tx, r]) for o, other in enumerate(messages)
+                         if other.key != m.key and other.tx != r and other.dim > 0]
             for _, m, r, _ in self.pairs
-        ]
+        }
         self.receivers = sorted({r for _, _, r, _ in self.pairs})
 
     @functools.lru_cache(maxsize=256)
@@ -429,13 +423,13 @@ class _Plan:
             width = kind[q][0][1]
             square = m.dim > 0 and width == m.dim
             steps, made = {}, {}
-            for o, lk in ([(k, link)] if square else []) + (self.leaks[p] if width else []):
+            for o, lk in ([(k, link)] if square else []) + (self.leaks[m.key, r] if width else []):
                 steps.setdefault(lk, []).append(o)
             for o in [o for os in steps.values() for o in os]:
                 made[o] = len(kind)
                 kind.append(((width, self.messages[o].dim), c128))
             products.append((q, tuple((lk, tuple(pre[o] for o in os)) for lk, os in steps.items())))
-            leaks.append([(made[o], lk, pre[o]) for o, lk in self.leaks[p] if o in made])
+            leaks.append([(made[o], lk, pre[o]) for o, lk in self.leaks[m.key, r] if o in made])
             anchors.append((made[k], link, pre[k], q) if square else None)
         groups = {}
         for pos in [pos for pair in leaks for leak in pair for pos in leak] + [pos for a in anchors if a for pos in a]:
@@ -515,9 +509,7 @@ def verify_scheme(
     _check_scheme(scheme, channels)
     plan, mats = _check_scheme_matrices(scheme)
     tols = {"residual_tol": residual_tol, "condition_tol": condition_tol, "roundtrip_tol": roundtrip_tol}
-    for name, tol in tols.items():
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
-            raise InvalidInputError(f"{name} must be a finite real >= 0, got {tol!r}")
+    tols = {name: real(tol, name, 0) for name, tol in tols.items()}
     checks = []
     passed_streams = 0
     for m, r, ((worst, cond, rt, fails),) in _verify(scheme, channels, [seed], plan, mats, **tols):

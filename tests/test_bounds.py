@@ -98,7 +98,7 @@ def test_genie_swap_symmetry():
     # itself, so the combined value cannot move
     for split in _grid_splits():
         a = genie_bound_unicast(split)
-        b = genie_bound_unicast(split.swapped())
+        b = genie_bound_unicast(AntennaSplit(split.rx, split.tx))
         assert a.combined == b.combined
         assert sorted(t.value for t in a.total_terms) == sorted(t.value for t in b.total_terms)
 

@@ -74,11 +74,6 @@ def test_split_fractional_vs_integral():
         s.integer_pairs()
 
 
-def test_split_swapped():
-    s = AntennaSplit((3, 1, 1), (0, 2, 2))
-    assert s.swapped() == AntennaSplit((0, 2, 2), (3, 1, 1))
-
-
 def test_split_json_roundtrip():
     s = AntennaSplit((3, Fraction(1, 3), 1), (0, 2, Fraction(2, 3)))
     j = s.to_json()

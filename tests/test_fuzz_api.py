@@ -39,6 +39,7 @@ from mimo3way import (
     sum_rate,
     symmetric_bound,
     verify_duality,
+    verify_scheme,
 )
 from mimo3way.linalg import random_orthonormal
 
@@ -223,6 +224,9 @@ _MALFORMED = st.sampled_from(
         _rebuilt(precoders={key: np.full(t.shape, np.nan) for key, t in _UNI_B.precoders.items()}),
         _rebuilt(projectors={key: np.zeros((q.shape[0], 5)) for key, q in _UNI_B.projectors.items()}),
         _rebuilt(projectors={key: "x" for key in _UNI_B.projectors}),
+        # dtypes numpy.linalg refuses
+        _rebuilt(precoders={key: t.real.astype(np.float16) for key, t in _UNI_B.precoders.items()}),
+        _rebuilt(precoders={key: t.astype(np.clongdouble) for key, t in _UNI_B.precoders.items()}),
     ]
 )
 
@@ -234,6 +238,20 @@ _MALFORMED = st.sampled_from(
 def test_rates_of_malformed_schemes(scheme, snr, seed):
     _quietly(sum_rate, scheme, _UNI_B_CHANNELS, snr)
     _quietly(ablated_sum_rate, scheme, _UNI_B_CHANNELS, snr, seed)
+
+
+_UNI_A_CHANNELS = draw_channels(scheme_split(AntennaConfig(3, 3, 3), SchemeTag.UNI_A)[0], 0)
+_UNI_A = build_scheme(AntennaConfig(3, 3, 3), SchemeTag.UNI_A, _UNI_A_CHANNELS, 0)
+_tol = st.one_of(st.floats(0, 1), st.floats(0, 1), _bad)
+
+
+@_SETTINGS
+@given(_tol, _tol, _tol)
+@example(1e-10, 10**400, 1e-8)  # condition_tol times a singular value overflowed
+@example(1e-10, Fraction(10**400, 3), 1e-8)
+def test_verify_tolerances(residual_tol, condition_tol, roundtrip_tol):
+    tols = {"residual_tol": residual_tol, "condition_tol": condition_tol, "roundtrip_tol": roundtrip_tol}
+    _quietly(verify_scheme, _UNI_A, _UNI_A_CHANNELS, **tols)
 
 
 @_SETTINGS

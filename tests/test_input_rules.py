@@ -1,0 +1,80 @@
+"""One rule per kind of input: every integer input takes a numpy integer as
+the plain int it equals and refuses a bool or a float, and the type rules
+are written out only in `errors` (and `rational`, the home of the rational
+rule)."""
+
+import json
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+import mimo3way
+from mimo3way import (
+    AntennaConfig,
+    AntennaSplit,
+    InvalidInputError,
+    SchemeTag,
+    build_scheme,
+    draw_channels,
+    estimate_dof,
+    optimal_unicast_bruteforce,
+    pair_matrices,
+    random_gaussian,
+    scheme_split,
+)
+from mimo3way.linalg import check_seed, random_orthonormal
+
+HUGE = 10**400
+
+
+BCAST_CHANNELS = draw_channels(scheme_split(AntennaConfig(3, 2, 1), SchemeTag.BCAST)[0], 0)
+BCAST = build_scheme(AntennaConfig(3, 2, 1), SchemeTag.BCAST, BCAST_CHANNELS, 0)  # u3bc reaches nodes 1 and 2
+
+
+def _draw(a):
+    return [list(a.shape), a.tobytes().hex()]
+
+
+# every integer input: (what the site makes of a value, in JSON terms;
+# whether the site refuses HUGE, by its own upper bound)
+SITES = {
+    "seed": (check_seed, False),
+    "random_gaussian seed": (lambda v: _draw(random_gaussian(2, 1, v)), False),
+    "AntennaConfig": (lambda v: AntennaConfig(v, v, v).to_json(), False),
+    "bruteforce denominator": (lambda v: optimal_unicast_bruteforce(AntennaConfig(1, 1, 1), v).to_json(), True),
+    "estimate_dof trials": (lambda v: estimate_dof(AntennaConfig(2, 1, 1), SchemeTag.UNI_B, trials=v).to_json(), True),
+    "random_gaussian rows": (lambda v: _draw(random_gaussian(v, 1, 0)), True),
+    "random_gaussian cols": (lambda v: _draw(random_gaussian(1, v, 0)), True),
+    "random_orthonormal": (lambda v: _draw(random_orthonormal(np.random.default_rng(0), v, v)), True),
+    "node index": (lambda v: str(AntennaSplit((1, 2, 3), (0, 0, 0)).tx_of(v)), True),
+    "pair_matrices receiver": (lambda v: _draw(pair_matrices(BCAST, BCAST_CHANNELS, BCAST.messages[1], v)[0]), True),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0, -1, np.int64(2), HUGE], ids=["True", "1.0", "-1", "int64(2)", "10**400"])
+@pytest.mark.parametrize("site", SITES)
+def test_one_integer_rule(site, value):
+    call, bounded = SITES[site]
+    if isinstance(value, np.integer) or (value is HUGE and not bounded):
+        # json.dumps refuses a numpy integer, so this also pins plain ints
+        assert json.dumps(call(value)) == json.dumps(call(int(value)))
+    else:
+        with pytest.raises(InvalidInputError):
+            call(value)
+
+
+_COPY = re.compile(r"isinstance\([^)]*\bbool\b|numbers\.Real|operator\.index\(")
+
+
+def test_type_rules_have_one_home():
+    src = pathlib.Path(mimo3way.__file__).parent
+    copies = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path.name not in ("errors.py", "rational.py")
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if _COPY.search(line)
+    ]
+    assert not copies, f"type rules written outside errors.py: {copies}"

@@ -89,7 +89,7 @@ def test_doubling_snr_adds_dof_bits(m, tag, dof):
 def test_broadcast_rate_is_min_over_receivers():
     ch, s = _built((5, 3, 2), SchemeTag.BCAST, seed=3)
     snr = 1e4
-    bc = s.message("u3bc")
+    bc = next(m for m in s.messages if m.key == "u3bc")
     rho = snr / s.tx_streams(3)
     per_rx = []
     for r in bc.receivers:
@@ -97,7 +97,7 @@ def test_broadcast_rate_is_min_over_receivers():
         g = q.conj().T @ ch.h(3, r) @ s.precoders[bc.key]
         gram = np.eye(g.shape[0], dtype=complex) + rho * (g @ g.conj().T)
         per_rx.append(float(np.log2(np.linalg.det(gram).real)))
-    u21 = s.message("u21")
+    u21 = next(m for m in s.messages if m.key == "u21")
     q = s.projectors[(u21.key, 1)]
     g = q.conj().T @ ch.h(2, 1) @ s.precoders[u21.key]
     gram = np.eye(g.shape[0], dtype=complex) + (snr / s.tx_streams(2)) * (g @ g.conj().T)

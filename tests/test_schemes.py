@@ -84,7 +84,7 @@ def test_bcast_dims(m, dims, dof):
     assert ext == 1
     assert tuple(msg.dim for msg in s.messages) == dims
     assert s.claimed_dof() == dof
-    bc = s.message("u3bc")
+    bc = next(msg for msg in s.messages if msg.key == "u3bc")
     assert bc.receivers == (1, 2) and bc.weight == 2
 
 
@@ -414,10 +414,13 @@ def test_verify_refuses_the_found_malformed_schemes():
     _, _, _, ch, s = _built((4, 2, 1), SchemeTag.UNI_B, seed=1)
     wrong_shape = replace(s, projectors={key: np.eye(5, dtype=complex) for key in s.projectors})
     nan = replace(s, precoders={key: np.full_like(t, np.nan) for key, t in s.precoders.items()})
+    # numpy.linalg refuses float16: the SVDs of the checks would raise TypeError
+    half = replace(s, precoders={key: t.real.astype(np.float16) for key, t in s.precoders.items()})
     for scheme, match in [
         (replace(s, projectors={}), "no projector"),
         (wrong_shape, "must be a numeric array of shape"),
         (nan, "non-finite"),
+        (half, "must be a numeric array of shape"),
     ]:
         with pytest.raises(InvalidInputError, match=match):
             verify_scheme(scheme, ch)
@@ -430,13 +433,6 @@ def test_verify_rejects_foreign_channels():
         verify_scheme(s, other)
     with pytest.raises(InvalidInputError):
         verify_scheme("not a scheme", ch)
-
-
-def test_message_lookup():
-    _, _, _, _, s = _built((3, 3, 3), SchemeTag.UNI_A)
-    assert s.message("u12").receivers == (2,)
-    with pytest.raises(InvalidInputError):
-        s.message("u99")
 
 
 def _huge(m, tag, key, seed=1):
