@@ -32,7 +32,7 @@ import numpy as np
 from .bounds import GENIE_TERMS, cutset_bound_broadcast, genie_bound_unicast, genie_totals
 from .channel import AntennaConfig, AntennaSplit, _ordered
 from .errors import InternalError, InvalidInputError, RegimeError, instance, integer
-from .lp import DualityStatus, LinearProgram, _phase1, _phase2, _Unbounded, verify_duality
+from .lp import DualityStatus, LinearProgram, _phase1, _Unbounded, _Walk, verify_duality
 from .rational import _rationals, frac, frac_str
 
 __all__ = [
@@ -226,6 +226,7 @@ def _mirror_bits(bits: tuple[bool, ...]) -> tuple[bool, ...]:
     return tuple(not bits[k ^ 1] for k in range(len(bits)))
 
 
+@functools.cache
 def _genie_rows(bits: tuple[bool, ...]):
     """The genie subproblem of one sign pattern, config-free: (integer row
     coefficients on (dof, rx1, rx2, rx3), each rhs as the integer form
@@ -246,7 +247,7 @@ def _genie_rows(bits: tuple[bool, ...]):
     rows += [(-e[l], zero, f"rx{l}>=0") for l in (1, 2, 3)]
     rows.append((-e[0], zero, "dof>=0"))
     a, forms, labels = zip(*rows)
-    return np.array(a).tolist(), np.array(forms).tolist(), labels
+    return tuple(map(tuple, np.array(a).tolist())), tuple(map(tuple, np.array(forms).tolist())), labels
 
 
 def _rhs(forms, config: AntennaConfig) -> list[int]:
@@ -267,11 +268,13 @@ def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearPro
 
 
 @functools.cache
-def _template(bits: tuple[bool, ...]):
-    """(rhs forms, phase-1 tableau or None) of one sign pattern: the dual's
-    equality rows A' and rhs -c = (1, 0, 0, 0) do not depend on the config."""
+def _template(bits: tuple[bool, ...]) -> _Walk | None:
+    """The phase-2 walk of one sign pattern (None if its dual is infeasible):
+    the dual's rows A' and rhs -c = (1, 0, 0, 0) do not depend on the config,
+    and its cost b(m) is linear in (1, m1, m2, m3) by the rhs forms."""
     a, forms, _ = _genie_rows(bits)
-    return forms, _phase1(list(zip(*a)), (1, 0, 0, 0))
+    start = _phase1(list(zip(*a)), (1, 0, 0, 0))
+    return None if start is None else _Walk(start, forms)
 
 
 # the smaller pattern of each tx/rx-swap orbit
@@ -281,21 +284,21 @@ _ORBITS = tuple(b for b in itertools.product((False, True), repeat=len(_MAX_TERM
 def optimal_unicast_enumerated(config: AntennaConfig) -> AllocationResult:
     """Unicast optimum by exhaustive sign-pattern enumeration.
 
-    Solves one exact LP per tx/rx-swap orbit of the 2^6 patterns, as an
-    integer phase 2 at the cost b(m) from the orbit's cached phase-1
-    `_template`, and keeps the first best value. Only the winner is built as
-    a `LinearProgram`, to re-verify its primal/dual pair, and the value is
-    cross-checked against the closed form; any disagreement is an internal
-    error, never a silent maximum.
+    Solves one exact LP per tx/rx-swap orbit of the 2^6 patterns, as the
+    orbit's cached phase-2 walk (`_template`) at the cost b(m), and keeps the
+    first best value. Only the winner is built as a `LinearProgram`, to
+    re-verify its primal/dual pair, and the value is cross-checked against
+    the closed form; any disagreement is an internal error, never a silent
+    maximum.
     """
     closed = optimal_unicast_closed_form(config)
-    best = None
+    best, params = None, (1, *config.totals)
     for bits in _ORBITS:
-        forms, start = _template(bits)
-        if start is None:
+        walk = _template(bits)
+        if walk is None:
             continue  # dual infeasible for every config
         try:
-            lam, v = _phase2(start, _rhs(forms, config))
+            lam, v = walk.solve(params)
         except _Unbounded:
             continue  # empty branch polytope
         if best is None or v[0] > best[0]:

@@ -18,14 +18,17 @@ standard form; the optimal basic solution is lam and the simplex multipliers
 of the equality rows are the primal optimum v, so every solve returns a
 certificate pair whose gap is zero by construction.
 
-Phase 1 (`_phase1`) reads only A' and c; only phase 2 (`_phase2`) reads b.
-Programs that share A and c can run phase 1 once and start each phase 2 from
-a copy of its tableau, with the same pivots as a solve from scratch; the
-genie subproblems of `allocation` keep one such template per sign pattern.
+Phase 1 (`_phase1`) reads only A' and c. Phase 2 (`_Walk`) reads b, the
+dual's cost, as a linear form b = sum_k params_k * b_k: it memoizes each pivot
+as an edge (node, entering column) -> child, each node keeping one
+reduced-cost row per b_k, and solves at params by Bland's rule on those rows
+summed at params, so it takes exactly the pivots of a solve from scratch.
+`solve_inequality_min` is the one-point walk; `allocation` keeps one walk per
+genie sign pattern, whose cost b(m) is linear in (1, m1, m2, m3).
 
 The tableau is integer-preserving (Bareiss 1968): each equality row is scaled
 to integers by the lcm of its denominators, and the tableau, right-hand side
-and cost row are Python ints over one common denominator d, the absolute
+and cost rows are Python ints over one common denominator d, the absolute
 determinant of the current basis. A pivot on p updates every entry to
 (p*x - f*y) / d, which divides exactly, and then sets d = p. Bland's rule,
 the ratio test and the phase-1 feasibility test compare integers, so the
@@ -41,8 +44,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .errors import InvalidInputError, instance
+from .errors import InternalError, InvalidInputError, instance
 from .rational import _rationals, frac, frac_str
 
 __all__ = [
@@ -94,7 +98,7 @@ class LinearProgram:
         return len(self.a)
 
     def row_dot(self, i: int, v) -> Fraction:
-        return sum((aij * vj for aij, vj in zip(self.a[i], v)), Fraction(0))
+        return _dot(self.a[i], v)
 
     def to_json(self) -> dict:
         return {
@@ -145,21 +149,18 @@ def verify_duality(lp: LinearProgram, v, lam) -> DualityCertificate:
     if len(lam) != lp.n_constraints:
         raise InvalidInputError(f"lam has {len(lam)} entries, expected {lp.n_constraints}")
 
-    gap = sum((cj * vj for cj, vj in zip(lp.c, v)), Fraction(0)) + sum(
-        (bi * li for bi, li in zip(lp.b, lam)), Fraction(0)
-    )
+    gap = _dot(lp.c, v) + _dot(lp.b, lam)
 
+    lhs = [_dot(row, v) for row in lp.a]
     primal_bad = tuple(
-        f"{lp.constraints[i]}: {frac_str(lp.row_dot(i, v))} > {frac_str(lp.b[i])}"
-        for i in range(lp.n_constraints)
-        if lp.row_dot(i, v) > lp.b[i]
+        f"{label}: {frac_str(x)} > {frac_str(bi)}" for label, x, bi in zip(lp.constraints, lhs, lp.b) if x > bi
     )
     if primal_bad:
         return DualityCertificate(DualityStatus.NOT_PRIMAL_FEASIBLE, gap, primal_bad)
 
     dual_bad = [f"{lp.constraints[i]}: multiplier {frac_str(li)} < 0" for i, li in enumerate(lam) if li < 0]
-    for j in range(lp.n_variables):
-        stat = sum((lam[i] * lp.a[i][j] for i in range(lp.n_constraints)), Fraction(0)) + lp.c[j]
+    for j, cj in enumerate(lp.c):
+        stat = _dot(lam, [row[j] for row in lp.a]) + cj
         if stat != 0:
             dual_bad.append(f"stationarity[{lp.variables[j]}]: residual {frac_str(stat)}")
     if dual_bad:
@@ -168,6 +169,12 @@ def verify_duality(lp: LinearProgram, v, lam) -> DualityCertificate:
     if gap != 0:
         return DualityCertificate(DualityStatus.NONZERO_GAP, gap)
     return DualityCertificate(DualityStatus.OPTIMAL, gap)
+
+
+def _dot(xs, ys) -> Fraction:
+    # most genie coefficients and multipliers are 0; skipping zero terms skips
+    # Fraction products without changing the sum
+    return sum((x * y for x, y in zip(xs, ys) if x and y), Fraction(0))
 
 
 class _Unbounded(Exception):
@@ -226,24 +233,24 @@ class _Tableau:
                 costrow = [x - f * y for x, y in zip(costrow, row)]
         return costrow
 
+    def leaving(self, enter):
+        # min rhs_i / tab[i][enter] over tab[i][enter] > 0, by cross-multiplying;
+        # ties go to the smallest basic index; None when no entry is positive
+        basis, prow = self.basis, None
+        for i, row in enumerate(self.tab):
+            a = row[enter]
+            if a > 0:
+                if prow is None:
+                    prow, num, den = i, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[prow]):
+                    prow, num, den = i, row[-1], a
+        return prow
+
     def run(self, costrow, allowed_width):
-        tab, basis = self.tab, self.basis
-        while True:
-            enter = next((j for j in range(allowed_width) if costrow[j] < 0), None)
-            if enter is None:
-                return
-            # min rhs_i / tab[i][enter] over tab[i][enter] > 0, compared by
-            # cross-multiplying; ties go to the smallest basic index
-            prow = None
-            for i, row in enumerate(tab):
-                a = row[enter]
-                if a > 0:
-                    if prow is None:
-                        prow, num, den = i, row[-1], a
-                        continue
-                    lhs, rhs = row[-1] * den, num * a
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[prow]):
-                        prow, num, den = i, row[-1], a
+        while (enter := next((j for j in range(allowed_width) if costrow[j] < 0), None)) is not None:
+            prow = self.leaving(enter)
             if prow is None:
                 raise _Unbounded()
             self.pivot(prow, enter, costrow)
@@ -294,28 +301,68 @@ def _phase1(g_rows, g_rhs) -> _Tableau | None:
     return t
 
 
-def _phase2(start: _Tableau, cost):
-    """min cost.x over the original columns from a `_phase1` tableau, which
-    stays untouched. Returns (x, pi) with pi the equality-row multipliers;
-    raises _Unbounded when the minimum is -infinity."""
-    t = _Tableau([row[:] for row in start.tab], start.basis[:], start.live, start.d, start.scales, start.signs)
-    n_var, n_eq = len(cost), len(t.scales)
-    cost_int, cost_scale = _to_integers(cost)
-    costrow = t.reduced_costs(cost_int + [0] * n_eq)
-    t.run(costrow, n_var)
+class _Walk:
+    """Phase 2 from a `_phase1` tableau, which stays untouched, for every cost
+    cost[j] = sum_k params[k] * forms[j][k] (integer forms) at once.
 
-    zero = Fraction(0)
-    x = [zero] * n_var
-    for row, b in zip(t.tab, t.basis):
-        if b < n_var:
-            x[b] = Fraction(row[-1], t.d)
-    # multiplier of equality row k: minus the reduced cost of its artificial
-    # column, with the row sign, row scale, cost scale and d undone; dropped
-    # redundant rows get 0
-    pi = [zero] * n_eq
-    for orig in t.live:
-        pi[orig] = Fraction(-costrow[n_var + orig] * t.signs[orig] * t.scales[orig], cost_scale * t.d)
-    return x, pi
+    A node is [tableau, reduced costs, edges, x]: one reduced-cost row per
+    form component, stored as a tuple per column, each pivoted by the same
+    Bareiss step (exact on each row by itself); edges maps an entering column
+    to its child (None: unbounded along it); x is set once the node ends a
+    solve. Bland's rule never revisits a basis, so the memo is finite.
+    """
+
+    def __init__(self, start: _Tableau, forms):
+        self.n_var = len(forms)
+        n_eq = len(start.scales)
+        rows = [start.reduced_costs([*component, *[0] * n_eq]) for component in zip(*forms)]
+        self.root = [start, list(zip(*rows)), {}, None]
+
+    @staticmethod
+    def _child(node, enter):
+        t, cols = node[0], node[1]
+        prow = t.leaving(enter)
+        if prow is None:
+            return None
+        d, fs = t.d, cols[enter]
+        t = _Tableau([row[:] for row in t.tab], t.basis[:], t.live, d, t.scales, t.signs)
+        t.pivot(prow, enter, None)
+        p = t.d
+        cols = [tuple((p * c - f * y) // d for c, f in zip(col, fs)) for col, y in zip(cols, t.tab[prow])]
+        if any(cols[enter]):  # a basic column prices at 0; else Bland's rule could re-enter it forever
+            raise InternalError("a pivot left a reduced cost on the entering column")
+        return [t, cols, {}, None]
+
+    def solve(self, params):
+        """(x, pi) at `params`: the optimal basic solution and the equality-row
+        multipliers (0 on dropped redundant rows); _Unbounded when the
+        minimum is -infinity."""
+        node, n_var = self.root, self.n_var
+        while True:
+            cols, edges = node[1], node[2]
+            for enter in range(n_var):  # Bland's rule: the first negative reduced cost
+                if sum(map(mul, params, cols[enter])) < 0:
+                    break
+            else:
+                break
+            if enter not in edges:
+                edges[enter] = self._child(node, enter)
+            node = edges[enter]
+            if node is None:
+                raise _Unbounded()
+        t = node[0]
+        if node[3] is None:
+            x = [Fraction(0)] * n_var
+            for row, b in zip(t.tab, t.basis):
+                if b < n_var:
+                    x[b] = Fraction(row[-1], t.d)
+            node[3] = tuple(x)
+        # multiplier of equality row k: minus the reduced cost of its
+        # artificial column, with the row sign, row scale and d undone
+        pi = [Fraction(0)] * len(t.scales)
+        for orig in t.live:
+            pi[orig] = Fraction(-sum(map(mul, params, cols[n_var + orig])) * t.signs[orig] * t.scales[orig], t.d)
+        return node[3], tuple(pi)
 
 
 def solve_inequality_min(lp: LinearProgram) -> LPSolution | None:
@@ -331,9 +378,11 @@ def solve_inequality_min(lp: LinearProgram) -> LPSolution | None:
     start = _phase1(g_rows, g_rhs)
     if start is None:
         return None  # dual infeasible => primal unbounded or infeasible
+    cost, cost_scale = _to_integers(lp.b)
     try:
-        lam, v = _phase2(start, list(lp.b))
+        lam, v = _Walk(start, [(bi,) for bi in cost]).solve((1,))
     except _Unbounded:
         return None  # dual unbounded below => primal infeasible
-    value = sum((cj * vj for cj, vj in zip(lp.c, v)), Fraction(0))
-    return LPSolution(value=value, v=tuple(v), lam=tuple(lam))
+    if cost_scale != 1:
+        v = tuple(vj / cost_scale for vj in v)
+    return LPSolution(value=_dot(lp.c, v), v=v, lam=lam)

@@ -11,14 +11,17 @@ from collections.abc import Mapping, Set
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 __all__ = ["frac", "frac_str", "triple", "denominator_lcm"]
 
 
 def frac(x) -> Fraction:
-    """Coerce int / Fraction / "p/q" string to Fraction. Floats are rejected:
-    silently converting binary floats would poison exact comparisons."""
+    """Coerce int (Python or numpy, never bool) / Fraction / "p/q" string to
+    Fraction. Floats are rejected: silently converting binary floats would
+    poison exact comparisons."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -30,6 +33,8 @@ def frac(x) -> Fraction:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"cannot parse rational from {x!r}") from exc
+    if isinstance(x, np.integer):
+        return Fraction(int(x))
     raise InvalidInputError(f"expected int, Fraction, or 'p/q' string, got {type(x).__name__}")
 
 

@@ -23,8 +23,10 @@ from mimo3way import (
     pair_matrices,
     random_gaussian,
     scheme_split,
+    symmetric_bound,
 )
 from mimo3way.linalg import check_seed, random_orthonormal
+from mimo3way.rational import frac
 
 HUGE = 10**400
 
@@ -78,3 +80,26 @@ def test_type_rules_have_one_home():
         if _COPY.search(line)
     ]
     assert not copies, f"type rules written outside errors.py: {copies}"
+
+
+# every rational input takes a numpy integer as the int it equals
+RATIONAL_SITES = {
+    "frac": frac,
+    "AntennaSplit": lambda v: AntennaSplit([v] * 3, (1, 1, 1)).to_json(),
+    "symmetric_bound": lambda v: symmetric_bound(v, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.int64(1), np.int32(2), np.uint8(3), True, np.bool_(True), 1.0, np.float64(1.0)],
+    ids=["int64(1)", "int32(2)", "uint8(3)", "True", "bool_(True)", "1.0", "float64(1.0)"],
+)
+@pytest.mark.parametrize("site", RATIONAL_SITES)
+def test_one_rational_rule(site, value):
+    call = RATIONAL_SITES[site]
+    if isinstance(value, np.integer):
+        assert call(value) == call(int(value))
+    else:
+        with pytest.raises(InvalidInputError):
+            call(value)

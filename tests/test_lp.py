@@ -1,6 +1,9 @@
 """Exact-LP tests: certificate checking and the rational simplex solver."""
 
+import copy
 import itertools
+import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -20,9 +23,9 @@ from mimo3way import (
     solve_inequality_min,
     verify_duality,
 )
-from mimo3way.allocation import _ORBITS, _mirror_bits, _rhs, _template
-from mimo3way.lp import _phase2, _Unbounded
-from mimo3way.rational import frac
+from mimo3way.allocation import _ORBITS, _mirror_bits, _template
+from mimo3way.lp import _phase1, _Tableau, _to_integers, _Unbounded, _Walk
+from mimo3way.rational import frac, frac_str
 
 
 def test_lp_validation():
@@ -121,6 +124,55 @@ def test_verify_duality_statuses():
     slack = verify_duality(lp, (0,), (1, 0))
     assert slack.status is DualityStatus.NONZERO_GAP
     assert slack.gap == 5
+
+
+def _full_sum_verify_duality(lp, v, lam):
+    """`verify_duality` summing every product, zero terms included: the
+    reference for its zero-skipping sums. Returns (status, gap, violations)."""
+    v, lam = tuple(map(frac, v)), tuple(map(frac, lam))
+    gap = sum((cj * vj for cj, vj in zip(lp.c, v)), Fraction(0)) + sum(
+        (bi * li for bi, li in zip(lp.b, lam)), Fraction(0)
+    )
+    lhs = [sum((aij * vj for aij, vj in zip(row, v)), Fraction(0)) for row in lp.a]
+    primal_bad = tuple(
+        f"{lp.constraints[i]}: {frac_str(lhs[i])} > {frac_str(lp.b[i])}"
+        for i in range(lp.n_constraints)
+        if lhs[i] > lp.b[i]
+    )
+    if primal_bad:
+        return DualityStatus.NOT_PRIMAL_FEASIBLE, gap, primal_bad
+    dual_bad = [f"{lp.constraints[i]}: multiplier {frac_str(li)} < 0" for i, li in enumerate(lam) if li < 0]
+    for j in range(lp.n_variables):
+        stat = sum((lam[i] * lp.a[i][j] for i in range(lp.n_constraints)), Fraction(0)) + lp.c[j]
+        if stat != 0:
+            dual_bad.append(f"stationarity[{lp.variables[j]}]: residual {frac_str(stat)}")
+    if dual_bad:
+        return DualityStatus.NOT_DUAL_FEASIBLE, gap, tuple(dual_bad)
+    return (DualityStatus.NONZERO_GAP if gap != 0 else DualityStatus.OPTIMAL), gap, ()
+
+
+def _matches_full_sum(lp, v, lam):
+    cert = verify_duality(lp, v, lam)
+    status, gap, violations = _full_sum_verify_duality(lp, v, lam)
+    assert (cert.status, cert.gap, type(cert.gap), cert.violations) == (status, gap, Fraction, violations)
+    return cert
+
+
+def test_verify_duality_matches_full_sums_on_perturbed_pairs():
+    lp, v, lam = canonical_primal_dual(AntennaConfig(3, 3, 3))
+    assert _matches_full_sum(lp, v, lam).status is DualityStatus.OPTIMAL
+    # rx1 = 4 breaks rx1<=m1, whose multiplier is 0
+    i = lp.constraints.index("rx1<=m1")
+    assert lam[i] == 0
+    bad = _matches_full_sum(lp, (v[0], Fraction(4), *v[2:]), lam)
+    assert bad.status is DualityStatus.NOT_PRIMAL_FEASIBLE and "rx1<=m1: 4 > 3" in bad.violations
+    # a negative multiplier on a slack row also leaves a stationarity residual
+    negative = _matches_full_sum(lp, v, (*lam[:i], Fraction(-1, 2), *lam[i + 1 :]))
+    assert negative.violations == ("rx1<=m1: multiplier -1/2 < 0", "stationarity[rx1]: residual -1/2")
+    # a bumped multiplier keeps every sign but breaks stationarity
+    bumped = _matches_full_sum(lp, v, (lam[0] + 1, *lam[1:]))
+    assert bumped.status is DualityStatus.NOT_DUAL_FEASIBLE
+    assert all(s.startswith("stationarity[") for s in bumped.violations)
 
 
 def test_verify_duality_dimension_checks():
@@ -308,6 +360,130 @@ def test_solver_on_random_rational_programs(lp):
         assert abs(float(sol.value) - ref.fun) <= 1e-9
 
 
+_PERTURBATIONS = st.sampled_from((0, 0, 0, Fraction(-1, 2), Fraction(1, 3), 2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_rational_programs(), st.data())
+def test_verify_duality_matches_full_sums_on_random_programs(lp, data):
+    # the solver's pair where there is one, else zeros, with some entries
+    # nudged: violated rows with zero multipliers, negative multipliers and
+    # stationarity residuals all occur
+    sol = solve_inequality_min(lp)
+    v, lam = (sol.v, sol.lam) if sol else ((0,) * lp.n_variables, (0,) * lp.n_constraints)
+    _matches_full_sum(lp, v, lam)
+    v = [x + data.draw(_PERTURBATIONS) for x in v]
+    lam = [data.draw(_PERTURBATIONS) if data.draw(st.booleans()) else x for x in lam]
+    _matches_full_sum(lp, v, lam)
+
+
+def _scratch_phase2(start, cost):
+    """Phase 2 for one cost with one reduced-cost row, run from a copy of the
+    `_phase1` tableau: the reference for `_Walk`, returning (x, pi)."""
+    t = _Tableau([row[:] for row in start.tab], start.basis[:], start.live, start.d, start.scales, start.signs)
+    n_var, n_eq = len(cost), len(t.scales)
+    cost_int, cost_scale = _to_integers(cost)
+    costrow = t.reduced_costs(cost_int + [0] * n_eq)
+    t.run(costrow, n_var)
+    x = [Fraction(0)] * n_var
+    for row, b in zip(t.tab, t.basis):
+        if b < n_var:
+            x[b] = Fraction(row[-1], t.d)
+    pi = [Fraction(0)] * n_eq
+    for orig in t.live:
+        pi[orig] = Fraction(-costrow[n_var + orig] * t.signs[orig] * t.scales[orig], cost_scale * t.d)
+    return tuple(x), tuple(pi)
+
+
+def _typed(values):
+    return tuple((type(x), x) for x in values)
+
+
+def _expire(signum, frame):
+    raise AssertionError("no result within 0.25 s: the walk cycles")
+
+
+def _outcome(solve, *args):
+    """(x, pi) with every entry's type, or None when the cost is unbounded.
+    A broken memo or pivot can send a walk round its nodes forever, so an
+    alarm makes that fail rather than hang."""
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 0.25)
+    try:
+        x, pi = solve(*args)
+    except _Unbounded:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return _typed(x), _typed(pi)
+
+
+def _nodes(node):
+    return 1 + sum(_nodes(child) for child in node[2].values() if child is not None)
+
+
+@st.composite
+def _parametric_programs(draw):
+    """A feasible system G x = g, x >= 0 with small rational G, integer cost
+    forms in 2 parameters, and the integer points to solve at. g = G x0 for
+    an integer x0 >= 0 that often has zero entries, which makes degenerate
+    vertices; a copied row is redundant; nothing bounds x, so many costs are
+    unbounded."""
+    n_eq, n_var = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    g = [[draw(_SMALL) for _ in range(n_var)] for _ in range(n_eq)]
+    x0 = [draw(st.integers(0, 2)) for _ in range(n_var)]
+    rhs = [sum(a * x for a, x in zip(row, x0)) for row in g]
+    if draw(st.booleans()):
+        g.append(g[0][:])
+        rhs.append(rhs[0])
+    coefficient = st.integers(-3, 3)
+    forms = [(draw(coefficient), draw(coefficient)) for _ in range(n_var)]
+    points = draw(st.lists(st.tuples(coefficient, coefficient), min_size=1, max_size=8))
+    return g, rhs, forms, points
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_parametric_programs())
+@example(([[1, 1, -1]], [0], [(1, 0), (0, 1), (-1, 1)], [(1, 1), (1, -1), (0, 1), (1, 1)]))
+@example(([[1, -1], [1, -1]], [1, 1], [(1, -1), (0, 1)], [(1, 2), (2, 1), (1, 2)]))
+def test_walk_matches_a_scratch_phase2_at_every_point(program):
+    g, rhs, forms, points = program
+    start = _phase1(g, rhs)
+    before = copy.deepcopy((start.tab, start.basis, start.d))
+    walk = _Walk(start, forms)
+    for p in points:
+        cost = [p[0] * f0 + p[1] * f1 for f0, f1 in forms]
+        want = _outcome(_scratch_phase2, start, cost)
+        assert _outcome(walk.solve, p) == want, p
+        assert _outcome(_Walk(start, [(c,) for c in cost]).solve, (1,)) == want, p
+    assert (start.tab, start.basis, start.d) == before  # the phase-1 tableau stays untouched
+
+
+def test_genie_walks_match_solving_each_lp_in_any_order():
+    # every orbit x every m1 <= 12 config, visited in two shuffled orders,
+    # each from freshly cleared walks: no result depends on what came before
+    configs = [AntennaConfig(*sorted(m, reverse=True)) for m in itertools.combinations_with_replacement(range(13), 3)]
+    want = {}
+    for cfg in configs:
+        for bits in _ORBITS:
+            sol = solve_inequality_min(genie_subproblem(cfg, bits))
+            want[cfg, bits] = None if sol is None else (_typed([sol.value]), _typed(sol.v), _typed(sol.lam))
+    for seed in (1, 2):
+        _template.cache_clear()
+        visits = list(want)
+        random.Random(seed).shuffle(visits)
+        for cfg, bits in visits:
+            walk = _template(bits)
+            got = None if walk is None else _outcome(walk.solve, (1, *cfg.totals))
+            if got is not None:
+                lam, v = got
+                got = (_typed([-v[0][1]]), v, lam)
+            assert got == want[cfg, bits], (cfg, bits)
+        # the memo stays small: 36 roots and the 251 pivots reached from them
+        assert sum(_nodes(_template(bits).root) for bits in _ORBITS) == 287
+
+
 # winning orbit of each config among the 36 mirror-orbit representatives in
 # enumeration order, the number of feasible orbits, and the exact pair the
 # solver returns for the winner (its pivot sequence decides which optimal
@@ -345,9 +521,9 @@ def test_phase1_templates_match_solving_each_genie_lp():
         cfg = AntennaConfig(*sorted(m, reverse=True))
         for bits in _ORBITS:
             ref = solve_inequality_min(genie_subproblem(cfg, bits))
-            forms, start = _template(bits)
+            walk = _template(bits)
             try:
-                got = None if start is None else _phase2(start, _rhs(forms, cfg))
+                got = None if walk is None else walk.solve((1, *cfg.totals))
             except _Unbounded:
                 got = None
             if ref is None:
