@@ -171,13 +171,10 @@ class ChannelSet:
         return self
 
     def h(self, tx_node: int, rx_node: int) -> np.ndarray:
-        try:
-            return self.matrices[_PAIR_SLOT[tx_node, rx_node]]
-        except (KeyError, TypeError):
-            pass
-        _check_node(tx_node)
-        _check_node(rx_node)
-        raise InvalidInputError("no self link: tx and rx node coincide")
+        slot = _PAIR_SLOT.get((_check_node(tx_node), _check_node(rx_node)))
+        if slot is None:
+            raise InvalidInputError("no self link: tx and rx node coincide")
+        return self.matrices[slot]
 
 
 def draw_channels(split: AntennaSplit, seed: int) -> ChannelSet:
@@ -252,6 +249,6 @@ def _receive(channels: ChannelSet, xs, zs, nodes=NODES) -> tuple[np.ndarray, ...
         yj = zj.astype(np.complex128, copy=True)
         for i in NODES:
             if i != j:
-                yj = yj + channels.h(i, j) @ xs[i - 1]
+                yj = yj + channels.matrices[_PAIR_SLOT[i, j]] @ xs[i - 1]
         ys.append(yj)
     return tuple(ys)

@@ -2,22 +2,23 @@
 
 Subcommands: bounds, allocate, verify-scheme, slope, sweep. Output formats
 are table (rationals shown with 4 decimals), json (rationals as "p/q"
-strings; byte-identical across runs for identical arguments and seed), and
-csv. Defaults: table, except verify-scheme (json) and sweep (csv). Exit
-codes: 0 success, 1 usage error, 2 validation failure (bad input, invalid
-scheme, tolerance exceeded), 3 internal error. The default seed is 1234,
-overridable with the MIMO3WAY_SEED environment variable or --seed.
+strings, the text json.dumps(..., indent=2, sort_keys=True) would print, by
+the package's own encoder; byte-identical across runs for identical arguments
+and seed), and csv. Defaults: table, except verify-scheme (json) and sweep
+(csv). Exit codes: 0 success, 1 usage error, 2 validation failure (bad input,
+invalid scheme, tolerance exceeded), 3 internal error. The default seed is
+1234, overridable with the MIMO3WAY_SEED environment variable or --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .allocation import (
     _broadcast_thrice,
@@ -125,7 +126,46 @@ def _fmt_triple(vals) -> str:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Print `payload` as json.dumps(payload, indent=2, sort_keys=True) would,
+    whose indent skips json's C encoder. Unlike json.dumps, a dict key that is
+    not a str raises TypeError (no payload has one); cycles are not checked."""
+    print("".join(_json_pieces(payload, "\n", [])))
+
+
+def _json_pieces(obj, newline: str, out: list) -> list:
+    """`out` with `obj`'s JSON text appended in pieces, `newline` its indent."""
+    if isinstance(obj, str):  # json's order of type tests: bools before int, their superclass
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else
+                   "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif isinstance(obj, (list, tuple, dict)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, (list, tuple)):
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in obj:
+            out.append(sep)
+            _json_pieces(item, inner, out)
+            sep = comma
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _json_pieces(obj[key], inner, out)
+            sep = comma
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return out
 
 
 def _emit_csv(rows: list[tuple], header: tuple) -> None:

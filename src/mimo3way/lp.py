@@ -43,7 +43,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import mul
 
 from .errors import InternalError, InvalidInputError, instance
@@ -309,11 +309,14 @@ class _Walk:
     form component, stored as a tuple per column, each pivoted by the same
     Bareiss step (exact on each row by itself); edges maps an entering column
     to its child (None: unbounded along it); x is set once the node ends a
-    solve. Bland's rule never revisits a basis, so the memo is finite.
+    solve. Bland's rule never revisits a basis, so the memo is finite and a
+    solve takes at most one step per basis; one that takes more has met a
+    cycle in the memo, and raises InternalError.
     """
 
     def __init__(self, start: _Tableau, forms):
         self.n_var = len(forms)
+        self.bases = comb(self.n_var, len(start.tab))
         n_eq = len(start.scales)
         rows = [start.reduced_costs([*component, *[0] * n_eq]) for component in zip(*forms)]
         self.root = [start, list(zip(*rows)), {}, None]
@@ -337,7 +340,7 @@ class _Walk:
         """(x, pi) at `params`: the optimal basic solution and the equality-row
         multipliers (0 on dropped redundant rows); _Unbounded when the
         minimum is -infinity."""
-        node, n_var = self.root, self.n_var
+        node, n_var, steps = self.root, self.n_var, 0
         while True:
             cols, edges = node[1], node[2]
             for enter in range(n_var):  # Bland's rule: the first negative reduced cost
@@ -345,6 +348,9 @@ class _Walk:
                     break
             else:
                 break
+            steps += 1
+            if steps > self.bases:
+                raise InternalError(f"a Bland walk took {steps} steps among {self.bases} bases: its memo cycles")
             if enter not in edges:
                 edges[enter] = self._child(node, enter)
             node = edges[enter]

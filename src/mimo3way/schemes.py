@@ -211,8 +211,7 @@ def _null_space(pairs, channels, rngs):
     mirrors this with its own links).
     """
     (_, t2, t3), _ = pairs
-    h12, h13 = channels.h(1, 2), channels.h(1, 3)
-    h23, h32 = channels.h(2, 3), channels.h(3, 2)
+    h12, h13, h23, h32 = (channels.matrices[_PAIR_SLOT[p]] for p in ((1, 2), (1, 3), (2, 3), (3, 2)))
     lead = h12.shape[:-2]
 
     pre = {
@@ -236,7 +235,7 @@ def _hub(pairs, channels, rngs, key3: str, receivers3: tuple[int, ...]):
     image. Node 2, when in `receivers3` (bcast), inverts its square link from
     node 3 (identity projector); node 1 stays silent."""
     (_, t2, t3), _ = pairs
-    h21, h31 = channels.h(2, 1), channels.h(3, 1)
+    h21, h31 = (channels.matrices[_PAIR_SLOT[p]] for p in ((2, 1), (3, 1)))
     lead = h21.shape[:-2]
 
     pre = {
@@ -333,7 +332,7 @@ def _pair_matrices(scheme, channels, m, r, q=None):
             other = scheme.messages[o]
             yield other, qh @ channels.matrices[link] @ scheme.precoders[other.key]
 
-    return qh @ channels.h(m.tx, r) @ scheme.precoders[m.key], leaks()
+    return qh @ channels.matrices[_PAIR_SLOT[m.tx, r]] @ scheme.precoders[m.key], leaks()
 
 
 # the dtypes numpy.linalg takes: integers (as float64), single and double

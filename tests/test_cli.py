@@ -11,13 +11,14 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mimo3way import InternalError, SchemeTag
 from mimo3way.rates import SlopeEstimate
-from mimo3way.cli import DEFAULT_SEED, main
+from mimo3way.cli import DEFAULT_SEED, _emit_json, main
 
 
 def _run(capsys, *argv):
@@ -420,6 +421,60 @@ def test_sweep_equals_per_point_fraction_reference(ratio1, ratio2, m3):
                              "--msgs", msgs, "--format", fmt])
             assert code == 0
             assert out.getvalue() == _reference_sweep(ratio1, ratio2, m3, msgs, fmt), (msgs, fmt)
+
+
+def _emitted(payload) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_json(payload)
+    return out.getvalue()
+
+
+# JSON leaves: non-ASCII text, None, bools, big ints, floats with NaN, the
+# infinities and -0.0, and empty containers
+_JSON_LEAVES = (
+    st.text()
+    | st.none()
+    | st.booleans()
+    | st.integers(-(10**40), 10**40)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, [], {}])
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON_PAYLOADS)
+def test_json_writer_equals_json_dumps(payload):
+    assert _emitted(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"t": (1, "a", ("b", ())), "u": ()},  # tuples print as lists
+        {"flags": [True, 1, False, 0, None]},  # bool is an int subclass
+        {"f": [np.float64(0.1), -0.0, math.nan, -math.inf], "big": -(10**80)},
+        {"\u00e9t\u00e9": "\u2192 \U0001d49c \\ \" \x00 \u2028", "": {"": []}},
+    ],
+    ids=["tuple", "bool-next-to-int", "floats", "non-ascii"],
+)
+def test_json_writer_cases(payload):
+    assert _emitted(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload", [{"n": np.int64(1)}, [object()], {1: "an int key"}], ids=["int64", "object", "int-key"]
+)
+def test_json_writer_refuses_what_json_dumps_cannot_print(payload):
+    # json.dumps refuses the first two too; it would print the int key as "1",
+    # but no CLI payload has a key that is not a str
+    with pytest.raises(TypeError):
+        _emitted(payload)
 
 
 def test_unknown_subcommand(capsys):

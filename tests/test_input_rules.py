@@ -3,6 +3,7 @@ the plain int it equals and refuses a bool or a float, and the type rules
 are written out only in `errors` (and `rational`, the home of the rational
 rule)."""
 
+import ast
 import json
 import pathlib
 import re
@@ -52,6 +53,8 @@ SITES = {
     "random_orthonormal": (lambda v: _draw(random_orthonormal(np.random.default_rng(0), v, v)), True),
     "node index": (lambda v: str(AntennaSplit((1, 2, 3), (0, 0, 0)).tx_of(v)), True),
     "pair_matrices receiver": (lambda v: _draw(pair_matrices(BCAST, BCAST_CHANNELS, BCAST.messages[1], v)[0]), True),
+    "h tx node": (lambda v: _draw(BCAST_CHANNELS.h(v, 1)), True),
+    "h rx node": (lambda v: _draw(BCAST_CHANNELS.h(1, v)), True),
 }
 
 
@@ -80,6 +83,21 @@ def test_type_rules_have_one_home():
         if _COPY.search(line)
     ]
     assert not copies, f"type rules written outside errors.py: {copies}"
+
+
+def test_json_text_has_one_encoder():
+    # cli._emit_json writes every JSON payload: a call of json.dump(s), or
+    # any call with an indent, would bring back the slow encoder it replaces
+    src = pathlib.Path(mimo3way.__file__).parent
+    copies = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+             or any(k.arg == "indent" for k in node.keywords))
+    ]
+    assert not copies, f"JSON text encoded outside cli._emit_json: {copies}"
 
 
 # every rational input takes a numpy integer as the int it equals

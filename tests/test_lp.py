@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mimo3way import (
     AntennaConfig,
     DualityStatus,
+    InternalError,
     InvalidInputError,
     LinearProgram,
     LPSolution,
@@ -458,6 +459,17 @@ def test_walk_matches_a_scratch_phase2_at_every_point(program):
         assert _outcome(walk.solve, p) == want, p
         assert _outcome(_Walk(start, [(c,) for c in cost]).solve, (1,)) == want, p
     assert (start.tab, start.basis, start.d) == before  # the phase-1 tableau stays untouched
+
+
+def test_a_walk_whose_memo_cycles_raises_instead_of_hanging():
+    # min x1 - x2 over x1 + x2 = 1, x >= 0: phase 1 leaves x1 basic, phase 2
+    # enters x2; pointing that edge back at the root makes the memo a cycle
+    walk = _Walk(_phase1([[1, 1]], [1]), [(1,), (-1,)])
+    assert walk.solve((1,)) == ((0, 1), (-1,))
+    assert list(walk.root[2]) == [1]
+    walk.root[2][1] = walk.root
+    with pytest.raises(InternalError, match="memo cycles"):
+        _outcome(walk.solve, (1,))
 
 
 def test_genie_walks_match_solving_each_lp_in_any_order():
