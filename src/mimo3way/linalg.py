@@ -1,16 +1,20 @@
 """Dense complex linear-algebra kernel.
 
-Thin, validated wrappers around numpy's SVD machinery (null spaces,
-pseudo-inverses) plus the package's single source of randomness: every random
-draw anywhere in the package flows through `generator`, which derives
-decorrelated child streams from one integer seed via numpy's splittable
-SeedSequence. Stream tags keep channel draws, precoder draws, and test symbols
-statistically independent even when a caller reuses the same seed for all of
-them.
+Validated null spaces, pseudo-inverses and orthonormal draws, plus the
+package's single source of randomness: every random draw anywhere in the
+package flows through `generator`, which derives decorrelated child streams
+from one integer seed via numpy's splittable SeedSequence. Stream tags keep
+channel draws, precoder draws, and test symbols statistically independent
+even when a caller reuses the same seed for all of them.
 
 The kernels behind `null_space_basis` and `random_orthonormal` take matrices
 with leading (trial) axes, so a stack of independent trials goes through one
 batched LAPACK call; each matrix of a stack gets the bits it would alone.
+
+The private shim `_svdvals`, `_svd_full`, `_solve`, `_qr` and `_slogdet` calls
+numpy's LAPACK gufuncs with the signature and errstate numpy.linalg gives them:
+the same bits and the same LinAlgError. Other dtypes than complex128 (float64
+too for singular values), or a numpy without the gufuncs, go to the public ones.
 """
 
 from __future__ import annotations
@@ -37,6 +41,20 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 _SQRT2 = np.sqrt(2.0)  # a CN(0,1) draw is (re + 1j * im) / _SQRT2
+_C128 = np.dtype(np.complex128)
+
+try:  # numpy.linalg's LAPACK gufuncs, each under the errstate its wrapper enters
+    from numpy.linalg import _linalg as _npl, _umath_linalg as _LAPACK
+
+    def _raising(gufunc: str, hook: str):
+        state = dict(invalid="call", over="ignore", divide="ignore", under="ignore")
+        return np.errstate(call=getattr(_npl, "_raise_linalgerror_" + hook), **state)(getattr(_LAPACK, gufunc))
+
+    _SVD_VALUES, _SVD_FULL = _raising("svd", "svd_nonconvergence"), _raising("svd_f", "svd_nonconvergence")
+    _SOLVE, _QR_RAW, _QR_Q = _raising("solve", "singular"), _raising("qr_r_raw", "qr"), _raising("qr_reduced", "qr")
+    _SLOGDET = _LAPACK.slogdet
+except (ImportError, AttributeError):
+    _LAPACK = None
 
 # Most entries complex_gaussian draws at once (64 MB as complex128): a square
 # precoder for the 2,000 antennas draw_channels allows needs 2,000 x 2,000.
@@ -63,6 +81,38 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _svdvals(a: np.ndarray) -> np.ndarray:
+    """`np.linalg.svd(a, compute_uv=False)`, bit for bit."""
+    bare = _LAPACK is not None and a.dtype.char in "Dd"
+    return _SVD_VALUES(a, signature=a.dtype.char + "->d") if bare else np.linalg.svd(a, compute_uv=False)
+
+
+def _svd_full(a: np.ndarray):
+    """`np.linalg.svd(a)` as (u, s, vh), bit for bit."""
+    return np.linalg.svd(a) if _LAPACK is None or a.dtype != _C128 else _SVD_FULL(a, signature="D->DdD")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.linalg.solve(a, b)` for a (..., n, k) `b`, bit for bit."""
+    bare = _LAPACK is not None and a.dtype == b.dtype == _C128
+    return _SOLVE(a, b, signature="DD->D") if bare else np.linalg.solve(a, b)
+
+
+def _qr(a: np.ndarray):
+    """Q and the diagonal of R of `np.linalg.qr(a)`, bit for bit; `a` may be
+    overwritten with LAPACK's packed factor, whose diagonal is R's."""
+    if _LAPACK is None or a.dtype != _C128:
+        q, a = np.linalg.qr(a)
+    else:
+        q = _QR_Q(a, _QR_RAW(a, signature="D->D"), signature="DD->D")
+    return q, np.diagonal(a, axis1=-2, axis2=-1)
+
+
+def _slogdet(a: np.ndarray):
+    """`np.linalg.slogdet(a)` as (sign, logabsdet), bit for bit."""
+    return np.linalg.slogdet(a) if _LAPACK is None or a.dtype != _C128 else _SLOGDET(a, signature="D->Dd")
+
+
 class _MixedRank(Exception):
     """The matrices of a stack differ in rank, so their null spaces differ in
     size and do not stack."""
@@ -87,7 +137,7 @@ def _null_basis(a: np.ndarray) -> np.ndarray:
         return np.zeros(lead + (0, 0), dtype=np.complex128)
     if rows == 0:
         return np.tile(np.eye(cols, dtype=np.complex128), lead + (1, 1))
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = _svd_full(a)
     tol = max(rows, cols) * _EPS
     ranks = {sum(v > tol * sv[0] for v in sv) for sv in s.reshape(-1, s.shape[-1]).tolist()}
     if len(ranks) > 1:
@@ -155,8 +205,7 @@ def _random_orthonormal(rngs, rows: int, cols: int, lead: tuple[int, ...]) -> np
     if cols == 0:
         return np.zeros(lead + (rows, 0), dtype=np.complex128)
     draws = np.array([complex_gaussian(rng, rows, cols) for rng in rngs]).reshape(lead + (rows, cols))
-    q, r = np.linalg.qr(draws)
+    q, d = _qr(draws)
     # fix the phase so the factorization (hence the draw) is unambiguous
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    d[d == 0] = 1.0
+    d = np.where(d == 0, 1.0, d)
     return q * (d / np.abs(d))[..., None, :]

@@ -31,7 +31,7 @@ import numpy as np
 
 from .channel import AntennaConfig, AntennaSplit, ChannelSet, _draw
 from .errors import InternalError, InvalidInputError, integer, real
-from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, check_seed, generator, random_orthonormal
+from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, _slogdet, check_seed, generator, random_orthonormal
 from .rational import frac_str
 from .schemes import SchemeInstance, SchemeTag, _build, _check_scheme, _check_scheme_matrices, _pair_matrices, _passed
 from .schemes import _trials, scheme_split
@@ -63,7 +63,7 @@ def _log2det(grams: np.ndarray, snrs: np.ndarray) -> np.ndarray:
         k = np.unravel_index(np.argmin(finite), finite.shape)
         raise InvalidInputError(f"snr_linear {float(snrs[k[-1]])} overflows the rate Gram matrix")
     with np.errstate(over="ignore", invalid="ignore"):
-        sign, logdet = np.linalg.slogdet(grams)
+        sign, logdet = _slogdet(grams)
     ok = (sign.real > 0) & np.isfinite(logdet)
     if not ok.all():
         k = np.unravel_index(np.argmin(ok), ok.shape)

@@ -45,7 +45,7 @@ import numpy as np
 from .allocation import Regime, canonical_split
 from .channel import _PAIR_SLOT, PAIR_ORDER, AntennaConfig, AntennaSplit, ChannelSet, _receive
 from .errors import InternalError, InvalidInputError, RegimeError, instance, integer, real
-from .linalg import _SQRT2, PRECODER_STREAM, SYMBOL_STREAM, _null_basis, _random_orthonormal, generator
+from .linalg import _SQRT2, PRECODER_STREAM, SYMBOL_STREAM, _null_basis, _random_orthonormal, _solve, _svdvals, generator
 from .rational import frac_str
 
 __all__ = [
@@ -577,8 +577,7 @@ def _verify(scheme, channels, seeds, plan, mats, residual_tol, condition_tol, ro
         smax, smin = [np.zeros((1, n))], []  # row 0: empty matrices
         for members in groups:
             stack = np.array([found[pos] for pos in members]) if len(members) > 1 else found[members[0]][None]
-            s = np.linalg.svd(stack, compute_uv=False)
-            s = s.reshape(len(members), n, -1)
+            s = _svdvals(stack).reshape(len(members), n, -1)
             smax.append(s[..., 0])
             smin.append(s[..., -1])
         sv = np.concatenate(smax + smin).tolist()
@@ -618,7 +617,7 @@ def _verify(scheme, channels, seeds, plan, mats, residual_tol, condition_tol, ro
                 g, qy, sent = found[anchors[5]], qh @ y[r], symbols[k]
                 if len(decode) < n:  # a stack: keep the trials that passed
                     g, qy, sent = g[decode], qy[decode], sent[decode]
-                decoded = np.linalg.solve(g, qy).reshape(sent.shape)
+                decoded = _solve(g, qy).reshape(sent.shape)
                 for j, d, u in zip(decode, decoded, sent):
                     rt = trials[j][2] = float(_norm(d - u) / _norm(u))
                     if not rt <= roundtrip_tol:

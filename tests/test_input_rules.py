@@ -100,6 +100,23 @@ def test_json_text_has_one_encoder():
     assert not copies, f"JSON text encoded outside cli._emit_json: {copies}"
 
 
+def test_lapack_has_one_entry():
+    # linalg's private shim makes every SVD, solve, QR and slogdet; a call of
+    # the numpy.linalg wrapper anywhere else would bring back its dispatch
+    src = pathlib.Path(mimo3way.__file__).parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("svd", "solve", "qr", "slogdet")
+        and getattr(node.func.value, "attr", None) == "linalg"
+    ]
+    assert not calls, f"numpy.linalg called outside linalg.py: {calls}"
+
+
 # every rational input takes a numpy integer as the int it equals
 RATIONAL_SITES = {
     "frac": frac,

@@ -1,9 +1,10 @@
-"""Kernel contracts: null spaces, pseudo-inverses, seeded generators."""
+"""Kernel contracts: null spaces, pseudo-inverses, seeded generators, and
+the LAPACK shim's parity with the public numpy.linalg functions."""
 
 import numpy as np
 import pytest
 
-from mimo3way import InvalidInputError, null_space_basis, pseudo_inverse, random_gaussian
+from mimo3way import InvalidInputError, linalg, null_space_basis, pseudo_inverse, random_gaussian
 from mimo3way.linalg import complex_gaussian, generator, random_orthonormal
 
 
@@ -138,3 +139,119 @@ def test_random_orthonormal_deterministic():
     a = random_orthonormal(generator(3, 1), 4, 4)
     b = random_orthonormal(generator(3, 1), 4, 4)
     assert a.tobytes() == b.tobytes()
+
+
+# the shim against the public functions: every shape the package forms (up
+# to 7 antennas a side), alone, as a one-trial stack and as a 20-trial stack
+_LEADS = [(), (1,), (20,)]
+_SHAPES = [(rows, cols) for rows in range(8) for cols in range(8)]
+
+
+def _stack(seed, lead, rows, cols):
+    return complex_gaussian(generator(seed), int(np.prod(lead + (rows,))), cols).reshape(lead + (rows, cols))
+
+
+def _same(got, want):
+    """Equal bits and dtypes, output by output."""
+    got, want = (got, want) if isinstance(want, tuple) else ((got,), (want,))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_shim_takes_the_gufuncs_on_this_numpy():
+    assert linalg._LAPACK is not None
+
+
+@pytest.mark.parametrize("lead", _LEADS)
+def test_shim_svd_matches_numpy_bit_for_bit(lead):
+    for k, (rows, cols) in enumerate(_SHAPES):
+        a = _stack(k, lead, rows, cols)
+        _same(linalg._svdvals(a), np.linalg.svd(a, compute_uv=False))
+        _same(linalg._svdvals(a.real.copy()), np.linalg.svd(a.real, compute_uv=False))
+        _same(linalg._svd_full(a), np.linalg.svd(a))
+
+
+@pytest.mark.parametrize("lead", _LEADS)
+def test_shim_solve_and_slogdet_match_numpy_bit_for_bit(lead):
+    for n in range(1, 8):
+        a, b = _stack(n, lead, n, n), _stack(100 + n, lead, n, 1)
+        _same(linalg._solve(a, b), np.linalg.solve(a, b))
+        _same(linalg._slogdet(a), np.linalg.slogdet(a))
+        gram = np.eye(n) + a @ a.conj().mT  # the positive-definite kind rates takes
+        _same(linalg._slogdet(gram), np.linalg.slogdet(gram))
+
+
+@pytest.mark.parametrize("lead", _LEADS)
+def test_shim_qr_matches_numpy_bit_for_bit(lead):
+    for k, (rows, cols) in enumerate(_SHAPES):
+        a = _stack(k, lead, rows, cols)
+        q, r = np.linalg.qr(a)
+        _same(linalg._qr(a.copy()), (q, np.diagonal(r, axis1=-2, axis2=-1)))
+
+
+def test_random_orthonormal_stack_matches_public_qr():
+    # the phase-fixed Q of each draw, as numpy.linalg.qr and its R give it
+    rngs = [generator(5, k) for k in range(20)]
+    got = linalg._random_orthonormal(rngs, 6, 4, (20,))
+    draws = np.array([complex_gaussian(generator(5, k), 6, 4) for k in range(20)])
+    q, r = np.linalg.qr(draws)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0
+    assert np.array_equal(got, q * (d / np.abs(d))[..., None, :])
+
+
+@pytest.mark.parametrize("quiet", [False, True])
+def test_shim_raises_what_numpy_raises(quiet):
+    # _verify calls the shim inside np.errstate(over="ignore", invalid="ignore")
+    bad = _stack(1, (3,), 4, 4)
+    bad[1, 2, 2] = np.nan
+    singular = _stack(2, (3,), 3, 3)
+    singular[2] = 0.0
+    before = np.geterr()
+    with np.errstate(over="ignore", invalid="ignore") if quiet else np.errstate():
+        inside = np.geterr()
+        for call in (linalg._svdvals, linalg._svd_full, lambda a: linalg._svdvals(a.real.copy())):
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                call(bad)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            linalg._solve(singular, _stack(3, (3,), 3, 1))
+        assert np.geterr() == inside
+    assert np.geterr() == before
+
+
+def _falls_back(monkeypatch, a, b):
+    """Each shim entry on `a` (and `b`) gives the public function's result,
+    through that function; returns the public calls made, by name."""
+    calls = []
+    for name in ("svd", "solve", "qr", "slogdet"):
+
+        def recording(*args, real=getattr(np.linalg, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    q, r = np.linalg.qr(a)
+    _same(linalg._svdvals(a), np.linalg.svd(a, compute_uv=False))
+    _same(linalg._svd_full(a), np.linalg.svd(a))
+    _same(linalg._solve(a, b), np.linalg.solve(a, b))
+    _same(linalg._qr(a.copy()), (q, np.diagonal(r, axis1=-2, axis2=-1)))
+    _same(linalg._slogdet(a), np.linalg.slogdet(a))
+    # each public function once for the shim and once for the reference
+    assert sorted(calls) == ["qr", "qr", "slogdet", "slogdet", "solve", "solve", "svd", "svd", "svd", "svd"]
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64])
+def test_shim_gives_other_dtypes_to_numpy(dtype, monkeypatch):
+    z = _stack(7, (5,), 4, 4) * 10
+    a = (z if np.dtype(dtype).kind == "c" else z.real).astype(dtype)
+    _falls_back(monkeypatch, a, z[..., :1].real.astype(dtype))
+
+
+def test_shim_without_the_gufuncs_gives_everything_to_numpy(monkeypatch):
+    monkeypatch.setattr(linalg, "_LAPACK", None)
+    a = _stack(8, (5,), 4, 4)
+    calls = _falls_back(monkeypatch, a, _stack(9, (5,), 4, 1))
+    done = len(calls)
+    assert null_space_basis(a[0, :2]).shape == (4, 2) and calls[done:] == ["svd"]
