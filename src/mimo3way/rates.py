@@ -7,7 +7,10 @@ the node budget split evenly over its streams; the broadcast message counts
 once per receiver (decoding must succeed at both, so its rate is the minimum
 over receivers); rates are divided by the symbol-extension factor to land in
 bits per channel use. Each draw's rates are evaluated over the whole SNR
-grid at once, with one batched slogdet per (message, receiver) pair.
+grid at once, with one batched slogdet per (message, receiver) pair. A
+pair's Gram stack is checked as a whole, for finite entries before the
+slogdet and for a positive sign and finite log-det after it, and per matrix
+only to name the SNR of a failure.
 
 `ablated_sum_rate` draws its random projectors once per (seed, shapes), in
 sorted key order: the draw ignores the SNR, channels and scheme matrices.
@@ -40,9 +43,9 @@ __all__ = ["SlopeEstimate", "sum_rate", "ablated_sum_rate", "estimate_dof"]
 
 _LN2 = math.log(2.0)
 
-# Most trials estimate_dof runs: at about 0.6 ms per trial (the mc-slope
-# configs on a 25-point grid, run in blocks), the largest run takes about a
-# minute
+# Most trials estimate_dof runs: at about 0.75 ms per trial (the mc-slope
+# configs on a 25-point grid, run in blocks; 1.9 ms at (7,6,5) uni-a), the
+# largest run takes about 75 s, and about 3 minutes at (7,6,5) uni-a
 _MAX_TRIALS = 100_000
 
 # Trials per stacked draw/build/verify/rate pass of estimate_dof. Ten keeps
@@ -52,18 +55,18 @@ _MAX_TRIALS = 100_000
 _BLOCK = 10
 
 
-def _log2det(grams: np.ndarray, snrs: np.ndarray) -> np.ndarray:
+def _log2det(grams: np.ndarray, snrs) -> np.ndarray:
     """log2 det of each positive-definite I + ... in a (..., grid, n, n)
-    stack, in bits. grams[..., k, :, :] was formed at snrs[k]; a non-finite
-    one means that SNR overflowed. Once a finite one's largest entry times eps
-    reaches 1, rounding has lost its identity part and a rank-deficient rest
-    leaves it singular. The first bad matrix in C order names the SNR."""
-    finite = np.isfinite(grams).all(axis=(-2, -1))
-    if not finite.all():
+    stack, in bits, called under np.errstate(over="ignore", invalid="ignore").
+    grams[..., k, :, :] was formed at snrs[k]; a non-finite one means that
+    SNR overflowed. Once a finite one's largest entry times eps reaches 1,
+    rounding has lost its identity part and a rank-deficient rest leaves it
+    singular. The first bad matrix in C order names the SNR."""
+    if not np.isfinite(grams).all():
+        finite = np.isfinite(grams).all(axis=(-2, -1))
         k = np.unravel_index(np.argmin(finite), finite.shape)
         raise InvalidInputError(f"snr_linear {float(snrs[k[-1]])} overflows the rate Gram matrix")
-    with np.errstate(over="ignore", invalid="ignore"):
-        sign, logdet = _slogdet(grams)
+    sign, logdet = _slogdet(grams)
     ok = (sign.real > 0) & np.isfinite(logdet)
     if not ok.all():
         k = np.unravel_index(np.argmin(ok), ok.shape)
@@ -77,13 +80,20 @@ def _log2det(grams: np.ndarray, snrs: np.ndarray) -> np.ndarray:
 
 
 def _stream_rho(scheme: SchemeInstance, snr_linear: float | np.ndarray) -> dict[str, float | np.ndarray]:
-    """Per-stream power: each node splits its budget over its own streams."""
-    rho = {}
+    """Per-stream power of each message with streams: each node splits its
+    budget over its own streams."""
+    streams = {}
     for m in scheme.messages:
-        if m.dim == 0:
-            continue
-        rho[m.key] = snr_linear / scheme.tx_streams(m.tx)
-    return rho
+        streams[m.tx] = streams.get(m.tx, 0) + m.dim
+    return {m.key: snr_linear / streams[m.tx] for m in scheme.messages if m.dim}
+
+
+@functools.lru_cache(maxsize=16)
+def _eye(n: int) -> np.ndarray:
+    """A read-only complex n x n identity."""
+    eye = np.eye(n, dtype=np.complex128)
+    eye.flags.writeable = False
+    return eye
 
 
 def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray:
@@ -100,19 +110,19 @@ def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray
     snrs = np.asarray(snrs, dtype=float)
     if not (snrs > 0).all():
         raise InvalidInputError(f"snr_linear must be > 0, got {float(snrs[np.argmin(snrs > 0)])}")
-    rho = _stream_rho(scheme, snrs)
+    rho = _stream_rho(scheme, snrs[:, None, None])
+    live = [m for m in scheme.messages if m.dim]
+
+    def log2det(m, r):
+        g, _ = _pair_matrices(scheme, channels, m, r)
+        gram = (g @ g.conj().mT)[..., None, :, :]
+        return _log2det(_eye(g.shape[-2]) + rho[m.key] * gram, snrs)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # _log2det names an overflow; sums stay checked
+        bits = [[log2det(m, r) for r in m.receivers] for m in live]
     total = np.zeros(channels.matrices[0].shape[:-2] + snrs.shape)
-    for m in scheme.messages:
-        if m.dim == 0:
-            continue
-        per_rx = []
-        for r in m.receivers:
-            g, _ = _pair_matrices(scheme, channels, m, r)
-            with np.errstate(over="ignore", invalid="ignore"):
-                gram = (g @ g.conj().mT)[..., None, :, :]
-                grams = np.eye(g.shape[-2], dtype=np.complex128) + rho[m.key][:, None, None] * gram
-            per_rx.append(_log2det(grams, snrs))
-        total += m.weight * np.minimum.reduce(per_rx)
+    for m, per_rx in zip(live, bits):
+        total += m.weight * functools.reduce(np.minimum, per_rx)
     return total / scheme.extension_factor
 
 
@@ -159,21 +169,21 @@ def ablated_sum_rate(
     keys = sorted((m.key, r) for m in scheme.messages for r in m.receivers)
     random_proj = dict(_ablation_projectors(check_seed(seed), tuple((k, scheme.projectors[k].shape) for k in keys)))
     rho = _stream_rho(scheme, snr_linear)
+    live = [m for m in scheme.messages if m.dim]
+
+    def log2det_ratio(m, r):
+        g, leaks = _pair_matrices(scheme, channels, m, r, random_proj[(m.key, r)])
+        signal = rho[m.key] * (g @ g.conj().mT)
+        noise = _eye(g.shape[0])
+        for other, leak in leaks:
+            noise = noise + rho[other.key] * (leak @ leak.conj().mT)
+        with_signal, without = _log2det(np.array([noise + signal, noise]), (snr_linear, snr_linear)).tolist()
+        return with_signal - without
+
+    with np.errstate(over="ignore", invalid="ignore"):  # _log2det names an overflow; sums stay checked
+        bits = [[log2det_ratio(m, r) for r in m.receivers] for m in live]
     total = 0.0
-    for m in scheme.messages:
-        if m.dim == 0:
-            continue
-        per_rx = []
-        for r in m.receivers:
-            g, leaks = _pair_matrices(scheme, channels, m, r, random_proj[(m.key, r)])
-            with np.errstate(over="ignore", invalid="ignore"):
-                signal = rho[m.key] * (g @ g.conj().mT)
-                noise = np.eye(g.shape[0], dtype=np.complex128)
-                for other, leak in leaks:
-                    noise = noise + rho[other.key] * (leak @ leak.conj().mT)
-                grams = np.stack([noise + signal, noise])
-            with_signal, without = _log2det(grams, np.full(2, snr_linear))
-            per_rx.append(float(with_signal - without))
+    for m, per_rx in zip(live, bits):
         total += m.weight * min(per_rx)
     return total / scheme.extension_factor
 

@@ -130,6 +130,7 @@ def _loop_sum_rate(s, ch, snr):
         ((4, 2, 1), SchemeTag.UNI_B, 1),
         ((5, 3, 2), SchemeTag.BCAST, 1),  # min over two receivers
         ((5, 3, 3), SchemeTag.BCAST, 1),  # u21 has no streams
+        ((7, 6, 5), SchemeTag.UNI_A, 3),  # Gram sizes 4 to 10
     ],
 )
 def test_grid_rates_equal_one_point_rates_exactly(m, tag, ext):
@@ -176,6 +177,137 @@ def test_ablation_past_float64_range_is_bad_input(m, tag, seed, snr, match):
     ch, s = _built(m, tag, seed=seed)
     with pytest.raises(InvalidInputError, match=match):
         ablated_sum_rate(s, ch, snr)
+
+
+def _raised(call):
+    """(type name, message) of what `call()` raises, or None when it returns."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+_OVERFLOW = "snr_linear {} overflows the rate Gram matrix"
+_RESOLUTION = "snr_linear {} is past float64 resolution: the rate Gram matrix loses its identity part"
+_PINNED_SNRS = (1e16, 1e18, 1e22, 1e300, 1e308, math.inf)
+# What each mc-slope case raises at each SNR of _PINNED_SNRS, one code per
+# SNR: "." returns, "O" _OVERFLOW, "R" _RESOLUTION at that SNR; first for
+# _sum_rates and sum_rate, then for ablated_sum_rate with the draw's seed.
+_PINNED_OUTCOMES = {
+    ((3, 3, 3), SchemeTag.UNI_A, 0): (".....O", ".....O"),
+    ((3, 3, 3), SchemeTag.UNI_A, 1): (".....O", "....OO"),
+    ((3, 3, 3), SchemeTag.UNI_A, 2): (".....O", "....OO"),
+    ((3, 3, 3), SchemeTag.UNI_A, 3): (".....O", "....OO"),
+    ((3, 3, 3), SchemeTag.UNI_A, 4): (".....O", "....OO"),
+    ((3, 3, 3), SchemeTag.UNI_A, 5): (".....O", "....OO"),
+    ((4, 2, 1), SchemeTag.UNI_B, 0): (".....O", ".RRROO"),
+    ((4, 2, 1), SchemeTag.UNI_B, 1): ("....OO", ".RR.OO"),
+    ((4, 2, 1), SchemeTag.UNI_B, 2): (".....O", ".R..OO"),
+    ((4, 2, 1), SchemeTag.UNI_B, 3): (".....O", "..R.RO"),
+    ((4, 2, 1), SchemeTag.UNI_B, 4): ("....OO", "..R.OO"),
+    ((4, 2, 1), SchemeTag.UNI_B, 5): ("....OO", "....OO"),
+    ((5, 3, 2), SchemeTag.BCAST, 0): (".....O", "...RRO"),
+    ((5, 3, 2), SchemeTag.BCAST, 1): (".....O", "....OO"),
+    ((5, 3, 2), SchemeTag.BCAST, 2): (".....O", "....OO"),
+    ((5, 3, 2), SchemeTag.BCAST, 3): ("....OO", "RRRROO"),
+    ((5, 3, 2), SchemeTag.BCAST, 4): ("....OO", ".RRROO"),
+    ((5, 3, 2), SchemeTag.BCAST, 5): (".....O", "RRRROO"),
+    ((7, 6, 5), SchemeTag.UNI_A, 0): (".....O", ".R.ROO"),
+    ((7, 6, 5), SchemeTag.UNI_A, 1): ("....OO", "RRRROO"),
+    ((7, 6, 5), SchemeTag.UNI_A, 2): ("....OO", "RRR.OO"),
+    ((7, 6, 5), SchemeTag.UNI_A, 3): (".....O", ".RRROO"),
+    ((7, 6, 5), SchemeTag.UNI_A, 4): ("....OO", "R.RROO"),
+    ((7, 6, 5), SchemeTag.UNI_A, 5): ("....OO", "RR..OO"),
+}
+
+
+def _pinned(code, snr):
+    return None if code == "." else ("InvalidInputError", {"O": _OVERFLOW, "R": _RESOLUTION}[code].format(snr))
+
+
+@pytest.mark.parametrize("m, tag, seed", list(_PINNED_OUTCOMES))
+def test_rate_errors_name_the_recorded_snr(m, tag, seed):
+    ch, s = _built(m, tag, seed=seed)
+    zf_codes, ablated_codes = _PINNED_OUTCOMES[m, tag, seed]
+    for snr, zf, ablated in zip(_PINNED_SNRS, zf_codes, ablated_codes):
+        assert _raised(lambda: rates_mod._sum_rates(s, ch, [snr])) == _pinned(zf, snr)
+        assert _raised(lambda: sum_rate(s, ch, snr)) == _pinned(zf, snr)
+        assert _raised(lambda: ablated_sum_rate(s, ch, snr, seed=seed)) == _pinned(ablated, snr)
+
+
+@pytest.mark.parametrize(
+    "m, tag, seed, snrs, named",
+    [
+        # u31 overflows at 7e307, but u21 comes first and overflows at 1.5e308 only
+        ((4, 2, 1), SchemeTag.UNI_B, 4, [7e307, 1.5e308], 1.5e308),
+        # the u3bc receivers: node 2's Gram overflows at 1e308, node 1's at 1.2e308 only
+        ((5, 3, 2), SchemeTag.BCAST, 7, [1e308, 1.2e308], 1.2e308),
+        ((7, 6, 5), SchemeTag.UNI_A, 0, [1.3e308, 1.79e308], 1.79e308),
+    ],
+)
+def test_grid_rate_error_names_the_first_failing_pair(m, tag, seed, snrs, named):
+    # pairs are rated in message order: a later pair failing at a lower SNR
+    # does not name that SNR
+    ch, s = _built(m, tag, seed=seed)
+    assert _raised(lambda: rates_mod._sum_rates(s, ch, snrs)) == ("InvalidInputError", _OVERFLOW.format(named))
+    assert _raised(lambda: rates_mod._sum_rates(s, ch, snrs[:1])) == ("InvalidInputError", _OVERFLOW.format(snrs[0]))
+
+
+@pytest.mark.parametrize(
+    "m, tag, seed, snr, message",
+    [
+        # the first pair loses its identity part, the second overflows
+        ((4, 2, 1), SchemeTag.UNI_B, 31, 1e308, _RESOLUTION),
+        ((5, 3, 2), SchemeTag.BCAST, 40, 1.5e308, _RESOLUTION),
+        # the first pair overflows, the second loses its identity part
+        ((7, 6, 5), SchemeTag.UNI_A, 5, 1e308, _OVERFLOW),
+    ],
+)
+def test_ablation_error_names_the_first_failing_pair(m, tag, seed, snr, message):
+    ch, s = _built(m, tag, seed=seed)
+    assert _raised(lambda: ablated_sum_rate(s, ch, snr, seed=seed)) == ("InvalidInputError", message.format(snr))
+
+
+@pytest.mark.parametrize(
+    "m, tag, seed, message, named",
+    [
+        ((3, 3, 3), SchemeTag.UNI_A, 0, _OVERFLOW, 1.584893192461072e308),
+        ((4, 2, 1), SchemeTag.UNI_B, 1, _OVERFLOW, 1.584893192461072e308),
+        ((5, 3, 2), SchemeTag.BCAST, 0, _OVERFLOW, 1.584893192461072e308),
+        ((5, 3, 2), SchemeTag.BCAST, 1, _OVERFLOW, 7.943282347242399e307),
+        ((7, 6, 5), SchemeTag.UNI_A, 0, _OVERFLOW, 1.584893192461072e308),
+        ((7, 6, 5), SchemeTag.UNI_A, 1, _RESOLUTION, 1.584893192461072e308),
+    ],
+)
+def test_stacked_rate_errors_name_the_recorded_snr(m, tag, seed, message, named):
+    # 12 trials in two blocks on a (3079, 3082) dB grid: the first failing
+    # (trial, SNR) in C order of the first failing pair names the SNR
+    got = _raised(lambda: estimate_dof(AntennaConfig(*m), tag, (3079.0, 3082.0), trials=12, seed=seed))
+    assert got == ("InvalidInputError", message.format(named))
+
+
+def test_log2det_names_the_first_bad_matrix_in_c_order():
+    # the callers hold np.errstate(over="ignore", invalid="ignore") around it
+    def log2det(grams):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return rates_mod._log2det(grams, [1.0, 2.0, 3.0])
+
+    eye = np.eye(2, dtype=complex)
+    grams = np.stack([eye] * 6).reshape(2, 3, 2, 2)
+    bits = log2det(grams)
+    assert bits.shape == (2, 3) and not bits.any()
+    bad = grams.copy()
+    bad[1, 0] = np.nan
+    bad[0, 2] = np.inf
+    assert _raised(lambda: log2det(bad)) == ("InvalidInputError", _OVERFLOW.format(3.0))
+    bad = grams.copy()
+    bad[0, 1] = np.full((2, 2), 1e17)  # singular once eye is rounded away
+    bad[1, 0] = np.diag([-1.0, 1.0])  # det -1
+    assert _raised(lambda: log2det(bad)) == ("InvalidInputError", _RESOLUTION.format(2.0))
+    bad[0, 1] = eye
+    bad[0, 2] = 0  # singular with small entries: no SNR is to blame
+    assert _raised(lambda: log2det(bad)) == ("InternalError", "rate Gram matrix is not positive definite")
 
 
 @pytest.mark.parametrize(
@@ -299,7 +431,7 @@ def _assert_blocked_equals_loop(m, tag, trials, seed=5, grid=(20.0, 30.0, 45.0))
 
 
 _SCHEME_CASES = [((3, 3, 3), SchemeTag.UNI_A), ((3, 3, 1), SchemeTag.UNI_A), ((4, 2, 1), SchemeTag.UNI_B),
-                 ((5, 3, 2), SchemeTag.BCAST), ((5, 3, 3), SchemeTag.BCAST)]
+                 ((5, 3, 2), SchemeTag.BCAST), ((5, 3, 3), SchemeTag.BCAST), ((7, 6, 5), SchemeTag.UNI_A)]
 
 
 @pytest.mark.parametrize("m, tag", _SCHEME_CASES)
