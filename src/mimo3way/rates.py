@@ -14,6 +14,9 @@ only to name the SNR of a failure.
 
 `ablated_sum_rate` draws its random projectors once per (seed, shapes), in
 sorted key order: the draw ignores the SNR, channels and scheme matrices.
+`build_scheme`'s schemes are read-only like a ChannelSet, so `sum_rate` and
+`ablated_sum_rate` keep on one what they compute before the SNR per
+(ChannelSet object, ablation seed): passed checks, Grams, leak covariances.
 
 `estimate_dof` runs its trials in blocks of `_BLOCK` (10), a private
 constant: each block draws its channels on a leading trial axis, builds and
@@ -33,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import AntennaConfig, AntennaSplit, ChannelSet, _draw
-from .errors import InternalError, InvalidInputError, integer, real
+from .errors import InternalError, InvalidInputError, instance, integer, real
 from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, _slogdet, check_seed, generator, random_orthonormal
 from .rational import frac_str
 from .schemes import SchemeInstance, SchemeTag, _build, _check_scheme, _check_scheme_matrices, _pair_matrices, _passed
@@ -96,7 +99,27 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
-def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray:
+def _memo(scheme: SchemeInstance, channels: ChannelSet) -> dict | None:
+    """What a sealed scheme keeps for `channels` (by identity) once they pass
+    `_check_scheme` and `_check_scheme_matrices`: `_sum_rates`'s Grams under
+    None, `ablated_sum_rate`'s terms per seed; {} at first, None if unsealed."""
+    memo = instance(scheme, SchemeInstance).__dict__.get("_memo", False)
+    if memo and memo[0] is channels:
+        return memo[1]
+    _check_scheme(scheme, channels)
+    _check_scheme_matrices(scheme)
+    return None if memo is False else {}
+
+
+def _keep(scheme: SchemeInstance, channels: ChannelSet, memo: dict | None, key, terms) -> None:
+    """Once a call has its rate, keep its `terms` under `key` in `memo`, from
+    `_memo(scheme, channels)`; past five keys it starts again from this one."""
+    if memo is not None:
+        memo[key] = terms
+        object.__setattr__(scheme, "_memo", (channels, memo if len(memo) <= 5 else {key: terms}))
+
+
+def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs, memo: dict | None = None) -> np.ndarray:
     """Zero-forcing sum rate at every SNR of a grid, in bits per channel use:
     shape (grid,), or (trials, grid) for a scheme and channels stacked on a
     trial axis.
@@ -104,8 +127,8 @@ def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray
     Each (message, receiver) contributes log2 det(I + rho * G G^H) with G the
     effective matrix after projection; interference is exactly nulled by
     construction so it does not enter. G G^H is formed once per pair for the
-    whole grid and every trial. Broadcast rate is min over receivers,
-    weighted by the receiver count.
+    whole grid and every trial, or read from `memo` (`_memo`). Broadcast rate
+    is min over receivers, weighted by the receiver count.
     """
     snrs = np.asarray(snrs, dtype=float)
     if not (snrs > 0).all():
@@ -113,16 +136,17 @@ def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray
     rho = _stream_rho(scheme, snrs[:, None, None])
     live = [m for m in scheme.messages if m.dim]
 
-    def log2det(m, r):
+    def gram(m, r):
         g, _ = _pair_matrices(scheme, channels, m, r)
-        gram = (g @ g.conj().mT)[..., None, :, :]
-        return _log2det(_eye(g.shape[-2]) + rho[m.key] * gram, snrs)
+        return (g @ g.conj().mT)[..., None, :, :]
 
     with np.errstate(over="ignore", invalid="ignore"):  # _log2det names an overflow; sums stay checked
-        bits = [[log2det(m, r) for r in m.receivers] for m in live]
+        grams = memo[None] if memo and None in memo else [[gram(m, r) for r in m.receivers] for m in live]
+        bits = [[_log2det(_eye(g.shape[-1]) + rho[m.key] * g, snrs) for g in per_rx] for m, per_rx in zip(live, grams)]
     total = np.zeros(channels.matrices[0].shape[:-2] + snrs.shape)
     for m, per_rx in zip(live, bits):
         total += m.weight * functools.reduce(np.minimum, per_rx)
+    _keep(scheme, channels, memo, None, grams)
     return total / scheme.extension_factor
 
 
@@ -130,9 +154,7 @@ def sum_rate(scheme: SchemeInstance, channels: ChannelSet, snr_linear: float) ->
     """Zero-forcing sum rate in bits per channel use at one SNR (the grid
     kernel `_sum_rates` on a one-point grid)."""
     snr_linear = real(snr_linear, "snr_linear")
-    _check_scheme(scheme, channels)
-    _check_scheme_matrices(scheme)
-    return float(_sum_rates(scheme, channels, [snr_linear])[0])
+    return float(_sum_rates(scheme, channels, [snr_linear], _memo(scheme, channels))[0])
 
 
 @functools.lru_cache(maxsize=4)
@@ -162,29 +184,36 @@ def ablated_sum_rate(
     the scheme's own matrices), so they are drawn once per (seed, shapes).
     """
     snr_linear = real(snr_linear, "snr_linear")
-    _check_scheme(scheme, channels)
-    _check_scheme_matrices(scheme)
+    memo = _memo(scheme, channels)
     if not (snr_linear > 0):
         raise InvalidInputError(f"snr_linear must be > 0, got {snr_linear}")
-    keys = sorted((m.key, r) for m in scheme.messages for r in m.receivers)
-    random_proj = dict(_ablation_projectors(check_seed(seed), tuple((k, scheme.projectors[k].shape) for k in keys)))
+    seed = check_seed(seed)
     rho = _stream_rho(scheme, snr_linear)
     live = [m for m in scheme.messages if m.dim]
 
-    def log2det_ratio(m, r):
+    def terms(m, r):  # what a pair's rate reads before the SNR: G G^H and (key, L L^H) per leak L
         g, leaks = _pair_matrices(scheme, channels, m, r, random_proj[(m.key, r)])
-        signal = rho[m.key] * (g @ g.conj().mT)
-        noise = _eye(g.shape[0])
-        for other, leak in leaks:
-            noise = noise + rho[other.key] * (leak @ leak.conj().mT)
+        return g @ g.conj().mT, [(other.key, leak @ leak.conj().mT) for other, leak in leaks]
+
+    def log2det_ratio(m, gram, covs):
+        signal = rho[m.key] * gram
+        noise = _eye(gram.shape[0])
+        for key, cov in covs:
+            noise = noise + rho[key] * cov
         with_signal, without = _log2det(np.array([noise + signal, noise]), (snr_linear, snr_linear)).tolist()
         return with_signal - without
 
     with np.errstate(over="ignore", invalid="ignore"):  # _log2det names an overflow; sums stay checked
-        bits = [[log2det_ratio(m, r) for r in m.receivers] for m in live]
+        pairs = memo.get(seed) if memo else None
+        if pairs is None:
+            keys = sorted((m.key, r) for m in scheme.messages for r in m.receivers)
+            random_proj = dict(_ablation_projectors(seed, tuple((k, scheme.projectors[k].shape) for k in keys)))
+            pairs = [[terms(m, r) for r in m.receivers] for m in live]
+        bits = [[log2det_ratio(m, *pair) for pair in per_rx] for m, per_rx in zip(live, pairs)]
     total = 0.0
     for m, per_rx in zip(live, bits):
         total += m.weight * min(per_rx)
+    _keep(scheme, channels, memo, seed, pairs)
     return total / scheme.extension_factor
 
 

@@ -38,6 +38,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -88,6 +89,8 @@ class SchemeInstance:
 
     `split` and all matrices live in the symbol-extended system (antenna
     counts scaled by extension_factor); DoF accounting divides back down.
+    `build_scheme` seals it, read-only like a ChannelSet; rate calls then
+    reuse its SNR-free terms per (channels, ablation seed).
     """
 
     tag: SchemeTag
@@ -164,10 +167,18 @@ def _ortho_conj(mat: np.ndarray) -> np.ndarray:
 
 def build_scheme(config: AntennaConfig, tag: SchemeTag, channels: ChannelSet, seed: int) -> SchemeInstance:
     """Build scheme `tag` on `channels`, drawn at `scheme_split(config, tag)`;
-    random precoders come from the precoder stream of `seed`."""
+    random precoders come from the precoder stream of `seed`. The result is
+    sealed: read-only arrays in read-only maps (no deepcopy or pickle), so rate
+    calls keep its SNR-free terms per (channels, ablation seed)."""
     split, ext = scheme_split(config, tag)
     _check_channels(split, channels, ext)
-    return _build(config, tag, ext, channels, [seed])
+    scheme = _build(config, tag, ext, channels, [seed])
+    for name in ("precoders", "projectors"):
+        for mat in getattr(scheme, name).values():
+            mat.setflags(write=False)
+        object.__setattr__(scheme, name, MappingProxyType(getattr(scheme, name)))
+    object.__setattr__(scheme, "_memo", None)  # sealed; `rates._memo` reads and `rates._keep` fills it
+    return scheme
 
 
 def _build(config: AntennaConfig, tag: SchemeTag, ext: int, channels: ChannelSet, seeds) -> SchemeInstance:

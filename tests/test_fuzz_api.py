@@ -8,6 +8,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -211,24 +212,22 @@ def _rebuilt(**tables):
     return dataclasses.replace(_UNI_B, **tables)
 
 
-# the (4,2,1) uni-b scheme with missing, misshapen, non-finite or junk matrices
-_NO_PRECODERS = _rebuilt(precoders={})
-_BIG_PROJECTORS = _rebuilt(projectors={key: np.eye(5) for key in _UNI_B.projectors})
-_MALFORMED = st.sampled_from(
-    [
-        _UNI_B,
-        _NO_PRECODERS,
-        _BIG_PROJECTORS,
-        _rebuilt(projectors={}),
-        _rebuilt(precoders=None),
-        _rebuilt(precoders={key: np.full(t.shape, np.nan) for key, t in _UNI_B.precoders.items()}),
-        _rebuilt(projectors={key: np.zeros((q.shape[0], 5)) for key, q in _UNI_B.projectors.items()}),
-        _rebuilt(projectors={key: "x" for key in _UNI_B.projectors}),
-        # dtypes numpy.linalg refuses
-        _rebuilt(precoders={key: t.real.astype(np.float16) for key, t in _UNI_B.precoders.items()}),
-        _rebuilt(precoders={key: t.astype(np.clongdouble) for key, t in _UNI_B.precoders.items()}),
-    ]
-)
+# tables that give the (4,2,1) uni-b scheme missing, misshapen, non-finite or
+# junk matrices
+_MALFORMED_TABLES = [
+    {"precoders": {}},
+    {"projectors": {key: np.eye(5) for key in _UNI_B.projectors}},
+    {"projectors": {}},
+    {"precoders": None},
+    {"precoders": {key: np.full(t.shape, np.nan) for key, t in _UNI_B.precoders.items()}},
+    {"projectors": {key: np.zeros((q.shape[0], 5)) for key, q in _UNI_B.projectors.items()}},
+    {"projectors": {key: "x" for key in _UNI_B.projectors}},
+    # dtypes numpy.linalg refuses
+    {"precoders": {key: t.real.astype(np.float16) for key, t in _UNI_B.precoders.items()}},
+    {"precoders": {key: t.astype(np.clongdouble) for key, t in _UNI_B.precoders.items()}},
+]
+_NO_PRECODERS, _BIG_PROJECTORS, *_OTHER_MALFORMED = (_rebuilt(**tables) for tables in _MALFORMED_TABLES)
+_MALFORMED = st.sampled_from([_UNI_B, _NO_PRECODERS, _BIG_PROJECTORS, *_OTHER_MALFORMED])
 
 
 @_SETTINGS
@@ -238,6 +237,32 @@ _MALFORMED = st.sampled_from(
 def test_rates_of_malformed_schemes(scheme, snr, seed):
     _quietly(sum_rate, scheme, _UNI_B_CHANNELS, snr)
     _quietly(ablated_sum_rate, scheme, _UNI_B_CHANNELS, snr, seed)
+
+
+def _outcome(call):
+    """("returned", value) or (error type name, message) of `call()`."""
+    try:
+        return "returned", call()
+    except InvalidInputError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("tables", _MALFORMED_TABLES)
+def test_malformed_tables_are_refused_alike_after_rating(tables):
+    # a replaced copy of a sealed scheme shares none of its rate memo
+    scheme = build_scheme(_CFG, SchemeTag.UNI_B, _UNI_B_CHANNELS, 0)
+
+    def outcomes():
+        copy = dataclasses.replace(scheme, **tables)
+        return [
+            _outcome(lambda: sum_rate(copy, _UNI_B_CHANNELS, 10.0)),
+            _outcome(lambda: ablated_sum_rate(copy, _UNI_B_CHANNELS, 10.0, seed=1)),
+        ]
+
+    unrated = outcomes()
+    sum_rate(scheme, _UNI_B_CHANNELS, 10.0)
+    ablated_sum_rate(scheme, _UNI_B_CHANNELS, 10.0, seed=1)
+    assert outcomes() == unrated
 
 
 _UNI_A_CHANNELS = draw_channels(scheme_split(AntennaConfig(3, 3, 3), SchemeTag.UNI_A)[0], 0)

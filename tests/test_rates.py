@@ -11,6 +11,7 @@ import mimo3way.channel as channel_mod
 import mimo3way.rates as rates_mod
 from mimo3way import (
     AntennaConfig,
+    ChannelSet,
     InternalError,
     InvalidInputError,
     SchemeTag,
@@ -599,6 +600,110 @@ def test_ablation_seed_rule_holds_on_a_cache_hit():
         with pytest.raises(InvalidInputError, match="seed"):
             ablated_sum_rate(s, ch, 10.0, seed=bad)
     assert ablated_sum_rate(s, ch, 10.0, seed=np.int64(1)) == rate
+
+
+# the mc-slope benchmark's configs and its 25-point grid, 0 to 60 dB
+_MC_CASES = [((3, 3, 3), SchemeTag.UNI_A), ((4, 2, 1), SchemeTag.UNI_B), ((5, 3, 2), SchemeTag.BCAST),
+             ((7, 6, 5), SchemeTag.UNI_A)]
+_MC_SNRS = [10.0 ** (2.5 * i / 10.0) for i in range(25)]
+
+
+def _fresh(m, tag, channels, snr, seed=None):
+    """The rate of one call on a newly built scheme (seed 3, on its own draw):
+    the zero-forcing rate, or the ablated one at `seed`."""
+    _, s = _built(m, tag, seed=3)
+    return sum_rate(s, channels, snr) if seed is None else ablated_sum_rate(s, channels, snr, seed=seed)
+
+
+@pytest.mark.parametrize("m, tag", _MC_CASES)
+def test_rate_curve_of_one_scheme_equals_calls_on_fresh_schemes(m, tag):
+    ch, s = _built(m, tag, seed=3)
+    assert [sum_rate(s, ch, snr) for snr in _MC_SNRS] == [_fresh(m, tag, ch, snr) for snr in _MC_SNRS]
+    assert [ablated_sum_rate(s, ch, snr, seed=3) for snr in _MC_SNRS] == [
+        _fresh(m, tag, ch, snr, seed=3) for snr in _MC_SNRS
+    ]
+    # a replaced copy is not sealed and computes every call
+    copy = dataclasses.replace(s)
+    assert [sum_rate(copy, ch, snr) for snr in _MC_SNRS[::6]] == [sum_rate(s, ch, snr) for snr in _MC_SNRS[::6]]
+
+
+@pytest.mark.parametrize("m, tag", _MC_CASES)
+def test_rate_memo_follows_channels_and_seeds(m, tag):
+    a, s = _built(m, tag, seed=3)
+    b = draw_channels(a.split, 11)
+    a_again = ChannelSet(a.split, a.matrices)  # equal links, another object
+    for ch in (a, b, a, a_again, b):
+        for seed in (1, 2, 1):
+            for snr in (10.0, 1e4):
+                assert sum_rate(s, ch, snr) == _fresh(m, tag, ch, snr)
+                assert ablated_sum_rate(s, ch, snr, seed=seed) == _fresh(m, tag, ch, snr, seed)
+
+
+def test_rate_memo_keeps_a_bounded_number_of_seeds():
+    ch, s = _built((4, 2, 1), SchemeTag.UNI_B, seed=3)
+    for seed in range(12):
+        assert ablated_sum_rate(s, ch, 10.0, seed=seed) == _fresh((4, 2, 1), SchemeTag.UNI_B, ch, 10.0, seed)
+        assert sum_rate(s, ch, 10.0) == _fresh((4, 2, 1), SchemeTag.UNI_B, ch, 10.0)
+        assert len(s._memo[1]) <= 5
+
+
+def _memo_state(s):
+    """What a sealed scheme keeps: its channels and the identity of each term."""
+    return None if s._memo is None else (s._memo[0], {key: id(terms) for key, terms in s._memo[1].items()})
+
+
+@pytest.mark.parametrize("m, tag", _MC_CASES)
+def test_a_raising_rate_call_keeps_nothing(m, tag):
+    a, s = _built(m, tag, seed=3)
+    b = draw_channels(a.split, 11)
+    for rated in (False, True):
+        if rated:
+            sum_rate(s, a, 10.0)
+            ablated_sum_rate(s, a, 10.0, seed=1)
+        before = _memo_state(s)
+        for ch in (a, b):
+            for call in (
+                lambda: sum_rate(s, ch, 0.0),
+                lambda: sum_rate(s, ch, math.inf),
+                lambda: ablated_sum_rate(s, ch, 0.0, seed=1),
+                lambda: ablated_sum_rate(s, ch, 1e308, seed=1),
+                lambda: ablated_sum_rate(s, ch, 10.0, seed=-1),
+                lambda: ablated_sum_rate(s, ch, 10.0, seed=True),
+            ):
+                with pytest.raises(InvalidInputError):
+                    call()
+                assert _memo_state(s) == before
+        assert sum_rate(s, b, 10.0) == _fresh(m, tag, b, 10.0)
+        assert ablated_sum_rate(s, b, 10.0, seed=1) == _fresh(m, tag, b, 10.0, 1)
+        assert sum_rate(s, a, 10.0) == _fresh(m, tag, a, 10.0)
+
+
+@pytest.mark.parametrize("m, tag, seed", list(_PINNED_OUTCOMES)[::3])
+def test_rate_errors_name_the_recorded_snr_on_a_rated_scheme(m, tag, seed):
+    ch, s = _built(m, tag, seed=seed)
+    zf_codes, ablated_codes = _PINNED_OUTCOMES[m, tag, seed]
+    for _ in range(2):
+        sum_rate(s, ch, 10.0)
+        ablated_sum_rate(s, ch, 10.0, seed=seed)
+        for snr, zf, ablated in zip(_PINNED_SNRS, zf_codes, ablated_codes):
+            assert _raised(lambda: sum_rate(s, ch, snr)) == _pinned(zf, snr)
+            assert _raised(lambda: ablated_sum_rate(s, ch, snr, seed=seed)) == _pinned(ablated, snr)
+
+
+def test_rates_refuse_what_is_not_a_scheme_on_a_rated_scheme_s_channels():
+    ch, s = _built((4, 2, 1), SchemeTag.UNI_B)
+    sum_rate(s, ch, 10.0)
+    ablated_sum_rate(s, ch, 10.0)
+    for bad in (None, (1, 2), dataclasses.replace(s, precoders={}), dataclasses.replace(s, projectors={})):
+        with pytest.raises(InvalidInputError):
+            sum_rate(bad, ch, 10.0)
+        with pytest.raises(InvalidInputError):
+            ablated_sum_rate(bad, ch, 10.0)
+    for bad_channels in (None, (1, 2), s):
+        with pytest.raises(InvalidInputError):
+            sum_rate(s, bad_channels, 10.0)
+        with pytest.raises(InvalidInputError):
+            ablated_sum_rate(s, bad_channels, 10.0)
 
 
 def test_slope_estimate_serialization():

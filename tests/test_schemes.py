@@ -133,6 +133,25 @@ def test_precoder_and_projector_shapes():
             assert np.linalg.norm(gram - np.eye(q.shape[1]), 2) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "m, tag",
+    [((3, 3, 3), SchemeTag.UNI_A), ((5, 4, 3), SchemeTag.UNI_A), ((4, 2, 1), SchemeTag.UNI_B),
+     ((5, 3, 2), SchemeTag.BCAST)],
+)
+def test_built_scheme_matrices_readonly(m, tag):
+    *_, s = _built(m, tag)
+    for mat in [*s.precoders.values(), *s.projectors.values()]:
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0
+    with pytest.raises(TypeError):
+        s.precoders[s.messages[0].key] = np.zeros((1, 1))
+    with pytest.raises(TypeError):
+        s.projectors[next(iter(s.projectors))] = np.zeros((1, 1))
+    with pytest.raises(TypeError):
+        del s.precoders[s.messages[0].key]
+
+
 def test_null_space_precoder_dimension_matches_rank_deficit():
     # cols(T_12) = tx1 - rank(H_13) = tx1 - rx3 for generic draws
     for seed in range(5):
