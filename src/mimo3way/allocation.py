@@ -228,7 +228,7 @@ def _mirror_bits(bits: tuple[bool, ...]) -> tuple[bool, ...]:
 
 @functools.cache
 def _genie_rows(bits: tuple[bool, ...]):
-    """The genie subproblem of one sign pattern, config-free: (integer row
+    """The genie subproblem of one sign pattern, config-free: (Fraction row
     coefficients on (dof, rx1, rx2, rx3), each rhs as the integer form
     (const, m1, m2, m3), labels). Bit k True picks the rx side of max term k,
     False the tx side, each choice enforced by a branch inequality so the
@@ -247,7 +247,8 @@ def _genie_rows(bits: tuple[bool, ...]):
     rows += [(-e[l], zero, f"rx{l}>=0") for l in (1, 2, 3)]
     rows.append((-e[0], zero, "dof>=0"))
     a, forms, labels = zip(*rows)
-    return tuple(map(tuple, np.array(a).tolist())), tuple(map(tuple, np.array(forms).tolist())), labels
+    a = tuple(tuple(map(Fraction, row)) for row in np.array(a).tolist())
+    return a, tuple(map(tuple, np.array(forms).tolist())), labels
 
 
 def _rhs(forms, config: AntennaConfig) -> list[int]:
@@ -267,14 +268,19 @@ def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearPro
     return LinearProgram(c=(-1, 0, 0, 0), a=a, b=_rhs(forms, config), variables=variables, constraints=labels)
 
 
+# (1, m1, m2, m3) = 1*r0 + (m1-m2)*r1 + (m2-m3)*r2 + m3*r3 when m1 >= m2 >= m3 >= 0
+_ORDERED_RAYS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 1, 1))
+
+
 @functools.cache
 def _template(bits: tuple[bool, ...]) -> _Walk | None:
     """The phase-2 walk of one sign pattern (None if its dual is infeasible):
     the dual's rows A' and rhs -c = (1, 0, 0, 0) do not depend on the config,
-    and its cost b(m) is linear in (1, m1, m2, m3) by the rhs forms."""
+    and its cost b(m) is linear in (1, m1, m2, m3) by the rhs forms, with
+    params always in the ordered cone of `_ORDERED_RAYS`."""
     a, forms, _ = _genie_rows(bits)
     start = _phase1(list(zip(*a)), (1, 0, 0, 0))
-    return None if start is None else _Walk(start, forms)
+    return None if start is None else _Walk(start, forms, _ORDERED_RAYS)
 
 
 # the smaller pattern of each tx/rx-swap orbit
@@ -284,12 +290,13 @@ _ORBITS = tuple(b for b in itertools.product((False, True), repeat=len(_MAX_TERM
 def optimal_unicast_enumerated(config: AntennaConfig) -> AllocationResult:
     """Unicast optimum by exhaustive sign-pattern enumeration.
 
-    Solves one exact LP per tx/rx-swap orbit of the 2^6 patterns, as the
-    orbit's cached phase-2 walk (`_template`) at the cost b(m), and keeps the
-    first best value. Only the winner is built as a `LinearProgram`, to
-    re-verify its primal/dual pair, and the value is cross-checked against
-    the closed form; any disagreement is an internal error, never a silent
-    maximum.
+    Walks one exact LP per tx/rx-swap orbit of the 2^6 patterns, the orbit's
+    cached phase-2 walk (`_template`) at the cost b(m), to its optimal node,
+    and keeps the first strict maximum of the value v[0], compared as
+    integer ratios over each node's determinant. Only the winner's pair is
+    read off as Fractions and built as a `LinearProgram`, to re-verify it,
+    and the value is cross-checked against the closed form; any disagreement
+    is an internal error, never a silent maximum.
     """
     closed = optimal_unicast_closed_form(config)
     best, params = None, (1, *config.totals)
@@ -298,14 +305,17 @@ def optimal_unicast_enumerated(config: AntennaConfig) -> AllocationResult:
         if walk is None:
             continue  # dual infeasible for every config
         try:
-            lam, v = walk.solve(params)
+            node = walk.optimum(params)
         except _Unbounded:
             continue  # empty branch polytope
-        if best is None or v[0] > best[0]:
-            best = (v[0], bits, v, lam)
+        num, d = walk.multiplier(node, params, 0), node[0].d  # v[0] = num / d, d > 0
+        if best is None or num * best[1] > best[0] * d:
+            best = (num, d, bits, walk, node)
     if best is None:
         raise InternalError("no genie subproblem was feasible")
-    value, bits, v, lam = best
+    _, _, bits, walk, node = best
+    lam, v = walk.read(node, params)
+    value = v[0]
     if value != closed.optimal_dof:
         raise InternalError(
             f"enumerated optimum {frac_str(value)} != closed form {frac_str(closed.optimal_dof)}"

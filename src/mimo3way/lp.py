@@ -23,6 +23,8 @@ dual's cost, as a linear form b = sum_k params_k * b_k: it memoizes each pivot
 as an edge (node, entering column) -> child, each node keeping one
 reduced-cost row per b_k, and solves at params by Bland's rule on those rows
 summed at params, so it takes exactly the pivots of a solve from scratch.
+Given `rays` spanning a cone, Bland's rule reads only columns negative on some
+ray; a caller that passes rays must only solve at params inside their cone.
 `solve_inequality_min` is the one-point walk; `allocation` keeps one walk per
 genie sign pattern, whose cost b(m) is linear in (1, m1, m2, m3).
 
@@ -96,9 +98,6 @@ class LinearProgram:
     @property
     def n_constraints(self) -> int:
         return len(self.a)
-
-    def row_dot(self, i: int, v) -> Fraction:
-        return _dot(self.a[i], v)
 
     def to_json(self) -> dict:
         return {
@@ -305,21 +304,26 @@ class _Walk:
     """Phase 2 from a `_phase1` tableau, which stays untouched, for every cost
     cost[j] = sum_k params[k] * forms[j][k] (integer forms) at once.
 
-    A node is [tableau, reduced costs, edges, x]: one reduced-cost row per
-    form component, stored as a tuple per column, each pivoted by the same
-    Bareiss step (exact on each row by itself); edges maps an entering column
-    to its child (None: unbounded along it); x is set once the node ends a
-    solve. Bland's rule never revisits a basis, so the memo is finite and a
-    solve takes at most one step per basis; one that takes more has met a
-    cycle in the memo, and raises InternalError.
+    A node is [tableau, reduced costs, edges, x, scan]: one reduced-cost row
+    per form component, stored as a tuple per column, each pivoted by the
+    same Bareiss step (exact on each row by itself); edges maps an entering
+    column to its child (None: unbounded along it); x is set once the node
+    ends a solve; scan, set at its first visit, lists the columns Bland's
+    rule reads: all of them, or with `rays` (generators of a cone every
+    solved params must lie in) those negative on some ray, as the rest are
+    >= 0 on the whole cone, so every pivot is the one a full scan takes.
+    Bland's rule never revisits a basis, so the memo is finite and a solve
+    takes at most one step per basis; one that takes more has met a cycle
+    in the memo, and raises InternalError.
     """
 
-    def __init__(self, start: _Tableau, forms):
+    def __init__(self, start: _Tableau, forms, rays=None):
         self.n_var = len(forms)
         self.bases = comb(self.n_var, len(start.tab))
+        self.rays = rays
         n_eq = len(start.scales)
         rows = [start.reduced_costs([*component, *[0] * n_eq]) for component in zip(*forms)]
-        self.root = [start, list(zip(*rows)), {}, None]
+        self.root = [start, list(zip(*rows)), {}, None, None]
 
     @staticmethod
     def _child(node, enter):
@@ -334,20 +338,21 @@ class _Walk:
         cols = [tuple((p * c - f * y) // d for c, f in zip(col, fs)) for col, y in zip(cols, t.tab[prow])]
         if any(cols[enter]):  # a basic column prices at 0; else Bland's rule could re-enter it forever
             raise InternalError("a pivot left a reduced cost on the entering column")
-        return [t, cols, {}, None]
+        return [t, cols, {}, None, None]
 
-    def solve(self, params):
-        """(x, pi) at `params`: the optimal basic solution and the equality-row
-        multipliers (0 on dropped redundant rows); _Unbounded when the
+    def optimum(self, params):
+        """The node where Bland's rule stops at `params`; _Unbounded when the
         minimum is -infinity."""
-        node, n_var, steps = self.root, self.n_var, 0
+        node, n_var, rays, steps = self.root, self.n_var, self.rays, 0
         while True:
             cols, edges = node[1], node[2]
-            for enter in range(n_var):  # Bland's rule: the first negative reduced cost
+            if node[4] is None:
+                node[4] = [j for j in range(n_var) if rays is None or any(sum(map(mul, r, cols[j])) < 0 for r in rays)]
+            for enter in node[4]:  # Bland's rule: the first negative reduced cost
                 if sum(map(mul, params, cols[enter])) < 0:
                     break
             else:
-                break
+                return node
             steps += 1
             if steps > self.bases:
                 raise InternalError(f"a Bland walk took {steps} steps among {self.bases} bases: its memo cycles")
@@ -356,19 +361,29 @@ class _Walk:
             node = edges[enter]
             if node is None:
                 raise _Unbounded()
+
+    def multiplier(self, node, params, k) -> int:
+        """d times equality row k's multiplier at an optimal `node`: minus the
+        reduced cost of its artificial column, row sign and scale undone."""
         t = node[0]
+        return -sum(map(mul, params, node[1][self.n_var + k])) * t.signs[k] * t.scales[k] if k in t.live else 0
+
+    def solve(self, params):
+        """(x, pi) at `params`: the optimal basic solution and the equality-row
+        multipliers (0 on dropped redundant rows); _Unbounded when the
+        minimum is -infinity."""
+        return self.read(self.optimum(params), params)
+
+    def read(self, node, params):
+        """(x, pi) at the optimal `node` of `params`, as Fractions."""
+        t, n_var = node[0], self.n_var
         if node[3] is None:
             x = [Fraction(0)] * n_var
             for row, b in zip(t.tab, t.basis):
                 if b < n_var:
                     x[b] = Fraction(row[-1], t.d)
             node[3] = tuple(x)
-        # multiplier of equality row k: minus the reduced cost of its
-        # artificial column, with the row sign, row scale and d undone
-        pi = [Fraction(0)] * len(t.scales)
-        for orig in t.live:
-            pi[orig] = Fraction(-sum(map(mul, params, cols[n_var + orig])) * t.signs[orig] * t.scales[orig], t.d)
-        return node[3], tuple(pi)
+        return node[3], tuple(Fraction(self.multiplier(node, params, k), t.d) for k in range(len(t.scales)))
 
 
 def solve_inequality_min(lp: LinearProgram) -> LPSolution | None:

@@ -42,7 +42,7 @@ def test_lp_defaults_and_json():
     lp = LinearProgram(c=(-1, 0), a=((1, 1),), b=("5/2",))
     assert lp.variables == ("v0", "v1")
     assert lp.constraints == ("row0",)
-    assert lp.row_dot(0, (1, 1)) == 2
+    assert sum(x * y for x, y in zip(lp.a[0], (1, 1))) == 2
     j = lp.to_json()
     assert j["b"] == ["5/2"]
     assert j["c"] == ["-1", "0"]
@@ -461,6 +461,49 @@ def test_walk_matches_a_scratch_phase2_at_every_point(program):
     assert (start.tab, start.basis, start.d) == before  # the phase-1 tableau stays untouched
 
 
+def _built(node):
+    yield node
+    for child in node[2].values():
+        if child is not None:
+            yield from _built(child)
+
+
+@st.composite
+def _coned_programs(draw):
+    """A `_parametric_programs` system with 1 to 3 integer rays in its 2
+    parameters, and points that are nonnegative integer combinations of the
+    rays, so every point lies in their cone."""
+    g, rhs, forms, _ = draw(_parametric_programs())
+    coefficient = st.integers(-3, 3)
+    rays = draw(st.lists(st.tuples(coefficient, coefficient), min_size=1, max_size=3))
+    weights = st.lists(st.integers(0, 3), min_size=len(rays), max_size=len(rays))
+    points = [
+        tuple(sum(w * ray[k] for w, ray in zip(ws, rays)) for k in range(2))
+        for ws in draw(st.lists(weights, min_size=1, max_size=8))
+    ]
+    return g, rhs, forms, rays, points
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_coned_programs())
+def test_walk_given_rays_matches_a_full_scan_inside_their_cone(program):
+    g, rhs, forms, rays, points = program
+    start = _phase1(g, rhs)
+    coned, full = _Walk(start, forms, rays), _Walk(start, forms)
+    for p in points:
+        cost = [p[0] * f0 + p[1] * f1 for f0, f1 in forms]
+        want = _outcome(_scratch_phase2, start, cost)
+        assert _outcome(coned.solve, p) == want, p
+        assert _outcome(full.solve, p) == want, p
+    # a node scans its columns in index order and leaves out only those
+    # whose reduced cost is >= 0 on every ray
+    for node in _built(coned.root):
+        scan = node[4]
+        assert list(scan) == sorted(scan)
+        for j in set(range(len(forms))) - set(scan):
+            assert all(sum(r * c for r, c in zip(ray, node[1][j])) >= 0 for ray in rays), (j, rays)
+
+
 def test_a_walk_whose_memo_cycles_raises_instead_of_hanging():
     # min x1 - x2 over x1 + x2 = 1, x >= 0: phase 1 leaves x1 basic, phase 2
     # enters x2; pointing that edge back at the root makes the memo a cycle
@@ -523,6 +566,26 @@ def test_genie_subproblems_pinned_pairs(m):
     assert sols[best].v == tuple(Fraction(x) for x in v)
     assert sols[best].lam == tuple(Fraction(x) for x in lam.split())
     assert optimal_unicast_enumerated(cfg).certificate.lam == sols[best].lam
+
+
+def test_enumeration_keeps_the_first_orbit_reaching_the_largest_value():
+    # the winner's integer-ratio comparison picks what the first maximum of
+    # the Fraction values v[0] picks, in _ORBITS order, on every m1 <= 12 config
+    for m in itertools.combinations_with_replacement(range(13), 3):
+        cfg = AntennaConfig(*sorted(m, reverse=True))
+        sols = []
+        for bits in _ORBITS:
+            walk = _template(bits)
+            if walk is None:
+                continue
+            try:
+                lam, v = walk.solve((1, *cfg.totals))
+            except _Unbounded:
+                continue
+            sols.append((v[0], bits, v, lam))
+        _, bits, v, lam = max(sols, key=lambda sol: sol[0])  # max keeps the first maximum
+        cert = optimal_unicast_enumerated(cfg).certificate
+        assert (cert.lp, _typed(cert.v), _typed(cert.lam)) == (genie_subproblem(cfg, bits), _typed(v), _typed(lam)), m
 
 
 def test_phase1_templates_match_solving_each_genie_lp():
