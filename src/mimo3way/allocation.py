@@ -178,17 +178,15 @@ def canonical_split(config: AntennaConfig, regime: Regime) -> AntennaSplit:
     """
     if not holds(regime, config):
         op = "<=" if regime is Regime.BALANCED else ">="
-        raise RegimeError(
-            f"the {regime.name.lower()} split applies only when m1 {op} m2+m3, got {config.totals}"
-        )
-    m1, m2, m3 = (Fraction(m) for m in config.totals)
-    if regime is Regime.BALANCED:
-        rx = (Fraction(0), (m1 + 2 * m2 - m3) / 3, (m1 + 2 * m3 - m2) / 3)
-    elif regime is Regime.HUB:
-        rx = (m2 + m3, Fraction(0), Fraction(0))
-    else:
-        rx = (m2, m3, Fraction(0))
-    return AntennaSplit(tuple(m - r for m, r in zip((m1, m2, m3), rx)), rx)
+        raise RegimeError(f"the {regime.name.lower()} split applies only when m1 {op} m2+m3, got {config.totals}")
+    m1, m2, m3 = config.totals
+    rx = {  # receive numerators over 3
+        Regime.BALANCED: (0, m1 + 2 * m2 - m3, m1 + 2 * m3 - m2),
+        Regime.HUB: (3 * (m2 + m3), 0, 0),
+        Regime.BROADCAST: (3 * m2, 3 * m3, 0),
+    }[regime]
+    tx = (Fraction(3 * m - r, 3) for m, r in zip(config.totals, rx))
+    return AntennaSplit(tuple(tx), tuple(Fraction(r, 3) for r in rx))
 
 
 def _unicast_regime(config: AntennaConfig) -> Regime:
@@ -198,8 +196,7 @@ def _unicast_regime(config: AntennaConfig) -> Regime:
 
 def optimal_unicast_closed_form(config: AntennaConfig) -> AllocationResult:
     """Unicast optimum by formula, with the canonical optimal split."""
-    instance(config, AntennaConfig)
-    value = unicast_optimal_value(*config.totals)
+    value = Fraction(_unicast_thrice(*instance(config, AntennaConfig).totals), 3)
     regime = _unicast_regime(config)
     split = canonical_split(config, regime)
     if genie_bound_unicast(split).combined != value:
@@ -251,12 +248,6 @@ def _genie_rows(bits: tuple[bool, ...]):
     return a, tuple(map(tuple, np.array(forms).tolist())), labels
 
 
-def _rhs(forms, config: AntennaConfig) -> list[int]:
-    """Evaluate rhs forms (const, m1, m2, m3) at `config`."""
-    m1, m2, m3 = config.totals
-    return [c + a * m1 + b * m2 + d * m3 for c, a, b, d in forms]
-
-
 def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearProgram:
     """LP for one sign pattern of the genie objective: `_genie_rows` at the
     config, over the variables (dof, rx1, rx2, rx3)."""
@@ -264,8 +255,9 @@ def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearPro
     if not isinstance(bits, (tuple, list)) or len(bits) != len(_MAX_TERMS) or not all(type(b) is bool for b in bits):
         raise InvalidInputError(f"expected {len(_MAX_TERMS)} pattern bits (True or False), got {bits!r}")
     a, forms, labels = _genie_rows(bits)
-    variables = ("dof", "rx1", "rx2", "rx3")
-    return LinearProgram(c=(-1, 0, 0, 0), a=a, b=_rhs(forms, config), variables=variables, constraints=labels)
+    m1, m2, m3 = config.totals
+    b = [c + x * m1 + y * m2 + z * m3 for c, x, y, z in forms]  # the rhs forms at the config
+    return LinearProgram(c=(-1, 0, 0, 0), a=a, b=b, variables=("dof", "rx1", "rx2", "rx3"), constraints=labels)
 
 
 # (1, m1, m2, m3) = 1*r0 + (m1-m2)*r1 + (m2-m3)*r2 + m3*r3 when m1 >= m2 >= m3 >= 0
@@ -396,7 +388,7 @@ def optimal_broadcast(config: AntennaConfig) -> AllocationResult:
     attached band records.
     """
     split = canonical_split(config, Regime.BROADCAST)
-    value = broadcast_optimal_value(*config.totals)
+    value = Fraction(_broadcast_thrice(*config.totals), 3)
     band = TransmitSumBand(low=Fraction(config.m2), high=Fraction(config.m1))
     if not band.contains(config, split.tx):
         raise InternalError("canonical broadcast split fell outside its own optimality band")

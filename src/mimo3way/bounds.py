@@ -1,6 +1,8 @@
 """Sum-DoF upper bounds for a fixed antenna split.
 
-Two families of converse bounds, both exact rational functions of the split:
+Two families of converse bounds, both exact and homogeneous of degree 1 in the
+split, so they run on its integer numerators over one denominator d (1 or 3
+for an allocated split) and make a `Fraction` only for each reported value:
 
 * cut-set bounds: each cut separating transmitters from receivers caps the
   messages crossing it by min(tx antennas on one side, rx antennas on the
@@ -71,18 +73,19 @@ class BoundReport:
 
 
 def _split_counts(split: AntennaSplit):
-    return *instance(split, AntennaSplit).tx, *split.rx
+    """d, the lcm of the split's denominators, then tx and rx over d."""
+    d = instance(split, AntennaSplit).extension_factor
+    return d, *(v.numerator * (d // v.denominator) for v in split.tx + split.rx)
 
 
-def _report(partials, totals, family: str) -> BoundReport:
+def _report(d: int, partials, totals, family: str) -> BoundReport:
     combined = min(v for _, v in totals)
-    binding = tuple(label for label, v in totals if v == combined)
     return BoundReport(
-        partial_terms=tuple(BoundTerm(l, v) for l, v in partials),
-        total_terms=tuple(BoundTerm(l, v) for l, v in totals),
+        partial_terms=tuple(BoundTerm(l, Fraction(v, d)) for l, v in partials),
+        total_terms=tuple(BoundTerm(l, Fraction(v, d)) for l, v in totals),
         family=family,
-        combined=combined,
-        binding=binding,
+        combined=Fraction(combined, d),
+        binding=tuple(label for label, v in totals if v == combined),
     )
 
 
@@ -93,7 +96,7 @@ def cutset_bound_unicast(split: AntennaSplit) -> BoundReport:
     arriving at a node; summing complementary cuts gives the three-term
     combined bound on the total.
     """
-    t1, t2, t3, r1, r2, r3 = _split_counts(split)
+    d, t1, t2, t3, r1, r2, r3 = _split_counts(split)
     partials = [
         # messages leaving node l: min(tx_l, rx elsewhere)
         ("cut{1|23}", min(t1, r2 + r3)),
@@ -109,7 +112,7 @@ def cutset_bound_unicast(split: AntennaSplit) -> BoundReport:
         ("sum_tx", t1 + t2 + t3),
         ("sum_rx", r1 + r2 + r3),
     ]
-    return _report(partials, totals, "cutset")
+    return _report(d, partials, totals, "cutset")
 
 
 # The three genie totals, (label, (a, b), (c, d)) for max(rx_a, tx_b) +
@@ -140,7 +143,7 @@ def genie_bound_unicast(split: AntennaSplit) -> BoundReport:
     triples with the transmit/receive totals yields the five-term bound; it
     is never looser than the cut-set combined bound.
     """
-    t1, t2, t3, r1, r2, r3 = _split_counts(split)
+    d, t1, t2, t3, r1, r2, r3 = _split_counts(split)
     partials = [
         ("genie@1|w23", min(max(r1, t3), t2 + t3)),
         ("genie@1|w32", min(max(r1, t2), t2 + t3)),
@@ -149,7 +152,7 @@ def genie_bound_unicast(split: AntennaSplit) -> BoundReport:
         ("genie@3|w12", min(max(r3, t2), t1 + t2)),
         ("genie@3|w21", min(max(r3, t1), t1 + t2)),
     ]
-    return _report(partials, genie_totals(split.tx, split.rx), "genie")
+    return _report(d, partials, genie_totals((t1, t2, t3), (r1, r2, r3)), "genie")
 
 
 def symmetric_bound(mt, mr) -> Fraction:
@@ -168,7 +171,7 @@ def cutset_bound_broadcast(split: AntennaSplit) -> BoundReport:
     receiver), which is why the combined minimum carries the doubled
     transmit-sum term.
     """
-    t1, t2, t3, r1, r2, r3 = _split_counts(split)
+    d, t1, t2, t3, r1, r2, r3 = _split_counts(split)
     partials = [
         # receiving-node cuts; broadcast streams ride along on both cuts
         ("cut{12|3}", min(t1 + t2, r3)),
@@ -181,4 +184,4 @@ def cutset_bound_broadcast(split: AntennaSplit) -> BoundReport:
         ("rx{3}+tx{1}+tx{2}+2tx{3}", r3 + t1 + t2 + 2 * t3),
         ("2sum_tx", 2 * (t1 + t2 + t3)),
     ]
-    return _report(partials, totals, "cutset")
+    return _report(d, partials, totals, "cutset")

@@ -106,11 +106,11 @@ class AntennaSplit:
 
     @property
     def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.tx + self.rx)
+        return self.extension_factor == 1
 
-    @property
+    @functools.cached_property
     def extension_factor(self) -> int:
-        """Smallest integer scale that makes every entry integral."""
+        """Smallest integer scale that makes every entry integral (cached)."""
         return denominator_lcm(self.tx + self.rx)
 
     def scaled(self, factor: int) -> "AntennaSplit":

@@ -118,7 +118,11 @@ def _scheme_tag(text: str) -> SchemeTag:
 
 
 def _dec(x: Fraction) -> str:
-    return f"{float(x):.4f}"
+    """Exact x to 4 decimals, half to even, "-0.0000" below 0: float text without overflow or lost digits."""
+    n, d = x.numerator, x.denominator
+    q, r = divmod(abs(n) * 10000, d)
+    q += 2 * r > d or 2 * r == d and q % 2  # half to even
+    return f"{'-' if n < 0 else ''}{q // 10000}.{q % 10000:04d}"
 
 
 def _fmt_triple(vals) -> str:

@@ -138,42 +138,43 @@ def verify_duality(lp: LinearProgram, v, lam) -> DualityCertificate:
     """Check a candidate primal/dual pair exactly.
 
     Optimal iff v is feasible, lam is dual feasible (lam >= 0, A'lam = -c),
-    and the gap c.v + b.lam is exactly zero.
+    and the gap c.v + b.lam is exactly zero. It runs on integer numerators (v
+    over dv, lam over dl, c, A and b over s) and makes Fractions only to report.
     """
     instance(lp, LinearProgram)
     v = _rationals(v, "v must be a sequence of rationals")
     lam = _rationals(lam, "lam must be a sequence of rationals")
-    if len(v) != lp.n_variables:
-        raise InvalidInputError(f"v has {len(v)} entries, expected {lp.n_variables}")
-    if len(lam) != lp.n_constraints:
-        raise InvalidInputError(f"lam has {len(lam)} entries, expected {lp.n_constraints}")
+    n, m = len(v), len(lam)
+    if n != lp.n_variables:
+        raise InvalidInputError(f"v has {n} entries, expected {lp.n_variables}")
+    if m != lp.n_constraints:
+        raise InvalidInputError(f"lam has {m} entries, expected {lp.n_constraints}")
+    (vn, dv), (ln, dl) = _to_integers(v), _to_integers(lam)
+    coeffs, s = _to_integers((*lp.c, *(x for row in lp.a for x in row), *lp.b))
+    c, b = coeffs[:n], coeffs[n * (m + 1) :]
+    rows = [coeffs[n * (i + 1) : n * (i + 2)] for i in range(m)]
 
-    gap = _dot(lp.c, v) + _dot(lp.b, lam)
+    gap = Fraction(sum(map(mul, c, vn)) * dl + sum(map(mul, b, ln)) * dv, s * dv * dl)
 
-    lhs = [_dot(row, v) for row in lp.a]
+    lhs = (sum(map(mul, row, vn)) for row in rows)  # s*dv times A v
     primal_bad = tuple(
-        f"{label}: {frac_str(x)} > {frac_str(bi)}" for label, x, bi in zip(lp.constraints, lhs, lp.b) if x > bi
+        f"{label}: {frac_str(Fraction(x, s * dv))} > {frac_str(bi)}"
+        for label, x, bn, bi in zip(lp.constraints, lhs, b, lp.b) if x > bn * dv
     )
     if primal_bad:
         return DualityCertificate(DualityStatus.NOT_PRIMAL_FEASIBLE, gap, primal_bad)
 
     dual_bad = [f"{lp.constraints[i]}: multiplier {frac_str(li)} < 0" for i, li in enumerate(lam) if li < 0]
-    for j, cj in enumerate(lp.c):
-        stat = _dot(lam, [row[j] for row in lp.a]) + cj
-        if stat != 0:
-            dual_bad.append(f"stationarity[{lp.variables[j]}]: residual {frac_str(stat)}")
+    for j, cj in enumerate(c):
+        stat = sum(li * row[j] for li, row in zip(ln, rows)) + cj * dl  # s*dl times (A'lam + c)[j]
+        if stat:
+            dual_bad.append(f"stationarity[{lp.variables[j]}]: residual {frac_str(Fraction(stat, s * dl))}")
     if dual_bad:
         return DualityCertificate(DualityStatus.NOT_DUAL_FEASIBLE, gap, tuple(dual_bad))
 
     if gap != 0:
         return DualityCertificate(DualityStatus.NONZERO_GAP, gap)
     return DualityCertificate(DualityStatus.OPTIMAL, gap)
-
-
-def _dot(xs, ys) -> Fraction:
-    # most genie coefficients and multipliers are 0; skipping zero terms skips
-    # Fraction products without changing the sum
-    return sum((x * y for x, y in zip(xs, ys) if x and y), Fraction(0))
 
 
 class _Unbounded(Exception):
@@ -406,4 +407,4 @@ def solve_inequality_min(lp: LinearProgram) -> LPSolution | None:
         return None  # dual unbounded below => primal infeasible
     if cost_scale != 1:
         v = tuple(vj / cost_scale for vj in v)
-    return LPSolution(value=_dot(lp.c, v), v=v, lam=lam)
+    return LPSolution(value=sum(map(mul, lp.c, v), Fraction(0)), v=v, lam=lam)

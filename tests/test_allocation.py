@@ -19,6 +19,7 @@ from mimo3way import (
     DualityPairCertificate,
     InvalidInputError,
     Regime,
+    RegimeError,
     SchemeTag,
     TransmitSumBand,
     broadcast_optimal_value,
@@ -262,6 +263,30 @@ def test_non_regime_is_refused(regime):
         holds(regime, AntennaConfig(4, 2, 1))
     with pytest.raises(InvalidInputError, match="expected a Regime"):
         canonical_split(AntennaConfig(4, 2, 1), regime)
+
+
+def test_canonical_split_and_closed_form_match_the_fraction_formulas():
+    # every ordered config with m1 <= 30, m3 = 0 included; the split runs on
+    # numerators over 3, the formulas here on Fractions
+    for m1, m2, m3 in itertools.combinations_with_replacement(range(30, -1, -1), 3):
+        config = AntennaConfig(m1, m2, m3)
+        f1, f2, f3 = map(Fraction, (m1, m2, m3))
+        rx_of = {
+            Regime.BALANCED: (Fraction(0), (f1 + 2 * f2 - f3) / 3, (f1 + 2 * f3 - f2) / 3),
+            Regime.HUB: (f2 + f3, Fraction(0), Fraction(0)),
+            Regime.BROADCAST: (f2, f3, Fraction(0)),
+        }
+        for regime, rx in rx_of.items():
+            if not holds(regime, config):
+                with pytest.raises(RegimeError):
+                    canonical_split(config, regime)
+                continue
+            split = canonical_split(config, regime)
+            assert (split.tx, split.rx) == (tuple(m - r for m, r in zip((f1, f2, f3), rx)), rx)
+            assert all(type(v) is Fraction for v in split.tx + split.rx)
+        closed = optimal_unicast_closed_form(config)
+        assert closed.optimal_dof == min(f1 + (f2 + f3 - f1) / 3, f2 + f3)
+        assert type(closed.optimal_dof) is Fraction
 
 
 def test_bruteforce_cap_covers_acceptance_grid():

@@ -10,6 +10,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimo3way import (
     AntennaSplit,
@@ -195,6 +197,67 @@ def test_report_json():
         "sum_tx", "sum_rx", "genie{2,3}", "genie{1,2}", "genie{1,3}"
     }
     assert all(isinstance(t["value"], str) for t in j["total_terms"])
+
+
+def _fraction_reference(family, split):
+    """(partials, totals) of one bound family, evaluated on the split's
+    Fractions: the reference for the integer-numerator evaluation."""
+    (t1, t2, t3), (r1, r2, r3) = split.tx, split.rx
+    if family == "cutset":
+        partials = [
+            ("cut{1|23}", min(t1, r2 + r3)), ("cut{2|13}", min(t2, r1 + r3)), ("cut{3|12}", min(t3, r1 + r2)),
+            ("cut{12|3}", min(t1 + t2, r3)), ("cut{23|1}", min(t2 + t3, r1)), ("cut{13|2}", min(t1 + t3, r2)),
+        ]
+        totals = [("tx{2}+tx{3}+rx{2}+rx{3}", t2 + t3 + r2 + r3), ("sum_tx", t1 + t2 + t3), ("sum_rx", r1 + r2 + r3)]
+    elif family == "genie":
+        partials = [
+            ("genie@1|w23", min(max(r1, t3), t2 + t3)), ("genie@1|w32", min(max(r1, t2), t2 + t3)),
+            ("genie@2|w13", min(max(r2, t3), t1 + t3)), ("genie@2|w31", min(max(r2, t1), t1 + t3)),
+            ("genie@3|w12", min(max(r3, t2), t1 + t2)), ("genie@3|w21", min(max(r3, t1), t1 + t2)),
+        ]
+        totals = [
+            ("sum_tx", t1 + t2 + t3), ("sum_rx", r1 + r2 + r3), ("genie{2,3}", max(r2, t3) + max(r3, t2)),
+            ("genie{1,2}", max(r2, t1) + max(r1, t2)), ("genie{1,3}", max(r3, t1) + max(r1, t3)),
+        ]
+    else:
+        partials = [("cut{12|3}", min(t1 + t2, r3)), ("cut{23|1}", min(t2 + t3, r1)), ("cut{13|2}", min(t1 + t3, r2))]
+        totals = [
+            ("sum_rx", r1 + r2 + r3), ("tx{2}+tx{3}+rx{2}+rx{3}", t2 + t3 + r2 + r3),
+            ("rx{3}+tx{1}+tx{2}+2tx{3}", r3 + t1 + t2 + 2 * t3), ("2sum_tx", 2 * (t1 + t2 + t3)),
+        ]
+    return partials, totals
+
+
+_ENTRY = st.builds(Fraction, st.integers(0, 40), st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_ENTRY, min_size=6, max_size=6))
+def test_bounds_at_rational_splits_match_a_fraction_reference(entries):
+    # denominators 1..12, so the common denominator of a split is far from
+    # only the 1 or 3 of allocated splits
+    split = AntennaSplit(entries[:3], entries[3:])
+    for family, bound in (
+        ("cutset", cutset_bound_unicast),
+        ("genie", genie_bound_unicast),
+        ("broadcast", cutset_bound_broadcast),
+    ):
+        rep = bound(split)
+        partials, totals = _fraction_reference(family, split)
+        combined = min(v for _, v in totals)
+        terms = rep.partial_terms + rep.total_terms
+        assert [(t.label, t.value) for t in terms] == partials + totals
+        assert all(type(t.value) is Fraction for t in terms) and type(rep.combined) is Fraction
+        assert rep.combined == combined
+        assert rep.binding == tuple(label for label, v in totals if v == combined)
+        json_terms = lambda ts: [{"label": l, "value": str(v)} for l, v in ts]
+        assert rep.to_json() == {
+            "partial_terms": json_terms(partials),
+            "total_terms": json_terms(totals),
+            "combined_cutset": None if family == "genie" else str(combined),
+            "combined_genie": str(combined) if family == "genie" else None,
+            "binding": list(rep.binding),
+        }
 
 
 def test_bounds_reject_non_splits():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from mimo3way import InternalError, SchemeTag
 from mimo3way.rates import SlopeEstimate
-from mimo3way.cli import DEFAULT_SEED, _emit_json, main
+from mimo3way.cli import DEFAULT_SEED, _dec, _emit_json, main
 
 
 def _run(capsys, *argv):
@@ -355,6 +355,33 @@ def test_sweep_bad_range(capsys):
     code, out, err = _run(capsys, "sweep", "--ratio1", "4:1:1/3")
     assert code == 1
     assert "step" in err
+
+
+def test_decimal_text_equals_float_formatting_on_small_rationals():
+    # q = 32 puts exact ties (p/32 for odd p) on the grid; -1/100000 prints -0.0000
+    extra = (Fraction(0), Fraction(-1, 100000), Fraction(1, 100000), Fraction(-5, 32))
+    for x in (*(Fraction(p, q) for q in range(1, 33) for p in range(-1000, 1001)), *extra):
+        assert _dec(x) == f"{float(x):.4f}", x
+
+
+_BIG = 10**400
+
+
+def test_large_values_print_exact_digits(capsys):
+    # a float overflows past 1e308 and drops digits past 2**53
+    code, out, err = _run(capsys, "bounds", "--mt", "99999999999999999999999/7,1,1", "--mr", "1,1,1", "-f", "csv")
+    assert code == 0, err
+    assert "genie,total,genie{1,2},14285714285714285714286.5714" in out.splitlines()
+    code, out, err = _run(capsys, "bounds", f"--m={_BIG},5,5", "--allocate")
+    assert code == 0, err
+    assert "allocated dof: 10.0000 (m1>=m2+m3)" in out and f"  sum_tx{' ' * 23}{_BIG}.0000  (total)" in out
+    code, out, err = _run(capsys, "allocate", f"--m={_BIG},{_BIG},5")
+    assert code == 0, err
+    assert f"optimal dof: {_BIG + 1}.6667  [{3 * _BIG + 5}/3]" in out  # m1 + (m2+m3-m1)/3
+    big = 10**401 - 1
+    code, out, err = _run(capsys, "sweep", f"--ratio1={big}:{big}:1", "--ratio2=1:1:1", "-f", "csv")
+    assert code == 0, err
+    assert out.splitlines()[1:] == [f"{big}.0000,1.0000,2.0000"]
 
 
 def _reference_sweep(ratio1, ratio2, m3, msgs, fmt):

@@ -85,6 +85,9 @@ _argv = st.tuples(
 @example(["sweep", "--ratio1=1:100000:1/3", "--ratio2=1:100000:1/3"])
 @example(["verify-scheme", "--m=a,b,c", "--scheme=uni-a"])
 @example(["allocate", "--m=3,,3", "--format=xml"])
+@example(["bounds", f"--m=1{'0' * 400},5,5", "--allocate"])
+@example(["allocate", f"--m=1{'0' * 400},1{'0' * 400},5"])
+@example(["sweep", f"--ratio1={'9' * 401}:{'9' * 401}:1", "--ratio2=1:1:1", "--format=csv"])
 def test_user_input_never_exits_3(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -176,6 +176,36 @@ def test_verify_duality_matches_full_sums_on_perturbed_pairs():
     assert all(s.startswith("stationarity[") for s in bumped.violations)
 
 
+def _rescaled(lp, v, lam, var=7, cost=Fraction(1, 11), row=Fraction(1, 13)):
+    """`lp` with its variables scaled by `var`, its cost by `cost` and its odd
+    rows by `row`, and the image of the pair (v, lam): (v / var, cost * lam
+    / row scale), optimal iff (v, lam) is optimal for `lp`."""
+    alpha = [row if i % 2 else 1 for i in range(lp.n_constraints)]
+    a = tuple(tuple(al * var * x for x in r) for al, r in zip(alpha, lp.a))
+    b = tuple(al * bi for al, bi in zip(alpha, lp.b))
+    scaled = LinearProgram(tuple(cost * var * cj for cj in lp.c), a, b, lp.variables, lp.constraints)
+    return scaled, tuple(x / var for x in v), tuple(cost * li / al for li, al in zip(lam, alpha))
+
+
+@pytest.mark.parametrize("m", [(3, 3, 3), (5, 4, 2), (2, 1, 1), (9, 8, 7)])
+def test_verify_duality_matches_full_sums_with_coprime_denominators(m):
+    # the program's coefficients over 11*13, v over a multiple of 7 and lam
+    # of 11, and the nudges bring in 7, 11 and 13 by themselves, so the
+    # integer check scales by an s*dv*dl far from 1 in every status
+    lp, v, lam = _rescaled(*canonical_primal_dual(AntennaConfig(*m)))
+    assert _to_integers((*lp.c, *itertools.chain(*lp.a), *lp.b))[1] == 143
+    assert _to_integers(v)[1] % 7 == 0 and _to_integers(lam)[1] % 11 == 0
+    assert _matches_full_sum(lp, v, lam).status is DualityStatus.OPTIMAL
+    far = (v[0], v[1] + Fraction(50, 13), *v[2:])
+    assert _matches_full_sum(lp, far, lam).status is DualityStatus.NOT_PRIMAL_FEASIBLE
+    negative = _matches_full_sum(lp, v, (*lam[:-1], Fraction(-2, 7)))
+    assert negative.status is DualityStatus.NOT_DUAL_FEASIBLE and "multiplier -2/7 < 0" in negative.violations[0]
+    bumped = _matches_full_sum(lp, v, (lam[0] + Fraction(3, 13), *lam[1:]))
+    assert bumped.status is DualityStatus.NOT_DUAL_FEASIBLE
+    slack = _matches_full_sum(lp, (v[0] - Fraction(1, 11), *v[1:]), lam)
+    assert slack.status is DualityStatus.NONZERO_GAP and slack.gap > 0
+
+
 def test_verify_duality_dimension_checks():
     lp = _interval_lp()
     with pytest.raises(InvalidInputError):
