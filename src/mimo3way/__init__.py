@@ -62,7 +62,6 @@ from .schemes import (
     SchemeTag,
     VerificationReport,
     build_scheme,
-    pair_matrices,
     scheme_split,
     verify_scheme,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "VerificationReport",
     "scheme_split",
     "build_scheme",
-    "pair_matrices",
     "verify_scheme",
     # rates
     "SlopeEstimate",

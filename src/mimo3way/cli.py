@@ -44,6 +44,13 @@ DEFAULT_SEED = 1234
 # The default grid has 70 points; the largest sweep in the benchmark has 784.
 SWEEP_MAX_POINTS = 100_000
 
+# Most digits in an antenna count, a grid denominator, or the numerator or
+# denominator of a split entry or sweep bound. The longest number printed from
+# such input, the brute-force cell count (n*m + 1)**3, then has 6 * 500 digits,
+# under the 4,300 that Python converts from int to str by default.
+_MAX_DIGITS = 500
+_DIGIT_BOUND = 10**_MAX_DIGITS
+
 
 class _UsageError(Exception):
     pass
@@ -64,28 +71,18 @@ def _default_seed() -> int:
         raise _UsageError(f"MIMO3WAY_SEED must be an integer, got {env!r}") from exc
 
 
-def _parse_ints(text: str, name: str) -> tuple[int, ...]:
+def _parse_list(text: str, name: str, convert, noun: str) -> tuple:
     try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise _UsageError(f"--{name} expects comma-separated integers, got {text!r}") from exc
+        return tuple(convert(p) for p in text.split(","))
+    except ValueError as exc:  # InvalidInputError included
+        raise _UsageError(f"--{name} expects comma-separated {noun}, got {text!r}") from exc
 
 
-def _parse_finite_floats(text: str, name: str) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(p) for p in text.split(","))
-    except ValueError as exc:
-        raise _UsageError(f"--{name} expects comma-separated numbers, got {text!r}") from exc
-    if not all(math.isfinite(v) for v in vals):
-        raise _UsageError(f"--{name} values must be finite, got {text!r}")
-    return vals
-
-
-def _parse_fracs(text: str, name: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(frac(p.strip()) for p in text.split(","))
-    except InvalidInputError as exc:
-        raise _UsageError(f"--{name} expects comma-separated rationals, got {text!r}") from exc
+def _within_digits(values, name: str):
+    """`values`, refused if a numerator or denominator has over _MAX_DIGITS digits."""
+    if any(abs(v.numerator) >= _DIGIT_BOUND or v.denominator >= _DIGIT_BOUND for v in values):
+        raise InvalidInputError(f"--{name} takes numbers of at most {_MAX_DIGITS} digits")
+    return values
 
 
 def _parse_range(text: str, name: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -93,16 +90,16 @@ def _parse_range(text: str, name: str) -> tuple[Fraction, Fraction, Fraction]:
     if len(parts) != 3:
         raise _UsageError(f"--{name} expects start:stop:step, got {text!r}")
     try:
-        lo, hi, step = (frac(p.strip()) for p in parts)
+        lo, hi, step = map(frac, parts)
     except InvalidInputError as exc:
         raise _UsageError(f"--{name} expects rational start:stop:step, got {text!r}") from exc
     if step <= 0 or hi < lo:
         raise _UsageError(f"--{name} needs step > 0 and stop >= start, got {text!r}")
-    return lo, hi, step
+    return _within_digits((lo, hi, step), name)
 
 
 def _config(args) -> AntennaConfig:
-    m = _parse_ints(args.m, "m")
+    m = _within_digits(_parse_list(args.m, "m", int, "integers"), "m")
     if len(m) != 3:
         raise _UsageError(f"--m expects three counts, got {args.m!r}")
     if getattr(args, "sort", False):
@@ -205,8 +202,8 @@ def _cmd_bounds(args) -> int:
     elif args.mt is not None or args.mr is not None:
         if args.mt is None or args.mr is None:
             raise _UsageError("provide both --mt and --mr")
-        mt, mr = _parse_fracs(args.mt, "mt"), _parse_fracs(args.mr, "mr")
-        split = AntennaSplit(mt, mr)
+        mt, mr = _parse_list(args.mt, "mt", frac, "rationals"), _parse_list(args.mr, "mr", frac, "rationals")
+        split = AntennaSplit(_within_digits(mt, "mt"), _within_digits(mr, "mr"))
     else:
         raise _UsageError("provide --mt/--mr, or --m with --allocate")
 
@@ -245,6 +242,7 @@ def _cmd_allocate(args) -> int:
     elif args.method == "enumerated":
         result = optimal_unicast_enumerated(config)
     elif args.method == "brute":
+        _within_digits((args.denominator,), "denominator")
         result = optimal_unicast_bruteforce(config, args.denominator)
     else:
         result = optimal_unicast_closed_form(config)
@@ -325,7 +323,9 @@ def _cmd_verify_scheme(args) -> int:
 def _cmd_slope(args) -> int:
     config = _config(args)
     tag = _scheme_tag(args.scheme)
-    snr = _parse_finite_floats(args.snr, "snr")
+    snr = _parse_list(args.snr, "snr", float, "numbers")
+    if not all(math.isfinite(v) for v in snr):
+        raise _UsageError(f"--snr values must be finite, got {args.snr!r}")
     # verify_scheme's tolerance rule: an infinite --tol would pass any slope
     real(args.tol, "--tol", 0, noun="number")
     est = estimate_dof(config, tag, snr, trials=args.trials, seed=args.seed, fit=args.fit)

@@ -193,8 +193,8 @@ def _to_integers(values) -> tuple[list[int], int]:
 @dataclass
 class _Tableau:
     """Integer tableau rows [row | artificial | rhs] over d, the absolute
-    determinant of the basis; `live` maps rows to original equality rows,
-    made integer by the row `scales` and `signs`."""
+    determinant of the basis; `live` lists the original equality rows that
+    phase 1 kept, made integer by the row `scales` and `signs`."""
 
     tab: list[list[int]]
     basis: list[int]
@@ -294,8 +294,9 @@ def _phase1(g_rows, g_rhs) -> _Tableau | None:
     for i in reversed(range(len(t.tab))):
         if t.basis[i] >= n_var:
             pcol = next((j for j in range(n_var) if t.tab[i][j] != 0), None)
-            if pcol is None:
-                del t.tab[i], t.basis[i], t.live[i]
+            if pcol is None:  # the basic artificial's equality row is a sum of the others
+                t.live.remove(t.basis[i] - n_var)
+                del t.tab[i], t.basis[i]
             else:
                 t.pivot(i, pcol, None)
     return t

@@ -39,8 +39,7 @@ from .channel import AntennaConfig, AntennaSplit, ChannelSet, _draw
 from .errors import InternalError, InvalidInputError, instance, integer, real
 from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, _slogdet, check_seed, generator, random_orthonormal
 from .rational import frac_str
-from .schemes import SchemeInstance, SchemeTag, _build, _check_scheme, _check_scheme_matrices, _pair_matrices, _passed
-from .schemes import _trials, scheme_split
+from .schemes import SchemeInstance, SchemeTag, _build, _check_scheme, _effective, _passed, _trials, scheme_split
 
 __all__ = ["SlopeEstimate", "sum_rate", "ablated_sum_rate", "estimate_dof"]
 
@@ -85,10 +84,7 @@ def _log2det(grams: np.ndarray, snrs) -> np.ndarray:
 def _stream_rho(scheme: SchemeInstance, snr_linear: float | np.ndarray) -> dict[str, float | np.ndarray]:
     """Per-stream power of each message with streams: each node splits its
     budget over its own streams."""
-    streams = {}
-    for m in scheme.messages:
-        streams[m.tx] = streams.get(m.tx, 0) + m.dim
-    return {m.key: snr_linear / streams[m.tx] for m in scheme.messages if m.dim}
+    return {m.key: snr_linear / scheme.tx_streams(m.tx) for m in scheme.messages if m.dim}
 
 
 @functools.lru_cache(maxsize=16)
@@ -101,13 +97,12 @@ def _eye(n: int) -> np.ndarray:
 
 def _memo(scheme: SchemeInstance, channels: ChannelSet) -> dict | None:
     """What a sealed scheme keeps for `channels` (by identity) once they pass
-    `_check_scheme` and `_check_scheme_matrices`: `_sum_rates`'s Grams under
-    None, `ablated_sum_rate`'s terms per seed; {} at first, None if unsealed."""
+    `_check_scheme`: `_sum_rates`'s Grams under None, `ablated_sum_rate`'s
+    terms per seed; {} at first, None if unsealed."""
     memo = instance(scheme, SchemeInstance).__dict__.get("_memo", False)
     if memo and memo[0] is channels:
         return memo[1]
     _check_scheme(scheme, channels)
-    _check_scheme_matrices(scheme)
     return None if memo is False else {}
 
 
@@ -137,7 +132,7 @@ def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs, memo: dict | 
     live = [m for m in scheme.messages if m.dim]
 
     def gram(m, r):
-        g, _ = _pair_matrices(scheme, channels, m, r)
+        g, _ = _effective(scheme, channels, m, r)
         return (g @ g.conj().mT)[..., None, :, :]
 
     with np.errstate(over="ignore", invalid="ignore"):  # _log2det names an overflow; sums stay checked
@@ -192,7 +187,7 @@ def ablated_sum_rate(
     live = [m for m in scheme.messages if m.dim]
 
     def terms(m, r):  # what a pair's rate reads before the SNR: G G^H and (key, L L^H) per leak L
-        g, leaks = _pair_matrices(scheme, channels, m, r, random_proj[(m.key, r)])
+        g, leaks = _effective(scheme, channels, m, r, random_proj[(m.key, r)])
         return g @ g.conj().mT, [(other.key, leak @ leak.conj().mT) for other, leak in leaks]
 
     def log2det_ratio(m, gram, covs):

@@ -39,13 +39,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .allocation import Regime, canonical_split
 from .channel import _PAIR_SLOT, PAIR_ORDER, AntennaConfig, AntennaSplit, ChannelSet, _receive
-from .errors import InternalError, InvalidInputError, RegimeError, instance, integer, real
+from .errors import InternalError, InvalidInputError, RegimeError, instance, real
 from .linalg import _SQRT2, PRECODER_STREAM, SYMBOL_STREAM, _null_basis, _random_orthonormal, _solve, _svdvals, generator
 from .rational import frac_str
 
@@ -57,7 +57,6 @@ __all__ = [
     "VerificationReport",
     "scheme_split",
     "build_scheme",
-    "pair_matrices",
     "verify_scheme",
 ]
 
@@ -304,36 +303,10 @@ class VerificationReport:
         }
 
 
-def pair_matrices(
-    scheme: SchemeInstance,
-    channels: ChannelSet,
-    m: SchemeMessage,
-    r: int,
-    q: np.ndarray | None = None,
-) -> tuple[np.ndarray, Iterator[tuple[SchemeMessage, np.ndarray]]]:
-    """Effective matrix of message `m` at receiver `r`, and its interferers.
-
-    Returns G = Q^H H T, with Q the scheme's projector for (m, r) unless `q`
-    replaces it, plus a lazy iterator yielding (other, Q^H H' T') for every
-    other message with streams that reaches r from another node over H'.
-    Nothing about the interferers is computed until the iterator is read.
-    `m` must be one of the scheme's messages and `r` one of its receivers.
-    """
-    _check_scheme(scheme, channels)
-    _check_scheme_matrices(scheme)
-    if not (isinstance(m, SchemeMessage) and m in scheme.messages):
-        raise InvalidInputError(f"expected a SchemeMessage of scheme {scheme.tag.value}, got {m!r}")
-    r = integer(r, "receiver", 1, 3)
-    if r not in m.receivers:
-        raise InvalidInputError(f"receiver must be one of {m.receivers} for message {m.key}, got {r!r}")
-    if q is not None:
-        q = _scheme_matrix({(m.key, r): q}, (m.key, r), scheme.split.rx_of(r).numerator, None, "projector")
-    return _pair_matrices(scheme, channels, m, r, q)
-
-
-def _pair_matrices(scheme, channels, m, r, q=None):
-    """`pair_matrices` on trusted inputs, each matrix 2-D or stacked on the
-    same leading trial axes."""
+def _effective(scheme, channels, m, r, q=None):
+    """Effective matrix Q^H H T of message `m` at receiver `r`, Q its projector
+    unless `q` replaces it, and a lazy iterator of (other, Q^H H' T') over the
+    plan's interferers; trusted inputs, 2-D or on the same leading trial axes."""
     if q is None:
         q = scheme.projectors[(m.key, r)]
     qh = q.conj().mT
@@ -368,9 +341,11 @@ def _scheme_matrix(table, key, rows: int, cols: int | None, what: str, lead: tup
     raise InvalidInputError(f"{what} for {key!r} must be a numeric array of shape {want}, got {got}")
 
 
-def _check_scheme(scheme: SchemeInstance, channels: ChannelSet) -> None:
-    """Refuse anything but a SchemeInstance with the channels it was built on."""
+def _check_scheme(scheme: SchemeInstance, channels: ChannelSet):
+    """Refuse anything but a SchemeInstance with the channels it was built on,
+    then its matrices; returns `_check_scheme_matrices(scheme)`."""
     _check_channels(instance(scheme, SchemeInstance).split, channels, scheme.extension_factor)
+    return _check_scheme_matrices(scheme)
 
 
 class _Plan:
@@ -379,10 +354,10 @@ class _Plan:
     checking order, where message k's precoder (pre_at[k]) and pair p's
     projector (proj_at[p]) sit in it, the pairs (message index, message,
     receiver, link slot) in report order, the interferers of each (message
-    key, receiver) as (message index, link slot), which `_pair_matrices`
-    reads too, and where each message's symbols sit in one
-    normal draw per trial: its real then its imaginary parts, message by
-    message, as `complex_gaussian` draws them."""
+    key, receiver) as (message index, link slot), which `_effective` reads
+    too, and where each message's symbols sit in one normal draw per trial:
+    its real then its imaginary parts, message by message, as
+    `complex_gaussian` draws them."""
 
     def __init__(self, split: AntennaSplit, messages: tuple[SchemeMessage, ...]):
         self.split, self.messages = split, messages
@@ -516,8 +491,7 @@ def verify_scheme(
 
     The checks are those of `_verify` for one trial.
     """
-    _check_scheme(scheme, channels)
-    plan, mats = _check_scheme_matrices(scheme)
+    plan, mats = _check_scheme(scheme, channels)
     tols = {"residual_tol": residual_tol, "condition_tol": condition_tol, "roundtrip_tol": roundtrip_tol}
     tols = {name: real(tol, name, 0) for name, tol in tols.items()}
     checks = []
@@ -575,7 +549,7 @@ def _verify(scheme, channels, seeds, plan, mats, residual_tol, condition_tol, ro
         zs = [np.zeros(lead + (rx[r - 1], 1), dtype=np.complex128) for r in plan.receivers]
         y = dict(zip(plan.receivers, _receive(channels, x, zs, plan.receivers)))
 
-        # the Q^H H T of `_pair_matrices`, each Q^H H once
+        # the Q^H H T of `_effective`, each Q^H H once
         found, qhs = [*channels.matrices, *mats], []
         for q, steps in products:
             qhs.append(found[q].conj().mT)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from mimo3way import InternalError, SchemeTag
 from mimo3way.rates import SlopeEstimate
-from mimo3way.cli import DEFAULT_SEED, _dec, _emit_json, main
+from mimo3way.cli import _MAX_DIGITS, DEFAULT_SEED, _dec, _emit_json, main
 
 
 def _run(capsys, *argv):
@@ -382,6 +383,44 @@ def test_large_values_print_exact_digits(capsys):
     code, out, err = _run(capsys, "sweep", f"--ratio1={big}:{big}:1", "--ratio2=1:1:1", "-f", "csv")
     assert code == 0, err
     assert out.splitlines()[1:] == [f"{big}.0000,1.0000,2.0000"]
+
+
+def _coprime_below(bound: int, n: int) -> list[int]:
+    """n pairwise coprime integers, counting down from bound - 1."""
+    found, k = [], bound - 1
+    while len(found) < n:
+        if all(math.gcd(k, q) == 1 for q in found):
+            found.append(k)
+        k -= 1
+    return found
+
+
+def test_results_of_input_at_the_digit_cap_stay_printable(capsys):
+    # the longest numbers input at the cap yields: split entries over six
+    # coprime denominators, the brute-force cell count (n*m + 1)**3 and the
+    # sweep grid size in their refusals, and the allocations of the largest m
+    top = 10**_MAX_DIGITS
+    q, big = _coprime_below(top, 12), str(top - 1)
+    entries = [f"{a}/{b}" for a, b in zip(q[6:], q[:6])]
+    split = ["--mt", ",".join(entries[:3]), "--mr", ",".join(entries[3:])]
+    runs = [["bounds", *split, "--msgs", msgs] for msgs in ("unicast", "broadcast")]
+    runs += [["allocate", "--m", f"{big},{big},{big}", "--method", method] for method in ("closed", "enumerated")]
+    runs += [
+        ["allocate", "--m", f"{big},{big},{big}", "--msgs", "broadcast"],
+        ["allocate", "--m", f"{big},{big},{big}", "--method", "brute", "--denominator", big],
+        ["sweep", "--ratio1", f"1/{q[0]}:{big}:1/{q[1]}", "--ratio2", f"1/{q[2]}:{big}:1/{q[3]}"],
+        ["sweep", "--ratio1", f"{entries[0]}:{big}:1", "--ratio2", f"{entries[1]}:{big}:1", "--m3", big],
+    ]
+    longest = 0
+    for argv in runs:
+        for fmt in ("table", "json", "csv"):
+            code, out, err = _run(capsys, *argv, "--format", fmt)
+            assert code in (0, 2) and "internal" not in err, (argv[:1], fmt, err[:200])
+            longest = max(longest, *(len(run) for run in re.findall(r"\d+", out + err)))
+    assert 6 * _MAX_DIGITS <= longest < sys.get_int_max_str_digits()
+    # one digit more is refused
+    assert _run(capsys, "allocate", "--m", f"{top},1,1")[0] == 2
+    assert _run(capsys, "bounds", "--mt", f"1/{top},1,1", "--mr", "1,1,1")[0] == 2
 
 
 def _reference_sweep(ratio1, ratio2, m3, msgs, fmt):

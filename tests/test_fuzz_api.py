@@ -31,7 +31,6 @@ from mimo3way import (
     optimal_unicast_closed_form,
     optimal_unicast_enumerated,
     null_space_basis,
-    pair_matrices,
     pseudo_inverse,
     random_gaussian,
     receive,
@@ -179,19 +178,6 @@ def test_lp_entry_points(config, bits, lp, v, lam):
 _UNI_B_SPLIT = scheme_split(_CFG, SchemeTag.UNI_B)[0]
 _UNI_B_CHANNELS = draw_channels(_UNI_B_SPLIT, 0)
 _UNI_B = build_scheme(_CFG, SchemeTag.UNI_B, _UNI_B_CHANNELS, 0)
-
-
-@_SETTINGS
-@given(
-    st.sampled_from([_UNI_B_CHANNELS, draw_channels(AntennaSplit((1, 1, 1), (1, 1, 1)), 0), None]),
-    st.one_of(st.sampled_from(_UNI_B.messages), st.just("u21"), _junk),
-    st.one_of(st.sampled_from([1, 2, 3]), _bad),
-    st.one_of(st.none(), _matrix, st.sampled_from([np.eye(4), np.eye(3), np.eye(3)[:, :1]])),
-)
-@example(_UNI_B_CHANNELS, "u21", 1, None)
-def test_pair_matrices(channels, m, r, q):
-    _quietly(pair_matrices, _UNI_B, channels, m, r, q)
-    _quietly(pair_matrices, (1, 2), channels, m, r, q)
 
 
 _BUILT = st.sampled_from([((2, 1, 1), SchemeTag.UNI_B), ((3, 3, 3), SchemeTag.UNI_A), ((3, 2, 1), SchemeTag.BCAST)])

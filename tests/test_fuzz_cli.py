@@ -3,8 +3,10 @@ never 3 (internal error). Inputs stay small (m <= 6, --trials <= 3, short
 sweep ranges, --snr within +-5000 dB) so the whole run takes seconds."""
 
 import contextlib
+import functools
 import io
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -77,6 +79,28 @@ _argv = st.tuples(
 ).map(lambda parts: [a for part in parts for a in part])
 
 
+_X = str(10**4300 - 1)  # the most digits Python converts between int and str by default
+_RECIPROCALS = ",".join(f"1/{10**1500 + k}" for k in (1, 3, 7))
+
+# argv whose exact results once outgrew that limit, so that printing them exited 3
+_TOO_LONG = [
+    ["bounds", f"--mt={_X},{_X},{_X}", "--mr=1,1,1"],
+    ["bounds", f"--mt={_X},{_X},{_X}", "--mr=1,1,1", "--format=json"],
+    ["bounds", f"--mt={_X},{_X},{_X}", "--mr=1,1,1", "--format=csv"],
+    ["bounds", f"--mt={_RECIPROCALS}", "--mr=1,1,1", "--format=json"],
+    ["allocate", f"--m={_X},{_X},{_X}", "--format=json"],
+    ["allocate", f"--m={_X},{_X},{_X}", "--msgs=broadcast", "--format=csv"],
+    ["allocate", f"--m={_X},1,1", "--method=brute"],
+    ["allocate", "--m=1,1,1", "--method=brute", f"--denominator={_X}"],
+    ["sweep", f"--ratio1=1/{_X}:1:1/{_X}", "--format=json"],
+]
+
+
+def _examples(argvs):
+    """Each of `argvs` as an explicit example of a @given test."""
+    return lambda test: functools.reduce(lambda t, argv: example(argv)(t), argvs, test)
+
+
 @settings(max_examples=800, deadline=None, derandomize=True)
 @given(_argv)
 @example(["slope", "--m=2,1,1", "--scheme=uni-b", "--snr=3000,4000"])
@@ -88,8 +112,17 @@ _argv = st.tuples(
 @example(["bounds", f"--m=1{'0' * 400},5,5", "--allocate"])
 @example(["allocate", f"--m=1{'0' * 400},1{'0' * 400},5"])
 @example(["sweep", f"--ratio1={'9' * 401}:{'9' * 401}:1", "--ratio2=1:1:1", "--format=csv"])
+@_examples(_TOO_LONG)
 def test_user_input_never_exits_3(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("argv", _TOO_LONG, ids=range(len(_TOO_LONG)))
+def test_numbers_past_the_digit_cap_exit_2_before_any_output(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error[validation]: ")

@@ -17,11 +17,9 @@ from mimo3way import (
     AntennaSplit,
     InvalidInputError,
     SchemeTag,
-    build_scheme,
     draw_channels,
     estimate_dof,
     optimal_unicast_bruteforce,
-    pair_matrices,
     random_gaussian,
     scheme_split,
     symmetric_bound,
@@ -33,7 +31,6 @@ HUGE = 10**400
 
 
 BCAST_CHANNELS = draw_channels(scheme_split(AntennaConfig(3, 2, 1), SchemeTag.BCAST)[0], 0)
-BCAST = build_scheme(AntennaConfig(3, 2, 1), SchemeTag.BCAST, BCAST_CHANNELS, 0)  # u3bc reaches nodes 1 and 2
 
 
 def _draw(a):
@@ -52,7 +49,6 @@ SITES = {
     "random_gaussian cols": (lambda v: _draw(random_gaussian(1, v, 0)), True),
     "random_orthonormal": (lambda v: _draw(random_orthonormal(np.random.default_rng(0), v, v)), True),
     "node index": (lambda v: str(AntennaSplit((1, 2, 3), (0, 0, 0)).tx_of(v)), True),
-    "pair_matrices receiver": (lambda v: _draw(pair_matrices(BCAST, BCAST_CHANNELS, BCAST.messages[1], v)[0]), True),
     "h tx node": (lambda v: _draw(BCAST_CHANNELS.h(v, 1)), True),
     "h rx node": (lambda v: _draw(BCAST_CHANNELS.h(1, v)), True),
 }

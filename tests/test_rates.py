@@ -19,7 +19,6 @@ from mimo3way import (
     build_scheme,
     draw_channels,
     estimate_dof,
-    pair_matrices,
     scheme_split,
     sum_rate,
     verify_scheme,
@@ -516,11 +515,14 @@ def _per_call_ablated_sum_rate(s, ch, snr, seed):
             continue
         per_rx = []
         for r in m.receivers:
-            g, leaks = pair_matrices(s, ch, m, r, random_proj[(m.key, r)])
+            qh = random_proj[(m.key, r)].conj().T
+            g = qh @ ch.h(m.tx, r) @ s.precoders[m.key]
             signal = snr / s.tx_streams(m.tx) * (g @ g.conj().T)
             noise = np.eye(g.shape[0], dtype=complex)
-            for other, leak in leaks:
-                noise = noise + snr / s.tx_streams(other.tx) * (leak @ leak.conj().T)
+            for other in s.messages:  # the interferers: other messages with streams from a node other than r
+                if other.key != m.key and other.dim > 0 and other.tx != r:
+                    leak = qh @ ch.h(other.tx, r) @ s.precoders[other.key]
+                    noise = noise + snr / s.tx_streams(other.tx) * (leak @ leak.conj().T)
             _, with_signal = np.linalg.slogdet(noise + signal)
             _, without = np.linalg.slogdet(noise)
             per_rx.append(float(with_signal / math.log(2.0) - without / math.log(2.0)))

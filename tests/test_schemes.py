@@ -19,7 +19,6 @@ from mimo3way import (
     build_scheme,
     draw_channels,
     genie_bound_unicast,
-    pair_matrices,
     receive,
     cutset_bound_broadcast,
     scheme_split,
@@ -199,6 +198,19 @@ def test_scheme_split_is_computed_once_per_config_and_tag():
             scheme_split(AntennaConfig(2, 1, 1), SchemeTag.UNI_A)
 
 
+def _effective(scheme, channels, m, r, q):
+    """Q^H H T of message `m` at receiver `r` under projector `q`, and
+    (other, Q^H H' T') for each interferer: every other message with streams
+    whose transmitter is not `r`, in message order."""
+    qh = q.conj().T
+    leaks = [
+        (other, qh @ channels.h(other.tx, r) @ scheme.precoders[other.key])
+        for other in scheme.messages
+        if other.key != m.key and other.dim > 0 and other.tx != r
+    ]
+    return qh @ channels.h(m.tx, r) @ scheme.precoders[m.key], leaks
+
+
 def test_verify_takes_one_svd_per_shape_and_each_link_and_precoder_once(monkeypatch):
     _, _, _, ch, s = _built((5, 4, 3), SchemeTag.UNI_A, seed=2)
     assert s.extension_factor == 3
@@ -208,7 +220,7 @@ def test_verify_takes_one_svd_per_shape_and_each_link_and_precoder_once(monkeypa
     shapes = set()
     for m in s.messages:
         for r in m.receivers:
-            g, leaks = pair_matrices(s, ch, m, r)
+            g, leaks = _effective(s, ch, m, r, s.projectors[(m.key, r)])
             for other, leak in leaks:
                 shapes |= {leak.shape, ch.h(other.tx, r).shape, s.precoders[other.key].shape}
             if m.dim and g.shape[0] == g.shape[1]:
@@ -249,7 +261,7 @@ def _verify_ref(scheme, channels, seed):
     for m in scheme.messages:
         for r in m.receivers:
             q = scheme.projectors[(m.key, r)]
-            g, leaks = pair_matrices(scheme, channels, m, r, q)
+            g, leaks = _effective(scheme, channels, m, r, q)
             fails = []
             worst = 0.0
             for other, leak in leaks:
