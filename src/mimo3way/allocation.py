@@ -48,7 +48,6 @@ __all__ = [
     "optimal_unicast_closed_form",
     "optimal_unicast_enumerated",
     "optimal_unicast_bruteforce",
-    "BRUTEFORCE_MAX_CELLS",
     "optimal_broadcast",
     "genie_subproblem",
     "canonical_subproblem",

@@ -30,8 +30,6 @@ __all__ = [
     "BoundTerm",
     "BoundReport",
     "cutset_bound_unicast",
-    "GENIE_TERMS",
-    "genie_totals",
     "genie_bound_unicast",
     "symmetric_bound",
     "cutset_bound_broadcast",

@@ -12,6 +12,8 @@ import numbers
 
 import numpy as np
 
+__all__ = ["InvalidInputError", "RegimeError", "InternalError"]
+
 
 class InvalidInputError(ValueError):
     """Malformed or out-of-domain argument (shapes, ordering, negativity)."""

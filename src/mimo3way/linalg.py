@@ -23,21 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError, integer
 
-__all__ = [
-    "as_matrix",
-    "null_space_basis",
-    "pseudo_inverse",
-    "check_seed",
-    "generator",
-    "complex_gaussian",
-    "random_gaussian",
-    "random_orthonormal",
-    "CHANNEL_STREAM",
-    "PRECODER_STREAM",
-    "SYMBOL_STREAM",
-    "TRIAL_STREAM",
-    "ABLATION_STREAM",
-]
+__all__ = ["null_space_basis", "pseudo_inverse", "random_gaussian"]
 
 _EPS = float(np.finfo(np.float64).eps)
 _SQRT2 = np.sqrt(2.0)  # a CN(0,1) draw is (re + 1j * im) / _SQRT2

@@ -12,11 +12,13 @@ pair's Gram stack is checked as a whole, for finite entries before the
 slogdet and for a positive sign and finite log-det after it, and per matrix
 only to name the SNR of a failure.
 
-`ablated_sum_rate` draws its random projectors once per (seed, shapes), in
-sorted key order: the draw ignores the SNR, channels and scheme matrices.
-`build_scheme`'s schemes are read-only like a ChannelSet, so `sum_rate` and
-`ablated_sum_rate` keep on one what they compute before the SNR per
-(ChannelSet object, ablation seed): passed checks, Grams, leak covariances.
+`ablated_sum_rate` draws its random projectors from generator(seed,
+ABLATION_STREAM), in sorted key order: the draw ignores the SNR, channels and
+scheme matrices. `build_scheme`'s schemes are read-only like a ChannelSet, so
+`sum_rate` and `ablated_sum_rate` keep on one what they compute before the SNR
+per (ChannelSet object, ablation seed): passed checks, Grams, leak
+covariances. A sealed scheme thus draws the projectors once per (channels,
+seed).
 
 `estimate_dof` runs its trials in blocks of `_BLOCK` (10), a private
 constant: each block draws its channels on a leading trial axis, builds and
@@ -39,7 +41,9 @@ from .channel import AntennaConfig, AntennaSplit, ChannelSet, _draw
 from .errors import InternalError, InvalidInputError, instance, integer, real
 from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, _slogdet, check_seed, generator, random_orthonormal
 from .rational import frac_str
-from .schemes import SchemeInstance, SchemeTag, _build, _check_scheme, _effective, _passed, _trials, scheme_split
+from .schemes import (
+    SchemeInstance, SchemeTag, _build, _check_scheme, _effective, _messages, _passed, _trials, scheme_split
+)
 
 __all__ = ["SlopeEstimate", "sum_rate", "ablated_sum_rate", "estimate_dof"]
 
@@ -55,6 +59,13 @@ _MAX_TRIALS = 100_000
 # trial count: the largest, one pair's (trials, grid, n, n) Gram stack, is
 # about 0.8 MB at (7,6,5) uni-a on a 25-point grid.
 _BLOCK = 10
+
+# Most entries in the complex (block trials, grid points, n, n) Gram stack of
+# estimate_dof's rate pass, n the largest message's stream count, checked
+# before any draw: 64 MiB at 16 bytes an entry, and the pass holds about two
+# such stacks. The largest the repo's own inputs make is the mc-slope
+# benchmark's (7,6,5) uni-a on a 25-point grid: 10 x 25 x 10^2 = 25,000.
+_MAX_GRAM_ENTRIES = 2**22
 
 
 def _log2det(grams: np.ndarray, snrs) -> np.ndarray:
@@ -152,17 +163,6 @@ def sum_rate(scheme: SchemeInstance, channels: ChannelSet, snr_linear: float) ->
     return float(_sum_rates(scheme, channels, [snr_linear], _memo(scheme, channels))[0])
 
 
-@functools.lru_cache(maxsize=4)
-def _ablation_projectors(seed: int, shapes) -> tuple:
-    """((key, Q), ...): a read-only `random_orthonormal` draw per ((key, (rows,
-    cols)), ...) in `shapes`, in order, from one generator(seed, ABLATION_STREAM)."""
-    rng = generator(seed, ABLATION_STREAM)
-    drawn = tuple((key, random_orthonormal(rng, *shape)) for key, shape in shapes)
-    for _, q in drawn:
-        q.flags.writeable = False
-    return drawn
-
-
 def ablated_sum_rate(
     scheme: SchemeInstance, channels: ChannelSet, snr_linear: float, seed: int = 0
 ) -> float:
@@ -176,7 +176,8 @@ def ablated_sum_rate(
 
     The random projectors, one per projector key in sorted key order, depend
     only on `seed` and the projector shapes (not on the SNR, the channels or
-    the scheme's own matrices), so they are drawn once per (seed, shapes).
+    the scheme's own matrices), so a sealed scheme draws them, and keeps the
+    terms they give, once per (channels, seed).
     """
     snr_linear = real(snr_linear, "snr_linear")
     memo = _memo(scheme, channels)
@@ -201,8 +202,9 @@ def ablated_sum_rate(
     with np.errstate(over="ignore", invalid="ignore"):  # _log2det names an overflow; sums stay checked
         pairs = memo.get(seed) if memo else None
         if pairs is None:
+            rng = generator(seed, ABLATION_STREAM)
             keys = sorted((m.key, r) for m in scheme.messages for r in m.receivers)
-            random_proj = dict(_ablation_projectors(seed, tuple((k, scheme.projectors[k].shape) for k in keys)))
+            random_proj = {k: random_orthonormal(rng, *scheme.projectors[k].shape) for k in keys}
             pairs = [[terms(m, r) for r in m.receivers] for m in live]
         bits = [[log2det_ratio(m, *pair) for pair in per_rx] for m, per_rx in zip(live, pairs)]
     total = 0.0
@@ -296,6 +298,12 @@ def estimate_dof(
         raise InvalidInputError(f"snr grid {grid} dB has a point with no finite positive linear value")
 
     split, ext = scheme_split(config, tag)
+    n = max(m.dim for m in _messages(split, tag))
+    if min(trials, _BLOCK) * len(grid) * n * n > _MAX_GRAM_ENTRIES:
+        raise InvalidInputError(
+            f"{min(trials, _BLOCK)} trials x {len(grid)} snr grid points x {n}^2 stream pairs is over the "
+            f"{_MAX_GRAM_ENTRIES} rate Gram entries estimate_dof stacks at once"
+        )
     rates = np.zeros((trials, len(grid)))
     valid = np.zeros(trials, dtype=bool)
     for start in range(0, trials, _BLOCK):

@@ -17,6 +17,11 @@ from .errors import InvalidInputError
 
 __all__ = ["frac", "frac_str", "triple", "denominator_lcm"]
 
+# Largest decimal exponent `frac` reads, checked before the Fraction is built
+# (Fraction("1e10000000") builds a 10-million-digit int): the digit count
+# Python already refuses to read as an int.
+_MAX_EXPONENT = 4300
+
 
 def frac(x) -> Fraction:
     """Coerce int (Python or numpy, never bool) / Fraction / "p/q" string to
@@ -30,9 +35,11 @@ def frac(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            if abs(int(x.lower().partition("e")[2] or 0)) <= _MAX_EXPONENT:
+                return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"cannot parse rational from {x!r}") from exc
+        raise InvalidInputError(f"the exponent of {x!r} is outside [-{_MAX_EXPONENT}, {_MAX_EXPONENT}]")
     if isinstance(x, np.integer):
         return Fraction(int(x))
     raise InvalidInputError(f"expected int, Fraction, or 'p/q' string, got {type(x).__name__}")

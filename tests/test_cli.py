@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mimo3way.rates as rates_mod
 from mimo3way import InternalError, SchemeTag
 from mimo3way.rates import SlopeEstimate
 from mimo3way.cli import _MAX_DIGITS, DEFAULT_SEED, _dec, _emit_json, main
@@ -239,6 +240,17 @@ def test_slope_bad_snr_is_usage_error(capsys, snr):
     assert code == 1
     assert err.startswith("error[usage]: --snr")
     assert out == ""
+
+
+def test_slope_over_the_gram_budget_exits_2_before_drawing(capsys, monkeypatch):
+    def no_draw(*a, **k):
+        raise AssertionError("a channel was drawn")
+
+    monkeypatch.setattr(rates_mod, "_draw", no_draw)
+    snr = ",".join(map(str, range(600)))  # 10 trials x 600 points x 200^2: 240M entries, 3.8 GB a stack
+    code, out, err = _run(capsys, "slope", "--m", "400,200,200", "--scheme", "uni-b", "--trials", "10", f"--snr={snr}")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error[validation]: 10 trials x 600 snr grid points")
 
 
 @pytest.mark.parametrize("snr", ["3000,4000", "-4000,30"])

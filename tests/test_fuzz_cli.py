@@ -112,6 +112,8 @@ def _examples(argvs):
 @example(["bounds", f"--m=1{'0' * 400},5,5", "--allocate"])
 @example(["allocate", f"--m=1{'0' * 400},1{'0' * 400},5"])
 @example(["sweep", f"--ratio1={'9' * 401}:{'9' * 401}:1", "--ratio2=1:1:1", "--format=csv"])
+@example(["bounds", "--mt=1e2000000,1,1", "--mr=1,1,1"])  # an exponent once built its int before any rule
+@example(["bounds", "--mt=1,1,1", "--mr=1e-10000000,1,1"])
 @_examples(_TOO_LONG)
 def test_user_input_never_exits_3(argv):
     err = io.StringIO()

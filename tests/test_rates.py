@@ -396,6 +396,20 @@ def test_estimate_rejects_unrepresentable_snr_before_drawing(monkeypatch, grid):
         estimate_dof(AntennaConfig(2, 1, 1), SchemeTag.UNI_B, grid, trials=2)
 
 
+# under the budget the stubbed first draw raises
+@pytest.mark.parametrize(
+    "points, raised, match", [(32, AssertionError, "drawn"), (33, InvalidInputError, "Gram")], ids=["at", "over"]
+)
+def test_estimate_refuses_a_gram_stack_over_budget_before_drawing(monkeypatch, points, raised, match):
+    # (256,128,128) uni-b has two 128-stream messages: 8 trials x 32 points x
+    # 128^2 is exactly the budget, one more point is over it
+    assert 8 * 32 * 128**2 == rates_mod._MAX_GRAM_ENTRIES
+    monkeypatch.setattr(rates_mod, "_draw", _no_draw)
+    grid = [30.0 + k for k in range(points)]
+    with pytest.raises(raised, match=match):
+        estimate_dof(AntennaConfig(256, 128, 128), SchemeTag.UNI_B, grid, trials=8)
+
+
 def test_all_invalid_draws_is_internal_error(monkeypatch):
     # every trial of every block fails verification
     monkeypatch.setattr(rates_mod, "_passed", lambda scheme, channels, seeds: np.zeros(len(seeds), dtype=bool))
@@ -552,7 +566,7 @@ def test_cached_ablation_equals_per_call_draw(m, tag, ext):
             )
 
 
-def test_ablation_draws_once_per_seed_and_shapes(monkeypatch):
+def test_sealed_scheme_makes_one_ablation_generator_per_channels_and_seed(monkeypatch):
     made = []
 
     def counting_generator(*args):
@@ -560,39 +574,15 @@ def test_ablation_draws_once_per_seed_and_shapes(monkeypatch):
         return generator(*args)
 
     monkeypatch.setattr(rates_mod, "generator", counting_generator)
-    rates_mod._ablation_projectors.cache_clear()
     ch, s = _built((4, 2, 1), SchemeTag.UNI_B, seed=0)
-    other_ch, other_s = _built((4, 2, 1), SchemeTag.UNI_B, seed=5)  # same shapes, other matrices
-    ablated_sum_rate(s, ch, 10.0, seed=1)
-    assert made == [(1, ABLATION_STREAM)]
-    ablated_sum_rate(s, ch, 1e4, seed=1)
-    ablated_sum_rate(other_s, other_ch, 10.0, seed=1)
-    assert len(made) == 1
-    ablated_sum_rate(s, ch, 10.0, seed=2)  # a new seed
-    assert made[-1] == (2, ABLATION_STREAM)
-    new_ch, new_s = _built((3, 3, 3), SchemeTag.UNI_A)
-    ablated_sum_rate(new_s, new_ch, 10.0, seed=1)  # new shapes
-    assert len(made) == 3
-
-
-def test_cached_ablation_projectors_are_read_only():
-    ch, s = _built((5, 3, 2), SchemeTag.BCAST)
-    shapes = tuple((key, s.projectors[key].shape) for key in sorted(s.projectors))
-    drawn = rates_mod._ablation_projectors(0, shapes)
-    assert [key for key, _ in drawn] == sorted(s.projectors)
-    for _, q in drawn:
-        assert not q.flags.writeable
-        with pytest.raises(ValueError):
-            q[0, 0] = 0.0
-
-
-def test_ablation_cache_stays_within_maxsize():
-    info = rates_mod._ablation_projectors.cache_info()
-    assert info.maxsize <= 4
-    ch, s = _built((4, 2, 1), SchemeTag.UNI_B)
-    for seed in range(3 * info.maxsize):
-        ablated_sum_rate(s, ch, 10.0, seed=seed)
-        assert rates_mod._ablation_projectors.cache_info().currsize <= info.maxsize
+    for seed in (1, 1, 2, 1, 2):
+        for snr in (10.0, 1e4):
+            ablated_sum_rate(s, ch, snr, seed=seed)
+    assert made == [(1, ABLATION_STREAM), (2, ABLATION_STREAM)]
+    other = draw_channels(ch.split, 5)  # other channels, same shapes
+    ablated_sum_rate(s, other, 10.0, seed=1)
+    ablated_sum_rate(s, other, 1e4, seed=1)
+    assert made[2:] == [(1, ABLATION_STREAM)]
 
 
 def test_ablation_seed_rule_holds_on_a_cache_hit():

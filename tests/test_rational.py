@@ -30,6 +30,14 @@ def test_frac_rejects_garbage():
         frac(None)
 
 
+def test_frac_refuses_an_exponent_past_4300_before_building_it():
+    for text in ("1e10000000", "1e-10000000", "1E4301"):
+        with pytest.raises(InvalidInputError, match="exponent"):
+            frac(text)
+    assert frac("1e4300") == 10**4300
+    assert frac("-1e-4300") == Fraction(-1, 10**4300)
+
+
 def test_frac_str():
     assert frac_str(Fraction(16, 3)) == "16/3"
     assert frac_str(Fraction(4)) == "4"

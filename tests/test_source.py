@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with `ast`: no import binds a name
-its module never uses, and no private top-level function or class is left
-without a reference."""
+its module never uses, a star import only republishes a module in
+`__init__.py`, and no private top-level function or class is left without a
+reference."""
 
 import ast
 import pathlib
@@ -41,9 +42,23 @@ def test_every_imported_name_is_used_or_exported():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
                 for alias in node.names:
                     bound = alias.asname or alias.name.partition(".")[0]
+                    if bound == "*" and name == "__init__.py":  # test_star_imports_republish_each_name_once
+                        continue
                     if bound not in read:
                         unused.append(f"{name}:{node.lineno} {bound}")
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_star_imports_republish_each_name_once():
+    # what `from .x import *` binds: x.__all__, else every public name of x
+    bound = []
+    for node in _TREES["__init__.py"].body:
+        if isinstance(node, ast.ImportFrom) and node.names[0].name == "*":
+            module = vars(mimo3way)[node.module]
+            bound += getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")])
+    assert bound, "__init__.py republishes no module"
+    assert not set(bound) - set(mimo3way.__all__), f"star-imported, not exported: {set(bound) - set(mimo3way.__all__)}"
+    assert len(bound) == len(set(bound)), f"star-imported twice: {sorted({n for n in bound if bound.count(n) > 1})}"
 
 
 def test_every_private_function_and_class_is_referenced():
