@@ -141,8 +141,8 @@ def _unicast_thrice(m1, m2, m3):
     return min(2 * m1 + m2 + m3, 3 * (m2 + m3))
 
 
-def _broadcast_thrice(m1, m2, m3):
-    """3 x the optimal weighted sum-DoF with the node-3 broadcast message."""
+def _broadcast_thrice(_m1, m2, m3):
+    """3 x the optimal weighted sum-DoF with the node-3 broadcast message (m1 unread, as the sweep passes it)."""
     return 3 * (m2 + m3)
 
 

@@ -30,7 +30,7 @@ from .allocation import (
 )
 from .bounds import cutset_bound_broadcast, cutset_bound_unicast, genie_bound_unicast
 from .channel import AntennaConfig, AntennaSplit, draw_channels
-from .errors import InternalError, InvalidInputError, real
+from .errors import InternalError, InvalidInputError
 from .rational import denominator_lcm, frac, frac_str
 from .rates import estimate_dof
 from .schemes import SchemeTag, build_scheme, scheme_split, verify_scheme
@@ -74,8 +74,9 @@ def _default_seed() -> int:
 def _parse_list(text: str, name: str, convert, noun: str) -> tuple:
     try:
         return tuple(convert(p) for p in text.split(","))
-    except ValueError as exc:  # InvalidInputError included
-        raise _UsageError(f"--{name} expects comma-separated {noun}, got {text!r}") from exc
+    except ValueError as exc:  # an InvalidInputError names the rule that refused the entry
+        reason = f": {exc}" if isinstance(exc, InvalidInputError) else ""
+        raise _UsageError(f"--{name} expects comma-separated {noun}, got {text!r}{reason}") from exc
 
 
 def _within_digits(values, name: str):
@@ -92,7 +93,7 @@ def _parse_range(text: str, name: str) -> tuple[Fraction, Fraction, Fraction]:
     try:
         lo, hi, step = map(frac, parts)
     except InvalidInputError as exc:
-        raise _UsageError(f"--{name} expects rational start:stop:step, got {text!r}") from exc
+        raise _UsageError(f"--{name} expects rational start:stop:step, got {text!r}: {exc}") from exc
     if step <= 0 or hi < lo:
         raise _UsageError(f"--{name} needs step > 0 and stop >= start, got {text!r}")
     return _within_digits((lo, hi, step), name)
@@ -326,8 +327,8 @@ def _cmd_slope(args) -> int:
     snr = _parse_list(args.snr, "snr", float, "numbers")
     if not all(math.isfinite(v) for v in snr):
         raise _UsageError(f"--snr values must be finite, got {args.snr!r}")
-    # verify_scheme's tolerance rule: an infinite --tol would pass any slope
-    real(args.tol, "--tol", 0, noun="number")
+    if not 0 <= args.tol < math.inf:  # a NaN or infinite --tol would pass any slope
+        raise InvalidInputError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     est = estimate_dof(config, tag, snr, trials=args.trials, seed=args.seed, fit=args.fit)
 
     if args.format == "json":

@@ -2,13 +2,14 @@
 
 Keeping these in one place lets the CLI map them onto stable exit codes:
 invalid input and regime mismatches are caller errors, InternalError marks a
-broken invariant inside the library itself. `instance`, `integer` and `real`
-are the one home of the type rules for caller input: each returns the value
-it accepts, coerced, and refuses anything else with InvalidInputError.
+broken invariant inside the library itself. `instance`, `integer`, `real`
+and `sequence` are the one home of the type rules for caller input: each
+returns the value it accepts, coerced, and refuses anything else with
+InvalidInputError.
 """
 
-import math
 import numbers
+from collections.abc import Mapping, Set
 
 import numpy as np
 
@@ -48,20 +49,22 @@ def integer(x, name: str, lo: int = 0, hi: int | None = None) -> int:
     raise InvalidInputError(f"{name} must be {rule}, got {x!r}")
 
 
-def real(x, name: str, lo=None, noun: str = "real") -> float:
-    """`x` as a float: a real number, never a bool, that a float can hold.
-    With `lo` it must also be finite and >= lo, and every refusal says so,
-    calling the value a finite `noun`."""
+def real(x, name: str) -> float:
+    """`x` as a float: a real number, never a bool, that a float can hold."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        refusal = f"{name} must be a real number, got {x!r}"
-    else:
+        raise InvalidInputError(f"{name} must be a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise InvalidInputError(f"{name} {x!r} is too large for a float") from None
+
+
+def sequence(values, refusal: str) -> tuple:
+    """`values` as a tuple, else raise `refusal`. A string, bytes, mapping or
+    set is refused: it iterates as characters, keys or in hash order."""
+    if not isinstance(values, (str, bytes, Mapping, Set)):
         try:
-            value = float(x)
-        except OverflowError:
-            refusal = f"{name} {x!r} is too large for a float"
-        else:
-            if lo is None or lo <= value < math.inf:
-                return value
-    if lo is not None:
-        refusal = f"{name} must be a finite {noun} >= {lo}, got {x!r}"
-    raise InvalidInputError(refusal)
+            return tuple(values)
+        except TypeError:  # not iterable
+            pass
+    raise InvalidInputError(f"{refusal}, got {values!r}")

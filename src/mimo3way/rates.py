@@ -22,10 +22,11 @@ seed).
 
 `estimate_dof` runs its trials in blocks of `_BLOCK` (10), a private
 constant: each block draws its channels on a leading trial axis, builds and
-verifies the scheme over that stack, and rates the trials that passed in one
-`(trials, grid)` pass, so a block costs one LAPACK call per matrix role
-instead of one per trial. Each trial keeps its own seed and generators, so
-every draw and every rate is the one a trial-by-trial loop gets.
+verifies the scheme over that stack, and rates the whole block in one
+`(trials, grid)` pass, of which the estimate reads the trials that passed, so
+a block costs one LAPACK call per matrix role instead of one per trial. Each
+trial keeps its own seed and generators, so every draw and every rate is the
+one a trial-by-trial loop gets.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import AntennaConfig, AntennaSplit, ChannelSet, _draw
-from .errors import InternalError, InvalidInputError, instance, integer, real
+from .errors import InternalError, InvalidInputError, instance, integer, real, sequence
 from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, _slogdet, check_seed, generator, random_orthonormal
 from .rational import frac_str
 from .schemes import (
-    SchemeInstance, SchemeTag, _build, _check_scheme, _effective, _messages, _passed, _trials, scheme_split
+    SchemeInstance, SchemeTag, _build, _check_scheme, _effective, _messages, _passed, scheme_split
 )
 
 __all__ = ["SlopeEstimate", "sum_rate", "ablated_sum_rate", "estimate_dof"]
@@ -249,16 +250,13 @@ def _trial_seed(seed: int, k: int) -> int:
 
 def _rate_block(config: AntennaConfig, tag: SchemeTag, split: AntennaSplit, ext: int, seeds, snrs):
     """Draw, build, verify and rate one block of trials, `seeds[k]` the seed
-    of trial k: (scheme, which trials passed, (trials, grid) rates, 0 where
-    a trial failed). A trial's draws use its seed's own streams, as
-    `draw_channels`, `build_scheme` and `verify_scheme` would alone."""
+    of trial k: (scheme, which trials passed, (trials, grid) rates of all of
+    them). A trial's draws use its seed's own streams, as `draw_channels`,
+    `build_scheme` and `verify_scheme` would alone; its rates too are the
+    ones it gets alone."""
     channels = _draw(split, seeds, (len(seeds),))
     scheme = _build(config, tag, ext, channels, seeds)
-    valid = _passed(scheme, channels, seeds)
-    rates = np.zeros((len(seeds), len(snrs)))
-    if valid.any():
-        rates[valid] = _sum_rates(*_trials(scheme, channels, valid), snrs)
-    return scheme, valid, rates
+    return scheme, _passed(scheme, channels, seeds), _sum_rates(scheme, channels, snrs)
 
 
 def estimate_dof(
@@ -278,10 +276,8 @@ def estimate_dof(
     out at 30 dB or more for the slope to be in the DoF regime. Trials run in
     stacked blocks of _BLOCK, with the results of a trial-by-trial loop.
     """
-    try:
-        grid = tuple(real(s, "snr grid point") for s in snr_grid_db)
-    except TypeError:  # not iterable
-        raise InvalidInputError(f"snr grid must be a sequence of real dB values, got {snr_grid_db!r}") from None
+    grid = sequence(snr_grid_db, "snr grid must be a sequence of real dB values")
+    grid = tuple(real(s, "snr grid point") for s in grid)
     if len(grid) < 2:
         raise InvalidInputError("snr grid needs at least two points")
     if any(b <= a for a, b in zip(grid, grid[1:])):

@@ -7,13 +7,12 @@ arithmetic. JSON carries rationals as "p/q" strings (plain "p" when whole).
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Set
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, sequence
 
 __all__ = ["frac", "frac_str", "triple", "denominator_lcm"]
 
@@ -38,7 +37,8 @@ def frac(x) -> Fraction:
             if abs(int(x.lower().partition("e")[2] or 0)) <= _MAX_EXPONENT:
                 return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"cannot parse rational from {x!r}") from exc
+            why = ": its denominator is zero" if isinstance(exc, ZeroDivisionError) else ""
+            raise InvalidInputError(f"cannot parse rational from {x!r}{why}") from exc
         raise InvalidInputError(f"the exponent of {x!r} is outside [-{_MAX_EXPONENT}, {_MAX_EXPONENT}]")
     if isinstance(x, np.integer):
         return Fraction(int(x))
@@ -51,15 +51,8 @@ def frac_str(x: Fraction) -> str:
 
 
 def _rationals(values, refusal: str) -> tuple[Fraction, ...]:
-    """Coerce a sequence of rationals, else raise `refusal`. A string, bytes,
-    mapping or set is refused: it iterates as characters, keys or in hash
-    order."""
-    if not isinstance(values, (str, bytes, Mapping, Set)):
-        try:
-            return tuple(frac(v) for v in values)
-        except TypeError:  # not iterable
-            pass
-    raise InvalidInputError(f"{refusal}, got {values!r}")
+    """Coerce a sequence of rationals (`errors.sequence`), else raise `refusal`."""
+    return tuple(frac(v) for v in sequence(values, refusal))
 
 
 def triple(values, name: str = "triple") -> tuple[Fraction, Fraction, Fraction]:

@@ -45,7 +45,7 @@ import numpy as np
 
 from .allocation import Regime, canonical_split
 from .channel import _PAIR_SLOT, PAIR_ORDER, AntennaConfig, AntennaSplit, ChannelSet, _receive
-from .errors import InternalError, InvalidInputError, RegimeError, instance, real
+from .errors import InternalError, InvalidInputError, RegimeError, instance
 from .linalg import _SQRT2, PRECODER_STREAM, SYMBOL_STREAM, _null_basis, _random_orthonormal, _solve, _svdvals, generator
 from .rational import frac_str
 
@@ -451,52 +451,29 @@ def _check_scheme_matrices(scheme: SchemeInstance, lead: tuple[int, ...] = ()):
     return plan, mats
 
 
-def _trials(scheme: SchemeInstance, channels: ChannelSet, keep: np.ndarray):
-    """The trials a boolean mask `keep` marks of a scheme and channels
-    stacked on one trial axis."""
-    precoders = {m.key: scheme.precoders[m.key][keep] for m in scheme.messages}
-    projectors = {(m.key, r): scheme.projectors[(m.key, r)][keep] for m in scheme.messages for r in m.receivers}
-    kept = SchemeInstance(
-        scheme.tag, scheme.config, scheme.split, scheme.extension_factor, scheme.messages, precoders, projectors
-    )
-    return kept, ChannelSet._drawn(channels.split, tuple(h[keep] for h in channels.matrices))
-
-
 _RESIDUAL_TOL, _CONDITION_TOL, _ROUNDTRIP_TOL = 1e-10, 1e-8, 1e-8
 
 
-def verify_scheme(
-    scheme: SchemeInstance,
-    channels: ChannelSet,
-    *,
-    residual_tol: float = _RESIDUAL_TOL,
-    condition_tol: float = _CONDITION_TOL,
-    roundtrip_tol: float = _ROUNDTRIP_TOL,
-    seed: int = 0,
-) -> VerificationReport:
-    """Replay a zero-noise transmission and check the scheme end to end.
+def verify_scheme(scheme: SchemeInstance, channels: ChannelSet, *, seed: int = 0) -> VerificationReport:
+    """Replay a zero-noise transmission and check the scheme end to end at fixed tolerances.
 
     Per (message, receiver) pair: interference from every other visible
-    message must project to a relative residual <= residual_tol; the
-    effective matrix Q^H H T must be square, nonvanishing against the scale
-    of its factors, and have smin > condition_tol * smax; and solving it must
-    return the sent symbols to roundtrip_tol relative error. Each tolerance
-    must be a finite real >= 0, since a NaN or infinite one would pass every
-    check. Failures mark the report invalid; nothing raises on a bad
-    realization, only on malformed inputs: a missing, misshapen or
-    non-finite precoder or projector, or one that makes a projected link or
-    the received signal overflow. achieved_dof counts the streams of the
-    pairs that passed (per receiver for the broadcast message), so a valid
-    report always has achieved == claimed.
+    message must project to a relative residual <= 1e-10; the effective
+    matrix Q^H H T must be square, with smax > 1e-8 * smax(Q) smax(H)
+    smax(T) and smin > 1e-8 * smax; and solving it must return the sent
+    symbols to 1e-8 relative error. Failures mark the report invalid;
+    nothing raises on a bad realization, only on malformed inputs: a
+    missing, misshapen or non-finite precoder or projector, or one that
+    makes a projected link or the received signal overflow. achieved_dof
+    counts the streams of the pairs that passed (per receiver for the
+    broadcast message), so a valid report always has achieved == claimed.
 
     The checks are those of `_verify` for one trial.
     """
     plan, mats = _check_scheme(scheme, channels)
-    tols = {"residual_tol": residual_tol, "condition_tol": condition_tol, "roundtrip_tol": roundtrip_tol}
-    tols = {name: real(tol, name, 0) for name, tol in tols.items()}
     checks = []
     passed_streams = 0
-    for m, r, ((worst, cond, rt, fails),) in _verify(scheme, channels, [seed], plan, mats, **tols):
+    for m, r, ((worst, cond, rt, fails),) in _verify(scheme, channels, [seed], plan, mats):
         if not fails:
             passed_streams += m.dim
         checks.append(MessageCheck(m.key, r, worst, cond, rt, passed=not fails, failures=tuple(fails)))
@@ -510,15 +487,15 @@ def verify_scheme(
 
 
 def _passed(scheme: SchemeInstance, channels: ChannelSet, seeds) -> np.ndarray:
-    """Whether `verify_scheme` at its default tolerances passes each trial of
-    a scheme and channels stacked on one trial axis, `seeds[k]` the symbol
-    seed of trial k; raises as `verify_scheme` does on malformed matrices."""
+    """Whether `verify_scheme` passes each trial of a scheme and channels
+    stacked on one trial axis, `seeds[k]` the symbol seed of trial k; raises
+    as `verify_scheme` does on malformed matrices."""
     plan, mats = _check_scheme_matrices(scheme, (len(seeds),))
-    pairs = _verify(scheme, channels, seeds, plan, mats, _RESIDUAL_TOL, _CONDITION_TOL, _ROUNDTRIP_TOL)
+    pairs = _verify(scheme, channels, seeds, plan, mats)
     return np.array([not any(trials[k][3] for *_, trials in pairs) for k in range(len(seeds))], dtype=bool)
 
 
-def _verify(scheme, channels, seeds, plan, mats, residual_tol, condition_tol, roundtrip_tol):
+def _verify(scheme, channels, seeds, plan, mats):
     """The checks of `verify_scheme` for one seed per trial: a 2-D scheme and
     channels and one seed, or ones stacked on a leading trial axis and
     `seeds[k]` the symbol seed of trial k; `plan` and `mats` as
@@ -577,7 +554,7 @@ def _verify(scheme, channels, seeds, plan, mats, residual_tol, condition_tol, ro
                     denom = sv[link][j] * sv[pre][j]
                     if denom > 0:
                         worst = max(worst, sv[leak][j] / denom)
-                if worst > residual_tol:
+                if worst > _RESIDUAL_TOL:
                     fails.append("interference")
                 cond = 0.0
                 if anchors is None:
@@ -590,9 +567,9 @@ def _verify(scheme, channels, seeds, plan, mats, residual_tol, condition_tol, ro
                     g, h, t, q, low, _ = anchors
                     gmax, gmin = sv[g][j], sv[low][j]
                     cond = gmin / gmax if gmax > 0 else 0.0
-                    if not gmax > condition_tol * (sv[h][j] * sv[t][j] * sv[q][j]):
+                    if not gmax > _CONDITION_TOL * (sv[h][j] * sv[t][j] * sv[q][j]):
                         fails.append("rank-deficient")
-                    elif not gmin > condition_tol * gmax:
+                    elif not gmin > _CONDITION_TOL * gmax:
                         fails.append("ill-conditioned")
                     else:
                         decode.append(j)
@@ -605,7 +582,7 @@ def _verify(scheme, channels, seeds, plan, mats, residual_tol, condition_tol, ro
                 decoded = _solve(g, qy).reshape(sent.shape)
                 for j, d, u in zip(decode, decoded, sent):
                     rt = trials[j][2] = float(_norm(d - u) / _norm(u))
-                    if not rt <= roundtrip_tol:
+                    if not rt <= _ROUNDTRIP_TOL:
                         trials[j][3].append("roundtrip")
             results.append((m, r, trials))
     return results

@@ -87,6 +87,23 @@ def test_bounds_usage_errors(capsys, argv):
     assert err.startswith("error[usage]:")
 
 
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (("bounds", "--mt", "1e2000000,1,1", "--mr", "1,1,1"), "--mt expects comma-separated rationals, got "
+         "'1e2000000,1,1': the exponent of '1e2000000' is outside [-4300, 4300]"),
+        (("bounds", "--mt", "1/0,1,1", "--mr", "1,1,1"), "--mt expects comma-separated rationals, got '1/0,1,1': "
+         "cannot parse rational from '1/0': its denominator is zero"),
+        (("sweep", "--ratio1", "1e9999:2:1"), "--ratio1 expects rational start:stop:step, got '1e9999:2:1': "
+         "the exponent of '1e9999' is outside [-4300, 4300]"),
+        # int() names no rule of the package's own, so its line stays generic
+        (("allocate", "--m", "a,1,1"), "--m expects comma-separated integers, got 'a,1,1'"),
+    ],
+)
+def test_usage_errors_name_the_rule_that_refused_the_input(capsys, argv, refusal):
+    assert _run(capsys, *argv) == (1, "", f"error[usage]: {refusal}\n")
+
+
 def test_allocate_table(capsys):
     code, out, err = _run(capsys, "allocate", "--m", "3,3,3")
     assert code == 0
@@ -277,14 +294,14 @@ def test_slope_overflowing_rate_exits_2_without_warnings(capsys, recwarn):
     assert not recwarn.list
 
 
-@pytest.mark.parametrize("tol", ["inf", "-1"])
+@pytest.mark.parametrize("tol", ["inf", "-1", "nan"])
 def test_slope_refuses_a_tolerance_that_passes_everything(capsys, tol):
     # with --tol inf a slope of 1.08 against a DoF of 2 exited 0
     code, out, err = _run(
         capsys, "slope", "--m", "2,1,1", "--scheme", "uni-b", "--trials", "2", "--snr", "0,1", "--tol", tol,
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error[validation]: --tol must be a finite number >= 0")
+    assert err == f"error[validation]: --tol must be a finite number >= 0, got {float(tol)!r}\n"
 
 
 @pytest.mark.parametrize("slope", [math.nan, math.inf])

@@ -39,7 +39,6 @@ from mimo3way import (
     sum_rate,
     symmetric_bound,
     verify_duality,
-    verify_scheme,
 )
 from mimo3way.linalg import random_orthonormal
 
@@ -249,20 +248,6 @@ def test_malformed_tables_are_refused_alike_after_rating(tables):
     sum_rate(scheme, _UNI_B_CHANNELS, 10.0)
     ablated_sum_rate(scheme, _UNI_B_CHANNELS, 10.0, seed=1)
     assert outcomes() == unrated
-
-
-_UNI_A_CHANNELS = draw_channels(scheme_split(AntennaConfig(3, 3, 3), SchemeTag.UNI_A)[0], 0)
-_UNI_A = build_scheme(AntennaConfig(3, 3, 3), SchemeTag.UNI_A, _UNI_A_CHANNELS, 0)
-_tol = st.one_of(st.floats(0, 1), st.floats(0, 1), _bad)
-
-
-@_SETTINGS
-@given(_tol, _tol, _tol)
-@example(1e-10, 10**400, 1e-8)  # condition_tol times a singular value overflowed
-@example(1e-10, Fraction(10**400, 3), 1e-8)
-def test_verify_tolerances(residual_tol, condition_tol, roundtrip_tol):
-    tols = {"residual_tol": residual_tol, "condition_tol": condition_tol, "roundtrip_tol": roundtrip_tol}
-    _quietly(verify_scheme, _UNI_A, _UNI_A_CHANNELS, **tols)
 
 
 @_SETTINGS

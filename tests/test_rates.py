@@ -382,6 +382,19 @@ def test_estimate_rejects_non_numeric_grid_before_drawing(monkeypatch, grid):
         estimate_dof(AntennaConfig(2, 1, 1), SchemeTag.UNI_B, grid, trials=2)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [{30.0, 50.0}, {30.0: 1, 50.0: 2}, "30,50", b"30", 30.0, None],
+    ids=["set", "mapping", "str", "bytes", "scalar", "none"],
+)
+def test_estimate_refuses_a_grid_that_is_not_a_sequence_before_drawing(monkeypatch, grid):
+    # a set iterates in hash order and a mapping as its keys: neither is the order the caller wrote
+    monkeypatch.setattr(rates_mod, "_draw", _no_draw)
+    with pytest.raises(InvalidInputError) as refused:
+        estimate_dof(AntennaConfig(2, 1, 1), SchemeTag.UNI_B, grid, trials=2)
+    assert str(refused.value) == f"snr grid must be a sequence of real dB values, got {grid!r}"
+
+
 @pytest.mark.parametrize("seed", [-1, "a", 1.5, 1.0, True, None])
 def test_estimate_rejects_bad_seed_before_drawing(monkeypatch, seed):
     monkeypatch.setattr(rates_mod, "_draw", _no_draw)

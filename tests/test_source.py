@@ -1,7 +1,7 @@
 """Source hygiene of the package, read with `ast`: no import binds a name
 its module never uses, a star import only republishes a module in
-`__init__.py`, and no private top-level function or class is left without a
-reference."""
+`__init__.py`, no private top-level function or class is left without a
+reference, and every parameter is read."""
 
 import ast
 import pathlib
@@ -73,3 +73,20 @@ def test_every_private_function_and_class_is_referenced():
         and not any(stmt.name in other for other in refs if other is not own)
     ]
     assert not orphans, f"private definitions nothing references: {orphans}"
+
+
+def test_every_parameter_is_read():
+    # read anywhere in the body, closures included; `self`, `cls` and a
+    # `_`-prefixed name (taken only to fit a call) are exempt
+    unread = []
+    for name, tree in _TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+                body = node.body if isinstance(node.body, list) else [node.body]
+                read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+                unread += [f"{name}:{node.lineno} {getattr(node, 'name', 'lambda')}({p.arg})" for p in params
+                           if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")]
+    assert not unread, f"parameters never read: {unread}"
