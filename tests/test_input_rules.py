@@ -134,3 +134,34 @@ def test_one_rational_rule(site, value):
     else:
         with pytest.raises(InvalidInputError):
             call(value)
+
+
+# every sequence input takes any iterable in the order the caller wrote it,
+# and refuses a str, bytes, mapping or set (characters, keys or hash order)
+SEQUENCE_SITES = {
+    "AntennaSplit tx": lambda v: AntennaSplit(v, (0, 0, 0)).to_json(),
+    "estimate_dof grid": lambda v: estimate_dof(AntennaConfig(2, 1, 1), SchemeTag.UNI_B, v, trials=2).to_json(),
+}
+SEQUENCES = {
+    "list": lambda: [1, 2, 3],
+    "range": lambda: range(1, 4),
+    "ndarray": lambda: np.array([1, 2, 3]),
+    "generator": lambda: (v for v in (1, 2, 3)),
+    "set": lambda: {1, 2, 3},
+    "frozenset": lambda: frozenset((1, 2, 3)),
+    "mapping": lambda: {1: 0, 2: 0, 3: 0},
+    "str": lambda: "123",
+    "bytes": lambda: b"123",
+    "scalar": lambda: 1,
+}
+
+
+@pytest.mark.parametrize("value", SEQUENCES)
+@pytest.mark.parametrize("site", SEQUENCE_SITES)
+def test_one_sequence_rule(site, value):
+    call, values = SEQUENCE_SITES[site], SEQUENCES[value]()
+    if value in ("list", "range", "ndarray", "generator"):
+        assert json.dumps(call(values)) == json.dumps(call((1, 2, 3)))
+    else:
+        with pytest.raises(InvalidInputError, match="must be a sequence of"):
+            call(values)

@@ -389,6 +389,34 @@ def test_verify_report_json():
         assert isinstance(c["interference_residual"], float)
 
 
+@pytest.mark.parametrize("name", ["residual_tol", "condition_tol", "roundtrip_tol"])
+def test_verify_takes_no_tolerance_option(name):
+    # the tolerances are fixed: an option that set them could pass any scheme
+    _, _, _, ch, s = _built((4, 2, 1), SchemeTag.UNI_B, seed=3)
+    with pytest.raises(TypeError, match=name):
+        verify_scheme(s, ch, **{name: 1.0})
+
+
+@pytest.mark.parametrize(
+    "m, tag", [((3, 3, 3), SchemeTag.UNI_A), ((4, 2, 1), SchemeTag.UNI_B), ((5, 3, 2), SchemeTag.BCAST)],
+)
+def test_verify_checks_interference_at_the_fixed_tolerance(m, tag):
+    # projectors nudged off their null spaces by t, so residuals of about t
+    # fall on both sides of 1e-10; a pair fails on interference exactly when
+    # its residual exceeds it
+    _, _, _, ch, s = _built(m, tag, seed=3)
+    rng = generator(0)
+    noise = {key: random_orthonormal(rng, *q.shape) for key, q in s.projectors.items()}
+    residuals = []
+    for t in (0.0, 3e-11, 3e-10, 1e-9, 1.0):
+        rep = verify_scheme(replace(s, projectors={key: q + t * noise[key] for key, q in s.projectors.items()}), ch)
+        for c in rep.checks:
+            assert ("interference" in c.failures) == (c.interference_residual > 1e-10)
+            residuals.append(c.interference_residual)
+        assert rep.valid is (t < 1e-10)
+    assert min(r for r in residuals if r > 1e-10) < 1e-9 and max(r for r in residuals if r <= 1e-10) > 1e-11
+
+
 def _with(s, table, key, value):
     mats = dict(getattr(s, table))
     if value is None:

@@ -75,18 +75,35 @@ def test_every_private_function_and_class_is_referenced():
     assert not orphans, f"private definitions nothing references: {orphans}"
 
 
-def test_every_parameter_is_read():
-    # read anywhere in the body, closures included; `self`, `cls` and a
-    # `_`-prefixed name (taken only to fit a call) are exempt
+def _unread_parameters(name, tree) -> list[str]:
+    """Each parameter of a function or lambda under `tree` that its body never
+    reads, closures included; `self`, `cls` and a `_`-prefixed name (taken
+    only to fit a call) are exempt."""
     unread = []
-    for name, tree in _TREES.items():
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                a = node.args
-                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
-                body = node.body if isinstance(node.body, list) else [node.body]
-                read = {sub.id for stmt in body for sub in ast.walk(stmt)
-                        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
-                unread += [f"{name}:{node.lineno} {getattr(node, 'name', 'lambda')}({p.arg})" for p in params
-                           if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{name}:{node.lineno} {getattr(node, 'name', 'lambda')}({p.arg})" for p in params
+                       if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")]
+    return unread
+
+
+def test_every_parameter_is_read():
+    unread = [p for name, tree in _TREES.items() for p in _unread_parameters(name, tree)]
     assert not unread, f"parameters never read: {unread}"
+
+
+def test_parameter_check_flags_an_unread_parameter():
+    # `_verify` with one more parameter that its body never reads
+    tree = ast.parse((_SRC / "schemes.py").read_text())
+    verify = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_verify")
+    verify.args.kwonlyargs.append(ast.arg("tol"))
+    verify.args.kw_defaults.append(ast.Constant(1e-10))
+    assert _unread_parameters("schemes.py", tree) == [f"schemes.py:{verify.lineno} _verify(tol)"]
+    assert _unread_parameters("", ast.parse("f = lambda x, _y, *z: [x, *z]")) == []
+    assert _unread_parameters("", ast.parse("def f(x):\n    def g():\n        return x\n    return g")) == []
+    assert _unread_parameters("", ast.parse("def f(x):\n    x = 1\n    return 0")) == [":1 f(x)"]
