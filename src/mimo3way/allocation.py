@@ -31,7 +31,7 @@ import numpy as np
 
 from .bounds import GENIE_TERMS, cutset_bound_broadcast, genie_bound_unicast, genie_totals
 from .channel import AntennaConfig, AntennaSplit, _ordered
-from .errors import InternalError, InvalidInputError, RegimeError, instance, integer
+from .errors import InternalError, InvalidInputError, RegimeError, instance, integer, sequence
 from .lp import DualityStatus, LinearProgram, _phase1, _Unbounded, _Walk, verify_duality
 from .rational import _rationals, frac, frac_str
 
@@ -251,7 +251,8 @@ def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearPro
     """LP for one sign pattern of the genie objective: `_genie_rows` at the
     config, over the variables (dof, rx1, rx2, rx3)."""
     instance(config, AntennaConfig)
-    if not isinstance(bits, (tuple, list)) or len(bits) != len(_MAX_TERMS) or not all(type(b) is bool for b in bits):
+    bits = sequence(bits, "pattern bits must be a sequence of True or False")  # a tuple, for _genie_rows' cache
+    if len(bits) != len(_MAX_TERMS) or not all(type(b) is bool for b in bits):
         raise InvalidInputError(f"expected {len(_MAX_TERMS)} pattern bits (True or False), got {bits!r}")
     a, forms, labels = _genie_rows(bits)
     m1, m2, m3 = config.totals

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInputError, instance, integer
+from .errors import InvalidInputError, instance, integer, sequence
 from .linalg import _SQRT2, CHANNEL_STREAM, as_matrix, generator
 from .rational import denominator_lcm, frac, frac_str, triple
 
@@ -145,10 +145,11 @@ class ChannelSet:
 
     def __post_init__(self):
         tx, rx = instance(self.split, AntennaSplit).integer_pairs()
-        if not isinstance(self.matrices, (tuple, list)) or len(self.matrices) != len(PAIR_ORDER):
-            raise InvalidInputError(f"expected a tuple or list of {len(PAIR_ORDER)} matrices")
+        matrices = sequence(self.matrices, f"matrices must be a sequence of {len(PAIR_ORDER)} matrices")
+        if len(matrices) != len(PAIR_ORDER):
+            raise InvalidInputError(f"expected {len(PAIR_ORDER)} matrices, got {len(matrices)}")
         mats = []
-        for (i, j), h in zip(PAIR_ORDER, self.matrices):
+        for (i, j), h in zip(PAIR_ORDER, matrices):
             h = as_matrix(h, name=f"H_{i}{j}")
             want = (rx[j - 1], tx[i - 1])
             if h.shape != want:
@@ -212,31 +213,21 @@ def _draw(split: AntennaSplit, seeds, lead: tuple[int, ...]) -> ChannelSet:
     return ChannelSet._drawn(split, tuple(mats))
 
 
-def receive(split: AntennaSplit, channels: ChannelSet, x, noise) -> tuple[np.ndarray, ...]:
+def receive(channels: ChannelSet, x, noise) -> tuple[np.ndarray, ...]:
     """Receive-side signals y_j = sum_{i != j} H_ij x_i + z_j.
 
-    `x` and `noise` are lists or tuples ordered by node; x_i must be a matrix
-    with tx_i rows and z_j one with rx_j rows, all with the same number of
-    columns. Full-duplex self-interference is absent by model.
+    `x` and `noise` are sequences ordered by node: x_i a finite matrix with
+    tx_i rows and z_j one with rx_j rows, tx and rx those of `channels.split`,
+    all with one column count. Full-duplex self-interference is absent by model.
     """
-    if instance(channels, ChannelSet).split != instance(split, AntennaSplit):
-        raise InvalidInputError("channels must be a ChannelSet drawn for this AntennaSplit")
-    if not (isinstance(x, (tuple, list)) and isinstance(noise, (tuple, list)) and len(x) == len(noise) == 3):
-        raise InvalidInputError("x and noise must each be a list or tuple of one matrix per node")
-    xs, zs = [], []
-    for node, t, r in zip(NODES, *split.integer_pairs()):
-        try:
-            xi = np.asarray(x[node - 1], dtype=np.complex128)
-            zi = np.asarray(noise[node - 1], dtype=np.complex128)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidInputError(f"x{node} and noise{node} must be numeric matrices") from None
-        if xi.ndim != 2 or xi.shape[0] != t or zi.shape != (r, xi.shape[1]):
-            shapes = f"{xi.shape} and {zi.shape}"
-            raise InvalidInputError(f"x{node} and noise{node} need {t} and {r} rows, one column count, got {shapes}")
-        xs.append(xi)
-        zs.append(zi)
-    if not xs[0].shape[1] == xs[1].shape[1] == xs[2].shape[1]:
-        raise InvalidInputError("x1, x2 and x3 must have the same number of columns")
+    tx, rx = instance(channels, ChannelSet).split.integer_pairs()
+    x = sequence(x, "x must be a sequence of matrices")
+    noise = sequence(noise, "noise must be a sequence of matrices")
+    xs = [as_matrix(v, f"x{node}") for node, v in enumerate(x, 1)]
+    zs = [as_matrix(v, f"noise{node}") for node, v in enumerate(noise, 1)]
+    shapes = [v.shape for v in xs + zs]
+    if not len(xs) == len(zs) == 3 or shapes != [(n, shapes[0][1]) for n in tx + rx]:
+        raise InvalidInputError(f"x and noise need one matrix per node, {tx} and {rx} rows, one column count: {shapes}")
     return _receive(channels, xs, zs)
 
 

@@ -62,6 +62,8 @@ def real(x, name: str) -> float:
 def sequence(values, refusal: str) -> tuple:
     """`values` as a tuple, else raise `refusal`. A string, bytes, mapping or
     set is refused: it iterates as characters, keys or in hash order."""
+    if type(values) is tuple:  # what tuple(values) returns, without its call
+        return values
     if not isinstance(values, (str, bytes, Mapping, Set)):
         try:
             return tuple(values)

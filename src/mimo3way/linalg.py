@@ -140,19 +140,13 @@ def pseudo_inverse(a) -> np.ndarray:
     return np.linalg.pinv(a, rcond=max(a.shape) * _EPS)
 
 
-def check_seed(seed) -> int:
-    """The package's one seed rule: a nonnegative integer, never a bool or a
-    float (1.0 and 1.5 alike), returned as a plain int."""
-    return integer(seed, "seed")
-
-
 def generator(seed: int, *stream: int) -> np.random.Generator:
     """Seeded Generator for one child stream of `seed`.
 
     Distinct `stream` tags (and tag tuples) give statistically independent
     streams; the same (seed, stream) pair always reproduces the same draws.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(check_seed(seed), spawn_key=tuple(stream))))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(integer(seed, "seed"), spawn_key=tuple(stream))))
 
 
 def _draw_dims(rows, cols) -> tuple[int, int]:

@@ -48,8 +48,8 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import mul
 
-from .errors import InternalError, InvalidInputError, instance
-from .rational import _rationals, frac, frac_str
+from .errors import InternalError, InvalidInputError, instance, sequence
+from .rational import _rationals, frac_str
 
 __all__ = [
     "LinearProgram",
@@ -72,24 +72,24 @@ class LinearProgram:
     constraints: tuple[str, ...] = ()
 
     def __post_init__(self):
-        c = tuple(frac(x) for x in self.c)
-        a = tuple(tuple(frac(x) for x in row) for row in self.a)
-        b = tuple(frac(x) for x in self.b)
+        c = _rationals(self.c, "c must be a sequence of rationals")
+        a = tuple(_rationals(row, "each row of a must be a sequence of rationals")
+                  for row in sequence(self.a, "a must be a sequence of rows"))
+        b = _rationals(self.b, "b must be a sequence of rationals")
         if len(a) != len(b):
             raise InvalidInputError(f"{len(a)} constraint rows but {len(b)} right-hand sides")
         if any(len(row) != len(c) for row in a):
             raise InvalidInputError("constraint row width differs from len(c)")
-        variables = tuple(self.variables) or tuple(f"v{j}" for j in range(len(c)))
-        constraints = tuple(self.constraints) or tuple(f"row{i}" for i in range(len(a)))
+        variables = sequence(self.variables, "variables must be a sequence of labels")
+        variables = variables or tuple(f"v{j}" for j in range(len(c)))
+        constraints = sequence(self.constraints, "constraints must be a sequence of labels")
+        constraints = constraints or tuple(f"row{i}" for i in range(len(a)))
         if len(variables) != len(c):
             raise InvalidInputError(f"{len(variables)} variable labels for {len(c)} variables")
         if len(constraints) != len(a):
             raise InvalidInputError(f"{len(constraints)} constraint labels for {len(a)} rows")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "constraints", constraints)
+        for name, value in zip(("c", "a", "b", "variables", "constraints"), (c, a, b, variables, constraints)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_variables(self) -> int:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .channel import AntennaConfig, AntennaSplit, ChannelSet, _draw
 from .errors import InternalError, InvalidInputError, instance, integer, real, sequence
-from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, _slogdet, check_seed, generator, random_orthonormal
+from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, _slogdet, generator, random_orthonormal
 from .rational import frac_str
 from .schemes import (
     SchemeInstance, SchemeTag, _build, _check_scheme, _effective, _messages, _passed, scheme_split
@@ -67,6 +67,10 @@ _BLOCK = 10
 # such stacks. The largest the repo's own inputs make is the mc-slope
 # benchmark's (7,6,5) uni-a on a 25-point grid: 10 x 25 x 10^2 = 25,000.
 _MAX_GRAM_ENTRIES = 2**22
+
+# Most trials x N^3 estimate_dof runs, N the most antennas at a node of the
+# extended split, checked before any draw: about 35 s at 4 ns a unit (uni-b).
+_MAX_WORK = 2**33
 
 
 def _log2det(grams: np.ndarray, snrs) -> np.ndarray:
@@ -184,7 +188,7 @@ def ablated_sum_rate(
     memo = _memo(scheme, channels)
     if not (snr_linear > 0):
         raise InvalidInputError(f"snr_linear must be > 0, got {snr_linear}")
-    seed = check_seed(seed)
+    seed = integer(seed, "seed")
     rho = _stream_rho(scheme, snr_linear)
     live = [m for m in scheme.messages if m.dim]
 
@@ -285,7 +289,7 @@ def estimate_dof(
     trials = integer(trials, "trials", 1, _MAX_TRIALS)
     if fit not in ("two-point", "lsq-top-half"):
         raise InvalidInputError(f"fit must be 'two-point' or 'lsq-top-half', got {fit!r}")
-    seed = check_seed(seed)
+    seed = integer(seed, "seed")
     try:
         snr_linear = [10.0 ** (db / 10.0) for db in grid]
     except OverflowError:
@@ -300,6 +304,10 @@ def estimate_dof(
             f"{min(trials, _BLOCK)} trials x {len(grid)} snr grid points x {n}^2 stream pairs is over the "
             f"{_MAX_GRAM_ENTRIES} rate Gram entries estimate_dof stacks at once"
         )
+    largest = int(max(split.totals))
+    if trials * largest**3 > _MAX_WORK:
+        raise InvalidInputError(
+            f"{trials} trials x {largest}^3 antennas at the largest node is over the {_MAX_WORK} work budget")
     rates = np.zeros((trials, len(grid)))
     valid = np.zeros(trials, dtype=bool)
     for start in range(0, trials, _BLOCK):

@@ -168,7 +168,7 @@ def test_receive_zero_inputs_pass_noise_through():
     rng = generator(4)
     _, zs = _vectors(rng, split)
     xs = [np.zeros((int(split.tx_of(n)), 1), dtype=complex) for n in (1, 2, 3)]
-    ys = receive(split, ch, xs, zs)
+    ys = receive(ch, xs, zs)
     for y, z in zip(ys, zs):
         np.testing.assert_allclose(y, z)
 
@@ -180,7 +180,7 @@ def test_receive_single_transmitter():
     x1 = complex_gaussian(rng, 2, 1)
     xs = [x1, np.zeros((1, 1), complex), np.zeros((1, 1), complex)]
     zs = [np.zeros((int(split.rx_of(n)), 1), complex) for n in (1, 2, 3)]
-    ys = receive(split, ch, xs, zs)
+    ys = receive(ch, xs, zs)
     np.testing.assert_allclose(ys[0], np.zeros((1, 1)))
     np.testing.assert_allclose(ys[1], ch.h(1, 2) @ x1)
     np.testing.assert_allclose(ys[2], ch.h(1, 3) @ x1)
@@ -191,7 +191,7 @@ def test_receive_matches_triple_loop_oracle():
     ch = draw_channels(split, seed=9)
     rng = generator(10)
     xs, zs = _vectors(rng, split)
-    ys = receive(split, ch, xs, zs)
+    ys = receive(ch, xs, zs)
     for j in (1, 2, 3):
         want = zs[j - 1].copy()
         for i in (1, 2, 3):
@@ -212,9 +212,9 @@ def test_receive_is_linear():
     rng = generator(15)
     xa, za = _vectors(rng, split)
     xb, zb = _vectors(rng, split)
-    ya = receive(split, ch, xa, za)
-    yb = receive(split, ch, xb, zb)
-    ysum = receive(split, ch, [a + b for a, b in zip(xa, xb)], [a + b for a, b in zip(za, zb)])
+    ya = receive(ch, xa, za)
+    yb = receive(ch, xb, zb)
+    ysum = receive(ch, [a + b for a, b in zip(xa, xb)], [a + b for a, b in zip(za, zb)])
     for s, a, b in zip(ysum, ya, yb):
         assert np.linalg.norm(s - (a + b)) <= 1e-12 * max(1.0, np.linalg.norm(s))
 
@@ -225,4 +225,14 @@ def test_receive_dimension_mismatch():
     xs = [np.zeros((1, 1), complex)] * 3  # x1 should have 2 rows
     zs = [np.zeros((int(split.rx_of(n)), 1), complex) for n in (1, 2, 3)]
     with pytest.raises(InvalidInputError):
-        receive(split, ch, xs, zs)
+        receive(ch, xs, zs)
+
+
+def test_receive_refuses_a_non_finite_signal():
+    split = AntennaSplit((2, 1, 1), (1, 2, 1))
+    ch = draw_channels(split, seed=3)
+    xs, zs = _vectors(generator(4), split)
+    with pytest.raises(InvalidInputError, match="x1 contains non-finite"):
+        receive(ch, [np.full((2, 1), np.nan), *xs[1:]], zs)
+    with pytest.raises(InvalidInputError, match="noise3 contains non-finite"):
+        receive(ch, xs, [*zs[:2], np.full((1, 1), np.inf)])

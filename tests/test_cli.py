@@ -17,8 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mimo3way.cli as cli_mod
 import mimo3way.rates as rates_mod
-from mimo3way import InternalError, SchemeTag
+from mimo3way import PAIR_ORDER, ChannelSet, InternalError, SchemeTag
 from mimo3way.rates import SlopeEstimate
 from mimo3way.cli import _MAX_DIGITS, DEFAULT_SEED, _dec, _emit_json, main
 
@@ -268,6 +269,47 @@ def test_slope_over_the_gram_budget_exits_2_before_drawing(capsys, monkeypatch):
     code, out, err = _run(capsys, "slope", "--m", "400,200,200", "--scheme", "uni-b", "--trials", "10", f"--snr={snr}")
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith("error[validation]: 10 trials x 600 snr grid points")
+
+
+def test_slope_over_the_work_budget_exits_2_before_drawing(capsys, monkeypatch):
+    def no_draw(*a, **k):
+        raise AssertionError("a channel was drawn")
+
+    monkeypatch.setattr(rates_mod, "_draw", no_draw)
+    # the default 50 trials x 800^3: about 100 s if it ran
+    code, out, err = _run(capsys, "slope", "--m", "800,400,400", "--scheme", "uni-b")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error[validation]: 50 trials x 800^3 antennas at the largest node")
+
+
+def test_slope_table_counts_the_invalid_draws(capsys, monkeypatch):
+    # the first trial of each block of 10 fails its checks
+    passed = rates_mod._passed
+    monkeypatch.setattr(rates_mod, "_passed", lambda *a: passed(*a) & (np.arange(len(a[2])) != 0))
+    code, out, err = _run(capsys, "slope", "--m", "2,1,1", "--scheme", "uni-b", "--trials", "12", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "  (2/12 draws invalid, skipped)"
+
+
+def test_verify_scheme_on_rigged_channels_exits_2(capsys, monkeypatch):
+    # H13 = H12, as in the zero-forcing demo: the precoder that nulls H13
+    # nulls H12 too, so the stream meant for node 2 never arrives
+    draw = cli_mod.draw_channels
+
+    def rigged(split, seed):
+        mats = list(draw(split, seed).matrices)
+        mats[PAIR_ORDER.index((1, 3))] = mats[PAIR_ORDER.index((1, 2))]
+        return ChannelSet(split, mats)
+
+    monkeypatch.setattr(cli_mod, "draw_channels", rigged)
+    code, out, err = _run(capsys, "verify-scheme", "--m", "3,3,3", "--scheme", "uni-a", "--seed", "1")
+    assert code == 2 and json.loads(out)["report"]["valid"] is False
+    assert err.count("\n") == 1 and err.startswith("error[validation]: scheme invalid: ")
+
+
+def test_sweep_range_without_a_step_is_usage_error(capsys):
+    code, out, err = _run(capsys, "sweep", "--ratio1", "1:2")
+    assert (code, out, err) == (1, "", "error[usage]: --ratio1 expects start:stop:step, got '1:2'\n")
 
 
 @pytest.mark.parametrize("snr", ["3000,4000", "-4000,30"])

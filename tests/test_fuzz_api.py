@@ -133,9 +133,8 @@ _vectors = st.one_of(st.lists(_vector, max_size=4), _bad)
 def test_channel_entry_points(split, mats, x, noise):
     _quietly(ChannelSet, split, mats)
     channels = draw_channels(_SPLIT, 0)
-    _quietly(receive, split, channels, x, noise)
-    _quietly(receive, _SPLIT, channels, x, noise)
-    _quietly(receive, _SPLIT, mats, x, noise)
+    _quietly(receive, channels, x, noise)
+    _quietly(receive, mats, x, noise)
 
 
 def _channels(config, tag, seed, which):

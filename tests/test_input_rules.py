@@ -15,16 +15,20 @@ import mimo3way
 from mimo3way import (
     AntennaConfig,
     AntennaSplit,
+    ChannelSet,
     InvalidInputError,
+    LinearProgram,
     SchemeTag,
     draw_channels,
     estimate_dof,
+    genie_subproblem,
     optimal_unicast_bruteforce,
     random_gaussian,
+    receive,
     scheme_split,
     symmetric_bound,
 )
-from mimo3way.linalg import check_seed, random_orthonormal
+from mimo3way.linalg import random_orthonormal
 from mimo3way.rational import frac
 
 HUGE = 10**400
@@ -40,7 +44,7 @@ def _draw(a):
 # every integer input: (what the site makes of a value, in JSON terms;
 # whether the site refuses HUGE, by its own upper bound)
 SITES = {
-    "seed": (check_seed, False),
+    "seed": (lambda v: estimate_dof(AntennaConfig(2, 1, 1), SchemeTag.UNI_B, trials=2, seed=v).to_json(), False),
     "random_gaussian seed": (lambda v: _draw(random_gaussian(2, 1, v)), False),
     "AntennaConfig": (lambda v: AntennaConfig(v, v, v).to_json(), False),
     "bruteforce denominator": (lambda v: optimal_unicast_bruteforce(AntennaConfig(1, 1, 1), v).to_json(), True),
@@ -141,6 +145,11 @@ def test_one_rational_rule(site, value):
 SEQUENCE_SITES = {
     "AntennaSplit tx": lambda v: AntennaSplit(v, (0, 0, 0)).to_json(),
     "estimate_dof grid": lambda v: estimate_dof(AntennaConfig(2, 1, 1), SchemeTag.UNI_B, v, trials=2).to_json(),
+    "LinearProgram c": lambda v: LinearProgram(c=v, a=((1, 1, 1),), b=(1,)).to_json(),
+    "LinearProgram a row": lambda v: LinearProgram(c=(1, 1, 1), a=(v,), b=(1,)).to_json(),
+    "LinearProgram b": lambda v: LinearProgram(c=(1,), a=((1,),) * 3, b=v).to_json(),
+    "LinearProgram variables": lambda v: [*map(str, LinearProgram((1, 1, 1), (), (), v).variables)],
+    "LinearProgram constraints": lambda v: [*map(str, LinearProgram((1,), ((1,),) * 3, (1, 1, 1), (), v).constraints)],
 }
 SEQUENCES = {
     "list": lambda: [1, 2, 3],
@@ -165,3 +174,42 @@ def test_one_sequence_rule(site, value):
     else:
         with pytest.raises(InvalidInputError, match="must be a sequence of"):
             call(values)
+
+
+# the same rule where each entry is itself a sequence or a flag: LinearProgram's
+# rows, genie_subproblem's pattern bits, ChannelSet's matrices and receive's
+# signals, given as nested tuples so that a set or mapping of them can be built
+_CONFIG = AntennaConfig(4, 2, 1)
+_SPLIT = AntennaSplit((2, 1, 1), (1, 2, 1))
+_CHANNELS = draw_channels(_SPLIT, 0)
+_X = tuple(((1.0,),) * t for t in (2, 1, 1))
+_Z = tuple(((0.5,),) * r for r in (1, 2, 1))
+NESTED_SITES = {
+    "LinearProgram a": (((1, 0), (0, 1), (1, 1)), lambda v: LinearProgram((1, 1), v, (1, 2, 3)).to_json()),
+    "genie_subproblem bits": ((True,) * 3 + (False,) * 3, lambda v: genie_subproblem(_CONFIG, v).to_json()),
+    "ChannelSet matrices": (
+        tuple(tuple(map(tuple, h.tolist())) for h in _CHANNELS.matrices),
+        lambda v: [_draw(h) for h in ChannelSet(_SPLIT, v).matrices],
+    ),
+    "receive x": (_X, lambda v: [_draw(y) for y in receive(_CHANNELS, v, _Z)]),
+    "receive noise": (_Z, lambda v: [_draw(y) for y in receive(_CHANNELS, _X, v)]),
+}
+NESTED = {
+    "list": list,
+    "generator": lambda items: (v for v in items),
+    "set": set,
+    "mapping": dict.fromkeys,
+    "str": lambda items: "abc",
+    "scalar": lambda items: 1,
+}
+
+
+@pytest.mark.parametrize("value", NESTED)
+@pytest.mark.parametrize("site", NESTED_SITES)
+def test_one_sequence_rule_for_nested_entries(site, value):
+    items, call = NESTED_SITES[site]
+    if value in ("list", "generator"):
+        assert json.dumps(call(NESTED[value](items))) == json.dumps(call(items))
+    else:
+        with pytest.raises(InvalidInputError, match="must be a sequence of"):
+            call(NESTED[value](items))

@@ -126,6 +126,12 @@ def test_generator_rejects_bad_seeds():
     assert generator(np.int64(3)).integers(1 << 30) == generator(3).integers(1 << 30)
 
 
+def test_complex_gaussian_refuses_a_draw_over_its_entry_budget():
+    # 3000 x 3000 is 9M entries, over the 4M cap, though each side is under it
+    with pytest.raises(InvalidInputError, match="a 3000x3000 draw has over 4000000 entries"):
+        complex_gaussian(np.random.default_rng(0), 3000, 3000)
+
+
 def test_random_orthonormal():
     rng = generator(19)
     q = random_orthonormal(rng, 5, 3)

@@ -38,6 +38,16 @@ def test_lp_validation():
         LinearProgram(c=(1,), a=((1,),), b=(1,), variables=("x", "y"))
 
 
+@pytest.mark.parametrize(
+    "labels, refusal",
+    [({"variables": ("x", "y")}, "2 variable labels for 1 variables"),
+     ({"constraints": ("r", "s")}, "2 constraint labels for 1 rows")],
+)
+def test_lp_refuses_a_label_count_that_differs(labels, refusal):
+    with pytest.raises(InvalidInputError, match=refusal):
+        LinearProgram(c=(1,), a=((1,),), b=(1,), **labels)
+
+
 def test_lp_defaults_and_json():
     lp = LinearProgram(c=(-1, 0), a=((1, 1),), b=("5/2",))
     assert lp.variables == ("v0", "v1")

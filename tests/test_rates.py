@@ -423,6 +423,26 @@ def test_estimate_refuses_a_gram_stack_over_budget_before_drawing(monkeypatch, p
         estimate_dof(AntennaConfig(256, 128, 128), SchemeTag.UNI_B, grid, trials=8)
 
 
+# under the budget the stubbed first draw raises
+@pytest.mark.parametrize(
+    "m, tag, trials, raised, match",
+    [((512, 256, 256), SchemeTag.UNI_B, 64, AssertionError, "drawn"),
+     ((512, 256, 256), SchemeTag.UNI_B, 65, InvalidInputError, "65 trials x 512\\^3 antennas"),
+     ((187, 187, 187), SchemeTag.UNI_A, 48, AssertionError, "drawn"),
+     ((187, 187, 187), SchemeTag.UNI_A, 49, InvalidInputError, "49 trials x 561\\^3 antennas")],
+    ids=["at", "over", "extended-under", "extended-over"],
+)
+def test_estimate_refuses_work_over_budget_before_drawing(monkeypatch, m, tag, trials, raised, match):
+    # (512,256,256) uni-b has 512 antennas at node 1: 64 trials x 512^3 is
+    # exactly the budget, one more trial is over it. (187,187,187) uni-a is
+    # extended by 3, so N is 561 and not 187: 48 x 561^3 is under, 49 x 561^3 over
+    assert 64 * 512**3 == rates_mod._MAX_WORK
+    assert 48 * 561**3 <= rates_mod._MAX_WORK < 49 * 561**3
+    monkeypatch.setattr(rates_mod, "_draw", _no_draw)
+    with pytest.raises(raised, match=match):
+        estimate_dof(AntennaConfig(*m), tag, trials=trials)
+
+
 def test_all_invalid_draws_is_internal_error(monkeypatch):
     # every trial of every block fails verification
     monkeypatch.setattr(rates_mod, "_passed", lambda scheme, channels, seeds: np.zeros(len(seeds), dtype=bool))

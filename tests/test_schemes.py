@@ -256,7 +256,7 @@ def _verify_ref(scheme, channels, seed):
                 xi = xi + scheme.precoders[m.key] @ symbols[m.key]
         x.append(xi)
     noise = [np.zeros((int(scheme.split.rx_of(node)), 1), dtype=np.complex128) for node in (1, 2, 3)]
-    y = receive(scheme.split, channels, x, noise)
+    y = receive(channels, x, noise)
     checks, failures, achieved = [], [], Fraction(0)
     for m in scheme.messages:
         for r in m.receivers:
@@ -467,6 +467,19 @@ def test_verify_refuses_the_found_malformed_schemes():
     ]:
         with pytest.raises(InvalidInputError, match=match):
             verify_scheme(scheme, ch)
+
+
+@pytest.mark.parametrize(
+    "messages, match",
+    [((SchemeMessage("u11", 1, (1,), 1),), "message 'u11' is received at its own transmitter, node 1"),
+     (("u21",), "scheme messages must be SchemeMessages"),
+     ((["u21", 2, (1,), 2],), "scheme messages must be SchemeMessages")],
+    ids=["own transmitter", "str", "unhashable"],
+)
+def test_verify_refuses_messages_no_plan_can_hold(messages, match):
+    _, _, _, ch, s = _built((4, 2, 1), SchemeTag.UNI_B, seed=1)
+    with pytest.raises(InvalidInputError, match=match):
+        verify_scheme(replace(s, messages=messages), ch)
 
 
 def test_verify_rejects_foreign_channels():

@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with `ast`: no import binds a name
 its module never uses, a star import only republishes a module in
 `__init__.py`, no private top-level function or class is left without a
-reference, and every parameter is read."""
+reference, every parameter is read, and no tuple-or-list check stands beside
+`errors.sequence`."""
 
 import ast
 import pathlib
@@ -107,3 +108,29 @@ def test_parameter_check_flags_an_unread_parameter():
     assert _unread_parameters("", ast.parse("f = lambda x, _y, *z: [x, *z]")) == []
     assert _unread_parameters("", ast.parse("def f(x):\n    def g():\n        return x\n    return g")) == []
     assert _unread_parameters("", ast.parse("def f(x):\n    x = 1\n    return 0")) == [":1 f(x)"]
+
+
+def _list_or_tuple_checks(name, tree) -> list[str]:
+    """Each `isinstance(x, (..., tuple, ..., list, ...))` under `tree`, in
+    either order, outside `cli._json_pieces`, whose JSON output dispatch it is."""
+    skip = set()
+    if name == "cli.py":
+        pieces = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_json_pieces")
+        skip = {id(n) for n in ast.walk(pieces)}
+    return [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and id(node) not in skip
+        and len(node.args) == 2 and isinstance(node.args[1], ast.Tuple)
+        and {"tuple", "list"} <= {getattr(e, "id", None) for e in node.args[1].elts}
+    ]
+
+
+def test_one_sequence_rule_in_source():
+    # errors.sequence is the one rule for a sequence input: a check of its own
+    # for a tuple or list would refuse what the rule takes (a generator, a
+    # range, an ndarray)
+    checks = [c for name, tree in _TREES.items() for c in _list_or_tuple_checks(name, tree)]
+    assert not checks, f"isinstance(..., (tuple, list)) outside errors.sequence: {checks}"
+    assert _list_or_tuple_checks("", ast.parse("isinstance(x, (list, Mapping, tuple))")) == [":1"]
+    assert _list_or_tuple_checks("", ast.parse("isinstance(x, (tuple, str))\nisinstance(x, list)")) == []
