@@ -224,27 +224,37 @@ def _mirror_bits(bits: tuple[bool, ...]) -> tuple[bool, ...]:
 
 @functools.cache
 def _genie_rows(bits: tuple[bool, ...]):
-    """The genie subproblem of one sign pattern, config-free: (Fraction row
+    """The genie subproblem of one sign pattern, config-free: (integer row
     coefficients on (dof, rx1, rx2, rx3), each rhs as the integer form
     (const, m1, m2, m3), labels). Bit k True picks the rx side of max term k,
     False the tx side, each choice enforced by a branch inequality so the
     union of the 2^6 polytopes is the full feasible set."""
-    e, zero = np.eye(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
-    rx = e[1] + e[2] + e[3]
-    # max term k under its branch as (coefficients, rhs form): rx_a, or tx_b = m_b - rx_b
-    terms = [(e[a], zero) if bit else (-e[b], e[b]) for bit, (a, b) in zip(bits, _MAX_TERMS)]
-    rows = [(e[0] - rx, zero, "dof<=sum_rx"), (e[0] + rx, rx, "dof<=sum_tx")]
+
+    def vec(*entries):  # the 4-vector that adds s at index l for each (l, s)
+        out = [0, 0, 0, 0]
+        for l, s in entries:
+            out[l] += s
+        return tuple(out)
+
+    # the (coefficient, rhs) entries max term k adds to a row dof - t <= 0: t = rx_a, or t = tx_b = m_b - rx_b
+    terms = [(((a, -1),), ()) if bit else (((b, 1),), ((b, 1),)) for bit, (a, b) in zip(bits, _MAX_TERMS)]
+    rows = [(vec((0, 1), (1, -1), (2, -1), (3, -1)), vec(), "dof<=sum_rx"),
+            (vec((0, 1), (1, 1), (2, 1), (3, 1)), vec((1, 1), (2, 1), (3, 1)), "dof<=sum_tx")]
     for (label, _, _), (c1, f1), (c2, f2) in zip(GENIE_TERMS, terms[::2], terms[1::2]):
-        rows.append((e[0] - c1 - c2, f1 + f2, f"dof<={label}"))
+        rows.append((vec((0, 1), *c1, *c2), vec(*f1, *f2), f"dof<={label}"))
     for bit, (a, b) in zip(bits, _MAX_TERMS):
         s = -1 if bit else 1  # rx_a >= tx_b when the bit is set, else tx_b >= rx_a
-        rows.append((s * (e[a] + e[b]), s * e[b], f"rx{a}>=tx{b}" if bit else f"tx{b}>=rx{a}"))
-    rows += [(e[l], e[l], f"rx{l}<=m{l}") for l in (1, 2, 3)]
-    rows += [(-e[l], zero, f"rx{l}>=0") for l in (1, 2, 3)]
-    rows.append((-e[0], zero, "dof>=0"))
-    a, forms, labels = zip(*rows)
-    a = tuple(tuple(map(Fraction, row)) for row in np.array(a).tolist())
-    return a, tuple(map(tuple, np.array(forms).tolist())), labels
+        rows.append((vec((a, s), (b, s)), vec((b, s)), f"rx{a}>=tx{b}" if bit else f"tx{b}>=rx{a}"))
+    rows += [(vec((l, 1)), vec((l, 1)), f"rx{l}<=m{l}") for l in (1, 2, 3)]
+    rows += [(vec((l, -1)), vec(), f"rx{l}>=0") for l in (1, 2, 3)]
+    rows.append((vec((0, -1)), vec(), "dof>=0"))
+    return tuple(zip(*rows))
+
+
+@functools.cache
+def _fraction_rows(bits: tuple[bool, ...]):
+    """`_genie_rows`' coefficients as Fractions, built at a pattern's first subproblem."""
+    return tuple(tuple(map(Fraction, row)) for row in _genie_rows(bits)[0])
 
 
 def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearProgram:
@@ -254,25 +264,24 @@ def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearPro
     bits = sequence(bits, "pattern bits must be a sequence of True or False")  # a tuple, for _genie_rows' cache
     if len(bits) != len(_MAX_TERMS) or not all(type(b) is bool for b in bits):
         raise InvalidInputError(f"expected {len(_MAX_TERMS)} pattern bits (True or False), got {bits!r}")
-    a, forms, labels = _genie_rows(bits)
+    _, forms, labels = _genie_rows(bits)
     m1, m2, m3 = config.totals
     b = [c + x * m1 + y * m2 + z * m3 for c, x, y, z in forms]  # the rhs forms at the config
-    return LinearProgram(c=(-1, 0, 0, 0), a=a, b=b, variables=("dof", "rx1", "rx2", "rx3"), constraints=labels)
-
-
-# (1, m1, m2, m3) = 1*r0 + (m1-m2)*r1 + (m2-m3)*r2 + m3*r3 when m1 >= m2 >= m3 >= 0
-_ORDERED_RAYS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 1, 1))
+    return LinearProgram(c=(-1, 0, 0, 0), a=_fraction_rows(bits), b=b, variables=("dof", "rx1", "rx2", "rx3"),
+                         constraints=labels)
 
 
 @functools.cache
 def _template(bits: tuple[bool, ...]) -> _Walk | None:
     """The phase-2 walk of one sign pattern (None if its dual is infeasible):
     the dual's rows A' and rhs -c = (1, 0, 0, 0) do not depend on the config,
-    and its cost b(m) is linear in (1, m1, m2, m3) by the rhs forms, with
-    params always in the ordered cone of `_ORDERED_RAYS`."""
+    and its cost b(m) is linear in (1, m1, m2, m3) by the rhs forms. It runs
+    in cone coordinates: an ordered config is mu = (1, m1-m2, m2-m3, m3) >= 0
+    times the generators (1,0,0,0), (0,1,0,0), (0,1,1,0), (0,1,1,1), so a form
+    (c, x, y, z) reads (c, x, x+y, x+y+z), with the same reduced costs at mu."""
     a, forms, _ = _genie_rows(bits)
     start = _phase1(list(zip(*a)), (1, 0, 0, 0))
-    return None if start is None else _Walk(start, forms, _ORDERED_RAYS)
+    return None if start is None else _Walk(start, [(c, x, x + y, x + y + z) for c, x, y, z in forms])
 
 
 # the smaller pattern of each tx/rx-swap orbit
@@ -291,7 +300,7 @@ def optimal_unicast_enumerated(config: AntennaConfig) -> AllocationResult:
     is an internal error, never a silent maximum.
     """
     closed = optimal_unicast_closed_form(config)
-    best, params = None, (1, *config.totals)
+    best, params = None, (1, config.m1 - config.m2, config.m2 - config.m3, config.m3)  # as `_template` reads them
     for bits in _ORBITS:
         walk = _template(bits)
         if walk is None:

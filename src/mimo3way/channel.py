@@ -132,12 +132,13 @@ class AntennaSplit:
         return {"mt": [frac_str(v) for v in self.tx], "mr": [frac_str(v) for v in self.rx]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSet:
     """The six cross-link matrices of one channel realization.
 
     h(i, j) has shape (rx_j, tx_i): rows are receive antennas at node j,
-    columns are transmit antennas at node i.
+    columns are transmit antennas at node i. `==` and `hash()` go by
+    identity (eq=False), as arrays have no one truth value to compare by.
     """
 
     split: AntennaSplit

@@ -40,7 +40,7 @@ __all__ = ["main", "DEFAULT_SEED", "SWEEP_MAX_POINTS"]
 DEFAULT_SEED = 1234
 
 # Largest ratio grid `sweep` evaluates, checked before any point is: each costs
-# a few integer operations, each kept point one Fraction and an output line.
+# a few integer operations, each kept point a gcd and an output line.
 # The default grid has 70 points; the largest sweep in the benchmark has 784.
 SWEEP_MAX_POINTS = 100_000
 
@@ -115,12 +115,19 @@ def _scheme_tag(text: str) -> SchemeTag:
         raise _UsageError(f"unknown scheme {text!r}; choose from uni-a, uni-b, bcast") from exc
 
 
-def _dec(x: Fraction) -> str:
-    """Exact x to 4 decimals, half to even, "-0.0000" below 0: float text without overflow or lost digits."""
-    n, d = x.numerator, x.denominator
+def _dec(x, d: int = 1) -> str:
+    """Exact x/d (x int or Fraction, d > 0, reduced or not) to 4 decimals, half to even, "-0.0000" below 0:
+    float text without overflow or lost digits."""
+    n, d = x.numerator, x.denominator * d
     q, r = divmod(abs(n) * 10000, d)
     q += 2 * r > d or 2 * r == d and q % 2  # half to even
     return f"{'-' if n < 0 else ''}{q // 10000}.{q % 10000:04d}"
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d (d > 0) as `frac_str` prints it, without a Fraction: "p/q" in lowest terms, "p" when whole."""
+    g = math.gcd(n, d)
+    return f"{n // g}/{d // g}" if g != d else str(n // g)
 
 
 def _fmt_triple(vals) -> str:
@@ -364,12 +371,12 @@ def _cmd_sweep(args) -> int:
     # every point is start + k*step: run the grid on integer numerators over
     # the common denominator d, so the integers (a, b, d) stand for (a/d, b/d, 1)
     d = denominator_lcm((r1[0], r1[2], r2[0], r2[2]))
-    text = frac_str if args.format == "json" else _dec
-    axis1, axis2 = ([(x, text(Fraction(x, d))) for x in range(int(lo * d), math.floor(hi * d) + 1, int(step * d))]
+    text = _ratio if args.format == "json" else _dec
+    axis1, axis2 = ([(x, text(x, d)) for x in range(int(lo * d), math.floor(hi * d) + 1, int(step * d))]
                     for lo, hi, step in (r1, r2))
     thrice = _broadcast_thrice if args.msgs == "broadcast" else _unicast_thrice
     rows = [  # valid ordered configs only
-        (a_text, b_text, text(Fraction(thrice(a, b, d), 3 * d)))
+        (a_text, b_text, text(thrice(a, b, d), 3 * d))
         for a, a_text in axis1 for b, b_text in axis2 if a >= b >= d
     ]
 

@@ -22,11 +22,10 @@ Phase 1 (`_phase1`) reads only A' and c. Phase 2 (`_Walk`) reads b, the
 dual's cost, as a linear form b = sum_k params_k * b_k: it memoizes each pivot
 as an edge (node, entering column) -> child, each node keeping one
 reduced-cost row per b_k, and solves at params by Bland's rule on those rows
-summed at params, so it takes exactly the pivots of a solve from scratch.
-Given `rays` spanning a cone, Bland's rule reads only columns negative on some
-ray; a caller that passes rays must only solve at params inside their cone.
-`solve_inequality_min` is the one-point walk; `allocation` keeps one walk per
-genie sign pattern, whose cost b(m) is linear in (1, m1, m2, m3).
+summed at params, so it takes exactly the pivots of a solve from scratch. At
+params >= 0 it reads only the columns with a negative component, as no other
+can price negative. `solve_inequality_min` is the one-point walk; `allocation`
+keeps one walk per genie sign pattern, in cone coordinates of m1 >= m2 >= m3.
 
 The tableau is integer-preserving (Bareiss 1968): each equality row is scaled
 to integers by the lcm of its denominators, and the tableau, right-hand side
@@ -46,7 +45,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import InternalError, InvalidInputError, instance, sequence
 from .rational import _rationals, frac_str
@@ -268,17 +267,12 @@ def _phase1(g_rows, g_rhs) -> _Tableau | None:
     leave every sign, ratio order and zero pattern the simplex decides on
     unchanged.
     """
-    n_eq = len(g_rows)
-    n_var = len(g_rows[0])
+    n_eq, n_var = len(g_rows), len(g_rows[0])
     rows, scales, signs = [], [], []
-    for i in range(n_eq):
-        row, s = _to_integers((*g_rows[i], g_rhs[i]))
+    for i, (g, rhs) in enumerate(zip(g_rows, g_rhs)):
+        row, s = _to_integers((*g, rhs))
         sign = -1 if row[-1] < 0 else 1
-        if sign < 0:
-            row = [-x for x in row]
-        art = [0] * n_eq
-        art[i] = 1
-        rows.append(row[:-1] + art + row[-1:])
+        rows.append([sign * x for x in row[:-1]] + [int(k == i) for k in range(n_eq)] + [sign * row[-1]])
         scales.append(s)
         signs.append(sign)
     t = _Tableau(rows, [n_var + i for i in range(n_eq)], list(range(n_eq)), 1, scales, signs)
@@ -307,57 +301,59 @@ class _Walk:
     cost[j] = sum_k params[k] * forms[j][k] (integer forms) at once.
 
     A node is [tableau, reduced costs, edges, x, scan]: one reduced-cost row
-    per form component, stored as a tuple per column, each pivoted by the
-    same Bareiss step (exact on each row by itself); edges maps an entering
-    column to its child (None: unbounded along it); x is set once the node
-    ends a solve; scan, set at its first visit, lists the columns Bland's
-    rule reads: all of them, or with `rays` (generators of a cone every
-    solved params must lie in) those negative on some ray, as the rest are
-    >= 0 on the whole cone, so every pivot is the one a full scan takes.
-    Bland's rule never revisits a basis, so the memo is finite and a solve
-    takes at most one step per basis; one that takes more has met a cycle
-    in the memo, and raises InternalError.
+    per form component, each pivoted by the same Bareiss step (exact on each
+    row by itself); edges maps an entering column to its child (None:
+    unbounded along it); x is set once the node ends a solve; scan, set at
+    its first visit with params >= 0, pairs each column that has a negative
+    component with its components. Such params (a cone's points in the
+    coordinates of its generators) read only the scan, others every column:
+    either way each pivot is the one a full scan takes. Bland's rule never
+    revisits a basis, so the memo is finite and a solve takes at most one
+    step per basis; one that takes more has met a cycle in the memo, and
+    raises InternalError.
     """
 
-    def __init__(self, start: _Tableau, forms, rays=None):
+    def __init__(self, start: _Tableau, forms):
         self.n_var = len(forms)
         self.bases = comb(self.n_var, len(start.tab))
-        self.rays = rays
         n_eq = len(start.scales)
         rows = [start.reduced_costs([*component, *[0] * n_eq]) for component in zip(*forms)]
-        self.root = [start, list(zip(*rows)), {}, None, None]
+        self.root = [start, rows, {}, None, None]
 
     @staticmethod
     def _child(node, enter):
-        t, cols = node[0], node[1]
+        t, rows = node[0], node[1]
         prow = t.leaving(enter)
         if prow is None:
             return None
-        d, fs = t.d, cols[enter]
+        d = t.d
         t = _Tableau([row[:] for row in t.tab], t.basis[:], t.live, d, t.scales, t.signs)
         t.pivot(prow, enter, None)
-        p = t.d
-        cols = [tuple((p * c - f * y) // d for c, f in zip(col, fs)) for col, y in zip(cols, t.tab[prow])]
-        if any(cols[enter]):  # a basic column prices at 0; else Bland's rule could re-enter it forever
+        p, top = t.d, t.tab[prow]
+        rows = [[(p * c - f * y) // d for c, y in zip(row, top)] for row in rows for f in (row[enter],)]
+        if any(row[enter] for row in rows):  # a basic column prices at 0; else Bland's rule could re-enter it forever
             raise InternalError("a pivot left a reduced cost on the entering column")
-        return [t, cols, {}, None, None]
+        return [t, rows, {}, None, None]
 
     def optimum(self, params):
         """The node where Bland's rule stops at `params`; _Unbounded when the
         minimum is -infinity."""
-        node, n_var, rays, steps = self.root, self.n_var, self.rays, 0
+        node, n_var, steps = self.root, self.n_var, 0
+        cone = min(params) >= 0  # then a column with no negative component prices >= 0
         while True:
-            cols, edges = node[1], node[2]
-            if node[4] is None:
-                node[4] = [j for j in range(n_var) if rays is None or any(sum(map(mul, r, cols[j])) < 0 for r in rays)]
-            for enter in node[4]:  # Bland's rule: the first negative reduced cost
-                if sum(map(mul, params, cols[enter])) < 0:
+            if not cone:
+                scan = zip(range(n_var), zip(*node[1]))
+            elif (scan := node[4]) is None:
+                scan = node[4] = [(j, col) for j, col in zip(range(n_var), zip(*node[1])) if min(col) < 0]
+            for enter, col in scan:  # Bland's rule: the first negative reduced cost
+                if sum(map(mul, params, col)) < 0:
                     break
             else:
                 return node
             steps += 1
             if steps > self.bases:
                 raise InternalError(f"a Bland walk took {steps} steps among {self.bases} bases: its memo cycles")
+            edges = node[2]
             if enter not in edges:
                 edges[enter] = self._child(node, enter)
             node = edges[enter]
@@ -367,8 +363,8 @@ class _Walk:
     def multiplier(self, node, params, k) -> int:
         """d times equality row k's multiplier at an optimal `node`: minus the
         reduced cost of its artificial column, row sign and scale undone."""
-        t = node[0]
-        return -sum(map(mul, params, node[1][self.n_var + k])) * t.signs[k] * t.scales[k] if k in t.live else 0
+        t, column = node[0], map(itemgetter(self.n_var + k), node[1])
+        return -sum(map(mul, params, column)) * t.signs[k] * t.scales[k] if k in t.live else 0
 
     def solve(self, params):
         """(x, pi) at `params`: the optimal basic solution and the equality-row

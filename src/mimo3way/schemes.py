@@ -82,14 +82,15 @@ class SchemeMessage:
         return len(self.receivers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemeInstance:
     """A fully built scheme for one channel realization.
 
     `split` and all matrices live in the symbol-extended system (antenna
     counts scaled by extension_factor); DoF accounting divides back down.
     `build_scheme` seals it, read-only like a ChannelSet; rate calls then
-    reuse its SNR-free terms per (channels, ablation seed).
+    reuse its SNR-free terms per (channels, ablation seed). Like a
+    ChannelSet, it compares and hashes by identity (eq=False).
     """
 
     tag: SchemeTag

@@ -11,6 +11,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mimo3way import (
@@ -38,7 +39,8 @@ from mimo3way import (
     unicast_optimal_value,
     verify_duality,
 )
-from mimo3way.allocation import _broadcast_thrice, _unicast_thrice
+from mimo3way.allocation import _MAX_TERMS, _broadcast_thrice, _genie_rows, _unicast_thrice
+from mimo3way.bounds import GENIE_TERMS
 
 
 def _configs(limit):
@@ -381,6 +383,40 @@ def test_genie_subproblem_never_beats_closed_form():
         assert -sol.value <= best
         seen_optimal = seen_optimal or -sol.value == best
     assert seen_optimal
+
+
+def _genie_rows_from_unit_vectors(bits):
+    """An independent build of one pattern's genie rows: numpy unit vectors,
+    then a Fraction per coefficient, as `_genie_rows` once built them."""
+    e, zero = np.eye(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
+    rx = e[1] + e[2] + e[3]
+    terms = [(e[a], zero) if bit else (-e[b], e[b]) for bit, (a, b) in zip(bits, _MAX_TERMS)]
+    rows = [(e[0] - rx, zero, "dof<=sum_rx"), (e[0] + rx, rx, "dof<=sum_tx")]
+    for (label, _, _), (c1, f1), (c2, f2) in zip(GENIE_TERMS, terms[::2], terms[1::2]):
+        rows.append((e[0] - c1 - c2, f1 + f2, f"dof<={label}"))
+    for bit, (a, b) in zip(bits, _MAX_TERMS):
+        s = -1 if bit else 1
+        rows.append((s * (e[a] + e[b]), s * e[b], f"rx{a}>=tx{b}" if bit else f"tx{b}>=rx{a}"))
+    rows += [(e[l], e[l], f"rx{l}<=m{l}") for l in (1, 2, 3)]
+    rows += [(-e[l], zero, f"rx{l}>=0") for l in (1, 2, 3)]
+    rows.append((-e[0], zero, "dof>=0"))
+    a, forms, labels = zip(*rows)
+    a = tuple(tuple(map(Fraction, row)) for row in np.array(a).tolist())
+    return a, tuple(map(tuple, np.array(forms).tolist())), labels
+
+
+def test_genie_rows_match_a_fraction_build_from_unit_vectors():
+    # every pattern, orbit representatives and their mirrors: integer rows
+    # and forms equal to the reference, and subproblems that reuse one
+    # pattern's Fractions instead of building them per call
+    for bits in itertools.product((False, True), repeat=6):
+        a, forms, labels = _genie_rows(bits)
+        assert all(type(x) is int for row in (*a, *forms) for x in row), bits
+        want_a, want_forms, want_labels = _genie_rows_from_unit_vectors(bits)
+        assert (tuple(tuple(map(Fraction, row)) for row in a), forms, labels) == (want_a, want_forms, want_labels)
+        lp, other = genie_subproblem(AntennaConfig(5, 4, 3), bits), genie_subproblem(AntennaConfig(2, 1, 0), bits)
+        assert lp.a == want_a
+        assert all(x is y for row, row2 in zip(lp.a, other.a) for x, y in zip(row, row2))
 
 
 def test_result_json_shapes():

@@ -21,7 +21,8 @@ import mimo3way.cli as cli_mod
 import mimo3way.rates as rates_mod
 from mimo3way import PAIR_ORDER, ChannelSet, InternalError, SchemeTag
 from mimo3way.rates import SlopeEstimate
-from mimo3way.cli import _MAX_DIGITS, DEFAULT_SEED, _dec, _emit_json, main
+from mimo3way.cli import _MAX_DIGITS, DEFAULT_SEED, _dec, _emit_json, _ratio, main
+from mimo3way.rational import frac_str
 
 
 def _run(capsys, *argv):
@@ -434,6 +435,29 @@ def test_decimal_text_equals_float_formatting_on_small_rationals():
     extra = (Fraction(0), Fraction(-1, 100000), Fraction(1, 100000), Fraction(-5, 32))
     for x in (*(Fraction(p, q) for q in range(1, 33) for p in range(-1000, 1001)), *extra):
         assert _dec(x) == f"{float(x):.4f}", x
+
+
+def _dec_of_fraction(x: Fraction) -> str:
+    """`_dec` as it read a Fraction before it took integer pairs: the reference."""
+    n, d = x.numerator, x.denominator
+    q, r = divmod(abs(n) * 10000, d)
+    q += 2 * r > d or 2 * r == d and q % 2
+    return f"{'-' if n < 0 else ''}{q // 10000}.{q % 10000:04d}"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**6), st.integers(1, 1000))
+@example(0, 7, 3)
+@example(-1, 100000, 4)  # -0.0000
+@example(1, 20000, 6)  # a tie at 0.00005 rounds to even
+@example(3, 20000, 9)
+@example(-6, 3, 5)  # whole
+def test_sweep_text_from_integer_pairs_matches_the_fraction_text(n, d, k):
+    # sweep prints n/d from the pair itself, reduced or not (n*k, d*k)
+    for num, den in ((n, d), (n * k, d * k)):
+        x = Fraction(num, den)
+        assert _ratio(num, den) == frac_str(x), (num, den)
+        assert _dec(num, den) == _dec_of_fraction(x) == _dec(x), (num, den)
 
 
 _BIG = 10**400

@@ -541,39 +541,33 @@ def _built(node):
 
 
 @st.composite
-def _coned_programs(draw):
-    """A `_parametric_programs` system with 1 to 3 integer rays in its 2
-    parameters, and points that are nonnegative integer combinations of the
-    rays, so every point lies in their cone."""
+def _nonnegative_programs(draw):
+    """A `_parametric_programs` system with points in the nonnegative
+    orthant, where a walk reads only its nodes' scans."""
     g, rhs, forms, _ = draw(_parametric_programs())
-    coefficient = st.integers(-3, 3)
-    rays = draw(st.lists(st.tuples(coefficient, coefficient), min_size=1, max_size=3))
-    weights = st.lists(st.integers(0, 3), min_size=len(rays), max_size=len(rays))
-    points = [
-        tuple(sum(w * ray[k] for w, ray in zip(ws, rays)) for k in range(2))
-        for ws in draw(st.lists(weights, min_size=1, max_size=8))
-    ]
-    return g, rhs, forms, rays, points
+    points = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=8))
+    return g, rhs, forms, points
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_coned_programs())
-def test_walk_given_rays_matches_a_full_scan_inside_their_cone(program):
-    g, rhs, forms, rays, points = program
+@given(_nonnegative_programs())
+def test_walk_at_nonnegative_params_matches_a_full_scan(program):
+    g, rhs, forms, points = program
     start = _phase1(g, rhs)
-    coned, full = _Walk(start, forms, rays), _Walk(start, forms)
+    # a third, zero component at param -1 leaves every cost as it is and
+    # makes that walk read every column
+    coned, full = _Walk(start, forms), _Walk(start, [(*f, 0) for f in forms])
     for p in points:
         cost = [p[0] * f0 + p[1] * f1 for f0, f1 in forms]
         want = _outcome(_fraction_phase2, g, rhs, start, cost)
         assert _outcome(coned.solve, p) == want, p
-        assert _outcome(full.solve, p) == want, p
-    # a node scans its columns in index order and leaves out only those
-    # whose reduced cost is >= 0 on every ray
+        assert _outcome(full.solve, (*p, -1)) == want, p
+    assert all(node[4] is None for node in _built(full.root))
+    # a node scans its columns in index order, each with its components, and
+    # leaves out only those with no negative component
     for node in _built(coned.root):
-        scan = node[4]
-        assert list(scan) == sorted(scan)
-        for j in set(range(len(forms))) - set(scan):
-            assert all(sum(r * c for r, c in zip(ray, node[1][j])) >= 0 for ray in rays), (j, rays)
+        columns = list(zip(*node[1]))[: len(forms)]
+        assert node[4] == [(j, col) for j, col in enumerate(columns) if min(col) < 0]
 
 
 def test_a_walk_whose_memo_cycles_raises_instead_of_hanging():
@@ -585,6 +579,12 @@ def test_a_walk_whose_memo_cycles_raises_instead_of_hanging():
     walk.root[2][1] = walk.root
     with pytest.raises(InternalError, match="memo cycles"):
         _outcome(walk.solve, (1,))
+
+
+def _cone(cfg):
+    """A config's point in `_template`'s cone coordinates."""
+    m1, m2, m3 = cfg.totals
+    return (1, m1 - m2, m2 - m3, m3)
 
 
 def test_genie_walks_match_solving_each_lp_in_any_order():
@@ -602,7 +602,7 @@ def test_genie_walks_match_solving_each_lp_in_any_order():
         random.Random(seed).shuffle(visits)
         for cfg, bits in visits:
             walk = _template(bits)
-            got = None if walk is None else _outcome(walk.solve, (1, *cfg.totals))
+            got = None if walk is None else _outcome(walk.solve, _cone(cfg))
             if got is not None:
                 lam, v = got
                 got = (_typed([-v[0][1]]), v, lam)
@@ -651,7 +651,7 @@ def test_enumeration_keeps_the_first_orbit_reaching_the_largest_value():
             if walk is None:
                 continue
             try:
-                lam, v = walk.solve((1, *cfg.totals))
+                lam, v = walk.solve(_cone(cfg))
             except _Unbounded:
                 continue
             sols.append((v[0], bits, v, lam))
@@ -670,7 +670,7 @@ def test_phase1_templates_match_solving_each_genie_lp():
             ref = solve_inequality_min(genie_subproblem(cfg, bits))
             walk = _template(bits)
             try:
-                got = None if walk is None else walk.solve((1, *cfg.totals))
+                got = None if walk is None else walk.solve(_cone(cfg))
             except _Unbounded:
                 got = None
             if ref is None:

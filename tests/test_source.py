@@ -1,8 +1,8 @@
 """Source hygiene of the package, read with `ast`: no import binds a name
 its module never uses, a star import only republishes a module in
 `__init__.py`, no private top-level function or class is left without a
-reference, every parameter is read, and no tuple-or-list check stands beside
-`errors.sequence`."""
+reference, every parameter is read, no tuple-or-list check stands beside
+`errors.sequence`, and the exact LP layer and its walks name no numpy."""
 
 import ast
 import pathlib
@@ -134,3 +134,24 @@ def test_one_sequence_rule_in_source():
     assert not checks, f"isinstance(..., (tuple, list)) outside errors.sequence: {checks}"
     assert _list_or_tuple_checks("", ast.parse("isinstance(x, (list, Mapping, tuple))")) == [":1"]
     assert _list_or_tuple_checks("", ast.parse("isinstance(x, (tuple, str))\nisinstance(x, list)")) == []
+
+
+def _names_numpy(node) -> bool:
+    """Whether `node` imports numpy or reads the name `np` or `numpy`."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import) and any(alias.name.partition(".")[0] == "numpy" for alias in sub.names):
+            return True
+        if isinstance(sub, ast.ImportFrom) and (sub.module or "").partition(".")[0] == "numpy":
+            return True
+    return bool({"np", "numpy"} & _referenced(node))
+
+
+def test_exact_walks_name_no_numpy():
+    # the exact LP layer and the bounds import no numpy, and the enumerated
+    # route builds its rows and walks on plain ints
+    assert [name for name in ("lp.py", "bounds.py") if _names_numpy(_TREES[name])] == []
+    defs = {stmt.name: stmt for tree in _TREES.values() for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    assert [name for name in ("_genie_rows", "_template", "_Walk") if _names_numpy(defs[name])] == []
+    assert _names_numpy(ast.parse("def f():\n    return np.eye(4)"))
+    assert _names_numpy(ast.parse("from numpy import eye"))
