@@ -100,7 +100,7 @@ class TransmitSumBand:
 
     def contains(self, config: AntennaConfig, tx) -> bool:
         instance(config, AntennaConfig)
-        tx = _rationals(tx, "tx must be a sequence of rationals")
+        tx = _rationals(tx, "tx must be a sequence of rationals", 3)
         if len(tx) != 3 or any(t < 0 for t in tx):
             return False
         if any(t > m for t, m in zip(tx, config.totals)):
@@ -261,7 +261,7 @@ def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearPro
     """LP for one sign pattern of the genie objective: `_genie_rows` at the
     config, over the variables (dof, rx1, rx2, rx3)."""
     instance(config, AntennaConfig)
-    bits = sequence(bits, "pattern bits must be a sequence of True or False")  # a tuple, for _genie_rows' cache
+    bits = sequence(bits, "pattern bits must be a sequence of True or False", len(_MAX_TERMS))  # a tuple: a cache key
     if len(bits) != len(_MAX_TERMS) or not all(type(b) is bool for b in bits):
         raise InvalidInputError(f"expected {len(_MAX_TERMS)} pattern bits (True or False), got {bits!r}")
     _, forms, labels = _genie_rows(bits)

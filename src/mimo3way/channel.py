@@ -146,7 +146,7 @@ class ChannelSet:
 
     def __post_init__(self):
         tx, rx = instance(self.split, AntennaSplit).integer_pairs()
-        matrices = sequence(self.matrices, f"matrices must be a sequence of {len(PAIR_ORDER)} matrices")
+        matrices = sequence(self.matrices, f"matrices must be a sequence of {len(PAIR_ORDER)} matrices", len(PAIR_ORDER))
         if len(matrices) != len(PAIR_ORDER):
             raise InvalidInputError(f"expected {len(PAIR_ORDER)} matrices, got {len(matrices)}")
         mats = []
@@ -222,8 +222,8 @@ def receive(channels: ChannelSet, x, noise) -> tuple[np.ndarray, ...]:
     all with one column count. Full-duplex self-interference is absent by model.
     """
     tx, rx = instance(channels, ChannelSet).split.integer_pairs()
-    x = sequence(x, "x must be a sequence of matrices")
-    noise = sequence(noise, "noise must be a sequence of matrices")
+    x = sequence(x, "x must be a sequence of matrices", len(NODES))
+    noise = sequence(noise, "noise must be a sequence of matrices", len(NODES))
     xs = [as_matrix(v, f"x{node}") for node, v in enumerate(x, 1)]
     zs = [as_matrix(v, f"noise{node}") for node, v in enumerate(noise, 1)]
     shapes = [v.shape for v in xs + zs]

@@ -8,6 +8,7 @@ returns the value it accepts, coerced, and refuses anything else with
 InvalidInputError.
 """
 
+import itertools
 import numbers
 from collections.abc import Mapping, Set
 
@@ -59,14 +60,15 @@ def real(x, name: str) -> float:
         raise InvalidInputError(f"{name} {x!r} is too large for a float") from None
 
 
-def sequence(values, refusal: str) -> tuple:
-    """`values` as a tuple, else raise `refusal`. A string, bytes, mapping or
-    set is refused: it iterates as characters, keys or in hash order."""
-    if type(values) is tuple:  # what tuple(values) returns, without its call
+def sequence(values, refusal: str, most: int) -> tuple:
+    """The first `most` + 1 entries of `values` as a tuple, enough to refuse
+    more than `most`, else raise `refusal`. A string, bytes, mapping or set is
+    refused: it iterates as characters, keys or in hash order."""
+    if type(values) is tuple and len(values) <= most:  # what the slice returns, without its call
         return values
     if not isinstance(values, (str, bytes, Mapping, Set)):
         try:
-            return tuple(values)
+            return tuple(itertools.islice(values, most + 1))
         except TypeError:  # not iterable
             pass
     raise InvalidInputError(f"{refusal}, got {values!r}")

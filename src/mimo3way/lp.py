@@ -59,6 +59,8 @@ __all__ = [
     "solve_inequality_min",
 ]
 
+_MAX_SIZE = 256  # most variables, and most rows, of a LinearProgram; reads of its inputs stop one past it
+
 
 @dataclass(frozen=True)
 class LinearProgram:
@@ -71,17 +73,19 @@ class LinearProgram:
     constraints: tuple[str, ...] = ()
 
     def __post_init__(self):
-        c = _rationals(self.c, "c must be a sequence of rationals")
-        a = tuple(_rationals(row, "each row of a must be a sequence of rationals")
-                  for row in sequence(self.a, "a must be a sequence of rows"))
-        b = _rationals(self.b, "b must be a sequence of rationals")
+        c = _rationals(self.c, "c must be a sequence of rationals", _MAX_SIZE)
+        a = tuple(_rationals(row, "each row of a must be a sequence of rationals", len(c))
+                  for row in sequence(self.a, "a must be a sequence of rows", _MAX_SIZE))
+        b = _rationals(self.b, "b must be a sequence of rationals", len(a))
+        if max(len(c), len(a)) > _MAX_SIZE:
+            raise InvalidInputError(f"a linear program has at most {_MAX_SIZE} variables and {_MAX_SIZE} rows")
         if len(a) != len(b):
             raise InvalidInputError(f"{len(a)} constraint rows but {len(b)} right-hand sides")
         if any(len(row) != len(c) for row in a):
             raise InvalidInputError("constraint row width differs from len(c)")
-        variables = sequence(self.variables, "variables must be a sequence of labels")
+        variables = sequence(self.variables, "variables must be a sequence of labels", len(c))
         variables = variables or tuple(f"v{j}" for j in range(len(c)))
-        constraints = sequence(self.constraints, "constraints must be a sequence of labels")
+        constraints = sequence(self.constraints, "constraints must be a sequence of labels", len(a))
         constraints = constraints or tuple(f"row{i}" for i in range(len(a)))
         if len(variables) != len(c):
             raise InvalidInputError(f"{len(variables)} variable labels for {len(c)} variables")
@@ -141,8 +145,8 @@ def verify_duality(lp: LinearProgram, v, lam) -> DualityCertificate:
     over dv, lam over dl, c, A and b over s) and makes Fractions only to report.
     """
     instance(lp, LinearProgram)
-    v = _rationals(v, "v must be a sequence of rationals")
-    lam = _rationals(lam, "lam must be a sequence of rationals")
+    v = _rationals(v, "v must be a sequence of rationals", lp.n_variables)
+    lam = _rationals(lam, "lam must be a sequence of rationals", lp.n_constraints)
     n, m = len(v), len(lam)
     if n != lp.n_variables:
         raise InvalidInputError(f"v has {n} entries, expected {lp.n_variables}")

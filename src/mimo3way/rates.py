@@ -6,19 +6,19 @@ between the top grid points estimates the DoF. Per-message transmit power is
 the node budget split evenly over its streams; the broadcast message counts
 once per receiver (decoding must succeed at both, so its rate is the minimum
 over receivers); rates are divided by the symbol-extension factor to land in
-bits per channel use. Each draw's rates are evaluated over the whole SNR
-grid at once, with one batched slogdet per (message, receiver) pair. A
-pair's Gram stack is checked as a whole, for finite entries before the
-slogdet and for a positive sign and finite log-det after it, and per matrix
-only to name the SNR of a failure.
+bits per channel use. A rate call stacks the (message, receiver) pairs by
+Gram size n, one batched slogdet a stack over the whole SNR grid, which
+gives each matrix the bits it gets alone. A stack is checked as a whole,
+for finite entries and then a positive sign and finite log-det, and pair by
+pair only to name the error.
 
 `ablated_sum_rate` draws its random projectors from generator(seed,
 ABLATION_STREAM), in sorted key order: the draw ignores the SNR, channels and
 scheme matrices. `build_scheme`'s schemes are read-only like a ChannelSet, so
 `sum_rate` and `ablated_sum_rate` keep on one what they compute before the SNR
-per (ChannelSet object, ablation seed): passed checks, Grams, leak
-covariances. A sealed scheme thus draws the projectors once per (channels,
-seed).
+per (ChannelSet object, ablation seed): passed checks and the stacks of
+Grams, leak covariances and power divisors. A sealed scheme thus draws the
+projectors once per (channels, seed).
 
 `estimate_dof` runs its trials in blocks of `_BLOCK` (10), a private
 constant: each block draws its channels on a leading trial axis, builds and
@@ -57,16 +57,16 @@ _MAX_TRIALS = 100_000
 
 # Trials per stacked draw/build/verify/rate pass of estimate_dof. Ten keeps
 # most of the batching gain, while the stacks stay bounded whatever the
-# trial count: the largest, one pair's (trials, grid, n, n) Gram stack, is
-# about 0.8 MB at (7,6,5) uni-a on a 25-point grid.
+# trial count: at (7,6,5) uni-a on a 25-point grid the largest is 0.4 MB.
 _BLOCK = 10
 
-# Most entries in the complex (block trials, grid points, n, n) Gram stack of
-# estimate_dof's rate pass, n the largest message's stream count, checked
-# before any draw: 64 MiB at 16 bytes an entry, and the pass holds about two
-# such stacks. The largest the repo's own inputs make is the mc-slope
-# benchmark's (7,6,5) uni-a on a 25-point grid: 10 x 25 x 10^2 = 25,000.
+# Most entries in a complex (pairs, block trials, grid points, n, n) Gram
+# stack of estimate_dof, of the pairs with Gram size n, checked before any
+# draw: 64 MiB at 16 bytes an entry, the pass holds about two stacks, and the
+# repo's own largest, mc-slope's (7,6,5) uni-a on 25 points, has 25,000.
 _MAX_GRAM_ENTRIES = 2**22
+
+_MAX_GRID = 4096  # most points of estimate_dof's SNR grid; its slope reads the top two, or the top half
 
 # Most trials x N^3 estimate_dof runs, N the most antennas at a node of the
 # extended split, checked before any draw: about 35 s at 4 ns a unit (uni-b).
@@ -79,7 +79,8 @@ def _log2det(grams: np.ndarray, snrs) -> np.ndarray:
     grams[..., k, :, :] was formed at snrs[k]; a non-finite one means that
     SNR overflowed. Once a finite one's largest entry times eps reaches 1,
     rounding has lost its identity part and a rank-deficient rest leaves it
-    singular. The first bad matrix in C order names the SNR."""
+    singular. The first bad matrix in C order names the SNR. `_rate` puts
+    its pairs through it one at a time only once a stack fails."""
     if not np.isfinite(grams).all():
         finite = np.isfinite(grams).all(axis=(-2, -1))
         k = np.unravel_index(np.argmin(finite), finite.shape)
@@ -89,32 +90,16 @@ def _log2det(grams: np.ndarray, snrs) -> np.ndarray:
     if not ok.all():
         k = np.unravel_index(np.argmin(ok), ok.shape)
         if np.abs(grams[k]).max() * _EPS >= 1:
-            snr = float(snrs[k[-1]])
-            raise InvalidInputError(
-                f"snr_linear {snr} is past float64 resolution: the rate Gram matrix loses its identity part"
-            )
+            raise InvalidInputError(f"snr_linear {float(snrs[k[-1]])} is past float64 resolution: the rate Gram "
+                                    "matrix loses its identity part")
         raise InternalError("rate Gram matrix is not positive definite")
     return logdet / _LN2
 
 
-def _stream_rho(scheme: SchemeInstance, snr_linear: float | np.ndarray) -> dict[str, float | np.ndarray]:
-    """Per-stream power of each message with streams: each node splits its
-    budget over its own streams."""
-    return {m.key: snr_linear / scheme.tx_streams(m.tx) for m in scheme.messages if m.dim}
-
-
-@functools.lru_cache(maxsize=16)
-def _eye(n: int) -> np.ndarray:
-    """A read-only complex n x n identity."""
-    eye = np.eye(n, dtype=np.complex128)
-    eye.flags.writeable = False
-    return eye
-
-
 def _memo(scheme: SchemeInstance, channels: ChannelSet) -> dict | None:
     """What a sealed scheme keeps for `channels` (by identity) once they pass
-    `_check_scheme`: `_sum_rates`'s Grams under None, `ablated_sum_rate`'s
-    terms per seed; {} at first, None if unsealed."""
+    `_check_scheme`: `_terms` under None for `sum_rate`, and per seed for
+    `ablated_sum_rate`; {} at first, None if unsealed."""
     memo = instance(scheme, SchemeInstance).__dict__.get("_memo", False)
     if memo and memo[0] is channels:
         return memo[1]
@@ -122,55 +107,119 @@ def _memo(scheme: SchemeInstance, channels: ChannelSet) -> dict | None:
     return None if memo is False else {}
 
 
-def _keep(scheme: SchemeInstance, channels: ChannelSet, memo: dict | None, key, terms) -> None:
-    """Once a call has its rate, keep its `terms` under `key` in `memo`, from
-    `_memo(scheme, channels)`; past five keys it starts again from this one."""
-    if memo is not None:
-        memo[key] = terms
-        object.__setattr__(scheme, "_memo", (channels, memo if len(memo) <= 5 else {key: terms}))
+def _terms(scheme: SchemeInstance, channels: ChannelSet, seed: int | None = None):
+    """What every (message, receiver) pair with streams rates before the SNR,
+    one stack per Gram size n, and where each pair sits, (n, row), in message
+    order. A row is G G^H, G the effective matrix, then, ablated at `seed`
+    (projectors drawn from generator(seed, ABLATION_STREAM) in sorted key
+    order), L L^H of each leak L in plan order, each over its sender's
+    `tx_streams`. A stack is (those divisors, shaped (pairs, terms, 1.., 1,
+    1, 1); the terms, (pairs, terms, ..., 1, n, n), the 1 a grid axis, or
+    ablated (pairs, terms, 2, 1, n, n), G G^H zeroed in the second; I; whether
+    ablated); divisor inf and L L^H = 0 pad a row, adding exactly 0."""
+    proj = None
+    if seed is not None:
+        rng = generator(seed, ABLATION_STREAM)
+        keys = sorted((m.key, r) for m in scheme.messages for r in m.receivers)
+        proj = {k: random_orthonormal(rng, *scheme.projectors[k].shape) for k in keys}
+    rows, where = {}, []
+    for m in scheme.messages:
+        for r in m.receivers if m.dim else ():
+            g, leaks = _effective(scheme, channels, m, r, None if proj is None else proj[m.key, r])
+            row = [(scheme.tx_streams(m.tx), g @ g.conj().mT)]
+            if proj is not None:
+                row += [(scheme.tx_streams(o.tx), leak @ leak.conj().mT) for o, leak in leaks]
+            n = row[0][1].shape[-1]
+            where.append((n, len(rows.setdefault(n, []))))
+            rows[n].append(row)
+    stacks = {}
+    for n, per_n in rows.items():
+        width, pad = max(map(len, per_n)), (math.inf, np.zeros_like(per_n[0][0][1]))
+        divisors, mats = zip(*(term for row in per_n for term in row + [pad] * (width - len(row))))
+        term = np.stack(mats).reshape((len(per_n), width) + mats[0].shape[:-2] + (1, n, n))
+        if proj is not None:  # with and without the signal, on an axis after the terms
+            term = np.stack((term, term), axis=2)
+            term[:, 0, 1] = 0
+        divisors = np.reshape(divisors, term.shape[:2] + (1,) * (term.ndim - 2))
+        stacks[n] = divisors, term, np.eye(n, dtype=complex), proj is not None
+    return stacks, where
 
 
-def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs, memo: dict | None = None) -> np.ndarray:
-    """Zero-forcing sum rate at every SNR of a grid, in bits per channel use:
-    shape (grid,), or (trials, grid) for a scheme and channels stacked on a
-    trial axis.
+def _stack_mats(snrs, divisor, term, noise, rows=slice(None)) -> np.ndarray:
+    """The matrices of the `rows` pairs of a `_terms` stack at `snrs`: N + S,
+    ablated [N + S, N + 0], with S = rho G G^H, N = I + rho L L^H for each
+    leak in turn (I alone without leaks) and rho = snr / divisor. N never
+    holds a -0, so N + 0 is N."""
+    scaled = snrs / divisor[rows] * term[rows]
+    for k in range(1, term.shape[1]):
+        noise = noise + scaled[:, k]
+    return noise + scaled[:, 0]
 
-    Each (message, receiver) contributes log2 det(I + rho * G G^H) with G the
-    effective matrix after projection; interference is exactly nulled by
-    construction so it does not enter. G G^H is formed once per pair for the
-    whole grid and every trial, or read from `memo` (`_memo`). Broadcast rate
-    is min over receivers, weighted by the receiver count.
-    """
-    snrs = np.asarray(snrs, dtype=float)
-    if not (snrs > 0).all():
-        raise InvalidInputError(f"snr_linear must be > 0, got {float(snrs[np.argmin(snrs > 0)])}")
-    rho = _stream_rho(scheme, snrs[:, None, None])
-    live = [m for m in scheme.messages if m.dim]
 
-    def gram(m, r):
-        g, _ = _effective(scheme, channels, m, r)
-        return (g @ g.conj().mT)[..., None, :, :]
-
+def _rate(scheme: SchemeInstance, terms, snrs, shape: tuple[int, ...] | None = None):
+    """Sum rate in bits per channel use from `_terms` at the SNRs `snrs`, a
+    (grid, 1, 1) array, as an array of `shape`; or, `shape` None, at the one
+    float SNR `snrs` as a float. A pair rates log2 det of its `_stack_mats`,
+    or ablated log2 det(N + S) - log2 det N. Only if a stack fails its check
+    are the pairs rebuilt one by one in message order for `_log2det`, so the
+    first failing pair names the error. Each message adds its weight times
+    its least rate over receivers, from 0.0 in message order; the total is
+    divided by the extension factor."""
+    stacks, where = terms
     with np.errstate(over="ignore", invalid="ignore"):  # _log2det names an overflow; sums stay checked
-        grams = memo[None] if memo and None in memo else [[gram(m, r) for r in m.receivers] for m in live]
-        bits = [[_log2det(_eye(g.shape[-1]) + rho[m.key] * g, snrs) for g in per_rx] for m, per_rx in zip(live, grams)]
-    total = np.zeros(channels.matrices[0].shape[:-2] + snrs.shape)
-    for m, per_rx in zip(live, bits):
-        total += m.weight * functools.reduce(np.minimum, per_rx)
-    _keep(scheme, channels, memo, None, grams)
+        bits = {}
+        for n, stack in stacks.items():
+            mat = _stack_mats(snrs, *stack[:3])
+            finite = np.isfinite(mat).all()
+            sign, logdet = _slogdet(mat) if finite else (None, None)
+            # a finite matrix's log-det is at most a few thousand, so the sum is finite iff each is
+            if not (finite and sign.real.min() > 0 and math.isfinite(logdet.sum())):
+                for k, i in where:
+                    _log2det(_stack_mats(snrs, *stacks[k][:3], slice(i, i + 1))[0], np.ravel(snrs))
+            bits[n] = logdet / _LN2
+            if shape is None:  # a float per pair, ablated (with, without)
+                bits[n] = [r[0][0] - r[1][0] if stack[3] else r[0] for r in bits[n].tolist()]
+    rates = iter([bits[n][i] for n, i in where])
+    total, least = (0.0, min) if shape is None else (np.zeros(shape), np.minimum)
+    for m in scheme.messages:
+        if m.dim:
+            total += m.weight * functools.reduce(least, [next(rates) for _ in m.receivers])
     return total / scheme.extension_factor
 
 
-def sum_rate(scheme: SchemeInstance, channels: ChannelSet, snr_linear: float) -> float:
-    """Zero-forcing sum rate in bits per channel use at one SNR (the grid
-    kernel `_sum_rates` on a one-point grid)."""
+def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray:
+    """Zero-forcing sum rate at every SNR of a grid, in bits per channel use:
+    shape (grid,), or (trials, grid) for a scheme and channels stacked on a
+    trial axis; interference, nulled by construction, does not enter."""
+    snrs = np.asarray(snrs, dtype=float)
+    if not (snrs > 0).all():
+        raise InvalidInputError(f"snr_linear must be > 0, got {float(snrs[np.argmin(snrs > 0)])}")
+    return _rate(scheme, _terms(scheme, channels), snrs[:, None, None], channels.matrices[0].shape[:-2] + snrs.shape)
+
+
+def _one_point(scheme: SchemeInstance, channels: ChannelSet, snr_linear, seed, ablated: bool) -> float:
+    """`sum_rate`, or `ablated_sum_rate` at `seed`, on the `_terms` a sealed scheme keeps (`_memo`)."""
     snr_linear = real(snr_linear, "snr_linear")
-    return float(_sum_rates(scheme, channels, [snr_linear], _memo(scheme, channels))[0])
+    memo = _memo(scheme, channels)
+    if not (snr_linear > 0):
+        raise InvalidInputError(f"snr_linear must be > 0, got {snr_linear}")
+    key = integer(seed, "seed") if ablated else None
+    terms = (memo or {}).get(key) or _terms(scheme, channels, key)
+    rate = _rate(scheme, terms, snr_linear)
+    if memo is not None:  # the call has its rate: keep its terms, from this key again past five keys
+        memo[key] = terms
+        object.__setattr__(scheme, "_memo", (channels, memo if len(memo) <= 5 else {key: terms}))
+    return rate
 
 
-def ablated_sum_rate(
-    scheme: SchemeInstance, channels: ChannelSet, snr_linear: float, seed: int = 0
-) -> float:
+def sum_rate(scheme: SchemeInstance, channels: ChannelSet, snr_linear: float) -> float:
+    """Zero-forcing sum rate in bits per channel use at one SNR: each (message,
+    receiver) pair contributes log2 det(I + rho G G^H), G the effective matrix
+    after projection (`_sum_rates` on a one-point grid)."""
+    return _one_point(scheme, channels, snr_linear, None, False)
+
+
+def ablated_sum_rate(scheme: SchemeInstance, channels: ChannelSet, snr_linear: float, seed: int = 0) -> float:
     """Sum rate with the zero-forcing projectors knocked out.
 
     Replaces every projector by a random orthonormal basis of the same shape
@@ -184,39 +233,7 @@ def ablated_sum_rate(
     the scheme's own matrices), so a sealed scheme draws them, and keeps the
     terms they give, once per (channels, seed).
     """
-    snr_linear = real(snr_linear, "snr_linear")
-    memo = _memo(scheme, channels)
-    if not (snr_linear > 0):
-        raise InvalidInputError(f"snr_linear must be > 0, got {snr_linear}")
-    seed = integer(seed, "seed")
-    rho = _stream_rho(scheme, snr_linear)
-    live = [m for m in scheme.messages if m.dim]
-
-    def terms(m, r):  # what a pair's rate reads before the SNR: G G^H and (key, L L^H) per leak L
-        g, leaks = _effective(scheme, channels, m, r, random_proj[(m.key, r)])
-        return g @ g.conj().mT, [(other.key, leak @ leak.conj().mT) for other, leak in leaks]
-
-    def log2det_ratio(m, gram, covs):
-        signal = rho[m.key] * gram
-        noise = _eye(gram.shape[0])
-        for key, cov in covs:
-            noise = noise + rho[key] * cov
-        with_signal, without = _log2det(np.array([noise + signal, noise]), (snr_linear, snr_linear)).tolist()
-        return with_signal - without
-
-    with np.errstate(over="ignore", invalid="ignore"):  # _log2det names an overflow; sums stay checked
-        pairs = memo.get(seed) if memo else None
-        if pairs is None:
-            rng = generator(seed, ABLATION_STREAM)
-            keys = sorted((m.key, r) for m in scheme.messages for r in m.receivers)
-            random_proj = {k: random_orthonormal(rng, *scheme.projectors[k].shape) for k in keys}
-            pairs = [[terms(m, r) for r in m.receivers] for m in live]
-        bits = [[log2det_ratio(m, *pair) for pair in per_rx] for m, per_rx in zip(live, pairs)]
-    total = 0.0
-    for m, per_rx in zip(live, bits):
-        total += m.weight * min(per_rx)
-    _keep(scheme, channels, memo, seed, pairs)
-    return total / scheme.extension_factor
+    return _one_point(scheme, channels, snr_linear, seed, True)
 
 
 @dataclass(frozen=True)
@@ -233,18 +250,9 @@ class SlopeEstimate:
     invalid_trials: int
     fit: str
 
-    def to_json(self) -> dict:
-        return {
-            "scheme": self.scheme.value,
-            "snr_db": list(self.snr_db),
-            "mean_rates": list(self.mean_rates),
-            "slope": self.slope,
-            "theoretical_dof": frac_str(self.theoretical_dof),
-            "abs_error": self.abs_error,
-            "trials": self.trials,
-            "invalid_trials": self.invalid_trials,
-            "fit": self.fit,
-        }
+    def to_json(self) -> dict:  # the fields in order, each as JSON takes it
+        return {**vars(self), "scheme": self.scheme.value, "snr_db": list(self.snr_db),
+                "mean_rates": list(self.mean_rates), "theoretical_dof": frac_str(self.theoretical_dof)}
 
 
 def _trial_seed(seed: int, k: int) -> int:
@@ -263,14 +271,8 @@ def _rate_block(config: AntennaConfig, tag: SchemeTag, split: AntennaSplit, ext:
     return scheme, _passed(scheme, channels, seeds), _sum_rates(scheme, channels, snrs)
 
 
-def estimate_dof(
-    config: AntennaConfig,
-    tag: SchemeTag,
-    snr_grid_db=(30.0, 50.0),
-    trials: int = 50,
-    seed: int = 0,
-    fit: str = "two-point",
-) -> SlopeEstimate:
+def estimate_dof(config: AntennaConfig, tag: SchemeTag, snr_grid_db=(30.0, 50.0), trials: int = 50, seed: int = 0,
+                 fit: str = "two-point") -> SlopeEstimate:
     """Estimate achieved DoF of a scheme by simulation.
 
     Draws `trials` independent channels, builds and verifies the scheme on
@@ -280,10 +282,12 @@ def estimate_dof(
     out at 30 dB or more for the slope to be in the DoF regime. Trials run in
     stacked blocks of _BLOCK, with the results of a trial-by-trial loop.
     """
-    grid = sequence(snr_grid_db, "snr grid must be a sequence of real dB values")
+    grid = sequence(snr_grid_db, "snr grid must be a sequence of real dB values", _MAX_GRID)
     grid = tuple(real(s, "snr grid point") for s in grid)
     if len(grid) < 2:
         raise InvalidInputError("snr grid needs at least two points")
+    if len(grid) > _MAX_GRID:
+        raise InvalidInputError(f"snr grid has over {_MAX_GRID} points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError(f"snr grid must be strictly increasing, got {grid}")
     trials = integer(trials, "trials", 1, _MAX_TRIALS)
@@ -298,12 +302,12 @@ def estimate_dof(
         raise InvalidInputError(f"snr grid {grid} dB has a point with no finite positive linear value")
 
     split, ext = scheme_split(config, tag)
-    n = max(m.dim for m in _messages(split, tag))
-    if min(trials, _BLOCK) * len(grid) * n * n > _MAX_GRAM_ENTRIES:
+    dims = [m.dim for m in _messages(split, tag) for _ in m.receivers]  # each pair's Gram size n
+    n = max(dims, key=lambda d: dims.count(d) * d * d)  # that of the stack with the most entries
+    if min(trials, _BLOCK) * len(grid) * dims.count(n) * n * n > _MAX_GRAM_ENTRIES:
         raise InvalidInputError(
-            f"{min(trials, _BLOCK)} trials x {len(grid)} snr grid points x {n}^2 stream pairs is over the "
-            f"{_MAX_GRAM_ENTRIES} rate Gram entries estimate_dof stacks at once"
-        )
+            f"{min(trials, _BLOCK)} trials x {len(grid)} snr grid points x {dims.count(n)} pairs x {n}^2 streams "
+            f"is over the {_MAX_GRAM_ENTRIES} rate Gram entries estimate_dof stacks at once")
     largest = int(max(split.totals))
     if trials * largest**3 > _MAX_WORK:
         raise InvalidInputError(
@@ -320,9 +324,7 @@ def estimate_dof(
                 scheme, valid[k : k + 1], rates[k : k + 1] = _rate_block(config, tag, split, ext, [ts], snr_linear)
     theoretical = scheme.claimed_dof()
     if not valid.any():
-        raise InternalError(
-            f"all {trials} channel draws produced invalid schemes for {tag.value} on {config.totals}"
-        )
+        raise InternalError(f"all {trials} channel draws produced invalid schemes for {tag.value} on {config.totals}")
     mean_rates = rates[valid].mean(axis=0)
 
     log2_snr = np.array([db / 10.0 * math.log2(10.0) for db in grid])
@@ -332,14 +334,6 @@ def estimate_dof(
         top = max(2, math.ceil(len(grid) / 2))
         slope = float(np.polyfit(log2_snr[-top:], mean_rates[-top:], 1)[0])
 
-    return SlopeEstimate(
-        scheme=tag,
-        snr_db=grid,
-        mean_rates=tuple(float(r) for r in mean_rates),
-        slope=slope,
-        theoretical_dof=theoretical,
-        abs_error=abs(slope - float(theoretical)),
-        trials=trials,
-        invalid_trials=int(trials - valid.sum()),
-        fit=fit,
-    )
+    return SlopeEstimate(scheme=tag, snr_db=grid, mean_rates=tuple(float(r) for r in mean_rates), slope=slope,
+                         theoretical_dof=theoretical, abs_error=abs(slope - float(theoretical)), trials=trials,
+                         invalid_trials=int(trials - valid.sum()), fit=fit)

@@ -50,14 +50,14 @@ def frac_str(x: Fraction) -> str:
     return str(x) if type(x) is Fraction else str(Fraction(x))
 
 
-def _rationals(values, refusal: str) -> tuple[Fraction, ...]:
-    """Coerce a sequence of rationals (`errors.sequence`), else raise `refusal`."""
-    return tuple(frac(v) for v in sequence(values, refusal))
+def _rationals(values, refusal: str, most: int) -> tuple[Fraction, ...]:
+    """Coerce the first `most` + 1 of a sequence of rationals (`errors.sequence`), else raise `refusal`."""
+    return tuple(frac(v) for v in sequence(values, refusal, most))
 
 
 def triple(values, name: str = "triple") -> tuple[Fraction, Fraction, Fraction]:
     """Coerce a 3-sequence of nonnegative rationals."""
-    vals = _rationals(values, f"{name} must be a sequence of 3 rationals")
+    vals = _rationals(values, f"{name} must be a sequence of 3 rationals", 3)
     if len(vals) != 3:
         raise InvalidInputError(f"{name} must have exactly 3 entries, got {len(vals)}")
     if any(v < 0 for v in vals):

@@ -277,8 +277,9 @@ def test_slope_over_the_work_budget_exits_2_before_drawing(capsys, monkeypatch):
         raise AssertionError("a channel was drawn")
 
     monkeypatch.setattr(rates_mod, "_draw", no_draw)
-    # the default 50 trials x 800^3: about 100 s if it ran
-    code, out, err = _run(capsys, "slope", "--m", "800,400,400", "--scheme", "uni-b")
+    # the default 50 trials x 800^3: about 100 s if it ran; 10 trials x 2
+    # points x 2 x 320^2 Gram entries are under the Gram budget
+    code, out, err = _run(capsys, "slope", "--m", "800,320,320", "--scheme", "uni-b")
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith("error[validation]: 50 trials x 800^3 antennas at the largest node")
 

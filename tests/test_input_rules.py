@@ -4,9 +4,13 @@ are written out only in `errors` (and `rational`, the home of the rational
 rule)."""
 
 import ast
+import dataclasses
+import itertools
 import json
 import pathlib
 import re
+import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,14 +23,20 @@ from mimo3way import (
     InvalidInputError,
     LinearProgram,
     SchemeTag,
+    TransmitSumBand,
+    build_scheme,
     draw_channels,
     estimate_dof,
     genie_subproblem,
+    null_space_basis,
     optimal_unicast_bruteforce,
+    pseudo_inverse,
     random_gaussian,
     receive,
     scheme_split,
+    sum_rate,
     symmetric_bound,
+    verify_duality,
 )
 from mimo3way.linalg import random_orthonormal
 from mimo3way.rational import frac
@@ -213,3 +223,73 @@ def test_one_sequence_rule_for_nested_entries(site, value):
     else:
         with pytest.raises(InvalidInputError, match="must be a sequence of"):
             call(NESTED[value](items))
+
+
+# every public callable that reads a sequence, or an entry of one, from its
+# caller: each reads no further than it needs to refuse an endless iterator
+_LP = LinearProgram((1, 1), ((1, 0), (0, 1), (1, 1)), (1, 2, 3))
+_SCHEME_CHANNELS = draw_channels(scheme_split(_CONFIG, SchemeTag.UNI_B)[0], 0)
+_SCHEME = build_scheme(_CONFIG, SchemeTag.UNI_B, _SCHEME_CHANNELS, 0)
+ENDLESS_SITES = {
+    "AntennaSplit tx": lambda v: AntennaSplit(v, (0, 0, 0)),
+    "AntennaSplit rx": lambda v: AntennaSplit((0, 0, 0), v),
+    "TransmitSumBand.contains tx": lambda v: TransmitSumBand(0, 7).contains(_CONFIG, v),
+    "ChannelSet matrices": lambda v: ChannelSet(_SPLIT, v),
+    "ChannelSet matrix": lambda v: ChannelSet(_SPLIT, (v,) * 6),
+    "receive x": lambda v: receive(_CHANNELS, v, _Z),
+    "receive noise": lambda v: receive(_CHANNELS, _X, v),
+    "receive signal": lambda v: receive(_CHANNELS, (v,) * 3, _Z),
+    "LinearProgram c": lambda v: LinearProgram(v, ((1, 1),), (1,)),
+    "LinearProgram a": lambda v: LinearProgram((1, 1), v, (1,)),
+    "LinearProgram a row": lambda v: LinearProgram((1, 1), (v,), (1,)),
+    "LinearProgram a rows": lambda v: LinearProgram((1, 1), ((1, 1) for _ in v), (1,)),
+    "LinearProgram b": lambda v: LinearProgram((1, 1), ((1, 1),), v),
+    "LinearProgram variables": lambda v: LinearProgram((1, 1), ((1, 1),), (1,), v),
+    "LinearProgram constraints": lambda v: LinearProgram((1, 1), ((1, 1),), (1,), (), v),
+    "verify_duality v": lambda v: verify_duality(_LP, v, (0, 0, 1)),
+    "verify_duality lam": lambda v: verify_duality(_LP, (1, 1), v),
+    "genie_subproblem bits": lambda v: genie_subproblem(_CONFIG, v),
+    "estimate_dof grid": lambda v: estimate_dof(_CONFIG, SchemeTag.UNI_B, v, trials=2),
+    "estimate_dof grid of floats": lambda v: estimate_dof(_CONFIG, SchemeTag.UNI_B, map(float, v), trials=2),
+    "null_space_basis": lambda v: null_space_basis(v),
+    "pseudo_inverse": lambda v: pseudo_inverse(v),
+    "scheme messages": lambda v: sum_rate(dataclasses.replace(_SCHEME, messages=v), _SCHEME_CHANNELS, 1.0),
+}
+
+
+class _Endless(Exception):
+    pass
+
+
+def _endless():
+    """itertools.count() read one entry at a time in Python, so that the
+    alarm can stop a read that does not end, given up after 10^5 entries so
+    that such a read fails fast and small instead."""
+    for k in itertools.count():
+        if k == 10**5:
+            raise _Endless("read 10^5 entries")
+        yield k
+
+
+def _alarm(signum, frame):
+    raise _Endless("still reading after 1 s")
+
+
+@pytest.mark.parametrize("site", ENDLESS_SITES)
+def test_an_endless_sequence_is_refused_at_once(site):
+    # within one second and a 1 MiB allocation peak; a band refuses by not containing it
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(1)
+    tracemalloc.start()
+    try:
+        if site == "TransmitSumBand.contains tx":
+            assert ENDLESS_SITES[site](_endless()) is False
+        else:
+            with pytest.raises(InvalidInputError):
+                ENDLESS_SITES[site](_endless())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert peak <= 2**20, f"{site}: {peak} bytes at the peak"

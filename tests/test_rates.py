@@ -1,6 +1,7 @@
 """Rate-simulator tests: log-det sum rates, slope estimation, ablation."""
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 
 import mimo3way.channel as channel_mod
 import mimo3way.rates as rates_mod
+import mimo3way.schemes as schemes_mod
 from mimo3way import (
     AntennaConfig,
     ChannelSet,
@@ -411,12 +413,12 @@ def test_estimate_rejects_unrepresentable_snr_before_drawing(monkeypatch, grid):
 
 # under the budget the stubbed first draw raises
 @pytest.mark.parametrize(
-    "points, raised, match", [(32, AssertionError, "drawn"), (33, InvalidInputError, "Gram")], ids=["at", "over"]
+    "points, raised, match", [(16, AssertionError, "drawn"), (17, InvalidInputError, "Gram")], ids=["at", "over"]
 )
 def test_estimate_refuses_a_gram_stack_over_budget_before_drawing(monkeypatch, points, raised, match):
-    # (256,128,128) uni-b has two 128-stream messages: 8 trials x 32 points x
-    # 128^2 is exactly the budget, one more point is over it
-    assert 8 * 32 * 128**2 == rates_mod._MAX_GRAM_ENTRIES
+    # (256,128,128) uni-b has two 128-stream messages, stacked together: 8
+    # trials x 16 points x 2 x 128^2 is exactly the budget, one more point is over it
+    assert 8 * 16 * 2 * 128**2 == rates_mod._MAX_GRAM_ENTRIES
     monkeypatch.setattr(rates_mod, "_draw", _no_draw)
     grid = [30.0 + k for k in range(points)]
     with pytest.raises(raised, match=match):
@@ -737,3 +739,96 @@ def test_slope_estimate_serialization():
     assert j["scheme"] == "uni-b"
     assert j["theoretical_dof"] == "2"
     assert len(j["mean_rates"]) == 2
+
+
+# The per-pair formulas the stacked rate calls replaced, one slogdet per
+# (message, receiver) pair, in their order of arithmetic: the references the
+# stacks must equal bit for bit.
+def _per_pair_sum_rates(s, ch, snrs):
+    """The per-pair grid kernel: (grid,) or (trials, grid) rates."""
+    snrs = np.asarray(snrs, dtype=float)
+    total = np.zeros(ch.matrices[0].shape[:-2] + snrs.shape)
+    for m in s.messages:
+        if m.dim:
+            per_rx = []
+            for r in m.receivers:
+                g, _ = schemes_mod._effective(s, ch, m, r)
+                gram = (g @ g.conj().mT)[..., None, :, :]
+                rho = snrs[:, None, None] / s.tx_streams(m.tx)
+                _, logdet = np.linalg.slogdet(np.eye(gram.shape[-1], dtype=complex) + rho * gram)
+                per_rx.append(logdet / math.log(2.0))
+            total += m.weight * functools.reduce(np.minimum, per_rx)
+    return total / s.extension_factor
+
+
+def _per_pair_ablated_sum_rate(s, ch, snr, seed):
+    """The per-pair ablated rate: [N + S, N] of one pair per slogdet."""
+    rng = generator(seed, ABLATION_STREAM)
+    keys = sorted((m.key, r) for m in s.messages for r in m.receivers)
+    random_proj = {k: random_orthonormal(rng, *s.projectors[k].shape) for k in keys}
+    rho = {m.key: snr / s.tx_streams(m.tx) for m in s.messages if m.dim}
+    total = 0.0
+    for m in s.messages:
+        if m.dim:
+            per_rx = []
+            for r in m.receivers:
+                g, leaks = schemes_mod._effective(s, ch, m, r, random_proj[(m.key, r)])
+                gram = g @ g.conj().mT
+                signal = rho[m.key] * gram
+                noise = np.eye(gram.shape[0], dtype=complex)
+                for other, leak in leaks:
+                    noise = noise + rho[other.key] * (leak @ leak.conj().mT)
+                _, logdet = np.linalg.slogdet(np.array([noise + signal, noise]))
+                with_signal, without = (logdet / math.log(2.0)).tolist()
+                per_rx.append(with_signal - without)
+            total += m.weight * min(per_rx)
+    return total / s.extension_factor
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("m, tag", _MC_CASES)
+def test_stacked_rates_equal_per_pair_rates_bit_for_bit(m, tag, seed):
+    ch, s = _built(m, tag, seed=seed)
+    assert [sum_rate(s, ch, snr) for snr in _MC_SNRS] == _per_pair_sum_rates(s, ch, _MC_SNRS).tolist()
+    assert [ablated_sum_rate(s, ch, snr, seed=seed) for snr in _MC_SNRS] == [
+        _per_pair_ablated_sum_rate(s, ch, snr, seed) for snr in _MC_SNRS
+    ]
+    # one scheme and its channels stacked on a trial axis, as estimate_dof's blocks are
+    config = AntennaConfig(*m)
+    split, ext = scheme_split(config, tag)
+    seeds = [rates_mod._trial_seed(seed, k) for k in range(7)]
+    stacked = channel_mod._draw(split, seeds, (len(seeds),))
+    block = schemes_mod._build(config, tag, ext, stacked, seeds)
+    got = rates_mod._sum_rates(block, stacked, _MC_SNRS)
+    assert got.shape == (7, 25) and got.tolist() == _per_pair_sum_rates(block, stacked, _MC_SNRS).tolist()
+
+
+@pytest.mark.parametrize("m, tag", _MC_CASES)
+def test_estimate_on_stacks_equals_estimate_on_per_pair_rates(monkeypatch, m, tag):
+    # the mc-slope benchmark's estimate: 20 trials in two blocks, its 25-point grid, the top-half fit
+    grid = tuple(2.5 * i for i in range(25))
+    for seed in range(6):
+        stacked = estimate_dof(AntennaConfig(*m), tag, grid, trials=20, seed=seed, fit="lsq-top-half")
+        with monkeypatch.context() as patch:
+            patch.setattr(rates_mod, "_sum_rates", _per_pair_sum_rates)
+            per_pair = estimate_dof(AntennaConfig(*m), tag, grid, trials=20, seed=seed, fit="lsq-top-half")
+        assert stacked == per_pair
+
+
+@pytest.mark.parametrize("m, tag, stream_counts", [(m, tag, n) for (m, tag), n in zip(_MC_CASES, (1, 2, 2, 3))])
+def test_a_rate_call_makes_one_slogdet_per_stream_count(monkeypatch, m, tag, stream_counts):
+    # (3,3,3) uni-a has four 1-stream pairs, (7,6,5) uni-a pairs of 10, 7, 4 and 4 streams
+    ch, s = _built(m, tag, seed=3)
+    assert len({msg.dim for msg in s.messages if msg.dim}) == stream_counts
+    sum_rate(s, ch, 10.0)
+    ablated_sum_rate(s, ch, 10.0, seed=3)
+    shapes = []
+    slogdet = rates_mod._slogdet
+    monkeypatch.setattr(rates_mod, "_slogdet", lambda a: shapes.append(a.shape) or slogdet(a))
+    for call in (lambda: sum_rate(s, ch, 1e3), lambda: ablated_sum_rate(s, ch, 1e3, seed=3)):
+        shapes.clear()
+        call()
+        assert len(shapes) == stream_counts
+    shapes.clear()
+    estimate_dof(AntennaConfig(*m), tag, (20.0, 40.0), trials=2 * rates_mod._BLOCK + 1, seed=3)
+    assert len(shapes) == 3 * stream_counts  # three blocks
