@@ -20,11 +20,5 @@ __version__ = "0.1.0"
 
 # the package exports exactly what each module's __all__ lists
 __all__ = ["__version__"]
-__all__ += allocation.__all__
-__all__ += bounds.__all__
-__all__ += channel.__all__
-__all__ += errors.__all__
-__all__ += linalg.__all__
-__all__ += lp.__all__
-__all__ += rates.__all__
-__all__ += schemes.__all__
+__all__ += [name for module in (allocation, bounds, channel, errors, linalg, lp, rates, schemes)
+            for name in module.__all__]

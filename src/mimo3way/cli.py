@@ -3,11 +3,12 @@
 Subcommands: bounds, allocate, verify-scheme, slope, sweep. Output formats
 are table (rationals shown with 4 decimals), json (rationals as "p/q"
 strings, the text json.dumps(..., indent=2, sort_keys=True) would print, by
-the package's own encoder; byte-identical across runs for identical arguments
-and seed), and csv. Defaults: table, except verify-scheme (json) and sweep
-(csv). Exit codes: 0 success, 1 usage error, 2 validation failure (bad input,
-invalid scheme, tolerance exceeded), 3 internal error. The default seed is
-1234, overridable with the MIMO3WAY_SEED environment variable or --seed.
+the package's own writer, which lays out each dict shape once; the same bytes
+for the same arguments and seed), and csv. Defaults: table, except
+verify-scheme (json) and sweep (csv). Exit codes: 0 success, 1 usage error,
+2 validation failure (bad input, invalid scheme, tolerance exceeded), 3
+internal error. The default seed is 1234, overridable with the MIMO3WAY_SEED
+environment variable or --seed.
 """
 
 from __future__ import annotations
@@ -137,13 +138,55 @@ def _fmt_triple(vals) -> str:
 def _emit_json(payload: dict) -> None:
     """Print `payload` as json.dumps(payload, indent=2, sort_keys=True) would,
     whose indent skips json's C encoder. Unlike json.dumps, a dict key that is
-    not a str raises TypeError (no payload has one); cycles are not checked."""
+    not a str raises TypeError (no payload has one); cycles are not checked.
+    Payloads repeat a few dict shapes, so each is laid out once (_layout)."""
     print("".join(_json_pieces(payload, "\n", [])))
 
 
+# (sorted keys, text before each value) per (keys in insertion order, indent)
+# of a dict already printed; past _MAX_LAYOUTS shapes a layout is not kept
+_LAYOUTS: dict = {}
+_MAX_LAYOUTS = 256
+
+
+def _layout(keys: tuple, newline: str) -> list:
+    """(key, "{" or "," + indent + encoded key + ": ") in sorted key order."""
+    inner, layout = newline + "  ", []
+    for key in sorted(keys):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        layout.append((key, ("," if layout else "{") + inner + encode_basestring_ascii(key) + ": "))
+    if len(_LAYOUTS) < _MAX_LAYOUTS:
+        _LAYOUTS[keys, newline] = layout
+    return layout
+
+
 def _json_pieces(obj, newline: str, out: list) -> list:
-    """`out` with `obj`'s JSON text appended in pieces, `newline` its indent."""
-    if isinstance(obj, str):  # json's order of type tests: bools before int, their superclass
+    """`out` with `obj`'s JSON text appended in pieces, `newline` its indent.
+    A str item of a container is encoded in place, without a call."""
+    kind = type(obj)
+    if kind is dict and obj:  # exact containers first: they are most of a payload
+        keys, inner = tuple(obj), newline + "  "
+        for key, prefix in _LAYOUTS.get((keys, newline)) or _layout(keys, newline):
+            value = obj[key]
+            if type(value) is str:
+                out += (prefix, encode_basestring_ascii(value))
+            else:
+                out.append(prefix)
+                _json_pieces(value, inner, out)
+        out.append(newline + "}")
+    elif (kind is list or kind is tuple) and obj:
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in obj:
+            if type(item) is str:
+                out += (sep, encode_basestring_ascii(item))
+            else:
+                out.append(sep)
+                _json_pieces(item, inner, out)
+            sep = comma
+        out.append(newline + "]")
+    elif isinstance(obj, str):  # json's order of type tests: bools before int, their superclass
         out.append(encode_basestring_ascii(obj))
     elif obj is None or obj is True or obj is False:
         out.append("null" if obj is None else "true" if obj else "false")
@@ -154,24 +197,8 @@ def _json_pieces(obj, newline: str, out: list) -> list:
                    "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
     elif isinstance(obj, (list, tuple, dict)) and not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
-    elif isinstance(obj, (list, tuple)):
-        inner = newline + "  "
-        sep, comma = "[" + inner, "," + inner
-        for item in obj:
-            out.append(sep)
-            _json_pieces(item, inner, out)
-            sep = comma
-        out.append(newline + "]")
-    elif isinstance(obj, dict):
-        inner = newline + "  "
-        sep, comma = "{" + inner, "," + inner
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out += (sep, encode_basestring_ascii(key), ": ")
-            _json_pieces(obj[key], inner, out)
-            sep = comma
-        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple, dict)):  # a subclass prints as the plain list or dict of its items
+        _json_pieces({key: obj[key] for key in obj} if isinstance(obj, dict) else list(obj), newline, out)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     return out
@@ -230,10 +257,7 @@ def _cmd_bounds(args) -> int:
         }
         _emit_json(payload)
     elif args.format == "csv":
-        rows = []
-        for k, r in reports.items():
-            rows += _report_rows(k, r)
-        _emit_csv(rows, ("family", "kind", "label", "value"))
+        _emit_csv([row for k, r in reports.items() for row in _report_rows(k, r)], ("family", "kind", "label", "value"))
     else:
         print(f"split: mt={_fmt_triple(split.tx)} mr={_fmt_triple(split.rx)}")
         if allocation is not None:
@@ -405,10 +429,11 @@ def _build_parser(seed: int) -> _Parser:
                                                   "schemes for three-way full-duplex MIMO networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format="table"):
+    def common(p, func, default_format="table"):
         p.add_argument("--format", "-f", choices=("table", "json", "csv"), default=default_format)
         p.add_argument("--seed", type=int, default=seed,
                        help=f"RNG seed (default {seed}; env MIMO3WAY_SEED overrides)")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("bounds", help="evaluate DoF bounds at a split")
     p.add_argument("--m", help="total antennas m1,m2,m3 (with --allocate)")
@@ -417,8 +442,7 @@ def _build_parser(seed: int) -> _Parser:
     p.add_argument("--msgs", choices=("unicast", "broadcast"), default="unicast")
     p.add_argument("--allocate", action="store_true", help="evaluate at the optimal split of --m")
     p.add_argument("--sort", action="store_true", help="sort --m into descending order first")
-    common(p)
-    p.set_defaults(func=_cmd_bounds)
+    common(p, _cmd_bounds)
 
     p = sub.add_parser("allocate", help="optimal transmit/receive allocation")
     p.add_argument("--m", required=True)
@@ -426,15 +450,13 @@ def _build_parser(seed: int) -> _Parser:
     p.add_argument("--method", choices=("closed", "enumerated", "brute"), default="closed")
     p.add_argument("--denominator", type=int, default=3, help="grid denominator for --method brute")
     p.add_argument("--sort", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_allocate)
+    common(p, _cmd_allocate)
 
     p = sub.add_parser("verify-scheme", help="build and verify a zero-forcing scheme")
     p.add_argument("--m", required=True)
     p.add_argument("--scheme", required=True, help="uni-a | uni-b | bcast")
     p.add_argument("--sort", action="store_true")
-    common(p, default_format="json")
-    p.set_defaults(func=_cmd_verify_scheme)
+    common(p, _cmd_verify_scheme, default_format="json")
 
     p = sub.add_parser("slope", help="Monte-Carlo DoF slope estimate")
     p.add_argument("--m", required=True)
@@ -444,16 +466,14 @@ def _build_parser(seed: int) -> _Parser:
     p.add_argument("--tol", type=float, default=0.2, help="max |slope - theoretical| for exit 0")
     p.add_argument("--fit", choices=("two-point", "lsq-top-half"), default="two-point")
     p.add_argument("--sort", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_slope)
+    common(p, _cmd_slope)
 
     p = sub.add_parser("sweep", help="normalized optimal DoF over antenna-ratio grid")
     p.add_argument("--m3", type=int, default=1, help="scale anchor (ratios are scale free)")
     p.add_argument("--ratio1", default="1:4:1/3", help="m1/m3 range start:stop:step")
     p.add_argument("--ratio2", default="1:3:1/3", help="m2/m3 range start:stop:step")
     p.add_argument("--msgs", choices=("unicast", "broadcast"), default="unicast")
-    common(p, default_format="csv")
-    p.set_defaults(func=_cmd_sweep)
+    common(p, _cmd_sweep, default_format="csv")
 
     return parser
 

@@ -167,7 +167,7 @@ def verify_duality(lp: LinearProgram, v, lam) -> DualityCertificate:
     if primal_bad:
         return DualityCertificate(DualityStatus.NOT_PRIMAL_FEASIBLE, gap, primal_bad)
 
-    dual_bad = [f"{lp.constraints[i]}: multiplier {frac_str(li)} < 0" for i, li in enumerate(lam) if li < 0]
+    dual_bad = [f"{lp.constraints[i]}: multiplier {frac_str(lam[i])} < 0" for i, li in enumerate(ln) if li < 0]
     for j, cj in enumerate(c):
         stat = sum(li * row[j] for li, row in zip(ln, rows)) + cj * dl  # s*dl times (A'lam + c)[j]
         if stat:

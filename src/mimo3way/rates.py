@@ -43,7 +43,8 @@ from .errors import InternalError, InvalidInputError, instance, integer, real, s
 from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, _slogdet, generator, random_orthonormal
 from .rational import frac_str
 from .schemes import (
-    SchemeInstance, SchemeTag, _build, _check_scheme, _effective, _messages, _passed, scheme_split
+    SchemeInstance, SchemeTag, _build, _check_channels, _check_scheme_matrices, _effective, _messages, _passed,
+    scheme_split,
 )
 
 __all__ = ["SlopeEstimate", "sum_rate", "ablated_sum_rate", "estimate_dof"]
@@ -64,6 +65,7 @@ _BLOCK = 10
 # stack of estimate_dof, of the pairs with Gram size n, checked before any
 # draw: 64 MiB at 16 bytes an entry, the pass holds about two stacks, and the
 # repo's own largest, mc-slope's (7,6,5) uni-a on 25 points, has 25,000.
+# It also bounds the (trials, grid points) rate table, 32 MiB of float64.
 _MAX_GRAM_ENTRIES = 2**22
 
 _MAX_GRID = 4096  # most points of estimate_dof's SNR grid; its slope reads the top two, or the top half
@@ -98,12 +100,13 @@ def _log2det(grams: np.ndarray, snrs) -> np.ndarray:
 
 def _memo(scheme: SchemeInstance, channels: ChannelSet) -> dict | None:
     """What a sealed scheme keeps for `channels` (by identity) once they pass
-    `_check_scheme`: `_terms` under None for `sum_rate`, and per seed for
-    `ablated_sum_rate`; {} at first, None if unsealed."""
+    `verify_scheme`'s input checks: `_terms` under None for `sum_rate`, and
+    per seed for `ablated_sum_rate`; {} at first, None if unsealed."""
     memo = instance(scheme, SchemeInstance).__dict__.get("_memo", False)
     if memo and memo[0] is channels:
         return memo[1]
-    _check_scheme(scheme, channels)
+    _check_channels(scheme.split, channels, scheme.extension_factor)
+    _check_scheme_matrices(scheme)
     return None if memo is False else {}
 
 
@@ -291,6 +294,9 @@ def estimate_dof(config: AntennaConfig, tag: SchemeTag, snr_grid_db=(30.0, 50.0)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError(f"snr grid must be strictly increasing, got {grid}")
     trials = integer(trials, "trials", 1, _MAX_TRIALS)
+    if trials * len(grid) > _MAX_GRAM_ENTRIES:
+        raise InvalidInputError(f"{trials} trials x {len(grid)} snr grid points is over the {_MAX_GRAM_ENTRIES} rates "
+                                "estimate_dof keeps")
     if fit not in ("two-point", "lsq-top-half"):
         raise InvalidInputError(f"fit must be 'two-point' or 'lsq-top-half', got {fit!r}")
     seed = integer(seed, "seed")

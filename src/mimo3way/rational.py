@@ -30,8 +30,8 @@ def frac(x) -> Fraction:
         return x
     if isinstance(x, bool):
         raise InvalidInputError(f"expected a rational number, got {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, (int, np.integer)):
+        return Fraction(int(x))
     if isinstance(x, str):
         try:
             if abs(int(x.lower().partition("e")[2] or 0)) <= _MAX_EXPONENT:
@@ -40,8 +40,6 @@ def frac(x) -> Fraction:
             why = ": its denominator is zero" if isinstance(exc, ZeroDivisionError) else ""
             raise InvalidInputError(f"cannot parse rational from {x!r}{why}") from exc
         raise InvalidInputError(f"the exponent of {x!r} is outside [-{_MAX_EXPONENT}, {_MAX_EXPONENT}]")
-    if isinstance(x, np.integer):
-        return Fraction(int(x))
     raise InvalidInputError(f"expected int, Fraction, or 'p/q' string, got {type(x).__name__}")
 
 

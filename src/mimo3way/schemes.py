@@ -274,16 +274,9 @@ class MessageCheck:
     passed: bool
     failures: tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "message": self.message,
-            "receiver": self.receiver,
-            "interference_residual": self.interference_residual,
-            "condition_ratio": self.condition_ratio,
-            "roundtrip_error": None if math.isnan(self.roundtrip_error) else self.roundtrip_error,
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
+    def to_json(self) -> dict:  # the fields in order, each as JSON takes it
+        return {**vars(self), "roundtrip_error": None if math.isnan(self.roundtrip_error) else self.roundtrip_error,
+                "failures": list(self.failures)}
 
 
 @dataclass(frozen=True)
@@ -294,14 +287,9 @@ class VerificationReport:
     checks: tuple[MessageCheck, ...]
     failures: tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "valid": self.valid,
-            "achieved_dof": frac_str(self.achieved_dof),
-            "claimed_dof": frac_str(self.claimed_dof),
-            "checks": [c.to_json() for c in self.checks],
-            "failures": list(self.failures),
-        }
+    def to_json(self) -> dict:  # the fields in order, each as JSON takes it
+        return {**vars(self), "achieved_dof": frac_str(self.achieved_dof), "claimed_dof": frac_str(self.claimed_dof),
+                "checks": [c.to_json() for c in self.checks], "failures": list(self.failures)}
 
 
 def _effective(scheme, channels, m, r, q=None):
@@ -340,13 +328,6 @@ def _scheme_matrix(table, key, rows: int, cols: int | None, what: str, lead: tup
     want = f"{lead + (rows, 'any' if cols is None else cols)} that numpy.linalg takes"
     got = f"{type(mat).__name__} of shape {getattr(mat, 'shape', None)}, dtype {getattr(mat, 'dtype', None)}"
     raise InvalidInputError(f"{what} for {key!r} must be a numeric array of shape {want}, got {got}")
-
-
-def _check_scheme(scheme: SchemeInstance, channels: ChannelSet):
-    """Refuse anything but a SchemeInstance with the channels it was built on,
-    then its matrices; returns `_check_scheme_matrices(scheme)`."""
-    _check_channels(instance(scheme, SchemeInstance).split, channels, scheme.extension_factor)
-    return _check_scheme_matrices(scheme)
 
 
 class _Plan:
@@ -471,7 +452,8 @@ def verify_scheme(scheme: SchemeInstance, channels: ChannelSet, *, seed: int = 0
 
     The checks are those of `_verify` for one trial.
     """
-    plan, mats = _check_scheme(scheme, channels)
+    _check_channels(instance(scheme, SchemeInstance).split, channels, scheme.extension_factor)
+    plan, mats = _check_scheme_matrices(scheme)
     checks = []
     passed_streams = 0
     for m, r, ((worst, cond, rt, fails),) in _verify(scheme, channels, [seed], plan, mats):

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import OrderedDict
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -637,6 +638,72 @@ def test_json_writer_refuses_what_json_dumps_cannot_print(payload):
     # but no CLI payload has a key that is not a str
     with pytest.raises(TypeError):
         _emitted(payload)
+
+
+class _List(list):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        OrderedDict([("b", 1), ("a", OrderedDict([("d", "x"), ("c", [])]))]),
+        {"l": _List(["a", _List([1, "b"]), _List()]), "t": _Tuple(("c", _Tuple(()), {"k": _Tuple(("d",))}))},
+        {"x": {"b": 1, "a": "2"}, "y": {"a": "3", "b": 4}, "z": [{"b": "5", "a": {"a": "6", "b": 7}}]},
+    ],
+    ids=["ordered-dict", "list-and-tuple-subclasses", "one-key-set-two-orders-two-depths"],
+)
+def test_json_writer_subclasses_and_shared_shapes(payload):
+    # each case twice: the second reads the dict layouts the first built
+    for _ in range(2):
+        assert _emitted(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_refuses_an_int_key_after_its_str_twin():
+    assert _emitted({"1": "a"}) == json.dumps({"1": "a"}, indent=2, sort_keys=True) + "\n"
+    for payload in ({1: "a"}, {"x": {1: "a"}}, {True: "a"}):
+        with pytest.raises(TypeError, match="keys must be str"):
+            _emitted(payload)
+
+
+def test_json_writer_keeps_a_bounded_number_of_layouts(monkeypatch):
+    monkeypatch.setattr(cli_mod, "_LAYOUTS", {})
+    for k in range(10_000):
+        payload = {f"k{k}": k, "v": [str(k)]}
+        assert "".join(cli_mod._json_pieces(payload, "\n", [])) == json.dumps(payload, indent=2, sort_keys=True)
+    assert len(cli_mod._LAYOUTS) == cli_mod._MAX_LAYOUTS
+
+
+def _certify_argv(m) -> list[list[str]]:
+    """The seven exact calls the certify benchmark makes on one config, as JSON."""
+    ms = ",".join(map(str, m))
+    calls = [["allocate", "--m", ms, "--method", method] for method in ("closed", "enumerated", "brute")]
+    calls += [["allocate", "--m", ms, "--msgs", "broadcast"], ["bounds", "--m", ms, "--allocate"],
+              ["bounds", "--m", ms, "--allocate", "--msgs", "broadcast"],
+              ["sweep", "--ratio1", f"1:{m[0]}:1/3", "--ratio2", f"1:{m[1]}:1/3"]]
+    return [argv + ["--format", "json"] for argv in calls]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for m in ((1, 1, 1), (5, 4, 2), (7, 2, 1), (10, 9, 8)) for argv in _certify_argv(m)]
+    + [["verify-scheme", "--m", "3,3,3", "--scheme", "uni-a", "--seed", "1"],
+       ["verify-scheme", "--m", "5,3,2", "--scheme", "bcast", "--seed", "2"],
+       ["slope", "--m", "4,2,1", "--scheme", "uni-b", "--trials", "4", "--format", "json"]],
+    ids=lambda argv: " ".join(argv[:3] + argv[4:5]),
+)
+def test_every_cli_payload_prints_as_json_dumps(monkeypatch, argv):
+    payloads = []
+    monkeypatch.setattr(cli_mod, "_emit_json", lambda payload: payloads.append(payload) or _emit_json(payload))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    (payload,) = payloads
+    assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_unknown_subcommand(capsys):

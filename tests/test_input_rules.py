@@ -293,3 +293,22 @@ def test_an_endless_sequence_is_refused_at_once(site):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert peak <= 2**20, f"{site}: {peak} bytes at the peak"
+
+
+def test_estimate_dof_refuses_a_rate_table_over_budget_at_once():
+    # (3,3,3) uni-a passes the grid, Gram and work budgets at 4,096 points and
+    # 100,000 trials, whose (trials, grid) table of rates alone is 3 GiB: refused
+    # within one second and a 1 MiB allocation peak
+    grid = [30.0 + k / 100 for k in range(4096)]
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match="100000 trials x 4096 snr grid points"):
+            estimate_dof(AntennaConfig(3, 3, 3), SchemeTag.UNI_A, grid, trials=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert peak <= 2**20, f"{peak} bytes at the peak"

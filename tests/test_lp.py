@@ -125,6 +125,9 @@ def test_verify_duality_statuses():
     # negative multiplier
     bad_sign = verify_duality(lp, (5,), (2, -1))
     assert bad_sign.status is DualityStatus.NOT_DUAL_FEASIBLE
+    # one negative multiplier over a common denominator, stationarity kept: named as a Fraction
+    half = verify_duality(lp, (5,), (Fraction(1, 2), Fraction(-1, 2)))
+    assert (half.status, half.violations) == (DualityStatus.NOT_DUAL_FEASIBLE, ("lb: multiplier -1/2 < 0",))
 
     # stationarity broken
     bad_stat = verify_duality(lp, (5,), (2, 0))

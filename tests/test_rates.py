@@ -427,6 +427,21 @@ def test_estimate_refuses_a_gram_stack_over_budget_before_drawing(monkeypatch, p
 
 # under the budget the stubbed first draw raises
 @pytest.mark.parametrize(
+    "trials, raised, match", [(1024, AssertionError, "drawn"), (1025, InvalidInputError, "1025 trials x 4096 snr")],
+    ids=["at", "over"],
+)
+def test_estimate_refuses_a_rate_table_over_budget_before_drawing(monkeypatch, trials, raised, match):
+    # 1024 trials x 4096 points is exactly the budget, one more trial is over it;
+    # (3,3,3) uni-a stays under the Gram and work budgets at both
+    assert 1024 * 4096 == rates_mod._MAX_GRAM_ENTRIES
+    monkeypatch.setattr(rates_mod, "_draw", _no_draw)
+    grid = [30.0 + k / 100 for k in range(4096)]
+    with pytest.raises(raised, match=match):
+        estimate_dof(AntennaConfig(3, 3, 3), SchemeTag.UNI_A, grid, trials=trials)
+
+
+# under the budget the stubbed first draw raises
+@pytest.mark.parametrize(
     "m, tag, trials, raised, match",
     [((512, 256, 256), SchemeTag.UNI_B, 64, AssertionError, "drawn"),
      ((512, 256, 256), SchemeTag.UNI_B, 65, InvalidInputError, "65 trials x 512\\^3 antennas"),
