@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import GENIE_TERMS, cutset_bound_broadcast, genie_bound_unicast, genie_totals
+from .bounds import GENIE_TERMS, _attains, _broadcast_totals, _split_counts, genie_totals
 from .channel import AntennaConfig, AntennaSplit, _ordered
 from .errors import InternalError, InvalidInputError, RegimeError, instance, integer, sequence
 from .lp import DualityStatus, LinearProgram, _phase1, _Unbounded, _Walk, verify_duality
@@ -101,11 +101,7 @@ class TransmitSumBand:
     def contains(self, config: AntennaConfig, tx) -> bool:
         instance(config, AntennaConfig)
         tx = _rationals(tx, "tx must be a sequence of rationals", 3)
-        if len(tx) != 3 or any(t < 0 for t in tx):
-            return False
-        if any(t > m for t, m in zip(tx, config.totals)):
-            return False
-        return self.low <= sum(tx) <= self.high
+        return len(tx) == 3 and all(0 <= t <= m for t, m in zip(tx, config.totals)) and self.low <= sum(tx) <= self.high
 
     def to_json(self) -> dict:
         return {"low": frac_str(self.low), "high": frac_str(self.high)}
@@ -184,8 +180,7 @@ def canonical_split(config: AntennaConfig, regime: Regime) -> AntennaSplit:
         Regime.HUB: (3 * (m2 + m3), 0, 0),
         Regime.BROADCAST: (3 * m2, 3 * m3, 0),
     }[regime]
-    tx = (Fraction(3 * m - r, 3) for m, r in zip(config.totals, rx))
-    return AntennaSplit(tuple(tx), tuple(Fraction(r, 3) for r in rx))
+    return AntennaSplit._thirds(tuple(3 * m - r for m, r in zip(config.totals, rx)), rx)
 
 
 def _unicast_regime(config: AntennaConfig) -> Regime:
@@ -198,14 +193,10 @@ def optimal_unicast_closed_form(config: AntennaConfig) -> AllocationResult:
     value = Fraction(_unicast_thrice(*instance(config, AntennaConfig).totals), 3)
     regime = _unicast_regime(config)
     split = canonical_split(config, regime)
-    if genie_bound_unicast(split).combined != value:
+    if not _attains(_split_counts(split), genie_totals, value):
         raise InternalError("closed-form split does not attain the closed-form value")
-    return AllocationResult(
-        optimal_dof=value,
-        split=split,
-        certificate=ClosedFormCertificate(f"closed-form({regime.value})"),
-        regime=regime,
-    )
+    certificate = ClosedFormCertificate(f"closed-form({regime.value})")
+    return AllocationResult(optimal_dof=value, split=split, certificate=certificate, regime=regime)
 
 
 # the six max(rx_a, tx_b) terms as (a, b); terms 2j and 2j+1 make up GENIE_TERMS[j]
@@ -252,9 +243,12 @@ def _genie_rows(bits: tuple[bool, ...]):
 
 
 @functools.cache
-def _fraction_rows(bits: tuple[bool, ...]):
-    """`_genie_rows`' coefficients as Fractions, built at a pattern's first subproblem."""
-    return tuple(tuple(map(Fraction, row)) for row in _genie_rows(bits)[0])
+def _subproblem(bits: tuple[bool, ...]) -> LinearProgram:
+    """One pattern's genie subproblem at rhs 0, checked once: its Fraction
+    rows, labels and their integer form do not depend on the config."""
+    a, _, labels = _genie_rows(bits)
+    return LinearProgram(c=(-1, 0, 0, 0), a=a, b=(0,) * len(a), variables=("dof", "rx1", "rx2", "rx3"),
+                         constraints=labels)
 
 
 def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearProgram:
@@ -264,11 +258,8 @@ def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearPro
     bits = sequence(bits, "pattern bits must be a sequence of True or False", len(_MAX_TERMS))  # a tuple: a cache key
     if len(bits) != len(_MAX_TERMS) or not all(type(b) is bool for b in bits):
         raise InvalidInputError(f"expected {len(_MAX_TERMS)} pattern bits (True or False), got {bits!r}")
-    _, forms, labels = _genie_rows(bits)
     m1, m2, m3 = config.totals
-    b = [c + x * m1 + y * m2 + z * m3 for c, x, y, z in forms]  # the rhs forms at the config
-    return LinearProgram(c=(-1, 0, 0, 0), a=_fraction_rows(bits), b=b, variables=("dof", "rx1", "rx2", "rx3"),
-                         constraints=labels)
+    return _subproblem(bits)._at(tuple(Fraction(c + x * m1 + y * m2 + z * m3) for c, x, y, z in _genie_rows(bits)[1]))
 
 
 @functools.cache
@@ -325,12 +316,8 @@ def optimal_unicast_enumerated(config: AntennaConfig) -> AllocationResult:
     cert_check = verify_duality(lp, v, lam)
     if cert_check.status is not DualityStatus.OPTIMAL:
         raise InternalError(f"simplex produced a non-optimal certificate: {cert_check.status.value}")
-    return AllocationResult(
-        optimal_dof=value,
-        split=closed.split,
-        certificate=DualityPairCertificate(lp=lp, v=tuple(v), lam=tuple(lam), gap=cert_check.gap),
-        regime=closed.regime,
-    )
+    certificate = DualityPairCertificate(lp=lp, v=tuple(v), lam=tuple(lam), gap=cert_check.gap)
+    return AllocationResult(optimal_dof=value, split=closed.split, certificate=certificate, regime=closed.regime)
 
 
 def _genie_value_grid(s1: int, s2: int, s3: int) -> np.ndarray:
@@ -371,21 +358,14 @@ def optimal_unicast_bruteforce(config: AntennaConfig, denominator: int = 3) -> A
             f"over the limit of {BRUTEFORCE_MAX_CELLS}"
         )
     grid = _genie_value_grid(*scaled)
-    best = int(grid.max())
-    flat = int(grid.argmax())  # first occurrence in C order = lexicographic tie-break
-    idx = np.unravel_index(flat, grid.shape)
+    idx = np.unravel_index(int(grid.argmax()), grid.shape)  # first maximum in C order = lexicographic tie-break
     tx = tuple(Fraction(int(t), n) for t in idx)
-    rx = tuple(Fraction(m) - t for m, t in zip(config.totals, tx))
-    split = AntennaSplit(tx, rx)
-    value = Fraction(best, n)
-    if genie_bound_unicast(split).combined != value:
+    split = AntennaSplit(tx, tuple(Fraction(m) - t for m, t in zip(config.totals, tx)))
+    value = Fraction(int(grid[idx]), n)
+    if not _attains(_split_counts(split), genie_totals, value):
         raise InternalError("vectorized grid bound disagrees with genie_bound_unicast")
-    return AllocationResult(
-        optimal_dof=value,
-        split=split,
-        certificate=ClosedFormCertificate(f"grid-search(denominator={n})"),
-        regime=_unicast_regime(config),
-    )
+    certificate = ClosedFormCertificate(f"grid-search(denominator={n})")
+    return AllocationResult(optimal_dof=value, split=split, certificate=certificate, regime=_unicast_regime(config))
 
 
 def optimal_broadcast(config: AntennaConfig) -> AllocationResult:
@@ -399,17 +379,14 @@ def optimal_broadcast(config: AntennaConfig) -> AllocationResult:
     split = canonical_split(config, Regime.BROADCAST)
     value = Fraction(_broadcast_thrice(*config.totals), 3)
     band = TransmitSumBand(low=Fraction(config.m2), high=Fraction(config.m1))
-    if not band.contains(config, split.tx):
+    counts = _split_counts(split)  # band.contains(config, split.tx) and the cut-set check, on integers over d
+    d, tx = counts[0], counts[1:4]
+    if not (all(0 <= t <= m * d for t, m in zip(tx, config.totals)) and config.m2 * d <= sum(tx) <= config.m1 * d):
         raise InternalError("canonical broadcast split fell outside its own optimality band")
-    if cutset_bound_broadcast(split).combined != value:
+    if not _attains(counts, _broadcast_totals, value):
         raise InternalError("canonical broadcast split does not attain m2+m3")
-    return AllocationResult(
-        optimal_dof=value,
-        split=split,
-        certificate=ClosedFormCertificate("closed-form(broadcast)"),
-        regime=Regime.BROADCAST,
-        broadcast_band=band,
-    )
+    return AllocationResult(optimal_dof=value, split=split, certificate=ClosedFormCertificate("closed-form(broadcast)"),
+                            regime=Regime.BROADCAST, broadcast_band=band)
 
 
 def canonical_subproblem(config: AntennaConfig) -> LinearProgram:

@@ -2,7 +2,9 @@
 
 Two families of converse bounds, both exact and homogeneous of degree 1 in the
 split, so they run on its integer numerators over one denominator d (1 or 3
-for an allocated split) and make a `Fraction` only for each reported value:
+for an allocated split). A family's totals have one home, read by its report
+and, on integers, by the allocation self-checks (`_attains`); a report makes
+one `Fraction` per printed value:
 
 * cut-set bounds: each cut separating transmitters from receivers caps the
   messages crossing it by min(tx antennas on one side, rx antennas on the
@@ -176,10 +178,17 @@ def cutset_bound_broadcast(split: AntennaSplit) -> BoundReport:
         ("cut{23|1}", min(t2 + t3, r1)),
         ("cut{13|2}", min(t1 + t3, r2)),
     ]
-    totals = [
-        ("sum_rx", r1 + r2 + r3),
-        ("tx{2}+tx{3}+rx{2}+rx{3}", t2 + t3 + r2 + r3),
-        ("rx{3}+tx{1}+tx{2}+2tx{3}", r3 + t1 + t2 + 2 * t3),
-        ("2sum_tx", 2 * (t1 + t2 + t3)),
-    ]
-    return _report(d, partials, totals, "cutset")
+    return _report(d, partials, _broadcast_totals((t1, t2, t3), (r1, r2, r3)), "cutset")
+
+
+def _broadcast_totals(tx, rx) -> list[tuple[str, int]]:
+    """The four (label, value) totals of the broadcast cut-set bound."""
+    (t1, t2, t3), (r1, r2, r3) = tx, rx
+    return [("sum_rx", r1 + r2 + r3), ("tx{2}+tx{3}+rx{2}+rx{3}", t2 + t3 + r2 + r3),
+            ("rx{3}+tx{1}+tx{2}+2tx{3}", r3 + t1 + t2 + 2 * t3), ("2sum_tx", 2 * (t1 + t2 + t3))]
+
+
+def _attains(counts, totals, value: Fraction) -> bool:
+    """Whether a report's `combined`, the least of `totals` at `_split_counts` (d, tx, rx), is `value`."""
+    d, *n = counts
+    return min(v for _, v in totals(n[:3], n[3:])) * value.denominator == value.numerator * d

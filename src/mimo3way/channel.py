@@ -79,7 +79,7 @@ class AntennaSplit:
 
     Fractional entries arise from the closed-form allocations; they become
     integers after scaling by the symbol-extension factor (the lcm of the
-    denominators, always 1 or 3 here).
+    denominators, always 1 or 3 here, and set by `_thirds` for an allocated split).
     """
 
     tx: tuple[Fraction, Fraction, Fraction]
@@ -88,6 +88,14 @@ class AntennaSplit:
     def __post_init__(self):
         object.__setattr__(self, "tx", triple(self.tx, "tx"))
         object.__setattr__(self, "rx", triple(self.rx, "rx"))
+
+    @classmethod
+    def _thirds(cls, tx, rx) -> "AntennaSplit":
+        """The split (tx/3, rx/3) from int numerators >= 0, unchecked: `allocation.canonical_split` makes them."""
+        self = object.__new__(cls)  # frozen: the fields go straight into __dict__, with the cached extension factor
+        self.__dict__.update(tx=tuple(Fraction(v, 3) for v in tx), rx=tuple(Fraction(v, 3) for v in rx),
+                             extension_factor=3 if any(v % 3 for v in tx + rx) else 1)
+        return self
 
     @property
     def totals(self) -> tuple[Fraction, Fraction, Fraction]:

@@ -219,10 +219,8 @@ def _report_rows(name: str, report) -> list[tuple]:
 
 def _print_report_table(name: str, report) -> None:
     print(f"{name} bounds:")
-    for t in report.partial_terms:
-        print(f"  {t.label:<28} {_dec(t.value):>10}")
-    for t in report.total_terms:
-        print(f"  {t.label:<28} {_dec(t.value):>10}  (total)")
+    for _, kind, label, value in _report_rows(name, report)[:-1]:  # the terms; the combined row differs
+        print(f"  {label:<28} {value:>10}{'  (total)' if kind == 'total' else ''}")
     print(f"  combined = {_dec(report.combined)}  binding: {', '.join(report.binding)}")
 
 
@@ -248,14 +246,9 @@ def _cmd_bounds(args) -> int:
         reports = {"cutset": cutset_bound_unicast(split), "genie": genie_bound_unicast(split)}
 
     if args.format == "json":
-        payload = {
-            "command": "bounds",
-            "msgs": args.msgs,
-            "split": split.to_json(),
-            "reports": {k: r.to_json() for k, r in reports.items()},
-            "allocation": None if allocation is None else allocation.to_json(),
-        }
-        _emit_json(payload)
+        _emit_json({"command": "bounds", "msgs": args.msgs, "split": split.to_json(),
+                    "reports": {k: r.to_json() for k, r in reports.items()},
+                    "allocation": None if allocation is None else allocation.to_json()})
     elif args.format == "csv":
         _emit_csv([row for k, r in reports.items() for row in _report_rows(k, r)], ("family", "kind", "label", "value"))
     else:
@@ -491,8 +484,6 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"error[internal]: {exc}", file=sys.stderr)
         return 3
-    except SystemExit:
-        raise
     except Exception as exc:  # anything unexpected is an internal failure
         print(f"error[internal]: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -42,6 +42,7 @@ scale and d divided back out.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -94,6 +95,19 @@ class LinearProgram:
         for name, value in zip(("c", "a", "b", "variables", "constraints"), (c, a, b, variables, constraints)):
             object.__setattr__(self, name, value)
 
+    @functools.cached_property
+    def _integer_rows(self):
+        """(c, rows of a, s): c and a as integers over their lcm s, for `verify_duality`; `_at` shares them."""
+        coeffs, s = _to_integers((*self.c, *(x for row in self.a for x in row)))
+        n = len(self.c)
+        return coeffs[:n], tuple(coeffs[n * (i + 1) : n * (i + 2)] for i in range(len(self.a))), s
+
+    def _at(self, b: tuple[Fraction, ...]) -> "LinearProgram":
+        """This program with the rhs `b`, a tuple of one Fraction per row, which skips the checks."""
+        lp = object.__new__(LinearProgram)
+        lp.__dict__.update(self.__dict__, _integer_rows=self._integer_rows, b=b)
+        return lp
+
     @property
     def n_variables(self) -> int:
         return len(self.c)
@@ -142,27 +156,25 @@ def verify_duality(lp: LinearProgram, v, lam) -> DualityCertificate:
 
     Optimal iff v is feasible, lam is dual feasible (lam >= 0, A'lam = -c),
     and the gap c.v + b.lam is exactly zero. It runs on integer numerators (v
-    over dv, lam over dl, c, A and b over s) and makes Fractions only to report.
+    over dv, lam over dl, c and A over s, b over sb) and makes Fractions only
+    to report; the integer c and A are the program's `_integer_rows`.
     """
     instance(lp, LinearProgram)
     v = _rationals(v, "v must be a sequence of rationals", lp.n_variables)
     lam = _rationals(lam, "lam must be a sequence of rationals", lp.n_constraints)
-    n, m = len(v), len(lam)
-    if n != lp.n_variables:
-        raise InvalidInputError(f"v has {n} entries, expected {lp.n_variables}")
-    if m != lp.n_constraints:
-        raise InvalidInputError(f"lam has {m} entries, expected {lp.n_constraints}")
+    if len(v) != lp.n_variables:
+        raise InvalidInputError(f"v has {len(v)} entries, expected {lp.n_variables}")
+    if len(lam) != lp.n_constraints:
+        raise InvalidInputError(f"lam has {len(lam)} entries, expected {lp.n_constraints}")
     (vn, dv), (ln, dl) = _to_integers(v), _to_integers(lam)
-    coeffs, s = _to_integers((*lp.c, *(x for row in lp.a for x in row), *lp.b))
-    c, b = coeffs[:n], coeffs[n * (m + 1) :]
-    rows = [coeffs[n * (i + 1) : n * (i + 2)] for i in range(m)]
+    (c, rows, s), (b, sb) = lp._integer_rows, _to_integers(lp.b)  # c and A over s, b over sb
 
-    gap = Fraction(sum(map(mul, c, vn)) * dl + sum(map(mul, b, ln)) * dv, s * dv * dl)
+    gap = Fraction(sum(map(mul, c, vn)) * dl * sb + sum(map(mul, b, ln)) * dv * s, s * sb * dv * dl)
 
     lhs = (sum(map(mul, row, vn)) for row in rows)  # s*dv times A v
     primal_bad = tuple(
         f"{label}: {frac_str(Fraction(x, s * dv))} > {frac_str(bi)}"
-        for label, x, bn, bi in zip(lp.constraints, lhs, b, lp.b) if x > bn * dv
+        for label, x, bn, bi in zip(lp.constraints, lhs, b, lp.b) if x * sb > bn * s * dv
     )
     if primal_bad:
         return DualityCertificate(DualityStatus.NOT_PRIMAL_FEASIBLE, gap, primal_bad)

@@ -9,6 +9,7 @@ the acceptance suite; here a smaller grid keeps the loop fast.
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,9 @@ from mimo3way import (
     AntennaConfig,
     AntennaSplit,
     DualityPairCertificate,
+    InternalError,
     InvalidInputError,
+    LinearProgram,
     Regime,
     RegimeError,
     SchemeTag,
@@ -39,7 +42,8 @@ from mimo3way import (
     unicast_optimal_value,
     verify_duality,
 )
-from mimo3way.allocation import _MAX_TERMS, _broadcast_thrice, _genie_rows, _unicast_thrice
+from mimo3way import allocation
+from mimo3way.allocation import _MAX_TERMS, _ORBITS, _broadcast_thrice, _genie_rows, _unicast_thrice
 from mimo3way.bounds import GENIE_TERMS
 
 
@@ -205,8 +209,6 @@ def test_bruteforce_rejects_bad_denominator():
 
 
 def test_bruteforce_grid_cap(monkeypatch):
-    from mimo3way import allocation
-
     # (2,1,1) at denominator 3 is a 7 x 4 x 4 grid
     monkeypatch.setattr(allocation, "BRUTEFORCE_MAX_CELLS", 112)
     assert optimal_unicast_bruteforce(AntennaConfig(2, 1, 1), 3).optimal_dof == 2
@@ -429,3 +431,97 @@ def test_result_json_shapes():
     j = optimal_broadcast(AntennaConfig(5, 3, 2)).to_json()
     assert j["broadcast_band"] == {"low": "3", "high": "5"}
     assert j["optimal_dof"] == "5"
+
+
+def _refuses(call, message):
+    with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_closed_form_check_fires_on_a_split_that_misses_the_value(monkeypatch):
+    # all transmit, no receive: the genie bound is 0, not the closed-form value
+    monkeypatch.setattr(allocation, "canonical_split", lambda c, r: AntennaSplit(c.totals, (0, 0, 0)))
+    _refuses(lambda: optimal_unicast_closed_form(AntennaConfig(7, 5, 4)),
+             "closed-form split does not attain the closed-form value")
+
+
+def test_closed_form_check_fires_on_a_value_the_split_misses(monkeypatch):
+    monkeypatch.setattr(allocation, "_unicast_thrice", lambda m1, m2, m3: _unicast_thrice(m1, m2, m3) + 1)
+    _refuses(lambda: optimal_unicast_closed_form(AntennaConfig(7, 5, 4)),
+             "closed-form split does not attain the closed-form value")
+
+
+def test_broadcast_band_check_fires_on_a_split_outside_the_band(monkeypatch):
+    # a transmit sum of 0, under m2 = 5
+    monkeypatch.setattr(allocation, "canonical_split", lambda c, r: AntennaSplit((0, 0, 0), c.totals))
+    _refuses(lambda: optimal_broadcast(AntennaConfig(7, 5, 4)),
+             "canonical broadcast split fell outside its own optimality band")
+    # inside the sum band but over node 3's antennas
+    monkeypatch.setattr(allocation, "canonical_split", lambda c, r: AntennaSplit((0, 0, 5), (7, 5, 0)))
+    _refuses(lambda: optimal_broadcast(AntennaConfig(7, 5, 4)),
+             "canonical broadcast split fell outside its own optimality band")
+
+
+def test_broadcast_cutset_check_fires_on_a_value_the_split_misses(monkeypatch):
+    # every split inside the band attains m2+m3, so only a wrong value can miss it
+    monkeypatch.setattr(allocation, "_broadcast_thrice", lambda m1, m2, m3: 3 * (m2 + m3) + 1)
+    _refuses(lambda: optimal_broadcast(AntennaConfig(7, 5, 4)), "canonical broadcast split does not attain m2+m3")
+
+
+@pytest.mark.parametrize("shift", ["value", "cell"])
+def test_bruteforce_check_fires_on_a_rigged_grid(monkeypatch, shift):
+    real = allocation._genie_value_grid
+
+    def rigged(*scaled):
+        grid = real(*scaled)
+        if shift == "value":  # the same best cell, one grid step too high
+            return grid + 1
+        grid[0, 0, 0] = grid.max() + 1  # all receive, whose bound is 0, wins
+        return grid
+
+    monkeypatch.setattr(allocation, "_genie_value_grid", rigged)
+    _refuses(lambda: optimal_unicast_bruteforce(AntennaConfig(7, 5, 4), 3),
+             "vectorized grid bound disagrees with genie_bound_unicast")
+
+
+def test_splits_from_numerators_equal_validated_splits():
+    # canonical_split builds its split from numerators over 3, unchecked; the
+    # public constructor, fed the same entries, checks them and derives the
+    # extension factor and integer pairs afresh
+    for m1, m2, m3 in itertools.combinations_with_replacement(range(12, -1, -1), 3):
+        config = AntennaConfig(m1, m2, m3)
+        for regime in Regime:
+            if not holds(regime, config):
+                continue
+            split = canonical_split(config, regime)
+            checked = AntennaSplit(split.tx, split.rx)
+            for x in split.tx + split.rx:
+                assert type(x) is Fraction and type(x.numerator) is int and math.gcd(x.numerator, x.denominator) == 1
+            assert (split.tx, split.rx) == (checked.tx, checked.rx)
+            assert split == checked and hash(split) == hash(checked)
+            assert split.extension_factor == checked.extension_factor == (1 if checked.is_integral else 3)
+            if checked.is_integral:
+                assert split.integer_pairs() == checked.integer_pairs()
+            else:
+                with pytest.raises(InvalidInputError, match="is fractional"):
+                    split.integer_pairs()
+
+
+def test_genie_subproblems_share_one_checked_program_per_pattern():
+    # the rhs is a subproblem's only per-config part: it equals the program
+    # the public constructor builds, shares its pattern's integer rows, and
+    # verify_duality reads it as it reads that program
+    for bits in _ORBITS:
+        lp = genie_subproblem(AntennaConfig(7, 5, 4), bits)
+        fresh = LinearProgram(lp.c, lp.a, lp.b, lp.variables, lp.constraints)
+        assert lp == fresh and repr(lp) == repr(fresh) and lp._integer_rows == fresh._integer_rows
+        assert lp._integer_rows is genie_subproblem(AntennaConfig(2, 1, 0), bits)._integer_rows
+    cert = optimal_unicast_enumerated(AntennaConfig(7, 5, 4)).certificate
+    lp, v, lam = cert.lp, cert.v, cert.lam
+    fresh = LinearProgram(lp.c, lp.a, lp.b, lp.variables, lp.constraints)
+    pairs = [(v, lam), ((v[0] + 1, *v[1:]), lam), (v, (lam[0] + 1, *lam[1:])), (v, (Fraction(-1, 3), *lam[1:])),
+             ((v[0] - Fraction(1, 3), *v[1:]), lam)]
+    for pv, pl in pairs:
+        assert verify_duality(lp, pv, pl) == verify_duality(fresh, pv, pl)
+    assert [verify_duality(lp, pv, pl).status.value for pv, pl in pairs] == [
+        "Optimal", "NotPrimalFeasible", "NotDualFeasible", "NotDualFeasible", "NonzeroGap"]

@@ -153,12 +153,16 @@ def _names_numpy(node) -> bool:
 
 
 def test_exact_walks_name_no_numpy():
-    # the exact LP layer and the bounds import no numpy, and the enumerated
-    # route builds its rows and walks on plain ints
+    # the exact LP layer and the bounds import no numpy, the enumerated route
+    # builds its rows and walks on plain ints, and the closed-form and
+    # broadcast routes build their splits and run their self-checks on them
+    # too (the brute-force grid is numpy by design)
     assert [name for name in ("lp.py", "bounds.py") if _names_numpy(_TREES[name])] == []
     defs = {stmt.name: stmt for tree in _TREES.values() for stmt in tree.body
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
-    assert [name for name in ("_genie_rows", "_template", "_Walk") if _names_numpy(defs[name])] == []
+    exact = ("_genie_rows", "_template", "_Walk", "genie_totals", "_broadcast_totals", "_split_counts", "_attains",
+             "AntennaSplit", "canonical_split", "optimal_unicast_closed_form", "optimal_broadcast")
+    assert [name for name in exact if _names_numpy(defs[name])] == []
     assert _names_numpy(ast.parse("def f():\n    return np.eye(4)"))
     assert _names_numpy(ast.parse("from numpy import eye"))
 
