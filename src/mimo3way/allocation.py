@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import GENIE_TERMS, _attains, _broadcast_totals, _split_counts, genie_totals
+from .bounds import GENIE_TERMS, _attains, _broadcast_totals, genie_totals
 from .channel import AntennaConfig, AntennaSplit, _ordered
 from .errors import InternalError, InvalidInputError, RegimeError, instance, integer, sequence
 from .lp import DualityStatus, LinearProgram, _phase1, _Unbounded, _Walk, verify_duality
@@ -193,7 +193,7 @@ def optimal_unicast_closed_form(config: AntennaConfig) -> AllocationResult:
     value = Fraction(_unicast_thrice(*instance(config, AntennaConfig).totals), 3)
     regime = _unicast_regime(config)
     split = canonical_split(config, regime)
-    if not _attains(_split_counts(split), genie_totals, value):
+    if not _attains(split._counts, genie_totals, value):
         raise InternalError("closed-form split does not attain the closed-form value")
     certificate = ClosedFormCertificate(f"closed-form({regime.value})")
     return AllocationResult(optimal_dof=value, split=split, certificate=certificate, regime=regime)
@@ -362,7 +362,7 @@ def optimal_unicast_bruteforce(config: AntennaConfig, denominator: int = 3) -> A
     tx = tuple(Fraction(int(t), n) for t in idx)
     split = AntennaSplit(tx, tuple(Fraction(m) - t for m, t in zip(config.totals, tx)))
     value = Fraction(int(grid[idx]), n)
-    if not _attains(_split_counts(split), genie_totals, value):
+    if not _attains(split._counts, genie_totals, value):
         raise InternalError("vectorized grid bound disagrees with genie_bound_unicast")
     certificate = ClosedFormCertificate(f"grid-search(denominator={n})")
     return AllocationResult(optimal_dof=value, split=split, certificate=certificate, regime=_unicast_regime(config))
@@ -379,8 +379,7 @@ def optimal_broadcast(config: AntennaConfig) -> AllocationResult:
     split = canonical_split(config, Regime.BROADCAST)
     value = Fraction(_broadcast_thrice(*config.totals), 3)
     band = TransmitSumBand(low=Fraction(config.m2), high=Fraction(config.m1))
-    counts = _split_counts(split)  # band.contains(config, split.tx) and the cut-set check, on integers over d
-    d, tx = counts[0], counts[1:4]
+    d, tx, _ = counts = split._counts  # band.contains(config, split.tx) and the cut-set check, on integers over d
     if not (all(0 <= t <= m * d for t, m in zip(tx, config.totals)) and config.m2 * d <= sum(tx) <= config.m1 * d):
         raise InternalError("canonical broadcast split fell outside its own optimality band")
     if not _attains(counts, _broadcast_totals, value):

@@ -2,9 +2,9 @@
 
 Two families of converse bounds, both exact and homogeneous of degree 1 in the
 split, so they run on its integer numerators over one denominator d (1 or 3
-for an allocated split). A family's totals have one home, read by its report
-and, on integers, by the allocation self-checks (`_attains`); a report makes
-one `Fraction` per printed value:
+for an allocated split), its `AntennaSplit._counts`. A family's totals have
+one home, read by its report and, on integers, by the allocation self-checks
+(`_attains`); a report makes one `Fraction` per printed value:
 
 * cut-set bounds: each cut separating transmitters from receivers caps the
   messages crossing it by min(tx antennas on one side, rx antennas on the
@@ -72,12 +72,6 @@ class BoundReport:
         }
 
 
-def _split_counts(split: AntennaSplit):
-    """d, the lcm of the split's denominators, then tx and rx over d."""
-    d = instance(split, AntennaSplit).extension_factor
-    return d, *(v.numerator * (d // v.denominator) for v in split.tx + split.rx)
-
-
 def _report(d: int, partials, totals, family: str) -> BoundReport:
     combined = min(v for _, v in totals)
     return BoundReport(
@@ -96,7 +90,7 @@ def cutset_bound_unicast(split: AntennaSplit) -> BoundReport:
     arriving at a node; summing complementary cuts gives the three-term
     combined bound on the total.
     """
-    d, t1, t2, t3, r1, r2, r3 = _split_counts(split)
+    d, (t1, t2, t3), (r1, r2, r3) = instance(split, AntennaSplit)._counts
     partials = [
         # messages leaving node l: min(tx_l, rx elsewhere)
         ("cut{1|23}", min(t1, r2 + r3)),
@@ -143,7 +137,7 @@ def genie_bound_unicast(split: AntennaSplit) -> BoundReport:
     triples with the transmit/receive totals yields the five-term bound; it
     is never looser than the cut-set combined bound.
     """
-    d, t1, t2, t3, r1, r2, r3 = _split_counts(split)
+    d, (t1, t2, t3), (r1, r2, r3) = instance(split, AntennaSplit)._counts
     partials = [
         ("genie@1|w23", min(max(r1, t3), t2 + t3)),
         ("genie@1|w32", min(max(r1, t2), t2 + t3)),
@@ -171,7 +165,7 @@ def cutset_bound_broadcast(split: AntennaSplit) -> BoundReport:
     receiver), which is why the combined minimum carries the doubled
     transmit-sum term.
     """
-    d, t1, t2, t3, r1, r2, r3 = _split_counts(split)
+    d, (t1, t2, t3), (r1, r2, r3) = instance(split, AntennaSplit)._counts
     partials = [
         # receiving-node cuts; broadcast streams ride along on both cuts
         ("cut{12|3}", min(t1 + t2, r3)),
@@ -189,6 +183,6 @@ def _broadcast_totals(tx, rx) -> list[tuple[str, int]]:
 
 
 def _attains(counts, totals, value: Fraction) -> bool:
-    """Whether a report's `combined`, the least of `totals` at `_split_counts` (d, tx, rx), is `value`."""
-    d, *n = counts
-    return min(v for _, v in totals(n[:3], n[3:])) * value.denominator == value.numerator * d
+    """Whether a report's `combined`, the least of `totals` at a split's `_counts` (d, tx, rx), is `value`."""
+    d, tx, rx = counts
+    return min(v for _, v in totals(tx, rx)) * value.denominator == value.numerator * d

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError, instance, integer, sequence
 from .linalg import _SQRT2, CHANNEL_STREAM, as_matrix, generator
-from .rational import denominator_lcm, frac, frac_str, triple
+from .rational import _to_integers, frac, frac_str, triple
 
 __all__ = [
     "PAIR_ORDER",
@@ -78,8 +78,9 @@ class AntennaSplit:
     """Per-node transmit/receive antenna partition, possibly fractional.
 
     Fractional entries arise from the closed-form allocations; they become
-    integers after scaling by the symbol-extension factor (the lcm of the
-    denominators, always 1 or 3 here, and set by `_thirds` for an allocated split).
+    integers after scaling by the symbol-extension factor d, the lcm of the
+    denominators (1 or 3 here). `_counts` = (d, tx * d, rx * d), set by
+    `_thirds` for an allocated split, is the one home of that integer form.
     """
 
     tx: tuple[Fraction, Fraction, Fraction]
@@ -92,9 +93,10 @@ class AntennaSplit:
     @classmethod
     def _thirds(cls, tx, rx) -> "AntennaSplit":
         """The split (tx/3, rx/3) from int numerators >= 0, unchecked: `allocation.canonical_split` makes them."""
-        self = object.__new__(cls)  # frozen: the fields go straight into __dict__, with the cached extension factor
+        self = object.__new__(cls)  # frozen: the fields go straight into __dict__, with the cached counts
+        d = 3 if any(v % 3 for v in tx + rx) else 1
         self.__dict__.update(tx=tuple(Fraction(v, 3) for v in tx), rx=tuple(Fraction(v, 3) for v in rx),
-                             extension_factor=3 if any(v % 3 for v in tx + rx) else 1)
+                             _counts=(d, tuple(v * d // 3 for v in tx), tuple(v * d // 3 for v in rx)))
         return self
 
     @property
@@ -112,29 +114,30 @@ class AntennaSplit:
 
     _hash = functools.cached_property(lambda self: hash((self.tx, self.rx)))
 
+    @functools.cached_property
+    def _counts(self) -> tuple[int, tuple[int, int, int], tuple[int, int, int]]:
+        n, d = _to_integers(self.tx + self.rx)
+        return d, tuple(n[:3]), tuple(n[3:])
+
     @property
     def is_integral(self) -> bool:
         return self.extension_factor == 1
 
-    @functools.cached_property
+    @property
     def extension_factor(self) -> int:
-        """Smallest integer scale that makes every entry integral (cached)."""
-        return denominator_lcm(self.tx + self.rx)
+        """Smallest integer scale that makes every entry integral."""
+        return self._counts[0]
 
     def scaled(self, factor: int) -> "AntennaSplit":
         f = frac(factor)
         return AntennaSplit(tuple(v * f for v in self.tx), tuple(v * f for v in self.rx))
 
     def integer_pairs(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-        return self._integer_pairs
-
-    @functools.cached_property
-    def _integer_pairs(self):
-        # cached: draw, build, receive and verify each ask for them per call;
         # the one home of the rule that channels need an integer split
-        if not self.is_integral:
+        d, tx, rx = self._counts
+        if d != 1:
             raise InvalidInputError(f"split {self.to_json()} is fractional")
-        return tuple(int(v) for v in self.tx), tuple(int(v) for v in self.rx)
+        return tx, rx
 
     def to_json(self) -> dict:
         return {"mt": [frac_str(v) for v in self.tx], "mr": [frac_str(v) for v in self.rx]}

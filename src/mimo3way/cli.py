@@ -32,7 +32,7 @@ from .allocation import (
 from .bounds import cutset_bound_broadcast, cutset_bound_unicast, genie_bound_unicast
 from .channel import AntennaConfig, AntennaSplit, draw_channels
 from .errors import InternalError, InvalidInputError
-from .rational import denominator_lcm, frac, frac_str
+from .rational import _to_integers, frac, frac_str
 from .rates import estimate_dof
 from .schemes import SchemeTag, build_scheme, scheme_split, verify_scheme
 
@@ -380,14 +380,14 @@ def _cmd_slope(args) -> int:
 def _cmd_sweep(args) -> int:
     r1 = _parse_range(args.ratio1, "ratio1")
     r2 = _parse_range(args.ratio2, "ratio2")
-    if args.m3 < 1:
+    if _within_digits((args.m3,), "m3")[0] < 1:
         raise _UsageError(f"--m3 must be >= 1, got {args.m3}")
     n1, n2 = ((hi - lo) // step + 1 for lo, hi, step in (r1, r2))
     if n1 * n2 > SWEEP_MAX_POINTS:
         raise InvalidInputError(f"sweep grid has {n1 * n2} points, over the limit of {SWEEP_MAX_POINTS}")
     # every point is start + k*step: run the grid on integer numerators over
     # the common denominator d, so the integers (a, b, d) stand for (a/d, b/d, 1)
-    d = denominator_lcm((r1[0], r1[2], r2[0], r2[2]))
+    d = _to_integers((r1[0], r1[2], r2[0], r2[2]))[1]
     text = _ratio if args.format == "json" else _dec
     axis1, axis2 = ([(x, text(x, d)) for x in range(int(lo * d), math.floor(hi * d) + 1, int(step * d))]
                     for lo, hi, step in (r1, r2))

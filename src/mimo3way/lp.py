@@ -22,15 +22,16 @@ Phase 1 (`_phase1`) reads only A' and c. Phase 2 (`_Walk`) reads b, the
 dual's cost, as a linear form b = sum_k params_k * b_k: it memoizes each pivot
 as an edge (node, entering column) -> child, each node keeping one
 reduced-cost row per b_k, and solves at params by Bland's rule on those rows
-summed at params, so it takes exactly the pivots of a solve from scratch. At
-params >= 0 it reads only the columns with a negative component, as no other
-can price negative. `solve_inequality_min` is the one-point walk; `allocation`
-keeps one walk per genie sign pattern, in cone coordinates of m1 >= m2 >= m3.
+summed at params, so it takes exactly the pivots of a solve from scratch. It
+runs only at params >= 0, reading only columns with a negative component (no
+other can price negative): `solve_inequality_min` at (1,), and `allocation`'s
+walk per genie sign pattern in cone coordinates of m1 >= m2 >= m3.
 
 The tableau is integer-preserving (Bareiss 1968): each equality row is scaled
-to integers by the lcm of its denominators, and the tableau, right-hand side
-and cost rows are Python ints over one common denominator d, the absolute
-determinant of the current basis. A pivot on p updates every entry to
+to integers by the lcm of its denominators (`rational._to_integers`), and the
+tableau, right-hand side and cost rows are Python ints over one common
+denominator d, the absolute determinant of the current basis. A pivot on p
+(`_Tableau.pivot`, for the tableau and any cost rows) updates every entry to
 (p*x - f*y) / d, which divides exactly, and then sets d = p. Bland's rule,
 the ratio test and the phase-1 feasibility test compare integers, so the
 solver takes the same pivots as an elimination over `Fraction`s would.
@@ -49,7 +50,7 @@ from math import comb, lcm
 from operator import itemgetter, mul
 
 from .errors import InternalError, InvalidInputError, instance, sequence
-from .rational import _rationals, frac_str
+from .rational import _rationals, _to_integers, frac_str
 
 __all__ = [
     "LinearProgram",
@@ -196,15 +197,6 @@ class _Unbounded(Exception):
     pass
 
 
-def _to_integers(values) -> tuple[list[int], int]:
-    """Scale rationals (Fraction or int) to integers by the lcm of their
-    denominators; returns the integers and the scale."""
-    s = lcm(*(x.denominator for x in values))
-    if s == 1:
-        return [x.numerator for x in values], 1
-    return [x.numerator * (s // x.denominator) for x in values], s
-
-
 @dataclass
 class _Tableau:
     """Integer tableau rows [row | artificial | rhs] over d, the absolute
@@ -218,24 +210,26 @@ class _Tableau:
     scales: list[int]
     signs: list[int]
 
-    def pivot(self, prow, pcol, costrow):
-        # Bareiss step: every entry becomes (p*x - f*y) / d, an exact
-        # division because the result is the entry of |det B'| * B'^-1 A
+    def pivot(self, prow, pcol, costs):
+        # Bareiss step on the tableau and each row of `costs`: every entry
+        # becomes (p*x - f*y) / d, an exact division because the result is
+        # the entry of |det B'| * B'^-1 A. A changed row gets a new list in
+        # its place, so a pivot on copies of the row lists keeps the old rows.
         tab, d = self.tab, self.d
         top = tab[prow]
         p = top[pcol]
         if p < 0:  # only when a leftover artificial is pivoted out
             top = tab[prow] = [-y for y in top]
             p = -p
-        rows = [row for i, row in enumerate(tab) if i != prow]
-        if costrow is not None:
-            rows.append(costrow)
-        for row in rows:
-            f = row[pcol]
-            if f:
-                row[:] = [(p * x - f * y) // d for x, y in zip(row, top)]
-            elif p != d:
-                row[:] = [p * x // d for x in row]
+        for rows in tab, costs:
+            for i, row in enumerate(rows):
+                if row is top:
+                    continue
+                f = row[pcol]
+                if f:
+                    rows[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+                elif p != d:
+                    rows[i] = [p * x // d for x in row]
         self.d = p
         self.basis[prow] = pcol
 
@@ -263,12 +257,12 @@ class _Tableau:
                     prow, num, den = i, row[-1], a
         return prow
 
-    def run(self, costrow, allowed_width):
-        while (enter := next((j for j in range(allowed_width) if costrow[j] < 0), None)) is not None:
+    def run(self, costs, allowed_width):
+        while (enter := next((j for j in range(allowed_width) if costs[0][j] < 0), None)) is not None:
             prow = self.leaving(enter)
             if prow is None:
                 raise _Unbounded()
-            self.pivot(prow, enter, costrow)
+            self.pivot(prow, enter, costs)
 
 
 def _phase1(g_rows, g_rhs) -> _Tableau | None:
@@ -296,7 +290,7 @@ def _phase1(g_rows, g_rhs) -> _Tableau | None:
     # drive the artificials to zero
     big = lcm(*scales)
     phase1_cost = [0] * n_var + [big // s for s in scales]
-    t.run(t.reduced_costs(phase1_cost), n_var + n_eq)
+    t.run([t.reduced_costs(phase1_cost)], n_var + n_eq)
     if sum(phase1_cost[b] * row[-1] for row, b in zip(t.tab, t.basis)) > 0:
         return None
 
@@ -308,25 +302,24 @@ def _phase1(g_rows, g_rhs) -> _Tableau | None:
                 t.live.remove(t.basis[i] - n_var)
                 del t.tab[i], t.basis[i]
             else:
-                t.pivot(i, pcol, None)
+                t.pivot(i, pcol, ())
     return t
 
 
 class _Walk:
     """Phase 2 from a `_phase1` tableau, which stays untouched, for every cost
-    cost[j] = sum_k params[k] * forms[j][k] (integer forms) at once.
+    cost[j] = sum_k params[k] * forms[j][k] (integer forms, params >= 0) at once.
 
     A node is [tableau, reduced costs, edges, x, scan]: one reduced-cost row
     per form component, each pivoted by the same Bareiss step (exact on each
     row by itself); edges maps an entering column to its child (None:
     unbounded along it); x is set once the node ends a solve; scan, set at
-    its first visit with params >= 0, pairs each column that has a negative
-    component with its components. Such params (a cone's points in the
-    coordinates of its generators) read only the scan, others every column:
-    either way each pivot is the one a full scan takes. Bland's rule never
-    revisits a basis, so the memo is finite and a solve takes at most one
-    step per basis; one that takes more has met a cycle in the memo, and
-    raises InternalError.
+    its first visit, pairs each column that has a negative component with its
+    components, the only columns that can price negative at params >= 0 (a
+    cone's points in the coordinates of its generators), so each pivot is
+    the one a full scan takes. Bland's rule never revisits a basis, so the
+    memo is finite and a solve takes at most one step per basis; one that
+    takes more has met a cycle in the memo, and raises InternalError.
     """
 
     def __init__(self, start: _Tableau, forms):
@@ -338,28 +331,24 @@ class _Walk:
 
     @staticmethod
     def _child(node, enter):
-        t, rows = node[0], node[1]
+        t = node[0]
         prow = t.leaving(enter)
         if prow is None:
             return None
-        d = t.d
-        t = _Tableau([row[:] for row in t.tab], t.basis[:], t.live, d, t.scales, t.signs)
-        t.pivot(prow, enter, None)
-        p, top = t.d, t.tab[prow]
-        rows = [[(p * c - f * y) // d for c, y in zip(row, top)] for row in rows for f in (row[enter],)]
+        t, rows = _Tableau(t.tab[:], t.basis[:], t.live, t.d, t.scales, t.signs), node[1][:]
+        t.pivot(prow, enter, rows)
         if any(row[enter] for row in rows):  # a basic column prices at 0; else Bland's rule could re-enter it forever
             raise InternalError("a pivot left a reduced cost on the entering column")
         return [t, rows, {}, None, None]
 
     def optimum(self, params):
-        """The node where Bland's rule stops at `params`; _Unbounded when the
-        minimum is -infinity."""
+        """The node where Bland's rule stops at `params`, each >= 0;
+        _Unbounded when the minimum is -infinity."""
+        if min(params) < 0:  # then a column off the scan could price < 0
+            raise InternalError(f"a walk runs only at params >= 0, got {params}")
         node, n_var, steps = self.root, self.n_var, 0
-        cone = min(params) >= 0  # then a column with no negative component prices >= 0
         while True:
-            if not cone:
-                scan = zip(range(n_var), zip(*node[1]))
-            elif (scan := node[4]) is None:
+            if (scan := node[4]) is None:
                 scan = node[4] = [(j, col) for j, col in zip(range(n_var), zip(*node[1])) if min(col) < 0]
             for enter, col in scan:  # Bland's rule: the first negative reduced cost
                 if sum(map(mul, params, col)) < 0:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError, sequence
 
-__all__ = ["frac", "frac_str", "triple", "denominator_lcm"]
+__all__ = ["frac", "frac_str", "triple"]
 
 # Largest decimal exponent `frac` reads, checked before the Fraction is built
 # (Fraction("1e10000000") builds a 10-million-digit int): the digit count
@@ -63,6 +63,10 @@ def triple(values, name: str = "triple") -> tuple[Fraction, Fraction, Fraction]:
     return vals
 
 
-def denominator_lcm(values) -> int:
-    """lcm of the denominators of a collection of rationals (1 if empty)."""
-    return lcm(1, *(frac(v).denominator for v in values))
+def _to_integers(values) -> tuple[list[int], int]:
+    """Scale rationals (Fraction or int) to integers by the lcm of their
+    denominators; returns the integers and the scale (1 if empty)."""
+    s = lcm(*(x.denominator for x in values))
+    if s == 1:
+        return [x.numerator for x in values], 1
+    return [x.numerator * (s // x.denominator) for x in values], s

@@ -485,9 +485,10 @@ def test_bruteforce_check_fires_on_a_rigged_grid(monkeypatch, shift):
 
 
 def test_splits_from_numerators_equal_validated_splits():
-    # canonical_split builds its split from numerators over 3, unchecked; the
-    # public constructor, fed the same entries, checks them and derives the
-    # extension factor and integer pairs afresh
+    # canonical_split builds its split from numerators over 3, unchecked, and
+    # sets its integer form `_counts` from them; the public constructor, fed
+    # the same entries, checks them and derives `_counts` afresh, and with it
+    # the extension factor and integer pairs
     for m1, m2, m3 in itertools.combinations_with_replacement(range(12, -1, -1), 3):
         config = AntennaConfig(m1, m2, m3)
         for regime in Regime:
@@ -500,6 +501,13 @@ def test_splits_from_numerators_equal_validated_splits():
             assert (split.tx, split.rx) == (checked.tx, checked.rx)
             assert split == checked and hash(split) == hash(checked)
             assert split.extension_factor == checked.extension_factor == (1 if checked.is_integral else 3)
+            d, tx, rx = split._counts
+            assert split._counts == checked._counts and d == split.extension_factor
+            assert all(type(n) is int for n in (d, *tx, *rx))
+            assert tuple(Fraction(n, d) for n in tx + rx) == split.tx + split.rx
+            tripled = split.scaled(3)
+            assert tripled._counts == (1, tuple(3 * n // d for n in tx), tuple(3 * n // d for n in rx))
+            assert tuple(Fraction(3 * n, d) for n in tx + rx) == tripled.tx + tripled.rx
             if checked.is_integral:
                 assert split.integer_pairs() == checked.integer_pairs()
             else:

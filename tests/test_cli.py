@@ -518,6 +518,8 @@ def test_results_of_input_at_the_digit_cap_stay_printable(capsys):
     # one digit more is refused
     assert _run(capsys, "allocate", "--m", f"{top},1,1")[0] == 2
     assert _run(capsys, "bounds", "--mt", f"1/{top},1,1", "--mr", "1,1,1")[0] == 2
+    refused = (2, "", f"error[validation]: --m3 takes numbers of at most {_MAX_DIGITS} digits\n")
+    assert _run(capsys, "sweep", "--m3", str(top), "--format", "json") == refused
 
 
 def _reference_sweep(ratio1, ratio2, m3, msgs, fmt):

@@ -25,8 +25,8 @@ from mimo3way import (
     verify_duality,
 )
 from mimo3way.allocation import _ORBITS, _mirror_bits, _template
-from mimo3way.lp import _phase1, _to_integers, _Unbounded, _Walk
-from mimo3way.rational import frac, frac_str
+from mimo3way.lp import _phase1, _Unbounded, _Walk
+from mimo3way.rational import _to_integers, frac, frac_str
 
 
 def test_lp_validation():
@@ -531,7 +531,8 @@ def test_walk_matches_a_fraction_phase2_at_every_point(program):
     for p in points:
         cost = [p[0] * f0 + p[1] * f1 for f0, f1 in forms]
         want = _outcome(_fraction_phase2, g, rhs, start, cost)
-        assert _outcome(walk.solve, p) == want, p
+        if min(p) >= 0:  # a walk runs only there; the folded costs below take every sign
+            assert _outcome(walk.solve, p) == want, p
         assert _outcome(_Walk(start, [(c,) for c in cost]).solve, (1,)) == want, p
     assert (start.tab, start.basis, start.d) == before  # the phase-1 tableau stays untouched
 
@@ -557,20 +558,27 @@ def _nonnegative_programs(draw):
 def test_walk_at_nonnegative_params_matches_a_full_scan(program):
     g, rhs, forms, points = program
     start = _phase1(g, rhs)
-    # a third, zero component at param -1 leaves every cost as it is and
-    # makes that walk read every column
-    coned, full = _Walk(start, forms), _Walk(start, [(*f, 0) for f in forms])
+    walk = _Walk(start, forms)
     for p in points:
         cost = [p[0] * f0 + p[1] * f1 for f0, f1 in forms]
-        want = _outcome(_fraction_phase2, g, rhs, start, cost)
-        assert _outcome(coned.solve, p) == want, p
-        assert _outcome(full.solve, (*p, -1)) == want, p
-    assert all(node[4] is None for node in _built(full.root))
+        assert _outcome(walk.solve, p) == _outcome(_fraction_phase2, g, rhs, start, cost), p
     # a node scans its columns in index order, each with its components, and
     # leaves out only those with no negative component
-    for node in _built(coned.root):
+    for node in _built(walk.root):
         columns = list(zip(*node[1]))[: len(forms)]
         assert node[4] == [(j, col) for j, col in enumerate(columns) if min(col) < 0]
+
+
+def test_a_walk_refuses_a_negative_param():
+    # min x1 - x2 over x1 + x2 = 1, x >= 0 as the forms x1 -> (1, 0) and
+    # x2 -> (0, 1) at (1, -1): x2 has no negative component, so the root's
+    # scan leaves it out, and a walk that ran there would stop at x1 = 1
+    walk = _Walk(_phase1([[1, 1]], [1]), [(1, 0), (0, 1)])
+    for params in ((1, -1), (-1, 0), (0, -1)):
+        with pytest.raises(InternalError, match="a walk runs only at params >= 0"):
+            walk.solve(params)
+    assert walk.root[2] == {} and walk.root[4] is None  # refused before any scan or pivot
+    assert walk.solve((1, 1)) == ((1, 0), (1,))
 
 
 def test_a_walk_whose_memo_cycles_raises_instead_of_hanging():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mimo3way import InvalidInputError
-from mimo3way.rational import denominator_lcm, frac, frac_str, triple
+from mimo3way.rational import _to_integers, frac, frac_str, triple
 
 
 def test_frac_accepts_int_fraction_string():
@@ -60,8 +60,10 @@ def test_triple():
         triple([1, 2, -1])
 
 
-def test_denominator_lcm():
-    assert denominator_lcm([Fraction(1, 3), Fraction(2, 3), 1]) == 3
-    assert denominator_lcm([1, 2, 3]) == 1
-    assert denominator_lcm([]) == 1
-    assert denominator_lcm([Fraction(1, 2), Fraction(1, 3)]) == 6
+def test_to_integers_scales_by_the_denominator_lcm():
+    assert _to_integers([Fraction(1, 3), Fraction(2, 3), 1]) == ([1, 2, 3], 3)
+    assert _to_integers([1, 2, 3]) == ([1, 2, 3], 1)
+    assert _to_integers([]) == ([], 1)
+    assert _to_integers([Fraction(1, 2), Fraction(1, 3)]) == ([3, 2], 6)
+    assert _to_integers([Fraction(-5, 4), 0, Fraction(7, 6)]) == ([-15, 0, 14], 12)
+    assert all(type(n) is int for n in _to_integers([Fraction(1, 2), 3])[0])

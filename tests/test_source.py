@@ -16,7 +16,7 @@ _TREES = {path.name: ast.parse(path.read_text()) for path in sorted(_SRC.glob("*
 # Most lines the package's modules may total, as `wc -l src/mimo3way/*.py`
 # counts them: a change lands at net <= 0 lines, and one granted a line
 # allowance raises this by the lines it uses.
-SRC_LINE_CEILING = 3_073
+SRC_LINE_CEILING = 3_059
 
 
 def _exported(tree) -> set[str]:
@@ -160,7 +160,7 @@ def test_exact_walks_name_no_numpy():
     assert [name for name in ("lp.py", "bounds.py") if _names_numpy(_TREES[name])] == []
     defs = {stmt.name: stmt for tree in _TREES.values() for stmt in tree.body
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
-    exact = ("_genie_rows", "_template", "_Walk", "genie_totals", "_broadcast_totals", "_split_counts", "_attains",
+    exact = ("_genie_rows", "_template", "_Walk", "genie_totals", "_broadcast_totals", "_to_integers", "_attains",
              "AntennaSplit", "canonical_split", "optimal_unicast_closed_form", "optimal_broadcast")
     assert [name for name in exact if _names_numpy(defs[name])] == []
     assert _names_numpy(ast.parse("def f():\n    return np.eye(4)"))
