@@ -263,16 +263,19 @@ def genie_subproblem(config: AntennaConfig, bits: tuple[bool, ...]) -> LinearPro
 
 
 @functools.cache
-def _template(bits: tuple[bool, ...]) -> _Walk | None:
-    """The phase-2 walk of one sign pattern (None if its dual is infeasible):
-    the dual's rows A' and rhs -c = (1, 0, 0, 0) do not depend on the config,
+def _template(bits: tuple[bool, ...]) -> _Walk:
+    """The phase-2 walk of one sign pattern: the dual's rows A' and rhs
+    -c = (1, 0, 0, 0) do not depend on the config, so neither does its phase
+    1, which finds every pattern's dual feasible (else an internal error),
     and its cost b(m) is linear in (1, m1, m2, m3) by the rhs forms. It runs
     in cone coordinates: an ordered config is mu = (1, m1-m2, m2-m3, m3) >= 0
     times the generators (1,0,0,0), (0,1,0,0), (0,1,1,0), (0,1,1,1), so a form
     (c, x, y, z) reads (c, x, x+y, x+y+z), with the same reduced costs at mu."""
     a, forms, _ = _genie_rows(bits)
     start = _phase1(list(zip(*a)), (1, 0, 0, 0))
-    return None if start is None else _Walk(start, [(c, x, x + y, x + y + z) for c, x, y, z in forms])
+    if start is None:
+        raise InternalError(f"the genie dual of pattern {bits} is infeasible")
+    return _Walk(start, [(c, x, x + y, x + y + z) for c, x, y, z in forms])
 
 
 # the smaller pattern of each tx/rx-swap orbit
@@ -294,8 +297,6 @@ def optimal_unicast_enumerated(config: AntennaConfig) -> AllocationResult:
     best, params = None, (1, config.m1 - config.m2, config.m2 - config.m3, config.m3)  # as `_template` reads them
     for bits in _ORBITS:
         walk = _template(bits)
-        if walk is None:
-            continue  # dual infeasible for every config
         try:
             node = walk.optimum(params)
         except _Unbounded:

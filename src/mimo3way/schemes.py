@@ -1,16 +1,13 @@
 """Zero-forcing transmission schemes achieving the optimal DoF.
 
-One builder, `build_scheme`, runs one of two constructions:
-
-* null space, for uni-a (m1 <= m2+m3, every node >= 3 antennas once any
-  symbol extension is applied): node 1 sends two messages through transmit
-  null spaces of the cross links so each lands silently at the unintended
-  receiver; nodes 2 and 3 exchange full-rank streams and separate everything
-  with receive-side zero-forcing projectors. Fractional optimal splits are
-  realized by coding over a 3-use symbol extension.
-* hub, for uni-b (m1 >= m2+m3) and bcast: nodes 2 and 3 send everything to
-  node 1, which zero-forces the two transmissions apart. Under bcast node 3
-  broadcasts, and node 2 decodes it too.
+One builder, `build_scheme`, runs one zero-forcing rule on each scheme's
+table of messages (key, transmitter, receivers). A message is precoded into
+the null space of its link to the node that its transmitter's other message
+goes to, where it then lands silently, or into square orthonormal streams
+when its transmitter sends no other. A receiver reads each message in the
+complement of the image of the other message meant for it, or through an
+identity projector where there is none. uni-a needs m1 <= m2+m3 and 3
+antennas per node after any symbol extension, uni-b needs m1 >= m2+m3.
 
 A built scheme is the full matrix-level description (precoders per message,
 projectors per message/receiver pair); `verify_scheme` replays a zero-noise
@@ -44,7 +41,7 @@ from typing import Mapping
 import numpy as np
 
 from .allocation import Regime, canonical_split
-from .channel import _PAIR_SLOT, PAIR_ORDER, AntennaConfig, AntennaSplit, ChannelSet, _receive
+from .channel import _PAIR_SLOT, NODES, PAIR_ORDER, AntennaConfig, AntennaSplit, ChannelSet, _receive
 from .errors import InternalError, InvalidInputError, RegimeError, instance
 from .linalg import _SQRT2, PRECODER_STREAM, SYMBOL_STREAM, _null_basis, _random_orthonormal, _solve, _svdvals, generator
 from .rational import frac_str
@@ -156,10 +153,11 @@ def _check_channels(split: AntennaSplit, channels: ChannelSet, ext: int) -> None
         )
 
 
-def _ortho_conj(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of range(mat), for
-    each matrix of a stack."""
-    mat = mat.conj().mT
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned of
+def _ortho_conj(link: np.ndarray, pre: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of range(link @ pre),
+    for each matrix of a stack."""
+    mat = (link @ pre).conj().mT
     if not np.isfinite(mat).all():
         raise InvalidInputError("a precoded link overflows float64")
     return _null_basis(mat)
@@ -185,81 +183,67 @@ def _build(config: AntennaConfig, tag: SchemeTag, ext: int, channels: ChannelSet
     """`build_scheme` on channels drawn at `scheme_split(config, tag)`, which
     is (channels.split, ext), with one seed per trial: 2-D links and one
     seed, or links stacked on a leading trial axis and one seed per trial,
-    in which case every precoder and projector is stacked on that axis too."""
+    in which case every precoder and projector is stacked on that axis too.
+
+    One zero-forcing rule (`_rule`) builds every scheme from its message
+    table: a message is precoded into the null space of its link to the node
+    where it is silent, else into square orthonormal streams drawn in message
+    order; a receiver reads it in the complement of the image of the other
+    message meant there, else through an identity projector."""
     split, messages = channels.split, _messages(channels.split, tag)
     rngs = [generator(seed, PRECODER_STREAM) for seed in seeds]
-    pairs = split.integer_pairs()
-    if tag is SchemeTag.UNI_A:
-        built = _null_space(pairs, channels, rngs)
-    else:
-        built = _hub(pairs, channels, rngs, messages[1].key, messages[1].receivers)
-    return SchemeInstance(tag, config, split, ext, messages, *built)
+    links, lead = channels.matrices, channels.matrices[0].shape[:-2]
+    (silent, reads), rx = _rule(tag), split.integer_pairs()[1]
+    pre, proj = {}, {}
+    for m, node in zip(messages, silent):
+        if node is None:
+            pre[m.key] = _random_orthonormal(rngs, m.dim, m.dim, lead)
+        else:
+            pre[m.key] = _null_basis(links[_PAIR_SLOT[m.tx, node]])
+    for key, r, other, other_tx in reads:
+        if other is None:
+            proj[key, r] = np.tile(np.eye(rx[r - 1], dtype=np.complex128), lead + (1, 1))
+        else:
+            proj[key, r] = _ortho_conj(links[_PAIR_SLOT[other_tx, r]], pre[other])
+    return SchemeInstance(tag, config, split, ext, messages, pre, proj)
+
+
+# each scheme's messages as (key, transmitter, receivers), in message order
+_MESSAGE_TABLE = {
+    SchemeTag.UNI_A: (("u12", 1, (2,)), ("u13", 1, (3,)), ("u23", 2, (3,)), ("u32", 3, (2,))),
+    SchemeTag.UNI_B: (("u21", 2, (1,)), ("u31", 3, (1,))),
+    SchemeTag.BCAST: (("u21", 2, (1,)), ("u3bc", 3, (1, 2))),
+}
+
+
+# memoized: it reads only the table, and deriving it in each build cost about 5 us
+@functools.cache
+def _rule(tag: SchemeTag):
+    """`_build`'s rule on a scheme's table: per message, the node where it is
+    silent or None; per (message, receiver) pair, receiver by receiver, (key,
+    receiver, key and transmitter of the other message meant there or None)."""
+    table, silent, reads = _MESSAGE_TABLE[tag], [], []
+    for key, tx, _ in table:
+        (node,) = [r for k, t, receivers in table if t == tx and k != key for r in receivers] or [None]
+        silent.append(node)
+    for r in NODES:
+        meant = [(key, tx) for key, tx, receivers in table if r in receivers]
+        for key, _ in meant:
+            (other,) = [o for o in meant if o[0] != key] or [(None, None)]
+            reads.append((key, r, *other))
+    return tuple(silent), tuple(reads)
 
 
 # memoized: schemes built on one split share one message tuple, so their plan
 # lookups compare it by identity
 @functools.lru_cache(maxsize=256)
 def _messages(split: AntennaSplit, tag: SchemeTag) -> tuple[SchemeMessage, ...]:
-    (t1, t2, t3), (_, r2, r3) = split.integer_pairs()
-    if tag is SchemeTag.UNI_A:
-        return (
-            SchemeMessage("u12", 1, (2,), t1 - r3),
-            SchemeMessage("u13", 1, (3,), t1 - r2),
-            SchemeMessage("u23", 2, (3,), t2),
-            SchemeMessage("u32", 3, (2,), t3),
-        )
-    key3, receivers3 = ("u31", (1,)) if tag is SchemeTag.UNI_B else ("u3bc", (1, 2))
-    return SchemeMessage("u21", 2, (1,), t2), SchemeMessage(key3, 3, receivers3, t3)
-
-
-def _null_space(pairs, channels, rngs):
-    """uni-a: m1 + (m2+m3-m1)/3 per channel use for m1 <= m2+m3.
-
-    Node 1 precodes u12 into null(H13) and u13 into null(H12); nodes 2 and 3
-    send square orthonormal-precoded streams. Each receiver projects onto the
-    complement of what it must ignore: at node 2, u12 is read in the
-    complement of H32 T32 and u32 in the complement of H12 T12 (node 3
-    mirrors this with its own links).
-    """
-    (_, t2, t3), _ = pairs
-    h12, h13, h23, h32 = (channels.matrices[_PAIR_SLOT[p]] for p in ((1, 2), (1, 3), (2, 3), (3, 2)))
-    lead = h12.shape[:-2]
-
-    pre = {
-        "u12": _null_basis(h13),
-        "u13": _null_basis(h12),
-        "u23": _random_orthonormal(rngs, t2, t2, lead),
-        "u32": _random_orthonormal(rngs, t3, t3, lead),
-    }
-    proj = {
-        ("u12", 2): _ortho_conj(h32 @ pre["u32"]),
-        ("u32", 2): _ortho_conj(h12 @ pre["u12"]),
-        ("u13", 3): _ortho_conj(h23 @ pre["u23"]),
-        ("u23", 3): _ortho_conj(h13 @ pre["u13"]),
-    }
-    return pre, proj
-
-
-def _hub(pairs, channels, rngs, key3: str, receivers3: tuple[int, ...]):
-    """uni-b and bcast: weighted DoF m2+m3. Nodes 2 and 3 send u21 and `key3`
-    full rank to node 1, which reads each in the complement of the other's
-    image. Node 2, when in `receivers3` (bcast), inverts its square link from
-    node 3 (identity projector); node 1 stays silent."""
-    (_, t2, t3), _ = pairs
-    h21, h31 = (channels.matrices[_PAIR_SLOT[p]] for p in ((2, 1), (3, 1)))
-    lead = h21.shape[:-2]
-
-    pre = {
-        "u21": _random_orthonormal(rngs, t2, t2, lead),
-        key3: _random_orthonormal(rngs, t3, t3, lead),
-    }
-    proj = {
-        ("u21", 1): _ortho_conj(h31 @ pre[key3]),
-        (key3, 1): _ortho_conj(h21 @ pre["u21"]),
-    }
-    if 2 in receivers3:
-        proj[(key3, 2)] = np.tile(np.eye(t3, dtype=np.complex128), lead + (1, 1))
-    return pre, proj
+    """The scheme's message table with the stream counts of `_rule`: a
+    message sends its transmitter's antennas, less the receive antennas of
+    the node where it is silent."""
+    (tx, rx), (silent, _) = split.integer_pairs(), _rule(tag)
+    return tuple(SchemeMessage(key, t, receivers, tx[t - 1] - (0 if node is None else rx[node - 1]))
+                 for (key, t, receivers), node in zip(_MESSAGE_TABLE[tag], silent))
 
 
 @dataclass(frozen=True)

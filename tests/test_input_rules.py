@@ -39,7 +39,7 @@ from mimo3way import (
     verify_duality,
 )
 from mimo3way.linalg import random_orthonormal
-from mimo3way.rational import frac
+from mimo3way.rational import frac, triple
 
 HUGE = 10**400
 
@@ -233,6 +233,7 @@ _SCHEME = build_scheme(_CONFIG, SchemeTag.UNI_B, _SCHEME_CHANNELS, 0)
 ENDLESS_SITES = {
     "AntennaSplit tx": lambda v: AntennaSplit(v, (0, 0, 0)),
     "AntennaSplit rx": lambda v: AntennaSplit((0, 0, 0), v),
+    "triple": lambda v: triple(v),
     "TransmitSumBand.contains tx": lambda v: TransmitSumBand(0, 7).contains(_CONFIG, v),
     "ChannelSet matrices": lambda v: ChannelSet(_SPLIT, v),
     "ChannelSet matrix": lambda v: ChannelSet(_SPLIT, (v,) * 6),
@@ -293,6 +294,44 @@ def test_an_endless_sequence_is_refused_at_once(site):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert peak <= 2**20, f"{site}: {peak} bytes at the peak"
+
+
+# what each errors.sequence or rational._rationals site reads of an input
+# longer than it takes: its named count + 1, enough to refuse and no more;
+# the LinearProgram and verify_duality counts are those of `_LP` and of the
+# (1, 1) cost and one row the sites above give
+READ_BOUNDS = {
+    "AntennaSplit tx": 4,
+    "AntennaSplit rx": 4,
+    "triple": 4,
+    "TransmitSumBand.contains tx": 4,
+    "receive x": 4,
+    "receive noise": 4,
+    "ChannelSet matrices": 7,
+    "genie_subproblem bits": 7,
+    "LinearProgram c": 257,
+    "LinearProgram a": 257,
+    "LinearProgram a rows": 257,
+    "LinearProgram a row": 3,
+    "LinearProgram b": 2,
+    "LinearProgram variables": 3,
+    "LinearProgram constraints": 2,
+    "verify_duality v": 3,
+    "verify_duality lam": 4,
+    "estimate_dof grid": 4097,
+    "estimate_dof grid of floats": 4097,
+}
+
+
+@pytest.mark.parametrize("site", READ_BOUNDS)
+def test_each_sequence_site_reads_its_count_and_one_more(site):
+    entries = (k for k in range(10_000))  # more than any site takes
+    if site == "TransmitSumBand.contains tx":
+        assert ENDLESS_SITES[site](entries) is False
+    else:
+        with pytest.raises(InvalidInputError):
+            ENDLESS_SITES[site](entries)
+    assert 10_000 - sum(1 for _ in entries) == READ_BOUNDS[site]
 
 
 def test_estimate_dof_refuses_a_rate_table_over_budget_at_once():

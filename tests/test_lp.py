@@ -24,6 +24,7 @@ from mimo3way import (
     solve_inequality_min,
     verify_duality,
 )
+from mimo3way import allocation
 from mimo3way.allocation import _ORBITS, _mirror_bits, _template
 from mimo3way.lp import _phase1, _Unbounded, _Walk
 from mimo3way.rational import _to_integers, frac, frac_str
@@ -600,26 +601,53 @@ def _cone(cfg):
 
 def test_genie_walks_match_solving_each_lp_in_any_order():
     # every orbit x every m1 <= 12 config, visited in two shuffled orders,
-    # each from freshly cleared walks: no result depends on what came before
+    # each from freshly cleared walks, then once more on the warm walks in
+    # sorted config order: no result depends on what came before
+    assert len(_ORBITS) == 36
     configs = [AntennaConfig(*sorted(m, reverse=True)) for m in itertools.combinations_with_replacement(range(13), 3)]
     want = {}
     for cfg in configs:
         for bits in _ORBITS:
             sol = solve_inequality_min(genie_subproblem(cfg, bits))
             want[cfg, bits] = None if sol is None else (_typed([sol.value]), _typed(sol.v), _typed(sol.lam))
+
+    def check(cfg, bits):
+        got = _outcome(_template(bits).solve, _cone(cfg))
+        if got is not None:
+            lam, v = got
+            got = (_typed([-v[0][1]]), v, lam)
+        assert got == want[cfg, bits], (cfg, bits)
+
     for seed in (1, 2):
         _template.cache_clear()
         visits = list(want)
         random.Random(seed).shuffle(visits)
         for cfg, bits in visits:
-            walk = _template(bits)
-            got = None if walk is None else _outcome(walk.solve, _cone(cfg))
-            if got is not None:
-                lam, v = got
-                got = (_typed([-v[0][1]]), v, lam)
-            assert got == want[cfg, bits], (cfg, bits)
+            check(cfg, bits)
         # the memo stays small: 36 roots and the 251 pivots reached from them
         assert sum(_nodes(_template(bits).root) for bits in _ORBITS) == 287
+    for cfg, bits in want:  # built in sorted config order
+        check(cfg, bits)
+
+
+def test_every_orbit_template_builds():
+    # phase 1 reads only config-free rows, and finds each of the 36 orbits'
+    # genie duals feasible
+    _template.cache_clear()
+    assert all(isinstance(_template(bits), _Walk) for bits in _ORBITS)
+    assert _template.cache_info().currsize == len(_ORBITS) == 36
+
+
+def test_a_template_refuses_an_infeasible_phase1(monkeypatch):
+    # no pattern has an infeasible dual, so one would be an internal error,
+    # never an orbit skipped in silence
+    monkeypatch.setattr(allocation, "_phase1", lambda rows, rhs: None)
+    _template.cache_clear()
+    try:
+        with pytest.raises(InternalError, match="is infeasible"):
+            _template(_ORBITS[0])
+    finally:
+        _template.cache_clear()
 
 
 # winning orbit of each config among the 36 mirror-orbit representatives in
@@ -658,34 +686,11 @@ def test_enumeration_keeps_the_first_orbit_reaching_the_largest_value():
         cfg = AntennaConfig(*sorted(m, reverse=True))
         sols = []
         for bits in _ORBITS:
-            walk = _template(bits)
-            if walk is None:
-                continue
             try:
-                lam, v = walk.solve(_cone(cfg))
+                lam, v = _template(bits).solve(_cone(cfg))
             except _Unbounded:
                 continue
             sols.append((v[0], bits, v, lam))
         _, bits, v, lam = max(sols, key=lambda sol: sol[0])  # max keeps the first maximum
         cert = optimal_unicast_enumerated(cfg).certificate
         assert (cert.lp, _typed(cert.v), _typed(cert.lam)) == (genie_subproblem(cfg, bits), _typed(v), _typed(lam)), m
-
-
-def test_phase1_templates_match_solving_each_genie_lp():
-    # phase 2 from a pattern's cached phase-1 tableau returns exactly what a
-    # solve from scratch returns, on every orbit and every m1 <= 10 config
-    assert len(_ORBITS) == 36
-    for m in itertools.combinations_with_replacement(range(11), 3):
-        cfg = AntennaConfig(*sorted(m, reverse=True))
-        for bits in _ORBITS:
-            ref = solve_inequality_min(genie_subproblem(cfg, bits))
-            walk = _template(bits)
-            try:
-                got = None if walk is None else walk.solve(_cone(cfg))
-            except _Unbounded:
-                got = None
-            if ref is None:
-                assert got is None, (cfg, bits)
-            else:
-                lam, v = got
-                assert (-v[0], tuple(v), tuple(lam)) == (ref.value, ref.v, ref.lam), (cfg, bits)

@@ -509,6 +509,21 @@ def test_verify_refuses_an_overflowing_received_signal(key):
         verify_scheme(s, ch, seed=1)
 
 
+@pytest.mark.parametrize(
+    "m, tag", [((2, 1, 1), SchemeTag.UNI_B), ((3, 3, 3), SchemeTag.UNI_A), ((5, 3, 2), SchemeTag.BCAST)]
+)
+def test_build_refuses_a_precoded_link_that_overflows(m, tag):
+    # links of entries 1.7e308 (1 + 1j), finite as ChannelSet requires: the
+    # image of a unit-norm precoder through one overflows, which building
+    # refuses as bad input, with no LinAlgError and (by the suite's warning
+    # filter) no RuntimeWarning
+    cfg = AntennaConfig(*m)
+    split, _ = scheme_split(cfg, tag)
+    ch = ChannelSet(split, tuple(np.full(h.shape, 1.7e308 + 1.7e308j) for h in draw_channels(split, 0).matrices))
+    with pytest.raises(InvalidInputError, match="a precoded link overflows float64"):
+        build_scheme(cfg, tag, ch, seed=0)
+
+
 def test_plan_caches_stay_within_their_bounds():
     split, _ = scheme_split(AntennaConfig(3, 3, 3), SchemeTag.UNI_A)
     for i in range(schemes_mod._plan.cache_info().maxsize + 10):
