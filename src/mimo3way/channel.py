@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError, instance, integer, sequence
-from .linalg import _SQRT2, CHANNEL_STREAM, as_matrix, generator
+from .linalg import CHANNEL_STREAM, _gaussians, as_matrix
 from .rational import _to_integers, frac, frac_str, triple
 
 __all__ = [
@@ -209,17 +209,8 @@ def _draw(split: AntennaSplit, seeds, lead: tuple[int, ...]) -> ChannelSet:
     if sum(tx) + sum(rx) > _DRAW_MAX_ANTENNAS:
         raise InvalidInputError(f"split {split.to_json()} has over {_DRAW_MAX_ANTENNAS} antennas to draw channels for")
     shapes = [(rx[j - 1], tx[i - 1]) for i, j in PAIR_ORDER]
-    ends = [0]
-    for r, c in shapes:
-        ends.append(ends[-1] + 2 * r * c)
-    links = list(zip(ends, ends[1:]))  # the draws of link k, real then imaginary parts
-    z = np.array([generator(seed, CHANNEL_STREAM).standard_normal(ends[-1]) for seed in seeds])
-    z = z.reshape(lead + (ends[-1],))
-    # every link's real parts, then every link's imaginary parts, in one array each
-    re = np.concatenate([z[..., a : (a + b) // 2] for a, b in links], axis=-1)
-    im = np.concatenate([z[..., (a + b) // 2 : b] for a, b in links], axis=-1)
-    h = (re + 1j * im) / _SQRT2
-    mats = [h[..., a // 2 : b // 2].reshape(lead + shape) for (a, b), shape in zip(links, shapes)]
+    draws = _gaussians(seeds, CHANNEL_STREAM, [r * c for r, c in shapes])
+    mats = [h.reshape(lead + shape) for h, shape in zip(draws, shapes)]
     for mat in mats:
         mat.setflags(write=False)
     return ChannelSet._drawn(split, tuple(mats))
@@ -230,7 +221,8 @@ def receive(channels: ChannelSet, x, noise) -> tuple[np.ndarray, ...]:
 
     `x` and `noise` are sequences ordered by node: x_i a finite matrix with
     tx_i rows and z_j one with rx_j rows, tx and rx those of `channels.split`,
-    all with one column count. Full-duplex self-interference is absent by model.
+    all with one column count; a y_j that overflows float64 is refused.
+    Full-duplex self-interference is absent by model.
     """
     tx, rx = instance(channels, ChannelSet).split.integer_pairs()
     x = sequence(x, "x must be a sequence of matrices", len(NODES))
@@ -240,7 +232,11 @@ def receive(channels: ChannelSet, x, noise) -> tuple[np.ndarray, ...]:
     shapes = [v.shape for v in xs + zs]
     if not len(xs) == len(zs) == 3 or shapes != [(n, shapes[0][1]) for n in tx + rx]:
         raise InvalidInputError(f"x and noise need one matrix per node, {tx} and {rx} rows, one column count: {shapes}")
-    return _receive(channels, xs, zs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = _receive(channels, xs, zs)
+    if not np.isfinite(np.concatenate([y.ravel() for y in ys])).all():
+        raise InvalidInputError("a received signal overflows float64")
+    return ys
 
 
 def _receive(channels: ChannelSet, xs, zs, nodes=NODES) -> tuple[np.ndarray, ...]:

@@ -19,6 +19,8 @@ too for singular values), or a numpy without the gufuncs, go to the public ones.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import InvalidInputError, integer
@@ -124,8 +126,9 @@ def _null_basis(a: np.ndarray) -> np.ndarray:
     if rows == 0:
         return np.tile(np.eye(cols, dtype=np.complex128), lead + (1, 1))
     _, s, vh = _svd_full(a)
-    tol = max(rows, cols) * _EPS
-    ranks = {sum(v > tol * sv[0] for v in sv) for sv in s.reshape(-1, s.shape[-1]).tolist()}
+    ranks = set(map(sum, (s > max(rows, cols) * _EPS * s[..., :1]).reshape(-1, s.shape[-1]).tolist()))
+    if 0 in ranks and not np.isfinite(s[..., 0]).all():  # rank 0: a zero matrix, or smax overflowed
+        raise InvalidInputError("a matrix's singular values overflow float64, so its rank is unknown")
     if len(ranks) > 1:
         raise _MixedRank
     (r,) = ranks
@@ -166,6 +169,24 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
     return (re + 1j * im) / _SQRT2
 
 
+def _gaussians(seeds, stream: int, sizes) -> list[np.ndarray]:
+    """CN(0,1) blocks of `sizes` entries per seed, as `complex_gaussian` draws
+    them one after another (real then imaginary parts), from one normal draw
+    of generator(seed, stream): a (seeds, size) array per block."""
+    at, re, im = _gaussian_layout(tuple(sizes))
+    z = np.array([generator(seed, stream).standard_normal(2 * at[-1]) for seed in seeds])
+    c = (z.take(re, axis=1) + 1j * z.take(im, axis=1)) / _SQRT2
+    return [c[:, a:b] for a, b in zip(at, at[1:])]
+
+
+@functools.lru_cache(maxsize=256)  # memoized: one layout per split's links, messages or precoders
+def _gaussian_layout(sizes: tuple[int, ...]):
+    """`_gaussians`' block bounds, and where its blocks' real and imaginary parts sit in its draw."""
+    at = [0, *np.cumsum(sizes).tolist()]
+    re = np.array([k for a, b in zip(at, at[1:]) for k in range(2 * a, a + b)], dtype=np.intp)
+    return at, re, re + np.repeat(np.array(sizes, dtype=np.intp), sizes)
+
+
 def random_gaussian(rows: int, cols: int, seed: int) -> np.ndarray:
     """Deterministic rows x cols CN(0,1) draw for `seed`."""
     return complex_gaussian(generator(seed), rows, cols)
@@ -176,15 +197,12 @@ def random_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.nda
     rows, cols = _draw_dims(rows, cols)
     if cols > rows:
         raise InvalidInputError(f"cannot fit {cols} orthonormal columns in C^{rows}")
-    return _random_orthonormal([rng], rows, cols, ())
+    return _orthonormal(complex_gaussian(rng, rows, cols))
 
 
-def _random_orthonormal(rngs, rows: int, cols: int, lead: tuple[int, ...]) -> np.ndarray:
-    """A `random_orthonormal` draw from each generator in `rngs`, as one
-    lead + (rows, cols) stack: one QR over the stacked Gaussian draws."""
-    if cols == 0:
-        return np.zeros(lead + (rows, 0), dtype=np.complex128)
-    draws = np.array([complex_gaussian(rng, rows, cols) for rng in rngs]).reshape(lead + (rows, cols))
+def _orthonormal(draws: np.ndarray) -> np.ndarray:
+    """`random_orthonormal` of each CN(0,1) draw in a (..., rows, cols)
+    stack, which it may overwrite: one QR over the stack."""
     q, d = _qr(draws)
     # fix the phase so the factorization (hence the draw) is unambiguous
     d = np.where(d == 0, 1.0, d)

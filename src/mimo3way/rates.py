@@ -20,13 +20,13 @@ per (ChannelSet object, ablation seed): passed checks and the stacks of
 Grams, leak covariances and power divisors. A sealed scheme thus draws the
 projectors once per (channels, seed).
 
-`estimate_dof` runs its trials in blocks of `_BLOCK` (10), a private
-constant: each block draws its channels on a leading trial axis, builds and
-verifies the scheme over that stack, and rates the whole block in one
-`(trials, grid)` pass, of which the estimate reads the trials that passed, so
-a block costs one LAPACK call per matrix role instead of one per trial. Each
-trial keeps its own seed and generators, so every draw and every rate is the
-one a trial-by-trial loop gets.
+`estimate_dof` runs its trials in blocks, each as large as its rate Gram
+stacks allow (`_BLOCK_ENTRIES`), of at least `_BLOCK` trials: a block draws
+its channels on a leading trial axis, builds and verifies the scheme over
+that stack, and rates it in one `(trials, grid)` pass, of which the estimate
+reads the trials that passed, so a block costs one LAPACK call per matrix
+role instead of one per trial. Each trial keeps its own seed and generators,
+so every draw and every rate is the one a trial-by-trial loop gets.
 """
 
 from __future__ import annotations
@@ -56,16 +56,16 @@ _LN2 = math.log(2.0)
 # largest run takes about 75 s, and about 3 minutes at (7,6,5) uni-a
 _MAX_TRIALS = 100_000
 
-# Trials per stacked draw/build/verify/rate pass of estimate_dof. Ten keeps
-# most of the batching gain, while the stacks stay bounded whatever the
-# trial count: at (7,6,5) uni-a on a 25-point grid the largest is 0.4 MB.
-_BLOCK = 10
+# Trials per stacked draw/build/verify/rate pass of estimate_dof: at least
+# _BLOCK, else as many as keep its largest rate Gram stack within 512 KiB, as
+# a block costs about 1 ms besides about 0.13 ms a trial.
+_BLOCK, _BLOCK_ENTRIES = 10, 2**15
 
 # Most entries in a complex (pairs, block trials, grid points, n, n) Gram
-# stack of estimate_dof, of the pairs with Gram size n, checked before any
-# draw: 64 MiB at 16 bytes an entry, the pass holds about two stacks, and the
-# repo's own largest, mc-slope's (7,6,5) uni-a on 25 points, has 25,000.
-# It also bounds the (trials, grid points) rate table, 32 MiB of float64.
+# stack of estimate_dof, of the pairs with Gram size n, checked at _BLOCK
+# trials before any draw (a larger block holds at most _BLOCK_ENTRIES): 64 MiB
+# at 16 bytes an entry, and the pass holds about two stacks. It also bounds
+# the (trials, grid points) rate table, 32 MiB of float64.
 _MAX_GRAM_ENTRIES = 2**22
 
 _MAX_GRID = 4096  # most points of estimate_dof's SNR grid; its slope reads the top two, or the top half
@@ -156,7 +156,7 @@ def _stack_mats(snrs, divisor, term, noise, rows=slice(None)) -> np.ndarray:
     scaled = snrs / divisor[rows] * term[rows]
     for k in range(1, term.shape[1]):
         noise = noise + scaled[:, k]
-    return noise + scaled[:, 0]
+    return np.add(noise, scaled[:, 0], out=scaled[:, 0])  # N + S, into S: the stack is never held twice
 
 
 def _rate(scheme: SchemeInstance, terms, snrs, shape: tuple[int, ...] | None = None):
@@ -283,7 +283,7 @@ def estimate_dof(config: AntennaConfig, tag: SchemeTag, snr_grid_db=(30.0, 50.0)
     SNR grid, and differences the top two grid points ("two-point", default)
     or least-squares fits the top half ("lsq-top-half"). The grid should top
     out at 30 dB or more for the slope to be in the DoF regime. Trials run in
-    stacked blocks of _BLOCK, with the results of a trial-by-trial loop.
+    stacked blocks, with the results of a trial-by-trial loop.
     """
     grid = sequence(snr_grid_db, "snr grid must be a sequence of real dB values", _MAX_GRID)
     grid = tuple(real(s, "snr grid point") for s in grid)
@@ -318,10 +318,11 @@ def estimate_dof(config: AntennaConfig, tag: SchemeTag, snr_grid_db=(30.0, 50.0)
     if trials * largest**3 > _MAX_WORK:
         raise InvalidInputError(
             f"{trials} trials x {largest}^3 antennas at the largest node is over the {_MAX_WORK} work budget")
+    size = max(_BLOCK, _BLOCK_ENTRIES // (len(grid) * dims.count(n) * n * n))
     rates = np.zeros((trials, len(grid)))
     valid = np.zeros(trials, dtype=bool)
-    for start in range(0, trials, _BLOCK):
-        block = slice(start, start + _BLOCK)
+    for start in range(0, trials, size):
+        block = slice(start, start + size)
         seeds = [_trial_seed(seed, k) for k in range(trials)[block]]
         try:
             scheme, valid[block], rates[block] = _rate_block(config, tag, split, ext, seeds, snr_linear)

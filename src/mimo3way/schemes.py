@@ -14,16 +14,16 @@ projectors per message/receiver pair); `verify_scheme` replays a zero-noise
 transmission and checks interference leakage, conditioning, and exact
 decodability, reporting failures instead of raising. What it reads of a
 scheme is planned once per split and message list (`_plan`, one per config
-and tag for built schemes): the pairs, each pair's interferers, the expected
-matrix shapes and the symbol draw; and once per projector width and dtype
+and tag for built schemes): the pairs, each pair's interferers and the
+expected matrix shapes; and once per projector width and dtype
 (`_Plan.layout`): the products Q^H H T to form, one batched SVD per matrix
 shape and dtype, and the rows of its singular values that each check reads.
 
 Construction and checks run on a leading trial axis: `rates.estimate_dof`
-passes channels stacked over a block of `rates._BLOCK` trials
-(`channel._draw`), one seed per trial, and gets back precoders and
-projectors stacked the same way, with one QR per precoder, one SVD per null
-space and one batched solve per (message, receiver) pair for the whole
+passes channels stacked over a block of trials (`channel._draw`), one seed
+per trial, and gets back precoders and projectors stacked the same way, with
+one precoder draw per trial, and one QR per random precoder, one SVD per
+null space and one batched solve per (message, receiver) pair for the whole
 block. `build_scheme` and `verify_scheme` are the one-trial case of
 the same kernels, and each trial's draws and bits are those it gets alone.
 """
@@ -43,7 +43,7 @@ import numpy as np
 from .allocation import Regime, canonical_split
 from .channel import _PAIR_SLOT, NODES, PAIR_ORDER, AntennaConfig, AntennaSplit, ChannelSet, _receive
 from .errors import InternalError, InvalidInputError, RegimeError, instance
-from .linalg import _SQRT2, PRECODER_STREAM, SYMBOL_STREAM, _null_basis, _random_orthonormal, _solve, _svdvals, generator
+from .linalg import PRECODER_STREAM, SYMBOL_STREAM, _gaussians, _null_basis, _orthonormal, _solve, _svdvals
 from .rational import frac_str
 
 __all__ = [
@@ -191,13 +191,13 @@ def _build(config: AntennaConfig, tag: SchemeTag, ext: int, channels: ChannelSet
     order; a receiver reads it in the complement of the image of the other
     message meant there, else through an identity projector."""
     split, messages = channels.split, _messages(channels.split, tag)
-    rngs = [generator(seed, PRECODER_STREAM) for seed in seeds]
     links, lead = channels.matrices, channels.matrices[0].shape[:-2]
     (silent, reads), rx = _rule(tag), split.integer_pairs()[1]
+    draws = iter(_gaussians(seeds, PRECODER_STREAM, [m.dim**2 for m, node in zip(messages, silent) if node is None]))
     pre, proj = {}, {}
     for m, node in zip(messages, silent):
         if node is None:
-            pre[m.key] = _random_orthonormal(rngs, m.dim, m.dim, lead)
+            pre[m.key] = _orthonormal(next(draws).reshape(lead + (m.dim, m.dim)))
         else:
             pre[m.key] = _null_basis(links[_PAIR_SLOT[m.tx, node]])
     for key, r, other, other_tx in reads:
@@ -319,15 +319,13 @@ class _Plan:
     `shapes` of (is projector, key, rows, columns or None for any, name) in
     checking order, where message k's precoder (pre_at[k]) and pair p's
     projector (proj_at[p]) sit in it, the pairs (message index, message,
-    receiver, link slot) in report order, the interferers of each (message
-    key, receiver) as (message index, link slot), which `_effective` reads
-    too, and where each message's symbols sit in one normal draw per trial:
-    its real then its imaginary parts, message by message, as
-    `complex_gaussian` draws them."""
+    receiver, link slot) in report order, and the interferers of each
+    (message key, receiver) as (message index, link slot), which `_effective`
+    reads too."""
 
     def __init__(self, split: AntennaSplit, messages: tuple[SchemeMessage, ...]):
         self.split, self.messages = split, messages
-        self.shapes, self.pairs, self.pre_at, self.proj_at, self.spans, re, im = [], [], [], [], [], [], []
+        self.shapes, self.pairs, self.pre_at, self.proj_at = [], [], [], []
         for k, m in enumerate(messages):
             self.pre_at.append(len(self.shapes))
             self.shapes.append((False, m.key, split.tx_of(m.tx).numerator, m.dim, "precoder"))
@@ -337,11 +335,6 @@ class _Plan:
                 if m.tx == r:
                     raise InvalidInputError(f"message {m.key!r} is received at its own transmitter, node {r}")
                 self.pairs.append((k, m, r, _PAIR_SLOT[m.tx, r]))
-            at = len(re)
-            self.spans.append((at, at + m.dim))
-            re += range(2 * at, 2 * at + m.dim)
-            im += range(2 * at + m.dim, 2 * at + 2 * m.dim)
-        self.n_draw, self.re, self.im = 2 * len(re), np.array(re, dtype=np.intp), np.array(im, dtype=np.intp)
         self.leaks = {
             (m.key, r): [(o, _PAIR_SLOT[other.tx, r]) for o, other in enumerate(messages)
                          if other.key != m.key and other.tx != r and other.dim > 0]
@@ -457,8 +450,7 @@ def _passed(scheme: SchemeInstance, channels: ChannelSet, seeds) -> np.ndarray:
     """Whether `verify_scheme` passes each trial of a scheme and channels
     stacked on one trial axis, `seeds[k]` the symbol seed of trial k; raises
     as `verify_scheme` does on malformed matrices."""
-    plan, mats = _check_scheme_matrices(scheme, (len(seeds),))
-    pairs = _verify(scheme, channels, seeds, plan, mats)
+    pairs = _verify(scheme, channels, seeds, *_check_scheme_matrices(scheme, (len(seeds),)))
     return np.array([not any(trials[k][3] for *_, trials in pairs) for k in range(len(seeds))], dtype=bool)
 
 
@@ -481,10 +473,8 @@ def _verify(scheme, channels, seeds, plan, mats):
     kinds = tuple(x for mat in mats for x in (mat.shape[-1], mat.dtype.num))
     products, groups, leak_rows, anchor_rows = plan.layout(kinds)
     n, lead = len(seeds), channels.matrices[0].shape[:-2]
-    z = np.array([generator(seed, SYMBOL_STREAM).standard_normal(plan.n_draw) for seed in seeds])
+    symbols = _gaussians(seeds, SYMBOL_STREAM, [m.dim for m in plan.messages])  # message k: (trials, streams)
     with np.errstate(over="ignore", invalid="ignore"):
-        c = (z.take(plan.re, axis=1) + 1j * z.take(plan.im, axis=1)) / _SQRT2
-        symbols = [c[:, a:b, None] for a, b in plan.spans]  # message k: (trials, streams, 1)
         tx, rx = scheme.split.integer_pairs()
         x = [np.zeros(lead + (t, 1), dtype=np.complex128) for t in tx]
         for (k, m), at in zip(enumerate(plan.messages), plan.pre_at):
@@ -543,20 +533,15 @@ def _verify(scheme, channels, seeds, plan, mats):
                 trials.append([worst, cond, math.nan, fails])
 
             if decode:
-                g, qy, sent = found[anchors[5]], qh @ y[r], symbols[k]
+                g, qy, u = found[anchors[5]], qh @ y[r], symbols[k]
                 if len(decode) < n:  # a stack: keep the trials that passed
-                    g, qy, sent = g[decode], qy[decode], sent[decode]
-                decoded = _solve(g, qy).reshape(sent.shape)
-                for j, d, u in zip(decode, decoded, sent):
-                    rt = trials[j][2] = float(_norm(d - u) / _norm(u))
+                    g, qy, u = g[decode], qy[decode], u[decode]
+                # np.linalg.norm(d - u) / np.linalg.norm(u) per trial, bit for bit: its dot products, one vecdot each
+                d = _solve(g, qy).reshape(u.shape) - u
+                d, u = (np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)) for v in (d, u))
+                for j, rt in zip(decode, (d / u).tolist()):
+                    trials[j][2] = rt
                     if not rt <= _ROUNDTRIP_TOL:
                         trials[j][3].append("roundtrip")
             results.append((m, r, trials))
     return results
-
-
-def _norm(v: np.ndarray) -> np.float64:
-    """`np.linalg.norm(v)` of a complex array, bit for bit: the same dot
-    products of its real and imaginary parts, without the argument handling."""
-    v = v.ravel()
-    return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))

@@ -186,6 +186,19 @@ def test_receive_single_transmitter():
     np.testing.assert_allclose(ys[2], ch.h(1, 3) @ x1)
 
 
+def test_receive_refuses_a_signal_that_overflows():
+    # finite links of entries 1.7e308 and unit signals: each y_j overflows,
+    # which is refused as bad input with (by the suite's warning filter) no
+    # RuntimeWarning
+    split, _ = scheme_split(AntennaConfig(3, 3, 3), SchemeTag.UNI_A)
+    ch = ChannelSet(split, tuple(np.full(h.shape, 1.7e308) for h in draw_channels(split, 0).matrices))
+    xs = [np.ones((int(split.tx_of(n)), 1)) for n in (1, 2, 3)]
+    zs = [np.zeros((int(split.rx_of(n)), 1)) for n in (1, 2, 3)]
+    with pytest.raises(InvalidInputError, match="a received signal overflows float64"):
+        receive(ch, xs, zs)
+    assert all(np.isfinite(y).all() for y in receive(ch, [x * 1e-300 for x in xs], zs))
+
+
 def test_receive_matches_triple_loop_oracle():
     split = AntennaSplit((3, 2, 1), (2, 2, 2))
     ch = draw_channels(split, seed=9)

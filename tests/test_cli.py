@@ -286,7 +286,9 @@ def test_slope_over_the_work_budget_exits_2_before_drawing(capsys, monkeypatch):
 
 
 def test_slope_table_counts_the_invalid_draws(capsys, monkeypatch):
-    # the first trial of each block of 10 fails its checks
+    # the first trial of each block fails its checks; with no Gram entry
+    # budget the block rule leaves its floor, so 12 trials run as 10 and 2
+    monkeypatch.setattr(rates_mod, "_BLOCK_ENTRIES", 0)
     passed = rates_mod._passed
     monkeypatch.setattr(rates_mod, "_passed", lambda *a: passed(*a) & (np.arange(len(a[2])) != 0))
     code, out, err = _run(capsys, "slope", "--m", "2,1,1", "--scheme", "uni-b", "--trials", "12", "--seed", "1")

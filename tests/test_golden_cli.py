@@ -13,6 +13,7 @@ import io
 
 import pytest
 
+import mimo3way.rates as rates
 from mimo3way.cli import main
 
 SEED = "7"
@@ -45,8 +46,9 @@ def _cases() -> list[tuple[str, ...]]:
         ("sweep", "--ratio1=-1/2:5:2/7", "--ratio2", "0.5:3:1/5"),
         ("sweep", "--msgs", "broadcast", "--ratio1", "0:4:3/4", "--ratio2", "1/3:2:1/6"),
     ]
-    # trial counts that span several stacked blocks and are no multiple of
-    # the block size: uni-a with extension factor 3, uni-b and bcast
+    # trial counts that are no multiple of rates._BLOCK: uni-a with
+    # extension factor 3, uni-b and bcast; one block each by the block rule,
+    # and three in test_slope_output_in_blocks_of_ten_is_golden
     blocked = [
         ("slope", "--m", m, "--scheme", scheme, "--trials", "21", "--snr", "20,30,40", "--format", "json")
         for m, scheme in (("7,6,5", "uni-a"), ("4,2,1", "uni-b"), ("5,3,2", "bcast"))
@@ -271,6 +273,18 @@ GOLDEN = {
 @pytest.mark.parametrize("argv", CASES, ids=[" ".join(c) for c in CASES])
 def test_cli_output_matches_golden(monkeypatch, argv):
     monkeypatch.delenv("MIMO3WAY_SEED", raising=False)
+    assert _digest(argv) == GOLDEN[" ".join(argv)]
+
+
+_BLOCKED = [c for c in CASES if c[:1] == ("slope",) and "21" in c]
+
+
+@pytest.mark.parametrize("argv", _BLOCKED, ids=[" ".join(c) for c in _BLOCKED])
+def test_slope_output_in_blocks_of_ten_is_golden(monkeypatch, argv):
+    # no Gram entry budget leaves estimate_dof its least block, rates._BLOCK trials
+    monkeypatch.delenv("MIMO3WAY_SEED", raising=False)
+    monkeypatch.setattr(rates, "_BLOCK_ENTRIES", 0)
+    assert len(_BLOCKED) == 3 and rates._BLOCK == 10
     assert _digest(argv) == GOLDEN[" ".join(argv)]
 
 

@@ -18,6 +18,14 @@ def test_null_space_rejects_nonfinite():
         null_space_basis(a)
 
 
+def test_null_space_refuses_a_matrix_whose_singular_values_overflow():
+    # finite entries, rank 1, but smax is about 4.2e308: the rank test would
+    # read rank 0 and return all 3 columns where 2 are right
+    with pytest.raises(InvalidInputError, match="singular values overflow float64"):
+        null_space_basis(np.full((2, 3), 1.7e308))
+    assert null_space_basis(np.full((2, 3), 1e307)).shape == (3, 2)
+
+
 def test_null_space_of_zero_map():
     n = null_space_basis(np.zeros((2, 3)))
     assert n.shape == (3, 3)
@@ -198,9 +206,9 @@ def test_shim_qr_matches_numpy_bit_for_bit(lead):
 
 def test_random_orthonormal_stack_matches_public_qr():
     # the phase-fixed Q of each draw, as numpy.linalg.qr and its R give it
-    rngs = [generator(5, k) for k in range(20)]
-    got = linalg._random_orthonormal(rngs, 6, 4, (20,))
     draws = np.array([complex_gaussian(generator(5, k), 6, 4) for k in range(20)])
+    got = linalg._orthonormal(draws.copy())
+    assert all(np.array_equal(got[k], random_orthonormal(generator(5, k), 6, 4)) for k in range(20))
     q, r = np.linalg.qr(draws)
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0

@@ -283,7 +283,7 @@ def test_ablation_error_names_the_first_failing_pair(m, tag, seed, snr, message)
     ],
 )
 def test_stacked_rate_errors_name_the_recorded_snr(m, tag, seed, message, named):
-    # 12 trials in two blocks on a (3079, 3082) dB grid: the first failing
+    # 12 trials in one block on a (3079, 3082) dB grid: the first failing
     # (trial, SNR) in C order of the first failing pair names the SNR
     got = _raised(lambda: estimate_dof(AntennaConfig(*m), tag, (3079.0, 3082.0), trials=12, seed=seed))
     assert got == ("InvalidInputError", message.format(named))
@@ -494,15 +494,31 @@ def _assert_blocked_equals_loop(m, tag, trials, seed=5, grid=(20.0, 30.0, 45.0))
     return est
 
 
+@pytest.fixture(params=[False, True], ids=["one-block", "blocks-of-ten"])
+def blocks(request, monkeypatch):
+    """estimate_dof's blocks as the block rule sizes them, one block for
+    every trial count and grid of the tests that take this, or, with the
+    Gram entry budget at 0, of rates._BLOCK trials each: (full block size, or
+    None for all trials; the trial count of each `_rate_block` call)."""
+    if request.param:
+        monkeypatch.setattr(rates_mod, "_BLOCK_ENTRIES", 0)
+    sizes, rate_block = [], rates_mod._rate_block
+    monkeypatch.setattr(rates_mod, "_rate_block", lambda *args: sizes.append(len(args[4])) or rate_block(*args))
+    return (rates_mod._BLOCK if request.param else None), sizes
+
+
 _SCHEME_CASES = [((3, 3, 3), SchemeTag.UNI_A), ((3, 3, 1), SchemeTag.UNI_A), ((4, 2, 1), SchemeTag.UNI_B),
                  ((5, 3, 2), SchemeTag.BCAST), ((5, 3, 3), SchemeTag.BCAST), ((7, 6, 5), SchemeTag.UNI_A)]
 
 
 @pytest.mark.parametrize("m, tag", _SCHEME_CASES)
-# trials below, at and above one block, and spanning three blocks
+# trials below, at and above one block of _BLOCK, and spanning three
 @pytest.mark.parametrize("trials", [rates_mod._BLOCK - 3, rates_mod._BLOCK, rates_mod._BLOCK + 3, 2 * rates_mod._BLOCK + 3])
-def test_blocked_estimate_equals_trial_loop(m, tag, trials):
+def test_blocked_estimate_equals_trial_loop(m, tag, trials, blocks):
+    size, sizes = blocks
     _assert_blocked_equals_loop(m, tag, trials)
+    size = size or trials
+    assert sizes == [min(size, trials - start) for start in range(0, trials, size)]
 
 
 def _rigged(monkeypatch, bad_seed, pair, edit):
@@ -540,11 +556,16 @@ def _zero_first_column(h):
         ((3, 3, 3), SchemeTag.UNI_A, (3, 2), _zero_first_column),
     ],
 )
-def test_blocked_estimate_counts_a_rigged_invalid_trial_as_the_loop(monkeypatch, m, tag, pair, edit):
-    seed, bad = 5, 3
+def test_blocked_estimate_counts_a_rigged_invalid_trial_as_the_loop(monkeypatch, m, tag, pair, edit, blocks):
+    seed, bad, trials = 5, 3, rates_mod._BLOCK + 2
+    size, sizes = blocks
     _rigged(monkeypatch, rates_mod._trial_seed(seed, bad), pair, edit)
-    est = _assert_blocked_equals_loop(m, tag, rates_mod._BLOCK + 2, seed=seed)
+    est = _assert_blocked_equals_loop(m, tag, trials, seed=seed)
     assert est.invalid_trials == 1
+    # a ragged block runs again one trial at a time
+    size = size or trials
+    ragged = [size] + [1] * size if tag is SchemeTag.UNI_A else [size]
+    assert sizes == ragged + [trials - size] * (size < trials)
 
 
 def test_blocked_estimate_raises_on_a_precoder_of_non_generic_rank(monkeypatch):
@@ -820,7 +841,8 @@ def test_stacked_rates_equal_per_pair_rates_bit_for_bit(m, tag, seed):
 
 @pytest.mark.parametrize("m, tag", _MC_CASES)
 def test_estimate_on_stacks_equals_estimate_on_per_pair_rates(monkeypatch, m, tag):
-    # the mc-slope benchmark's estimate: 20 trials in two blocks, its 25-point grid, the top-half fit
+    # the mc-slope benchmark's estimate: 20 trials in one block (13 and 7 at
+    # (7,6,5) uni-a), its 25-point grid, the top-half fit
     grid = tuple(2.5 * i for i in range(25))
     for seed in range(6):
         stacked = estimate_dof(AntennaConfig(*m), tag, grid, trials=20, seed=seed, fit="lsq-top-half")
@@ -844,6 +866,32 @@ def test_a_rate_call_makes_one_slogdet_per_stream_count(monkeypatch, m, tag, str
         shapes.clear()
         call()
         assert len(shapes) == stream_counts
-    shapes.clear()
-    estimate_dof(AntennaConfig(*m), tag, (20.0, 40.0), trials=2 * rates_mod._BLOCK + 1, seed=3)
-    assert len(shapes) == 3 * stream_counts  # three blocks
+    # one per block: 21 trials on 2 points make one block by the rule, three at its floor of _BLOCK
+    dims = [msg.dim for msg in s.messages for _ in msg.receivers]
+    trials = 2 * rates_mod._BLOCK + 1
+    for budget, blocks in ((rates_mod._BLOCK_ENTRIES, 1), (0, 3)):
+        monkeypatch.setattr(rates_mod, "_BLOCK_ENTRIES", budget)
+        size = max(rates_mod._BLOCK, budget // max(2 * dims.count(d) * d * d for d in dims))
+        assert -(-trials // size) == blocks
+        shapes.clear()
+        estimate_dof(AntennaConfig(*m), tag, (20.0, 40.0), trials=trials, seed=3)
+        assert len(shapes) == blocks * stream_counts
+
+
+# per mc-slope config, the entries per trial and SNR point of its largest
+# Gram stack (four 1x1 pairs; a 2x2 beside a 1x1; two 2x2; a 10x10 beside
+# 7x7 and 4x4 ones) and the block size 2**15 entries give on its 25 points
+@pytest.mark.parametrize("m, tag, entries, size",
+                         [(*case, e, n) for case, e, n in zip(_MC_CASES, (4, 4, 8, 100), (327, 327, 163, 13))])
+def test_block_size_on_the_mc_slope_grid(monkeypatch, m, tag, entries, size):
+    assert size == 2**15 // (25 * entries) and rates_mod._BLOCK_ENTRIES == 2**15
+    _, s = _built(m, tag)
+    sizes = []
+
+    def rate_block(config, tag, split, ext, seeds, snrs):  # every trial valid, at rate 0
+        sizes.append(len(seeds))
+        return s, np.ones(len(seeds), dtype=bool), np.zeros((len(seeds), len(snrs)))
+
+    monkeypatch.setattr(rates_mod, "_rate_block", rate_block)
+    estimate_dof(AntennaConfig(*m), tag, tuple(2.5 * i for i in range(25)), trials=1000, fit="lsq-top-half")
+    assert sizes == [size] * (1000 // size) + [1000 % size]

@@ -26,7 +26,7 @@ from mimo3way import (
 )
 from mimo3way import channel as channel_mod
 from mimo3way import schemes as schemes_mod
-from mimo3way.linalg import SYMBOL_STREAM, complex_gaussian, generator, random_orthonormal
+from mimo3way.linalg import PRECODER_STREAM, SYMBOL_STREAM, complex_gaussian, generator, random_orthonormal
 
 
 def _built(m, tag, seed=0):
@@ -516,12 +516,56 @@ def test_build_refuses_a_precoded_link_that_overflows(m, tag):
     # links of entries 1.7e308 (1 + 1j), finite as ChannelSet requires: the
     # image of a unit-norm precoder through one overflows, which building
     # refuses as bad input, with no LinAlgError and (by the suite's warning
-    # filter) no RuntimeWarning
+    # filter) no RuntimeWarning. uni-a's null-space precoders stop first: the
+    # largest singular value of such a link overflows, so its rank is unknown
     cfg = AntennaConfig(*m)
     split, _ = scheme_split(cfg, tag)
     ch = ChannelSet(split, tuple(np.full(h.shape, 1.7e308 + 1.7e308j) for h in draw_channels(split, 0).matrices))
-    with pytest.raises(InvalidInputError, match="a precoded link overflows float64"):
+    match = "singular values overflow float64" if tag is SchemeTag.UNI_A else "a precoded link overflows float64"
+    with pytest.raises(InvalidInputError, match=match):
         build_scheme(cfg, tag, ch, seed=0)
+
+
+@pytest.mark.parametrize("m, tag", [((3, 3, 3), SchemeTag.UNI_A), ((4, 2, 1), SchemeTag.UNI_B),
+                                    ((5, 3, 2), SchemeTag.BCAST), ((7, 6, 5), SchemeTag.UNI_A)])
+def test_one_precoder_draw_per_trial_equals_draws_message_by_message(m, tag):
+    # each square precoder is random_orthonormal(generator(seed,
+    # PRECODER_STREAM), d, d) drawn in message order, in a stack and alone
+    cfg = AntennaConfig(*m)
+    split, ext = scheme_split(cfg, tag)
+    seeds = [21, 22, 23]
+    stacked = schemes_mod._build(cfg, tag, ext, channel_mod._draw(split, seeds, (len(seeds),)), seeds)
+    drawn = [msg for msg, node in zip(stacked.messages, schemes_mod._rule(tag)[0]) if node is None]
+    assert drawn
+    for k, seed in enumerate(seeds):
+        alone = build_scheme(cfg, tag, draw_channels(split, seed), seed)
+        rng = generator(seed, PRECODER_STREAM)
+        for msg in drawn:
+            want = random_orthonormal(rng, msg.dim, msg.dim).tobytes()
+            assert stacked.precoders[msg.key][k].tobytes() == alone.precoders[msg.key].tobytes() == want
+
+
+def test_stacked_roundtrip_errors_equal_per_trial_norms_bit_for_bit(monkeypatch):
+    # (7,6,5) uni-a, 12 trials: each pair's errors, from one vecdot per part
+    # over the stack, are the np.linalg.norm ratios of its trials one by one,
+    # each trial's symbols drawn message by message as complex_gaussian does
+    cfg = AntennaConfig(7, 6, 5)
+    split, ext = scheme_split(cfg, SchemeTag.UNI_A)
+    seeds = list(range(40, 52))
+    ch = channel_mod._draw(split, seeds, (len(seeds),))
+    s = schemes_mod._build(cfg, SchemeTag.UNI_A, ext, ch, seeds)
+    decoded, solve = [], schemes_mod._solve
+    monkeypatch.setattr(schemes_mod, "_solve", lambda g, qy: decoded.append(solve(g, qy)) or decoded[-1])
+    pairs = schemes_mod._verify(s, ch, seeds, *schemes_mod._check_scheme_matrices(s, (len(seeds),)))
+    sent = []
+    for seed in seeds:
+        rng = generator(seed, SYMBOL_STREAM)
+        sent.append({m.key: complex_gaussian(rng, m.dim, 1) for m in s.messages})
+    assert len(pairs) == len(decoded) == 4
+    for (m, _, trials), d in zip(pairs, decoded):
+        assert d.shape == (len(seeds), m.dim, 1) and not any(fails for *_, fails in trials)
+        want = [np.linalg.norm(d[k] - u[m.key]) / np.linalg.norm(u[m.key]) for k, u in enumerate(sent)]
+        assert [rt for _, _, rt, _ in trials] == [float(w) for w in want]
 
 
 def test_plan_caches_stay_within_their_bounds():
