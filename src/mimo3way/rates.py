@@ -8,17 +8,16 @@ once per receiver (decoding must succeed at both, so its rate is the minimum
 over receivers); rates are divided by the symbol-extension factor to land in
 bits per channel use. A rate call stacks the (message, receiver) pairs by
 Gram size n, one batched slogdet a stack over the whole SNR grid, which
-gives each matrix the bits it gets alone. A stack is checked as a whole,
-for finite entries and then a positive sign and finite log-det, and pair by
-pair only to name the error.
+gives each matrix the bits it gets alone (at one SNR, a 1x1 stack gets them
+from Python complex numbers and libm). A stack is checked as a whole, and
+pair by pair only to name the error.
 
-`ablated_sum_rate` draws its random projectors from generator(seed,
-ABLATION_STREAM), in sorted key order: the draw ignores the SNR, channels and
-scheme matrices. `build_scheme`'s schemes are read-only like a ChannelSet, so
-`sum_rate` and `ablated_sum_rate` keep on one what they compute before the SNR
-per (ChannelSet object, ablation seed): passed checks and the stacks of
-Grams, leak covariances and power divisors. A sealed scheme thus draws the
-projectors once per (channels, seed).
+`build_scheme`'s schemes are read-only like a ChannelSet, so `sum_rate` and
+`ablated_sum_rate` keep on one what they compute before the SNR, for the
+channels (by identity) last rated and up to five keys (None, or an ablation
+seed): passed checks and the stacks of Grams, leak covariances and power
+divisors. A sealed scheme thus draws the random projectors once per
+(channels, seed), which ignore the SNR, channels and scheme matrices.
 
 `estimate_dof` runs its trials in blocks, each as large as its rate Gram
 stacks allow (`_BLOCK_ENTRIES`), of at least `_BLOCK` trials: a block draws
@@ -76,15 +75,13 @@ _MAX_WORK = 2**33
 
 
 def _log2det(grams: np.ndarray, snrs) -> np.ndarray:
-    """log2 det of each positive-definite I + ... in a (..., grid, n, n)
-    stack, in bits, called under np.errstate(over="ignore", invalid="ignore").
-    grams[..., k, :, :] was formed at snrs[k]; a non-finite one means that
-    SNR overflowed. Once a finite one's largest entry times eps reaches 1,
-    rounding has lost its identity part and a rank-deficient rest leaves it
-    singular. The first bad matrix in C order names the SNR. `_rate` puts
-    its pairs through it one at a time only once a stack fails."""
-    if not np.isfinite(grams).all():
-        finite = np.isfinite(grams).all(axis=(-2, -1))
+    """log2 det of each positive-definite I + ... in a (..., grid, n, n) stack,
+    under np.errstate(over="ignore", invalid="ignore"); grams[..., k, :, :] is
+    at snrs[k]. The first bad matrix in C order names its SNR: a non-finite one
+    overflowed, and once a finite one's largest entry times eps reaches 1,
+    rounding has lost its identity part and a rank-deficient rest is singular."""
+    finite = np.isfinite(grams).all(axis=(-2, -1))
+    if not finite.all():
         k = np.unravel_index(np.argmin(finite), finite.shape)
         raise InvalidInputError(f"snr_linear {float(snrs[k[-1]])} overflows the rate Gram matrix")
     sign, logdet = _slogdet(grams)
@@ -98,33 +95,18 @@ def _log2det(grams: np.ndarray, snrs) -> np.ndarray:
     return logdet / _LN2
 
 
-def _memo(scheme: SchemeInstance, channels: ChannelSet) -> dict | None:
-    """What a sealed scheme keeps for `channels` (by identity) once they pass
-    `verify_scheme`'s input checks: `_terms` under None for `sum_rate`, and
-    per seed for `ablated_sum_rate`; {} at first, None if unsealed."""
-    memo = instance(scheme, SchemeInstance).__dict__.get("_memo", False)
-    if memo and memo[0] is channels:
-        return memo[1]
-    _check_channels(scheme.split, channels, scheme.extension_factor)
-    _check_scheme_matrices(scheme)
-    return None if memo is False else {}
-
-
 def _terms(scheme: SchemeInstance, channels: ChannelSet, seed: int | None = None):
     """What every (message, receiver) pair with streams rates before the SNR,
     one stack per Gram size n, and where each pair sits, (n, row), in message
     order. A row is G G^H, G the effective matrix, then, ablated at `seed`
-    (projectors drawn from generator(seed, ABLATION_STREAM) in sorted key
-    order), L L^H of each leak L in plan order, each over its sender's
-    `tx_streams`. A stack is (those divisors, shaped (pairs, terms, 1.., 1,
-    1, 1); the terms, (pairs, terms, ..., 1, n, n), the 1 a grid axis, or
-    ablated (pairs, terms, 2, 1, n, n), G G^H zeroed in the second; I; whether
-    ablated); divisor inf and L L^H = 0 pad a row, adding exactly 0."""
-    proj = None
-    if seed is not None:
-        rng = generator(seed, ABLATION_STREAM)
-        keys = sorted((m.key, r) for m in scheme.messages for r in m.receivers)
-        proj = {k: random_orthonormal(rng, *scheme.projectors[k].shape) for k in keys}
+    (random projectors in sorted key order), L L^H of each leak L in plan
+    order, each over its sender's `tx_streams`. A stack is (those divisors,
+    (pairs, terms, 1.., 1, 1, 1); the terms, (pairs, terms, ..., 1, n, n), the
+    1 a grid axis, or ablated (pairs, terms, 2, 1, n, n), G G^H zeroed in the
+    second; I; whether ablated); divisor inf and L L^H = 0 pad a row, adding exactly 0."""
+    rng = None if seed is None else generator(seed, ABLATION_STREAM)
+    keys = sorted((m.key, r) for m in scheme.messages for r in m.receivers)
+    proj = None if rng is None else {k: random_orthonormal(rng, *scheme.projectors[k].shape) for k in keys}
     rows, where = {}, []
     for m in scheme.messages:
         for r in m.receivers if m.dim else ():
@@ -149,39 +131,57 @@ def _terms(scheme: SchemeInstance, channels: ChannelSet, seed: int | None = None
 
 
 def _stack_mats(snrs, divisor, term, noise, rows=slice(None)) -> np.ndarray:
-    """The matrices of the `rows` pairs of a `_terms` stack at `snrs`: N + S,
-    ablated [N + S, N + 0], with S = rho G G^H, N = I + rho L L^H for each
-    leak in turn (I alone without leaks) and rho = snr / divisor. N never
-    holds a -0, so N + 0 is N."""
+    """The `rows` pairs' matrices of a `_terms` stack at `snrs`: N + S, ablated
+    [N + S, N + 0] (N never holds a -0, so N + 0 is N), with S = rho G G^H,
+    N = I + rho L L^H for each leak in turn and rho = snr / divisor."""
     scaled = snrs / divisor[rows] * term[rows]
     for k in range(1, term.shape[1]):
         noise = noise + scaled[:, k]
     return np.add(noise, scaled[:, 0], out=scaled[:, 0])  # N + S, into S: the stack is never held twice
 
 
+def _bits(snrs, divisor, term, noise, ablated: bool, grid: bool):
+    """A `_terms` stack's pair rates at `snrs` (an array on a grid, floats at
+    one SNR), or None if a matrix is not finite or fails `_log2det`'s check.
+    At one SNR a 1x1 stack takes no numpy arithmetic: N + S is a Python complex
+    in `_stack_mats`' order of sums, its log-det libm log of the hypot as in slogdet."""
+    if grid or term.shape[-1] > 1:
+        mat = _stack_mats(snrs, divisor, term, noise)
+        if not np.isfinite(mat).all():
+            return None
+        sign, logdet = _slogdet(mat)
+        if grid:  # a finite matrix's log-det is at most a few thousand, so the sum is finite iff each is
+            return logdet / _LN2 if sign.real.min() > 0 and math.isfinite(logdet.sum()) else None
+        signs, logs = sign.real.ravel().tolist(), logdet.ravel().tolist()
+    else:
+        dets = []
+        for rhos, row in zip(divisor.reshape(len(term), -1).tolist(), term.reshape(*term.shape[:2], -1).tolist()):
+            cov = 1 + 0j  # N
+            for rho, leak in zip(rhos[1:], row[1:]):  # ablated, both copies hold the same leaks
+                cov += snrs / rho * leak[0]
+            dets += [cov + snrs / rhos[0] * signal for signal in row[0]]
+        try:  # abs overflows where numpy's hypot gives inf
+            signs, logs = [x.real / abs(x) for x in dets], [math.log(abs(x)) for x in dets]
+        except OverflowError:
+            return None
+    if not (min(signs) > 0 and all(map(math.isfinite, logs))):
+        return None
+    return [a / _LN2 - b / _LN2 for a, b in zip(logs[::2], logs[1::2])] if ablated else [v / _LN2 for v in logs]
+
+
 def _rate(scheme: SchemeInstance, terms, snrs, shape: tuple[int, ...] | None = None):
     """Sum rate in bits per channel use from `_terms` at the SNRs `snrs`, a
     (grid, 1, 1) array, as an array of `shape`; or, `shape` None, at the one
     float SNR `snrs` as a float. A pair rates log2 det of its `_stack_mats`,
-    or ablated log2 det(N + S) - log2 det N. Only if a stack fails its check
-    are the pairs rebuilt one by one in message order for `_log2det`, so the
-    first failing pair names the error. Each message adds its weight times
-    its least rate over receivers, from 0.0 in message order; the total is
-    divided by the extension factor."""
+    ablated log2 det(N + S) - log2 det N. If a stack's `_bits` fail, each pair
+    is rebuilt alone in message order for `_log2det`: the first failing one
+    names the error. Each message adds its weight times its least rate over
+    receivers, from 0.0 in message order; the total is over the extension factor."""
     stacks, where = terms
     with np.errstate(over="ignore", invalid="ignore"):  # _log2det names an overflow; sums stay checked
-        bits = {}
-        for n, stack in stacks.items():
-            mat = _stack_mats(snrs, *stack[:3])
-            finite = np.isfinite(mat).all()
-            sign, logdet = _slogdet(mat) if finite else (None, None)
-            # a finite matrix's log-det is at most a few thousand, so the sum is finite iff each is
-            if not (finite and sign.real.min() > 0 and math.isfinite(logdet.sum())):
-                for k, i in where:
-                    _log2det(_stack_mats(snrs, *stacks[k][:3], slice(i, i + 1))[0], np.ravel(snrs))
-            bits[n] = logdet / _LN2
-            if shape is None:  # a float per pair, ablated (with, without)
-                bits[n] = [r[0][0] - r[1][0] if stack[3] else r[0] for r in bits[n].tolist()]
+        bits = {n: _bits(snrs, *stack, shape is not None) for n, stack in stacks.items()}
+        for k, i in where if any(b is None for b in bits.values()) else ():
+            _log2det(_stack_mats(snrs, *stacks[k][:3], slice(i, i + 1))[0], np.ravel(snrs))
     rates = iter([bits[n][i] for n, i in where])
     total, least = (0.0, min) if shape is None else (np.zeros(shape), np.minimum)
     for m in scheme.messages:
@@ -201,17 +201,20 @@ def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray
 
 
 def _one_point(scheme: SchemeInstance, channels: ChannelSet, snr_linear, seed, ablated: bool) -> float:
-    """`sum_rate`, or `ablated_sum_rate` at `seed`, on the `_terms` a sealed scheme keeps (`_memo`)."""
+    """`sum_rate`, or `ablated_sum_rate` at `seed`, on the `_terms` a sealed scheme keeps."""
     snr_linear = real(snr_linear, "snr_linear")
-    memo = _memo(scheme, channels)
+    memo = instance(scheme, SchemeInstance).__dict__.get("_memo", False)  # None sealed and unrated, False unsealed
+    kept = memo[1] if memo and memo[0] is channels else {}
+    if not kept:
+        _check_channels(scheme.split, channels, scheme.extension_factor)
+        _check_scheme_matrices(scheme)
     if not (snr_linear > 0):
         raise InvalidInputError(f"snr_linear must be > 0, got {snr_linear}")
     key = integer(seed, "seed") if ablated else None
-    terms = (memo or {}).get(key) or _terms(scheme, channels, key)
+    terms = kept.get(key) or _terms(scheme, channels, key)
     rate = _rate(scheme, terms, snr_linear)
-    if memo is not None:  # the call has its rate: keep its terms, from this key again past five keys
-        memo[key] = terms
-        object.__setattr__(scheme, "_memo", (channels, memo if len(memo) <= 5 else {key: terms}))
+    if memo is not False and key not in kept:  # the call has its rate: keep its terms, from this key again past five
+        object.__setattr__(scheme, "_memo", (channels, {**kept, key: terms} if len(kept) < 5 else {key: terms}))
     return rate
 
 
@@ -232,9 +235,8 @@ def ablated_sum_rate(scheme: SchemeInstance, channels: ChannelSet, snr_linear: f
     well below the zero-forcing rate whenever interference actually matters.
 
     The random projectors, one per projector key in sorted key order, depend
-    only on `seed` and the projector shapes (not on the SNR, the channels or
-    the scheme's own matrices), so a sealed scheme draws them, and keeps the
-    terms they give, once per (channels, seed).
+    only on `seed` and the projector shapes, not on the SNR, channels or
+    scheme matrices: a sealed scheme draws them once per (channels, seed).
     """
     return _one_point(scheme, channels, snr_linear, seed, True)
 
@@ -259,8 +261,7 @@ class SlopeEstimate:
 
 
 def _trial_seed(seed: int, k: int) -> int:
-    ss = np.random.SeedSequence(seed, spawn_key=(TRIAL_STREAM, int(k)))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(np.random.SeedSequence(seed, spawn_key=(TRIAL_STREAM, int(k))).generate_state(1, dtype=np.uint64)[0])
 
 
 def _rate_block(config: AntennaConfig, tag: SchemeTag, split: AntennaSplit, ext: int, seeds, snrs):
@@ -319,8 +320,7 @@ def estimate_dof(config: AntennaConfig, tag: SchemeTag, snr_grid_db=(30.0, 50.0)
         raise InvalidInputError(
             f"{trials} trials x {largest}^3 antennas at the largest node is over the {_MAX_WORK} work budget")
     size = max(_BLOCK, _BLOCK_ENTRIES // (len(grid) * dims.count(n) * n * n))
-    rates = np.zeros((trials, len(grid)))
-    valid = np.zeros(trials, dtype=bool)
+    rates, valid = np.zeros((trials, len(grid))), np.zeros(trials, dtype=bool)
     for start in range(0, trials, size):
         block = slice(start, start + size)
         seeds = [_trial_seed(seed, k) for k in range(trials)[block]]

@@ -175,7 +175,7 @@ def build_scheme(config: AntennaConfig, tag: SchemeTag, channels: ChannelSet, se
         for mat in getattr(scheme, name).values():
             mat.setflags(write=False)
         object.__setattr__(scheme, name, MappingProxyType(getattr(scheme, name)))
-    object.__setattr__(scheme, "_memo", None)  # sealed; `rates._memo` reads it, the rate calls fill it
+    object.__setattr__(scheme, "_memo", None)  # sealed; `rates._one_point` reads it, the rate calls fill it
     return scheme
 
 

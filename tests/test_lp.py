@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import random
 import signal
 from fractions import Fraction
@@ -335,7 +336,19 @@ def test_solve_drops_all_zero_row():
     assert verify_duality(lp, sol.v, sol.lam).is_optimal
 
 
-_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+def _fractions(lo, hi, most):
+    """`st.fractions(lo, hi, max_denominator=most)` as a `sampled_from` over
+    the same finite set, every p/q in [lo, hi] with q <= most, simplest first
+    (as it shrinks): drawing from a list is far cheaper than building a
+    fraction strategy per draw."""
+    values = {Fraction(p, q) for q in range(1, most + 1) for p in range(math.floor(lo * q), math.ceil(hi * q) + 1)}
+    values = [x for x in values if lo <= x <= hi]
+    return st.sampled_from(sorted(values, key=lambda x: (x.denominator, abs(x), x < 0)))
+
+
+_SMALL = _fractions(-4, 4, 6)  # the 97 values p/q with q <= 6 and |p/q| <= 4
+_BOX = _fractions(1, 5, 4)
+_SCALE = _fractions(Fraction(1, 3), 3, 3)
 
 
 @st.composite
@@ -359,10 +372,10 @@ def _rational_programs(draw):
         for j in range(n):
             for sign in (1, -1):
                 a.append([sign * (k == j) for k in range(n)])
-                b.append(draw(st.fractions(min_value=1, max_value=5, max_denominator=4)))
+                b.append(draw(_BOX))
     if draw(st.booleans()):
         k = draw(st.integers(0, len(a) - 1))
-        scale = draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3))
+        scale = draw(_SCALE)
         a.append([scale * x for x in a[k]])
         b.append(scale * b[k])
     c = [draw(_SMALL) for _ in range(n)]

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -862,10 +863,12 @@ def test_a_rate_call_makes_one_slogdet_per_stream_count(monkeypatch, m, tag, str
     shapes = []
     slogdet = rates_mod._slogdet
     monkeypatch.setattr(rates_mod, "_slogdet", lambda a: shapes.append(a.shape) or slogdet(a))
+    # at one SNR a 1x1 stack takes no slogdet: one call per Gram size above 1
     for call in (lambda: sum_rate(s, ch, 1e3), lambda: ablated_sum_rate(s, ch, 1e3, seed=3)):
         shapes.clear()
         call()
-        assert len(shapes) == stream_counts
+        assert len(shapes) == len({msg.dim for msg in s.messages if msg.dim > 1})
+        assert all(shape[-1] > 1 for shape in shapes)
     # one per block: 21 trials on 2 points make one block by the rule, three at its floor of _BLOCK
     dims = [msg.dim for msg in s.messages for _ in msg.receivers]
     trials = 2 * rates_mod._BLOCK + 1
@@ -895,3 +898,48 @@ def test_block_size_on_the_mc_slope_grid(monkeypatch, m, tag, entries, size):
     monkeypatch.setattr(rates_mod, "_rate_block", rate_block)
     estimate_dof(AntennaConfig(*m), tag, tuple(2.5 * i for i in range(25)), trials=1000, fit="lsq-top-half")
     assert sizes == [size] * (1000 // size) + [1000 % size]
+
+
+# -40 to 100 dB in 2.5 dB steps, past both ends of the mc-slope grid
+_SWEEP_SNRS = [10.0 ** (2.5 * i / 10.0) for i in range(-16, 41)]
+
+
+@pytest.mark.parametrize("m, tag", _MC_CASES)
+def test_one_point_rates_equal_per_pair_slogdets_over_an_snr_sweep(m, tag):
+    # a one-SNR call sums a 1x1 stack in Python floats and reads a larger one's
+    # log-dets as floats: both equal one slogdet per pair and SNR, bit for bit,
+    # and the grid kernel too
+    for seed in range(4):
+        ch, s = _built(m, tag, seed=seed)
+        zero_forcing = [sum_rate(s, ch, snr) for snr in _SWEEP_SNRS]
+        assert zero_forcing == [_loop_sum_rate(s, ch, snr) for snr in _SWEEP_SNRS]
+        assert zero_forcing == rates_mod._sum_rates(s, ch, _SWEEP_SNRS).tolist()
+        assert [ablated_sum_rate(s, ch, snr, seed=seed) for snr in _SWEEP_SNRS] == [
+            _per_call_ablated_sum_rate(s, ch, snr, seed) for snr in _SWEEP_SNRS
+        ]
+
+
+@pytest.mark.parametrize(
+    "seed, ablated, snr, want",
+    [
+        (12, False, 1e308, _OVERFLOW.format(1e308)),
+        (1, True, 1e308, _OVERFLOW.format(1e308)),
+        (4, False, 1.7e308, _OVERFLOW.format(1.7e308)),
+        (4, False, 1e308, 4080.316912811533),
+    ],
+)
+def test_a_failing_1x1_stack_names_its_error_through_log2det(monkeypatch, seed, ablated, snr, want):
+    # every (3,3,3) uni-a stack is 1x1: a call makes no numpy slogdet until a
+    # stack fails, and then its pairs go one by one through _log2det. A 1x1
+    # stack is 1 + rho |g|^2 > 0, so it only ever fails by overflowing.
+    ch, s = _built((3, 3, 3), SchemeTag.UNI_A, seed=seed)
+    named = []
+    log2det = rates_mod._log2det
+    monkeypatch.setattr(rates_mod, "_log2det", lambda grams, snrs: named.append(grams.shape) or log2det(grams, snrs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _raised(lambda: ablated_sum_rate(s, ch, snr, seed=seed) if ablated else sum_rate(s, ch, snr))
+        if isinstance(want, str):
+            assert got == ("InvalidInputError", want) and named
+        else:
+            assert got is None and sum_rate(s, ch, snr) == want and not named
