@@ -41,10 +41,7 @@ from .channel import AntennaConfig, AntennaSplit, ChannelSet, _draw
 from .errors import InternalError, InvalidInputError, instance, integer, real, sequence
 from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, _slogdet, generator, random_orthonormal
 from .rational import frac_str
-from .schemes import (
-    SchemeInstance, SchemeTag, _build, _check_channels, _check_scheme_matrices, _effective, _messages, _passed,
-    scheme_split,
-)
+from .schemes import SchemeInstance, SchemeTag, _build, _check_scheme_matrices, _messages, _passed, scheme_split
 
 __all__ = ["SlopeEstimate", "sum_rate", "ablated_sum_rate", "estimate_dof"]
 
@@ -97,36 +94,41 @@ def _log2det(grams: np.ndarray, snrs) -> np.ndarray:
 
 def _terms(scheme: SchemeInstance, channels: ChannelSet, seed: int | None = None):
     """What every (message, receiver) pair with streams rates before the SNR,
-    one stack per Gram size n, and where each pair sits, (n, row), in message
-    order. A row is G G^H, G the effective matrix, then, ablated at `seed`
-    (random projectors in sorted key order), L L^H of each leak L in plan
-    order, each over its sender's `tx_streams`. A stack is (those divisors,
+    one stack per Gram size n, and where each pair sits, (n, row), in the
+    plan's pair order. A row is G G^H, G = Q^H H T, then, ablated at `seed`
+    (random Q in sorted key order), L L^H of each leak L = Q^H H' T' of the
+    plan, each over its sender's `tx_streams`. A stack is (those divisors,
     (pairs, terms, 1.., 1, 1, 1); the terms, (pairs, terms, ..., 1, n, n), the
     1 a grid axis, or ablated (pairs, terms, 2, 1, n, n), G G^H zeroed in the
     second; I; whether ablated); divisor inf and L L^H = 0 pad a row, adding exactly 0."""
     rng = None if seed is None else generator(seed, ABLATION_STREAM)
     keys = sorted((m.key, r) for m in scheme.messages for r in m.receivers)
-    proj = None if rng is None else {k: random_orthonormal(rng, *scheme.projectors[k].shape) for k in keys}
+    proj = scheme.projectors if rng is None else {k: random_orthonormal(rng, *scheme.projectors[k].shape) for k in keys}
+    plan, links, pre = scheme._checks, channels.matrices, scheme.precoders
     rows, where = {}, []
-    for m in scheme.messages:
-        for r in m.receivers if m.dim else ():
-            g, leaks = _effective(scheme, channels, m, r, None if proj is None else proj[m.key, r])
-            row = [(scheme.tx_streams(m.tx), g @ g.conj().mT)]
-            if proj is not None:
-                row += [(scheme.tx_streams(o.tx), leak @ leak.conj().mT) for o, leak in leaks]
-            n = row[0][1].shape[-1]
-            where.append((n, len(rows.setdefault(n, []))))
-            rows[n].append(row)
+    for _, m, r, link in plan.pairs:
+        if not m.dim:
+            continue
+        qh = proj[m.key, r].conj().mT
+        g = qh @ links[link] @ pre[m.key]
+        row = [(scheme.tx_streams(m.tx), g @ g.conj().mT)]
+        for o, lk in plan.leaks[m.key, r] if seed is not None else ():
+            other = plan.messages[o]
+            leak = qh @ links[lk] @ pre[other.key]
+            row.append((scheme.tx_streams(other.tx), leak @ leak.conj().mT))
+        n = g.shape[-2]
+        where.append((n, len(rows.setdefault(n, []))))
+        rows[n].append(row)
     stacks = {}
     for n, per_n in rows.items():
         width, pad = max(map(len, per_n)), (math.inf, np.zeros_like(per_n[0][0][1]))
         divisors, mats = zip(*(term for row in per_n for term in row + [pad] * (width - len(row))))
         term = np.stack(mats).reshape((len(per_n), width) + mats[0].shape[:-2] + (1, n, n))
-        if proj is not None:  # with and without the signal, on an axis after the terms
+        if seed is not None:  # with and without the signal, on an axis after the terms
             term = np.stack((term, term), axis=2)
             term[:, 0, 1] = 0
         divisors = np.reshape(divisors, term.shape[:2] + (1,) * (term.ndim - 2))
-        stacks[n] = divisors, term, np.eye(n, dtype=complex), proj is not None
+        stacks[n] = divisors, term, np.eye(n, dtype=complex), seed is not None
     return stacks, where
 
 
@@ -145,7 +147,7 @@ def _bits(snrs, divisor, term, noise, ablated: bool, grid: bool):
     one SNR), or None if a matrix is not finite or fails `_log2det`'s check.
     At one SNR a 1x1 stack takes no numpy arithmetic: N + S is a Python complex
     in `_stack_mats`' order of sums, its log-det libm log of the hypot as in slogdet."""
-    if grid or term.shape[-1] > 1:
+    if grid or term.shape[-1] != 1:
         mat = _stack_mats(snrs, divisor, term, noise)
         if not np.isfinite(mat).all():
             return None
@@ -206,8 +208,7 @@ def _one_point(scheme: SchemeInstance, channels: ChannelSet, snr_linear, seed, a
     memo = instance(scheme, SchemeInstance).__dict__.get("_memo", False)  # None sealed and unrated, False unsealed
     kept = memo[1] if memo and memo[0] is channels else {}
     if not kept:
-        _check_channels(scheme.split, channels, scheme.extension_factor)
-        _check_scheme_matrices(scheme)
+        _check_scheme_matrices(scheme, channels)
     if not (snr_linear > 0):
         raise InvalidInputError(f"snr_linear must be > 0, got {snr_linear}")
     key = integer(seed, "seed") if ablated else None

@@ -276,22 +276,6 @@ class VerificationReport:
                 "checks": [c.to_json() for c in self.checks], "failures": list(self.failures)}
 
 
-def _effective(scheme, channels, m, r, q=None):
-    """Effective matrix Q^H H T of message `m` at receiver `r`, Q its projector
-    unless `q` replaces it, and a lazy iterator of (other, Q^H H' T') over the
-    plan's interferers; trusted inputs, 2-D or on the same leading trial axes."""
-    if q is None:
-        q = scheme.projectors[(m.key, r)]
-    qh = q.conj().mT
-
-    def leaks():
-        for o, link in scheme._checks.leaks[m.key, r]:
-            other = scheme.messages[o]
-            yield other, qh @ channels.matrices[link] @ scheme.precoders[other.key]
-
-    return qh @ channels.matrices[_PAIR_SLOT[m.tx, r]] @ scheme.precoders[m.key], leaks()
-
-
 # the dtypes numpy.linalg takes: integers (as float64), single and double
 # precision; it refuses float16 and long double
 _LINALG_TYPES = np.typecodes["AllInteger"] + "fdFD"
@@ -320,8 +304,8 @@ class _Plan:
     checking order, where message k's precoder (pre_at[k]) and pair p's
     projector (proj_at[p]) sit in it, the pairs (message index, message,
     receiver, link slot) in report order, and the interferers of each
-    (message key, receiver) as (message index, link slot), which `_effective`
-    reads too."""
+    (message key, receiver) as (message index, link slot), which
+    `rates._terms` reads too."""
 
     def __init__(self, split: AntennaSplit, messages: tuple[SchemeMessage, ...]):
         self.split, self.messages = split, messages
@@ -392,14 +376,15 @@ def _plan(split: AntennaSplit, messages: tuple[SchemeMessage, ...]) -> _Plan:
     return _Plan(split, messages)
 
 
-def _check_scheme_matrices(scheme: SchemeInstance, lead: tuple[int, ...] = ()):
-    """Refuse, before any arithmetic, a precoder or projector that is missing,
-    misshapen or not finite; returns the scheme's plan and the checked
-    matrices in the order of its `shapes`. A precoder must be (transmit
-    antennas) x (streams) and a projector needs one row per receive antenna,
-    each behind the trial axes `lead`; finiteness is one check over all of
-    them. A null space of non-generic rank fails here, as a precoder with
-    extra columns."""
+def _check_scheme_matrices(scheme: SchemeInstance, channels: ChannelSet, lead: tuple[int, ...] = ()):
+    """The one gate of a (scheme, channels) pair: refuse, before any
+    arithmetic, a scheme that is no SchemeInstance, channels not drawn at its
+    split, and a missing, misshapen or non-finite precoder or projector;
+    returns the plan and the checked matrices in the order of its `shapes`.
+    A precoder must be (transmit antennas) x (streams) and a projector needs
+    one row per receive antenna, each behind the trial axes `lead`; a null
+    space of non-generic rank fails here, as a precoder with extra columns."""
+    _check_channels(instance(scheme, SchemeInstance).split, channels, scheme.extension_factor)
     plan = scheme._checks
     mats = [
         _scheme_matrix(scheme.projectors if proj else scheme.precoders, key, rows, cols, what, lead)
@@ -429,8 +414,7 @@ def verify_scheme(scheme: SchemeInstance, channels: ChannelSet, *, seed: int = 0
 
     The checks are those of `_verify` for one trial.
     """
-    _check_channels(instance(scheme, SchemeInstance).split, channels, scheme.extension_factor)
-    plan, mats = _check_scheme_matrices(scheme)
+    plan, mats = _check_scheme_matrices(scheme, channels)
     checks = []
     passed_streams = 0
     for m, r, ((worst, cond, rt, fails),) in _verify(scheme, channels, [seed], plan, mats):
@@ -450,7 +434,7 @@ def _passed(scheme: SchemeInstance, channels: ChannelSet, seeds) -> np.ndarray:
     """Whether `verify_scheme` passes each trial of a scheme and channels
     stacked on one trial axis, `seeds[k]` the symbol seed of trial k; raises
     as `verify_scheme` does on malformed matrices."""
-    pairs = _verify(scheme, channels, seeds, *_check_scheme_matrices(scheme, (len(seeds),)))
+    pairs = _verify(scheme, channels, seeds, *_check_scheme_matrices(scheme, channels, (len(seeds),)))
     return np.array([not any(trials[k][3] for *_, trials in pairs) for k in range(len(seeds))], dtype=bool)
 
 
@@ -483,7 +467,7 @@ def _verify(scheme, channels, seeds, plan, mats):
         zs = [np.zeros(lead + (rx[r - 1], 1), dtype=np.complex128) for r in plan.receivers]
         y = dict(zip(plan.receivers, _receive(channels, x, zs, plan.receivers)))
 
-        # the Q^H H T of `_effective`, each Q^H H once
+        # the products Q^H H T, each Q^H H once
         found, qhs = [*channels.matrices, *mats], []
         for q, steps in products:
             qhs.append(found[q].conj().mT)

@@ -39,6 +39,7 @@ from mimo3way import (
     sum_rate,
     symmetric_bound,
     verify_duality,
+    verify_scheme,
 )
 from mimo3way.linalg import random_orthonormal
 
@@ -231,22 +232,32 @@ def _outcome(call):
         return type(exc).__name__, str(exc)
 
 
+# channels drawn at another split than the (4,2,1) uni-b scheme's
+_OTHER_SPLIT_CHANNELS = draw_channels(scheme_split(_CFG, SchemeTag.BCAST)[0], 0)
+
+
 @pytest.mark.parametrize("tables", _MALFORMED_TABLES)
 def test_malformed_tables_are_refused_alike_after_rating(tables):
-    # a replaced copy of a sealed scheme shares none of its rate memo
+    # verify_scheme and both rate calls pass one gate, so each refuses a
+    # malformed table, or channels at another split, with the same text; a
+    # replaced copy of a sealed scheme shares none of its rate memo
     scheme = build_scheme(_CFG, SchemeTag.UNI_B, _UNI_B_CHANNELS, 0)
 
-    def outcomes():
+    def outcomes(channels):
         copy = dataclasses.replace(scheme, **tables)
         return [
-            _outcome(lambda: sum_rate(copy, _UNI_B_CHANNELS, 10.0)),
-            _outcome(lambda: ablated_sum_rate(copy, _UNI_B_CHANNELS, 10.0, seed=1)),
+            _outcome(lambda: verify_scheme(copy, channels, seed=1)),
+            _outcome(lambda: sum_rate(copy, channels, 10.0)),
+            _outcome(lambda: ablated_sum_rate(copy, channels, 10.0, seed=1)),
         ]
 
-    unrated = outcomes()
+    unrated = {ch: outcomes(ch) for ch in (_UNI_B_CHANNELS, _OTHER_SPLIT_CHANNELS)}
+    for got in unrated.values():  # past the gate, the ablated call may refuse a projector too wide to redraw
+        assert got[0][0] == "returned" or got == [got[0]] * 3
+    assert unrated[_OTHER_SPLIT_CHANNELS][0][1].startswith("channels drawn for split")
     sum_rate(scheme, _UNI_B_CHANNELS, 10.0)
     ablated_sum_rate(scheme, _UNI_B_CHANNELS, 10.0, seed=1)
-    assert outcomes() == unrated
+    assert {ch: outcomes(ch) for ch in unrated} == unrated
 
 
 @_SETTINGS

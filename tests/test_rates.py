@@ -144,6 +144,17 @@ def test_grid_rates_equal_one_point_rates_exactly(m, tag, ext):
     assert grid.shape == (len(snrs),)
     assert [float(r) for r in grid] == [sum_rate(s, ch, snr) for snr in snrs]
     assert [float(r) for r in grid] == [_loop_sum_rate(s, ch, snr) for snr in snrs]
+    # each projector cut, or padded with identity columns, to every width
+    # from 0 to one past its own (at most its rows); a width-0 pair rates 0
+    # bits, and at one SNR its 0x0 stack goes through numpy
+    snrs = snrs[1::2]
+    for key, q in s.projectors.items():
+        rows, cols = q.shape
+        for width in range(min(cols + 1, rows) + 1):
+            pad = np.eye(rows, dtype=q.dtype)[:, : max(width - cols, 0)]
+            t = dataclasses.replace(s, projectors={**s.projectors, key: np.hstack([q[:, :width], pad])})
+            assert [float(r) for r in rates_mod._sum_rates(t, ch, snrs)] == [sum_rate(t, ch, snr) for snr in snrs]
+            assert all(math.isfinite(ablated_sum_rate(t, ch, snr, seed=1)) for snr in snrs)
 
 
 @pytest.mark.parametrize("snrs", [[1.0, 0.0, 10.0], [-1.0, 1.0], [1.0, math.nan]])
@@ -781,6 +792,16 @@ def test_slope_estimate_serialization():
 # The per-pair formulas the stacked rate calls replaced, one slogdet per
 # (message, receiver) pair, in their order of arithmetic: the references the
 # stacks must equal bit for bit.
+def _effective(s, ch, m, r, q):
+    """Q^H H T of message `m` at receiver `r` under projector `q`, and
+    (other, Q^H H' T') for each interferer: every other message with streams
+    whose transmitter is not `r`, in message order; 2-D or on trial axes."""
+    qh = q.conj().mT
+    leaks = [(other, qh @ ch.h(other.tx, r) @ s.precoders[other.key])
+             for other in s.messages if other.key != m.key and other.dim > 0 and other.tx != r]
+    return qh @ ch.h(m.tx, r) @ s.precoders[m.key], leaks
+
+
 def _per_pair_sum_rates(s, ch, snrs):
     """The per-pair grid kernel: (grid,) or (trials, grid) rates."""
     snrs = np.asarray(snrs, dtype=float)
@@ -789,7 +810,7 @@ def _per_pair_sum_rates(s, ch, snrs):
         if m.dim:
             per_rx = []
             for r in m.receivers:
-                g, _ = schemes_mod._effective(s, ch, m, r)
+                g, _ = _effective(s, ch, m, r, s.projectors[(m.key, r)])
                 gram = (g @ g.conj().mT)[..., None, :, :]
                 rho = snrs[:, None, None] / s.tx_streams(m.tx)
                 _, logdet = np.linalg.slogdet(np.eye(gram.shape[-1], dtype=complex) + rho * gram)
@@ -809,7 +830,7 @@ def _per_pair_ablated_sum_rate(s, ch, snr, seed):
         if m.dim:
             per_rx = []
             for r in m.receivers:
-                g, leaks = schemes_mod._effective(s, ch, m, r, random_proj[(m.key, r)])
+                g, leaks = _effective(s, ch, m, r, random_proj[(m.key, r)])
                 gram = g @ g.conj().mT
                 signal = rho[m.key] * gram
                 noise = np.eye(gram.shape[0], dtype=complex)

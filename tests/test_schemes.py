@@ -556,7 +556,7 @@ def test_stacked_roundtrip_errors_equal_per_trial_norms_bit_for_bit(monkeypatch)
     s = schemes_mod._build(cfg, SchemeTag.UNI_A, ext, ch, seeds)
     decoded, solve = [], schemes_mod._solve
     monkeypatch.setattr(schemes_mod, "_solve", lambda g, qy: decoded.append(solve(g, qy)) or decoded[-1])
-    pairs = schemes_mod._verify(s, ch, seeds, *schemes_mod._check_scheme_matrices(s, (len(seeds),)))
+    pairs = schemes_mod._verify(s, ch, seeds, *schemes_mod._check_scheme_matrices(s, ch, (len(seeds),)))
     sent = []
     for seed in seeds:
         rng = generator(seed, SYMBOL_STREAM)
@@ -602,7 +602,8 @@ def test_hand_edited_scheme_gets_its_own_plan(m, tag, edit):
     rep = verify_scheme(edited, ch, seed=4)
     # a new message list is a new plan; a new projector width only a new layout
     new_plan = edit != "wide projector"
-    assert (schemes_mod._check_scheme_matrices(edited)[0] is not schemes_mod._check_scheme_matrices(s)[0]) is new_plan
+    plans_differ = schemes_mod._check_scheme_matrices(edited, ch)[0] is not schemes_mod._check_scheme_matrices(s, ch)[0]
+    assert plans_differ is new_plan
     assert schemes_mod._plan.cache_info().misses == plans + new_plan
     assert schemes_mod._Plan.layout.cache_info().misses == layouts + 1
     assert rep.valid is new_plan
