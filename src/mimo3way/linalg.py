@@ -3,9 +3,9 @@
 Validated null spaces, pseudo-inverses and orthonormal draws, plus the
 package's single source of randomness: every random draw anywhere in the
 package flows through `generator`, which derives decorrelated child streams
-from one integer seed via numpy's splittable SeedSequence. Stream tags keep
-channel draws, precoder draws, and test symbols statistically independent
-even when a caller reuses the same seed for all of them.
+from one integer seed as numpy's SeedSequence spawns them, bit for bit, from
+a pool kept per seed (`_pool`). Stream tags keep channel draws, precoder
+draws, and test symbols independent even when a caller reuses one seed.
 
 The kernels behind `null_space_basis` and `random_orthonormal` take matrices
 with leading (trial) axes, so a stack of independent trials goes through one
@@ -54,6 +54,10 @@ PRECODER_STREAM = 1
 SYMBOL_STREAM = 2
 TRIAL_STREAM = 3
 ABLATION_STREAM = 4
+# numpy's SeedSequence hash and mix constants, on 32-bit words
+_MASK, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOLS = 256  # seeds `_pool` keeps; rates.estimate_dof blocks hold at most as many trials, or every spawn misses
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -147,9 +151,43 @@ def generator(seed: int, *stream: int) -> np.random.Generator:
     """Seeded Generator for one child stream of `seed`.
 
     Distinct `stream` tags (and tag tuples) give statistically independent
-    streams; the same (seed, stream) pair always reproduces the same draws.
+    streams; the same (seed, stream) pair always reproduces the same draws,
+    PCG64(SeedSequence(seed, spawn_key=stream))'s, each tag in [0, 2**32 - 1].
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(integer(seed, "seed"), spawn_key=tuple(stream))))
+    return np.random.Generator(np.random.PCG64(_Words(seed, stream)))
+
+
+@functools.lru_cache(maxsize=_POOLS)  # a seed's streams, and a block's trial seeds, share one pool
+def _pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence(seed).pool, and the hash constant its mixing ends on (4 hashes a word, of >= 4 words)."""
+    np.random.bit_generator.ISeedSequence.register(_Words)  # here, not on import, which loads no numpy.random
+    words = max(4, -(-seed.bit_length() // 32))
+    return tuple(np.random.SeedSequence(seed).pool.tolist()), _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK
+
+
+class _Words:
+    """SeedSequence(seed, spawn_key=stream), from `_pool(seed)`, as a numpy
+    ISeedSequence: numpy mixes each spawn-key word into the pool as entropy
+    past the pool's size, and `generate_state` hashes numpy's state words out."""
+
+    def __init__(self, seed: int, stream):
+        pool, h = _pool(integer(seed, "seed"))
+        for word in stream:
+            word, mixed = integer(word, "stream tag", 0, _MASK), []
+            for x in pool:
+                v = (word ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+                r = (_MIX_L * x - _MIX_R * (v ^ v >> 16)) & _MASK
+                mixed.append(r ^ r >> 16)
+            pool = mixed
+        self.pool = pool
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        """`n_words` words of `dtype`, np.uint32 or np.uint64 (two 32-bit words, low first)."""
+        wide, words, h = np.dtype(dtype) == np.uint64, [], _INIT_B
+        for i in range(n_words << wide):
+            v = (self.pool[i % 4] ^ h) * (h := h * _MULT_B & _MASK) & _MASK
+            words.append(v ^ v >> 16)
+        return np.array([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])] if wide else words, dtype=dtype)
 
 
 def _draw_dims(rows, cols) -> tuple[int, int]:

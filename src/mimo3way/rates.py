@@ -19,13 +19,13 @@ seed): passed checks and the stacks of Grams, leak covariances and power
 divisors. A sealed scheme thus draws the random projectors once per
 (channels, seed), which ignore the SNR, channels and scheme matrices.
 
-`estimate_dof` runs its trials in blocks, each as large as its rate Gram
-stacks allow (`_BLOCK_ENTRIES`), of at least `_BLOCK` trials: a block draws
-its channels on a leading trial axis, builds and verifies the scheme over
-that stack, and rates it in one `(trials, grid)` pass, of which the estimate
-reads the trials that passed, so a block costs one LAPACK call per matrix
-role instead of one per trial. Each trial keeps its own seed and generators,
-so every draw and every rate is the one a trial-by-trial loop gets.
+`estimate_dof` runs its trials in blocks of `_BLOCK` to `_POOLS` trials, as
+large as its rate Gram stacks allow (`_BLOCK_ENTRIES`): a block draws its
+channels on a leading trial axis, builds and verifies the scheme over that
+stack, and rates it in one `(trials, grid)` pass, of which the estimate reads
+the trials that passed, so a block costs one LAPACK call per matrix role
+instead of one per trial. Each trial keeps its own seed and generators, so
+every draw and every rate is the one a trial-by-trial loop gets.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ import numpy as np
 
 from .channel import AntennaConfig, AntennaSplit, ChannelSet, _draw
 from .errors import InternalError, InvalidInputError, instance, integer, real, sequence
-from .linalg import _EPS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, _slogdet, generator, random_orthonormal
+from .linalg import (_EPS, _POOLS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, _slogdet, _Words, generator,
+                     random_orthonormal)
 from .rational import frac_str
 from .schemes import SchemeInstance, SchemeTag, _build, _check_scheme_matrices, _messages, _passed, scheme_split
 
@@ -52,10 +53,10 @@ _LN2 = math.log(2.0)
 # largest run takes about 75 s, and about 3 minutes at (7,6,5) uni-a
 _MAX_TRIALS = 100_000
 
-# Trials per stacked draw/build/verify/rate pass of estimate_dof: at least
-# _BLOCK, else as many as keep its largest rate Gram stack within 512 KiB, as
-# a block costs about 1 ms besides about 0.13 ms a trial.
-_BLOCK, _BLOCK_ENTRIES = 10, 2**15
+# Trials per stacked draw/build/verify/rate pass of estimate_dof: at least _BLOCK, else as many as keep its
+# largest rate Gram stack within 1 MiB and at most _POOLS, as a block costs about 1 ms besides about 0.13 ms a
+# trial (20 trials at (7,6,5) uni-a run as one block; as 13 + 7 they take about 6% longer).
+_BLOCK, _BLOCK_ENTRIES = 10, 2**16
 
 # Most entries in a complex (pairs, block trials, grid points, n, n) Gram
 # stack of estimate_dof, of the pairs with Gram size n, checked at _BLOCK
@@ -262,7 +263,7 @@ class SlopeEstimate:
 
 
 def _trial_seed(seed: int, k: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(TRIAL_STREAM, int(k))).generate_state(1, dtype=np.uint64)[0])
+    return int(_Words(seed, (TRIAL_STREAM, k)).generate_state(1, np.uint64)[0])
 
 
 def _rate_block(config: AntennaConfig, tag: SchemeTag, split: AntennaSplit, ext: int, seeds, snrs):
@@ -320,7 +321,7 @@ def estimate_dof(config: AntennaConfig, tag: SchemeTag, snr_grid_db=(30.0, 50.0)
     if trials * largest**3 > _MAX_WORK:
         raise InvalidInputError(
             f"{trials} trials x {largest}^3 antennas at the largest node is over the {_MAX_WORK} work budget")
-    size = max(_BLOCK, _BLOCK_ENTRIES // (len(grid) * dims.count(n) * n * n))
+    size = min(_POOLS, max(_BLOCK, _BLOCK_ENTRIES // (len(grid) * dims.count(n) * n * n)))
     rates, valid = np.zeros((trials, len(grid))), np.zeros(trials, dtype=bool)
     for start in range(0, trials, size):
         block = slice(start, start + size)

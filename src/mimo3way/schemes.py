@@ -283,7 +283,7 @@ _LINALG_TYPES = np.typecodes["AllInteger"] + "fdFD"
 
 def _scheme_matrix(table, key, rows: int, cols: int | None, what: str, lead: tuple[int, ...] = ()) -> np.ndarray:
     """table[key], refused unless it is an array of shape lead + (rows,
-    cols), any number of columns when `cols` is None, of a dtype in
+    cols), at most `rows` columns when `cols` is None, of a dtype in
     _LINALG_TYPES."""
     try:
         mat = table[key]
@@ -291,16 +291,16 @@ def _scheme_matrix(table, key, rows: int, cols: int | None, what: str, lead: tup
         raise InvalidInputError(f"scheme has no {what} for {key!r}") from None
     if isinstance(mat, np.ndarray) and mat.ndim == len(lead) + 2 and mat.dtype.char in _LINALG_TYPES:
         shape = mat.shape
-        if shape[:-2] == lead and shape[-2] == rows and (cols is None or shape[-1] == cols):
+        if shape[:-2] == lead and shape[-2] == rows and (shape[-1] <= rows if cols is None else shape[-1] == cols):
             return mat
-    want = f"{lead + (rows, 'any' if cols is None else cols)} that numpy.linalg takes"
+    want = f"{lead + (rows, f'<= {rows}' if cols is None else cols)} that numpy.linalg takes"
     got = f"{type(mat).__name__} of shape {getattr(mat, 'shape', None)}, dtype {getattr(mat, 'dtype', None)}"
     raise InvalidInputError(f"{what} for {key!r} must be a numeric array of shape {want}, got {got}")
 
 
 class _Plan:
     """What the checks of a scheme read, from its split and messages alone:
-    `shapes` of (is projector, key, rows, columns or None for any, name) in
+    `shapes` of (is projector, key, rows, columns or None for <= rows, name) in
     checking order, where message k's precoder (pre_at[k]) and pair p's
     projector (proj_at[p]) sit in it, the pairs (message index, message,
     receiver, link slot) in report order, and the interferers of each
@@ -381,9 +381,9 @@ def _check_scheme_matrices(scheme: SchemeInstance, channels: ChannelSet, lead: t
     arithmetic, a scheme that is no SchemeInstance, channels not drawn at its
     split, and a missing, misshapen or non-finite precoder or projector;
     returns the plan and the checked matrices in the order of its `shapes`.
-    A precoder must be (transmit antennas) x (streams) and a projector needs
-    one row per receive antenna, each behind the trial axes `lead`; a null
-    space of non-generic rank fails here, as a precoder with extra columns."""
+    A precoder must be (transmit antennas) x (streams) and a projector
+    (receive antennas) x (at most as many), behind the trial axes `lead`; a
+    null space of non-generic rank fails here, as a precoder with extra columns."""
     _check_channels(instance(scheme, SchemeInstance).split, channels, scheme.extension_factor)
     plan = scheme._checks
     mats = [

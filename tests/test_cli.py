@@ -220,19 +220,20 @@ def test_usage_error_leaves_the_cached_parser_intact(capsys, bad):
 
 
 def test_phase1_templates_are_built_lazily():
-    # importing the package and a closed-form call build no LP template
+    # importing the package and a closed-form call build no LP template, and
+    # load no numpy.random: it loads with the first seeded draw
     script = (
-        "import contextlib, io, mimo3way\n"
+        "import contextlib, io, sys, mimo3way\n"
         "from mimo3way import allocation\n"
         "from mimo3way.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['allocate', '--m', '4,2,1', '--method', 'closed']) == 0\n"
-        "print(allocation._template.cache_info().currsize)\n"
+        "print(allocation._template.cache_info().currsize, 'numpy.random' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n"
+    assert proc.stdout == "0 False\n"
 
 
 def test_default_seed_used(capsys):

@@ -239,8 +239,9 @@ _OTHER_SPLIT_CHANNELS = draw_channels(scheme_split(_CFG, SchemeTag.BCAST)[0], 0)
 @pytest.mark.parametrize("tables", _MALFORMED_TABLES)
 def test_malformed_tables_are_refused_alike_after_rating(tables):
     # verify_scheme and both rate calls pass one gate, so each refuses a
-    # malformed table, or channels at another split, with the same text; a
-    # replaced copy of a sealed scheme shares none of its rate memo
+    # malformed table (a projector wider than its rows too), or channels at
+    # another split, with the same text; a replaced copy of a sealed scheme
+    # shares none of its rate memo
     scheme = build_scheme(_CFG, SchemeTag.UNI_B, _UNI_B_CHANNELS, 0)
 
     def outcomes(channels):
@@ -252,9 +253,11 @@ def test_malformed_tables_are_refused_alike_after_rating(tables):
         ]
 
     unrated = {ch: outcomes(ch) for ch in (_UNI_B_CHANNELS, _OTHER_SPLIT_CHANNELS)}
-    for got in unrated.values():  # past the gate, the ablated call may refuse a projector too wide to redraw
-        assert got[0][0] == "returned" or got == [got[0]] * 3
+    for got in unrated.values():
+        assert got[0][0] == "InvalidInputError" and got == [got[0]] * 3
     assert unrated[_OTHER_SPLIT_CHANNELS][0][1].startswith("channels drawn for split")
+    if "projectors" in tables:  # the refusal names a projector
+        assert "projector for" in unrated[_UNI_B_CHANNELS][0][1]
     sum_rate(scheme, _UNI_B_CHANNELS, 10.0)
     ablated_sum_rate(scheme, _UNI_B_CHANNELS, 10.0, seed=1)
     assert {ch: outcomes(ch) for ch in unrated} == unrated

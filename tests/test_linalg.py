@@ -1,10 +1,11 @@
-"""Kernel contracts: null spaces, pseudo-inverses, seeded generators, and
-the LAPACK shim's parity with the public numpy.linalg functions."""
+"""Kernel contracts: null spaces, pseudo-inverses, seeded generators (numpy's
+SeedSequence streams, bit for bit), and the LAPACK shim's parity with the
+public numpy.linalg functions."""
 
 import numpy as np
 import pytest
 
-from mimo3way import InvalidInputError, linalg, null_space_basis, pseudo_inverse, random_gaussian
+from mimo3way import InvalidInputError, linalg, null_space_basis, pseudo_inverse, random_gaussian, rates
 from mimo3way.linalg import complex_gaussian, generator, random_orthonormal
 
 
@@ -132,6 +133,36 @@ def test_generator_rejects_bad_seeds():
         with pytest.raises(InvalidInputError):
             generator(bad)
     assert generator(np.int64(3)).integers(1 << 30) == generator(3).integers(1 << 30)
+
+
+# seeds at the word boundaries of numpy's entropy, past its 4-word pool too,
+# and 50 seeded 63-bit ones; stream tags as the package spawns them
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128, 2**200 + 12345,
+          *np.random.default_rng(2024).integers(0, 2**63, 50).tolist()]
+_STREAMS = [(), (0,), (1,), (2,), (3,), (4,), (3, 0), (3, 99999)]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_generator_draws_numpys_seed_sequence_streams_bit_for_bit(seed):
+    for stream in _STREAMS:
+        numpy_ss = np.random.SeedSequence(seed, spawn_key=stream)
+        want = np.random.Generator(np.random.PCG64(numpy_ss))
+        got = generator(seed, *stream)
+        assert np.array_equal(got.standard_normal(16), want.standard_normal(16))
+        assert got.integers(2**64, dtype=np.uint64) == want.integers(2**64, dtype=np.uint64)
+        assert np.array_equal(linalg._Words(seed, stream).generate_state(5), numpy_ss.generate_state(5))
+    for k in (0, 1, 19, 99999):
+        want = np.random.SeedSequence(seed, spawn_key=(linalg.TRIAL_STREAM, k)).generate_state(1, np.uint64)[0]
+        assert rates._trial_seed(seed, k) == want
+
+
+def test_generator_refuses_stream_tags_past_one_spawn_key_word():
+    for bad in (-1, 2**32, 2**64, 1.0, True, "0"):
+        with pytest.raises(InvalidInputError, match="stream tag must be an integer in"):
+            generator(5, bad)
+        with pytest.raises(InvalidInputError, match="stream tag"):
+            generator(5, 3, bad)
+    assert generator(5, np.uint32(2**32 - 1)).integers(1 << 30) == generator(5, 2**32 - 1).integers(1 << 30)
 
 
 def test_complex_gaussian_refuses_a_draw_over_its_entry_budget():

@@ -26,7 +26,7 @@ from mimo3way import (
     sum_rate,
     verify_scheme,
 )
-from mimo3way.linalg import ABLATION_STREAM, generator, random_orthonormal
+from mimo3way.linalg import ABLATION_STREAM, _pool, generator, random_orthonormal
 
 
 def _built(m, tag, seed=0):
@@ -904,11 +904,14 @@ def test_a_rate_call_makes_one_slogdet_per_stream_count(monkeypatch, m, tag, str
 
 # per mc-slope config, the entries per trial and SNR point of its largest
 # Gram stack (four 1x1 pairs; a 2x2 beside a 1x1; two 2x2; a 10x10 beside
-# 7x7 and 4x4 ones) and the block size 2**15 entries give on its 25 points
+# 7x7 and 4x4 ones) and the block size 2**16 entries give on its 25 points,
+# at most the 256 seeds whose pools linalg keeps: each runs the 20 trials of
+# an mc-slope op in one block
 @pytest.mark.parametrize("m, tag, entries, size",
-                         [(*case, e, n) for case, e, n in zip(_MC_CASES, (4, 4, 8, 100), (327, 327, 163, 13))])
+                         [(*case, e, n) for case, e, n in zip(_MC_CASES, (4, 4, 8, 100), (256, 256, 256, 26))])
 def test_block_size_on_the_mc_slope_grid(monkeypatch, m, tag, entries, size):
-    assert size == 2**15 // (25 * entries) and rates_mod._BLOCK_ENTRIES == 2**15
+    assert size == min(256, 2**16 // (25 * entries)) and rates_mod._BLOCK_ENTRIES == 2**16
+    assert rates_mod._POOLS == _pool.cache_info().maxsize == 256
     _, s = _built(m, tag)
     sizes = []
 

@@ -2,8 +2,8 @@
 its module never uses, a star import only republishes a module in
 `__init__.py`, no private top-level function or class is left without a
 reference, every parameter is read, no tuple-or-list check stands beside
-`errors.sequence`, the exact LP layer and its walks name no numpy, and the
-package stays within its line ceiling."""
+`errors.sequence`, only `linalg` builds a SeedSequence, the exact LP layer
+and its walks name no numpy, and the package stays within its line ceiling."""
 
 import ast
 import pathlib
@@ -16,7 +16,7 @@ _TREES = {path.name: ast.parse(path.read_text()) for path in sorted(_SRC.glob("*
 # Most lines the package's modules may total, as `wc -l src/mimo3way/*.py`
 # counts them: a change lands at net <= 0 lines, and one granted a line
 # allowance raises this by the lines it uses.
-SRC_LINE_CEILING = 3_029
+SRC_LINE_CEILING = 3_068
 
 
 def _exported(tree) -> set[str]:
@@ -140,6 +140,15 @@ def test_one_sequence_rule_in_source():
     assert not checks, f"isinstance(..., (tuple, list)) outside errors.sequence: {checks}"
     assert _list_or_tuple_checks("", ast.parse("isinstance(x, (list, Mapping, tuple))")) == [":1"]
     assert _list_or_tuple_checks("", ast.parse("isinstance(x, (tuple, str))\nisinstance(x, list)")) == []
+
+
+def test_one_home_for_seeding():
+    # every seeded stream is spawned in linalg (`generator`, and the trial
+    # seeds through its `_Words`): a SeedSequence built elsewhere would be a
+    # second seeding path beside it
+    homes = [name for name, tree in _TREES.items() if "SeedSequence" in _referenced(tree)]
+    assert homes == ["linalg.py"], f"SeedSequence named outside linalg: {homes}"
+    assert "SeedSequence" in _referenced(ast.parse("int(np.random.SeedSequence(1).generate_state(1)[0])"))
 
 
 def _names_numpy(node) -> bool:
