@@ -257,13 +257,6 @@ class _Tableau:
                     prow, num, den = i, row[-1], a
         return prow
 
-    def run(self, costs, allowed_width):
-        while (enter := next((j for j in range(allowed_width) if costs[0][j] < 0), None)) is not None:
-            prow = self.leaving(enter)
-            if prow is None:
-                raise _Unbounded()
-            self.pivot(prow, enter, costs)
-
 
 def _phase1(g_rows, g_rhs) -> _Tableau | None:
     """Phase 1 for (g_rows) x = g_rhs, x >= 0 with Fraction or int entries:
@@ -287,10 +280,13 @@ def _phase1(g_rows, g_rhs) -> _Tableau | None:
         signs.append(sign)
     t = _Tableau(rows, [n_var + i for i in range(n_eq)], list(range(n_eq)), 1, scales, signs)
 
-    # drive the artificials to zero
+    # drive the artificials to zero: their weighted sum is bounded below by 0, so a
+    # column that prices negative always has a positive entry to leave by
     big = lcm(*scales)
     phase1_cost = [0] * n_var + [big // s for s in scales]
-    t.run([t.reduced_costs(phase1_cost)], n_var + n_eq)
+    costs = [t.reduced_costs(phase1_cost)]
+    while (enter := next((j for j in range(n_var + n_eq) if costs[0][j] < 0), None)) is not None:
+        t.pivot(t.leaving(enter), enter, costs)
     if sum(phase1_cost[b] * row[-1] for row, b in zip(t.tab, t.basis)) > 0:
         return None
 
@@ -336,9 +332,7 @@ class _Walk:
         if prow is None:
             return None
         t, rows = _Tableau(t.tab[:], t.basis[:], t.live, t.d, t.scales, t.signs), node[1][:]
-        t.pivot(prow, enter, rows)
-        if any(row[enter] for row in rows):  # a basic column prices at 0; else Bland's rule could re-enter it forever
-            raise InternalError("a pivot left a reduced cost on the entering column")
+        t.pivot(prow, enter, rows)  # leaves each row (p f - f p) / d = 0 on the entering column, which turns basic
         return [t, rows, {}, None, None]
 
     def optimum(self, params):

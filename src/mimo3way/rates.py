@@ -7,17 +7,17 @@ the node budget split evenly over its streams; the broadcast message counts
 once per receiver (decoding must succeed at both, so its rate is the minimum
 over receivers); rates are divided by the symbol-extension factor to land in
 bits per channel use. A rate call stacks the (message, receiver) pairs by
-Gram size n, one batched slogdet a stack over the whole SNR grid, which
-gives each matrix the bits it gets alone (at one SNR, a 1x1 stack gets them
-from Python complex numbers and libm). A stack is checked as a whole, and
-pair by pair only to name the error.
+Gram size n, one batched slogdet a stack, which gives each matrix the bits it
+gets alone. A stack is checked as a whole, and pair by pair only to name the
+error.
 
 `build_scheme`'s schemes are read-only like a ChannelSet, so `sum_rate` and
-`ablated_sum_rate` keep on one what they compute before the SNR, for the
-channels (by identity) last rated and up to five keys (None, or an ablation
-seed): passed checks and the stacks of Grams, leak covariances and power
-divisors. A sealed scheme thus draws the random projectors once per
-(channels, seed), which ignore the SNR, channels and scheme matrices.
+`ablated_sum_rate` keep on one, for the channels (by identity) last rated and
+up to five keys (None, or an ablation seed), all they compute before the SNR:
+passed checks, each pair's divisors and Grams (Python complex numbers if 1x1)
+and its place in the message sum. A warm call does the SNR's arithmetic alone,
+in a grid's order and so with its bits. The random projectors, drawn in one
+batch, ignore the SNR, channels and scheme matrices.
 
 `estimate_dof` runs its trials in blocks of `_BLOCK` to `_POOLS` trials, as
 large as its rate Gram stacks allow (`_BLOCK_ENTRIES`): a block draws its
@@ -39,8 +39,7 @@ import numpy as np
 
 from .channel import AntennaConfig, AntennaSplit, ChannelSet, _draw
 from .errors import InternalError, InvalidInputError, instance, integer, real, sequence
-from .linalg import (_EPS, _POOLS, ABLATION_STREAM, TRIAL_STREAM, _MixedRank, _slogdet, _Words, generator,
-                     random_orthonormal)
+from .linalg import _EPS, _POOLS, ABLATION_STREAM, TRIAL_STREAM, _gaussians, _MixedRank, _orthonormal, _slogdet, _Words
 from .rational import frac_str
 from .schemes import SchemeInstance, SchemeTag, _build, _check_scheme_matrices, _messages, _passed, scheme_split
 
@@ -94,17 +93,18 @@ def _log2det(grams: np.ndarray, snrs) -> np.ndarray:
 
 
 def _terms(scheme: SchemeInstance, channels: ChannelSet, seed: int | None = None):
-    """What every (message, receiver) pair with streams rates before the SNR,
-    one stack per Gram size n, and where each pair sits, (n, row), in the
-    plan's pair order. A row is G G^H, G = Q^H H T, then, ablated at `seed`
-    (random Q in sorted key order), L L^H of each leak L = Q^H H' T' of the
-    plan, each over its sender's `tx_streams`. A stack is (those divisors,
-    (pairs, terms, 1.., 1, 1, 1); the terms, (pairs, terms, ..., 1, n, n), the
-    1 a grid axis, or ablated (pairs, terms, 2, 1, n, n), G G^H zeroed in the
-    second; I; whether ablated); divisor inf and L L^H = 0 pad a row, adding exactly 0."""
-    rng = None if seed is None else generator(seed, ABLATION_STREAM)
+    """What each (message, receiver) pair with streams rates before the SNR: (stacks, per message with streams its
+    weight and its receivers' (n, row), rows by Gram size n). A row is (divisor, G G^H), G = Q^H H T, then, ablated at
+    `seed` (random Q in sorted key order), (divisor, L L^H) of each leak L = Q^H H' T' of the plan, a divisor being its
+    sender's `tx_streams`. A stack is (divisors, (pairs, terms, 1.., 1, 1, 1); terms, (pairs, terms, ..., 1, n, n), the
+    1 a grid axis, ablated (pairs, terms, 2, 1, n, n), G G^H 0 in the second; I); inf and 0 pad a row, adding 0."""
     keys = sorted((m.key, r) for m in scheme.messages for r in m.receivers)
-    proj = scheme.projectors if rng is None else {k: random_orthonormal(rng, *scheme.projectors[k].shape) for k in keys}
+    proj, shapes = scheme.projectors, [scheme.projectors[k].shape for k in keys]
+    if seed is not None:  # random_orthonormal key by key from generator(seed, ABLATION_STREAM), one QR a shape
+        draws, proj = _gaussians([seed], ABLATION_STREAM, [rows * cols for rows, cols in shapes]), {}
+        for shape in set(shapes):
+            at = [i for i, s in enumerate(shapes) if s == shape]
+            proj.update(zip([keys[i] for i in at], _orthonormal(np.stack([draws[i].reshape(shape) for i in at]))))
     plan, links, pre = scheme._checks, channels.matrices, scheme.precoders
     rows, where = {}, []
     for _, m, r, link in plan.pairs:
@@ -129,8 +129,9 @@ def _terms(scheme: SchemeInstance, channels: ChannelSet, seed: int | None = None
             term = np.stack((term, term), axis=2)
             term[:, 0, 1] = 0
         divisors = np.reshape(divisors, term.shape[:2] + (1,) * (term.ndim - 2))
-        stacks[n] = divisors, term, np.eye(n, dtype=complex), seed is not None
-    return stacks, where
+        stacks[n] = divisors, term, np.eye(n, dtype=complex)
+    where = iter(where)
+    return stacks, [(m.weight, [next(where) for _ in m.receivers]) for m in scheme.messages if m.dim], rows
 
 
 def _stack_mats(snrs, divisor, term, noise, rows=slice(None)) -> np.ndarray:
@@ -143,68 +144,68 @@ def _stack_mats(snrs, divisor, term, noise, rows=slice(None)) -> np.ndarray:
     return np.add(noise, scaled[:, 0], out=scaled[:, 0])  # N + S, into S: the stack is never held twice
 
 
-def _bits(snrs, divisor, term, noise, ablated: bool, grid: bool):
-    """A `_terms` stack's pair rates at `snrs` (an array on a grid, floats at
-    one SNR), or None if a matrix is not finite or fails `_log2det`'s check.
-    At one SNR a 1x1 stack takes no numpy arithmetic: N + S is a Python complex
-    in `_stack_mats`' order of sums, its log-det libm log of the hypot as in slogdet."""
-    if grid or term.shape[-1] != 1:
-        mat = _stack_mats(snrs, divisor, term, noise)
-        if not np.isfinite(mat).all():
-            return None
-        sign, logdet = _slogdet(mat)
-        if grid:  # a finite matrix's log-det is at most a few thousand, so the sum is finite iff each is
-            return logdet / _LN2 if sign.real.min() > 0 and math.isfinite(logdet.sum()) else None
-        signs, logs = sign.real.ravel().tolist(), logdet.ravel().tolist()
-    else:
-        dets = []
-        for rhos, row in zip(divisor.reshape(len(term), -1).tolist(), term.reshape(*term.shape[:2], -1).tolist()):
-            cov = 1 + 0j  # N
-            for rho, leak in zip(rhos[1:], row[1:]):  # ablated, both copies hold the same leaks
-                cov += snrs / rho * leak[0]
-            dets += [cov + snrs / rhos[0] * signal for signal in row[0]]
-        try:  # abs overflows where numpy's hypot gives inf
-            signs, logs = [x.real / abs(x) for x in dets], [math.log(abs(x)) for x in dets]
-        except OverflowError:
-            return None
-    if not (min(signs) > 0 and all(map(math.isfinite, logs))):
-        return None
-    return [a / _LN2 - b / _LN2 for a, b in zip(logs[::2], logs[1::2])] if ablated else [v / _LN2 for v in logs]
-
-
-def _rate(scheme: SchemeInstance, terms, snrs, shape: tuple[int, ...] | None = None):
-    """Sum rate in bits per channel use from `_terms` at the SNRs `snrs`, a
-    (grid, 1, 1) array, as an array of `shape`; or, `shape` None, at the one
-    float SNR `snrs` as a float. A pair rates log2 det of its `_stack_mats`,
-    ablated log2 det(N + S) - log2 det N. If a stack's `_bits` fail, each pair
-    is rebuilt alone in message order for `_log2det`: the first failing one
-    names the error. Each message adds its weight times its least rate over
-    receivers, from 0.0 in message order; the total is over the extension factor."""
-    stacks, where = terms
-    with np.errstate(over="ignore", invalid="ignore"):  # _log2det names an overflow; sums stay checked
-        bits = {n: _bits(snrs, *stack, shape is not None) for n, stack in stacks.items()}
-        for k, i in where if any(b is None for b in bits.values()) else ():
-            _log2det(_stack_mats(snrs, *stacks[k][:3], slice(i, i + 1))[0], np.ravel(snrs))
-    rates = iter([bits[n][i] for n, i in where])
-    total, least = (0.0, min) if shape is None else (np.zeros(shape), np.minimum)
-    for m in scheme.messages:
-        if m.dim:
-            total += m.weight * functools.reduce(least, [next(rates) for _ in m.receivers])
-    return total / scheme.extension_factor
+@np.errstate(over="ignore", invalid="ignore")  # _log2det names an overflow
+def _name_error(stacks, messages, snrs) -> None:
+    """Each `_terms` pair alone at `snrs`, in message order, through `_log2det`: the first failing names the error."""
+    for k, i in [pair for _, pairs in messages for pair in pairs]:
+        _log2det(_stack_mats(snrs, *stacks[k], slice(i, i + 1))[0], np.ravel(snrs))
 
 
 def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray:
-    """Zero-forcing sum rate at every SNR of a grid, in bits per channel use:
-    shape (grid,), or (trials, grid) for a scheme and channels stacked on a
-    trial axis; interference, nulled by construction, does not enter."""
+    """Zero-forcing sum rate in bits per channel use at each SNR of a grid, (grid,) or (trials, grid) on a trial axis:
+    a pair's log2 det of its `_stack_mats`, one slogdet a stack (a failing one goes to `_name_error`); from 0 in message
+    order, a message adds its weight times its least rate over receivers; the total is over the extension factor."""
     snrs = np.asarray(snrs, dtype=float)
     if not (snrs > 0).all():
         raise InvalidInputError(f"snr_linear must be > 0, got {float(snrs[np.argmin(snrs > 0)])}")
-    return _rate(scheme, _terms(scheme, channels), snrs[:, None, None], channels.matrices[0].shape[:-2] + snrs.shape)
+    (stacks, messages), bits = _terms(scheme, channels)[:2], {}  # the rows go: the stacks hold their terms
+    with np.errstate(over="ignore", invalid="ignore"):  # sums stay checked
+        for n, stack in stacks.items():
+            mat = _stack_mats(snrs[:, None, None], *stack)
+            sign, logdet = _slogdet(mat) if np.isfinite(mat).all() else (np.zeros(1), None)
+            # a finite matrix's log-det is at most a few thousand, so the sum is finite iff each is
+            if not (sign.real.min() > 0 and math.isfinite(logdet.sum())):
+                _name_error(stacks, messages, snrs[:, None, None])
+            bits[n], mat = logdet / _LN2, None  # this stack goes before the next is made
+    total = np.zeros(channels.matrices[0].shape[:-2] + snrs.shape)
+    for weight, pairs in messages:
+        total += weight * functools.reduce(np.minimum, [bits[n][i] for n, i in pairs])
+    return total / scheme.extension_factor
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a matrix that overflows fails the check
+def _rate_at(snr: float, per_n, messages, ablated: bool, stacks) -> float:
+    """`_sum_rates`' message sum at one SNR with its bits, ablated log2 det(N + S) - log2 det N a pair: N + S (ablated
+    and N) of each pair in `_stack_mats`' order of sums, one slogdet an n; at n = 1 Python complex numbers of real part
+    >= 1, whose libm log of the hypot (as in slogdet) alone can fail. A failing n goes to `_name_error`."""
+    bits = {}
+    for n, noise, rows in per_n:
+        mats = []
+        for (divisor, signal), *leaks in rows:
+            cov = noise
+            for d, leak in leaks:
+                cov = cov + snr / d * leak
+            mats += [cov + snr / divisor * signal, cov] if ablated else [cov + snr / divisor * signal]
+        if n != 1:
+            mat = mats[0] if len(mats) == 1 else np.array(mats)
+            sign, logdet = _slogdet(mat) if np.isfinite(mat).all() else (np.zeros(1), None)
+            logs = logdet.ravel().tolist() if min(sign.real.ravel().tolist()) > 0 else [math.nan]
+        else:
+            try:  # abs overflows where numpy's hypot gives inf
+                logs = [math.log(abs(x)) for x in mats]
+            except OverflowError:
+                logs = [math.inf]
+        if not all(map(math.isfinite, logs)):
+            _name_error(stacks, messages, snr)
+        bits[n] = [a / _LN2 - b / _LN2 for a, b in zip(logs[::2], logs[1::2])] if ablated else [v / _LN2 for v in logs]
+    total = 0.0
+    for weight, pairs in messages:
+        total += weight * min([bits[n][i] for n, i in pairs])
+    return total
 
 
 def _one_point(scheme: SchemeInstance, channels: ChannelSet, snr_linear, seed, ablated: bool) -> float:
-    """`sum_rate`, or `ablated_sum_rate` at `seed`, on the `_terms` a sealed scheme keeps."""
+    """`sum_rate`, or `ablated_sum_rate` at `seed`: `_rate_at` on the form of its `_terms` a sealed scheme keeps."""
     snr_linear = real(snr_linear, "snr_linear")
     memo = instance(scheme, SchemeInstance).__dict__.get("_memo", False)  # None sealed and unrated, False unsealed
     kept = memo[1] if memo and memo[0] is channels else {}
@@ -213,11 +214,16 @@ def _one_point(scheme: SchemeInstance, channels: ChannelSet, snr_linear, seed, a
     if not (snr_linear > 0):
         raise InvalidInputError(f"snr_linear must be > 0, got {snr_linear}")
     key = integer(seed, "seed") if ablated else None
-    terms = kept.get(key) or _terms(scheme, channels, key)
-    rate = _rate(scheme, terms, snr_linear)
-    if memo is not False and key not in kept:  # the call has its rate: keep its terms, from this key again past five
-        object.__setattr__(scheme, "_memo", (channels, {**kept, key: terms} if len(kept) < 5 else {key: terms}))
-    return rate
+    form = kept.get(key)
+    if form is None:  # `_rate_at` and its arguments: 1x1 rows in Python numbers, no errstate if every row is 1x1
+        stacks, messages, rows = _terms(scheme, channels, key)
+        per_n = [(n, stacks[n][2], r) if n != 1 else (n, 1 + 0j, [[(d, t.item()) for d, t in row] for row in r])
+                 for n, r in rows.items()]
+        form = (_rate_at if rows.keys() - {1} else _rate_at.__wrapped__), per_n, messages, ablated, stacks
+    rate = form[0](snr_linear, *form[1:])
+    if memo is not False and key not in kept:  # the call has its rate: keep its form, from this key again past five
+        object.__setattr__(scheme, "_memo", (channels, {**kept, key: form} if len(kept) < 5 else {key: form}))
+    return rate / scheme.extension_factor
 
 
 def sum_rate(scheme: SchemeInstance, channels: ChannelSet, snr_linear: float) -> float:

@@ -236,6 +236,17 @@ def test_phase1_templates_are_built_lazily():
     assert proc.stdout == "0 False\n"
 
 
+def test_module_run_prints_what_main_prints(capsys):
+    # `python -m mimo3way.cli` runs main under `if __name__ == "__main__"` and exits with its code
+    argv = ["bounds", "--m", "7,5,4", "--allocate", "--format", "json"]
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-m", "mimo3way.cli", *argv], env=env, capture_output=True, timeout=60,
+                          cwd=Path(__file__).resolve().parent.parent)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0 and proc.stdout == out.encode()
+
+
 def test_default_seed_used(capsys):
     payload = _run_json(capsys, "verify-scheme", "--m", "3,3,3", "--scheme", "uni-a", "--format", "json")
     assert payload["seed"] == DEFAULT_SEED

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mimo3way.channel as channel_mod
+import mimo3way.linalg as linalg_mod
 import mimo3way.rates as rates_mod
 import mimo3way.schemes as schemes_mod
 from mimo3way import (
@@ -656,13 +657,14 @@ def test_sealed_scheme_makes_one_ablation_generator_per_channels_and_seed(monkey
         made.append(args)
         return generator(*args)
 
-    monkeypatch.setattr(rates_mod, "generator", counting_generator)
     ch, s = _built((4, 2, 1), SchemeTag.UNI_B, seed=0)
+    other = draw_channels(ch.split, 5)  # other channels, same shapes
+    # the ablation draws all its projectors through linalg._gaussians, which makes the generator
+    monkeypatch.setattr(linalg_mod, "generator", counting_generator)
     for seed in (1, 1, 2, 1, 2):
         for snr in (10.0, 1e4):
             ablated_sum_rate(s, ch, snr, seed=seed)
     assert made == [(1, ABLATION_STREAM), (2, ABLATION_STREAM)]
-    other = draw_channels(ch.split, 5)  # other channels, same shapes
     ablated_sum_rate(s, other, 10.0, seed=1)
     ablated_sum_rate(s, other, 1e4, seed=1)
     assert made[2:] == [(1, ABLATION_STREAM)]
@@ -922,6 +924,56 @@ def test_block_size_on_the_mc_slope_grid(monkeypatch, m, tag, entries, size):
     monkeypatch.setattr(rates_mod, "_rate_block", rate_block)
     estimate_dof(AntennaConfig(*m), tag, tuple(2.5 * i for i in range(25)), trials=1000, fit="lsq-top-half")
     assert sizes == [size] * (1000 // size) + [1000 % size]
+
+
+def test_warm_one_snr_calls_on_1x1_pairs_take_no_numpy_rate_arithmetic(monkeypatch):
+    # (3,3,3) uni-a has four 1x1 pairs: once a call of each kind has kept its
+    # form, a call is Python arithmetic alone, with the references' bits
+    ch, s = _built((3, 3, 3), SchemeTag.UNI_A, seed=3)
+    sum_rate(s, ch, 10.0)
+    ablated_sum_rate(s, ch, 10.0, seed=3)
+
+    def refused(*args):
+        raise AssertionError("a warm 1x1 rate call ran numpy rate arithmetic")
+
+    monkeypatch.setattr(rates_mod, "_slogdet", refused)
+    monkeypatch.setattr(rates_mod, "_stack_mats", refused)
+    assert [sum_rate(s, ch, snr) for snr in _MC_SNRS] == [_loop_sum_rate(s, ch, snr) for snr in _MC_SNRS]
+    assert [ablated_sum_rate(s, ch, snr, seed=3) for snr in _MC_SNRS] == [
+        _per_call_ablated_sum_rate(s, ch, snr, 3) for snr in _MC_SNRS
+    ]
+    monkeypatch.undo()
+    # (7,6,5) uni-a has no 1x1 pair: its warm calls equal the grid kernel on one point
+    ch, s = _built((7, 6, 5), SchemeTag.UNI_A, seed=3)
+    sum_rate(s, ch, 10.0)
+    ablated_sum_rate(s, ch, 10.0, seed=3)
+    assert [sum_rate(s, ch, snr) for snr in _MC_SNRS] == [rates_mod._sum_rates(s, ch, [snr])[0] for snr in _MC_SNRS]
+    assert [ablated_sum_rate(s, ch, snr, seed=3) for snr in _MC_SNRS] == [
+        _per_call_ablated_sum_rate(s, ch, snr, 3) for snr in _MC_SNRS
+    ]
+
+
+@pytest.mark.parametrize("ablated", [False, True])
+def test_a_1x1_rate_whose_abs_overflows_is_refused_as_bad_input(monkeypatch, ablated):
+    # a finite 1x1 N + S past 1.8e308 in modulus: Python's abs raises
+    # OverflowError where numpy's hypot gives inf, so the pair goes to _log2det
+    big = 1e308 + 1e308j
+    with pytest.raises(OverflowError):
+        abs(1.5 * big)
+    terms = rates_mod._terms
+
+    def planted(scheme, channels, seed=None):  # G G^H of the first 1x1 pair, in its row and in its stack
+        stacks, messages, rows = terms(scheme, channels, seed)
+        (divisor, gram), *leaks = rows[1][0]
+        rows[1][0] = [(divisor, np.full_like(gram, big)), *leaks]
+        stacks[1][1][0, 0].flat[0] = big
+        return stacks, messages, rows
+
+    monkeypatch.setattr(rates_mod, "_terms", planted)
+    ch, s = _built((3, 3, 3), SchemeTag.UNI_A, seed=0)
+    snr = 1.5 * s.tx_streams(s.messages[0].tx)  # rho = 1.5 on the first pair
+    got = _raised(lambda: ablated_sum_rate(s, ch, snr, seed=0) if ablated else sum_rate(s, ch, snr))
+    assert got == ("InvalidInputError", _RESOLUTION.format(snr))
 
 
 # -40 to 100 dB in 2.5 dB steps, past both ends of the mc-slope grid
