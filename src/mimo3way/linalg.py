@@ -1,10 +1,10 @@
 """Dense complex linear-algebra kernel.
 
 Validated null spaces, pseudo-inverses and orthonormal draws, plus the
-package's single source of randomness: every random draw anywhere in the
-package flows through `generator`, which derives decorrelated child streams
-from one integer seed as numpy's SeedSequence spawns them, bit for bit, from
-a pool kept per seed (`_pool`). Stream tags keep channel draws, precoder
+package's single source of randomness: every seeded stream is numpy's
+PCG64(SeedSequence(seed, spawn_key=stream)), bit for bit, its state words
+derived by `_states` from a pool kept per seed (`_pool`), for one seed or a
+whole block of seeds in one pass. Stream tags keep channel draws, precoder
 draws, and test symbols independent even when a caller reuses one seed.
 
 The kernels behind `null_space_basis` and `random_orthonormal` take matrices
@@ -54,9 +54,10 @@ PRECODER_STREAM = 1
 SYMBOL_STREAM = 2
 TRIAL_STREAM = 3
 ABLATION_STREAM = 4
-# numpy's SeedSequence hash and mix constants, on 32-bit words
+# numpy's SeedSequence hash and mix constants, on 32-bit words, and each state word's (pool word, hash, next hash)
 _MASK, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_HASH_B = [(i % 4, _INIT_B * _MULT_B**i & _MASK, _INIT_B * _MULT_B ** (i + 1) & _MASK) for i in range(8)]
 _POOLS = 256  # seeds `_pool` keeps; rates.estimate_dof blocks hold at most as many trials, or every spawn misses
 
 
@@ -148,46 +149,48 @@ def pseudo_inverse(a) -> np.ndarray:
 
 
 def generator(seed: int, *stream: int) -> np.random.Generator:
-    """Seeded Generator for one child stream of `seed`.
-
-    Distinct `stream` tags (and tag tuples) give statistically independent
-    streams; the same (seed, stream) pair always reproduces the same draws,
-    PCG64(SeedSequence(seed, spawn_key=stream))'s, each tag in [0, 2**32 - 1].
-    """
-    return np.random.Generator(np.random.PCG64(_Words(seed, stream)))
+    """Seeded Generator for one child stream of `seed`, PCG64(SeedSequence(seed, spawn_key=stream)): distinct
+    `stream` tags (and tag tuples), each in [0, 2**32 - 1], give statistically independent streams, and the same
+    (seed, stream) pair always reproduces the same draws."""
+    return np.random.default_rng(_states([seed], stream)[0])
 
 
 @functools.lru_cache(maxsize=_POOLS)  # a seed's streams, and a block's trial seeds, share one pool
 def _pool(seed: int) -> tuple[tuple[int, ...], int]:
     """SeedSequence(seed).pool, and the hash constant its mixing ends on (4 hashes a word, of >= 4 words)."""
-    np.random.bit_generator.ISeedSequence.register(_Words)  # here, not on import, which loads no numpy.random
+    np.random.bit_generator.ISeedSequence.register(_Row)  # here, not on import, which loads no numpy.random
     words = max(4, -(-seed.bit_length() // 32))
     return tuple(np.random.SeedSequence(seed).pool.tolist()), _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK
 
 
-class _Words:
-    """SeedSequence(seed, spawn_key=stream), from `_pool(seed)`, as a numpy
-    ISeedSequence: numpy mixes each spawn-key word into the pool as entropy
-    past the pool's size, and `generate_state` hashes numpy's state words out."""
+def _states(seeds, stream) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=stream).generate_state(4, np.uint64), a C-ordered row a seed: numpy mixes each
+    spawn-key word (a tag, or an array of one tag a seed) into `_pool(seed)` and hashes 8 words out. One seed runs
+    on Python ints, a block on uint64 lanes, in the same expressions: each product of 32-bit words fits in 64 bits,
+    and the hash constant is one int unless the seeds' word counts differ (past 2**128)."""
+    if lanes := len(seeds) > 1:
+        pools, hs = zip(*(_pool(integer(seed, "seed")) for seed in seeds))
+        pool, h = np.array(pools, dtype=np.uint64).T, hs[0]
+        if len(set(hs)) > 1:  # seeds past 2**128 differ in word count, so each row goes on from its own constant
+            h = np.array(hs, dtype=np.uint64)
+    else:
+        pool, h = _pool(integer(seeds[0], "seed"))
+    for tag in stream:
+        tag = (tag if lanes else tag.item()) if isinstance(tag, np.ndarray) else integer(tag, "stream tag", 0, _MASK)
+        mixed = []
+        for x in pool:
+            v = (tag ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+            r = (_MIX_L * x - _MIX_R * (v ^ v >> 16)) & _MASK
+            mixed.append(r ^ r >> 16)
+        pool = mixed
+    w = [(v := (pool[i] ^ x) * m & _MASK) ^ v >> 16 for i, x, m in _HASH_B]
+    rows = [w[0] | w[1] << 32, w[2] | w[3] << 32, w[4] | w[5] << 32, w[6] | w[7] << 32]
+    return (np.stack(rows, axis=1) if lanes else np.array([rows], dtype=np.uint64)).view(_Row)
 
-    def __init__(self, seed: int, stream):
-        pool, h = _pool(integer(seed, "seed"))
-        for word in stream:
-            word, mixed = integer(word, "stream tag", 0, _MASK), []
-            for x in pool:
-                v = (word ^ h) * (h := h * _MULT_A & _MASK) & _MASK
-                r = (_MIX_L * x - _MIX_R * (v ^ v >> 16)) & _MASK
-                mixed.append(r ^ r >> 16)
-            pool = mixed
-        self.pool = pool
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        """`n_words` words of `dtype`, np.uint32 or np.uint64 (two 32-bit words, low first)."""
-        wide, words, h = np.dtype(dtype) == np.uint64, [], _INIT_B
-        for i in range(n_words << wide):
-            v = (self.pool[i % 4] ^ h) * (h := h * _MULT_B & _MASK) & _MASK
-            words.append(v ^ v >> 16)
-        return np.array([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])] if wide else words, dtype=dtype)
+class _Row(np.ndarray):  # a `_states` row as numpy's ISeedSequence: PCG64 asks it once for its 4 uint64 words
+    def generate_state(self, _n_words, _dtype) -> np.ndarray:
+        return self
 
 
 def _draw_dims(rows, cols) -> tuple[int, int]:
@@ -212,7 +215,8 @@ def _gaussians(seeds, stream: int, sizes) -> list[np.ndarray]:
     them one after another (real then imaginary parts), from one normal draw
     of generator(seed, stream): a (seeds, size) array per block."""
     at, re, im = _gaussian_layout(tuple(sizes))
-    z = np.array([generator(seed, stream).standard_normal(2 * at[-1]) for seed in seeds])
+    rows = _states(seeds, (stream,))  # indexed: iterating an ndarray costs more, 10 against 4 us for 20 rows
+    z = np.array([np.random.default_rng(rows[k]).standard_normal(2 * at[-1]) for k in range(len(rows))])
     c = (z.take(re, axis=1) + 1j * z.take(im, axis=1)) / _SQRT2
     return [c[:, a:b] for a, b in zip(at, at[1:])]
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .channel import AntennaConfig, AntennaSplit, ChannelSet, _draw
 from .errors import InternalError, InvalidInputError, instance, integer, real, sequence
-from .linalg import _EPS, _POOLS, ABLATION_STREAM, TRIAL_STREAM, _gaussians, _MixedRank, _orthonormal, _slogdet, _Words
+from .linalg import _EPS, _POOLS, ABLATION_STREAM, TRIAL_STREAM, _gaussians, _MixedRank, _orthonormal, _slogdet, _states
 from .rational import frac_str
 from .schemes import SchemeInstance, SchemeTag, _build, _check_scheme_matrices, _messages, _passed, scheme_split
 
@@ -268,10 +268,6 @@ class SlopeEstimate:
                 "mean_rates": list(self.mean_rates), "theoretical_dof": frac_str(self.theoretical_dof)}
 
 
-def _trial_seed(seed: int, k: int) -> int:
-    return int(_Words(seed, (TRIAL_STREAM, k)).generate_state(1, np.uint64)[0])
-
-
 def _rate_block(config: AntennaConfig, tag: SchemeTag, split: AntennaSplit, ext: int, seeds, snrs):
     """Draw, build, verify and rate one block of trials, `seeds[k]` the seed
     of trial k: (scheme, which trials passed, (trials, grid) rates of all of
@@ -328,10 +324,10 @@ def estimate_dof(config: AntennaConfig, tag: SchemeTag, snr_grid_db=(30.0, 50.0)
         raise InvalidInputError(
             f"{trials} trials x {largest}^3 antennas at the largest node is over the {_MAX_WORK} work budget")
     size = min(_POOLS, max(_BLOCK, _BLOCK_ENTRIES // (len(grid) * dims.count(n) * n * n)))
-    rates, valid = np.zeros((trials, len(grid))), np.zeros(trials, dtype=bool)
+    rates, valid, ks = np.zeros((trials, len(grid))), np.zeros(trials, dtype=bool), np.arange(trials, dtype=np.uint64)
     for start in range(0, trials, size):
         block = slice(start, start + size)
-        seeds = [_trial_seed(seed, k) for k in range(trials)[block]]
+        seeds = _states([seed] * len(ks[block]), (TRIAL_STREAM, ks[block]))[:, 0].tolist()  # keys (TRIAL_STREAM, k)
         try:
             scheme, valid[block], rates[block] = _rate_block(config, tag, split, ext, seeds, snr_linear)
         except _MixedRank:  # a null space of non-generic rank: the block goes one trial at a time

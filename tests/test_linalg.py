@@ -5,7 +5,7 @@ public numpy.linalg functions."""
 import numpy as np
 import pytest
 
-from mimo3way import InvalidInputError, linalg, null_space_basis, pseudo_inverse, random_gaussian, rates
+from mimo3way import InvalidInputError, linalg, null_space_basis, pseudo_inverse, random_gaussian
 from mimo3way.linalg import complex_gaussian, generator, random_orthonormal
 
 
@@ -150,10 +150,48 @@ def test_generator_draws_numpys_seed_sequence_streams_bit_for_bit(seed):
         got = generator(seed, *stream)
         assert np.array_equal(got.standard_normal(16), want.standard_normal(16))
         assert got.integers(2**64, dtype=np.uint64) == want.integers(2**64, dtype=np.uint64)
-        assert np.array_equal(linalg._Words(seed, stream).generate_state(5), numpy_ss.generate_state(5))
+        # PCG64 reads 4 uint64 state words from its seed sequence
+        assert np.array_equal(linalg._states([seed], stream)[0], numpy_ss.generate_state(4, np.uint64))
     for k in (0, 1, 19, 99999):
         want = np.random.SeedSequence(seed, spawn_key=(linalg.TRIAL_STREAM, k)).generate_state(1, np.uint64)[0]
-        assert rates._trial_seed(seed, k) == want
+        assert linalg._states([seed], (linalg.TRIAL_STREAM, k))[0, 0] == want
+        # a trial block's tags, one a seed, as estimate_dof passes them
+        assert linalg._states([seed], (linalg.TRIAL_STREAM, np.array([k], dtype=np.uint64)))[0, 0] == want
+
+
+def _numpy_states(seeds, stream):
+    """numpy's own SeedSequence state words, a row a seed; a stream word that
+    is a sequence holds one tag a seed."""
+    keys = [[w if np.ndim(w) == 0 else w[i] for w in stream] for i in range(len(seeds))]
+    return np.array([np.random.SeedSequence(s, spawn_key=key).generate_state(4, np.uint64)
+                     for s, key in zip(seeds, keys)])
+
+
+def test_states_of_a_block_are_numpys_row_for_row():
+    # one call over every seed above mixes hash constants: 2**128 and
+    # 2**200 + 12345 hold more than four 32-bit words
+    for stream in [*_STREAMS, (2**32 - 1,)]:
+        got = linalg._states(_SEEDS, stream)
+        assert got.dtype == np.uint64 and np.array_equal(got, _numpy_states(_SEEDS, stream))
+        # PCG64 reads a row's memory as it lies, so every row must be C-contiguous
+        assert got.flags.c_contiguous and all(row.flags.c_contiguous for row in got)
+    # one tag a seed: a block's trial seeds, and tags spread over mixed seeds
+    tags = np.arange(len(_SEEDS), dtype=np.uint64) * 65537
+    for seeds, stream in [([5] * 300, (linalg.TRIAL_STREAM, np.arange(300, dtype=np.uint64))),
+                          (_SEEDS, (linalg.TRIAL_STREAM, tags)), (_SEEDS, (tags, 2**32 - 1, tags[::-1].copy()))]:
+        assert np.array_equal(linalg._states(seeds, stream), _numpy_states(seeds, stream))
+
+
+def test_gaussians_of_a_block_are_each_seeds_own():
+    sizes = [9, 1, 4, 0, 12]
+    for stream in (linalg.CHANNEL_STREAM, linalg.ABLATION_STREAM):
+        block = linalg._gaussians(_SEEDS, stream, sizes)
+        for k, seed in enumerate(_SEEDS):
+            alone = linalg._gaussians([seed], stream, sizes)
+            assert all(b[k].tobytes() == a[0].tobytes() for b, a in zip(block, alone))
+        # and as complex_gaussian draws them, one after another
+        rng = generator(_SEEDS[-1], stream)
+        assert all(b[-1].tobytes() == complex_gaussian(rng, 1, n).tobytes() for b, n in zip(block, sizes))
 
 
 def test_generator_refuses_stream_tags_past_one_spawn_key_word():

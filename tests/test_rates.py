@@ -27,7 +27,7 @@ from mimo3way import (
     sum_rate,
     verify_scheme,
 )
-from mimo3way.linalg import ABLATION_STREAM, _pool, generator, random_orthonormal
+from mimo3way.linalg import ABLATION_STREAM, TRIAL_STREAM, _pool, _states, generator, random_orthonormal
 
 
 def _built(m, tag, seed=0):
@@ -480,6 +480,11 @@ def test_all_invalid_draws_is_internal_error(monkeypatch):
         estimate_dof(AntennaConfig(3, 3, 3), SchemeTag.UNI_A, (30.0, 50.0), trials=3, seed=0)
 
 
+def _trial_seed(seed, k):
+    """Trial k's seed in estimate_dof: the first uint64 of SeedSequence(seed, spawn_key=(TRIAL_STREAM, k))'s state."""
+    return int(_states([seed], (TRIAL_STREAM, k))[0, 0])
+
+
 def _loop_estimate(config, tag, grid, trials, seed):
     """Reference for estimate_dof: one draw, build, verify and rate per trial,
     then the mean rates, the two-point slope and the invalid count."""
@@ -487,7 +492,7 @@ def _loop_estimate(config, tag, grid, trials, seed):
     snrs = [10.0 ** (db / 10.0) for db in grid]
     rates, invalid = [], 0
     for k in range(trials):
-        ts = rates_mod._trial_seed(seed, k)
+        ts = _trial_seed(seed, k)
         ch = draw_channels(split, ts)
         s = build_scheme(config, tag, ch, ts)
         if verify_scheme(s, ch, seed=ts).valid:
@@ -572,7 +577,7 @@ def _zero_first_column(h):
 def test_blocked_estimate_counts_a_rigged_invalid_trial_as_the_loop(monkeypatch, m, tag, pair, edit, blocks):
     seed, bad, trials = 5, 3, rates_mod._BLOCK + 2
     size, sizes = blocks
-    _rigged(monkeypatch, rates_mod._trial_seed(seed, bad), pair, edit)
+    _rigged(monkeypatch, _trial_seed(seed, bad), pair, edit)
     est = _assert_blocked_equals_loop(m, tag, trials, seed=seed)
     assert est.invalid_trials == 1
     # a ragged block runs again one trial at a time
@@ -586,7 +591,7 @@ def test_blocked_estimate_raises_on_a_precoder_of_non_generic_rank(monkeypatch):
     # one-stream message, which verification refuses in the loop and the
     # blocked path alike
     seed, bad = 5, 3
-    _rigged(monkeypatch, rates_mod._trial_seed(seed, bad), (1, 3), _zero_first_row)
+    _rigged(monkeypatch, _trial_seed(seed, bad), (1, 3), _zero_first_row)
     config = AntennaConfig(3, 3, 3)
     with pytest.raises(InvalidInputError, match="precoder for 'u12'"):
         _loop_estimate(config, SchemeTag.UNI_A, (30.0, 50.0), rates_mod._BLOCK, seed)
@@ -653,14 +658,14 @@ def test_cached_ablation_equals_per_call_draw(m, tag, ext):
 def test_sealed_scheme_makes_one_ablation_generator_per_channels_and_seed(monkeypatch):
     made = []
 
-    def counting_generator(*args):
-        made.append(args)
-        return generator(*args)
+    def counting_states(seeds, stream):
+        made.append((*seeds, *stream))
+        return _states(seeds, stream)
 
     ch, s = _built((4, 2, 1), SchemeTag.UNI_B, seed=0)
     other = draw_channels(ch.split, 5)  # other channels, same shapes
-    # the ablation draws all its projectors through linalg._gaussians, which makes the generator
-    monkeypatch.setattr(linalg_mod, "generator", counting_generator)
+    # the ablation draws all its projectors through linalg._gaussians, which seeds its generators from _states
+    monkeypatch.setattr(linalg_mod, "_states", counting_states)
     for seed in (1, 1, 2, 1, 2):
         for snr in (10.0, 1e4):
             ablated_sum_rate(s, ch, snr, seed=seed)
@@ -856,7 +861,7 @@ def test_stacked_rates_equal_per_pair_rates_bit_for_bit(m, tag, seed):
     # one scheme and its channels stacked on a trial axis, as estimate_dof's blocks are
     config = AntennaConfig(*m)
     split, ext = scheme_split(config, tag)
-    seeds = [rates_mod._trial_seed(seed, k) for k in range(7)]
+    seeds = [_trial_seed(seed, k) for k in range(7)]
     stacked = channel_mod._draw(split, seeds, (len(seeds),))
     block = schemes_mod._build(config, tag, ext, stacked, seeds)
     got = rates_mod._sum_rates(block, stacked, _MC_SNRS)

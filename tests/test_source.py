@@ -143,9 +143,9 @@ def test_one_sequence_rule_in_source():
 
 
 def test_one_home_for_seeding():
-    # every seeded stream is spawned in linalg (`generator`, and the trial
-    # seeds through its `_Words`): a SeedSequence built elsewhere would be a
-    # second seeding path beside it
+    # every seeded stream is spawned in linalg (`generator`, `_gaussians`,
+    # and the trial seeds, through its `_states`): a SeedSequence built
+    # elsewhere would be a second seeding path beside it
     homes = [name for name, tree in _TREES.items() if "SeedSequence" in _referenced(tree)]
     assert homes == ["linalg.py"], f"SeedSequence named outside linalg: {homes}"
     assert "SeedSequence" in _referenced(ast.parse("int(np.random.SeedSequence(1).generate_state(1)[0])"))
