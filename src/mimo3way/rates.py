@@ -20,12 +20,11 @@ in a grid's order and so with its bits. The random projectors, drawn in one
 batch, ignore the SNR, channels and scheme matrices.
 
 `estimate_dof` runs its trials in blocks of `_BLOCK` to `_POOLS` trials, as
-large as its rate Gram stacks allow (`_BLOCK_ENTRIES`): a block draws its
-channels on a leading trial axis, builds and verifies the scheme over that
-stack, and rates it in one `(trials, grid)` pass, of which the estimate reads
-the trials that passed, so a block costs one LAPACK call per matrix role
-instead of one per trial. Each trial keeps its own seed and generators, so
-every draw and every rate is the one a trial-by-trial loop gets.
+large as its rate Gram stacks allow (`_BLOCK_ENTRIES`): a block draws, builds,
+verifies (an SVD for the effective matrices alone) and rates (one `(trials,
+grid)` pass) on a leading trial axis, one LAPACK call per matrix role, not per
+trial. Each trial keeps its own seed and generators, so every draw, verdict
+and rate is the one a trial-by-trial loop gets.
 """
 
 from __future__ import annotations
@@ -47,14 +46,12 @@ __all__ = ["SlopeEstimate", "sum_rate", "ablated_sum_rate", "estimate_dof"]
 
 _LN2 = math.log(2.0)
 
-# Most trials estimate_dof runs: at about 0.75 ms per trial (the mc-slope
-# configs on a 25-point grid, run in blocks; 1.9 ms at (7,6,5) uni-a), the
-# largest run takes about 75 s, and about 3 minutes at (7,6,5) uni-a
+# Most trials estimate_dof runs: about 6 s on the mc-slope configs, 46 s at (7,6,5) uni-a, on a 25-point grid
 _MAX_TRIALS = 100_000
 
 # Trials per stacked draw/build/verify/rate pass of estimate_dof: at least _BLOCK, else as many as keep its
-# largest rate Gram stack within 1 MiB and at most _POOLS, as a block costs about 1 ms besides about 0.13 ms a
-# trial (20 trials at (7,6,5) uni-a run as one block; as 13 + 7 they take about 6% longer).
+# largest rate Gram stack within 1 MiB and at most _POOLS, as a block costs about 1 ms besides about 0.05 ms a
+# trial at (3,3,3) uni-a (20 trials at (7,6,5) uni-a run as one block; as 13 + 7 they take about 12% longer).
 _BLOCK, _BLOCK_ENTRIES = 10, 2**16
 
 # Most entries in a complex (pairs, block trials, grid points, n, n) Gram
@@ -269,11 +266,9 @@ class SlopeEstimate:
 
 
 def _rate_block(config: AntennaConfig, tag: SchemeTag, split: AntennaSplit, ext: int, seeds, snrs):
-    """Draw, build, verify and rate one block of trials, `seeds[k]` the seed
-    of trial k: (scheme, which trials passed, (trials, grid) rates of all of
-    them). A trial's draws use its seed's own streams, as `draw_channels`,
-    `build_scheme` and `verify_scheme` would alone; its rates too are the
-    ones it gets alone."""
+    """Draw, build, verify and rate one block of trials, `seeds[k]` the seed of trial k: (scheme, which trials
+    passed, (trials, grid) rates of all of them), each trial's as `draw_channels`, `build_scheme`, `verify_scheme`
+    and `sum_rate` give it alone."""
     channels = _draw(split, seeds, (len(seeds),))
     scheme = _build(config, tag, ext, channels, seeds)
     return scheme, _passed(scheme, channels, seeds), _sum_rates(scheme, channels, snrs)

@@ -255,6 +255,22 @@ def test_shim_svd_matches_numpy_bit_for_bit(lead):
         _same(linalg._svd_full(a), np.linalg.svd(a))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_largest_singular_value_lies_within_the_entry_bounds(scale):
+    # schemes._verify settles a block's verdicts on max|x| <= smax(X) <=
+    # sqrt(rows cols) max|x| (Golub & Van Loan, 2.3) with a factor 2 to spare
+    # over at most three computed values: a factor 2**(1/3) each, which a
+    # LAPACK build must keep, as its error bound says (LAPACK Users' Guide, 4.9)
+    spare = 2 ** (1 / 3)
+    for k, (rows, cols) in enumerate([(1, 1), (1, 6), (6, 1), (7, 3), (3, 7), (5, 5)]):
+        a = _stack(k, (20,), rows, cols)
+        u, v = _stack(10 + k, (20,), rows, 1), _stack(20 + k, (20,), 1, cols)
+        for x in (a, a.real.copy(), u @ v, u.real @ v.real):  # full rank, then rank 1
+            x = x * scale
+            top, s = np.abs(x).max(axis=(-2, -1)), linalg._svdvals(x)[..., 0]
+            assert (top <= spare * s).all() and (s <= spare * np.sqrt(rows * cols) * top).all(), (rows, cols, x.dtype)
+
+
 @pytest.mark.parametrize("lead", _LEADS)
 def test_shim_solve_and_slogdet_match_numpy_bit_for_bit(lead):
     for n in range(1, 8):

@@ -1,5 +1,6 @@
 """Zero-forcing scheme construction and verification tests."""
 
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -617,15 +618,32 @@ def test_hand_edited_scheme_gets_its_own_plan(m, tag, edit):
             assert a == b or (a != a and b != b), (got, want)
 
 
+def _block(m, tag, seeds):
+    cfg = AntennaConfig(*m)
+    split, ext = scheme_split(cfg, tag)
+    ch = channel_mod._draw(split, seeds, (len(seeds),))
+    return split, ch, schemes_mod._build(cfg, tag, ext, ch, seeds)
+
+
+def _verify_each(split, ch, s, seeds):
+    """verify_scheme on each trial of a block alone: one report per trial."""
+    reports = []
+    for k, seed in enumerate(seeds):
+        trial = replace(
+            s,
+            precoders={key: t[k] for key, t in s.precoders.items()},
+            projectors={key: q[k] for key, q in s.projectors.items()},
+        )
+        reports.append(verify_scheme(trial, ChannelSet._drawn(split, tuple(h[k] for h in ch.matrices)), seed=seed))
+    return reports
+
+
 @pytest.mark.parametrize(
     "m, tag", [((3, 3, 3), SchemeTag.UNI_A), ((5, 3, 2), SchemeTag.BCAST), ((4, 2, 1), SchemeTag.UNI_B)]
 )
 def test_passed_on_a_mixed_block_equals_verify_per_trial(m, tag):
-    cfg = AntennaConfig(*m)
-    split, ext = scheme_split(cfg, tag)
     seeds = [11, 12, 13, 14, 15]
-    ch = channel_mod._draw(split, seeds, (len(seeds),))
-    s = schemes_mod._build(cfg, tag, ext, ch, seeds)
+    split, ch, s = _block(m, tag, seeds)
     rng = generator(0)
     projectors = {}
     for key, q in s.projectors.items():  # knock out trials 1 and 3
@@ -635,12 +653,121 @@ def test_passed_on_a_mixed_block_equals_verify_per_trial(m, tag):
         projectors[key] = q
     s = replace(s, projectors=projectors)
     got = schemes_mod._passed(s, ch, seeds)
-    want = []
-    for k, seed in enumerate(seeds):
-        trial = replace(
-            s,
-            precoders={key: t[k] for key, t in s.precoders.items()},
-            projectors={key: q[k] for key, q in s.projectors.items()},
-        )
-        want.append(verify_scheme(trial, ChannelSet._drawn(split, tuple(h[k] for h in ch.matrices)), seed=seed).valid)
+    want = [rep.valid for rep in _verify_each(split, ch, s, seeds)]
     assert got.tolist() == want == [True, False, True, False, True]
+
+
+# the mc-slope configs, then criterion 3's: uni-a with m3 >= 3 and m1 <= m2 + m3, uni-b with m1 >= m2 + m3 up to 8
+# antennas, and every bcast config, each m1 <= 7
+_GRID7 = [(a, b, c) for a in range(1, 8) for b in range(1, a + 1) for c in range(1, b + 1)]
+_BLOCK_CASES = (
+    [((3, 3, 3), SchemeTag.UNI_A), ((4, 2, 1), SchemeTag.UNI_B), ((5, 3, 2), SchemeTag.BCAST),
+     ((7, 6, 5), SchemeTag.UNI_A)]
+    + [(m, SchemeTag.UNI_A) for m in _GRID7 if m[2] >= 3 and m[0] <= m[1] + m[2]]
+    + [((a, b, c), SchemeTag.UNI_B) for c in range(1, 9) for b in range(c, 9) for a in range(b + c, 9)]
+    + [(m, SchemeTag.BCAST) for m in _GRID7]
+)
+
+
+def test_passed_on_blocks_equals_verify_per_trial():
+    # the block's verdicts, settled by bounds or checked exactly, are the
+    # one-trial verdicts at every config the benchmark and criterion 3 run
+    assert len(_BLOCK_CASES) == 4 + 168
+    for i, (m, tag) in enumerate(_BLOCK_CASES):
+        seeds = [1000 * i + k for k in range(4)]
+        split, ch, s = _block(m, tag, seeds)
+        want = [rep.valid for rep in _verify_each(split, ch, s, seeds)]
+        assert schemes_mod._passed(s, ch, seeds).tolist() == want, (m, tag)
+
+
+def _recording(monkeypatch):
+    """Record each stack schemes hands to _svdvals, and each _verify call's mode."""
+    stacks, modes = [], []
+    svdvals, verify = schemes_mod._svdvals, schemes_mod._verify
+    monkeypatch.setattr(schemes_mod, "_svdvals", lambda a: stacks.append(np.array(a)) or svdvals(a))
+    monkeypatch.setattr(schemes_mod, "_verify",
+                        lambda *a, **kw: modes.append(kw.get("verdicts", False)) or verify(*a, **kw))
+    return stacks, modes
+
+
+def _gs(s, ch):
+    """Each pair's effective matrix G = Q^H H T over a block, where it is square."""
+    gs = []
+    for m in s.messages:
+        for r in m.receivers:
+            q = s.projectors[m.key, r]
+            if m.dim and q.shape[-1] == m.dim:
+                gs.append(q.conj().mT @ ch.matrices[PAIR_ORDER.index((m.tx, r))] @ s.precoders[m.key])
+    return gs
+
+
+@pytest.mark.parametrize("m, tag", _BLOCK_CASES[:4] + [((5, 4, 3), SchemeTag.UNI_A), ((5, 3, 3), SchemeTag.BCAST)])
+def test_a_settled_block_takes_the_svds_of_its_effective_matrices_alone(monkeypatch, m, tag):
+    seeds = list(range(300, 320))
+    split, ch, s = _block(m, tag, seeds)
+    gs = _gs(s, ch)
+    stacks, modes = _recording(monkeypatch)
+    assert schemes_mod._passed(s, ch, seeds).all()
+    assert modes == [True]  # no exact rerun
+    svd = [mat for stack in stacks for mat in stack]
+    assert len(svd) == len(gs) and stacks
+    for g in gs:
+        assert sum(mat.shape == g.shape and np.allclose(mat, g, rtol=1e-12, atol=0) for mat in svd) == 1
+
+
+def _leak_at(s, ch, k, ratio):
+    """`s` with trial k's projector bent so that one leak that the projector
+    (not a precoder) removes is `ratio` of its link's and precoder's scale."""
+    plan, leaks = s._checks, []
+    for (key, r), pair in plan.leaks.items():
+        for o, _ in pair:
+            other = plan.messages[o]
+            h, t = ch.h(other.tx, r)[k], s.precoders[other.key][k]
+            leaks.append((np.linalg.norm(h @ t, 2), key, r, h, t))
+    _, key, r, h, t = max(leaks, key=lambda leak: leak[0])
+    u, sv, _ = np.linalg.svd(h @ t)  # the projector's columns are orthogonal to range(H' T')
+    q = s.projectors[key, r].copy()
+    q[k, :, 0] += ratio * np.linalg.norm(h, 2) * np.linalg.norm(t, 2) / sv[0] * u[:, 0]
+    return replace(s, projectors={**s.projectors, (key, r): q}), (key, r)
+
+
+@pytest.mark.parametrize("m, tag", [((3, 3, 3), SchemeTag.UNI_A), ((7, 6, 5), SchemeTag.UNI_A),
+                                    ((5, 3, 2), SchemeTag.BCAST)])
+@pytest.mark.parametrize("ratio, valid", [(0.7e-10, True), (1.3e-10, False)])
+def test_a_leak_the_bounds_cannot_settle_is_checked_exactly(monkeypatch, m, tag, ratio, valid):
+    # a leak of 0.7e-10 passes the exact check, but no max-entry bound can
+    # settle it (2 hi(leak) >= 2 smax(leak) > 1e-10 smax(link) smax(pre) >=
+    # 1e-10 lo(link) lo(pre)); one of 1.3e-10 fails it
+    seeds = [21, 22, 23, 24, 25]
+    split, ch, s = _block(m, tag, seeds)
+    s, (key, r) = _leak_at(s, ch, 2, ratio)
+    reports = _verify_each(split, ch, s, seeds)
+    (check,) = [c for c in reports[2].checks if (c.message, c.receiver) == (key, r)]
+    assert 0.99 * ratio < check.interference_residual < 1.01 * ratio
+    assert [rep.valid for rep in reports] == [True, True, valid, True, True]
+    stacks, modes = _recording(monkeypatch)
+    assert schemes_mod._passed(s, ch, seeds).tolist() == [rep.valid for rep in reports]
+    assert modes == [True, False]  # the bounds, then the exact checks
+    assert any(np.array_equal(mat, h) for stack in stacks for mat in stack for h in ch.matrices)  # a link's SVD
+
+
+def test_verify_scheme_svd_stacks_are_pinned(monkeypatch):
+    # the shape, dtype and bytes of every stack verify_scheme hands to
+    # _svdvals over 7 configs x 2 seeds x (built, knocked-out projectors,
+    # real precoders): its residuals are exact, so only blocks may bound them
+    stacks, _ = _recording(monkeypatch)
+    digest = hashlib.sha256()
+    for m, tag in [((3, 3, 3), SchemeTag.UNI_A), ((5, 4, 3), SchemeTag.UNI_A), ((4, 2, 1), SchemeTag.UNI_B),
+                   ((5, 3, 2), SchemeTag.BCAST), ((5, 3, 3), SchemeTag.BCAST), ((7, 6, 5), SchemeTag.UNI_A),
+                   ((8, 5, 3), SchemeTag.UNI_B)]:
+        for seed in (0, 1):
+            _, _, _, ch, s = _built(m, tag, seed=seed)
+            rng = generator(0)
+            for v in (s, replace(s, projectors={k: random_orthonormal(rng, *q.shape) for k, q in s.projectors.items()}),
+                      replace(s, precoders={k: t.real for k, t in s.precoders.items()})):
+                verify_scheme(v, ch, seed=seed + 50)
+    for stack in stacks:
+        digest.update(repr((stack.shape, stack.dtype.str)).encode())
+        digest.update(stack.tobytes())
+    assert len(stacks) == 362
+    assert digest.hexdigest() == "fee4d99e36586b9a9d70e4ed5de4f3aacb4882f779abd5dd3fe590b9dc62a18f"
