@@ -6,10 +6,10 @@ between the top grid points estimates the DoF. Per-message transmit power is
 the node budget split evenly over its streams; the broadcast message counts
 once per receiver (decoding must succeed at both, so its rate is the minimum
 over receivers); rates are divided by the symbol-extension factor to land in
-bits per channel use. A rate call stacks the (message, receiver) pairs by
-Gram size n, one batched slogdet a stack, which gives each matrix the bits it
-gets alone. A stack is checked as a whole, and pair by pair only to name the
-error.
+bits per channel use. A (message, receiver) pair's terms have one form, its
+row of (divisor, Gram): the signal's, then, ablated, each leak's. A rate call
+stacks the pairs by Gram size n, one batched slogdet a stack, which gives each
+matrix the bits it gets alone; only to name an error is a pair rebuilt alone.
 
 `build_scheme`'s schemes are read-only like a ChannelSet, so `sum_rate` and
 `ablated_sum_rate` keep on one, for the channels (by identity) last rated and
@@ -90,11 +90,10 @@ def _log2det(grams: np.ndarray, snrs) -> np.ndarray:
 
 
 def _terms(scheme: SchemeInstance, channels: ChannelSet, seed: int | None = None):
-    """What each (message, receiver) pair with streams rates before the SNR: (stacks, per message with streams its
-    weight and its receivers' (n, row), rows by Gram size n). A row is (divisor, G G^H), G = Q^H H T, then, ablated at
-    `seed` (random Q in sorted key order), (divisor, L L^H) of each leak L = Q^H H' T' of the plan, a divisor being its
-    sender's `tx_streams`. A stack is (divisors, (pairs, terms, 1.., 1, 1, 1); terms, (pairs, terms, ..., 1, n, n), the
-    1 a grid axis, ablated (pairs, terms, 2, 1, n, n), G G^H 0 in the second; I); inf and 0 pad a row, adding 0."""
+    """What each (message, receiver) pair with streams rates before the SNR: (per message with streams its weight and
+    its receivers' (n, row), rows by Gram size n). A row is (divisor, G G^H), G = Q^H H T, then, ablated at `seed`
+    (random Q in sorted key order), (divisor, L L^H) of each leak L = Q^H H' T' of the plan, a divisor being its
+    sender's `tx_streams`."""
     keys = sorted((m.key, r) for m in scheme.messages for r in m.receivers)
     proj, shapes = scheme.projectors, [scheme.projectors[k].shape for k in keys]
     if seed is not None:  # random_orthonormal key by key from generator(seed, ABLATION_STREAM), one QR a shape
@@ -117,52 +116,41 @@ def _terms(scheme: SchemeInstance, channels: ChannelSet, seed: int | None = None
         n = g.shape[-2]
         where.append((n, len(rows.setdefault(n, []))))
         rows[n].append(row)
-    stacks = {}
-    for n, per_n in rows.items():
-        width, pad = max(map(len, per_n)), (math.inf, np.zeros_like(per_n[0][0][1]))
-        divisors, mats = zip(*(term for row in per_n for term in row + [pad] * (width - len(row))))
-        term = np.stack(mats).reshape((len(per_n), width) + mats[0].shape[:-2] + (1, n, n))
-        if seed is not None:  # with and without the signal, on an axis after the terms
-            term = np.stack((term, term), axis=2)
-            term[:, 0, 1] = 0
-        divisors = np.reshape(divisors, term.shape[:2] + (1,) * (term.ndim - 2))
-        stacks[n] = divisors, term, np.eye(n, dtype=complex)
     where = iter(where)
-    return stacks, [(m.weight, [next(where) for _ in m.receivers]) for m in scheme.messages if m.dim], rows
-
-
-def _stack_mats(snrs, divisor, term, noise, rows=slice(None)) -> np.ndarray:
-    """The `rows` pairs' matrices of a `_terms` stack at `snrs`: N + S, ablated
-    [N + S, N + 0] (N never holds a -0, so N + 0 is N), with S = rho G G^H,
-    N = I + rho L L^H for each leak in turn and rho = snr / divisor."""
-    scaled = snrs / divisor[rows] * term[rows]
-    for k in range(1, term.shape[1]):
-        noise = noise + scaled[:, k]
-    return np.add(noise, scaled[:, 0], out=scaled[:, 0])  # N + S, into S: the stack is never held twice
+    return [(m.weight, [next(where) for _ in m.receivers]) for m in scheme.messages if m.dim], rows
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _log2det names an overflow
-def _name_error(stacks, messages, snrs) -> None:
-    """Each `_terms` pair alone at `snrs`, in message order, through `_log2det`: the first failing names the error."""
-    for k, i in [pair for _, pairs in messages for pair in pairs]:
-        _log2det(_stack_mats(snrs, *stacks[k], slice(i, i + 1))[0], np.ravel(snrs))
+def _name_error(rows, messages, snrs, ablated: bool) -> None:
+    """Each `_terms` pair alone at `snrs` ((grid, 1, 1) or a float), in message order, through `_log2det`: N + S,
+    ablated [N + S, N], in `_rate_at`'s order of sums. The first failing names the error."""
+    for n, i in [pair for _, pairs in messages for pair in pairs]:
+        (divisor, signal), *leaks = rows[n][i]
+        noise = np.eye(n, dtype=complex)
+        for d, leak in leaks:
+            noise = noise + snrs / d * leak[..., None, :, :]
+        mat = noise + snrs / divisor * signal[..., None, :, :]
+        _log2det(np.stack([mat, np.broadcast_to(noise, mat.shape)]) if ablated else mat, np.ravel(snrs))
 
 
 def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray:
     """Zero-forcing sum rate in bits per channel use at each SNR of a grid, (grid,) or (trials, grid) on a trial axis:
-    a pair's log2 det of its `_stack_mats`, one slogdet a stack (a failing one goes to `_name_error`); from 0 in message
-    order, a message adds its weight times its least rate over receivers; the total is over the extension factor."""
+    a pair's log2 det(I + snr / divisor G G^H), one slogdet a Gram size n (a failing n goes to `_name_error`); from 0
+    in message order, a message adds its weight times its least rate over receivers; all over the extension factor."""
     snrs = np.asarray(snrs, dtype=float)
     if not (snrs > 0).all():
         raise InvalidInputError(f"snr_linear must be > 0, got {float(snrs[np.argmin(snrs > 0)])}")
-    (stacks, messages), bits = _terms(scheme, channels)[:2], {}  # the rows go: the stacks hold their terms
+    (messages, rows), bits = _terms(scheme, channels), {}
     with np.errstate(over="ignore", invalid="ignore"):  # sums stay checked
-        for n, stack in stacks.items():
-            mat = _stack_mats(snrs[:, None, None], *stack)
+        for n, per_n in rows.items():
+            grams = np.stack([gram for ((_, gram),) in per_n])[..., None, :, :]  # (pairs, ..., grid axis, n, n)
+            divisors = np.reshape([d for ((d, _),) in per_n], (-1,) + (1,) * (grams.ndim - 1))
+            mat = snrs[:, None, None] / divisors * grams
+            np.add(np.eye(n, dtype=complex), mat, out=mat)  # I + S, into S: the stack is never held twice
             sign, logdet = _slogdet(mat) if np.isfinite(mat).all() else (np.zeros(1), None)
             # a finite matrix's log-det is at most a few thousand, so the sum is finite iff each is
             if not (sign.real.min() > 0 and math.isfinite(logdet.sum())):
-                _name_error(stacks, messages, snrs[:, None, None])
+                _name_error(rows, messages, snrs[:, None, None], False)
             bits[n], mat = logdet / _LN2, None  # this stack goes before the next is made
     total = np.zeros(channels.matrices[0].shape[:-2] + snrs.shape)
     for weight, pairs in messages:
@@ -171,14 +159,14 @@ def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a matrix that overflows fails the check
-def _rate_at(snr: float, per_n, messages, ablated: bool, stacks) -> float:
+def _rate_at(snr: float, per_n, messages, ablated: bool, rows) -> float:
     """`_sum_rates`' message sum at one SNR with its bits, ablated log2 det(N + S) - log2 det N a pair: N + S (ablated
-    and N) of each pair in `_stack_mats`' order of sums, one slogdet an n; at n = 1 Python complex numbers of real part
-    >= 1, whose libm log of the hypot (as in slogdet) alone can fail. A failing n goes to `_name_error`."""
+    and N) of each pair, N = I + rho L L^H leak by leak, one slogdet an n; at n = 1 Python complex numbers of real
+    part >= 1, whose libm log of the hypot (as in slogdet) alone can fail. A failing n goes to `_name_error`."""
     bits = {}
-    for n, noise, rows in per_n:
+    for n, noise, per_row in per_n:
         mats = []
-        for (divisor, signal), *leaks in rows:
+        for (divisor, signal), *leaks in per_row:
             cov = noise
             for d, leak in leaks:
                 cov = cov + snr / d * leak
@@ -193,7 +181,7 @@ def _rate_at(snr: float, per_n, messages, ablated: bool, stacks) -> float:
             except OverflowError:
                 logs = [math.inf]
         if not all(map(math.isfinite, logs)):
-            _name_error(stacks, messages, snr)
+            _name_error(rows, messages, snr, ablated)
         bits[n] = [a / _LN2 - b / _LN2 for a, b in zip(logs[::2], logs[1::2])] if ablated else [v / _LN2 for v in logs]
     total = 0.0
     for weight, pairs in messages:
@@ -213,10 +201,10 @@ def _one_point(scheme: SchemeInstance, channels: ChannelSet, snr_linear, seed, a
     key = integer(seed, "seed") if ablated else None
     form = kept.get(key)
     if form is None:  # `_rate_at` and its arguments: 1x1 rows in Python numbers, no errstate if every row is 1x1
-        stacks, messages, rows = _terms(scheme, channels, key)
-        per_n = [(n, stacks[n][2], r) if n != 1 else (n, 1 + 0j, [[(d, t.item()) for d, t in row] for row in r])
-                 for n, r in rows.items()]
-        form = (_rate_at if rows.keys() - {1} else _rate_at.__wrapped__), per_n, messages, ablated, stacks
+        messages, rows = _terms(scheme, channels, key)
+        per_n = [(n, np.eye(n, dtype=complex), r) if n != 1 else
+                 (n, 1 + 0j, [[(d, t.item()) for d, t in row] for row in r]) for n, r in rows.items()]
+        form = (_rate_at if rows.keys() - {1} else _rate_at.__wrapped__), per_n, messages, ablated, rows
     rate = form[0](snr_linear, *form[1:])
     if memo is not False and key not in kept:  # the call has its rate: keep its form, from this key again past five
         object.__setattr__(scheme, "_memo", (channels, {**kept, key: form} if len(kept) < 5 else {key: form}))

@@ -488,6 +488,7 @@ def _verify(scheme, channels, seeds, plan, mats, verdicts=False):
                     and (2 * _CONDITION_TOL * hi[h] * hi[t] * hi[q] < lo[g]).all()
                     and (abs(np.log2(lo[np.concatenate([link, pre, h, t, q])])) < 300).all()):  # products stay normal
                 return _verify(scheme, channels, seeds, plan, mats)
+            leak_rows = [()] * len(leak_rows)  # settled: every trial passes interference, and only failures hold
         sv = np.concatenate(smax + smin).tolist()
 
         results = []

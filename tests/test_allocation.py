@@ -6,6 +6,7 @@ band of equivalent optima. Full-grid equality up to components of 10 lives in
 the acceptance suite; here a smaller grid keeps the loop fast.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -18,7 +19,9 @@ import pytest
 from mimo3way import (
     AntennaConfig,
     AntennaSplit,
+    DualityCertificate,
     DualityPairCertificate,
+    DualityStatus,
     InternalError,
     InvalidInputError,
     LinearProgram,
@@ -42,9 +45,10 @@ from mimo3way import (
     unicast_optimal_value,
     verify_duality,
 )
-from mimo3way import allocation
+from mimo3way import allocation, cli
 from mimo3way.allocation import _MAX_TERMS, _ORBITS, _broadcast_thrice, _genie_rows, _unicast_thrice
 from mimo3way.bounds import GENIE_TERMS
+from mimo3way.lp import _Unbounded
 
 
 def _configs(limit):
@@ -482,6 +486,31 @@ def test_bruteforce_check_fires_on_a_rigged_grid(monkeypatch, shift):
     monkeypatch.setattr(allocation, "_genie_value_grid", rigged)
     _refuses(lambda: optimal_unicast_bruteforce(AntennaConfig(7, 5, 4), 3),
              "vectorized grid bound disagrees with genie_bound_unicast")
+
+
+class _EmptyWalk:
+    def optimum(self, params):  # every branch polytope empty
+        raise _Unbounded()
+
+
+def _closed_form_a_third_high(config):
+    result = optimal_unicast_closed_form(config)
+    return dataclasses.replace(result, optimal_dof=result.optimal_dof + Fraction(1, 3))
+
+
+@pytest.mark.parametrize("name, patch, message", [
+    ("_template", lambda bits: _EmptyWalk(), "no genie subproblem was feasible"),
+    ("optimal_unicast_closed_form", _closed_form_a_third_high, "enumerated optimum 23/3 != closed form 8"),
+    ("verify_duality", lambda lp, v, lam: DualityCertificate(DualityStatus.NOT_DUAL_FEASIBLE, Fraction(0)),
+     "simplex produced a non-optimal certificate: NotDualFeasible"),
+])
+def test_enumerated_self_checks_fire_and_exit_3(monkeypatch, capsys, name, patch, message):
+    # each self-check of optimal_unicast_enumerated, reached by one patched
+    # helper at (7,5,4): the call refuses by name, and the CLI exits 3
+    monkeypatch.setattr(allocation, name, patch)
+    _refuses(lambda: optimal_unicast_enumerated(AntennaConfig(7, 5, 4)), message)
+    assert cli.main(["allocate", "--m", "7,5,4", "--method", "enumerated"]) == 3
+    assert capsys.readouterr() == ("", f"error[internal]: {message}\n")
 
 
 def test_splits_from_numerators_equal_validated_splits():

@@ -942,7 +942,7 @@ def test_warm_one_snr_calls_on_1x1_pairs_take_no_numpy_rate_arithmetic(monkeypat
         raise AssertionError("a warm 1x1 rate call ran numpy rate arithmetic")
 
     monkeypatch.setattr(rates_mod, "_slogdet", refused)
-    monkeypatch.setattr(rates_mod, "_stack_mats", refused)
+    monkeypatch.setattr(rates_mod, "_name_error", refused)
     assert [sum_rate(s, ch, snr) for snr in _MC_SNRS] == [_loop_sum_rate(s, ch, snr) for snr in _MC_SNRS]
     assert [ablated_sum_rate(s, ch, snr, seed=3) for snr in _MC_SNRS] == [
         _per_call_ablated_sum_rate(s, ch, snr, 3) for snr in _MC_SNRS
@@ -967,12 +967,11 @@ def test_a_1x1_rate_whose_abs_overflows_is_refused_as_bad_input(monkeypatch, abl
         abs(1.5 * big)
     terms = rates_mod._terms
 
-    def planted(scheme, channels, seed=None):  # G G^H of the first 1x1 pair, in its row and in its stack
-        stacks, messages, rows = terms(scheme, channels, seed)
+    def planted(scheme, channels, seed=None):  # G G^H of the first 1x1 pair, in its row
+        messages, rows = terms(scheme, channels, seed)
         (divisor, gram), *leaks = rows[1][0]
         rows[1][0] = [(divisor, np.full_like(gram, big)), *leaks]
-        stacks[1][1][0, 0].flat[0] = big
-        return stacks, messages, rows
+        return messages, rows
 
     monkeypatch.setattr(rates_mod, "_terms", planted)
     ch, s = _built((3, 3, 3), SchemeTag.UNI_A, seed=0)

@@ -16,7 +16,7 @@ _TREES = {path.name: ast.parse(path.read_text()) for path in sorted(_SRC.glob("*
 # Most lines the package's modules may total, as `wc -l src/mimo3way/*.py`
 # counts them: a change lands at net <= 0 lines, and one granted a line
 # allowance raises this by the lines it uses.
-SRC_LINE_CEILING = 3_068
+SRC_LINE_CEILING = 3_057
 
 
 def _exported(tree) -> set[str]:
