@@ -7,8 +7,9 @@ the package's own writer, which lays out each dict shape once; the same bytes
 for the same arguments and seed), and csv. Defaults: table, except
 verify-scheme (json) and sweep (csv). Exit codes: 0 success, 1 usage error,
 2 validation failure (bad input, invalid scheme, tolerance exceeded), 3
-internal error. The default seed is 1234, overridable with the MIMO3WAY_SEED
-environment variable or --seed.
+internal error. verify-scheme and slope take their seed from --seed, else the
+MIMO3WAY_SEED environment variable, else 1234; the exact subcommands read
+neither.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .allocation import (
 )
 from .bounds import cutset_bound_broadcast, cutset_bound_unicast, genie_bound_unicast
 from .channel import AntennaConfig, AntennaSplit, draw_channels
-from .errors import InternalError, InvalidInputError
+from .errors import InternalError, InvalidInputError, sequence
 from .rational import _to_integers, frac, frac_str
 from .rates import estimate_dof
 from .schemes import SchemeTag, build_scheme, scheme_split, verify_scheme
@@ -52,6 +53,10 @@ SWEEP_MAX_POINTS = 100_000
 _MAX_DIGITS = 500
 _DIGIT_BOUND = 10**_MAX_DIGITS
 
+# Most entries main reads from its argv: a slope call naming every option, each value apart, has 18 (the longest
+# argv of the tests has 13, of the CLI fuzz strategy 10).
+_MAX_ARGS = 64
+
 
 class _UsageError(Exception):
     pass
@@ -62,14 +67,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("MIMO3WAY_SEED")
-    if env is None:
-        return DEFAULT_SEED
+def _seed(args) -> int:
+    """--seed, else MIMO3WAY_SEED, else DEFAULT_SEED."""
+    seed = os.environ.get("MIMO3WAY_SEED", DEFAULT_SEED) if args.seed is None else args.seed
     try:
-        return int(env)
-    except ValueError as exc:
-        raise _UsageError(f"MIMO3WAY_SEED must be an integer, got {env!r}") from exc
+        return int(seed)
+    except ValueError as exc:  # only the environment's text can fail
+        raise _UsageError(f"MIMO3WAY_SEED must be an integer, got {seed!r}") from exc
 
 
 def _parse_list(text: str, name: str, convert, noun: str) -> tuple:
@@ -109,13 +113,6 @@ def _config(args) -> AntennaConfig:
     return AntennaConfig(*m)
 
 
-def _scheme_tag(text: str) -> SchemeTag:
-    try:
-        return SchemeTag(text)
-    except ValueError as exc:
-        raise _UsageError(f"unknown scheme {text!r}; choose from uni-a, uni-b, bcast") from exc
-
-
 def _dec(x, d: int = 1) -> str:
     """Exact x/d (x int or Fraction, d > 0, reduced or not) to 4 decimals, half to even, "-0.0000" below 0:
     float text without overflow or lost digits."""
@@ -136,10 +133,10 @@ def _fmt_triple(vals) -> str:
 
 
 def _emit_json(payload: dict) -> None:
-    """Print `payload` as json.dumps(payload, indent=2, sort_keys=True) would,
-    whose indent skips json's C encoder. Unlike json.dumps, a dict key that is
-    not a str raises TypeError (no payload has one); cycles are not checked.
-    Payloads repeat a few dict shapes, so each is laid out once (_layout)."""
+    """Print `payload` as json.dumps(payload, indent=2, sort_keys=True) would, whose indent skips json's C encoder.
+    A payload holds dicts with str keys, lists, str, int, float, bool and None, of these exact types: anything else,
+    a tuple or a subclass too, raises TypeError. Cycles are not checked. Payloads repeat a few dict shapes, so each is
+    laid out once (_layout)."""
     print("".join(_json_pieces(payload, "\n", [])))
 
 
@@ -152,9 +149,7 @@ _MAX_LAYOUTS = 256
 def _layout(keys: tuple, newline: str) -> list:
     """(key, "{" or "," + indent + encoded key + ": ") in sorted key order."""
     inner, layout = newline + "  ", []
-    for key in sorted(keys):
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
+    for key in sorted(keys):  # encode_basestring_ascii refuses a key that is not a str
         layout.append((key, ("," if layout else "{") + inner + encode_basestring_ascii(key) + ": "))
     if len(_LAYOUTS) < _MAX_LAYOUTS:
         _LAYOUTS[keys, newline] = layout
@@ -175,7 +170,7 @@ def _json_pieces(obj, newline: str, out: list) -> list:
                 out.append(prefix)
                 _json_pieces(value, inner, out)
         out.append(newline + "}")
-    elif (kind is list or kind is tuple) and obj:
+    elif kind is list and obj:
         inner = newline + "  "
         sep, comma = "[" + inner, "," + inner
         for item in obj:
@@ -186,19 +181,16 @@ def _json_pieces(obj, newline: str, out: list) -> list:
                 _json_pieces(item, inner, out)
             sep = comma
         out.append(newline + "]")
-    elif isinstance(obj, str):  # json's order of type tests: bools before int, their superclass
+    elif kind is str:
         out.append(encode_basestring_ascii(obj))
-    elif obj is None or obj is True or obj is False:
+    elif obj is None or kind is bool:
         out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(float.__repr__(obj) if math.isfinite(obj) else
-                   "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
-    elif isinstance(obj, (list, tuple, dict)) and not obj:
-        out.append("{}" if isinstance(obj, dict) else "[]")
-    elif isinstance(obj, (list, tuple, dict)):  # a subclass prints as the plain list or dict of its items
-        _json_pieces({key: obj[key] for key in obj} if isinstance(obj, dict) else list(obj), newline, out)
+    elif kind is int:
+        out.append(repr(obj))
+    elif kind is float:
+        out.append(repr(obj) if math.isfinite(obj) else "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif kind is list or kind is dict:  # empty
+        out.append("[]" if kind is list else "{}")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     return out
@@ -303,12 +295,11 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_verify_scheme(args) -> int:
-    config = _config(args)
-    tag = _scheme_tag(args.scheme)
+    seed, config, tag = _seed(args), _config(args), SchemeTag(args.scheme)
     split, _ = scheme_split(config, tag)
-    channels = draw_channels(split, args.seed)
-    scheme = build_scheme(config, tag, channels, args.seed)
-    report = verify_scheme(scheme, channels, seed=args.seed)
+    channels = draw_channels(split, seed)
+    scheme = build_scheme(config, tag, channels, seed)
+    report = verify_scheme(scheme, channels, seed=seed)
 
     if args.format == "json":
         _emit_json(
@@ -316,7 +307,7 @@ def _cmd_verify_scheme(args) -> int:
                 "command": "verify-scheme",
                 "config": config.to_json(),
                 "scheme": tag.value,
-                "seed": args.seed,
+                "seed": seed,
                 "split": split.to_json(),
                 "extension_factor": scheme.extension_factor,
                 "report": report.to_json(),
@@ -329,7 +320,7 @@ def _cmd_verify_scheme(args) -> int:
         ]
         _emit_csv(rows, ("message", "receiver", "interference", "condition", "roundtrip", "passed"))
     else:
-        print(f"scheme {tag.value} on m={config.totals}, seed {args.seed}: "
+        print(f"scheme {tag.value} on m={config.totals}, seed {seed}: "
               f"{'VALID' if report.valid else 'INVALID'}")
         print(f"claimed dof: {_dec(report.claimed_dof)}  achieved dof: {_dec(report.achieved_dof)}")
         for c in report.checks:
@@ -346,17 +337,16 @@ def _cmd_verify_scheme(args) -> int:
 
 
 def _cmd_slope(args) -> int:
-    config = _config(args)
-    tag = _scheme_tag(args.scheme)
+    seed, config, tag = _seed(args), _config(args), SchemeTag(args.scheme)
     snr = _parse_list(args.snr, "snr", float, "numbers")
     if not all(math.isfinite(v) for v in snr):
         raise _UsageError(f"--snr values must be finite, got {args.snr!r}")
     if not 0 <= args.tol < math.inf:  # a NaN or infinite --tol would pass any slope
         raise InvalidInputError(f"--tol must be a finite number >= 0, got {args.tol!r}")
-    est = estimate_dof(config, tag, snr, trials=args.trials, seed=args.seed, fit=args.fit)
+    est = estimate_dof(config, tag, snr, trials=args.trials, seed=seed, fit=args.fit)
 
     if args.format == "json":
-        _emit_json({"command": "slope", "config": config.to_json(), "seed": args.seed, "estimate": est.to_json()})
+        _emit_json({"command": "slope", "config": config.to_json(), "seed": seed, "estimate": est.to_json()})
     elif args.format == "csv":
         _emit_csv([(f"{db:g}", rate) for db, rate in zip(est.snr_db, est.mean_rates)], ("snr_db", "mean_rate"))
     else:
@@ -415,17 +405,16 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-# one parser per default seed; argparse keeps no state between parse_args calls
-@functools.lru_cache(maxsize=4)
-def _build_parser(seed: int) -> _Parser:
+@functools.cache  # argparse keeps no state between parse_args calls
+def _build_parser() -> _Parser:
     parser = _Parser(prog="mimo3way", description="DoF bounds, antenna allocation, and zero-forcing "
                                                   "schemes for three-way full-duplex MIMO networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, func, default_format="table"):
         p.add_argument("--format", "-f", choices=("table", "json", "csv"), default=default_format)
-        p.add_argument("--seed", type=int, default=seed,
-                       help=f"RNG seed (default {seed}; env MIMO3WAY_SEED overrides)")
+        p.add_argument("--seed", type=int, help=f"RNG seed of verify-scheme and slope (default: env MIMO3WAY_SEED, "
+                                                f"else {DEFAULT_SEED}); the exact subcommands ignore it")
         p.set_defaults(func=func)
 
     p = sub.add_parser("bounds", help="evaluate DoF bounds at a split")
@@ -447,13 +436,13 @@ def _build_parser(seed: int) -> _Parser:
 
     p = sub.add_parser("verify-scheme", help="build and verify a zero-forcing scheme")
     p.add_argument("--m", required=True)
-    p.add_argument("--scheme", required=True, help="uni-a | uni-b | bcast")
+    p.add_argument("--scheme", required=True, choices=[t.value for t in SchemeTag])
     p.add_argument("--sort", action="store_true")
     common(p, _cmd_verify_scheme, default_format="json")
 
     p = sub.add_parser("slope", help="Monte-Carlo DoF slope estimate")
     p.add_argument("--m", required=True)
-    p.add_argument("--scheme", required=True)
+    p.add_argument("--scheme", required=True, choices=[t.value for t in SchemeTag])
     p.add_argument("--snr", default="30,50", help="SNR grid in dB, e.g. 30,50")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--tol", type=float, default=0.2, help="max |slope - theoretical| for exit 0")
@@ -473,7 +462,10 @@ def _build_parser(seed: int) -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser(_default_seed()).parse_args(argv)
+        argv = sequence(sys.argv[1:] if argv is None else argv, "argv must be a sequence of arguments", _MAX_ARGS)
+        if len(argv) > _MAX_ARGS:
+            raise _UsageError(f"more than {_MAX_ARGS} arguments")
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)

@@ -68,27 +68,6 @@ _MAX_GRID = 4096  # most points of estimate_dof's SNR grid; its slope reads the 
 _MAX_WORK = 2**33
 
 
-def _log2det(grams: np.ndarray, snrs) -> np.ndarray:
-    """log2 det of each positive-definite I + ... in a (..., grid, n, n) stack,
-    under np.errstate(over="ignore", invalid="ignore"); grams[..., k, :, :] is
-    at snrs[k]. The first bad matrix in C order names its SNR: a non-finite one
-    overflowed, and once a finite one's largest entry times eps reaches 1,
-    rounding has lost its identity part and a rank-deficient rest is singular."""
-    finite = np.isfinite(grams).all(axis=(-2, -1))
-    if not finite.all():
-        k = np.unravel_index(np.argmin(finite), finite.shape)
-        raise InvalidInputError(f"snr_linear {float(snrs[k[-1]])} overflows the rate Gram matrix")
-    sign, logdet = _slogdet(grams)
-    ok = (sign.real > 0) & np.isfinite(logdet)
-    if not ok.all():
-        k = np.unravel_index(np.argmin(ok), ok.shape)
-        if np.abs(grams[k]).max() * _EPS >= 1:
-            raise InvalidInputError(f"snr_linear {float(snrs[k[-1]])} is past float64 resolution: the rate Gram "
-                                    "matrix loses its identity part")
-        raise InternalError("rate Gram matrix is not positive definite")
-    return logdet / _LN2
-
-
 def _terms(scheme: SchemeInstance, channels: ChannelSet, seed: int | None = None):
     """What each (message, receiver) pair with streams rates before the SNR: (per message with streams its weight and
     its receivers' (n, row), rows by Gram size n). A row is (divisor, G G^H), G = Q^H H T, then, ablated at `seed`
@@ -120,17 +99,40 @@ def _terms(scheme: SchemeInstance, channels: ChannelSet, seed: int | None = None
     return [(m.weight, [next(where) for _ in m.receivers]) for m in scheme.messages if m.dim], rows
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _log2det names an overflow
-def _name_error(rows, messages, snrs, ablated: bool) -> None:
-    """Each `_terms` pair alone at `snrs` ((grid, 1, 1) or a float), in message order, through `_log2det`: N + S,
-    ablated [N + S, N], in `_rate_at`'s order of sums. The first failing names the error."""
-    for n, i in [pair for _, pairs in messages for pair in pairs]:
-        (divisor, signal), *leaks = rows[n][i]
-        noise = np.eye(n, dtype=complex)
+def _covariances(rows, noise, snr, ablated: bool) -> list:
+    """N + S of each `_terms` row at `snr`, and after it N if `ablated`: N = `noise` + snr / d L L^H leak by leak,
+    S = snr / divisor G G^H."""
+    mats = []
+    for (divisor, signal), *leaks in rows:
+        cov = noise
         for d, leak in leaks:
-            noise = noise + snrs / d * leak[..., None, :, :]
-        mat = noise + snrs / divisor * signal[..., None, :, :]
-        _log2det(np.stack([mat, np.broadcast_to(noise, mat.shape)]) if ablated else mat, np.ravel(snrs))
+            cov = cov + snr / d * leak
+        mats += [cov + snr / divisor * signal, cov] if ablated else [cov + snr / divisor * signal]
+    return mats
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite matrix names an overflow
+def _name_error(rows, messages, snrs, ablated: bool) -> None:
+    """Each `_terms` pair alone at `snrs` ((grid, 1, 1) or a float), in message order, its `_covariances` in one stack.
+    The first failing pair names the error by its first bad matrix in C order: a non-finite one overflowed, and once a
+    finite one's largest entry times eps reaches 1, rounding has lost its identity part and a rank-deficient rest is
+    singular."""
+    grid = np.ravel(snrs)
+    for n, i in [pair for _, pairs in messages for pair in pairs]:
+        row = [(d, gram[..., None, :, :]) for d, gram in rows[n][i]]
+        mats = np.stack(np.broadcast_arrays(*_covariances([row], np.eye(n, dtype=complex), snrs, ablated)))
+        finite = np.isfinite(mats).all(axis=(-2, -1))
+        if not finite.all():
+            k = np.argmin(finite) % grid.size  # the last axis is the grid's
+            raise InvalidInputError(f"snr_linear {float(grid[k])} overflows the rate Gram matrix")
+        sign, logdet = _slogdet(mats)
+        ok = (sign.real > 0) & np.isfinite(logdet)
+        if not ok.all():
+            k = np.unravel_index(np.argmin(ok), ok.shape)
+            if np.abs(mats[k]).max() * _EPS >= 1:
+                raise InvalidInputError(f"snr_linear {float(grid[k[-1]])} is past float64 resolution: the rate Gram "
+                                        "matrix loses its identity part")
+            raise InternalError("rate Gram matrix is not positive definite")
 
 
 def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray:
@@ -160,17 +162,12 @@ def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray
 
 @np.errstate(over="ignore", invalid="ignore")  # a matrix that overflows fails the check
 def _rate_at(snr: float, per_n, messages, ablated: bool, rows) -> float:
-    """`_sum_rates`' message sum at one SNR with its bits, ablated log2 det(N + S) - log2 det N a pair: N + S (ablated
-    and N) of each pair, N = I + rho L L^H leak by leak, one slogdet an n; at n = 1 Python complex numbers of real
-    part >= 1, whose libm log of the hypot (as in slogdet) alone can fail. A failing n goes to `_name_error`."""
+    """`_sum_rates`' message sum at one SNR with its bits, ablated log2 det(N + S) - log2 det N a pair: an n's
+    `_covariances` in one slogdet, or at n = 1 Python complex numbers of real part >= 1, whose libm log of the hypot
+    (as in slogdet) alone can fail. A failing n goes to `_name_error`."""
     bits = {}
     for n, noise, per_row in per_n:
-        mats = []
-        for (divisor, signal), *leaks in per_row:
-            cov = noise
-            for d, leak in leaks:
-                cov = cov + snr / d * leak
-            mats += [cov + snr / divisor * signal, cov] if ablated else [cov + snr / divisor * signal]
+        mats = _covariances(per_row, noise, snr, ablated)
         if n != 1:
             mat = mats[0] if len(mats) == 1 else np.array(mats)
             sign, logdet = _slogdet(mat) if np.isfinite(mat).all() else (np.zeros(1), None)

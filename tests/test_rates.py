@@ -302,27 +302,21 @@ def test_stacked_rate_errors_name_the_recorded_snr(m, tag, seed, message, named)
     assert got == ("InvalidInputError", message.format(named))
 
 
-def test_log2det_names_the_first_bad_matrix_in_c_order():
-    # the callers hold np.errstate(over="ignore", invalid="ignore") around it
-    def log2det(grams):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return rates_mod._log2det(grams, [1.0, 2.0, 3.0])
+def test_name_error_names_the_first_bad_matrix_in_c_order():
+    # one pair, Gram size 2, on two trials: its matrix I + snr G at (trial,
+    # SNR), the SNRs (1e-300, 2, 3). The first bad one in C order names the error
+    def named(grams):
+        rows, snrs = {2: [[(1.0, np.array(grams, dtype=complex))]]}, np.array([1e-300, 2.0, 3.0])[:, None, None]
+        return _raised(lambda: rates_mod._name_error(rows, [(1, [(2, 0)])], snrs, False))
 
-    eye = np.eye(2, dtype=complex)
-    grams = np.stack([eye] * 6).reshape(2, 3, 2, 2)
-    bits = log2det(grams)
-    assert bits.shape == (2, 3) and not bits.any()
-    bad = grams.copy()
-    bad[1, 0] = np.nan
-    bad[0, 2] = np.inf
-    assert _raised(lambda: log2det(bad)) == ("InvalidInputError", _OVERFLOW.format(3.0))
-    bad = grams.copy()
-    bad[0, 1] = np.full((2, 2), 1e17)  # singular once eye is rounded away
-    bad[1, 0] = np.diag([-1.0, 1.0])  # det -1
-    assert _raised(lambda: log2det(bad)) == ("InvalidInputError", _RESOLUTION.format(2.0))
-    bad[0, 1] = eye
-    bad[0, 2] = 0  # singular with small entries: no SNR is to blame
-    assert _raised(lambda: log2det(bad)) == ("InternalError", "rate Gram matrix is not positive definite")
+    zero, negative = np.zeros((2, 2)), np.diag([-2e300, 0.0])  # I + 1e-300 negative has det -1
+    assert named([zero, zero]) is None
+    overflows_at_3, overflows_from_2 = np.full((2, 2), 0.6e308), np.full((2, 2), 1e308)
+    assert named([overflows_at_3, overflows_from_2]) == ("InvalidInputError", _OVERFLOW.format(3.0))
+    singular_from_2 = np.full((2, 2), 1e17)  # once I is rounded away
+    assert named([singular_from_2, negative]) == ("InvalidInputError", _RESOLUTION.format(2.0))
+    # singular with small entries: no SNR is to blame
+    assert named([zero, negative]) == ("InternalError", "rate Gram matrix is not positive definite")
 
 
 @pytest.mark.parametrize(
@@ -961,7 +955,7 @@ def test_warm_one_snr_calls_on_1x1_pairs_take_no_numpy_rate_arithmetic(monkeypat
 @pytest.mark.parametrize("ablated", [False, True])
 def test_a_1x1_rate_whose_abs_overflows_is_refused_as_bad_input(monkeypatch, ablated):
     # a finite 1x1 N + S past 1.8e308 in modulus: Python's abs raises
-    # OverflowError where numpy's hypot gives inf, so the pair goes to _log2det
+    # OverflowError where numpy's hypot gives inf, so the pair goes to _name_error
     big = 1e308 + 1e308j
     with pytest.raises(OverflowError):
         abs(1.5 * big)
@@ -1008,14 +1002,14 @@ def test_one_point_rates_equal_per_pair_slogdets_over_an_snr_sweep(m, tag):
         (4, False, 1e308, 4080.316912811533),
     ],
 )
-def test_a_failing_1x1_stack_names_its_error_through_log2det(monkeypatch, seed, ablated, snr, want):
+def test_a_failing_1x1_stack_names_its_error_through_name_error(monkeypatch, seed, ablated, snr, want):
     # every (3,3,3) uni-a stack is 1x1: a call makes no numpy slogdet until a
-    # stack fails, and then its pairs go one by one through _log2det. A 1x1
+    # stack fails, and then its pairs go one by one through _name_error. A 1x1
     # stack is 1 + rho |g|^2 > 0, so it only ever fails by overflowing.
     ch, s = _built((3, 3, 3), SchemeTag.UNI_A, seed=seed)
     named = []
-    log2det = rates_mod._log2det
-    monkeypatch.setattr(rates_mod, "_log2det", lambda grams, snrs: named.append(grams.shape) or log2det(grams, snrs))
+    name_error = rates_mod._name_error
+    monkeypatch.setattr(rates_mod, "_name_error", lambda *args: named.append(args[2]) or name_error(*args))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _raised(lambda: ablated_sum_rate(s, ch, snr, seed=seed) if ablated else sum_rate(s, ch, snr))

@@ -16,7 +16,7 @@ _TREES = {path.name: ast.parse(path.read_text()) for path in sorted(_SRC.glob("*
 # Most lines the package's modules may total, as `wc -l src/mimo3way/*.py`
 # counts them: a change lands at net <= 0 lines, and one granted a line
 # allowance raises this by the lines it uses.
-SRC_LINE_CEILING = 3_057
+SRC_LINE_CEILING = 3_046
 
 
 def _exported(tree) -> set[str]:
@@ -118,15 +118,11 @@ def test_parameter_check_flags_an_unread_parameter():
 
 def _list_or_tuple_checks(name, tree) -> list[str]:
     """Each `isinstance(x, (..., tuple, ..., list, ...))` under `tree`, in
-    either order, outside `cli._json_pieces`, whose JSON output dispatch it is."""
-    skip = set()
-    if name == "cli.py":
-        pieces = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_json_pieces")
-        skip = {id(n) for n in ast.walk(pieces)}
+    either order."""
     return [
         f"{name}:{node.lineno}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and id(node) not in skip
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
         and len(node.args) == 2 and isinstance(node.args[1], ast.Tuple)
         and {"tuple", "list"} <= {getattr(e, "id", None) for e in node.args[1].elts}
     ]
