@@ -209,13 +209,6 @@ def _report_rows(name: str, report) -> list[tuple]:
     return rows
 
 
-def _print_report_table(name: str, report) -> None:
-    print(f"{name} bounds:")
-    for _, kind, label, value in _report_rows(name, report)[:-1]:  # the terms; the combined row differs
-        print(f"  {label:<28} {value:>10}{'  (total)' if kind == 'total' else ''}")
-    print(f"  combined = {_dec(report.combined)}  binding: {', '.join(report.binding)}")
-
-
 def _cmd_bounds(args) -> int:
     allocation = None
     if args.allocate:
@@ -248,7 +241,10 @@ def _cmd_bounds(args) -> int:
         if allocation is not None:
             print(f"allocated dof: {_dec(allocation.optimal_dof)} ({allocation.regime.value})")
         for k, r in reports.items():
-            _print_report_table(k, r)
+            print(f"{k} bounds:")
+            for _, kind, label, value in _report_rows(k, r)[:-1]:  # the terms; the combined row differs
+                print(f"  {label:<28} {value:>10}{'  (total)' if kind == 'total' else ''}")
+            print(f"  combined = {_dec(r.combined)}  binding: {', '.join(r.binding)}")
     return 0
 
 
@@ -302,17 +298,8 @@ def _cmd_verify_scheme(args) -> int:
     report = verify_scheme(scheme, channels, seed=seed)
 
     if args.format == "json":
-        _emit_json(
-            {
-                "command": "verify-scheme",
-                "config": config.to_json(),
-                "scheme": tag.value,
-                "seed": seed,
-                "split": split.to_json(),
-                "extension_factor": scheme.extension_factor,
-                "report": report.to_json(),
-            }
-        )
+        _emit_json({"command": "verify-scheme", "config": config.to_json(), "scheme": tag.value, "seed": seed,
+                    "split": split.to_json(), "extension_factor": scheme.extension_factor, "report": report.to_json()})
     elif args.format == "csv":
         rows = [
             (c.message, c.receiver, c.interference_residual, c.condition_ratio, c.roundtrip_error, c.passed)
@@ -388,14 +375,8 @@ def _cmd_sweep(args) -> int:
     ]
 
     if args.format == "json":
-        _emit_json(
-            {
-                "command": "sweep",
-                "m3": args.m3,
-                "msgs": args.msgs,
-                "points": [{"m1_over_m3": a, "m2_over_m3": b, "dof_over_m3": v} for a, b, v in rows],
-            }
-        )
+        _emit_json({"command": "sweep", "m3": args.m3, "msgs": args.msgs,
+                    "points": [{"m1_over_m3": a, "m2_over_m3": b, "dof_over_m3": v} for a, b, v in rows]})
     elif args.format == "table":
         print(f"{'m1/m3':>8} {'m2/m3':>8} {'dof/m3':>10}")
         for a, b, v in rows:

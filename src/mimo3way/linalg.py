@@ -3,9 +3,10 @@
 Validated null spaces, pseudo-inverses and orthonormal draws, plus the
 package's single source of randomness: every seeded stream is numpy's
 PCG64(SeedSequence(seed, spawn_key=stream)), bit for bit, its state words
-derived by `_states` from a pool kept per seed (`_pool`), for one seed or a
-whole block of seeds in one pass. Stream tags keep channel draws, precoder
-draws, and test symbols independent even when a caller reuses one seed.
+derived by `_states` from a pool kept per seed (`_pool`): one seed word by
+word, a block of seeds a word array at a time, from one pool stack per seed
+list (`_pools`). Stream tags keep channel draws, precoder draws, and test
+symbols independent even when a caller reuses one seed.
 
 The kernels behind `null_space_basis` and `random_orthonormal` take matrices
 with leading (trial) axes, so a stack of independent trials goes through one
@@ -58,7 +59,9 @@ ABLATION_STREAM = 4
 _MASK, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _HASH_B = [(i % 4, _INIT_B * _MULT_B**i & _MASK, _INIT_B * _MULT_B ** (i + 1) & _MASK) for i in range(8)]
-_POOLS = 256  # seeds `_pool` keeps; rates.estimate_dof blocks hold at most as many trials, or every spawn misses
+_POWERS_A = np.array([[_MULT_A**k & _MASK] for k in range(5)], dtype=np.uint64)  # on lanes: _MULT_A**k, k = 0..4
+_HASHES_B = np.array(_HASH_B, dtype=np.uint64).T[1:, :, None]  # on lanes: state words' hashes, next hashes
+_POOLS = 256  # seeds `_pool` keeps; rates.estimate_dof blocks hold at most as many, so their one-trial reruns hit
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -163,29 +166,43 @@ def _pool(seed: int) -> tuple[tuple[int, ...], int]:
     return tuple(np.random.SeedSequence(seed).pool.tolist()), _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK
 
 
+@functools.lru_cache(maxsize=1)  # a block's channel, precoder and symbol streams spawn from one seed list
+def _pools(seeds: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """`_pool` of each seed as a read-only (4, seeds) uint64 stack, a lane a seed, and the seeds' hash constants."""
+    pool, h = (np.array(words, dtype=np.uint64) for words in zip(*(_pool(integer(seed, "seed")) for seed in seeds)))
+    pool.flags.writeable = h.flags.writeable = False
+    return pool.T, h
+
+
+def _hashed(x, h, h_next):  # numpy's SeedSequence hashmix of 32-bit words x on hash constant h, then on h_next
+    v = (x ^ h) * h_next & _MASK
+    return v ^ v >> 16
+
+
+def _mixed(x, y):  # numpy's SeedSequence mix of pool words x with hashed words y
+    r = (_MIX_L * x - _MIX_R * y) & _MASK
+    return r ^ r >> 16
+
+
 def _states(seeds, stream) -> np.ndarray:
     """SeedSequence(seed, spawn_key=stream).generate_state(4, np.uint64), a C-ordered row a seed: numpy mixes each
     spawn-key word (a tag, or an array of one tag a seed) into `_pool(seed)` and hashes 8 words out. One seed runs
-    on Python ints, a block on uint64 lanes, in the same expressions: each product of 32-bit words fits in 64 bits,
-    and the hash constant is one int unless the seeds' word counts differ (past 2**128)."""
-    if lanes := len(seeds) > 1:
-        pools, hs = zip(*(_pool(integer(seed, "seed")) for seed in seeds))
-        pool, h = np.array(pools, dtype=np.uint64).T, hs[0]
-        if len(set(hs)) > 1:  # seeds past 2**128 differ in word count, so each row goes on from its own constant
-            h = np.array(hs, dtype=np.uint64)
-    else:
-        pool, h = _pool(integer(seeds[0], "seed"))
+    word by word on Python ints, a block on uint64 lanes a word array at a time ((5, n) hash constants, a (4, n)
+    pool, (8, n) state words), in the same `_hashed` and `_mixed`: each product of 32-bit words fits in 64 bits."""
+    pool, h = _pools(tuple(seeds)) if (lanes := len(seeds) > 1) else _pool(integer(seeds[0], "seed"))
     for tag in stream:
         tag = (tag if lanes else tag.item()) if isinstance(tag, np.ndarray) else integer(tag, "stream tag", 0, _MASK)
-        mixed = []
-        for x in pool:
-            v = (tag ^ h) * (h := h * _MULT_A & _MASK) & _MASK
-            r = (_MIX_L * x - _MIX_R * (v ^ v >> 16)) & _MASK
-            mixed.append(r ^ r >> 16)
-        pool = mixed
-    w = [(v := (pool[i] ^ x) * m & _MASK) ^ v >> 16 for i, x, m in _HASH_B]
+        if lanes:  # the constants h * _MULT_A**k of every lane, shared or (past 2**128, by word count) per lane
+            hs = _POWERS_A * h & _MASK
+            pool, h = _mixed(pool, _hashed(tag, hs[:4], hs[1:])), hs[4]
+        else:
+            pool = [_mixed(x, _hashed(tag, h, h := h * _MULT_A & _MASK)) for x in pool]
+    if lanes:
+        w = _hashed(np.concatenate((pool, pool)), *_HASHES_B)  # state word i hashes pool word i % 4
+        return np.ascontiguousarray((w[0::2] | w[1::2] << 32).T).view(_Row)
+    w = [_hashed(pool[i], a, b) for i, a, b in _HASH_B]
     rows = [w[0] | w[1] << 32, w[2] | w[3] << 32, w[4] | w[5] << 32, w[6] | w[7] << 32]
-    return (np.stack(rows, axis=1) if lanes else np.array([rows], dtype=np.uint64)).view(_Row)
+    return np.array([rows], dtype=np.uint64).view(_Row)
 
 
 class _Row(np.ndarray):  # a `_states` row as numpy's ISeedSequence: PCG64 asks it once for its 4 uint64 words

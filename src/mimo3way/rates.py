@@ -49,16 +49,16 @@ _LN2 = math.log(2.0)
 # Most trials estimate_dof runs: about 6 s on the mc-slope configs, 46 s at (7,6,5) uni-a, on a 25-point grid
 _MAX_TRIALS = 100_000
 
-# Trials per stacked draw/build/verify/rate pass of estimate_dof: at least _BLOCK, else as many as keep its
-# largest rate Gram stack within 1 MiB and at most _POOLS, as a block costs about 1 ms besides about 0.05 ms a
-# trial at (3,3,3) uni-a (20 trials at (7,6,5) uni-a run as one block; as 13 + 7 they take about 12% longer).
+# Trials per stacked draw/build/verify/rate pass of estimate_dof: at least _BLOCK, else as many as keep its largest
+# rate Gram stack within 1 MiB and at most _POOLS (whose pools linalg keeps for one-trial reruns), as a block costs
+# about 1 ms besides 0.05 ms a trial at (3,3,3) uni-a (20 trials at (7,6,5) uni-a as 13 + 7 take about 12% longer).
 _BLOCK, _BLOCK_ENTRIES = 10, 2**16
 
 # Most entries in a complex (pairs, block trials, grid points, n, n) Gram
 # stack of estimate_dof, of the pairs with Gram size n, checked at _BLOCK
 # trials before any draw (a larger block holds at most _BLOCK_ENTRIES): 64 MiB
-# at 16 bytes an entry, and the pass holds about two stacks. It also bounds
-# the (trials, grid points) rate table, 32 MiB of float64.
+# at 16 bytes an entry; the pass holds one stack, and `_name_error` up to two
+# more of a pair's size. It also bounds the (trials, grid) rate table, 32 MiB.
 _MAX_GRAM_ENTRIES = 2**22
 
 _MAX_GRID = 4096  # most points of estimate_dof's SNR grid; its slope reads the top two, or the top half

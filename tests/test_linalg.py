@@ -182,6 +182,20 @@ def test_states_of_a_block_are_numpys_row_for_row():
         assert np.array_equal(linalg._states(seeds, stream), _numpy_states(seeds, stream))
 
 
+def test_block_pool_stack_is_kept_by_value_and_read_only():
+    # a block's pool stack is kept for its seed list's values: a list changed
+    # in place gets the stack of its new values, and no caller can write
+    # into the kept one, whose next block would read it
+    seeds = list(range(40, 60))
+    stream = (linalg.TRIAL_STREAM, np.arange(20, dtype=np.uint64))
+    assert np.array_equal(linalg._states(seeds, stream), _numpy_states(seeds, stream))
+    seeds[3] = 2**128 + 7  # in place, and a seed of more words, whose lane goes on from its own hash constant
+    assert np.array_equal(linalg._states(seeds, stream), _numpy_states(seeds, stream))
+    for words in linalg._pools(tuple(seeds)):
+        with pytest.raises(ValueError, match="read-only"):
+            words[...] = 0
+
+
 def test_gaussians_of_a_block_are_each_seeds_own():
     sizes = [9, 1, 4, 0, 12]
     for stream in (linalg.CHANNEL_STREAM, linalg.ABLATION_STREAM):

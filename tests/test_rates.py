@@ -903,6 +903,17 @@ def test_a_rate_call_makes_one_slogdet_per_stream_count(monkeypatch, m, tag, str
         assert len(shapes) == blocks * stream_counts
 
 
+def test_a_block_stacks_its_trial_pools_once():
+    # 20 pool lookups for the trial-seed pass (one seed, 20 tags) and 20 for
+    # the 20 trial seeds, whose channel, precoder and symbol streams share
+    # one pool stack: 80 if each stream looked its trials' pools up again
+    _pool.cache_clear()
+    linalg_mod._pools.cache_clear()
+    estimate_dof(AntennaConfig(3, 3, 3), SchemeTag.UNI_A, (20.0, 40.0), trials=20, seed=3)
+    info = _pool.cache_info()
+    assert info.hits + info.misses == 40
+
+
 # per mc-slope config, the entries per trial and SNR point of its largest
 # Gram stack (four 1x1 pairs; a 2x2 beside a 1x1; two 2x2; a 10x10 beside
 # 7x7 and 4x4 ones) and the block size 2**16 entries give on its 25 points,
