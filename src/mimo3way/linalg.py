@@ -12,7 +12,7 @@ The kernels behind `null_space_basis` and `random_orthonormal` take matrices
 with leading (trial) axes, so a stack of independent trials goes through one
 batched LAPACK call; each matrix of a stack gets the bits it would alone.
 
-The private shim `_svdvals`, `_svd_full`, `_solve`, `_qr` and `_slogdet` calls
+The private shim `_svdvals`, `_svd_full`, `_solve` and `_qr` calls
 numpy's LAPACK gufuncs with the signature and errstate numpy.linalg gives them:
 the same bits and the same LinAlgError. Other dtypes than complex128 (float64
 too for singular values), or a numpy without the gufuncs, go to the public ones.
@@ -41,7 +41,6 @@ try:  # numpy.linalg's LAPACK gufuncs, each under the errstate its wrapper enter
 
     _SVD_VALUES, _SVD_FULL = _raising("svd", "svd_nonconvergence"), _raising("svd_f", "svd_nonconvergence")
     _SOLVE, _QR_RAW, _QR_Q = _raising("solve", "singular"), _raising("qr_r_raw", "qr"), _raising("qr_reduced", "qr")
-    _SLOGDET = _LAPACK.slogdet
 except (ImportError, AttributeError):
     _LAPACK = None
 
@@ -61,7 +60,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _HASH_B = [(i % 4, _INIT_B * _MULT_B**i & _MASK, _INIT_B * _MULT_B ** (i + 1) & _MASK) for i in range(8)]
 _POWERS_A = np.array([[_MULT_A**k & _MASK] for k in range(5)], dtype=np.uint64)  # on lanes: _MULT_A**k, k = 0..4
 _HASHES_B = np.array(_HASH_B, dtype=np.uint64).T[1:, :, None]  # on lanes: state words' hashes, next hashes
-_POOLS = 256  # seeds `_pool` keeps; rates.estimate_dof blocks hold at most as many, so their one-trial reruns hit
+_POOLS = 256  # seeds `_pool` keeps
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -102,11 +101,6 @@ def _qr(a: np.ndarray):
     else:
         q = _QR_Q(a, _QR_RAW(a, signature="D->D"), signature="DD->D")
     return q, np.diagonal(a, axis1=-2, axis2=-1)
-
-
-def _slogdet(a: np.ndarray):
-    """`np.linalg.slogdet(a)` as (sign, logabsdet), bit for bit."""
-    return np.linalg.slogdet(a) if _LAPACK is None or a.dtype != _C128 else _SLOGDET(a, signature="D->Dd")
 
 
 class _MixedRank(Exception):

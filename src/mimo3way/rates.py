@@ -6,31 +6,36 @@ between the top grid points estimates the DoF. Per-message transmit power is
 the node budget split evenly over its streams; the broadcast message counts
 once per receiver (decoding must succeed at both, so its rate is the minimum
 over receivers); rates are divided by the symbol-extension factor to land in
-bits per channel use. A (message, receiver) pair's terms have one form, its
-row of (divisor, Gram): the signal's, then, ablated, each leak's. A rate call
-stacks the pairs by Gram size n, one batched slogdet a stack, which gives each
-matrix the bits it gets alone; only to name an error is a pair rebuilt alone.
+bits per channel use. A (message, receiver) pair rates log2 det(I + snr A A^H)
+- log2 det(I + snr B B^H), A = [G / sqrt(d) | leaks / sqrt(d') ...] and B the
+leaks alone (zero-forcing: A = G / sqrt(d), no B). As log det(I + snr A A^H)
+is the sum of log(1 + snr s) over A's squared singular values s (Telatar,
+1999), `_terms` takes those once, one batched SVD a matrix shape over every
+pair and trial, and `_rates` is the one kernel of every SNR and grid: a
+log1p of snr times the values, summed per pair. The one refusal is overflow,
+at every SNR whose product with the largest value is not finite: an up-set
+of SNRs fixed by the SNR-free terms.
 
 `build_scheme`'s schemes are read-only like a ChannelSet, so `sum_rate` and
 `ablated_sum_rate` keep on one, for the channels (by identity) last rated and
-up to five keys (None, or an ablation seed), all they compute before the SNR:
-passed checks, each pair's divisors and Grams (Python complex numbers if 1x1)
-and its place in the message sum. A warm call does the SNR's arithmetic alone,
-in a grid's order and so with its bits. The random projectors, drawn in one
-batch, ignore the SNR, channels and scheme matrices.
+up to five keys (None, or an ablation seed), `_terms`' form, all they compute
+before the SNR: a warm call runs `_rates` alone, with the bits of a one-point
+grid. The random projectors, drawn in one batch, ignore the SNR, channels and
+scheme matrices.
 
-`estimate_dof` runs its trials in blocks of `_BLOCK` to `_POOLS` trials, as
-large as its rate Gram stacks allow (`_BLOCK_ENTRIES`): a block draws, builds,
-verifies (an SVD for the effective matrices alone) and rates (one `(trials,
-grid)` pass) on a leading trial axis, one LAPACK call per matrix role, not per
-trial. Each trial keeps its own seed and generators, so every draw, verdict
-and rate is the one a trial-by-trial loop gets.
+`estimate_dof` runs its trials in blocks of at least `_BLOCK` trials, as large
+as `_BLOCK_ENTRIES` allows: a block draws, builds, verifies (an SVD for the
+effective matrices alone) and rates (one `(trials, grid)` pass) on a leading
+trial axis, one LAPACK call per matrix role or shape, not per trial. Each
+trial keeps its own seed and generators, so every draw, verdict and rate is
+the one a trial-by-trial loop gets.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +43,7 @@ import numpy as np
 
 from .channel import AntennaConfig, AntennaSplit, ChannelSet, _draw
 from .errors import InternalError, InvalidInputError, instance, integer, real, sequence
-from .linalg import _EPS, _POOLS, ABLATION_STREAM, TRIAL_STREAM, _gaussians, _MixedRank, _orthonormal, _slogdet, _states
+from .linalg import ABLATION_STREAM, TRIAL_STREAM, _gaussians, _MixedRank, _orthonormal, _states, _svdvals
 from .rational import frac_str
 from .schemes import SchemeInstance, SchemeTag, _build, _check_scheme_matrices, _messages, _passed, scheme_split
 
@@ -49,16 +54,15 @@ _LN2 = math.log(2.0)
 # Most trials estimate_dof runs: about 6 s on the mc-slope configs, 46 s at (7,6,5) uni-a, on a 25-point grid
 _MAX_TRIALS = 100_000
 
-# Trials per stacked draw/build/verify/rate pass of estimate_dof: at least _BLOCK, else as many as keep its largest
-# rate Gram stack within 1 MiB and at most _POOLS (whose pools linalg keeps for one-trial reruns), as a block costs
-# about 1 ms besides 0.05 ms a trial at (3,3,3) uni-a (20 trials at (7,6,5) uni-a as 13 + 7 take about 12% longer).
+# Trials per stacked draw/build/verify/rate pass of estimate_dof: at least _BLOCK, else as many as keep the rate
+# Gram entries of _MAX_GRAM_ENTRIES within 2**16, as a block costs about 1 ms besides 0.05 ms a trial at (3,3,3) uni-a.
 _BLOCK, _BLOCK_ENTRIES = 10, 2**16
 
-# Most entries in a complex (pairs, block trials, grid points, n, n) Gram
-# stack of estimate_dof, of the pairs with Gram size n, checked at _BLOCK
-# trials before any draw (a larger block holds at most _BLOCK_ENTRIES): 64 MiB
-# at 16 bytes an entry; the pass holds one stack, and `_name_error` up to two
-# more of a pair's size. It also bounds the (trials, grid) rate table, 32 MiB.
+# Most (block trials, grid points, pairs, n, n) rate Gram entries of estimate_dof,
+# at the stream count n whose pairs have the most, checked at _BLOCK trials
+# before any draw (a larger block holds at most _BLOCK_ENTRIES). The rates once
+# stacked those Grams; a block's log1p table holds at most n values a pair and
+# grid point. It also bounds the (trials, grid) rate table, 32 MiB.
 _MAX_GRAM_ENTRIES = 2**22
 
 _MAX_GRID = 4096  # most points of estimate_dof's SNR grid; its slope reads the top two, or the top half
@@ -68,126 +72,110 @@ _MAX_GRID = 4096  # most points of estimate_dof's SNR grid; its slope reads the 
 _MAX_WORK = 2**33
 
 
+@functools.lru_cache(maxsize=256)  # one layout per plan, projector widths, kind of rate and trial axes
+def _layout(plan, widths: tuple, ablated: bool, axes: int):
+    """How `_terms` forms and reads the matrices of a scheme on `axes` trial axes whose pairs' projectors have
+    `widths` columns, from its plan alone. Returns, per pair with streams, (message key, receiver, link, and if
+    `ablated` each leak's (message key, link)); per matrix shape, the positions of its members in pair order (A, then
+    B if `ablated`) and their columns' scales, 1 / sqrt(d) a column of a message whose sender sends d streams and 0
+    for G's columns in B; per pair, the slices of A's and B's values (no B: empty) in the shapes' stacked values; and
+    per message with streams, [weight, first pair, one past its last pair]."""
+    pairs, shapes, scales, messages, groups, where, at = [], [], [], {}, {}, {}, 0
+    root = {m.tx: 1 / math.sqrt(plan.tx_streams(m.tx)) for m in plan.messages if m.dim}
+    for (k, m, r, link), width in zip(plan.pairs, widths):
+        if m.dim:
+            messages.setdefault(k, [m.weight, len(pairs), 0])[2] = len(pairs) + 1
+            leaks = [(plan.messages[o], lk) for o, lk in plan.leaks[m.key, r]] if ablated else []
+            pairs.append((m.key, r, link, [(o.key, lk) for o, lk in leaks]))
+            rest = [root[o.tx] for o, _ in leaks for _ in range(o.dim)]
+            scales += [[root[m.tx]] * m.dim + rest, [0.0] * m.dim + rest] if ablated else [[root[m.tx]] * m.dim]
+            shapes += [(width, m.dim + len(rest))] * (1 + ablated)
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
+    for (rows, cols), members in groups.items():  # a shape's values follow the last shape's, member by member
+        k = min(rows, cols)
+        where.update((i, slice(at + j * k, at + j * k + k)) for j, i in enumerate(members))
+        at += len(members) * k
+    stacks = [(members, np.reshape([scales[i] for i in members], (len(members),) + (1,) * (axes + 1) + (-1,)))
+              for members in groups.values()]
+    spans = [(where[i], where[i + 1] if ablated else slice(0)) for i in range(0, len(shapes), 1 + ablated)]
+    return pairs, stacks, spans, list(messages.values())
+
+
 def _terms(scheme: SchemeInstance, channels: ChannelSet, seed: int | None = None):
-    """What each (message, receiver) pair with streams rates before the SNR: (per message with streams its weight and
-    its receivers' (n, row), rows by Gram size n). A row is (divisor, G G^H), G = Q^H H T, then, ablated at `seed`
-    (random Q in sorted key order), (divisor, L L^H) of each leak L = Q^H H' T' of the plan, a divisor being its
-    sender's `tx_streams`."""
-    keys = sorted((m.key, r) for m in scheme.messages for r in m.receivers)
-    proj, shapes = scheme.projectors, [scheme.projectors[k].shape for k in keys]
+    """What the (message, receiver) pairs with streams rate before the SNR, as `_rates` reads it: (each pair's (A, B)
+    slices of `s`, each message's [weight, pairs' range], s, the largest of s, or 0). A pair's A is G = Q^H H T over
+    sqrt(d) beside, ablated at `seed` (random Q in sorted key order), each leak Q^H H' T' of the plan over sqrt(d'), a
+    divisor being its sender's `tx_streams`; B is A with G zeroed, and zero-forcing has none. s stacks the squared
+    singular values of every A and B on the trial axes, one batched SVD a matrix shape, inf if a member overflowed."""
+    plan, links, proj, pre = scheme._checks, channels.matrices, scheme.projectors, scheme.precoders
     if seed is not None:  # random_orthonormal key by key from generator(seed, ABLATION_STREAM), one QR a shape
+        keys = sorted((m.key, r) for m in scheme.messages for r in m.receivers)
+        shapes = [proj[k].shape for k in keys]
         draws, proj = _gaussians([seed], ABLATION_STREAM, [rows * cols for rows, cols in shapes]), {}
         for shape in set(shapes):
             at = [i for i, s in enumerate(shapes) if s == shape]
             proj.update(zip([keys[i] for i in at], _orthonormal(np.stack([draws[i].reshape(shape) for i in at]))))
-    plan, links, pre = scheme._checks, channels.matrices, scheme.precoders
-    rows, where = {}, []
-    for _, m, r, link in plan.pairs:
-        if not m.dim:
-            continue
-        qh = proj[m.key, r].conj().mT
-        g = qh @ links[link] @ pre[m.key]
-        row = [(scheme.tx_streams(m.tx), g @ g.conj().mT)]
-        for o, lk in plan.leaks[m.key, r] if seed is not None else ():
-            other = plan.messages[o]
-            leak = qh @ links[lk] @ pre[other.key]
-            row.append((scheme.tx_streams(other.tx), leak @ leak.conj().mT))
-        n = g.shape[-2]
-        where.append((n, len(rows.setdefault(n, []))))
-        rows[n].append(row)
-    where = iter(where)
-    return [(m.weight, [next(where) for _ in m.receivers]) for m in scheme.messages if m.dim], rows
+    widths = tuple([proj[m.key, r].shape[-1] for _, m, r, _ in plan.pairs])
+    pairs, groups, spans, messages = _layout(plan, widths, seed is not None, links[0].ndim - 2)
+    mats, parts = [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused at every SNR
+        for key, r, link, leaks in pairs:
+            qh = proj[key, r].conj().mT
+            a = qh @ links[link] @ pre[key]
+            if seed is not None:  # G beside its leaks, for A and for B, whose scales differ
+                a = np.concatenate([a, *[qh @ links[lk] @ pre[o] for o, lk in leaks]], axis=-1)
+            mats += [a, a] if seed is not None else [a]
+        for members, scale in groups:
+            stack = np.array([mats[i] for i in members]) * scale
+            try:  # unknown values, of an overflowed product or that LAPACK cannot converge to, are inf
+                sv = _svdvals(stack) if np.isfinite(stack).all() else None
+            except np.linalg.LinAlgError:
+                sv = None
+            if sv is None:
+                sv = np.full(stack.shape[:-2] + (min(stack.shape[-2:]),), math.inf)
+            parts.append(sv.swapaxes(0, -2).reshape(*sv.shape[1:-1], -1))  # (trials..., members x values)
+        s = np.concatenate(parts or [np.zeros(0)], axis=-1) ** 2
+    return spans, messages, s, float(s.max(initial=0.0))
 
 
-def _covariances(rows, noise, snr, ablated: bool) -> list:
-    """N + S of each `_terms` row at `snr`, and after it N if `ablated`: N = `noise` + snr / d L L^H leak by leak,
-    S = snr / divisor G G^H."""
-    mats = []
-    for (divisor, signal), *leaks in rows:
-        cov = noise
-        for d, leak in leaks:
-            cov = cov + snr / d * leak
-        mats += [cov + snr / divisor * signal, cov] if ablated else [cov + snr / divisor * signal]
-    return mats
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite matrix names an overflow
-def _name_error(rows, messages, snrs, ablated: bool) -> None:
-    """Each `_terms` pair alone at `snrs` ((grid, 1, 1) or a float), in message order, its `_covariances` in one stack.
-    The first failing pair names the error by its first bad matrix in C order: a non-finite one overflowed, and once a
-    finite one's largest entry times eps reaches 1, rounding has lost its identity part and a rank-deficient rest is
-    singular."""
-    grid = np.ravel(snrs)
-    for n, i in [pair for _, pairs in messages for pair in pairs]:
-        row = [(d, gram[..., None, :, :]) for d, gram in rows[n][i]]
-        mats = np.stack(np.broadcast_arrays(*_covariances([row], np.eye(n, dtype=complex), snrs, ablated)))
-        finite = np.isfinite(mats).all(axis=(-2, -1))
-        if not finite.all():
-            k = np.argmin(finite) % grid.size  # the last axis is the grid's
-            raise InvalidInputError(f"snr_linear {float(grid[k])} overflows the rate Gram matrix")
-        sign, logdet = _slogdet(mats)
-        ok = (sign.real > 0) & np.isfinite(logdet)
-        if not ok.all():
-            k = np.unravel_index(np.argmin(ok), ok.shape)
-            if np.abs(mats[k]).max() * _EPS >= 1:
-                raise InvalidInputError(f"snr_linear {float(grid[k[-1]])} is past float64 resolution: the rate Gram "
-                                        "matrix loses its identity part")
-            raise InternalError("rate Gram matrix is not positive definite")
+def _rates(form, snrs):
+    """The sum rate of a `_terms` form before the extension factor, at `snrs`: a float, or a (grid,) array for
+    (trials..., grid) rates. Refused at the first SNR whose product with the largest value is not finite; else a pair
+    rates log2 det(I + snr A A^H) - log2 det(I + snr B B^H), the sum of log1p(snr s) / ln 2 over A's values s less
+    the same over B's, from 0 in column order (one log1p over all values); from 0 in message order a message adds
+    its weight times its least rate over receivers. A float's rate is a one-point grid's, bit for bit."""
+    spans, messages, s, top = form
+    if isinstance(snrs, float):  # Python numbers past the log1p
+        if not math.isfinite(snrs * top):
+            raise InvalidInputError(f"snr_linear {snrs} overflows the rate Gram matrix")
+        logs, lowest = np.log1p(snrs * s).tolist(), min
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = ~np.isfinite(snrs * top)
+        if bad.any():
+            raise InvalidInputError(f"snr_linear {float(snrs[bad.argmax()])} overflows the rate Gram matrix")
+        logs = list(np.moveaxis(np.log1p(s[..., None, :] * snrs[:, None]), -1, 0))  # a (trials..., grid) a column
+        lowest = functools.partial(functools.reduce, np.minimum)
+    bits = [functools.reduce(operator.add, logs[a], 0.0) / _LN2 - functools.reduce(operator.add, logs[b], 0.0) / _LN2
+            for a, b in spans]
+    total = 0.0
+    for weight, first, end in messages:
+        total += weight * lowest(bits[first:end])
+    return total
 
 
 def _sum_rates(scheme: SchemeInstance, channels: ChannelSet, snrs) -> np.ndarray:
     """Zero-forcing sum rate in bits per channel use at each SNR of a grid, (grid,) or (trials, grid) on a trial axis:
-    a pair's log2 det(I + snr / divisor G G^H), one slogdet a Gram size n (a failing n goes to `_name_error`); from 0
-    in message order, a message adds its weight times its least rate over receivers; all over the extension factor."""
+    `_rates` on `_terms`, over the extension factor."""
     snrs = np.asarray(snrs, dtype=float)
     if not (snrs > 0).all():
         raise InvalidInputError(f"snr_linear must be > 0, got {float(snrs[np.argmin(snrs > 0)])}")
-    (messages, rows), bits = _terms(scheme, channels), {}
-    with np.errstate(over="ignore", invalid="ignore"):  # sums stay checked
-        for n, per_n in rows.items():
-            grams = np.stack([gram for ((_, gram),) in per_n])[..., None, :, :]  # (pairs, ..., grid axis, n, n)
-            divisors = np.reshape([d for ((d, _),) in per_n], (-1,) + (1,) * (grams.ndim - 1))
-            mat = snrs[:, None, None] / divisors * grams
-            np.add(np.eye(n, dtype=complex), mat, out=mat)  # I + S, into S: the stack is never held twice
-            sign, logdet = _slogdet(mat) if np.isfinite(mat).all() else (np.zeros(1), None)
-            # a finite matrix's log-det is at most a few thousand, so the sum is finite iff each is
-            if not (sign.real.min() > 0 and math.isfinite(logdet.sum())):
-                _name_error(rows, messages, snrs[:, None, None], False)
-            bits[n], mat = logdet / _LN2, None  # this stack goes before the next is made
-    total = np.zeros(channels.matrices[0].shape[:-2] + snrs.shape)
-    for weight, pairs in messages:
-        total += weight * functools.reduce(np.minimum, [bits[n][i] for n, i in pairs])
-    return total / scheme.extension_factor
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a matrix that overflows fails the check
-def _rate_at(snr: float, per_n, messages, ablated: bool, rows) -> float:
-    """`_sum_rates`' message sum at one SNR with its bits, ablated log2 det(N + S) - log2 det N a pair: an n's
-    `_covariances` in one slogdet, or at n = 1 Python complex numbers of real part >= 1, whose libm log of the hypot
-    (as in slogdet) alone can fail. A failing n goes to `_name_error`."""
-    bits = {}
-    for n, noise, per_row in per_n:
-        mats = _covariances(per_row, noise, snr, ablated)
-        if n != 1:
-            mat = mats[0] if len(mats) == 1 else np.array(mats)
-            sign, logdet = _slogdet(mat) if np.isfinite(mat).all() else (np.zeros(1), None)
-            logs = logdet.ravel().tolist() if min(sign.real.ravel().tolist()) > 0 else [math.nan]
-        else:
-            try:  # abs overflows where numpy's hypot gives inf
-                logs = [math.log(abs(x)) for x in mats]
-            except OverflowError:
-                logs = [math.inf]
-        if not all(map(math.isfinite, logs)):
-            _name_error(rows, messages, snr, ablated)
-        bits[n] = [a / _LN2 - b / _LN2 for a, b in zip(logs[::2], logs[1::2])] if ablated else [v / _LN2 for v in logs]
-    total = 0.0
-    for weight, pairs in messages:
-        total += weight * min([bits[n][i] for n, i in pairs])
-    return total
+    return _rates(_terms(scheme, channels), snrs) / scheme.extension_factor
 
 
 def _one_point(scheme: SchemeInstance, channels: ChannelSet, snr_linear, seed, ablated: bool) -> float:
-    """`sum_rate`, or `ablated_sum_rate` at `seed`: `_rate_at` on the form of its `_terms` a sealed scheme keeps."""
+    """`sum_rate`, or `ablated_sum_rate` at `seed`: `_rates` at one SNR on the `_terms` form a sealed scheme keeps."""
     snr_linear = real(snr_linear, "snr_linear")
     memo = instance(scheme, SchemeInstance).__dict__.get("_memo", False)  # None sealed and unrated, False unsealed
     kept = memo[1] if memo and memo[0] is channels else {}
@@ -196,13 +184,8 @@ def _one_point(scheme: SchemeInstance, channels: ChannelSet, snr_linear, seed, a
     if not (snr_linear > 0):
         raise InvalidInputError(f"snr_linear must be > 0, got {snr_linear}")
     key = integer(seed, "seed") if ablated else None
-    form = kept.get(key)
-    if form is None:  # `_rate_at` and its arguments: 1x1 rows in Python numbers, no errstate if every row is 1x1
-        messages, rows = _terms(scheme, channels, key)
-        per_n = [(n, np.eye(n, dtype=complex), r) if n != 1 else
-                 (n, 1 + 0j, [[(d, t.item()) for d, t in row] for row in r]) for n, r in rows.items()]
-        form = (_rate_at if rows.keys() - {1} else _rate_at.__wrapped__), per_n, messages, ablated, rows
-    rate = form[0](snr_linear, *form[1:])
+    form = kept.get(key) or _terms(scheme, channels, key)
+    rate = _rates(form, snr_linear)
     if memo is not False and key not in kept:  # the call has its rate: keep its form, from this key again past five
         object.__setattr__(scheme, "_memo", (channels, {**kept, key: form} if len(kept) < 5 else {key: form}))
     return rate / scheme.extension_factor
@@ -293,8 +276,8 @@ def estimate_dof(config: AntennaConfig, tag: SchemeTag, snr_grid_db=(30.0, 50.0)
         raise InvalidInputError(f"snr grid {grid} dB has a point with no finite positive linear value")
 
     split, ext = scheme_split(config, tag)
-    dims = [m.dim for m in _messages(split, tag) for _ in m.receivers]  # each pair's Gram size n
-    n = max(dims, key=lambda d: dims.count(d) * d * d)  # that of the stack with the most entries
+    dims = [m.dim for m in _messages(split, tag) for _ in m.receivers]  # each pair's stream count n
+    n = max(dims, key=lambda d: dims.count(d) * d * d)  # the one whose pairs have the most n x n Gram entries
     if min(trials, _BLOCK) * len(grid) * dims.count(n) * n * n > _MAX_GRAM_ENTRIES:
         raise InvalidInputError(
             f"{min(trials, _BLOCK)} trials x {len(grid)} snr grid points x {dims.count(n)} pairs x {n}^2 streams "
@@ -303,7 +286,7 @@ def estimate_dof(config: AntennaConfig, tag: SchemeTag, snr_grid_db=(30.0, 50.0)
     if trials * largest**3 > _MAX_WORK:
         raise InvalidInputError(
             f"{trials} trials x {largest}^3 antennas at the largest node is over the {_MAX_WORK} work budget")
-    size = min(_POOLS, max(_BLOCK, _BLOCK_ENTRIES // (len(grid) * dims.count(n) * n * n)))
+    size = max(_BLOCK, _BLOCK_ENTRIES // (len(grid) * dims.count(n) * n * n))
     rates, valid, ks = np.zeros((trials, len(grid))), np.zeros(trials, dtype=bool), np.arange(trials, dtype=np.uint64)
     for start in range(0, trials, size):
         block = slice(start, start + size)

@@ -97,7 +97,7 @@ class SchemeInstance:
 
     def tx_streams(self, node: int) -> int:
         """Total streams transmitted by `node` (extended system)."""
-        return sum(m.dim for m in self.messages if m.tx == node)
+        return self._checks.tx_streams(node)
 
     def claimed_dof(self) -> Fraction:
         return Fraction(sum(m.dim * m.weight for m in self.messages), self.extension_factor)
@@ -302,7 +302,7 @@ class _Plan:
     projector (proj_at[p]) sit in it, the pairs (message index, message,
     receiver, link slot) in report order, and the interferers of each
     (message key, receiver) as (message index, link slot), which
-    `rates._terms` reads too."""
+    `rates._layout` reads too, with each sender's `tx_streams`."""
 
     def __init__(self, split: AntennaSplit, messages: tuple[SchemeMessage, ...]):
         self.split, self.messages = split, messages
@@ -322,6 +322,9 @@ class _Plan:
             for _, m, r, _ in self.pairs
         }
         self.receivers = sorted({r for _, _, r, _ in self.pairs})
+
+    def tx_streams(self, node: int) -> int:
+        return sum(m.dim for m in self.messages if m.tx == node)
 
     @functools.lru_cache(maxsize=256)
     def layout(self, kinds: tuple):

@@ -97,8 +97,8 @@ GOLDEN = {
     "verify-scheme --m 2,1,1 --scheme uni-b --format json --seed 7": "9a35927dccd3ee958a438992a705d26fe6dd230b4e750810404822b4f9b6d1eb",
     "verify-scheme --m 2,1,1 --scheme uni-b --format csv --seed 7": "9ae8159a85b118297656a277566491a873c18548d4011665808c8c03405fcc5a",
     "slope --m 2,1,1 --scheme uni-b --trials 3 --snr 20,30,40 --format table --seed 7": "504534edf0e8c2694088eca434ebe174596f4248b498e40ead36f50eeec4b9b0",
-    "slope --m 2,1,1 --scheme uni-b --trials 3 --snr 20,30,40 --format json --seed 7": "8734e903a17cfa2b60c9f5b4c47e93ecbf78ab913dca3adfca08518cfacae4d5",
-    "slope --m 2,1,1 --scheme uni-b --trials 3 --snr 20,30,40 --format csv --seed 7": "cf05fde574ceca8db816d75cbaba02a80ec7f32da20922570746666770c39e28",
+    "slope --m 2,1,1 --scheme uni-b --trials 3 --snr 20,30,40 --format json --seed 7": "5eb2bd6dc5112f18e9436bfa471df0f3dc180fddf96d655c3c974a257b0e50a7",
+    "slope --m 2,1,1 --scheme uni-b --trials 3 --snr 20,30,40 --format csv --seed 7": "335412a330ba3325ea3a75c973db5faad3447d133dff255c40db73d91edf5d22",
     "verify-scheme --m 2,1,1 --scheme bcast --format table --seed 7": "4568a3a97ad0185177e102ff2394fa5857d8f33414460aea172a220edcdc9f00",
     "verify-scheme --m 2,1,1 --scheme bcast --format json --seed 7": "d2ab2d407a30914abb634f579acb6ec3caf53d139760090e37f61e6bfa37b5c1",
     "verify-scheme --m 2,1,1 --scheme bcast --format csv --seed 7": "c5630466c4d1972567b2516428d46bbae99d80b821e39727233df37b60465b1e",
@@ -133,8 +133,8 @@ GOLDEN = {
     "verify-scheme --m 4,2,2 --scheme uni-b --format json --seed 7": "a2ab5ea0cd35d4c8690f233b1d346f352e879d72c808dd01df629dfba67ffe1b",
     "verify-scheme --m 4,2,2 --scheme uni-b --format csv --seed 7": "81f3701836f301b0e11f2561a490099ca97dffbb31ce2a782b9d1cfe6d142a90",
     "slope --m 4,2,2 --scheme uni-b --trials 3 --snr 20,30,40 --format table --seed 7": "e53607a41b8bd49d5532302fff4ff6996fb6f375a09e56a1617747752f4efc1f",
-    "slope --m 4,2,2 --scheme uni-b --trials 3 --snr 20,30,40 --format json --seed 7": "58ce19c7be2e6db878ea722bdc17a2db4de0079475f4f745c3c6b562fa6842bd",
-    "slope --m 4,2,2 --scheme uni-b --trials 3 --snr 20,30,40 --format csv --seed 7": "3cbaf4dce221663c1474443eb690233f774949683e7866bb6cd9b5febb8e7cb4",
+    "slope --m 4,2,2 --scheme uni-b --trials 3 --snr 20,30,40 --format json --seed 7": "b0b8c570efdbb6a44eaa752f1ea8d1393f96c51fbefbdaa8bc5a536ed71876b1",
+    "slope --m 4,2,2 --scheme uni-b --trials 3 --snr 20,30,40 --format csv --seed 7": "c163c51b885d245625b4e82436293c4eb320f7423f7e8765c2659f07e557c9f1",
     "verify-scheme --m 4,2,2 --scheme bcast --format table --seed 7": "19d2b45d299ca833cc7fc6c00eeaeaef85baef6afbb72d9a9e9cf0728b6a5f6e",
     "verify-scheme --m 4,2,2 --scheme bcast --format json --seed 7": "b80ed3fff4acc1412a4628dce4f2b114eb52f4e61b0e6d05233f8d16a566d1ba",
     "verify-scheme --m 4,2,2 --scheme bcast --format csv --seed 7": "2f952c39de75d19368aac24581c9ed5b2dd0fc88e25e9782c66752ac10b38935",
@@ -163,8 +163,8 @@ GOLDEN = {
     "verify-scheme --m 5,4,3 --scheme uni-a --format json --seed 7": "239631afe30adf0ac9d0d2fcc5b8d6bfa1655b6f8b3eea52a9585db7e08f089b",
     "verify-scheme --m 5,4,3 --scheme uni-a --format csv --seed 7": "30beb70f81278bdd5dad30764a7a56812bdc027668ba640c48f23d2add5a3352",
     "slope --m 5,4,3 --scheme uni-a --trials 3 --snr 20,30,40 --format table --seed 7": "4cf7c74d09d84086d99d1e3aab1fbd960d9a53a7f1ac418215cb5ce3c5c38448",
-    "slope --m 5,4,3 --scheme uni-a --trials 3 --snr 20,30,40 --format json --seed 7": "5001dbaf58e32964727f01b1952c24fda3a97f7d2c5f9c71e37e7793db56851f",
-    "slope --m 5,4,3 --scheme uni-a --trials 3 --snr 20,30,40 --format csv --seed 7": "21c0c27271ef54a050b2b18c97abbf99dbe28c1b68c168c8055f63cb1ca5eea9",
+    "slope --m 5,4,3 --scheme uni-a --trials 3 --snr 20,30,40 --format json --seed 7": "5b17c91538ae3a1743a1f547f4e8e57746529f8e71792aacb84a6694db680932",
+    "slope --m 5,4,3 --scheme uni-a --trials 3 --snr 20,30,40 --format csv --seed 7": "dc7efa67538c3b3c31c8880ecd6c304832546056a1812cc72264a393c4f306f9",
     "verify-scheme --m 5,4,3 --scheme uni-b --format table --seed 7": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
     "verify-scheme --m 5,4,3 --scheme uni-b --format json --seed 7": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
     "verify-scheme --m 5,4,3 --scheme uni-b --format csv --seed 7": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
@@ -175,8 +175,8 @@ GOLDEN = {
     "verify-scheme --m 5,4,3 --scheme bcast --format json --seed 7": "ca8a7099e81d7413ff7f90f9e9f8b715cbf20415a0fb56393c615d943e004aa1",
     "verify-scheme --m 5,4,3 --scheme bcast --format csv --seed 7": "2cf7a2ddb5cc276dfc9304c98b07fd32449c2e2a0c1ac11200ff2a6502d23032",
     "slope --m 5,4,3 --scheme bcast --trials 3 --snr 20,30,40 --format table --seed 7": "056d3cf74afa6e090093040b0241f0d6e4c835fac0e40a09d50870168a547638",
-    "slope --m 5,4,3 --scheme bcast --trials 3 --snr 20,30,40 --format json --seed 7": "4999159a6c55e8a9718f689f0aa3b967615fe684a1616c6573de159ababb656a",
-    "slope --m 5,4,3 --scheme bcast --trials 3 --snr 20,30,40 --format csv --seed 7": "bb5f031eff55111a46423a13fdfea6e3edc934686a00a0c268f9a5da3bba885c",
+    "slope --m 5,4,3 --scheme bcast --trials 3 --snr 20,30,40 --format json --seed 7": "437f3ffde60f5b1ccbf3b7afa5824507990ccf9d22914fdd2896d3276a0060e1",
+    "slope --m 5,4,3 --scheme bcast --trials 3 --snr 20,30,40 --format csv --seed 7": "0649b941a88ece180af2ea515876e1f6279c810ddb99a337496d4f7b65d04df0",
     "bounds --m 1,1,0 --allocate --format table --seed 7": "2b815d04f8cf6944b74623296aa8c6a900b3764d59a1db192128d03c15d06004",
     "bounds --m 1,1,0 --allocate --format json --seed 7": "183616cfe3548bc5d42556c98244d07c9b8ebfb048610bea92bb496750ac3ca8",
     "bounds --m 1,1,0 --allocate --format csv --seed 7": "a10be8613d8e1b60c8ae27f07a0b7a6737d01a9bf9d57468c3d0f756a5adc0a4",
@@ -241,14 +241,14 @@ GOLDEN = {
     "verify-scheme --m 4,2,1 --scheme uni-b --format json --seed 7": "9d809dd70cbed3084ce3af831463fca2037254816d1f569d22fb261d4be63015",
     "verify-scheme --m 4,2,1 --scheme uni-b --format csv --seed 7": "69fb128faa3bff1ce38eab6074a945a896427a4fd0784f84db1ddc74936e3b4b",
     "slope --m 4,2,1 --scheme uni-b --trials 3 --snr 20,30,40 --format table --seed 7": "78aea355d0bfeb8dbefcfc4d579c721bb3b234e5ae7ef9e01114a8f3664dabc5",
-    "slope --m 4,2,1 --scheme uni-b --trials 3 --snr 20,30,40 --format json --seed 7": "cebb1e6d45792381ae8edd5bb2cee46f6aeeb253dddc1e7dcbf68bd1d425b9ae",
-    "slope --m 4,2,1 --scheme uni-b --trials 3 --snr 20,30,40 --format csv --seed 7": "63a25336a47b9ecde2733cf2029dcff8df6b28fbd3241e8ccd7de75ffa90bbae",
+    "slope --m 4,2,1 --scheme uni-b --trials 3 --snr 20,30,40 --format json --seed 7": "e0e6e04cdeb34f040ac9152f81261dc211eb38fada1cc655132e76fdec63384b",
+    "slope --m 4,2,1 --scheme uni-b --trials 3 --snr 20,30,40 --format csv --seed 7": "9403988063851f9e751c7ef36fc6e106844b37607aa1bb38915159250869dbe8",
     "verify-scheme --m 4,2,1 --scheme bcast --format table --seed 7": "c10f196ea62356962ee552dcfff928bf72ad62f2392972ef208777f346c92382",
     "verify-scheme --m 4,2,1 --scheme bcast --format json --seed 7": "4efc102ab16043b6c089df6d450cebdce6721c8913749153dfc62f419d42ef7e",
     "verify-scheme --m 4,2,1 --scheme bcast --format csv --seed 7": "9c95dde8f34fe2ef390f9bb9da1aa3801f5e95575fe8139168a4b1288c5985b2",
     "slope --m 4,2,1 --scheme bcast --trials 3 --snr 20,30,40 --format table --seed 7": "210eb8d9a1e01cfb3ddf10efcea199938a7b2dace814770a20b0fe9aac164f07",
-    "slope --m 4,2,1 --scheme bcast --trials 3 --snr 20,30,40 --format json --seed 7": "bba0ca19d3203a86687155f686ae7779682fc949ef96faa65446edc08e04ce0d",
-    "slope --m 4,2,1 --scheme bcast --trials 3 --snr 20,30,40 --format csv --seed 7": "45bf1ac032d61d1c105c5a1541c7523efa4248e26189d73ddf798f7a94c38a29",
+    "slope --m 4,2,1 --scheme bcast --trials 3 --snr 20,30,40 --format json --seed 7": "b63272172807cf984a0beeaa19e8a240ae92802fa3bf8613eee45495f544460b",
+    "slope --m 4,2,1 --scheme bcast --trials 3 --snr 20,30,40 --format csv --seed 7": "68c3332804fc4c3837fcf1e34b87da78d74fc96cc002ab1fa4d468b974201ae7",
     "bounds --mt 3,1/3,1 --mr 0,2/3,1 --format table --seed 7": "cbae91216c5331889c69cfc7bd317ae249064ea9492d7a04e5d7a63dbce5f9e1",
     "bounds --mt 3,1/3,1 --mr 0,2/3,1 --format json --seed 7": "d6ac9cdc0dd5b5a2ae3a4dd0f662533bd43edb2dd0910034c9712ff096b198b5",
     "bounds --mt 3,1/3,1 --mr 0,2/3,1 --format csv --seed 7": "e4b4429bc6e3ff6a394f15597058d473a099445a3b5c7aaab2c35760e0697bbe",
@@ -264,8 +264,8 @@ GOLDEN = {
     "sweep --msgs broadcast --ratio1 0:4:3/4 --ratio2 1/3:2:1/6 --format table --seed 7": "403e81c0cbbba5fdf101661226c4dbf83eff11c4b42484b42ab7679b8601e2e3",
     "sweep --msgs broadcast --ratio1 0:4:3/4 --ratio2 1/3:2:1/6 --format json --seed 7": "b44363c8cf398f52c499432092d64ed0d50398f73571e150d532a06f6f793024",
     "sweep --msgs broadcast --ratio1 0:4:3/4 --ratio2 1/3:2:1/6 --format csv --seed 7": "8d300c06ded2a392ed8c521f9836548fa174dbb5b75c2e3b655d10d24d376253",
-    "slope --m 7,6,5 --scheme uni-a --trials 21 --snr 20,30,40 --format json --seed 7": "95d9081129fee2071800f5b25476fb3408c3c5a6fd7352447f6886d413606101",
-    "slope --m 4,2,1 --scheme uni-b --trials 21 --snr 20,30,40 --format json --seed 7": "705fa3a0f3c067325ad654758d27458d6324cd285c55a6d66d02f1a449760f4e",
+    "slope --m 7,6,5 --scheme uni-a --trials 21 --snr 20,30,40 --format json --seed 7": "ff72e472f2b16357f0cbff0ad08d0629b2acc8853a4a4ead85dc4e5334470f59",
+    "slope --m 4,2,1 --scheme uni-b --trials 21 --snr 20,30,40 --format json --seed 7": "b4aad8e1490d9d4c28d64907110fb9c0849d170ea432c5cfc7e2133397b4efcf",
     "slope --m 5,3,2 --scheme bcast --trials 21 --snr 20,30,40 --format json --seed 7": "03ea3e064082bedced07aaf38534cbeddb540debb93e70db0c413ce0a53619a7",
 }
 

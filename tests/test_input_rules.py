@@ -111,8 +111,8 @@ def test_json_text_has_one_encoder():
 
 
 def test_lapack_has_one_entry():
-    # linalg's private shim makes every SVD, solve, QR and slogdet; a call of
-    # the numpy.linalg wrapper anywhere else would bring back its dispatch
+    # linalg's private shim makes every SVD, solve and QR; a call of the
+    # numpy.linalg wrapper anywhere else (a slogdet too) would bring back its dispatch
     src = pathlib.Path(mimo3way.__file__).parent
     calls = [
         f"{path.name}:{node.lineno}"

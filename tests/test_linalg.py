@@ -286,13 +286,10 @@ def test_largest_singular_value_lies_within_the_entry_bounds(scale):
 
 
 @pytest.mark.parametrize("lead", _LEADS)
-def test_shim_solve_and_slogdet_match_numpy_bit_for_bit(lead):
+def test_shim_solve_matches_numpy_bit_for_bit(lead):
     for n in range(1, 8):
         a, b = _stack(n, lead, n, n), _stack(100 + n, lead, n, 1)
         _same(linalg._solve(a, b), np.linalg.solve(a, b))
-        _same(linalg._slogdet(a), np.linalg.slogdet(a))
-        gram = np.eye(n) + a @ a.conj().mT  # the positive-definite kind rates takes
-        _same(linalg._slogdet(gram), np.linalg.slogdet(gram))
 
 
 @pytest.mark.parametrize("lead", _LEADS)
@@ -337,7 +334,7 @@ def _falls_back(monkeypatch, a, b):
     """Each shim entry on `a` (and `b`) gives the public function's result,
     through that function; returns the public calls made, by name."""
     calls = []
-    for name in ("svd", "solve", "qr", "slogdet"):
+    for name in ("svd", "solve", "qr"):
 
         def recording(*args, real=getattr(np.linalg, name), name=name, **kwargs):
             calls.append(name)
@@ -349,9 +346,8 @@ def _falls_back(monkeypatch, a, b):
     _same(linalg._svd_full(a), np.linalg.svd(a))
     _same(linalg._solve(a, b), np.linalg.solve(a, b))
     _same(linalg._qr(a.copy()), (q, np.diagonal(r, axis1=-2, axis2=-1)))
-    _same(linalg._slogdet(a), np.linalg.slogdet(a))
     # each public function once for the shim and once for the reference
-    assert sorted(calls) == ["qr", "qr", "slogdet", "slogdet", "solve", "solve", "svd", "svd", "svd", "svd"]
+    assert sorted(calls) == ["qr", "qr", "solve", "solve", "svd", "svd", "svd", "svd"]
     return calls
 
 
