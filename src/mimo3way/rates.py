@@ -7,11 +7,11 @@ the node budget split evenly over its streams; the broadcast message counts
 once per receiver (decoding must succeed at both, so its rate is the minimum
 over receivers); rates are divided by the symbol-extension factor to land in
 bits per channel use. A (message, receiver) pair rates log2 det(I + snr A A^H)
-- log2 det(I + snr B B^H), A = [G / sqrt(d) | leaks / sqrt(d') ...] and B the
-leaks alone (zero-forcing: A = G / sqrt(d), no B). As log det(I + snr A A^H)
-is the sum of log(1 + snr s) over A's squared singular values s (Telatar,
-1999), `_terms` takes those once, one batched SVD a matrix shape over every
-pair and trial, and `_rates` is the one kernel of every SNR and grid: a
+- log2 det(I + snr B B^H), A = [G / sqrt(d) | leaks / sqrt(d') ...], B the
+leaks alone at A's shape, G zeroed (zero-forcing: A = G / sqrt(d), no B). As
+log det(I + snr A A^H) is the sum of log(1 + snr s) over A's squared singular
+values s (Telatar, 1999), `_terms` takes those once, one batched SVD a matrix
+shape over every pair and trial, and `_rates` is the one kernel of each SNR: a
 log1p of snr times the values, summed per pair. The one refusal is overflow,
 at every SNR whose product with the largest value is not finite: an up-set
 of SNRs fixed by the SNR-free terms.
@@ -54,15 +54,15 @@ _LN2 = math.log(2.0)
 # Most trials estimate_dof runs: about 6 s on the mc-slope configs, 46 s at (7,6,5) uni-a, on a 25-point grid
 _MAX_TRIALS = 100_000
 
-# Trials per stacked draw/build/verify/rate pass of estimate_dof: at least _BLOCK, else as many as keep the rate
-# Gram entries of _MAX_GRAM_ENTRIES within 2**16, as a block costs about 1 ms besides 0.05 ms a trial at (3,3,3) uni-a.
-_BLOCK, _BLOCK_ENTRIES = 10, 2**16
+# Trials per stacked draw/build/verify/rate pass of estimate_dof: at least _BLOCK, else as many as keep a block's
+# weight within 2**17, a trial weighing its link entries (N_i N_j over ordered node pairs of the extended split) and
+# its log1p table (grid points x the pairs' stream counts). A block peaks at 1 to 5 times its weight (tracemalloc,
+# 10 configs from (4,2,1) uni-b to (30,20,10) uni-a), at most about 10 MiB.
+_BLOCK, _BLOCK_ENTRIES = 10, 2**17
 
-# Most (block trials, grid points, pairs, n, n) rate Gram entries of estimate_dof,
-# at the stream count n whose pairs have the most, checked at _BLOCK trials
-# before any draw (a larger block holds at most _BLOCK_ENTRIES). The rates once
-# stacked those Grams; a block's log1p table holds at most n values a pair and
-# grid point. It also bounds the (trials, grid) rate table, 32 MiB.
+# Most trials x grid points x pairs x n^2 of estimate_dof at _BLOCK trials, n the stream count whose pairs weigh
+# most, and most trials x grid points (the (trials, grid) rate table, 32 MiB), checked before any draw: a pair's
+# log1p table holds n <= n^2 values a trial and grid point.
 _MAX_GRAM_ENTRIES = 2**22
 
 _MAX_GRID = 4096  # most points of estimate_dof's SNR grid; its slope reads the top two, or the top half
@@ -146,7 +146,7 @@ def _rates(form, snrs):
     the same over B's, from 0 in column order (one log1p over all values); from 0 in message order a message adds
     its weight times its least rate over receivers. A float's rate is a one-point grid's, bit for bit."""
     spans, messages, s, top = form
-    if isinstance(snrs, float):  # Python numbers past the log1p
+    if isinstance(snrs, float):  # Python numbers past the log1p: 4 to 6 times faster than numpy on a one-point grid
         if not math.isfinite(snrs * top):
             raise InvalidInputError(f"snr_linear {snrs} overflows the rate Gram matrix")
         logs, lowest = np.log1p(snrs * s).tolist(), min
@@ -277,16 +277,16 @@ def estimate_dof(config: AntennaConfig, tag: SchemeTag, snr_grid_db=(30.0, 50.0)
 
     split, ext = scheme_split(config, tag)
     dims = [m.dim for m in _messages(split, tag) for _ in m.receivers]  # each pair's stream count n
-    n = max(dims, key=lambda d: dims.count(d) * d * d)  # the one whose pairs have the most n x n Gram entries
+    n = max(dims, key=lambda d: dims.count(d) * d * d)  # the one whose pairs weigh most, n^2 a pair
     if min(trials, _BLOCK) * len(grid) * dims.count(n) * n * n > _MAX_GRAM_ENTRIES:
         raise InvalidInputError(
             f"{min(trials, _BLOCK)} trials x {len(grid)} snr grid points x {dims.count(n)} pairs x {n}^2 streams "
             f"is over the {_MAX_GRAM_ENTRIES} rate Gram entries estimate_dof stacks at once")
-    largest = int(max(split.totals))
+    largest, links = int(max(split.totals)), sum(split.totals) ** 2 - sum(t**2 for t in split.totals)  # N, link entries
     if trials * largest**3 > _MAX_WORK:
         raise InvalidInputError(
             f"{trials} trials x {largest}^3 antennas at the largest node is over the {_MAX_WORK} work budget")
-    size = max(_BLOCK, _BLOCK_ENTRIES // (len(grid) * dims.count(n) * n * n))
+    size = max(_BLOCK, _BLOCK_ENTRIES // (links + len(grid) * sum(dims)))
     rates, valid, ks = np.zeros((trials, len(grid))), np.zeros(trials, dtype=bool), np.arange(trials, dtype=np.uint64)
     for start in range(0, trials, size):
         block = slice(start, start + size)

@@ -130,8 +130,18 @@ def _ablated_close(got, want) -> bool:
     return all(abs(g - w) <= _ABLATED_TOL * max(1.0, abs(w)) for g, w in zip(got, want, strict=True))
 
 
-def _loop_sum_rate(s, ch, snr):
-    """Reference: one (message, receiver) pair and one SNR per slogdet."""
+def _slogdet_bits(rho, g):
+    return float(np.linalg.slogdet(np.eye(g.shape[0], dtype=complex) + rho * (g @ g.conj().T))[1]) / math.log(2.0)
+
+
+def _eigenvalue_bits(rho, g):
+    """log2 det(I + rho G G^H) as log1p over the eigenvalues of G G^H: it
+    keeps the digits that the slogdet of I + rho G G^H, near I, loses at low SNR."""
+    return float(np.log1p(rho * np.linalg.eigvalsh(g @ g.conj().T)).sum()) / math.log(2.0)
+
+
+def _loop_sum_rate(s, ch, snr, bits=_slogdet_bits):
+    """Reference: one (message, receiver) pair and one SNR per slogdet (or per `bits`)."""
     total = 0.0
     for m in s.messages:
         if m.dim == 0:
@@ -140,8 +150,7 @@ def _loop_sum_rate(s, ch, snr):
         per_rx = []
         for r in m.receivers:
             g = s.projectors[(m.key, r)].conj().T @ ch.h(m.tx, r) @ s.precoders[m.key]
-            _, logdet = np.linalg.slogdet(np.eye(g.shape[0], dtype=complex) + rho * (g @ g.conj().T))
-            per_rx.append(float(logdet) / math.log(2.0))
+            per_rx.append(bits(rho, g))
         total += m.weight * min(per_rx)
     return total / s.extension_factor
 
@@ -995,14 +1004,15 @@ def test_a_block_stacks_its_trial_pools_once():
     assert info.hits + info.misses == 40
 
 
-# per mc-slope config, the entries per trial and SNR point of its pairs' n x n
-# terms at the n with the most (four 1x1 pairs; a 2x2 beside a 1x1; two 2x2;
-# a 10x10 beside 7x7 and 4x4 ones) and the block size 2**16 entries give on
-# its 25 points: each runs the 20 trials of an mc-slope op in one block
-@pytest.mark.parametrize("m, tag, entries, size",
-                         [(*case, e, n) for case, e, n in zip(_MC_CASES, (4, 4, 8, 100), (655, 655, 327, 26))])
-def test_block_size_on_the_mc_slope_grid(monkeypatch, m, tag, entries, size):
-    assert size == 2**16 // (25 * entries) and rates_mod._BLOCK_ENTRIES == 2**16
+# per mc-slope config, a trial's link entries, N_i N_j over ordered node pairs
+# of the extended split, and its log1p entries a grid point, the pairs' stream
+# counts summed: a block weighs at most 2**17 in all on a 25-point grid, so
+# each runs the 20 trials of an mc-slope op in one block
+@pytest.mark.parametrize("m, tag, links, values, size",
+                         [(*case, *n) for case, n in zip(_MC_CASES, ((54, 4, 851), (28, 3, 1000), (62, 5, 700),
+                                                                     (1926, 25, 51)))])
+def test_block_size_on_the_mc_slope_grid(monkeypatch, m, tag, links, values, size):
+    assert size == min(1000, 2**17 // (links + 25 * values)) and rates_mod._BLOCK_ENTRIES == 2**17
     _, s = _built(m, tag)
     sizes = []
 
@@ -1012,7 +1022,7 @@ def test_block_size_on_the_mc_slope_grid(monkeypatch, m, tag, entries, size):
 
     monkeypatch.setattr(rates_mod, "_rate_block", rate_block)
     estimate_dof(AntennaConfig(*m), tag, tuple(2.5 * i for i in range(25)), trials=1000, fit="lsq-top-half")
-    assert sizes == [size] * (1000 // size) + [1000 % size]
+    assert sizes == [size] * (1000 // size) + [1000 % size] * (1000 % size > 0)
 
 
 @pytest.mark.parametrize("m, tag", _MC_CASES)
@@ -1074,15 +1084,20 @@ _SWEEP_SNRS = [10.0 ** (2.5 * i / 10.0) for i in range(-16, 41)]
 
 @pytest.mark.parametrize("m, tag", _MC_CASES)
 def test_one_point_rates_over_an_snr_sweep(m, tag):
-    # a one-SNR call equals the grid kernel bit for bit over the sweep, and
-    # both meet one slogdet per pair and SNR from 0 dB to _TOL_SNR (below 0 dB
-    # the slogdet of I + snr S is the one that loses digits: log of a number near 1)
-    checked = [snr for snr in _SWEEP_SNRS if 1.0 <= snr <= _TOL_SNR]
+    # a one-SNR call equals the grid kernel bit for bit over the sweep; at every
+    # sweep SNR up to _TOL_SNR the ablated rate meets its slogdet reference and
+    # the zero-forcing one meets log1p over each pair's eigenvalues, and from
+    # 0 dB its slogdet reference too (below 0 dB the slogdet of I + snr S is the
+    # one that loses digits: the log of a number near 1)
+    checked = [snr for snr in _SWEEP_SNRS if snr <= _TOL_SNR]
     for seed in range(4):
         ch, s = _built(m, tag, seed=seed)
         zero_forcing = [sum_rate(s, ch, snr) for snr in _SWEEP_SNRS]
         assert zero_forcing == rates_mod._sum_rates(s, ch, _SWEEP_SNRS).tolist()
-        assert _zf_close([sum_rate(s, ch, snr) for snr in checked], [_loop_sum_rate(s, ch, snr) for snr in checked])
+        eigenvalue_rates = [_loop_sum_rate(s, ch, snr, _eigenvalue_bits) for snr in checked]
+        assert _zf_close(zero_forcing[: len(checked)], eigenvalue_rates)
+        assert _zf_close([rate for rate, snr in zip(zero_forcing, checked) if snr >= 1.0],
+                         [_loop_sum_rate(s, ch, snr) for snr in checked if snr >= 1.0])
         assert _ablated_close([ablated_sum_rate(s, ch, snr, seed=seed) for snr in checked],
                               [_per_call_ablated_sum_rate(s, ch, snr, seed) for snr in checked])
 
